@@ -1,7 +1,6 @@
 //! Runs every analytic and structural experiment harness in sequence and
 //! summarizes the reproduction status (the simulation figures are listed
-//! with their commands rather than executed — they take minutes to hours;
-//! see EXPERIMENTS.md for recorded results).
+//! with their commands rather than executed — they take minutes to hours).
 
 #![allow(clippy::print_stdout)] // figure/table emitters print their artifact
 

@@ -2,11 +2,21 @@
 //! shortest path length.
 //!
 //! The interconnect graphs in this workspace are small (≤ ~20 000 vertices)
-//! and unweighted, so all-pairs distances are computed as one BFS per
-//! source, parallelized across sources with Rayon. Distances are stored as
-//! `u8` (`UNREACHABLE = 255`): no experiment in the paper produces finite
-//! distances anywhere near that, and the compact matrix (N² bytes) is what
-//! makes full routing tables for the 993-router configurations cheap.
+//! and unweighted. All-pairs work runs on one level-synchronous,
+//! word-parallel kernel (`for_each_level`, private to this module): 64
+//! sources share a `u64` frontier word per vertex, a level is
+//! `next[v] = (OR of frontier[u] over N(v)) & !seen[v]`, and a per-level
+//! sink either scatters `u8` distances ([`DistanceMatrix::build`], or
+//! [`for_each_row_batch`] to stream them 64 rows at a time) or only
+//! popcounts them ([`DistanceHistogram::build`]). Batches of 64 sources are the
+//! unit of the Rayon fan-out. [`bfs_distances`] is the scalar single-source
+//! entry point and the oracle the kernel is tested against.
+//!
+//! Distances are stored as `u8` with `UNREACHABLE = 255`, so the largest
+//! representable finite distance is [`MAX_DISTANCE`] = 254 hops; both BFS
+//! paths panic with a message naming that ceiling instead of wrapping. The
+//! compact matrix (N² bytes) is what makes full routing tables for the
+//! 993-router configurations cheap.
 
 use crate::csr::Csr;
 use rayon::prelude::*;
@@ -15,7 +25,23 @@ use std::collections::VecDeque;
 /// Sentinel distance for unreachable vertex pairs.
 pub const UNREACHABLE: u8 = u8::MAX;
 
+/// Largest finite distance a `u8` entry can hold.
+pub const MAX_DISTANCE: u8 = UNREACHABLE - 1;
+
+/// Sources per kernel batch: one bit of a frontier word each.
+const LANES: usize = u64::BITS as usize;
+
+/// Panics when a BFS is about to label a vertex beyond [`MAX_DISTANCE`].
+#[inline]
+fn assert_within_ceiling(level: u8) {
+    assert!(
+        level < MAX_DISTANCE,
+        "finite distance exceeds the 254-hop ceiling of u8 distance entries"
+    );
+}
+
 /// Single-source BFS distances (`UNREACHABLE` where not reachable).
+/// Panics if a finite distance would exceed [`MAX_DISTANCE`].
 pub fn bfs_distances(g: &Csr, src: u32) -> Vec<u8> {
     let n = g.vertex_count();
     let mut dist = vec![UNREACHABLE; n];
@@ -26,12 +52,174 @@ pub fn bfs_distances(g: &Csr, src: u32) -> Vec<u8> {
         let du = dist[u as usize];
         for &w in g.neighbors(u) {
             if dist[w as usize] == UNREACHABLE {
+                assert_within_ceiling(du);
                 dist[w as usize] = du + 1;
                 queue.push_back(w);
             }
         }
     }
     dist
+}
+
+/// The word-parallel kernel: one level-synchronous BFS from the sources
+/// `first .. first + lanes` (`lanes ≤ 64`) at once. Calls
+/// `sink(level, words)` once per non-empty level, starting at level 0;
+/// bit `b` of `words[v]` is set iff `dist(first + b, v) == level`. Each
+/// level costs one word OR per directed edge, i.e. O(E · n / 64) word
+/// operations per level over a whole all-pairs run.
+fn for_each_level(g: &Csr, first: usize, lanes: usize, mut sink: impl FnMut(u8, &[u64])) {
+    let n = g.vertex_count();
+    debug_assert!((1..=LANES).contains(&lanes) && first + lanes <= n);
+    let full = u64::MAX >> (LANES - lanes);
+    let mut frontier = vec![0u64; n];
+    for (b, word) in frontier[first..first + lanes].iter_mut().enumerate() {
+        *word = 1 << b;
+    }
+    let mut seen = frontier.clone();
+    let mut next = vec![0u64; n];
+    let mut level = 0u8;
+    loop {
+        sink(level, &frontier);
+        let mut any = 0u64;
+        for (v, (next_v, seen_v)) in next.iter_mut().zip(&mut seen).enumerate() {
+            // A vertex every lane has reached can gain nothing more.
+            *next_v = if *seen_v == full {
+                0
+            } else {
+                g.neighbors(v as u32)
+                    .iter()
+                    .fold(0, |acc, &u| acc | frontier[u as usize])
+                    & !*seen_v
+            };
+            *seen_v |= *next_v;
+            any |= *next_v;
+        }
+        if any == 0 {
+            return;
+        }
+        assert_within_ceiling(level);
+        level += 1;
+        std::mem::swap(&mut frontier, &mut next);
+    }
+}
+
+/// Source batches of an `n`-vertex graph: `(first, lanes)` pairs.
+fn batches(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n)
+        .step_by(LANES)
+        .map(move |first| (first, LANES.min(n - first)))
+}
+
+/// The kernel's scatter sink: writes the distance rows of the sources
+/// `first .. first + lanes` into `rows` (`lanes × n`, row-major, pre-filled
+/// with [`UNREACHABLE`]) — one store per set bit.
+fn scatter_batch(g: &Csr, first: usize, lanes: usize, rows: &mut [u8]) {
+    let n = g.vertex_count();
+    for_each_level(g, first, lanes, |level, words| {
+        for (v, &word) in words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                rows[bits.trailing_zeros() as usize * n + v] = level;
+                bits &= bits - 1;
+            }
+        }
+    });
+}
+
+/// Streams the all-pairs distances 64 source rows at a time, in ascending
+/// source order: `visit(first, rows)` sees the rows of the sources
+/// `first ..` as one `lanes × n` row-major block. For consumers that read
+/// each row once and do not want the N² matrix resident.
+pub fn for_each_row_batch(g: &Csr, mut visit: impl FnMut(u32, &[u8])) {
+    let n = g.vertex_count();
+    let mut rows = vec![UNREACHABLE; LANES.min(n) * n];
+    for (first, lanes) in batches(n) {
+        let rows = &mut rows[..lanes * n];
+        rows.fill(UNREACHABLE);
+        scatter_batch(g, first, lanes, rows);
+        visit(first as u32, rows);
+    }
+}
+
+/// Distance histogram of a graph — the kernel's popcount sink. Diameter,
+/// ASPL and connectivity all follow from it, without the N² matrix.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DistanceHistogram {
+    n: usize,
+    counts: Vec<u64>,
+}
+
+impl DistanceHistogram {
+    /// Counts the ordered pairs `u ≠ v` at each finite distance, parallel
+    /// over batches of 64 sources. Panics if a finite distance would
+    /// exceed [`MAX_DISTANCE`].
+    pub fn build(g: &Csr) -> DistanceHistogram {
+        let n = g.vertex_count();
+        let per_batch: Vec<Vec<u64>> = batches(n)
+            .into_par_iter()
+            .map(|(first, lanes)| {
+                let mut counts = Vec::new();
+                for_each_level(g, first, lanes, |_, words| {
+                    counts.push(words.iter().map(|w| u64::from(w.count_ones())).sum());
+                });
+                counts
+            })
+            .collect();
+        let mut counts = Vec::new();
+        for batch in per_batch {
+            if counts.len() < batch.len() {
+                counts.resize(batch.len(), 0);
+            }
+            for (total, pairs) in counts.iter_mut().zip(batch) {
+                *total += pairs;
+            }
+        }
+        // Level 0 is the `u = v` diagonal, not a pair; without it a graph
+        // with no edges has no entries at all.
+        if let Some(diagonal) = counts.first_mut() {
+            *diagonal = 0;
+        }
+        if counts.len() == 1 {
+            counts.clear();
+        }
+        DistanceHistogram { n, counts }
+    }
+
+    /// `counts()[d]` = ordered pairs `u ≠ v` at distance `d` (entry 0 is
+    /// 0, the last entry is non-zero, unreachable pairs are not counted) —
+    /// the same contract as [`DistanceMatrix::distance_histogram`].
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// `true` iff every pair is reachable.
+    pub fn connected(&self) -> bool {
+        let n = self.n as u64;
+        self.counts.iter().sum::<u64>() == n * n.saturating_sub(1)
+    }
+
+    /// Graph diameter, or `None` if disconnected.
+    pub fn diameter(&self) -> Option<u32> {
+        self.connected().then(|| self.diameter_reachable())
+    }
+
+    /// Diameter over reachable pairs only (the "observed" diameter reported
+    /// for partially failed networks before disconnection is detected).
+    pub fn diameter_reachable(&self) -> u32 {
+        self.counts.len().saturating_sub(1) as u32
+    }
+
+    /// Average shortest path length over ordered reachable pairs `u ≠ v`
+    /// (0 when there are none).
+    pub fn average_shortest_path(&self) -> f64 {
+        let pairs: u64 = self.counts.iter().sum();
+        let hops: u64 = self.counts.iter().zip(0u64..).map(|(&c, d)| c * d).sum();
+        if pairs == 0 {
+            0.0
+        } else {
+            hops as f64 / pairs as f64
+        }
+    }
 }
 
 /// Dense all-pairs distance matrix.
@@ -42,13 +230,16 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// All-pairs BFS, parallel over sources.
+    /// All-pairs distances from the word-parallel kernel, parallel over
+    /// batches of 64 sources (each batch owns its 64 rows of the matrix).
+    /// Panics if a finite distance would exceed [`MAX_DISTANCE`].
     pub fn build(g: &Csr) -> DistanceMatrix {
         let n = g.vertex_count();
-        let dist: Vec<u8> = (0..n as u32)
+        let mut dist = vec![UNREACHABLE; n * n];
+        dist.chunks_mut((LANES * n).max(1))
+            .zip(batches(n))
             .into_par_iter()
-            .flat_map_iter(|s| bfs_distances(g, s))
-            .collect();
+            .for_each(|(rows, (first, lanes))| scatter_batch(g, first, lanes, rows));
         DistanceMatrix { n, dist }
     }
 
@@ -147,18 +338,20 @@ impl DistanceMatrix {
 
 /// Convenience: diameter of `g`, `None` if disconnected.
 pub fn diameter(g: &Csr) -> Option<u32> {
-    DistanceMatrix::build(g).diameter()
+    DistanceHistogram::build(g).diameter()
 }
 
 /// Convenience: average shortest path length of `g` over reachable pairs.
 pub fn average_shortest_path(g: &Csr) -> f64 {
-    DistanceMatrix::build(g).average_shortest_path()
+    DistanceHistogram::build(g).average_shortest_path()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csr::GraphBuilder;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn path(n: usize) -> Csr {
         let mut b = GraphBuilder::new(n);
@@ -230,6 +423,123 @@ mod tests {
         let total: u64 = hist.iter().sum();
         assert_eq!(total, 5 * 4); // all ordered pairs reachable
         assert_eq!(hist[0], 0);
+    }
+
+    /// `n` vertices, `m` seeded random edge draws (duplicates collapse),
+    /// the last `isolated` vertices left without edges.
+    fn random_graph(n: usize, m: usize, isolated: usize, seed: u64) -> Csr {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let live = n.saturating_sub(isolated) as u32;
+        let mut b = GraphBuilder::new(n);
+        for _ in 0..if live >= 2 { m } else { 0 } {
+            let (u, v) = (rng.gen_range(0..live), rng.gen_range(0..live));
+            if u != v {
+                b.add_edge(u, v);
+            }
+        }
+        b.build()
+    }
+
+    /// The kernel's two sinks against the scalar oracle.
+    fn assert_kernel_matches_oracle(g: &Csr, label: &str) {
+        let n = g.vertex_count();
+        let m = DistanceMatrix::build(g);
+        assert_eq!(m.vertex_count(), n, "{label}");
+        for s in 0..n as u32 {
+            assert_eq!(m.row(s), bfs_distances(g, s).as_slice(), "{label} row {s}");
+        }
+        let mut streamed = Vec::new();
+        for_each_row_batch(g, |first, rows| {
+            assert_eq!(first as usize * n, streamed.len(), "{label}");
+            streamed.extend_from_slice(rows);
+        });
+        assert_eq!(streamed, m.dist, "{label}");
+        let h = DistanceHistogram::build(g);
+        assert_eq!(h.counts(), m.distance_histogram(), "{label}");
+        assert_eq!(h.connected(), m.connected(), "{label}");
+        assert_eq!(h.diameter(), m.diameter(), "{label}");
+        assert_eq!(h.diameter_reachable(), m.diameter_reachable(), "{label}");
+        assert_eq!(
+            h.average_shortest_path().to_bits(),
+            m.average_shortest_path().to_bits(),
+            "{label}"
+        );
+    }
+
+    #[test]
+    fn kernel_matches_oracle_on_random_graphs() {
+        // Sizes straddle the 64-lane batch boundary; edge budgets run from
+        // shattered (many components) to dense.
+        for (i, &n) in [0usize, 1, 2, 63, 64, 65, 130, 200].iter().enumerate() {
+            for (j, m) in [0, n / 2, n, 3 * n].into_iter().enumerate() {
+                for isolated in [0, n / 5] {
+                    let seed = (i * 16 + j * 2) as u64 + u64::from(isolated > 0);
+                    let g = random_graph(n, m, isolated, seed);
+                    assert_kernel_matches_oracle(&g, &format!("n={n} m={m} iso={isolated}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_oracle_across_components() {
+        // Two paths and a triangle, plus isolated vertices, spread over
+        // two batches so lanes of one word sit in different components.
+        let mut b = GraphBuilder::new(100);
+        for i in 0..40u32 {
+            b.add_edge(i, i + 1);
+        }
+        for i in 50..90u32 {
+            b.add_edge(i, i + 1);
+        }
+        b.add_edge(95, 96);
+        b.add_edge(96, 97);
+        b.add_edge(95, 97);
+        let g = b.build();
+        assert_kernel_matches_oracle(&g, "components");
+        let m = DistanceMatrix::build(&g);
+        assert_eq!(m.get(0, 40), 40);
+        assert_eq!(m.get(0, 50), UNREACHABLE);
+        assert_eq!(m.get(99, 99), 0);
+        assert_eq!(m.get(99, 98), UNREACHABLE);
+    }
+
+    #[test]
+    fn histogram_of_edgeless_graphs_is_empty() {
+        for n in [0, 1, 70] {
+            let g = GraphBuilder::new(n).build();
+            assert!(DistanceHistogram::build(&g).counts().is_empty(), "n={n}");
+            assert!(DistanceMatrix::build(&g).distance_histogram().is_empty());
+        }
+    }
+
+    #[test]
+    fn a_254_hop_path_is_the_largest_representable() {
+        let g = path(255);
+        assert_eq!(bfs_distances(&g, 0)[254], MAX_DISTANCE);
+        let m = DistanceMatrix::build(&g);
+        assert_eq!(m.diameter(), Some(254));
+        assert_eq!(m.get(254, 0), 254);
+        assert_eq!(DistanceHistogram::build(&g).diameter(), Some(254));
+        assert_kernel_matches_oracle(&g, "path(255)");
+    }
+
+    #[test]
+    #[should_panic(expected = "254-hop ceiling")]
+    fn scalar_bfs_rejects_distances_past_the_ceiling() {
+        bfs_distances(&path(300), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "254-hop ceiling")]
+    fn distance_matrix_rejects_distances_past_the_ceiling() {
+        DistanceMatrix::build(&path(300));
+    }
+
+    #[test]
+    #[should_panic(expected = "254-hop ceiling")]
+    fn distance_histogram_rejects_distances_past_the_ceiling() {
+        DistanceHistogram::build(&path(300));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! fault event queue) flips its per-port masks at the scheduled cycles
 //! and re-converges its route tables after each event.
 
-use crate::bfs::DistanceMatrix;
+use crate::bfs::DistanceHistogram;
 use crate::csr::Csr;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -565,13 +565,13 @@ pub fn failure_trial(g: &Csr, checkpoints: &[f64], seed: u64) -> FailureTrial {
         .iter()
         .map(|&ratio| {
             let k = ((ratio * m as f64).round() as usize).min(m);
-            let residual = g.without_edges(&order[..k]);
-            let dm = DistanceMatrix::build(&residual);
+            // One histogram per checkpoint: no N² matrix, no rescans.
+            let hist = DistanceHistogram::build(&g.without_edges(&order[..k]));
             FailurePoint {
                 failure_ratio: ratio,
-                diameter: dm.diameter_reachable(),
-                aspl: dm.average_shortest_path(),
-                connected: dm.connected(),
+                diameter: hist.diameter_reachable(),
+                aspl: hist.average_shortest_path(),
+                connected: hist.connected(),
             }
         })
         .collect();
@@ -607,7 +607,7 @@ pub fn median_failure_trial(
             )
         })
         .collect();
-    ratios.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    ratios.sort_by(|a, b| a.0.total_cmp(&b.0));
     let (median_ratio, median_seed) = ratios[trials / 2];
     let trial = failure_trial(g, checkpoints, median_seed);
     (median_ratio, trial)

@@ -8,9 +8,9 @@
 //!
 //! The model serves two purposes: (1) it validates the cycle-accurate
 //! engine (the engine must saturate at `η ×` the fluid bound, where `η` is
-//! its allocator efficiency, measured in EXPERIMENTS.md), and (2) it gives
-//! instant capacity estimates for design exploration where flit-level
-//! simulation would be overkill.
+//! its allocator efficiency; `tests/spectral_and_models.rs` pins the band),
+//! and (2) it gives instant capacity estimates for design exploration
+//! where flit-level simulation would be overkill.
 
 use crate::tables::RouteTables;
 use crate::traffic::DestMap;

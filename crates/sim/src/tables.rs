@@ -3,16 +3,27 @@
 //! routing does, avoiding the systematic hotspots a lowest-id tie-break
 //! would create on topologies with equal-cost path multiplicity).
 //!
+//! Distances come from [`DistanceMatrix::build`] (the word-parallel
+//! all-pairs kernel of `pf_graph::bfs`); next hops are picked
+//! source-major by comparing whole distance rows, with one RNG stream per
+//! destination so the tie-breaks do not depend on how the work is split.
+//!
 //! Fault awareness: [`RouteTables::build_for`] consults
 //! [`pf_topo::Topology::link_failures`] and builds the tables on the
 //! *residual* graph, so every table next hop (and every UGAL distance
 //! term) already routes around the failed links.
 
-use pf_graph::{bfs, Csr};
+use pf_graph::{bfs, Csr, DistanceMatrix};
 use pf_topo::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+
+/// Destinations per work item of [`RouteTables::build`], the unit of the
+/// Rayon fan-out: narrow enough that the 993-router tables still split
+/// four ways, wide enough that the per-window set-up is noise (one stripe
+/// over all of ER_47 is < 10 % faster).
+const STRIPE: usize = 256;
 
 /// The graph routing for `topo` must be computed on: `Some(residual)`
 /// when the topology advertises failed links, `None` (use the full graph)
@@ -27,60 +38,38 @@ pub fn routing_graph(topo: &dyn Topology) -> Option<Csr> {
 
 /// Dense distance + next-hop tables for one topology.
 pub struct RouteTables {
-    n: usize,
-    dist: Vec<u8>,
+    dist: DistanceMatrix,
     next: Vec<u32>,
 }
 
 impl RouteTables {
-    /// Builds tables with one BFS per destination (Rayon-parallel).
-    /// `next[s·N + d]` is a minimal next hop from `s` toward `d`, chosen
-    /// uniformly (seeded) among the equal-cost candidates.
+    /// Builds the tables: `next[s·N + d]` is a minimal next hop from `s`
+    /// toward `d`, chosen uniformly (seeded) among the equal-cost
+    /// candidates (`s` itself when `d` is `s` or unreachable).
+    ///
+    /// Destination `d` owns one RNG stream seeded from `(seed, d)` that
+    /// advances in `(s ascending, neighbor ascending)` candidate order, so
+    /// the table is a function of `(g, seed)` alone — not of `STRIPE` or
+    /// the thread count.
     pub fn build(g: &Csr, seed: u64) -> RouteTables {
         let n = g.vertex_count();
-        // For each destination d: dist_to_d[s]; next hop = any neighbor w
-        // of s with dist_to_d[w] = dist_to_d[s] − 1.
-        let per_dest: Vec<(Vec<u8>, Vec<u32>)> = (0..n as u32)
-            .into_par_iter()
-            .map(|d| {
-                let dist = bfs::bfs_distances(g, d);
-                let mut rng = StdRng::seed_from_u64(
-                    seed ^ (u64::from(d) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                let next: Vec<u32> = (0..n as u32)
-                    .map(|s| {
-                        if s == d || dist[s as usize] == bfs::UNREACHABLE {
-                            return s;
-                        }
-                        let want = dist[s as usize] - 1;
-                        let mut chosen = s;
-                        let mut seen = 0u32;
-                        for &w in g.neighbors(s) {
-                            if dist[w as usize] == want {
-                                seen += 1;
-                                // Reservoir sampling: uniform among candidates.
-                                if rng.gen_range(0..seen) == 0 {
-                                    chosen = w;
-                                }
-                            }
-                        }
-                        debug_assert_ne!(chosen, s, "no minimal next hop found");
-                        chosen
-                    })
-                    .collect();
-                (dist, next)
-            })
-            .collect();
-
-        let mut dist = vec![0u8; n * n];
+        let dist = DistanceMatrix::build(g);
         let mut next = vec![0u32; n * n];
-        for (d, (dd, nn)) in per_dest.into_iter().enumerate() {
-            for s in 0..n {
-                dist[s * n + d] = dd[s];
-                next[s * n + d] = nn[s];
+        // Column stripes of the row-major table: stripe k borrows columns
+        // `k·STRIPE ..` of every row, so workers write disjoint memory.
+        let mut stripes: Vec<(usize, Vec<&mut [u32]>)> = (0..n)
+            .step_by(STRIPE)
+            .map(|d0| (d0, Vec::with_capacity(n)))
+            .collect();
+        for row in next.chunks_mut(n.max(1)) {
+            for (stripe, piece) in stripes.iter_mut().zip(row.chunks_mut(STRIPE)) {
+                stripe.1.push(piece);
             }
         }
-        RouteTables { n, dist, next }
+        stripes
+            .into_par_iter()
+            .for_each(|(d0, rows)| fill_stripe(g, &dist, seed, d0, rows));
+        RouteTables { dist, next }
     }
 
     /// Builds the tables a `topo` run needs: on the full graph for healthy
@@ -97,24 +86,19 @@ impl RouteTables {
     /// Number of routers.
     #[inline]
     pub fn router_count(&self) -> usize {
-        self.n
+        self.dist.vertex_count()
     }
 
     /// Hop distance from `s` to `d`.
     #[inline]
     pub fn dist(&self, s: u32, d: u32) -> u32 {
-        u32::from(self.dist[s as usize * self.n + d as usize])
+        u32::from(self.dist.get(s, d))
     }
 
     /// Largest finite table distance — the diameter of the (residual)
     /// graph the tables were built on, when it is connected.
     pub fn max_finite_dist(&self) -> u32 {
-        self.dist
-            .iter()
-            .copied()
-            .filter(|&d| d != bfs::UNREACHABLE)
-            .max()
-            .map_or(0, u32::from)
+        self.dist.diameter_reachable()
     }
 
     /// Whether `d` is reachable from `s` in the graph the tables were
@@ -123,13 +107,13 @@ impl RouteTables {
     /// tables have not re-converged yet).
     #[inline]
     pub fn reachable(&self, s: u32, d: u32) -> bool {
-        self.dist[s as usize * self.n + d as usize] != bfs::UNREACHABLE
+        self.dist.get(s, d) != bfs::UNREACHABLE
     }
 
     /// The table's minimal next hop from `s` toward `d` (`s` if `s == d`).
     #[inline]
     pub fn next_hop(&self, s: u32, d: u32) -> u32 {
-        self.next[s as usize * self.n + d as usize]
+        self.next[s as usize * self.dist.vertex_count() + d as usize]
     }
 
     /// All minimal next hops from `s` toward `d` (for adaptive ECMP / NCA).
@@ -144,6 +128,76 @@ impl RouteTables {
             .iter()
             .copied()
             .filter(move |&w| self.dist(w, d) == want)
+    }
+}
+
+/// Fills the next-hop columns `d0 .. d0 + width` of every source row
+/// (`rows[s]` is that window of row `s`). For each `s` and each neighbor
+/// `w` in CSR order, the destinations `w` is a minimal next hop toward are
+/// those with `dist(w, d) + 1 == dist(s, d)` — a byte-wise compare of two
+/// distance rows (the matrix is symmetric, so row `w` is also "distance
+/// *to* every `d`"). Unreachable pairs wrap to 0 ≠ 255 and never match.
+///
+/// Candidates are sparse (one neighbor in `deg` on a diameter-2 graph), so
+/// the compare runs in three branch-free or well-predicted steps: a
+/// vectorizable pass writes one 0/1 byte per destination, the bytes are
+/// read back eight at a time and the non-zero groups compacted, and only
+/// those groups reach the reservoir draw.
+fn fill_stripe(g: &Csr, dist: &DistanceMatrix, seed: u64, d0: usize, rows: Vec<&mut [u32]>) {
+    let width = rows.first().map_or(0, |r| r.len());
+    let window = d0..d0 + width;
+    let mut rngs: Vec<StdRng> = window
+        .clone()
+        .map(|d| StdRng::seed_from_u64(seed ^ (d as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        .collect();
+    // Reservoir sampling state: candidates seen so far per destination.
+    let mut seen = vec![0u32; width];
+    // `hit[i] = 1` iff destination `d0 + i` is a candidate of the current
+    // `(s, w)`; zero-padded to whole 8-byte groups.
+    let mut hit = vec![0u8; width.next_multiple_of(8)];
+    // `(group index, its eight hit bytes as one word)` of non-zero groups.
+    let mut groups = vec![(0usize, 0u64); hit.len() / 8];
+    for (s, out) in rows.into_iter().enumerate() {
+        let s = s as u32;
+        out.fill(s);
+        seen.fill(0);
+        let from_s = &dist.row(s)[window.clone()];
+        for &w in g.neighbors(s) {
+            let from_w = &dist.row(w)[window.clone()];
+            for (h, (&dw, &ds)) in hit.iter_mut().zip(from_w.iter().zip(from_s)) {
+                *h = u8::from(dw.wrapping_add(1) == ds);
+            }
+            let mut found = 0;
+            for (group, bytes) in hit.chunks_exact(8).enumerate() {
+                let word = bytes
+                    .iter()
+                    .rev()
+                    .fold(0u64, |acc, &b| acc << 8 | u64::from(b));
+                // Unconditional store, conditional advance: no branch on
+                // the (unpredictable) hit pattern.
+                groups[found] = (group, word);
+                found += usize::from(word != 0);
+            }
+            for &(group, word) in &groups[..found] {
+                let mut rest = word;
+                while rest != 0 {
+                    let i = group * 8 + (rest.trailing_zeros() / 8) as usize;
+                    rest &= rest - 1;
+                    seen[i] += 1;
+                    // Uniform among the candidates.
+                    if rngs[i].gen_range(0..seen[i]) == 0 {
+                        out[i] = w;
+                    }
+                }
+            }
+        }
+        debug_assert!(
+            from_s
+                .iter()
+                .zip(&seen)
+                .all(|(&ds, &c)| (c == 0) == (ds == 0 || ds == bfs::UNREACHABLE)),
+            "no minimal next hop found"
+        );
     }
 }
 

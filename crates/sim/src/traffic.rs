@@ -266,27 +266,30 @@ pub fn resolve(pattern: TrafficPattern, g: &Csr, hosts: &[u32], seed: u64) -> De
             fixed_map(n, hosts, &perm)
         }
         TrafficPattern::Perm1Hop | TrafficPattern::Perm2Hop => {
-            let want = if pattern == TrafficPattern::Perm1Hop {
+            let want: u8 = if pattern == TrafficPattern::Perm1Hop {
                 1
             } else {
                 2
             };
-            let host_index: std::collections::BTreeMap<u32, u32> = hosts
-                .iter()
-                .enumerate()
-                .map(|(i, &r)| (r, i as u32))
-                .collect();
-            let allowed: Vec<Vec<u32>> = hosts
-                .iter()
-                .map(|&r| {
-                    let d = bfs::bfs_distances(g, r);
-                    hosts
-                        .iter()
-                        .filter(|&&t| u32::from(d[t as usize]) == want)
-                        .map(|&t| host_index[&t])
-                        .collect()
-                })
-                .collect();
+            // Dense router → host-index map (`u32::MAX` for non-hosts).
+            let mut host_index = vec![u32::MAX; n];
+            for (i, &r) in hosts.iter().enumerate() {
+                host_index[r as usize] = i as u32;
+            }
+            // Rows stream out of the all-pairs kernel 64 sources at a
+            // time; each host's list keeps `hosts` order.
+            let mut allowed = vec![Vec::new(); hosts.len()];
+            bfs::for_each_row_batch(g, |first, rows| {
+                for (r, d) in (first as usize..).zip(rows.chunks(n)) {
+                    if host_index[r] != u32::MAX {
+                        allowed[host_index[r] as usize] = hosts
+                            .iter()
+                            .filter(|&&t| d[t as usize] == want)
+                            .map(|&t| host_index[t as usize])
+                            .collect();
+                    }
+                }
+            });
             let m = matching::random_perfect_matching(hosts.len(), &allowed, seed)
                 .unwrap_or_else(|| panic!("no {}-hop permutation exists for this topology", want));
             let mut dest = vec![u32::MAX; n];
@@ -357,6 +360,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn perm_hops_on_a_sparse_host_set_stay_among_hosts() {
+        // Hosts are every other router: the dense router → host-index map
+        // must skip the non-hosts in between.
+        let g = ring(12);
+        let evens: Vec<u32> = (0..12).step_by(2).collect();
+        let dm = resolve(TrafficPattern::Perm2Hop, &g, &evens, 3);
+        assert_derangement(&dm, &evens, "perm2hop on even hosts");
+        let DestMap::Fixed { dest } = dm else {
+            unreachable!("checked by assert_derangement");
+        };
+        for &r in &evens {
+            let d = dest[r as usize];
+            assert_eq!(bfs::bfs_distances(&g, r)[d as usize], 2);
+        }
+        assert_eq!(dest[1], u32::MAX, "non-hosts stay unassigned");
     }
 
     #[test]

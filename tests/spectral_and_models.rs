@@ -122,8 +122,9 @@ fn fluid_model_ranks_patterns_correctly() {
 
 #[test]
 fn engine_efficiency_factor_is_uniform_across_topologies() {
-    // The EXPERIMENTS.md claim backing "orderings preserved": the engine's
-    // saturation / fluid-bound ratio is in a narrow band for PF and SF.
+    // The claim backing "orderings preserved" (see `pf_sim::analytic`): the
+    // engine's saturation / fluid-bound ratio is in a narrow band for PF
+    // and SF.
     let cfg = SimConfig::default().warmup(300).measure(700).drain_max(600);
     let mut ratios = Vec::new();
     let pf = PolarFlyTopo::new(9, 5).unwrap();

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: every topology the evaluation uses is
 //! constructed and checked against its defining invariants.
 
-use pf_graph::{bfs, DistanceMatrix};
+use pf_graph::{bfs, DistanceHistogram, DistanceMatrix, FailureSet};
 use pf_topo::{Dragonfly, FatTree, HyperX, Jellyfish, PolarFlyTopo, SlimFly, Topology};
 use polarfly::{feasibility, PolarFly, VertexClass};
 
@@ -93,6 +93,32 @@ fn average_path_length_close_to_two_minus_k_over_n() {
     let n = pf.router_count() as f64;
     let expected = 2.0 - (2.0 * pf.graph().edge_count() as f64) / (n * (n - 1.0));
     assert!((dm.average_shortest_path() - expected).abs() < 1e-9);
+}
+
+#[test]
+fn all_pairs_kernel_matches_scalar_bfs_on_er_residuals() {
+    // Healthy ER_q (diameter 2, dense last level) and residuals whose
+    // longer paths and, at 85 %, unreachable pairs exercise every level
+    // of the word-parallel kernel against the single-source oracle.
+    for q in [7u64, 31] {
+        let pf = PolarFly::new(q).unwrap();
+        for ratio in [0.0, 0.1, 0.3, 0.5, 0.85] {
+            let g = FailureSet::sample(pf.graph(), ratio, q + 3).residual(pf.graph());
+            let dm = DistanceMatrix::build(&g);
+            for s in 0..g.vertex_count() as u32 {
+                assert_eq!(
+                    dm.row(s),
+                    bfs::bfs_distances(&g, s).as_slice(),
+                    "q={q} ratio={ratio} row {s}"
+                );
+            }
+            assert_eq!(
+                DistanceHistogram::build(&g).counts(),
+                dm.distance_histogram(),
+                "q={q} ratio={ratio}"
+            );
+        }
+    }
 }
 
 #[test]
