@@ -861,6 +861,11 @@ impl<'a> Engine<'a> {
         self.pipeline.recycle(cycle, arrivals);
     }
 
+    /// The (port, VC) flit buffers, read-only (diagnostics and tests).
+    pub fn flit_rings(&self) -> &FlitRings {
+        &self.bufs
+    }
+
     /// Number of flits currently stored or in flight (test invariant).
     pub fn flits_in_network(&self) -> usize {
         self.bufs.total_flits() + self.pipeline.in_flight()
@@ -921,11 +926,13 @@ impl<'a> Engine<'a> {
     /// property tests; panics with a diagnostic on violation):
     ///
     /// * no credit counter exceeds the buffer depth;
-    /// * no buffer holds more flits than its depth;
+    /// * no buffer holds more flits than its depth, and the flit store
+    ///   leaks no pool node ([`FlitRings::validate`]);
     /// * per queue, buffered flits never exceed the credits spent on it;
     /// * globally, credits spent == flits buffered + flits on links
     ///   (credits return with zero latency, so nothing else may hold one).
     pub fn validate_flow_invariants(&self) {
+        self.bufs.validate();
         let cap = self.cap_per_vc;
         let mut spent_total: u64 = 0;
         for q in 0..self.credits.len() {
@@ -934,10 +941,6 @@ impl<'a> Engine<'a> {
             assert!(
                 credits <= cap,
                 "queue {q}: credits {credits} exceed buffer depth {cap}"
-            );
-            assert!(
-                held <= cap,
-                "queue {q}: {held} flits exceed buffer depth {cap}"
             );
             let spent = cap - credits;
             assert!(
@@ -982,10 +985,8 @@ impl<'a> Engine<'a> {
             for p in lo..hi {
                 for v in 0..self.vcs {
                     let q = p as usize * self.vcs + v;
-                    let l = self.bufs.len(q);
-                    buffered += l;
-                    for i in 0..l {
-                        let (_, _, ready) = self.bufs.get(q, i);
+                    buffered += self.bufs.len(q);
+                    for (_, _, ready) in self.bufs.iter(q) {
                         min_ready = min_ready.min(ready);
                     }
                 }

@@ -473,8 +473,7 @@ impl Engine<'_> {
         if let Some(r) = dead_router {
             for q in 0..self.credits.len() {
                 let at_dead = purge_ports.contains(&(q as u32 / vcs));
-                for i in 0..self.bufs.len(q) {
-                    let (pkt, _, _) = self.bufs.get(q, i);
+                for (pkt, _, _) in self.bufs.iter(q) {
                     if !victim[pkt as usize] && (at_dead || self.targets_router(pkt, r)) {
                         victim[pkt as usize] = true;
                         victims.push(pkt);

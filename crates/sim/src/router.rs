@@ -4,12 +4,14 @@
 //! cycle. The original implementation kept a `VecDeque<BufFlit>` per
 //! (port, VC) queue — hundreds of thousands of separate heap rings whose
 //! heads the hot loop chased through pointers. This module replaces them
-//! with flat ring buffers over single contiguous allocations:
+//! with flat arrays over a handful of contiguous allocations:
 //!
-//! * [`FlitRings`] — every VC buffer of every port in three parallel
-//!   arrays (`pkt`/`seq`/`ready`), fixed capacity per queue (the credit
-//!   loop already bounds occupancy to the capacity, so no growth path is
-//!   needed).
+//! * [`FlitRings`] — every VC buffer of every port: a dense 16-byte
+//!   record per queue holding its occupancy and a copy of its head flit,
+//!   and one shared pool of linked nodes for the flits *behind* heads,
+//!   so memory follows the flits actually buffered rather than
+//!   ports × VCs × depth (the credit loop still bounds each queue to its
+//!   depth).
 //! * [`crate::queues::SourceQueues`] — per-router pending-packet queues as growable
 //!   power-of-two rings with O(window) front compaction (the injection
 //!   window removes packets from the first few slots only).
@@ -93,48 +95,70 @@ struct FlitSlot {
     term: bool,
 }
 
-/// Per-queue ring metadata packed with the head-flit copy into one
-/// 16-byte record, so a head probe, push, or pop touches a single cache
-/// line (four queues per line) instead of three parallel arrays.
+/// Per-queue occupancy packed with the head flit into one 16-byte
+/// record, so a head probe, a push into an empty queue and a pop that
+/// empties one touch a single cache line (four queues per line).
 /// `hf` is valid iff `len > 0`.
 #[derive(Debug, Clone, Copy, Default)]
 struct QueueMeta {
     hf: FlitSlot,
-    head: u16,
     len: u16,
 }
 
-/// All (port, VC) flit buffers as flat ring buffers.
+/// A pooled flit *behind* a queue's head. `next` is the following flit
+/// of the same queue (meaningless on the queue's tail), or the next free
+/// node while the node sits on the free list.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    f: FlitSlot,
+    next: u32,
+}
+
+/// All (port, VC) flit buffers, stored by occupancy.
 ///
-/// Queue `q` owns slots `[q·cap, (q+1)·cap)`; `meta[q]` holds the live
-/// window (`head`, `len`) and a copy of the head flit. Capacity is
-/// fixed: the credit protocol guarantees a sender never pushes into a
-/// full buffer. There is no global occupancy counter — per-queue state
-/// is the only mutable state, so disjoint queues can be operated on
-/// from different shards without sharing a cell
-/// ([`FlitRings::total_flits`] sums on demand). The hot loops probe
-/// heads far more often than they pop, and the dense `meta` array stays
-/// cache-resident while `slots` (cap× larger) does not — `front` reads
-/// only `meta`; pops and purges refill the head copy.
+/// Queue `q`'s head flit lives in `meta[q].hf`, the copy every scan
+/// reads; the flits behind it are a singly linked chain of nodes in one
+/// shared `pool`, entered through `links[q] = [first behind head, tail]`
+/// (valid iff `len ≥ 2`). Freed nodes go on a LIFO free list threaded
+/// through `Node::next` and are reused hottest-first; the pool grows
+/// only when that list is empty. So the store has a fixed part of 24 B
+/// per queue (`meta` + `links`, the latter untouched — not even paged
+/// in — until a queue first holds two flits) and a live part of one
+/// 16-byte node per flit behind a head at the busiest moment so far;
+/// queue depth (`cap`) costs nothing until flits use it.
+///
+/// `cap` is still the credit protocol's bound: a sender never pushes
+/// into a full buffer, and [`FlitRings::push_back`] checks it in debug
+/// builds. Pushes and pops mutate the shared pool, so they need
+/// `&mut self` — the engine's master phase; shard probes only read
+/// heads ([`FlitRings::front`], [`FlitRings::head_term`]) through
+/// `&self`, which never leaves `meta`. There is no global occupancy
+/// counter ([`FlitRings::total_flits`] sums on demand).
 pub struct FlitRings {
     cap: u32,
-    slots: Vec<FlitSlot>,
     meta: Vec<QueueMeta>,
+    links: Vec<[u32; 2]>,
+    pool: Vec<Node>,
+    /// Top of the free list (`NONE32` when empty).
+    free: u32,
 }
 
 impl FlitRings {
-    /// `queues` buffers of `cap` flits each.
+    /// `queues` buffers of at most `cap` flits each.
     pub fn new(queues: usize, cap: u32) -> FlitRings {
         assert!(cap > 0, "flit ring capacity must be positive");
         assert!(
             cap <= u16::MAX as u32,
-            "flit ring capacity exceeds the packed u16 ring window"
+            "flit ring capacity exceeds the packed u16 occupancy"
         );
-        let slots = queues * cap as usize;
         FlitRings {
             cap,
-            slots: vec![FlitSlot::default(); slots],
             meta: vec![QueueMeta::default(); queues],
+            // An all-zero array type takes the allocator's zeroed path:
+            // no page is touched here.
+            links: vec![[0; 2]; queues],
+            pool: Vec::new(),
+            free: NONE32,
         }
     }
 
@@ -163,15 +187,13 @@ impl FlitRings {
         self.meta.iter().map(|m| m.len as usize).sum()
     }
 
-    #[inline]
-    fn slot(&self, q: usize, i: u32) -> usize {
-        let m = self.meta[q];
-        debug_assert!(i < u32::from(m.len));
-        let mut off = u32::from(m.head) + i;
-        if off >= self.cap {
-            off -= self.cap;
-        }
-        q * self.cap as usize + off as usize
+    /// Bytes the store has allocated (Σ capacity × element size):
+    /// 24 per queue plus 16 per pool node ever needed at once.
+    /// Diagnostic — pins that the footprint follows live flits.
+    pub fn resident_bytes(&self) -> usize {
+        self.meta.capacity() * std::mem::size_of::<QueueMeta>()
+            + self.links.capacity() * std::mem::size_of::<[u32; 2]>()
+            + self.pool.capacity() * std::mem::size_of::<Node>()
     }
 
     /// Appends a flit; panics (debug) on overflow — the credit loop must
@@ -179,27 +201,46 @@ impl FlitRings {
     /// buffering router (see [`FlitRings::head_term`]).
     #[inline]
     pub fn push_back(&mut self, q: usize, pkt: u32, seq: u16, ready: u32, term: bool) {
-        let m = &mut self.meta[q];
-        debug_assert!(
-            u32::from(m.len) < self.cap,
-            "flit ring overflow: credits out of sync"
-        );
-        let mut off = u32::from(m.head) + u32::from(m.len);
-        if off >= self.cap {
-            off -= self.cap;
-        }
         let f = FlitSlot {
             pkt,
             ready,
             seq,
             term,
         };
-        if m.len == 0 {
+        let m = &mut self.meta[q];
+        debug_assert!(
+            u32::from(m.len) < self.cap,
+            "flit ring overflow: credits out of sync"
+        );
+        let len = m.len;
+        m.len = len + 1;
+        if len == 0 {
             m.hf = f;
+            return;
         }
-        m.len += 1;
-        let s = q * self.cap as usize + off as usize;
-        self.slots[s] = f;
+        let node = Node { f, next: NONE32 };
+        let i = match self.free {
+            NONE32 => {
+                assert!(
+                    self.pool.len() < NONE32 as usize,
+                    "flit pool index overflow"
+                );
+                self.pool.push(node);
+                (self.pool.len() - 1) as u32
+            }
+            i => {
+                self.free = self.pool[i as usize].next;
+                self.pool[i as usize] = node;
+                i
+            }
+        };
+        let l = &mut self.links[q];
+        if len == 1 {
+            l[0] = i;
+        } else {
+            self.pool[l[1] as usize].next = i;
+        }
+        l[1] = i;
     }
 
     /// Head flit of queue `q` as `(pkt, seq, ready_at)`.
@@ -222,64 +263,118 @@ impl FlitRings {
         self.meta[q].hf.term
     }
 
-    /// Removes the head flit of queue `q`.
+    /// Removes the head flit of queue `q`; the flit behind it (if any)
+    /// moves from its pool node into the head copy and the node is freed.
     #[inline]
     pub fn pop_front(&mut self, q: usize) {
-        let mut m = self.meta[q];
+        let m = &mut self.meta[q];
         debug_assert!(m.len > 0);
-        let mut h = u32::from(m.head) + 1;
-        if h >= self.cap {
-            h -= self.cap;
-        }
-        m.head = h as u16;
         m.len -= 1;
         if m.len > 0 {
-            m.hf = self.slots[q * self.cap as usize + h as usize];
+            let l = &mut self.links[q];
+            let i = l[0];
+            let node = &mut self.pool[i as usize];
+            m.hf = node.f;
+            l[0] = node.next;
+            node.next = self.free;
+            self.free = i;
         }
-        self.meta[q] = m;
     }
 
-    /// Flit `i` positions behind the head (test/diagnostic access).
+    /// The flits of queue `q`, head first.
+    fn slots(&self, q: usize) -> impl Iterator<Item = FlitSlot> + '_ {
+        let m = self.meta[q];
+        let mut at = if m.len > 1 { self.links[q][0] } else { NONE32 };
+        (0..m.len).map(move |i| {
+            if i == 0 {
+                return m.hf;
+            }
+            let node = self.pool[at as usize];
+            at = node.next;
+            node.f
+        })
+    }
+
+    /// The flits of queue `q` as `(pkt, seq, ready_at)`, head first
+    /// (test/diagnostic/fault-event access; O(queue length)).
+    pub fn iter(&self, q: usize) -> impl Iterator<Item = (u32, u16, u32)> + '_ {
+        self.slots(q).map(|f| (f.pkt, f.seq, f.ready))
+    }
+
+    /// Flit `i` positions behind the head — an O(`i`) walk; loops use
+    /// [`FlitRings::iter`].
     pub fn get(&self, q: usize, i: u32) -> (u32, u16, u32) {
-        let s = self.slot(q, i);
-        let f = self.slots[s];
+        assert!(i < self.len(q), "queue {q} holds no flit {i}");
+        let f = self.slots(q).nth(i as usize).unwrap_or_default();
         (f.pkt, f.seq, f.ready)
     }
 
-    /// Removes every flit of queue `q` whose packet satisfies `victim`,
-    /// preserving the FIFO order of survivors; returns the number
-    /// removed. O(queue length) — called only at (rare) fault events,
-    /// never from the hot loops.
-    pub(crate) fn purge_queue<F: FnMut(u32) -> bool>(&mut self, q: usize, mut victim: F) -> u32 {
-        let len = u32::from(self.meta[q].len);
-        if len == 0 {
-            return 0;
-        }
-        let base = q * self.cap as usize;
-        let mut kept: Vec<FlitSlot> = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            let mut off = u32::from(self.meta[q].head) + i;
-            if off >= self.cap {
-                off -= self.cap;
-            }
-            let s = base + off as usize;
-            if !victim(self.slots[s].pkt) {
-                kept.push(self.slots[s]);
-            }
-        }
+    /// Removes every flit of queue `q` whose packet satisfies `victim`
+    /// (asked once per flit, head first), preserving the FIFO order of
+    /// survivors and returning the victims' nodes to the free list;
+    /// returns the number removed. O(queue length) — called only at
+    /// (rare) fault events, never from the hot loops.
+    pub fn purge_queue<F: FnMut(u32) -> bool>(&mut self, q: usize, mut victim: F) -> u32 {
+        let len = self.len(q);
+        let kept: Vec<FlitSlot> = self.slots(q).filter(|f| !victim(f.pkt)).collect();
         let removed = len - kept.len() as u32;
         if removed == 0 {
             return 0;
         }
-        self.meta[q].head = 0;
-        self.meta[q].len = kept.len() as u16;
-        for (i, f) in kept.into_iter().enumerate() {
-            self.slots[base + i] = f;
+        while !self.is_empty(q) {
+            self.pop_front(q);
         }
-        if self.meta[q].len > 0 {
-            self.meta[q].hf = self.slots[base];
+        for f in kept {
+            self.push_back(q, f.pkt, f.seq, f.ready, f.term);
         }
         removed
+    }
+
+    /// Asserts the store's own accounting (part of
+    /// [`crate::engine::Engine::validate_flow_invariants`]; panics with
+    /// a diagnostic on violation): no queue exceeds `cap`, every queue's
+    /// chain holds exactly `len − 1` nodes and ends at its recorded
+    /// tail, and every pool node is either on such a chain or on the
+    /// free list — a leaked node would make the two sides differ.
+    pub fn validate(&self) {
+        let mut chained = 0usize;
+        for (q, m) in self.meta.iter().enumerate() {
+            let len = u32::from(m.len);
+            assert!(
+                len <= self.cap,
+                "queue {q}: {len} flits exceed buffer depth {}",
+                self.cap
+            );
+            let [mut at, tail] = self.links[q];
+            for k in 1..len {
+                assert!(
+                    (at as usize) < self.pool.len(),
+                    "queue {q}: chain leaves the pool at flit {k}"
+                );
+                if k + 1 == len {
+                    assert_eq!(at, tail, "queue {q}: chain does not end at its tail");
+                } else {
+                    at = self.pool[at as usize].next;
+                }
+            }
+            chained += len.saturating_sub(1) as usize;
+        }
+        let mut free = 0usize;
+        let mut at = self.free;
+        while at != NONE32 {
+            free += 1;
+            assert!(
+                (at as usize) < self.pool.len() && free <= self.pool.len(),
+                "flit pool free list is corrupt"
+            );
+            at = self.pool[at as usize].next;
+        }
+        assert_eq!(
+            self.pool.len(),
+            free + chained,
+            "flit pool leak: {} nodes, {free} free + {chained} behind queue heads",
+            self.pool.len()
+        );
     }
 }
 
@@ -449,7 +544,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flit_ring_fifo_and_wraparound() {
+    fn flit_ring_fifo_and_node_reuse() {
         let mut r = FlitRings::new(2, 4);
         for round in 0..5u32 {
             for i in 0..4u32 {
@@ -464,8 +559,11 @@ mod tests {
                 r.pop_front(1);
             }
             assert!(r.front(1).is_none());
+            r.validate();
         }
         assert_eq!(r.total_flits(), 0);
+        // Five rounds of depth 4 never needed more than 3 nodes at once.
+        assert_eq!(r.pool.len(), 3);
     }
 
     #[test]

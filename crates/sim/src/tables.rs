@@ -7,6 +7,9 @@
 //! all-pairs kernel of `pf_graph::bfs`); next hops are picked
 //! source-major by comparing whole distance rows, with one RNG stream per
 //! destination so the tie-breaks do not depend on how the work is split.
+//! A next hop is stored as one byte — its position in the source's
+//! neighbor list — so the tables cost 2·n² bytes (distance + hop) plus
+//! the O(E) adjacency that turns the position back into a router id.
 //!
 //! Fault awareness: [`RouteTables::build_for`] consults
 //! [`pf_topo::Topology::link_failures`] and builds the tables on the
@@ -36,28 +39,49 @@ pub fn routing_graph(topo: &dyn Topology) -> Option<Csr> {
         .map(|f| f.residual(topo.graph()))
 }
 
+/// Largest router degree the byte-wide next-hop table can index;
+/// [`RouteTables::build`] panics above it.
+pub const MAX_DEGREE: usize = 254;
+
+/// Next-hop entry of a pair with no hop to take (`s == d` or `d`
+/// unreachable): [`RouteTables::next_hop`] answers `s`.
+const STAY: u8 = u8::MAX;
+
 /// Dense distance + next-hop tables for one topology.
 pub struct RouteTables {
     dist: DistanceMatrix,
-    next: Vec<u32>,
+    /// The graph the tables were built on: `next` indexes its neighbor
+    /// lists.
+    graph: Csr,
+    /// `next[s·N + d]`: position in `graph.neighbors(s)` of the hop
+    /// toward `d`, or [`STAY`].
+    next: Vec<u8>,
 }
 
 impl RouteTables {
-    /// Builds the tables: `next[s·N + d]` is a minimal next hop from `s`
-    /// toward `d`, chosen uniformly (seeded) among the equal-cost
-    /// candidates (`s` itself when `d` is `s` or unreachable).
+    /// Builds the tables: the hop from `s` toward `d` is a minimal next
+    /// hop chosen uniformly (seeded) among the equal-cost candidates
+    /// (`s` itself when `d` is `s` or unreachable).
     ///
     /// Destination `d` owns one RNG stream seeded from `(seed, d)` that
     /// advances in `(s ascending, neighbor ascending)` candidate order, so
     /// the table is a function of `(g, seed)` alone — not of `STRIPE` or
     /// the thread count.
+    ///
+    /// # Panics
+    /// If a router has more than [`MAX_DEGREE`] neighbors.
     pub fn build(g: &Csr, seed: u64) -> RouteTables {
         let n = g.vertex_count();
+        assert!(
+            g.max_degree() <= MAX_DEGREE,
+            "router degree {} exceeds the {MAX_DEGREE}-neighbor ceiling of the byte-wide next-hop table",
+            g.max_degree()
+        );
         let dist = DistanceMatrix::build(g);
-        let mut next = vec![0u32; n * n];
+        let mut next = vec![STAY; n * n];
         // Column stripes of the row-major table: stripe k borrows columns
         // `k·STRIPE ..` of every row, so workers write disjoint memory.
-        let mut stripes: Vec<(usize, Vec<&mut [u32]>)> = (0..n)
+        let mut stripes: Vec<(usize, Vec<&mut [u8]>)> = (0..n)
             .step_by(STRIPE)
             .map(|d0| (d0, Vec::with_capacity(n)))
             .collect();
@@ -69,7 +93,11 @@ impl RouteTables {
         stripes
             .into_par_iter()
             .for_each(|(d0, rows)| fill_stripe(g, &dist, seed, d0, rows));
-        RouteTables { dist, next }
+        RouteTables {
+            dist,
+            graph: g.clone(),
+            next,
+        }
     }
 
     /// Builds the tables a `topo` run needs: on the full graph for healthy
@@ -113,7 +141,10 @@ impl RouteTables {
     /// The table's minimal next hop from `s` toward `d` (`s` if `s == d`).
     #[inline]
     pub fn next_hop(&self, s: u32, d: u32) -> u32 {
-        self.next[s as usize * self.dist.vertex_count() + d as usize]
+        match self.next[s as usize * self.dist.vertex_count() + d as usize] {
+            STAY => s,
+            i => self.graph.neighbors(s)[usize::from(i)],
+        }
     }
 
     /// All minimal next hops from `s` toward `d` (for adaptive ECMP / NCA).
@@ -132,7 +163,8 @@ impl RouteTables {
 }
 
 /// Fills the next-hop columns `d0 .. d0 + width` of every source row
-/// (`rows[s]` is that window of row `s`). For each `s` and each neighbor
+/// (`rows[s]` is that window of row `s`, pre-filled with [`STAY`]) with
+/// neighbor positions. For each `s` and each neighbor
 /// `w` in CSR order, the destinations `w` is a minimal next hop toward are
 /// those with `dist(w, d) + 1 == dist(s, d)` — a byte-wise compare of two
 /// distance rows (the matrix is symmetric, so row `w` is also "distance
@@ -143,7 +175,7 @@ impl RouteTables {
 /// vectorizable pass writes one 0/1 byte per destination, the bytes are
 /// read back eight at a time and the non-zero groups compacted, and only
 /// those groups reach the reservoir draw.
-fn fill_stripe(g: &Csr, dist: &DistanceMatrix, seed: u64, d0: usize, rows: Vec<&mut [u32]>) {
+fn fill_stripe(g: &Csr, dist: &DistanceMatrix, seed: u64, d0: usize, rows: Vec<&mut [u8]>) {
     let width = rows.first().map_or(0, |r| r.len());
     let window = d0..d0 + width;
     let mut rngs: Vec<StdRng> = window
@@ -159,10 +191,9 @@ fn fill_stripe(g: &Csr, dist: &DistanceMatrix, seed: u64, d0: usize, rows: Vec<&
     let mut groups = vec![(0usize, 0u64); hit.len() / 8];
     for (s, out) in rows.into_iter().enumerate() {
         let s = s as u32;
-        out.fill(s);
         seen.fill(0);
         let from_s = &dist.row(s)[window.clone()];
-        for &w in g.neighbors(s) {
+        for (wi, &w) in g.neighbors(s).iter().enumerate() {
             let from_w = &dist.row(w)[window.clone()];
             for (h, (&dw, &ds)) in hit.iter_mut().zip(from_w.iter().zip(from_s)) {
                 *h = u8::from(dw.wrapping_add(1) == ds);
@@ -186,7 +217,7 @@ fn fill_stripe(g: &Csr, dist: &DistanceMatrix, seed: u64, d0: usize, rows: Vec<&
                     seen[i] += 1;
                     // Uniform among the candidates.
                     if rngs[i].gen_range(0..seen[i]) == 0 {
-                        out[i] = w;
+                        out[i] = wi as u8;
                     }
                 }
             }
@@ -229,6 +260,28 @@ mod tests {
                 assert_eq!(t.dist(nh, d), t.dist(s, d) - 1);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "254-neighbor ceiling")]
+    fn degree_above_the_byte_index_is_refused() {
+        let mut b = GraphBuilder::new(MAX_DEGREE + 2);
+        for leaf in 1..=MAX_DEGREE as u32 + 1 {
+            b.add_edge(0, leaf);
+        }
+        RouteTables::build(&b.build(), 1);
+    }
+
+    #[test]
+    fn widest_star_routes_through_its_hub() {
+        let mut b = GraphBuilder::new(MAX_DEGREE + 1);
+        for leaf in 1..=MAX_DEGREE as u32 {
+            b.add_edge(0, leaf);
+        }
+        let t = RouteTables::build(&b.build(), 1);
+        assert_eq!(t.next_hop(0, MAX_DEGREE as u32), MAX_DEGREE as u32);
+        assert_eq!(t.next_hop(MAX_DEGREE as u32, 1), 0);
+        assert_eq!(t.next_hop(7, 7), 7);
     }
 
     #[test]

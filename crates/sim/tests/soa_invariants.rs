@@ -18,22 +18,36 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// FlitRings against a VecDeque reference model: random interleaved
-    /// push/pop across several queues preserves exact FIFO contents.
+    /// push/pop/purge across more queues than the pool ever holds nodes
+    /// preserves exact FIFO contents, leaks no node, and reuses freed
+    /// nodes instead of growing.
     #[test]
-    fn flit_rings_match_fifo_model(cap in 1u32..24, queues in 1usize..6, seed in 0u64..10_000) {
+    fn flit_rings_match_fifo_model(cap in 1u32..24, queues in 1usize..40, seed in 0u64..10_000) {
         let mut rings = FlitRings::new(queues, cap);
+        let idle_bytes = rings.resident_bytes();
         let mut model: Vec<VecDeque<(u32, u16, u32)>> = vec![VecDeque::new(); queues];
         let mut rng = StdRng::seed_from_u64(seed);
         let mut stamp = 0u32;
-        for _ in 0..400 {
+        // Most nodes ever needed at once: one per flit behind a head.
+        let mut peak_behind = 0usize;
+        for step in 0..10_000 {
             let q = rng.gen_range(0..queues);
-            if rng.gen::<f64>() < 0.55 {
+            let op = rng.gen::<f64>();
+            if op < 0.5 {
                 if model[q].len() < cap as usize {
                     let flit = (stamp, (stamp % 7) as u16, stamp / 3);
                     rings.push_back(q, flit.0, flit.1, flit.2, flit.0.is_multiple_of(2));
                     model[q].push_back(flit);
                     stamp += 1;
                 }
+            } else if op < 0.52 {
+                // A fault event: drop every flit of a random packet class.
+                let class = rng.gen_range(0..3u32);
+                let before = model[q].len();
+                model[q].retain(|f| f.0 % 3 != class);
+                let removed = rings.purge_queue(q, |pkt| pkt % 3 == class);
+                prop_assert_eq!(removed as usize, before - model[q].len());
+                prop_assert!(rings.iter(q).eq(model[q].iter().copied()));
             } else if let Some(expect) = model[q].pop_front() {
                 prop_assert_eq!(rings.front(q), Some(expect));
                 // The cached termination flag rides the head slot.
@@ -43,15 +57,26 @@ proptest! {
                 prop_assert_eq!(rings.front(q), None);
             }
             prop_assert_eq!(rings.len(q) as usize, model[q].len());
+            prop_assert_eq!(rings.front(q), model[q].front().copied());
+            let behind: usize = model.iter().map(|m| m.len().saturating_sub(1)).sum();
+            peak_behind = peak_behind.max(behind);
+            if step % 257 == 0 {
+                rings.validate();
+            }
         }
+        rings.validate();
         // Full drain check: remaining contents match in order.
         for (q, queue_model) in model.iter().enumerate() {
+            prop_assert!(rings.iter(q).eq(queue_model.iter().copied()));
             for (i, &expect) in queue_model.iter().enumerate() {
                 prop_assert_eq!(rings.get(q, i as u32), expect);
             }
         }
         let total: usize = model.iter().map(|m| m.len()).sum();
         prop_assert_eq!(rings.total_flits(), total);
+        // Freed nodes are reused: the pool (16 B per node, at most doubled
+        // by `Vec` growth) never outgrew the busiest moment.
+        prop_assert!(rings.resident_bytes() - idle_bytes <= 32 * peak_behind.max(2));
     }
 
     /// SourceQueues against a Vec reference model: pushes interleaved
@@ -119,4 +144,47 @@ proptest! {
         prop_assert_eq!(e.active_streams(), 0);
         prop_assert_eq!(e.total_delivered(), e.total_generated());
     }
+}
+
+/// The flit store's footprint follows the flits actually buffered, not
+/// ports × VCs × depth: an idle engine costs the same at any buffer
+/// depth, and a loaded run adds at most one (growth-doubled) 16-byte
+/// node per flit that was ever in the network at once.
+#[test]
+fn flit_store_is_sized_by_occupancy() {
+    let topo = PolarFlyTopo::new(7, 4).unwrap();
+    let tables = RouteTables::build(topo.graph(), 1);
+    let dests = resolve(
+        TrafficPattern::Uniform,
+        topo.graph(),
+        &topo.host_routers(),
+        1,
+    );
+    let cfg = |buffer| {
+        SimConfig::default()
+            .warmup(50)
+            .measure(250)
+            .drain_max(4000)
+            .gen_cutoff(300)
+            .buffer_flits_per_port(buffer)
+            .seed(1)
+    };
+    let engine = |buffer| Engine::new(&topo, &tables, &dests, Routing::Min, 0.6, cfg(buffer));
+    let idle = engine(128).flit_rings().resident_bytes();
+    assert_eq!(idle, engine(4096).flit_rings().resident_bytes());
+
+    let mut e = engine(128);
+    let mut peak = 0;
+    for _ in 0..4400 {
+        e.step();
+        peak = peak.max(e.flits_in_network());
+    }
+    assert!(peak > 500, "the run never loaded the network (peak {peak})");
+    assert_eq!(e.flits_in_network(), 0);
+    e.validate_flow_invariants();
+    let loaded = e.flit_rings().resident_bytes();
+    assert!(
+        loaded > idle && loaded <= idle + 32 * peak,
+        "flit store {loaded} B after a run peaking at {peak} flits (idle {idle} B)"
+    );
 }
