@@ -1,4 +1,4 @@
-//! Name-resolved call graph and reachability from the probe roots.
+//! Name-resolved call graph and reachability from a rule's roots.
 //!
 //! Without type information, a call `foo(..)` or `x.foo(..)` resolves
 //! to *every* workspace function named `foo` — a sound over-
@@ -6,8 +6,8 @@
 //! workspace callee), with one documented carve-out: method calls whose
 //! name shadows a ubiquitous std collection/option mutator (`push`,
 //! `insert`, `take`, ...) are not resolved, because in practice they
-//! are `Vec`/`BTreeMap`/`Option` operations on worker-local staging
-//! state and resolving them by bare name would wire the graph to
+//! are `Vec`/`BTreeMap`/`Option` operations on local state and
+//! resolving them by bare name would wire the graph to
 //! unrelated container types. The shadow list is in
 //! [`STD_SHADOW_METHODS`]; everything on it is mutation-flavored, so a
 //! genuine engine mutation hiding behind such a name must come through

@@ -51,13 +51,11 @@ pub struct Config {
     pub wall_clock_scope: Scope,
     /// `unsafe-ban` scope.
     pub unsafe_scope: Scope,
-    /// `probe-purity` call-graph scope (library sources only).
+    /// `telemetry-purity` call-graph scope (library sources only).
     pub purity_scope: Scope,
     /// Exact relative paths of engine hot-path modules
     /// (`panic-discipline` applies only here).
     pub hot_path_files: Vec<String>,
-    /// Function names rooting the probe-purity reachability walk.
-    pub probe_roots: Vec<String>,
     /// Function names rooting the telemetry-purity reachability walk
     /// (the record hooks and the epoch snapshot).
     pub telemetry_roots: Vec<String>,
@@ -73,7 +71,6 @@ pub const RULES: &[&str] = &[
     "ordered-iteration",
     "panic-discipline",
     "pragma",
-    "probe-purity",
     "rng-discipline",
     "telemetry-purity",
     "unsafe-ban",
@@ -114,8 +111,8 @@ impl Config {
             // observability site in the engine carries a pragma.
             wall_clock_scope: Scope::of(&[""]).without(&["crates/bench/"]),
             unsafe_scope: Scope::of(&[""]),
-            // Bench binaries sit downstream of the engine: nothing on
-            // the probe path can call into them, but their helper names
+            // Bench binaries sit downstream of the engine: no record
+            // hook can call into them, but their helper names
             // (`scale`, `Row::new`) alias engine-adjacent code.
             purity_scope: Scope::of(CRATE_SRC).without(&["crates/bench/"]),
             hot_path_files: [
@@ -129,7 +126,6 @@ impl Config {
                 "queues",
                 "router",
                 "routing",
-                "shard",
                 "skip",
                 "tables",
                 "telemetry",
@@ -137,14 +133,6 @@ impl Config {
             .iter()
             .map(|m| format!("crates/sim/src/{m}.rs"))
             .collect(),
-            probe_roots: vec![
-                "route_probe".to_string(),
-                "probe_transit_shard".to_string(),
-                "probe_eject_shard".to_string(),
-                // Skip predicates the probe workers consult (perf-only
-                // filters whose reads must stay pure in probe context).
-                "is_awake".to_string(),
-            ],
             telemetry_roots: vec![
                 "trace_admit".to_string(),
                 "trace_route".to_string(),

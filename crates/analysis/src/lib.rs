@@ -1,17 +1,15 @@
 //! `pf_analysis`: the workspace determinism-contract static analyzer.
 //!
-//! The simulator's headline guarantees — bit-for-bit sharded/serial
-//! parity, seeded reproducibility of every golden pin — are *contracts
-//! about code shape*, not just runtime properties: an unseeded RNG
-//! draw, a `HashMap` iteration feeding `SimResult`, or a side effect
-//! inside the probe path can break parity on inputs no test covers.
+//! The simulator's headline guarantees — bit-for-bit dense/skip and
+//! telemetry on/off parity, seeded reproducibility of every golden pin
+//! — are *contracts about code shape*, not just runtime properties: an
+//! unseeded RNG draw, a `HashMap` iteration feeding `SimResult`, or a
+//! side effect inside a telemetry hook can break parity on inputs no
+//! test covers.
 //! This crate turns those contracts into named, testable rules enforced
 //! at merge time by the `pf_analyze` binary (wired into CI beside
 //! clippy):
 //!
-//! * **probe-purity** — everything reachable from `route_probe` and the
-//!   shard worker read-only phase takes no `&mut self`, draws no RNG,
-//!   touches no `Cell`/`RefCell`/atomic writes.
 //! * **rng-discipline** — no `thread_rng`/`from_entropy`/OS entropy
 //!   anywhere; every RNG is built from an explicit seed.
 //! * **telemetry-purity** — everything reachable from the telemetry
@@ -144,7 +142,7 @@ pub fn analyze(root: &Path, cfg: &Config) -> Report {
         );
     }
 
-    // Probe purity over the call graph (library sources, test mods
+    // Telemetry purity over the call graph (library sources, test mods
     // excluded: a test helper sharing a hot-path name must not wire the
     // graph into test code).
     let mut graph_fns: BTreeMap<String, Vec<items::FnItem>> = BTreeMap::new();
@@ -168,7 +166,6 @@ pub fn analyze(root: &Path, cfg: &Config) -> Report {
         graph_fns.insert(path.clone(), fns);
     }
     let graph = CallGraph::build(&lexed, &graph_fns);
-    rules::check_probe_purity(&graph, &lexed, &bodies, cfg, &mut report.violations);
     rules::check_telemetry_purity(&graph, &lexed, &bodies, cfg, &mut report.violations);
 
     // Apply suppressions.

@@ -4,8 +4,8 @@
 //! exact file:line anchors. Token-scan rules (`rng-discipline`,
 //! `ordered-iteration`, `wall-clock-ban`, `unsafe-ban`,
 //! `panic-discipline`) work per file under their configured scope;
-//! `probe-purity` walks the name-resolved call graph from the probe
-//! roots and polices everything reachable.
+//! `telemetry-purity` walks the name-resolved call graph from the
+//! record hooks and polices everything reachable.
 
 use crate::callgraph::CallGraph;
 use crate::config::Config;
@@ -45,7 +45,7 @@ const ASSERT_MACROS: &[&str] = &[
     "debug_assert_ne",
 ];
 
-/// RNG-drawing method names a probe-pure function must not call.
+/// RNG-drawing method names a telemetry hook must not reach.
 const RNG_DRAW_METHODS: &[&str] = &[
     "gen",
     "gen_range",
@@ -59,25 +59,6 @@ const RNG_DRAW_METHODS: &[&str] = &[
     "next_u32",
     "next_u64",
     "fill_bytes",
-];
-
-/// Interior-mutability types a probe-pure function must not touch.
-const INTERIOR_MUT_IDENTS: &[&str] = &["Cell", "RefCell", "UnsafeCell", "OnceCell"];
-
-/// Atomic write/RMW method names a probe-pure function must not call.
-const ATOMIC_WRITE_METHODS: &[&str] = &[
-    "store",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_nand",
-    "fetch_max",
-    "fetch_min",
-    "fetch_update",
-    "compare_exchange",
-    "compare_exchange_weak",
 ];
 
 /// Token index ranges covered by assert-family macro invocations.
@@ -283,86 +264,6 @@ pub fn check_telemetry_purity(
                         "`{qual}` draws RNG (`{name_s}`) but is reachable from a telemetry \
                          record hook (via {via}): recording must not advance any RNG stream \
                          the simulation reads"
-                    ),
-                    suppressed: None,
-                });
-            }
-        }
-    }
-}
-
-/// Runs `probe-purity` over the call graph: everything reachable from
-/// the probe roots must be free of `&mut self` receivers, RNG draws,
-/// interior mutability, and atomic writes.
-pub fn check_probe_purity(
-    graph: &CallGraph,
-    lexed: &std::collections::BTreeMap<String, Lexed>,
-    bodies: &std::collections::BTreeMap<(String, usize), (usize, usize)>,
-    cfg: &Config,
-    out: &mut Vec<Violation>,
-) {
-    let reachable = graph.reachable_from(&cfg.probe_roots);
-    for (key, chain) in &reachable {
-        let (qual, line, has_mut_self) = &graph.info[key];
-        let via = chain.join(" → ");
-        if *has_mut_self {
-            out.push(Violation {
-                rule: "probe-purity",
-                file: key.0.clone(),
-                line: *line,
-                message: format!(
-                    "`{qual}` takes `&mut self` but is reachable from a probe root \
-                     (via {via}): the sharded read-only phase must not mutate shared state"
-                ),
-                suppressed: None,
-            });
-        }
-        let Some(body) = bodies.get(key) else {
-            continue;
-        };
-        let lx = &lexed[&key.0];
-        for i in body.0..body.1.min(lx.toks.len()) {
-            let TokKind::Ident(name) = &lx.toks[i].kind else {
-                continue;
-            };
-            let name_s = name.as_str();
-            let is_call = matches!(
-                lx.toks.get(i + 1).map(|t| &t.kind),
-                Some(TokKind::Punct('('))
-            );
-            let is_method = i >= 1 && matches!(lx.toks[i - 1].kind, TokKind::Punct('.'));
-            if is_call && is_method && RNG_DRAW_METHODS.contains(&name_s) {
-                out.push(Violation {
-                    rule: "probe-purity",
-                    file: key.0.clone(),
-                    line: lx.toks[i].line,
-                    message: format!(
-                        "`{qual}` draws RNG (`{name_s}`) but is reachable from a probe \
-                         root (via {via}): worker probes share no RNG stream"
-                    ),
-                    suppressed: None,
-                });
-            }
-            if is_call && is_method && ATOMIC_WRITE_METHODS.contains(&name_s) {
-                out.push(Violation {
-                    rule: "probe-purity",
-                    file: key.0.clone(),
-                    line: lx.toks[i].line,
-                    message: format!(
-                        "`{qual}` performs an atomic write (`{name_s}`) but is reachable \
-                         from a probe root (via {via})"
-                    ),
-                    suppressed: None,
-                });
-            }
-            if INTERIOR_MUT_IDENTS.contains(&name_s) {
-                out.push(Violation {
-                    rule: "probe-purity",
-                    file: key.0.clone(),
-                    line: lx.toks[i].line,
-                    message: format!(
-                        "`{qual}` touches interior mutability (`{name_s}`) but is \
-                         reachable from a probe root (via {via})"
                     ),
                     suppressed: None,
                 });

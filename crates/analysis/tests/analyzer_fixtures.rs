@@ -16,8 +16,8 @@ fn workspace_root() -> PathBuf {
 }
 
 /// A config mirroring the workspace one, scoped to the corpus: every
-/// rule everywhere, `src/hot.rs` as the hot-path module, `route_probe`
-/// as the probe root.
+/// rule everywhere, `src/hot.rs` as the hot-path module, `record_epoch`
+/// as the telemetry root.
 fn fixture_config() -> Config {
     Config {
         scan_roots: vec!["src".to_string()],
@@ -28,7 +28,6 @@ fn fixture_config() -> Config {
         unsafe_scope: Scope::of(&[""]),
         purity_scope: Scope::of(&[""]),
         hot_path_files: vec!["src/hot.rs".to_string()],
-        probe_roots: vec!["route_probe".to_string()],
         telemetry_roots: vec!["record_epoch".to_string()],
         telemetry_types: vec!["TelemetrySink".to_string()],
     }
@@ -63,14 +62,12 @@ fn fixture_diagnostics_are_exact() {
         ("rng-discipline", "src/pragmas.rs", 4, false),
         ("pragma", "src/pragmas.rs", 6, false),
         ("rng-discipline", "src/pragmas.rs", 11, true),
-        ("probe-purity", "src/probe.rs", 8, false),
-        ("probe-purity", "src/probe.rs", 13, false),
         ("telemetry-purity", "src/telemetry.rs", 26, false),
         ("telemetry-purity", "src/telemetry.rs", 31, false),
     ];
     assert_eq!(got, want, "full report:\n{}", r.to_text());
-    assert_eq!(r.unsuppressed(), 17);
-    assert_eq!(r.files_scanned, 9);
+    assert_eq!(r.unsuppressed(), 15);
+    assert_eq!(r.files_scanned, 8);
 }
 
 #[test]
@@ -83,9 +80,6 @@ fn fixture_messages_name_the_cause() {
             .unwrap()
             .message
     };
-    // The probe-purity chain names the path from the root.
-    assert!(msg("src/probe.rs", 8).contains("route_probe → Net::consume"));
-    assert!(msg("src/probe.rs", 13).contains("gen_range"));
     // The telemetry-purity chain names the hook; the collector's own
     // `&mut self` (`TelemetrySink::record_epoch`) is exempt.
     assert!(msg("src/telemetry.rs", 26).contains("TelemetrySink::record_epoch → EngineState::bump"));

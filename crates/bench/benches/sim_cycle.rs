@@ -25,12 +25,6 @@ use pf_topo::{PolarFlyTopo, Topology};
 /// clear of `u32` overflow in warmup+measure arithmetic.
 const NEVER: u32 = 1 << 30;
 
-/// Shard counts exercised on the step benchmarks. `K = 1` is the serial
-/// path (no probe/commit machinery at all); the sharded variants measure
-/// the full probe → barrier → commit cycle. On a single-core host the
-/// sharded numbers show pure protocol overhead; speedup needs ≥ K cores.
-const SHARDS: [usize; 4] = [1, 2, 4, 8];
-
 fn single_cycle(c: &mut Criterion) {
     let topo = PolarFlyTopo::new(31, 16).unwrap();
     let tables = RouteTables::build(topo.graph(), 1);
@@ -44,34 +38,20 @@ fn single_cycle(c: &mut Criterion) {
     let mut grp = c.benchmark_group("sim");
     grp.sample_size(10);
     for &(load, routing) in &[(0.2, Routing::Min), (0.6, Routing::UgalPf)] {
-        for k in SHARDS {
-            let cfg = SimConfig::default()
-                .warmup(NEVER)
-                .measure(1)
-                .drain_max(0)
-                .shards(k);
-            let mut e = Engine::new(&topo, &tables, &dests, routing, load, cfg);
-            for _ in 0..300 {
-                e.step(); // reach steady-state occupancy before timing
-            }
-            let name = if k == 1 {
-                // Keep the historical serial bench IDs stable across PRs.
-                format!("step_q31_p16_{}_load{load}", routing.label().to_lowercase())
-            } else {
-                format!(
-                    "step_q31_p16_{}_load{load}_k{k}",
-                    routing.label().to_lowercase()
-                )
-            };
-            grp.bench_function(name, |b| b.iter(|| e.step()));
+        let cfg = SimConfig::default().warmup(NEVER).measure(1).drain_max(0);
+        let mut e = Engine::new(&topo, &tables, &dests, routing, load, cfg);
+        for _ in 0..300 {
+            e.step(); // reach steady-state occupancy before timing
         }
+        let name = format!("step_q31_p16_{}_load{load}", routing.label().to_lowercase());
+        grp.bench_function(name, |b| b.iter(|| e.step()));
     }
     grp.finish();
 }
 
-/// Dense-vs-skip step cost on the serial path (`SimConfig::skip`): the
-/// standard rows above run with skipping on (the default), so these
-/// pin the dense reference next to them. At load 0.2 every router
+/// Dense-vs-skip step cost (`SimConfig::skip`): the standard rows above
+/// run with skipping on (the default), so these pin the dense
+/// reference next to them. At load 0.2 every router
 /// carries traffic each cycle and the win is the occupancy-mask scans
 /// only; the low-load 0.02 rows are where idle-router skipping shows
 /// its range (see ROADMAP's 3-10x low-load target).
@@ -92,7 +72,6 @@ fn skip_comparison(c: &mut Criterion) {
             .warmup(NEVER)
             .measure(1)
             .drain_max(0)
-            .shards(1)
             .skip(skip);
         let mut e = Engine::new(&topo, &tables, &dests, Routing::Min, load, cfg);
         for _ in 0..300 {
@@ -131,29 +110,21 @@ fn short_load_curve(c: &mut Criterion) {
 /// PolarFly the paper tabulates. A single below-saturation point with a
 /// full drain pins that the engine completes (delivers and drains all
 /// in-flight traffic) at this scale, and tracks the cost of a
-/// large-instance point for both the serial and the sharded path.
+/// large-instance point.
 fn large_instance_point(c: &mut Criterion) {
     let topo = PolarFlyTopo::new(79, 40).unwrap();
     let cfg = SimConfig::default().warmup(50).measure(100).drain_max(400);
 
     let mut grp = c.benchmark_group("sim");
     grp.sample_size(10);
-    for k in [1usize, 4] {
-        let cfg = cfg.clone().shards(k);
-        let name = if k == 1 {
-            "load_point_q79_p40_min".to_string()
-        } else {
-            format!("load_point_q79_p40_min_k{k}")
-        };
-        grp.bench_function(name, |b| {
-            b.iter(|| {
-                let curve = load_curve(&topo, Routing::Min, TrafficPattern::Uniform, &[0.2], &cfg);
-                let pt = &curve.points[0];
-                assert!(pt.delivered > 0 && !pt.saturated, "q79 point must drain");
-                pt.accepted_load
-            })
-        });
-    }
+    grp.bench_function("load_point_q79_p40_min", |b| {
+        b.iter(|| {
+            let curve = load_curve(&topo, Routing::Min, TrafficPattern::Uniform, &[0.2], &cfg);
+            let pt = &curve.points[0];
+            assert!(pt.delivered > 0 && !pt.saturated, "q79 point must drain");
+            pt.accepted_load
+        })
+    });
     grp.finish();
 }
 

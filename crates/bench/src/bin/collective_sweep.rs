@@ -175,17 +175,6 @@ fn open_loop_unperturbed(topo: &dyn Topology, cfg: &SimConfig) -> Vec<String> {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    // `--shards K` runs every engine through the sharded cycle path
-    // (K-way router partition, probe/commit protocol). Results are
-    // bit-for-bit identical to serial, so all the determinism and
-    // conservation gates below double as sharded-path gates; CI runs
-    // the smoke once with `--shards 4`.
-    let shards: usize = std::env::args()
-        .skip_while(|a| a != "--shards")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
     // `--telemetry-interval N` / `--trace-sample N`: engine telemetry,
     // off (0) unless requested.
     let telemetry_interval: u32 = std::env::args()
@@ -212,14 +201,10 @@ fn main() {
     // wedged DAG. 4 VC classes suffice (healthy topology, ≤ 4 hops).
     let cfg = SimConfig::default()
         .workload_deadline(2_000_000)
-        .shards(shards)
         .telemetry_interval(telemetry_interval)
         .trace_sample(trace_sample);
 
     println!("Collective sweep — closed-loop workload completion, PF vs SF");
-    if shards > 1 {
-        println!("(sharded cycle engine: {shards} shards per run)");
-    }
     if telemetry_interval > 0 || trace_sample > 0 {
         println!("(telemetry: epoch interval {telemetry_interval}, trace sample 1/{trace_sample})");
     }
@@ -307,10 +292,7 @@ fn main() {
 
     if smoke {
         for topo in &topos {
-            violations.extend(open_loop_unperturbed(
-                topo.as_ref(),
-                &SimConfig::quick().shards(shards),
-            ));
+            violations.extend(open_loop_unperturbed(topo.as_ref(), &SimConfig::quick()));
         }
     }
     if messages_total == 0 {

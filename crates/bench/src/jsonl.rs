@@ -144,37 +144,6 @@ impl Row {
             .u64("down_link_flits", r.down_link_flits)
             .u64("vc_class_clamps", r.vc_class_clamps)
             .u64("skipped_router_cycles", r.skipped_router_cycles)
-            .shard_obs(r)
-    }
-
-    /// Adds the per-shard execution observability block
-    /// (`SimResult::shards`) as a nested array of flat objects, plus
-    /// the master's own barrier-wait total. Serial runs have no shards
-    /// and emit nothing — rows stay byte-identical to the pre-sharding
-    /// format unless sharding was actually on.
-    #[must_use]
-    pub fn shard_obs(mut self, r: &SimResult) -> Row {
-        if r.shards.is_empty() {
-            return self;
-        }
-        self = self
-            .u64("shards", r.shards.len() as u64)
-            .u64("master_barrier_wait_ns", r.master_barrier_wait_ns);
-        self.push_key("shard_obs");
-        self.buf.push('[');
-        for (i, o) in r.shards.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            let _ = write!(
-                self.buf,
-                "{{\"routers\":{},\"boundary_links\":{},\"boundary_flits\":{},\
-                 \"busy_cycles\":{}}}",
-                o.routers, o.boundary_links, o.boundary_flits, o.busy_cycles
-            );
-        }
-        self.buf.push(']');
-        self
     }
 
     /// Closes the object and returns the line (no trailing newline).
@@ -237,15 +206,13 @@ mod tests {
             &topo.host_routers(),
             1,
         );
-        // `.shards(1)` pins the serial path even when the environment
-        // (e.g. CI's PF_SIM_SHARDS=4 pass) defaults to sharding.
         let r = simulate(
             &topo,
             &tables,
             &dests,
             Routing::Min,
             0.1,
-            SimConfig::quick().shards(1),
+            SimConfig::quick(),
         );
         let line = Row::new("point").sim_result(&r).finish();
         for key in [
@@ -267,36 +234,5 @@ mod tests {
         // and has no raw newlines.
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(!line.contains('\n'));
-        // Serial run: no shard block at all.
-        assert!(!line.contains("\"shards\":"), "{line}");
-    }
-
-    #[test]
-    fn shard_obs_appears_only_when_sharded() {
-        use pf_sim::{simulate, RouteTables, Routing, SimConfig, TrafficPattern};
-        use pf_topo::Topology;
-        let topo = pf_topo::PolarFlyTopo::new(5, 2).unwrap();
-        let tables = RouteTables::build(topo.graph(), 1);
-        let dests = pf_sim::traffic::resolve(
-            TrafficPattern::Uniform,
-            topo.graph(),
-            &topo.host_routers(),
-            1,
-        );
-        let r = simulate(
-            &topo,
-            &tables,
-            &dests,
-            Routing::Min,
-            0.1,
-            SimConfig::quick().shards(2),
-        );
-        let line = Row::new("point").sim_result(&r).finish();
-        assert!(line.contains("\"shards\":2"), "{line}");
-        assert!(
-            line.contains("\"shard_obs\":[{\"routers\":"),
-            "shard array missing: {line}"
-        );
-        assert!(line.contains("\"master_barrier_wait_ns\":"), "{line}");
     }
 }

@@ -1,5 +1,4 @@
-//! Balanced graph partitioning — the METIS substitute for Fig. 12 and
-//! the cycle engine's shard map.
+//! Balanced graph bisection — the METIS substitute for Fig. 12.
 //!
 //! The paper measures bisection bandwidth as the fraction of edges crossing
 //! a balanced 2-way partition computed by METIS. METIS is an external C
@@ -17,15 +16,8 @@
 //! For the ≤ ~16 k-vertex graphs of the evaluation this reliably lands
 //! within a few percent of METIS' recursive-bisection cuts, which is all
 //! Fig. 12 needs (it compares cut *fractions* across topologies).
-//!
-//! [`partition_k`] extends the same machinery to balanced k-way
-//! partitioning by recursive bisection with proportional targets (the
-//! METIS recursive-bisection scheme): a k-way split first bisects into
-//! ⌊k/2⌋:⌈k/2⌉-proportional halves, then recurses into each induced
-//! subgraph. The simulator uses it to shard routers across worker
-//! threads while minimizing the links that cross shards.
 
-use crate::csr::{Csr, GraphBuilder};
+use crate::csr::Csr;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -48,33 +40,9 @@ pub struct Bisection {
 /// `restarts` extra random-seeded FM runs. Deterministic in `seed`.
 pub fn bisect(g: &Csr, restarts: usize, seed: u64) -> Bisection {
     let n = g.vertex_count();
-    let (side, cut_edges) = bisect_bounds(g, restarts, seed, n / 2, n / 2 + n % 2);
-    let cut_fraction = if g.edge_count() == 0 {
-        0.0
-    } else {
-        cut_edges as f64 / g.edge_count() as f64
-    };
-    Bisection {
-        side,
-        cut_edges,
-        cut_fraction,
-    }
-}
-
-/// The general two-way split behind [`bisect`] and [`partition_k`]: the
-/// `true` side must end with between `t_lo` and `t_hi` vertices
-/// (`t_lo = ⌊n/2⌋`, `t_hi = ⌈n/2⌉` reproduces the balanced bisection
-/// exactly). Returns the side assignment and its cut size.
-fn bisect_bounds(
-    g: &Csr,
-    restarts: usize,
-    seed: u64,
-    t_lo: usize,
-    t_hi: usize,
-) -> (Vec<bool>, usize) {
-    let n = g.vertex_count();
     assert!(n >= 2, "bisection needs at least two vertices");
-    debug_assert!(t_lo >= 1 && t_hi < n && t_lo <= t_hi);
+    // The `true` side ends with between ⌊n/2⌋ and ⌈n/2⌉ vertices.
+    let (t_lo, t_hi) = (n / 2, n / 2 + n % 2);
 
     let spectral = {
         let mut side = spectral_seed(g, seed, t_lo);
@@ -92,9 +60,19 @@ fn bisect_bounds(
         })
         .min_by_key(|&(_, cut)| cut);
 
-    match best_random {
+    let (side, cut_edges) = match best_random {
         Some(r) if r.1 < spectral.1 => r,
         _ => spectral,
+    };
+    let cut_fraction = if g.edge_count() == 0 {
+        0.0
+    } else {
+        cut_edges as f64 / g.edge_count() as f64
+    };
+    Bisection {
+        side,
+        cut_edges,
+        cut_fraction,
     }
 }
 
@@ -109,143 +87,6 @@ pub fn cut_size(g: &Csr, side: &[bool]) -> usize {
         .iter()
         .filter(|&&(u, v)| side[u as usize] != side[v as usize])
         .count()
-}
-
-/// Result of a balanced k-way partition ([`partition_k`]).
-#[derive(Debug, Clone)]
-pub struct Partition {
-    /// Part id (`0..k`) per vertex.
-    pub parts: Vec<u32>,
-    /// Number of parts.
-    pub k: usize,
-    /// Number of edges whose endpoints land in different parts.
-    pub cut_edges: usize,
-    /// `cut_edges / edge_count`.
-    pub cut_fraction: f64,
-}
-
-impl Partition {
-    /// Vertices per part.
-    pub fn part_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.k];
-        for &p in &self.parts {
-            sizes[p as usize] += 1;
-        }
-        sizes
-    }
-
-    /// Balance factor: largest part size over the ideal `n/k` (1.0 =
-    /// perfectly balanced; recursive proportional bisection keeps this
-    /// within `1 + k/n` of 1).
-    pub fn balance_factor(&self) -> f64 {
-        let largest = *self.part_sizes().iter().max().unwrap_or(&0);
-        largest as f64 / (self.parts.len() as f64 / self.k as f64)
-    }
-}
-
-/// Balanced k-way partition by recursive proportional bisection
-/// (METIS' recursive-bisection scheme): split `k` into `⌊k/2⌋:⌈k/2⌉`,
-/// bisect with the vertex target proportional to the part counts, and
-/// recurse into the induced subgraphs. Every part ends within one
-/// vertex of `⌊n/k⌋`/`⌈n/k⌉` rounding (±10% of ideal for any `n ≥ k`),
-/// and `k = 2` reduces to [`bisect`]. Deterministic in `seed`.
-///
-/// # Panics
-///
-/// Panics unless `1 ≤ k ≤ n`.
-pub fn partition_k(g: &Csr, k: usize, restarts: usize, seed: u64) -> Partition {
-    let n = g.vertex_count();
-    assert!(k >= 1, "partition_k needs at least one part");
-    assert!(k <= n, "partition_k: more parts ({k}) than vertices ({n})");
-    let mut parts = vec![0u32; n];
-    let verts: Vec<u32> = (0..n as u32).collect();
-    split_rec(g, verts, k, 0, restarts, seed, &mut parts);
-    let cut_edges = g
-        .edges()
-        .iter()
-        .filter(|&&(u, v)| parts[u as usize] != parts[v as usize])
-        .count();
-    let cut_fraction = if g.edge_count() == 0 {
-        0.0
-    } else {
-        cut_edges as f64 / g.edge_count() as f64
-    };
-    Partition {
-        parts,
-        k,
-        cut_edges,
-        cut_fraction,
-    }
-}
-
-/// Recursive worker for [`partition_k`]: assigns part ids
-/// `[part_base, part_base + k)` to `verts` (ids in the full graph).
-fn split_rec(
-    g: &Csr,
-    verts: Vec<u32>,
-    k: usize,
-    part_base: u32,
-    restarts: usize,
-    seed: u64,
-    parts: &mut [u32],
-) {
-    if k == 1 {
-        for v in verts {
-            parts[v as usize] = part_base;
-        }
-        return;
-    }
-    let m = verts.len();
-    debug_assert!(m >= k, "proportional targets keep every block ≥ its k");
-    let k1 = k / 2; // `true` side gets the first k1 parts
-                    // Proportional target: the true side ends with ⌊m·k1/k⌋..⌈m·k1/k⌉
-                    // vertices, so both blocks keep at least one vertex per part.
-    let t_lo = m * k1 / k;
-    let t_hi = (m * k1).div_ceil(k);
-    let sub = induced_subgraph(g, &verts);
-    // Decorrelate the recursion tree's seeds (same scramble constants as
-    // the restart seeds, keyed by block position and arity).
-    let node_seed = seed
-        ^ (u64::from(part_base) + 1).wrapping_mul(0xD129_0AAD_5D29_8FD1)
-        ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let (side, _) = bisect_bounds(&sub, restarts, node_seed, t_lo, t_hi);
-    let mut left = Vec::with_capacity(t_hi);
-    let mut right = Vec::with_capacity(m - t_lo);
-    for (i, &v) in verts.iter().enumerate() {
-        if side[i] {
-            left.push(v);
-        } else {
-            right.push(v);
-        }
-    }
-    split_rec(g, left, k1, part_base, restarts, seed, parts);
-    split_rec(
-        g,
-        right,
-        k - k1,
-        part_base + k1 as u32,
-        restarts,
-        seed,
-        parts,
-    );
-}
-
-/// The subgraph induced by `verts` (local vertex `i` = `verts[i]`).
-fn induced_subgraph(g: &Csr, verts: &[u32]) -> Csr {
-    let mut local = vec![u32::MAX; g.vertex_count()];
-    for (i, &v) in verts.iter().enumerate() {
-        local[v as usize] = i as u32;
-    }
-    let mut b = GraphBuilder::new(verts.len());
-    for (i, &v) in verts.iter().enumerate() {
-        for &w in g.neighbors(v) {
-            let lw = local[w as usize];
-            if lw != u32::MAX && lw > i as u32 {
-                b.add_edge(i as u32, lw);
-            }
-        }
-    }
-    b.build()
 }
 
 fn random_sides(n: usize, ones: usize, rng: &mut StdRng) -> Vec<bool> {
@@ -480,127 +321,6 @@ mod tests {
         let a = bisect(&g, 4, 9);
         let b = bisect(&g, 4, 9);
         assert_eq!(a.side, b.side);
-        assert_eq!(a.cut_edges, b.cut_edges);
-    }
-
-    /// `blocks` K_8 cliques chained by single bridge edges: the optimal
-    /// k-way partition (k = blocks) cuts exactly `blocks − 1` edges.
-    fn clique_chain(blocks: usize) -> Csr {
-        let mut b = GraphBuilder::new(8 * blocks);
-        for blk in 0..blocks as u32 {
-            let base = 8 * blk;
-            for u in 0..8u32 {
-                for v in (u + 1)..8 {
-                    b.add_edge(base + u, base + v);
-                }
-            }
-            if blk > 0 {
-                b.add_edge(base - 1, base); // bridge to the previous block
-            }
-        }
-        b.build()
-    }
-
-    /// Seeded Erdős–Rényi graph (edge probability `p`).
-    fn er_graph(n: u32, p: f64, seed: u64) -> Csr {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut b = GraphBuilder::new(n as usize);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if rng.gen_bool(p) {
-                    b.add_edge(u, v);
-                }
-            }
-        }
-        b.build()
-    }
-
-    #[test]
-    fn partition_k_finds_clique_chain_blocks() {
-        let g = clique_chain(4);
-        let r = partition_k(&g, 4, 4, 11);
-        assert_eq!(r.cut_edges, 3, "optimal 4-way cut severs the 3 bridges");
-        assert_eq!(r.part_sizes(), vec![8, 8, 8, 8]);
-        assert!((r.balance_factor() - 1.0).abs() < 1e-9);
-        // Each part must be exactly one clique.
-        for blk in 0..4usize {
-            let p0 = r.parts[8 * blk];
-            for v in 0..8 {
-                assert_eq!(r.parts[8 * blk + v], p0, "block {blk} split");
-            }
-        }
-    }
-
-    #[test]
-    fn partition_k_is_balanced_on_er_graphs() {
-        for (n, k, seed) in [(96u32, 8usize, 1u64), (120, 4, 2), (99, 3, 3)] {
-            let g = er_graph(n, 0.08, seed);
-            let r = partition_k(&g, k, 2, seed);
-            let ideal = n as f64 / k as f64;
-            for (p, &s) in r.part_sizes().iter().enumerate() {
-                assert!(
-                    (s as f64 - ideal).abs() <= 0.1 * ideal,
-                    "n={n} k={k}: part {p} has {s} vertices (ideal {ideal})"
-                );
-            }
-            assert!(r.balance_factor() <= 1.1);
-            assert_eq!(r.parts.len(), n as usize);
-            assert!(r.parts.iter().all(|&p| (p as usize) < k));
-        }
-    }
-
-    #[test]
-    fn partition_k_cut_no_worse_than_repeated_bisect() {
-        let g = er_graph(120, 0.08, 7);
-        // Manual repeated bisection: top-level split, then bisect each
-        // induced half independently (the naive baseline partition_k's
-        // proportional recursion must not lose to).
-        let top = bisect(&g, 2, 7);
-        let mut naive = vec![0u32; g.vertex_count()];
-        for half in [false, true] {
-            let verts: Vec<u32> = (0..g.vertex_count() as u32)
-                .filter(|&v| top.side[v as usize] == half)
-                .collect();
-            let sub = super::induced_subgraph(&g, &verts);
-            let b = bisect(&sub, 2, 7);
-            for (i, &v) in verts.iter().enumerate() {
-                naive[v as usize] = 2 * u32::from(half) + u32::from(b.side[i]);
-            }
-        }
-        let naive_cut = g
-            .edges()
-            .iter()
-            .filter(|&&(u, v)| naive[u as usize] != naive[v as usize])
-            .count();
-        let r = partition_k(&g, 4, 2, 7);
-        assert!(
-            r.cut_edges <= naive_cut,
-            "partition_k cut {} vs repeated-bisect cut {naive_cut}",
-            r.cut_edges
-        );
-    }
-
-    #[test]
-    fn partition_k_edge_arities() {
-        let g = clique_chain(2);
-        let r1 = partition_k(&g, 1, 2, 4);
-        assert_eq!(r1.cut_edges, 0);
-        assert!(r1.parts.iter().all(|&p| p == 0));
-        let rn = partition_k(&g, 16, 2, 4);
-        assert_eq!(rn.part_sizes(), vec![1; 16]);
-        assert_eq!(rn.cut_edges, g.edge_count());
-        // k = 2 must agree with plain bisect's balance and optimum.
-        let r2 = partition_k(&g, 2, 4, 4);
-        assert_eq!(r2.cut_edges, 1);
-        assert_eq!(r2.part_sizes(), vec![8, 8]);
-    }
-
-    #[test]
-    fn partition_k_deterministic_in_seed() {
-        let g = er_graph(64, 0.1, 5);
-        let a = partition_k(&g, 8, 2, 5);
-        let b = partition_k(&g, 8, 2, 5);
-        assert_eq!(a.parts, b.parts);
         assert_eq!(a.cut_edges, b.cut_edges);
     }
 }

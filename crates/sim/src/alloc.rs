@@ -227,8 +227,7 @@ impl Engine<'_> {
             };
             if self.telemetry.tracing() {
                 // `passed_mid` was updated by `transit_target` above, so
-                // this detour check is the packet's *remaining* leg —
-                // identical in serial and sharded commit order.
+                // this detour check is the packet's *remaining* leg.
                 let p = pkt as usize;
                 let detour = self.packets.mid[p] != NONE32 && !self.packets.passed_mid[p];
                 let source = if self.packets.frr_pinned[p] {
@@ -271,7 +270,7 @@ impl Engine<'_> {
         );
     }
 
-    /// Later-pass request build for the serial skip schedule: replays
+    /// Later-pass request build for the skip schedule: replays
     /// [`Engine::pass2_cand`] (the first pass's eligible heads, in the
     /// dense scan order) filtered by [`Engine::port_used`], instead of
     /// rescanning every awake router. Exactness: no VC head becomes
@@ -304,12 +303,10 @@ impl Engine<'_> {
     }
 
     /// Injection lanes request their (pre-claimed) first-hop output —
-    /// the tail of the request phase, shared verbatim by the serial
-    /// [`Engine::build_requests`] and the sharded commit path (it runs
-    /// on the master either way: the scan is cheap and its order
-    /// follows the transit requests). Routers with active streams are
-    /// always awake, so the awake list loses none of them.
-    pub(crate) fn build_inject_requests(&mut self, cycle: u32) {
+    /// the tail of the request phase, after the transit requests.
+    /// Routers with active streams are always awake, so the awake list
+    /// loses none of them.
+    fn build_inject_requests(&mut self, cycle: u32) {
         if self.skip.enabled {
             let list = std::mem::take(&mut self.skip.awake_list);
             for &r in &list {
@@ -355,218 +352,6 @@ impl Engine<'_> {
         }
     }
 
-    /// Sharded request build, probe half: replays the transit-head scan
-    /// of [`Engine::build_requests`] over one shard's routers *without
-    /// mutating engine state*, staging a [`crate::shard::Cand`] per
-    /// eligible head. Routing runs here, on the worker — reading the
-    /// same [`crate::routing::NetState`] the serial pass would (nothing
-    /// a request build mutates is part of that view), with per-packet
-    /// side effects (Valiant mid passage, fast-reroute pins) staged
-    /// instead of written. VC claims are *not* resolved here: output-VC
-    /// contention is serialized at commit, in the serial order.
-    pub(crate) fn probe_transit_shard(
-        &self,
-        routers: &[u32],
-        stage: &mut crate::shard::ShardStage,
-        cycle: u32,
-    ) {
-        stage.cands.clear();
-        for &r in routers {
-            let r = r as usize;
-            if self.skip.enabled && !self.skip.is_awake(r) {
-                // Perf-only filter, no decision influence: a non-awake
-                // router holds no ready head, so the scan below would
-                // stage nothing for it either way.
-                continue;
-            }
-            let (lo, hi) = self.geom.ports(r);
-            for port in lo..hi {
-                if self.port_used[port as usize] || self.port_flits[port as usize] == 0 {
-                    continue;
-                }
-                for vc in crate::router::VcIter::new(self.vc_occ[port as usize], self.vcs) {
-                    let qidx = port as usize * self.vcs + vc;
-                    let Some((pkt, seq, ready_at)) = self.bufs.front(qidx) else {
-                        continue;
-                    };
-                    if ready_at > cycle {
-                        continue;
-                    }
-                    if self.packets.dst[pkt as usize] == r as u32 {
-                        continue; // ejection handles it
-                    }
-                    if self.route[qidx].port != NONE32 {
-                        stage.cands.push(crate::shard::Cand::Routed {
-                            qidx: qidx as u32,
-                            pkt,
-                            seq,
-                        });
-                        continue;
-                    }
-                    debug_assert_eq!(seq, 0, "body flit without route");
-                    // Side-effect-free transit_target: resolve the
-                    // Valiant phase, staging the mid-passage flag.
-                    let p = pkt as usize;
-                    let (mid, dst) = (self.packets.mid[p], self.packets.dst[p]);
-                    let pending_mid = mid != NONE32 && !self.packets.passed_mid[p];
-                    let (target, set_passed_mid) = if pending_mid {
-                        if r as u32 == mid {
-                            (dst, true)
-                        } else {
-                            (mid, false)
-                        }
-                    } else {
-                        (dst, false)
-                    };
-                    let hop = HopContext {
-                        router: r as u32,
-                        target,
-                    };
-                    let (i, set_pin) = crate::routing::route_probe(
-                        self.algo.as_ref(),
-                        &net_view!(self),
-                        self.faults.pending_tables.as_ref(),
-                        self.packets.frr_pinned[p],
-                        hop,
-                        &mut stage.rng,
-                    );
-                    let out_port = self.geom.downstream(r as u32, i as usize);
-                    let in_class = vc / self.per_class;
-                    let classes = self.vcs / self.per_class;
-                    let out_class = (in_class + 1).min(classes - 1);
-                    stage.cands.push(crate::shard::Cand::Fresh {
-                        qidx: qidx as u32,
-                        pkt,
-                        out_port,
-                        out_class: out_class as u8,
-                        clamped: in_class + 1 >= classes,
-                        set_passed_mid,
-                        set_pin,
-                        term_next: self.port_owner[out_port as usize] == dst,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Sharded request build, commit half: merges the staged candidates
-    /// back into the serial discovery order (ascending queue index) and
-    /// applies what the serial pass would have: per-packet flags, the
-    /// hop-indexed VC claim (serial order — contention between shards
-    /// resolves exactly as in the serial pass), the credit/output
-    /// checks, diagnostics, and request registration.
-    pub(crate) fn commit_transit_requests(
-        &mut self,
-        rt: &mut crate::shard::ShardRuntime,
-        _cycle: u32,
-    ) {
-        self.clear_requests();
-
-        rt.merge_cands(|cand| match cand {
-            crate::shard::Cand::Routed { qidx, pkt, seq } => {
-                let re = self.route[qidx as usize];
-                debug_assert_ne!(re.port, NONE32);
-                let out_idx = re.port as usize * self.vcs + re.vc as usize;
-                if self.credits[out_idx] == 0 {
-                    self.diag_credit_stalls += 1;
-                    return;
-                }
-                if self.out_taken[re.port as usize] {
-                    return;
-                }
-                self.push_request(
-                    re.port,
-                    Req {
-                        out_buf: out_idx as u32,
-                        pkt,
-                        seq,
-                        term: re.term_next,
-                        src: ReqSrc::Transit { queue: qidx },
-                    },
-                );
-            }
-            crate::shard::Cand::Fresh {
-                qidx,
-                pkt,
-                out_port,
-                out_class,
-                clamped,
-                set_passed_mid,
-                set_pin,
-                term_next,
-            } => {
-                // The serial pass applies these before the VC claim and
-                // keeps them regardless of its outcome.
-                if set_passed_mid {
-                    self.packets.passed_mid[pkt as usize] = true;
-                }
-                if set_pin {
-                    self.packets.frr_pinned[pkt as usize] = true;
-                }
-                let Some(ovc) = crate::flow::claim_vc(
-                    &mut self.out_owner,
-                    out_port,
-                    self.vcs,
-                    out_class as usize,
-                    self.per_class,
-                ) else {
-                    self.diag_vc_stalls += 1;
-                    return;
-                };
-                if clamped {
-                    self.diag_class_clamps += 1;
-                }
-                self.route[qidx as usize] = crate::engine::RouteEntry {
-                    port: out_port,
-                    pkt,
-                    vc: ovc,
-                    term_next,
-                };
-                let out_idx = out_port as usize * self.vcs + ovc as usize;
-                if self.telemetry.tracing() {
-                    // Mirrors the serial hook in `try_request_queue`:
-                    // `set_passed_mid`/`set_pin` were applied above, so
-                    // the flags read identically to the serial pass.
-                    let p = pkt as usize;
-                    let detour = self.packets.mid[p] != NONE32 && !self.packets.passed_mid[p];
-                    let source = if self.packets.frr_pinned[p] {
-                        crate::telemetry::ROUTE_FRR
-                    } else if detour {
-                        crate::telemetry::ROUTE_DETOUR
-                    } else {
-                        crate::telemetry::ROUTE_MIN
-                    };
-                    let router = self.port_owner[qidx as usize / self.vcs];
-                    self.telemetry.trace_route(
-                        pkt,
-                        router,
-                        out_port,
-                        out_idx as u32,
-                        source,
-                        self.cycle,
-                    );
-                }
-                if self.credits[out_idx] == 0 {
-                    self.diag_credit_stalls += 1;
-                    return;
-                }
-                if self.out_taken[out_port as usize] {
-                    return;
-                }
-                self.push_request(
-                    out_port,
-                    Req {
-                        out_buf: out_idx as u32,
-                        pkt,
-                        seq: 0,
-                        term: term_next,
-                        src: ReqSrc::Transit { queue: qidx },
-                    },
-                );
-            }
-        });
-    }
-
     /// Resolves the transit routing target of `pkt` at router `r`,
     /// honoring the Valiant phase (and recording mid passage). Returns
     /// `(target, dst)` — the caller also needs the final destination
@@ -590,14 +375,8 @@ impl Engine<'_> {
     /// Grant + accept: each requested output grants one requester
     /// (rotating start); each input port accepts at most one grant; an
     /// injection grant is accepted if router bandwidth remains. Accepted
-    /// flits traverse the switch immediately. `shard` (sharded runs
-    /// only) receives per-traversal observability marks — boundary
-    /// crossings and busy shards — and never influences any decision.
-    pub(crate) fn grant_and_accept(
-        &mut self,
-        cycle: u32,
-        mut shard: Option<&mut crate::shard::ShardRuntime>,
-    ) {
+    /// flits traverse the switch immediately.
+    pub(crate) fn grant_and_accept(&mut self, cycle: u32) {
         // Group this pass's requests per output in the flat arena.
         self.finalize_requests();
         // New grant epoch: an input port has accepted this pass iff its
@@ -658,13 +437,6 @@ impl Engine<'_> {
                 continue;
             };
             // Traverse.
-            if let Some(rt) = shard.as_deref_mut() {
-                let src_router = match req.src {
-                    ReqSrc::Transit { queue } => self.port_owner[queue as usize / self.vcs],
-                    ReqSrc::Inject { router, .. } => router,
-                };
-                rt.note_traversal(src_router, self.port_owner[out_port]);
-            }
             if self.telemetry.tracing() {
                 let src_router = match req.src {
                     ReqSrc::Transit { queue } => self.port_owner[queue as usize / self.vcs],

@@ -77,18 +77,6 @@ pub struct SimConfig {
     /// cycle is reported unfinished (`SimResult::saturated`) instead of
     /// spinning forever. Ignored by open-loop runs.
     pub workload_deadline: u32,
-    /// Worker shards for the cycle engine (see `DESIGN.md`, "Sharded
-    /// execution"): routers are partitioned into this many balanced
-    /// shards (minimum-cut recursive bisection) whose probe phases run
-    /// on scoped worker threads, with results committed at a per-cycle
-    /// barrier in the serial order — results are bit-for-bit identical
-    /// to `shards = 1` for every value. `1` (the default) keeps the
-    /// plain serial path. The default can be overridden with the
-    /// `PF_SIM_SHARDS` environment variable (CI runs the full test
-    /// suite under `PF_SIM_SHARDS=4`). Clamped to the router count;
-    /// algorithms that draw randomness on transit hops (adaptive
-    /// minimal / NCA) fall back to the serial path.
-    pub shards: usize,
     /// Event-driven cycle skipping (see `DESIGN.md`, "Event-driven
     /// cycle skipping"): per-router activity tracking lets the per-cycle
     /// phases scan only routers that could possibly act, and whole
@@ -137,11 +125,6 @@ impl Default for SimConfig {
             fault_policy: InFlightPolicy::DropRetransmit,
             convergence_delay: 200,
             workload_deadline: 1_000_000,
-            shards: std::env::var("PF_SIM_SHARDS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .filter(|&k: &usize| k >= 1)
-                .unwrap_or(1),
             skip: std::env::var("PF_SIM_SKIP").map_or(true, |s| s != "0"),
             telemetry_interval: 0,
             trace_sample: 0,
@@ -204,14 +187,21 @@ impl SimConfig {
         convergence_delay: u32,
         /// Sets the closed-loop workload deadline (cycles).
         workload_deadline: u32,
-        /// Sets the engine worker-shard count (1 = serial).
-        shards: usize,
         /// Enables/disables event-driven cycle skipping.
         skip: bool,
         /// Sets the telemetry epoch length (cycles; 0 = off).
         telemetry_interval: u32,
         /// Sets the packet-trace sampling rate (1/N packets; 0 = off).
         trace_sample: u32,
+    }
+
+    /// Does nothing: the engine is single-threaded; every K produced
+    /// identical results by contract, so ignoring K is exact — kept only
+    /// until the benchmark package drops the call (ROADMAP item 5).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn shards(self, _k: usize) -> Self {
+        self
     }
 
     /// Total virtual channels per port.

@@ -141,10 +141,6 @@ pub struct Engine<'a> {
     /// counts, re-convergence state, and fault counters. Inert (empty)
     /// unless `transient`.
     pub(crate) faults: FaultCtl,
-    /// Sharded-execution runtime (`SimConfig::shards` > 1 and the
-    /// routing algorithm is transit-deterministic): router partition,
-    /// per-shard mailboxes, and observability. `None` = serial path.
-    pub(crate) shard_rt: Option<crate::shard::ShardRuntime>,
     /// Closed-loop workload driver, replacing the Bernoulli generator
     /// when attached ([`Engine::attach_workload`]); `None` leaves the
     /// open-loop path untouched.
@@ -210,8 +206,8 @@ pub struct Engine<'a> {
     /// router's ports: no head can *become* ready mid-cycle (arrivals
     /// and ejection precede allocation, and a pop marks its input port
     /// used), so the dense pass-2 scan's eligible set is exactly this
-    /// list filtered by [`Engine::port_used`]. Serial schedule with
-    /// skipping enabled only; the dense reference path rescans.
+    /// list filtered by [`Engine::port_used`]. Skipping enabled only;
+    /// the dense reference path rescans.
     pub(crate) pass2_cand: Vec<u32>,
     /// Per-pass grant epoch per input port: a port is taken this pass iff
     /// `input_grant[p] == grant_serial` (epoch tags avoid a full memset
@@ -383,24 +379,6 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // Sharded execution: partition the routers when asked for and
-        // the algorithm's transit decisions are RNG-free (bit-for-bit
-        // parity with the serial path needs the single master RNG
-        // stream untouched by probes). A single-router or single-shard
-        // request degenerates to the serial path.
-        let k = cfg.shards.min(n);
-        let shard_rt = if k > 1 && !algo.uses_rng_in_transit() {
-            Some(crate::shard::ShardRuntime::build(
-                g,
-                &geom,
-                &port_owner,
-                k,
-                cfg.seed,
-            ))
-        } else {
-            None
-        };
-
         // Event-driven skipping: the port-occupancy masks need every
         // router degree to fit a u32 bit per local port; larger-degree
         // topologies keep the awake-list machinery but fall back to the
@@ -430,7 +408,6 @@ impl<'a> Engine<'a> {
             degraded,
             transient,
             faults,
-            shard_rt,
             workload: None,
             skip,
             bufs: FlitRings::new(queues, cap_per_vc),
@@ -511,14 +488,6 @@ impl<'a> Engine<'a> {
             down_link_flits: self.faults.down_link_flits,
             vc_class_clamps: self.diag_class_clamps,
             jobs,
-            shards: self
-                .shard_rt
-                .as_ref()
-                .map_or_else(Vec::new, |rt| rt.observations()),
-            master_barrier_wait_ns: self
-                .shard_rt
-                .as_ref()
-                .map_or(0, |rt| rt.master_barrier_wait_ns),
             telemetry,
         }
     }
@@ -613,19 +582,9 @@ impl<'a> Engine<'a> {
         self.pack_result(0.0, accepted, saturated, deadline_expired, driver.results())
     }
 
-    /// Advances one cycle (serial or sharded, per the construction-time
-    /// decision; both orders of execution produce bit-identical state).
-    pub fn step(&mut self) {
-        if self.shard_rt.is_some() {
-            self.step_sharded();
-        } else {
-            self.step_serial();
-        }
-    }
-
-    /// Cycle-skip prologue shared by both schedules: wake due dozers,
-    /// and when the whole network is provably idle leap to the next
-    /// interesting cycle (waking any dozer due at the landing cycle).
+    /// Cycle-skip prologue: wake due dozers, and when the whole network
+    /// is provably idle leap to the next interesting cycle (waking any
+    /// dozer due at the landing cycle).
     /// The wheel drain must come *before* the leap check — a dozer due
     /// this very cycle blocks the leap by becoming awake.
     #[inline]
@@ -697,10 +656,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The serial per-cycle schedule (`SimConfig::shards` = 1).
-    fn step_serial(&mut self) {
+    /// Advances one cycle.
+    pub fn step(&mut self) {
         // Epoch telemetry snapshots run before anything this cycle does
-        // (same point in both schedules, dense or skipping).
+        // (the same point dense or skipping).
         self.telemetry_tick();
         let mark = prof_mark();
         self.skip_prologue();
@@ -756,82 +715,15 @@ impl<'a> Engine<'a> {
             }
             self.telemetry.prof_lap(ProfPhase::Route, mark);
             let mark = prof_mark();
-            self.grant_and_accept(cycle, None);
+            self.grant_and_accept(cycle);
             self.telemetry.prof_lap(ProfPhase::Alloc, mark);
         }
 
         self.cycle += 1;
     }
 
-    /// The sharded per-cycle schedule: the serial schedule with the
-    /// ejection scan and transit request build run as fork-join probe
-    /// regions over the shard workers, committed on the master in the
-    /// serial order (see [`crate::shard`] for the full protocol and the
-    /// determinism argument). RNG-consuming phases (generation,
-    /// injection planning) and the inherently order-sensitive merges
-    /// (arrivals, grant-and-accept) stay on the master; fault events
-    /// and staged table swaps fire here, between barriers, so every
-    /// probe observes a consistent fault epoch.
-    fn step_sharded(&mut self) {
-        use crate::shard::ProbePhase;
-        // The runtime is detached up front so the probe workers can
-        // share `&self` while the mailboxes are written mutably; if it
-        // is ever absent, the serial schedule is the same computation.
-        let Some(mut rt) = self.shard_rt.take() else {
-            self.step_serial();
-            return;
-        };
-        self.telemetry_tick();
-        let mark = prof_mark();
-        self.skip_prologue();
-        self.telemetry.prof_lap(ProfPhase::SkipLeap, mark);
-        let cycle = self.cycle;
-        if self.transient {
-            self.apply_fault_events(cycle);
-            self.maybe_swap_tables(cycle);
-        }
-        self.port_used.iter_mut().for_each(|v| *v = false);
-        self.out_taken.iter_mut().for_each(|v| *v = false);
-
-        self.apply_arrivals(cycle);
-
-        let mark = prof_mark();
-        if self.workload.is_some() {
-            self.workload_release(cycle);
-        } else if cycle < self.cfg.gen_cutoff {
-            self.generate(cycle);
-        }
-        self.telemetry.prof_lap(ProfPhase::Generate, mark);
-        if self.skip.enabled {
-            self.skip.build_awake_list(self.n);
-        }
-
-        let mark = prof_mark();
-        rt.probe(self, cycle, ProbePhase::Eject);
-        self.commit_ejects(&mut rt, cycle);
-        self.telemetry.prof_lap(ProfPhase::Eject, mark);
-
-        self.start_injections();
-
-        self.reset_inj_budgets();
-        for _ in 0..self.cfg.alloc_iters.max(1) {
-            let mark = prof_mark();
-            rt.probe(self, cycle, ProbePhase::Transit);
-            self.commit_transit_requests(&mut rt, cycle);
-            self.build_inject_requests(cycle);
-            self.telemetry.prof_lap(ProfPhase::Route, mark);
-            let mark = prof_mark();
-            self.grant_and_accept(cycle, Some(&mut rt));
-            self.telemetry.prof_lap(ProfPhase::Alloc, mark);
-        }
-
-        rt.end_cycle();
-        self.shard_rt = Some(rt);
-        self.cycle += 1;
-    }
-
-    /// Drains this cycle's link arrivals into the input buffers (phase 1
-    /// of both schedules).
+    /// Drains this cycle's link arrivals into the input buffers (phase
+    /// 1).
     fn apply_arrivals(&mut self, cycle: u32) {
         let arrivals = self.pipeline.arrivals(cycle);
         let ready_at = cycle + self.cfg.pipeline_delay;

@@ -226,138 +226,6 @@ impl Engine<'_> {
         false
     }
 
-    /// Sharded ejection, probe half: replays the serial [`Engine::eject`]
-    /// scan over `routers` (one shard's routers, ascending) *without
-    /// mutating anything*, staging each would-be ejection into the
-    /// shard's mailbox. Exactness: the serial scan's only mutations
-    /// visible to its own later decisions are per-port (each port is
-    /// visited once) and the per-router budget (replicated locally), so
-    /// the read-only replay stages the same picks the serial loop makes.
-    pub(crate) fn probe_eject_shard(
-        &self,
-        routers: &[u32],
-        stage: &mut crate::shard::ShardStage,
-        cycle: u32,
-    ) {
-        stage.ejects.clear();
-        for &r in routers {
-            let r = r as usize;
-            if self.skip.enabled && !self.skip.is_awake(r) {
-                // Perf-only filter, no decision influence: a non-awake
-                // router has no ready flit, so the replay below would
-                // stage nothing for it either way.
-                continue;
-            }
-            let mut budget = self.endpoints[r];
-            if budget == 0 {
-                continue;
-            }
-            let (lo, hi) = self.geom.ports(r);
-            let ports = (hi - lo) as usize;
-            let start = crate::order::eject_start(cycle, ports);
-            'ports: for off in 0..ports {
-                if budget == 0 {
-                    break;
-                }
-                let port = lo + ((start + off) % ports) as u32;
-                // Ejection runs before any phase that sets `port_used`,
-                // so the serial gate reduces to the eject-flit count.
-                debug_assert!(!self.port_used[port as usize]);
-                if self.eject_flits[port as usize] == 0 {
-                    continue;
-                }
-                for vc in crate::router::VcIter::new(self.vc_occ[port as usize], self.vcs) {
-                    let qidx = port as usize * self.vcs + vc;
-                    let Some((pkt, seq, ready_at)) = self.bufs.front(qidx) else {
-                        continue;
-                    };
-                    if ready_at > cycle || !self.bufs.head_term(qidx) {
-                        continue;
-                    }
-                    stage.ejects.push(crate::shard::EjectAction {
-                        qidx: qidx as u32,
-                        pkt,
-                        seq,
-                    });
-                    budget -= 1;
-                    continue 'ports;
-                }
-            }
-        }
-    }
-
-    /// Sharded ejection, commit half: applies the staged ejections in
-    /// the serial order (ascending router, each router's staged scan
-    /// order within), performing the exact mutations of the serial
-    /// [`Engine::eject`] — flit pops, credit returns, delivery counters,
-    /// latency samples, workload callbacks, and packet releases (whose
-    /// free-list order future allocations depend on).
-    pub(crate) fn commit_ejects(&mut self, rt: &mut crate::shard::ShardRuntime, cycle: u32) {
-        let in_window = self.clock.in_measurement(cycle);
-        let vcs = self.vcs;
-        let port_owner = std::mem::take(&mut self.port_owner);
-        rt.merge_ejects(
-            |qidx| port_owner[qidx as usize / vcs],
-            |a| {
-                let q = a.qidx as usize;
-                let port = q / vcs;
-                let vc = q % vcs;
-                debug_assert_eq!(
-                    self.bufs.front(q).map(|(p, s, _)| (p, s)),
-                    Some((a.pkt, a.seq)),
-                    "staged eject head diverged"
-                );
-                self.bufs.pop_front(q);
-                self.port_flits[port] -= 1;
-                self.eject_flits[port] -= 1;
-                if self.bufs.is_empty(q) {
-                    self.vc_occ[port] &= !1u32.wrapping_shl(vc as u32);
-                }
-                if self.skip.enabled {
-                    let r = port_owner[port] as usize;
-                    if self.skip.masks {
-                        let bit = 1u32 << (port as u32 - self.geom.ports(r).0);
-                        if self.port_flits[port] == 0 {
-                            self.skip.occ[r] &= !bit;
-                        }
-                        if self.eject_flits[port] == 0 {
-                            self.skip.eject_occ[r] &= !bit;
-                        }
-                    }
-                    if self.skip.on_drain(r, 1) {
-                        self.skip
-                            .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
-                    }
-                }
-                self.credits[q] += 1;
-                self.port_used[port] = true;
-                self.total_flits_ejected += 1;
-                if in_window {
-                    self.window_flits_ejected += 1;
-                }
-                if a.seq == self.cfg.packet_flits - 1 {
-                    self.total_delivered += 1;
-                    if let Some(w) = self.workload.as_mut() {
-                        w.on_packet_delivered(a.pkt, cycle);
-                    }
-                    if self.packets.measured[a.pkt as usize] {
-                        self.measured_delivered += 1;
-                        let latency = cycle - self.packets.birth[a.pkt as usize] + 1;
-                        let hops = (vc / self.per_class) as u32 + 1;
-                        self.stats.record(latency, hops);
-                    }
-                    if self.telemetry.tracing() {
-                        let latency = cycle - self.packets.birth[a.pkt as usize] + 1;
-                        self.telemetry
-                            .trace_eject(a.pkt, port_owner[port], latency, cycle);
-                    }
-                    self.packets.release(a.pkt);
-                }
-            },
-        );
-        self.port_owner = port_owner;
-    }
-
     /// Resets per-cycle injection bandwidth budgets (p flits per router —
     /// the aggregate endpoint channel bandwidth).
     pub(crate) fn reset_inj_budgets(&mut self) {

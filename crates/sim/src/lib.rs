@@ -90,7 +90,6 @@ pub mod phase;
 pub mod queues;
 pub mod router;
 pub mod routing;
-pub(crate) mod shard;
 pub(crate) mod skip;
 pub mod stats;
 pub mod sweep;
@@ -105,7 +104,7 @@ pub use engine::{simulate, Engine};
 pub use phase::{PhaseClock, SimPhase};
 pub use router::FlitRings;
 pub use routing::{HopContext, MinHop, NetState, Port, RoutePlan, RoutingAlgorithm};
-pub use stats::{JobResult, PhaseResult, ShardObs, SimResult};
+pub use stats::{JobResult, PhaseResult, SimResult};
 pub use sweep::{load_curve, load_grid, LoadCurve};
 pub use tables::RouteTables;
 pub use telemetry::{EpochRecord, ProfPhase, TelemetryReport, TraceEvent};

@@ -3,16 +3,14 @@
 //! Simulation results depend on *iteration order* wherever the cycle
 //! engine resolves a many-to-one contention: which output link is
 //! considered first, which requester a granted output scans first, and
-//! which port ejection drains first. The serial engine historically
-//! encoded these orders implicitly in its loop structure; the sharded
-//! engine must reproduce them exactly or lose bit-for-bit parity. This
-//! module is the single definition both paths share — and the audit of
-//! what the orders are:
+//! which port ejection drains first. The dense and the skipping scans
+//! must walk these orders identically or lose bit-for-bit parity. This
+//! module is the single definition — and the audit of what the orders
+//! are:
 //!
 //! * **Router scan order** — ascending router id. Every phase
-//!   (ejection, injection start, request build) walks routers `0..n`;
-//!   sharded phases process contiguous router blocks and merge their
-//!   results back in ascending router order.
+//!   (ejection, injection start, request build) walks routers `0..n`
+//!   (the awake list is ascending too).
 //! * **Port scan order** — ascending port id within a router (ports are
 //!   numbered by neighbor index). Ejection rotates its *starting* port
 //!   by [`eject_start`] but still walks ascending offsets from it.

@@ -130,10 +130,10 @@ struct Node {
 /// `cap` is still the credit protocol's bound: a sender never pushes
 /// into a full buffer, and [`FlitRings::push_back`] checks it in debug
 /// builds. Pushes and pops mutate the shared pool, so they need
-/// `&mut self` — the engine's master phase; shard probes only read
-/// heads ([`FlitRings::front`], [`FlitRings::head_term`]) through
-/// `&self`, which never leaves `meta`. There is no global occupancy
-/// counter ([`FlitRings::total_flits`] sums on demand).
+/// `&mut self`; head reads ([`FlitRings::front`],
+/// [`FlitRings::head_term`]) go through `&self` and never leave `meta`.
+/// There is no global occupancy counter ([`FlitRings::total_flits`] sums
+/// on demand).
 pub struct FlitRings {
     cap: u32,
     meta: Vec<QueueMeta>,

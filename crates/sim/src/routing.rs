@@ -254,16 +254,6 @@ pub trait RoutingAlgorithm: Send + Sync {
     fn max_hops(&self, diameter: u32) -> u32 {
         2 * diameter
     }
-
-    /// Whether [`RoutingAlgorithm::next_output`] draws from the RNG on
-    /// *transit* hops. The sharded engine probes transit routes on
-    /// worker threads sharing no RNG, so algorithms answering `true`
-    /// (adaptive minimal's random tie-break) fall back to the serial
-    /// path. Injection-time draws ([`RoutingAlgorithm::plan`], which
-    /// always runs on the master) don't count.
-    fn uses_rng_in_transit(&self) -> bool {
-        false
-    }
 }
 
 /// Routes one packet hop through `algo`, enforcing the link-liveness
@@ -296,49 +286,28 @@ pub(crate) fn route_output(
     hop: HopContext,
     rng: &mut StdRng,
 ) -> Port {
-    let (p, pin_now) = route_probe(algo, net, pending, pinned[pkt as usize], hop, rng);
-    if pin_now {
-        pinned[pkt as usize] = true;
-    }
-    p
-}
-
-/// The side-effect-free core of [`route_output`]: computes the output
-/// port and whether the packet must be pinned to the pending tables,
-/// without writing the pin. The serial wrapper applies the pin
-/// immediately; the sharded engine probes on worker threads (which may
-/// only read) and commits staged pins on the master, in the serial
-/// order — the split is what makes the two paths bit-identical.
-#[inline]
-pub(crate) fn route_probe(
-    algo: &dyn RoutingAlgorithm,
-    net: &NetState,
-    pending: Option<&RouteTables>,
-    was_pinned: bool,
-    hop: HopContext,
-    rng: &mut StdRng,
-) -> (Port, bool) {
     if let Some(pt) = pending {
-        if was_pinned {
+        if pinned[pkt as usize] {
             if let Some(i) = table_port(net, pt, hop) {
-                return (i, false);
+                return i;
             }
             // Pending cannot route this pair (should not happen on a
             // live-connected residual); greedy last resort.
-            return (fallback_live_min(net, hop), false);
+            return fallback_live_min(net, hop);
         }
     }
     let p = algo.next_output(net, hop, rng);
     if !net.degraded || (p != Port::MAX && net.link_ok(hop.router, p as usize)) {
-        return (p, false);
+        return p;
     }
     // Stale next hop is dead: pin onto the backup (pending) tables.
+    pinned[pkt as usize] = true;
     if let Some(pt) = pending {
         if let Some(i) = table_port(net, pt, hop) {
-            return (i, true);
+            return i;
         }
     }
-    (fallback_live_min(net, hop), true)
+    fallback_live_min(net, hop)
 }
 
 /// The live local port toward `tables`' next hop for this pair, if any.
@@ -472,7 +441,6 @@ impl RoutingAlgorithm for MinAdaptive {
             } else if occ == best_occ {
                 ties += 1;
                 // Reservoir sampling keeps the choice uniform over ties.
-                // pf-analyze: allow(probe-purity) — MinAdaptive::uses_rng_in_transit() forces the serial schedule, so this draw never runs inside a probe worker
                 if rng.gen_range(0..ties) == 0 {
                     best = i as Port;
                 }
@@ -487,10 +455,6 @@ impl RoutingAlgorithm for MinAdaptive {
 
     fn plan(&self, _net: &NetState, _src: u32, _dst: u32, _rng: &mut StdRng) -> RoutePlan {
         RoutePlan::Minimal
-    }
-
-    fn uses_rng_in_transit(&self) -> bool {
-        true // the random tie-break above runs on every transit hop
     }
 
     fn max_hops(&self, diameter: u32) -> u32 {

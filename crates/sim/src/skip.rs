@@ -94,8 +94,7 @@ impl SkipCtl {
         }
     }
 
-    /// Whether router `r` is awake (probe-safe: pure read, shared by the
-    /// serial phases and the shard probe workers).
+    /// Whether router `r` is awake.
     #[inline]
     pub(crate) fn is_awake(&self, r: usize) -> bool {
         self.awake[r / 64] & (1u64 << (r % 64)) != 0

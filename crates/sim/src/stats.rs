@@ -64,41 +64,12 @@ pub struct SimResult {
     /// ([`crate::Engine::run_workload`]); empty on open-loop Bernoulli
     /// runs, whose behavior and fields are unchanged.
     pub jobs: Vec<JobResult>,
-    /// Per-shard execution observability of a sharded run
-    /// (`SimConfig::shards` > 1; empty on serial runs). Shard counters
-    /// describe *how* the run executed, never *what* it computed: every
-    /// other field of this struct is bit-identical across shard counts
-    /// (pinned by the shard parity tests).
-    pub shards: Vec<ShardObs>,
-    /// Wall-clock nanoseconds the *master* thread spent waiting for
-    /// straggler workers at fork-join barriers on a sharded run (0 on
-    /// serial runs). Purely diagnostic — excluded from parity
-    /// comparisons. Lives here rather than on a [`ShardObs`] row because
-    /// the wait belongs to the master, not to any shard's workers.
-    pub master_barrier_wait_ns: u64,
     /// Telemetry collected during the run (`None` unless
     /// `SimConfig::telemetry_interval` or `SimConfig::trace_sample` is
     /// set). Pure execution observability — excluded from parity
-    /// comparisons like `shards` and `master_barrier_wait_ns`; every
-    /// other field is bit-identical with telemetry on or off (pinned by
-    /// the telemetry parity tests).
+    /// comparisons; every other field is bit-identical with telemetry
+    /// on or off (pinned by the telemetry parity tests).
     pub telemetry: Option<Box<crate::telemetry::TelemetryReport>>,
-}
-
-/// Execution observability of one engine shard (see `DESIGN.md`,
-/// "Sharded execution").
-#[derive(Debug, Clone, Copy)]
-pub struct ShardObs {
-    /// Routers owned by this shard.
-    pub routers: u32,
-    /// This shard's output links whose receiver lives in another shard
-    /// (its boundary degree under the minimum-cut partition).
-    pub boundary_links: u32,
-    /// Flits this shard's routers sent across a shard boundary.
-    pub boundary_flits: u64,
-    /// Cycles in which this shard moved at least one flit (traversal or
-    /// ejection).
-    pub busy_cycles: u64,
 }
 
 /// Completion outcome of one closed-loop job (see `pf_sim::drive`).

@@ -5,8 +5,8 @@
 //! no hook reachable from the record entry points takes `&mut` over
 //! simulator state or draws from the simulation RNG (enforced by the
 //! `pf_analyze` `telemetry-purity` rule), so every [`crate::SimResult`]
-//! field is bit-identical with telemetry on or off, serial or sharded,
-//! dense or skipping — pinned by `tests/telemetry_parity.rs`.
+//! field is bit-identical with telemetry on or off, dense or skipping
+//! — pinned by `tests/telemetry_parity.rs`.
 //!
 //! Three collectors, each zero-cost when its knob is off:
 //!
@@ -16,8 +16,8 @@
 //!   utilization, VOQ depth histogram, stall and fault counters, and
 //!   the awake/dozing/asleep router census. Records are *deltas over
 //!   the epoch* for monotone counters and point-in-time gauges for
-//!   occupancy. Epoch boundaries are the same cycles in every
-//!   execution mode: the tick runs at the top of each step, and the
+//!   occupancy. Epoch boundaries are the same cycles dense or
+//!   skipping: the tick runs at the top of each step, and the
 //!   cycle-skip prologue catches up immediately after a whole-cycle
 //!   leap (the leapt-over cycles are provable no-ops, so the deferred
 //!   records carry exactly the counters a dense walk would have seen).
@@ -37,7 +37,7 @@
 //!
 //! The collected data leaves the engine as a [`TelemetryReport`] on
 //! [`crate::SimResult::telemetry`] — execution observability, excluded
-//! from parity comparisons exactly like `SimResult::shards`.
+//! from parity comparisons.
 //!
 //! [`SimConfig::telemetry_interval`]: crate::SimConfig::telemetry_interval
 //! [`SimConfig::trace_sample`]: crate::SimConfig::trace_sample
@@ -123,7 +123,6 @@ pub struct TraceEvent {
 /// `[end_cycle - span, end_cycle)` plus point-in-time occupancy gauges
 /// sampled at the epoch boundary.
 ///
-/// Every field is bit-identical between serial and sharded execution.
 /// The router census (`awake`/`dozing`/`asleep`) reflects the
 /// cycle-skip state machine, so it is the one group that legitimately
 /// differs between `skip` on and off (dense runs report every router
@@ -182,9 +181,9 @@ pub struct EpochRecord {
 pub enum ProfPhase {
     /// Packet generation / workload release.
     Generate = 0,
-    /// Ejection scan (probe + commit on sharded runs).
+    /// Ejection scan.
     Eject = 1,
-    /// Request build and routing (probe + commit on sharded runs).
+    /// Request build and routing.
     Route = 2,
     /// Grant-and-accept switch allocation.
     Alloc = 3,
@@ -480,9 +479,9 @@ impl TelemetryCtl {
 
 impl Engine<'_> {
     /// Records every epoch boundary due at or before the current
-    /// cycle. Called at the top of each step (both schedules) and
-    /// immediately after a whole-cycle leap, so boundary snapshots are
-    /// taken *before* the boundary cycle executes in every mode — a
+    /// cycle. Called at the top of each step and immediately after a
+    /// whole-cycle leap, so boundary snapshots are taken *before* the
+    /// boundary cycle executes, dense or skipping — a
     /// leapt-over boundary is recorded with the counters frozen across
     /// the leap, which are exactly the counters a dense walk of those
     /// provably idle cycles would have carried to it.

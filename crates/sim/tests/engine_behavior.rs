@@ -2,6 +2,8 @@
 //! unit tests): latency models, conservation, saturation, deadlock
 //! freedom, and routing-dependent hop distributions.
 
+mod common;
+
 use pf_sim::engine::{simulate, Engine, SimConfig};
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
@@ -328,4 +330,31 @@ fn custom_algorithm_via_with_algorithm() {
     assert_eq!(via_enum.delivered, via_trait.delivered);
     assert!((via_enum.avg_latency - via_trait.avg_latency).abs() < 1e-12);
     assert!((via_enum.accepted_load - via_trait.accepted_load).abs() < 1e-12);
+}
+
+/// `load_curve` fans its load points out over Rayon workers — the one
+/// multi-core path. Each point must be the run `simulate` produces on
+/// its own, whatever order or thread the points execute on.
+#[test]
+fn load_curve_points_equal_one_at_a_time_runs() {
+    let topo = PolarFlyTopo::new(7, 4).unwrap();
+    let cfg = SimConfig::quick().seed(5);
+    let loads = [0.1, 0.3, 0.5, 0.7];
+    for routing in [Routing::Min, Routing::UgalPf] {
+        let curve = pf_sim::load_curve(&topo, routing, TrafficPattern::Uniform, &loads, &cfg);
+        assert_eq!(curve.points.len(), loads.len());
+        let tables = RouteTables::build(topo.graph(), cfg.seed);
+        let dests = resolve(
+            TrafficPattern::Uniform,
+            topo.graph(),
+            &topo.host_routers(),
+            cfg.seed,
+        );
+        for (point, &load) in curve.points.iter().zip(&loads) {
+            let alone = simulate(&topo, &tables, &dests, routing, load, cfg.clone());
+            assert!(alone.delivered > 0, "vacuous load point {load}");
+            let label = format!("{} load {load}", routing.label());
+            common::assert_bit_identical(point, &alone, &label);
+        }
+    }
 }

@@ -1,136 +1,50 @@
 //! Bit-for-bit parity of the event-driven cycle-skip schedule
 //! (`SimConfig::skip`) against the dense scan, across topology sizes,
-//! routing algorithms, injection modes, and shard counts.
+//! routing algorithms, and injection modes.
 //!
 //! The skip machinery's contract is *exact*: leaping a provably-idle
-//! router forward must change nothing observable — every semantic field
-//! of [`SimResult`] equals the dense run's, down to the bit, serial and
-//! sharded. Only the execution-observability fields
-//! (`skipped_router_cycles`, the `shards` block) may differ. See
-//! `DESIGN.md`, "Event-driven cycle skipping".
+//! router forward must change nothing observable — every simulated
+//! field of `SimResult` equals the dense run's, down to the bit. Only
+//! the execution-observability field `skipped_router_cycles` may
+//! differ. See `DESIGN.md`, "Event-driven cycle skipping".
+
+mod common;
+
+use common::assert_bit_identical;
 
 use pf_graph::FaultSchedule;
 use pf_sim::traffic::{resolve, TrafficPattern};
-use pf_sim::{load_curve, simulate_workload, Engine, Routing, SimConfig, SimResult};
+use pf_sim::{load_curve, simulate_workload, Engine, Routing, SimConfig};
 use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
 use pf_workload::{param_server, ring_allreduce, JobAssignment};
 
-/// Asserts every semantic field of two results is bit-identical
-/// (floating-point fields compared by bit pattern, not tolerance).
-/// Execution observability — `skipped_router_cycles`, the `shards`
-/// block — is deliberately excluded: it describes *how* the run
-/// executed, not what it computed.
-fn assert_bit_identical(a: &SimResult, b: &SimResult, label: &str) {
-    assert_eq!(
-        a.offered_load.to_bits(),
-        b.offered_load.to_bits(),
-        "{label}: offered_load"
-    );
-    assert_eq!(
-        a.accepted_load.to_bits(),
-        b.accepted_load.to_bits(),
-        "{label}: accepted_load"
-    );
-    assert_eq!(
-        a.avg_latency.to_bits(),
-        b.avg_latency.to_bits(),
-        "{label}: avg_latency"
-    );
-    assert_eq!(
-        a.p99_latency.to_bits(),
-        b.p99_latency.to_bits(),
-        "{label}: p99_latency"
-    );
-    assert_eq!(
-        a.avg_hops.to_bits(),
-        b.avg_hops.to_bits(),
-        "{label}: avg_hops"
-    );
-    assert_eq!(a.generated, b.generated, "{label}: generated");
-    assert_eq!(a.delivered, b.delivered, "{label}: delivered");
-    assert_eq!(a.saturated, b.saturated, "{label}: saturated");
-    assert_eq!(
-        a.deadline_expired, b.deadline_expired,
-        "{label}: deadline_expired"
-    );
-    assert_eq!(a.dropped_flits, b.dropped_flits, "{label}: dropped_flits");
-    assert_eq!(
-        a.retransmitted_packets, b.retransmitted_packets,
-        "{label}: retransmitted_packets"
-    );
-    assert_eq!(a.table_swaps, b.table_swaps, "{label}: table_swaps");
-    assert_eq!(
-        a.down_link_flits, b.down_link_flits,
-        "{label}: down_link_flits"
-    );
-    assert_eq!(
-        a.vc_class_clamps, b.vc_class_clamps,
-        "{label}: vc_class_clamps"
-    );
-    assert_eq!(a.jobs.len(), b.jobs.len(), "{label}: job count");
-    for (ja, jb) in a.jobs.iter().zip(&b.jobs) {
-        let jl = format!("{label}: job {}", ja.name);
-        assert_eq!(ja.makespan, jb.makespan, "{jl}: makespan");
-        assert_eq!(ja.messages, jb.messages, "{jl}: messages");
-        assert_eq!(
-            ja.messages_delivered, jb.messages_delivered,
-            "{jl}: messages_delivered"
-        );
-        assert_eq!(ja.payload_flits, jb.payload_flits, "{jl}: payload_flits");
-        assert_eq!(
-            ja.alg_bandwidth.to_bits(),
-            jb.alg_bandwidth.to_bits(),
-            "{jl}: alg_bandwidth"
-        );
-        assert_eq!(ja.phases, jb.phases, "{jl}: phases");
-    }
-}
-
-/// Runs one Bernoulli load point dense-serial, then skip-serial,
-/// dense-sharded, and skip-sharded, asserting all four agree bit-for-bit
-/// and that the skip runs actually skipped something.
-fn check_bernoulli(
-    topo: &dyn Topology,
-    routing: Routing,
-    load: f64,
-    cfg: &SimConfig,
-    runs: &[(usize, bool)],
-) {
-    let dense = load_curve(
-        topo,
-        routing,
-        TrafficPattern::Uniform,
-        &[load],
-        &cfg.clone().shards(1).skip(false),
-    );
-    assert!(
-        dense.points[0].delivered > 0,
-        "{}: vacuous parity baseline",
-        routing.label()
-    );
-    assert_eq!(
-        dense.points[0].skipped_router_cycles,
-        0,
-        "{}: dense run reported skips",
-        routing.label()
-    );
-    for (shards, skip) in runs {
-        let run = load_curve(
+/// Runs one Bernoulli load point dense, then skipping, asserting both
+/// agree bit-for-bit and that the skip run actually skipped something.
+fn check_bernoulli(topo: &dyn Topology, routing: Routing, load: f64, cfg: &SimConfig) {
+    let point = |skip: bool| {
+        load_curve(
             topo,
             routing,
             TrafficPattern::Uniform,
             &[load],
-            &cfg.clone().shards(*shards).skip(*skip),
-        );
-        let label = format!("{} load {load} K={shards} skip={skip}", routing.label());
-        assert_bit_identical(&dense.points[0], &run.points[0], &label);
-        if *skip {
-            assert!(
-                run.points[0].skipped_router_cycles > 0,
-                "{label}: skip enabled but nothing skipped"
-            );
-        }
-    }
+            &cfg.clone().skip(skip),
+        )
+        .points
+        .remove(0)
+    };
+    let dense = point(false);
+    let label = format!("{} load {load}", routing.label());
+    assert!(dense.delivered > 0, "{label}: vacuous parity baseline");
+    assert_eq!(
+        dense.skipped_router_cycles, 0,
+        "{label}: dense run reported skips"
+    );
+    let skipping = point(true);
+    assert_bit_identical(&dense, &skipping, &label);
+    assert!(
+        skipping.skipped_router_cycles > 0,
+        "{label}: skip enabled but nothing skipped"
+    );
 }
 
 /// PF(7): MIN and UGAL-PF, below and near saturation.
@@ -139,27 +53,12 @@ fn bernoulli_parity_q7() {
     let topo = PolarFlyTopo::new(7, 4).unwrap();
     let cfg = SimConfig::quick().seed(3);
     for routing in [Routing::Min, Routing::UgalPf] {
-        check_bernoulli(
-            &topo,
-            routing,
-            0.2,
-            &cfg,
-            &[(1, true), (4, false), (4, true)],
-        );
-        check_bernoulli(
-            &topo,
-            routing,
-            0.55,
-            &cfg,
-            &[(1, true), (4, false), (4, true)],
-        );
+        check_bernoulli(&topo, routing, 0.2, &cfg);
+        check_bernoulli(&topo, routing, 0.55, &cfg);
     }
 }
 
-/// PF(31) — the paper's 993-router instance, shortened windows (the
-/// unoptimized test profile makes full-scale cycles expensive, so the
-/// dense-vs-skip sharded cell runs skip-on only; `shard_parity.rs`
-/// already pins dense-sharded against dense-serial at this scale). The
+/// PF(31) — the paper's 993-router instance, shortened windows. The
 /// full-scale port/VC index space is where a stale occupancy mask or a
 /// premature sleep would hide.
 #[test]
@@ -170,8 +69,28 @@ fn bernoulli_parity_q31() {
         .measure(100)
         .drain_max(500)
         .seed(9);
-    check_bernoulli(&topo, Routing::Min, 0.25, &cfg, &[(1, true), (4, true)]);
-    check_bernoulli(&topo, Routing::UgalPf, 0.25, &cfg, &[(1, true), (4, true)]);
+    check_bernoulli(&topo, Routing::Min, 0.25, &cfg);
+    check_bernoulli(&topo, Routing::UgalPf, 0.25, &cfg);
+}
+
+/// PF(37): radix 38 is past the 32-bit port-occupancy masks, so the
+/// skip schedule scans every port of each awake router instead of the
+/// occupied ones — the scan every larger network (and Slim Fly q=23)
+/// runs.
+#[test]
+fn bernoulli_parity_q37_without_port_masks() {
+    let topo = PolarFlyTopo::new(37, 19).unwrap();
+    assert!(
+        topo.graph().max_degree() > 32,
+        "PF(37) must exceed the mask width"
+    );
+    let cfg = SimConfig::default()
+        .warmup(100)
+        .measure(200)
+        .drain_max(600)
+        .seed(13);
+    check_bernoulli(&topo, Routing::Min, 0.25, &cfg);
+    check_bernoulli(&topo, Routing::UgalPf, 0.25, &cfg);
 }
 
 /// Closed-loop workload DAGs: compute timers arm wake-ups while a
@@ -203,16 +122,13 @@ fn workload_parity() {
             let dense =
                 simulate_workload(&topo, routing, jobs(), &base.clone().skip(false)).unwrap();
             assert!(!dense.saturated, "{}: workload wedged", routing.label());
-            for (shards, skip) in [(1, true), (4, true)] {
-                let cfg = base.clone().shards(shards).skip(skip);
-                let run = simulate_workload(&topo, routing, jobs(), &cfg).unwrap();
-                let label = format!("workload q={q} {} K={shards}", routing.label());
-                assert_bit_identical(&dense, &run, &label);
-                assert!(
-                    run.skipped_router_cycles > 0,
-                    "{label}: no skips on a sparse workload"
-                );
-            }
+            let run = simulate_workload(&topo, routing, jobs(), &base.clone().skip(true)).unwrap();
+            let label = format!("workload q={q} {}", routing.label());
+            assert_bit_identical(&dense, &run, &label);
+            assert!(
+                run.skipped_router_cycles > 0,
+                "{label}: no skips on a sparse workload"
+            );
         }
     }
 }
@@ -246,24 +162,22 @@ fn transient_burst_parity() {
                 routing,
                 TrafficPattern::Uniform,
                 &[0.2],
-                &cfg.clone().shards(1).skip(false),
+                &cfg.clone().skip(false),
             );
             assert!(
                 dense.points[0].retransmitted_packets > 0,
                 "q={q} {}: schedule never hit committed traffic",
                 routing.label()
             );
-            for (shards, skip) in [(1, true), (4, true)] {
-                let run = load_curve(
-                    &transient,
-                    routing,
-                    TrafficPattern::Uniform,
-                    &[0.2],
-                    &cfg.clone().shards(shards).skip(skip),
-                );
-                let label = format!("transient q={q} {} K={shards}", routing.label());
-                assert_bit_identical(&dense.points[0], &run.points[0], &label);
-            }
+            let run = load_curve(
+                &transient,
+                routing,
+                TrafficPattern::Uniform,
+                &[0.2],
+                &cfg.clone().skip(true),
+            );
+            let label = format!("transient q={q} {}", routing.label());
+            assert_bit_identical(&dense.points[0], &run.points[0], &label);
         }
     }
 }

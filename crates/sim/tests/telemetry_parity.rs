@@ -1,80 +1,19 @@
 //! The telemetry layer's zero-perturbation contract, pinned.
 //!
 //! Turning on epoch time-series and packet tracing must change *no*
-//! semantic field of [`SimResult`] — down to the bit, across serial and
-//! sharded execution and dense and skip schedules. The collected data
-//! itself must also be execution-mode independent: serial and sharded
-//! runs produce identical epoch records and identical trace streams
-//! (the skip schedule may only change the awake/dozing/asleep router
-//! census, which reflects the scheduler, not the traffic). See
-//! `DESIGN.md`, "Telemetry and tracing".
+//! simulated field of [`SimResult`] — down to the bit, on the dense and
+//! the skip schedule. The collected data itself must also be
+//! schedule-independent: identical trace streams, and identical epoch
+//! records up to the awake/dozing/asleep router census (which reflects
+//! the scheduler, not the traffic). See `DESIGN.md`, "Telemetry and
+//! tracing".
 
+mod common;
+
+use common::assert_bit_identical;
 use pf_sim::traffic::TrafficPattern;
 use pf_sim::{load_curve, EpochRecord, Routing, SimConfig, SimResult};
 use pf_topo::{PolarFlyTopo, Topology};
-
-/// Asserts every semantic field of two results is bit-identical.
-/// Execution observability — `skipped_router_cycles`, `shards`,
-/// `master_barrier_wait_ns`, and `telemetry` itself — is excluded.
-fn assert_bit_identical(a: &SimResult, b: &SimResult, label: &str) {
-    assert_eq!(
-        a.offered_load.to_bits(),
-        b.offered_load.to_bits(),
-        "{label}: offered_load"
-    );
-    assert_eq!(
-        a.accepted_load.to_bits(),
-        b.accepted_load.to_bits(),
-        "{label}: accepted_load"
-    );
-    assert_eq!(
-        a.avg_latency.to_bits(),
-        b.avg_latency.to_bits(),
-        "{label}: avg_latency"
-    );
-    assert_eq!(
-        a.p50_latency.to_bits(),
-        b.p50_latency.to_bits(),
-        "{label}: p50_latency"
-    );
-    assert_eq!(
-        a.p99_latency.to_bits(),
-        b.p99_latency.to_bits(),
-        "{label}: p99_latency"
-    );
-    assert_eq!(
-        a.p999_latency.to_bits(),
-        b.p999_latency.to_bits(),
-        "{label}: p999_latency"
-    );
-    assert_eq!(
-        a.avg_hops.to_bits(),
-        b.avg_hops.to_bits(),
-        "{label}: avg_hops"
-    );
-    assert_eq!(a.generated, b.generated, "{label}: generated");
-    assert_eq!(a.delivered, b.delivered, "{label}: delivered");
-    assert_eq!(a.saturated, b.saturated, "{label}: saturated");
-    assert_eq!(
-        a.deadline_expired, b.deadline_expired,
-        "{label}: deadline_expired"
-    );
-    assert_eq!(a.dropped_flits, b.dropped_flits, "{label}: dropped_flits");
-    assert_eq!(
-        a.retransmitted_packets, b.retransmitted_packets,
-        "{label}: retransmitted_packets"
-    );
-    assert_eq!(a.table_swaps, b.table_swaps, "{label}: table_swaps");
-    assert_eq!(
-        a.down_link_flits, b.down_link_flits,
-        "{label}: down_link_flits"
-    );
-    assert_eq!(
-        a.vc_class_clamps, b.vc_class_clamps,
-        "{label}: vc_class_clamps"
-    );
-    assert_eq!(a.jobs.len(), b.jobs.len(), "{label}: job count");
-}
 
 /// An epoch record with the skip-census gauges zeroed — the one group
 /// that legitimately differs between dense and skip schedules.
@@ -87,15 +26,8 @@ fn without_census(e: &EpochRecord) -> EpochRecord {
     }
 }
 
-fn run(
-    topo: &PolarFlyTopo,
-    load: f64,
-    cfg: &SimConfig,
-    shards: usize,
-    skip: bool,
-    telemetry: bool,
-) -> SimResult {
-    let mut c = cfg.clone().shards(shards).skip(skip);
+fn run(topo: &PolarFlyTopo, load: f64, cfg: &SimConfig, skip: bool, telemetry: bool) -> SimResult {
+    let mut c = cfg.clone().skip(skip);
     if telemetry {
         c = c.telemetry_interval(64).trace_sample(8);
     }
@@ -103,23 +35,22 @@ fn run(
     curve.points.into_iter().next().unwrap()
 }
 
-/// The full matrix at PF(7): telemetry on/off × serial/4-shard ×
-/// dense/skip, every cell bit-identical to the dense-serial
-/// telemetry-off baseline; the collected epochs and traces are
-/// identical across execution modes.
+/// The full matrix at PF(7): telemetry on/off × dense/skip, every
+/// cell bit-identical to the dense telemetry-off baseline; the
+/// collected epochs and traces are identical across schedules.
 #[test]
 fn telemetry_parity_q7() {
     let topo = PolarFlyTopo::new(7, 4).unwrap();
     let cfg = SimConfig::quick().seed(3);
-    let base = run(&topo, 0.3, &cfg, 1, false, false);
+    let base = run(&topo, 0.3, &cfg, false, false);
     assert!(base.delivered > 0, "vacuous baseline");
     assert!(base.telemetry.is_none(), "telemetry off must report None");
 
-    let mut reports = Vec::new();
-    for (shards, skip) in [(1, false), (1, true), (4, false), (4, true)] {
-        let off = run(&topo, 0.3, &cfg, shards, skip, false);
-        let on = run(&topo, 0.3, &cfg, shards, skip, true);
-        let label = format!("q7 K={shards} skip={skip}");
+    // One schedule's cells against the baseline; returns its report.
+    let cells = |skip: bool| {
+        let off = run(&topo, 0.3, &cfg, skip, false);
+        let on = run(&topo, 0.3, &cfg, skip, true);
+        let label = format!("q7 skip={skip}");
         assert_bit_identical(&base, &off, &format!("{label} telemetry=off"));
         assert_bit_identical(&base, &on, &format!("{label} telemetry=on"));
         let t = on.telemetry.expect("telemetry on must report Some");
@@ -129,32 +60,22 @@ fn telemetry_parity_q7() {
             t.traces.iter().all(|e| e.serial % 8 == 0),
             "{label}: sampler leaked an off-modulus serial"
         );
-        reports.push((label, skip, t));
-    }
+        t
+    };
+    let dense = cells(false);
+    let skipping = cells(true);
 
-    // Serial and sharded runs of the same schedule collect *identical*
-    // telemetry — records and traces, byte for byte.
-    let by = |shards_skip: usize| &reports[shards_skip].2;
-    assert_eq!(by(0).epochs, by(2).epochs, "epochs serial vs sharded");
-    assert_eq!(by(0).traces, by(2).traces, "traces serial vs sharded");
-    assert_eq!(
-        by(1).epochs,
-        by(3).epochs,
-        "epochs serial vs sharded (skip)"
-    );
-    assert_eq!(
-        by(1).traces,
-        by(3).traces,
-        "traces serial vs sharded (skip)"
-    );
     // Dense vs skip: identical traces; identical epochs up to the
     // awake/dozing/asleep census (dense reports every router awake).
-    assert_eq!(by(0).traces, by(1).traces, "traces dense vs skip");
-    let dense: Vec<EpochRecord> = by(0).epochs.iter().map(without_census).collect();
-    let skipped: Vec<EpochRecord> = by(1).epochs.iter().map(without_census).collect();
-    assert_eq!(dense, skipped, "epochs dense vs skip (census excluded)");
+    assert_eq!(dense.traces, skipping.traces, "traces dense vs skip");
+    let dense_epochs: Vec<EpochRecord> = dense.epochs.iter().map(without_census).collect();
+    let skip_epochs: Vec<EpochRecord> = skipping.epochs.iter().map(without_census).collect();
+    assert_eq!(
+        dense_epochs, skip_epochs,
+        "epochs dense vs skip (census excluded)"
+    );
     assert!(
-        by(0).epochs.iter().all(|e| e.dozing_routers == 0
+        dense.epochs.iter().all(|e| e.dozing_routers == 0
             && e.asleep_routers == 0
             && e.awake_routers == topo.router_count() as u32),
         "dense census must report every router awake"
@@ -171,22 +92,19 @@ fn telemetry_parity_q31() {
         .measure(100)
         .drain_max(500)
         .seed(9);
-    let base = run(&topo, 0.25, &cfg, 1, false, false);
+    let base = run(&topo, 0.25, &cfg, false, false);
     assert!(base.delivered > 0, "vacuous baseline");
-    let serial_on = run(&topo, 0.25, &cfg, 1, false, true);
-    let sharded_skip_on = run(&topo, 0.25, &cfg, 4, true, true);
-    assert_bit_identical(&base, &serial_on, "q31 serial telemetry=on");
-    assert_bit_identical(&base, &sharded_skip_on, "q31 K=4 skip telemetry=on");
-    let a = serial_on.telemetry.unwrap();
-    let b = sharded_skip_on.telemetry.unwrap();
+    let dense_on = run(&topo, 0.25, &cfg, false, true);
+    let skip_on = run(&topo, 0.25, &cfg, true, true);
+    assert_bit_identical(&base, &dense_on, "q31 dense telemetry=on");
+    assert_bit_identical(&base, &skip_on, "q31 skip telemetry=on");
+    let a = dense_on.telemetry.unwrap();
+    let b = skip_on.telemetry.unwrap();
     assert!(!a.epochs.is_empty() && !a.traces.is_empty());
-    assert_eq!(
-        a.traces, b.traces,
-        "q31 traces serial-dense vs sharded-skip"
-    );
+    assert_eq!(a.traces, b.traces, "q31 traces dense vs skip");
     let an: Vec<EpochRecord> = a.epochs.iter().map(without_census).collect();
     let bn: Vec<EpochRecord> = b.epochs.iter().map(without_census).collect();
-    assert_eq!(an, bn, "q31 epochs serial-dense vs sharded-skip");
+    assert_eq!(an, bn, "q31 epochs dense vs skip");
 }
 
 /// Golden epoch pins on a seeded, fully drained run: the time-series
@@ -201,7 +119,6 @@ fn epoch_records_conserve_and_replay() {
         .drain_max(2000)
         .gen_cutoff(300)
         .seed(41)
-        .shards(1)
         .skip(false)
         .telemetry_interval(64)
         .trace_sample(4);
