@@ -30,7 +30,7 @@ use crate::Routing;
 use pf_graph::Csr;
 use pf_topo::Topology;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Builds the read-only [`crate::routing::NetState`] view from disjoint
 /// `Engine` fields, so a routing call can run while `self.rng` is
@@ -126,6 +126,18 @@ pub struct Engine<'a> {
     pub(crate) cap_per_vc: u32,
     /// Endpoints per router (cached: the hot loops hit this every cycle).
     pub(crate) endpoints: Vec<u32>,
+    /// Inclusive prefix sums of `endpoints`: router `r` owns open-loop
+    /// trials `ep_end[r - 1]..ep_end[r]` of a cycle's `T` = `ep_end[n - 1]`.
+    pub(crate) ep_end: Vec<u32>,
+    /// Index of the next successful open-loop trial in the flattened
+    /// sequence (cycle `c` spans `c·T..(c + 1)·T`); `u64::MAX` at load 0,
+    /// past any run (`T` and the cycle count are both `u32`).
+    pub(crate) gen_next: u64,
+    /// `ln(1 − load / packet_flits)`, the geometric gap law's parameter.
+    pub(crate) gen_ln_q: f64,
+    /// Routes [`Engine::generate`] to the per-endpoint reference loop.
+    #[cfg(test)]
+    pub(crate) reference_generator: bool,
     pub(crate) geom: PortMap,
     /// Per-link liveness (indexed by downstream input port): `false` marks
     /// a failed link that routing must never select. All-true on healthy
@@ -390,6 +402,19 @@ impl<'a> Engine<'a> {
         let skip = SkipCtl::new(n, cfg.pipeline_delay, max_degree, cfg.skip);
 
         let seed = cfg.seed ^ (load.to_bits().rotate_left(17));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ep_end = endpoints.clone();
+        for r in 1..n {
+            ep_end[r] += ep_end[r - 1];
+        }
+        // The first gap is drawn only at a positive load: closed-loop
+        // engines (built at load 0) keep their RNG stream untouched.
+        let gen_ln_q = (-load / f64::from(cfg.packet_flits)).ln_1p();
+        let gen_next = if load > 0.0 {
+            crate::inject::geometric_gap(rng.gen(), gen_ln_q)
+        } else {
+            u64::MAX
+        };
         Engine {
             topo,
             graph: g,
@@ -403,6 +428,11 @@ impl<'a> Engine<'a> {
             per_class: cfg.vcs_per_class as usize,
             cap_per_vc,
             endpoints,
+            ep_end,
+            gen_next,
+            gen_ln_q,
+            #[cfg(test)]
+            reference_generator: false,
             geom,
             link_up,
             degraded,
@@ -418,7 +448,7 @@ impl<'a> Engine<'a> {
             inj: InjPool::new(&stream_caps),
             pipeline: LinkPipeline::new(cfg.link_latency),
             packets: PacketPool::new(),
-            rng: StdRng::seed_from_u64(seed),
+            rng,
             cycle: 0,
             clock: PhaseClock::new(&cfg),
             stats: LatencyStats::default(),
@@ -593,14 +623,7 @@ impl<'a> Engine<'a> {
             return;
         }
         self.skip.wheel_wake(self.cycle);
-        // A leap is sound only when the generation phase is inert:
-        // closed-loop (Bernoulli off) or past the generation cutoff.
-        // The Bernoulli generator draws RNG for every endpoint every
-        // cycle — even at load 0 — so generating cycles can never skip.
-        if (self.workload.is_some() || self.cycle >= self.cfg.gen_cutoff)
-            && self.skip.none_awake()
-            && self.pipeline.in_flight() == 0
-        {
+        if self.skip.none_awake() && self.pipeline.in_flight() == 0 {
             self.maybe_leap();
             // Epoch boundaries leapt over are recorded here, before the
             // landing cycle executes — with the counters frozen across
@@ -612,14 +635,15 @@ impl<'a> Engine<'a> {
     }
 
     /// Leaps `self.cycle` to the earliest upcoming cycle at which
-    /// anything can happen: a dozing router's pipeline wake, an armed
-    /// workload compute timer, or a transient-fault event / staged
-    /// table swap — bounded by the run deadline *minus one* (the dense
-    /// loops execute their deadline cycle's predecessor last; executing
-    /// the deadline cycle itself would fire timers the dense path never
-    /// fires). Called only with every router asleep or dozing, no flits
-    /// on links, and generation inert, so the leapt-over cycles are
-    /// provable no-ops: no RNG draw, no event, no statistic.
+    /// anything can happen: a dozing router's pipeline wake, the next
+    /// open-loop arrival, an armed workload compute timer, or a
+    /// transient-fault event / staged table swap — bounded by the run
+    /// deadline *minus one* (the dense loops execute their deadline
+    /// cycle's predecessor last; executing the deadline cycle itself
+    /// would fire timers the dense path never fires). Called only with
+    /// every router asleep or dozing and no flits on links, so the
+    /// leapt-over cycles are provable no-ops: no RNG draw, no event, no
+    /// statistic.
     fn maybe_leap(&mut self) {
         let cycle = self.cycle;
         let bound = if self.workload.is_some() {
@@ -633,6 +657,17 @@ impl<'a> Engine<'a> {
         let mut target = bound;
         if let Some(c) = self.skip.next_doze_wake(cycle) {
             target = target.min(c);
+        }
+        if self.workload.is_none() && cycle < self.cfg.gen_cutoff {
+            // The cycle holding the next open-loop arrival (none without
+            // endpoints).
+            let due = self.gen_next.checked_div(self.gen_trials());
+            let due = due.map_or(u32::MAX, |c| u32::try_from(c).unwrap_or(u32::MAX));
+            if due <= cycle {
+                // A packet is admitted this very cycle.
+                return;
+            }
+            target = target.min(due);
         }
         if let Some(c) = self.workload.as_ref().and_then(|w| w.next_timer_cycle()) {
             if c <= cycle {
@@ -656,6 +691,12 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Open-loop Bernoulli trials per cycle: one per endpoint.
+    #[inline]
+    pub(crate) fn gen_trials(&self) -> u64 {
+        self.ep_end.last().map_or(0, |&t| u64::from(t))
+    }
+
     /// Advances one cycle.
     pub fn step(&mut self) {
         // Epoch telemetry snapshots run before anything this cycle does
@@ -677,7 +718,7 @@ impl<'a> Engine<'a> {
         self.apply_arrivals(cycle);
         // 2. Packet generation: closed-loop task-DAG releases when a
         //    workload is attached, the open-loop Bernoulli process
-        //    otherwise (identical to the pre-workload engine).
+        //    otherwise.
         let mark = prof_mark();
         if self.workload.is_some() {
             self.workload_release(cycle);
@@ -865,10 +906,20 @@ impl<'a> Engine<'a> {
     /// * a dozing router's wake cycle is never *later* than the earliest
     ///   `ready_at` among its buffered flits — i.e. the tracked
     ///   next-interesting cycle never overshoots the real next possible
-    ///   state change.
+    ///   state change;
+    /// * while the open-loop generator runs, its next arrival is never
+    ///   behind the clock — i.e. no leap crossed a due arrival.
     pub fn validate_skip_invariants(&self) {
         if !self.skip.enabled {
             return;
+        }
+        if self.workload.is_none() && self.cycle < self.cfg.gen_cutoff {
+            assert!(
+                self.gen_next >= u64::from(self.cycle) * self.gen_trials(),
+                "open-loop trial {} is behind cycle {}: a leap crossed its arrival",
+                self.gen_next,
+                self.cycle
+            );
         }
         for r in 0..self.n {
             let (lo, hi) = self.geom.ports(r);

@@ -13,12 +13,56 @@ use crate::router::NONE32;
 use crate::routing::{HopContext, RoutePlan};
 use rand::Rng;
 
+/// Failed trials before the next success of an iid Bernoulli(`prob`)
+/// sequence, by inversion: `u` uniform in [0, 1), `ln_q = ln(1 − prob)`.
+/// The cast saturates, so a vanishing `prob` gives `u64::MAX` ("never"),
+/// not a wrapped gap; `prob == 1` (`ln_q = −∞`) gives 0.
+#[inline]
+pub(crate) fn geometric_gap(u: f64, ln_q: f64) -> u64 {
+    ((-u).ln_1p() / ln_q) as u64
+}
+
 impl Engine<'_> {
-    /// Bernoulli packet generation at every endpoint. A down router
-    /// generates nothing; packets toward a down (or not-yet-reconverged)
+    /// Open-loop generation: one Bernoulli(`load / packet_flits`) trial
+    /// per endpoint per cycle, walked as a geometric skip-ahead over the
+    /// flattened trial sequence (cycle-major, then router, then endpoint)
+    /// so a cycle costs its admissions, not its endpoints (DESIGN.md,
+    /// "Open-loop generation"). A success landing on a down router is
+    /// discarded; packets toward a down (or not-yet-reconverged)
     /// destination are generated but held at the source — see
     /// [`Engine::start_injections`].
     pub(crate) fn generate(&mut self, cycle: u32) {
+        #[cfg(test)]
+        if self.reference_generator {
+            return self.generate_reference(cycle);
+        }
+        let trials = self.gen_trials();
+        let base = u64::from(cycle) * trials;
+        let end = base + trials;
+        let measured_window = self.clock.in_measurement(cycle);
+        let mut r = 0;
+        while self.gen_next < end {
+            // Successes within a cycle ascend, so the walk through the
+            // endpoint prefix sums never restarts.
+            let pos = (self.gen_next - base) as u32;
+            while self.ep_end[r] <= pos {
+                r += 1;
+            }
+            if !self.transient || self.faults.router_up[r] {
+                let dst = self.dests.pick(r as u32, &mut self.rng);
+                debug_assert_ne!(dst, r as u32);
+                self.admit_packet(r as u32, dst, cycle, measured_window);
+            }
+            let gap = geometric_gap(self.rng.gen(), self.gen_ln_q);
+            self.gen_next = self.gen_next.saturating_add(1).saturating_add(gap);
+        }
+    }
+
+    /// The law [`Engine::generate`] realises, drawn the direct way: one
+    /// uniform per endpoint per cycle. Kept as the oracle of the
+    /// equivalence tests only.
+    #[cfg(test)]
+    fn generate_reference(&mut self, cycle: u32) {
         let prob = self.load / f64::from(self.cfg.packet_flits);
         let measured_window = self.clock.in_measurement(cycle);
         for r in 0..self.n as u32 {
@@ -30,7 +74,6 @@ impl Engine<'_> {
                     continue;
                 }
                 let dst = self.dests.pick(r, &mut self.rng);
-                debug_assert_ne!(dst, r);
                 self.admit_packet(r, dst, cycle, measured_window);
             }
         }
@@ -40,7 +83,7 @@ impl Engine<'_> {
     /// minimal first-hop link's virtual output queue while the packet
     /// waits at the source (held unroutable packets carry no charge
     /// until they can move), allocates the record, and bumps the
-    /// generation counters. Shared by the Bernoulli generator and the
+    /// generation counters. Shared by the open-loop generator and the
     /// closed-loop workload release path.
     pub(crate) fn admit_packet(&mut self, r: u32, dst: u32, cycle: u32, measured: bool) -> u32 {
         let mh = self.min_hop;
@@ -327,3 +370,6 @@ impl Engine<'_> {
         self.started_scratch = started;
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -30,8 +30,9 @@
 //!
 //! When *every* router is asleep or dozing and the link pipeline is
 //! empty, the engine additionally leaps whole cycles forward to the
-//! next interesting cycle (doze wake, workload compute timer, fault
-//! event, staged table swap) — see `Engine::maybe_leap`.
+//! next interesting cycle (doze wake, open-loop arrival, workload
+//! compute timer, fault event, staged table swap) — see
+//! `Engine::maybe_leap`.
 
 use crate::router::NONE32;
 

@@ -93,6 +93,51 @@ fn bernoulli_parity_q37_without_port_masks() {
     check_bernoulli(&topo, Routing::UgalPf, 0.25, &cfg);
 }
 
+/// PF(3) at load 0.001 — one packet per ~150 cycles network-wide, so the
+/// engine spends the run leaping from one open-loop arrival to the next
+/// *while generating*. The leap bound must land on every arrival's cycle
+/// (checked each step by [`Engine::validate_skip_invariants`]) and the
+/// result must equal the dense walk of all 22 000 cycles.
+#[test]
+fn bernoulli_parity_leaps_between_arrivals() {
+    let topo = PolarFlyTopo::new(3, 2).unwrap();
+    let cfg = SimConfig::default()
+        .warmup(2000)
+        .measure(20000)
+        .drain_max(500)
+        .seed(29);
+    check_bernoulli(&topo, Routing::Min, 0.001, &cfg);
+
+    let tables = pf_sim::RouteTables::build(topo.graph(), 7);
+    let dests = resolve(
+        TrafficPattern::Uniform,
+        topo.graph(),
+        &topo.host_routers(),
+        3,
+    );
+    let mut e = Engine::new(
+        &topo,
+        &tables,
+        &dests,
+        Routing::Min,
+        0.001,
+        cfg.clone().skip(true),
+    );
+    let (mut steps, mut leaps) = (0u32, 0u32);
+    while e.cycle() < 22000 {
+        let from = e.cycle();
+        e.step();
+        e.validate_skip_invariants();
+        steps += 1;
+        leaps += u32::from(e.cycle() > from + 1);
+    }
+    assert!(e.total_generated() > 50, "vacuous: almost no arrivals");
+    assert!(
+        leaps > 50 && steps < 22000 / 4,
+        "generating cycles did not leap: {leaps} leaps, {steps} steps for 22000 cycles"
+    );
+}
+
 /// Closed-loop workload DAGs: compute timers arm wake-ups while a
 /// router is otherwise silent, so makespans and phase spans are the
 /// sharpest probe of a missed wake.

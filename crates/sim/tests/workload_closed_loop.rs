@@ -130,14 +130,21 @@ fn transient_faults_stretch_makespan_without_wedging() {
     assert_eq!(faulty.vc_class_clamps, 0);
 }
 
-/// The open-loop Bernoulli path is untouched by the workload machinery:
-/// results are pinned bit-for-bit against golden values extracted from
-/// the engine *before* the workload subsystem existed (commit
-/// `ff9101e`, PF q=7 p=4, `SimConfig::quick().seed(5)`, uniform, load
-/// 0.3 — the vendored RNG is deterministic across machines, so exact
-/// pinning is sound here where it would not be with upstream `rand`).
-/// A run-to-run self-comparison alone could not catch a deterministic
-/// perturbation of the shared admission path.
+/// The open-loop path is untouched by the workload machinery: results
+/// are pinned bit-for-bit against golden values (PF q=7 p=4,
+/// `SimConfig::quick().seed(5)`, uniform, load 0.3 — the vendored RNG is
+/// deterministic across machines, so exact pinning is sound here where
+/// it would not be with upstream `rand`). A run-to-run self-comparison
+/// alone could not catch a deterministic perturbation of the shared
+/// admission path.
+///
+/// Re-bless record: the goldens were first extracted from the engine
+/// *before* the workload subsystem existed (commit `ff9101e`: 12184
+/// packets) and held through every PR until PR 18, which replaced the
+/// per-endpoint Bernoulli draws with one geometric skip-ahead stream —
+/// the same law, a different realisation of the seed (DESIGN.md,
+/// "Open-loop generation"; `inject/tests.rs` holds the new stream to the
+/// old generator's statistics). These are PR 18's values.
 #[test]
 fn open_loop_runs_match_pre_workload_engine_bit_for_bit() {
     let topo = PolarFlyTopo::new(7, 4).unwrap();
@@ -154,16 +161,13 @@ fn open_loop_runs_match_pre_workload_engine_bit_for_bit() {
     for routing in [Routing::Min, Routing::UgalPf] {
         let r = simulate(&topo, &tables, &dests, routing, 0.3, cfg.clone());
         assert!(r.jobs.is_empty(), "open-loop run carries job results");
-        assert_eq!(r.generated, 12184, "{routing:?}");
-        assert_eq!(r.delivered, 12184, "{routing:?}");
+        assert_eq!(r.generated, 11811, "{routing:?}");
+        assert_eq!(r.delivered, 11811, "{routing:?}");
         assert!(!r.saturated, "{routing:?}");
-        assert_eq!(r.avg_latency.to_bits(), 0x4026f02857680c1a, "{routing:?}");
-        // 26.0: one rank above the pre-fix golden 25.0 — the percentile
-        // estimator now uses proper nearest-rank (`ceil(p·n)`) instead
-        // of the old truncating index, which under-read by one sample
-        // whenever `p·n` was not integral.
-        assert_eq!(r.p99_latency.to_bits(), 0x403a000000000000, "{routing:?}");
-        assert_eq!(r.accepted_load.to_bits(), 0x3fd383aecc70d1d5, "{routing:?}");
-        assert_eq!(r.avg_hops.to_bits(), 0x3ffdb5083c831c12, "{routing:?}");
+        assert_eq!(r.avg_latency.to_bits(), 0x4026c04c4b83c2b4, "{routing:?}");
+        // 25.0, by nearest rank (`ceil(p·n)`).
+        assert_eq!(r.p99_latency.to_bits(), 0x4039000000000000, "{routing:?}");
+        assert_eq!(r.accepted_load.to_bits(), 0x3fd2ef3dc60ce227, "{routing:?}");
+        assert_eq!(r.avg_hops.to_bits(), 0x3ffdc47b32f50de5, "{routing:?}");
     }
 }
