@@ -37,7 +37,13 @@ fn single_cycle(c: &mut Criterion) {
 
     let mut grp = c.benchmark_group("sim");
     grp.sample_size(10);
-    for &(load, routing) in &[(0.2, Routing::Min), (0.6, Routing::UgalPf)] {
+    // Load 0.02 is the idle-router regime: most routers asleep, the
+    // awake list and the port bitsets doing the work.
+    for &(load, routing) in &[
+        (0.2, Routing::Min),
+        (0.6, Routing::UgalPf),
+        (0.02, Routing::Min),
+    ] {
         let cfg = SimConfig::default().warmup(NEVER).measure(1).drain_max(0);
         let mut e = Engine::new(&topo, &tables, &dests, routing, load, cfg);
         for _ in 0..300 {
@@ -45,42 +51,6 @@ fn single_cycle(c: &mut Criterion) {
         }
         let name = format!("step_q31_p16_{}_load{load}", routing.label().to_lowercase());
         grp.bench_function(name, |b| b.iter(|| e.step()));
-    }
-    grp.finish();
-}
-
-/// Dense-vs-skip step cost (`SimConfig::skip`): the standard rows above
-/// run with skipping on (the default), so these pin the dense
-/// reference next to them. At load 0.2 every router
-/// carries traffic each cycle and the win is the occupancy-mask scans
-/// only; the low-load 0.02 rows are where idle-router skipping shows
-/// its range (see ROADMAP's 3-10x low-load target).
-fn skip_comparison(c: &mut Criterion) {
-    let topo = PolarFlyTopo::new(31, 16).unwrap();
-    let tables = RouteTables::build(topo.graph(), 1);
-    let dests = resolve(
-        TrafficPattern::Uniform,
-        topo.graph(),
-        &topo.host_routers(),
-        1,
-    );
-
-    let mut grp = c.benchmark_group("sim");
-    grp.sample_size(10);
-    for &(load, skip) in &[(0.02, true), (0.02, false), (0.2, false)] {
-        let cfg = SimConfig::default()
-            .warmup(NEVER)
-            .measure(1)
-            .drain_max(0)
-            .skip(skip);
-        let mut e = Engine::new(&topo, &tables, &dests, Routing::Min, load, cfg);
-        for _ in 0..300 {
-            e.step();
-        }
-        let suffix = if skip { "" } else { "_dense" };
-        grp.bench_function(format!("step_q31_p16_min_load{load}{suffix}"), |b| {
-            b.iter(|| e.step())
-        });
     }
     grp.finish();
 }
@@ -131,7 +101,6 @@ fn large_instance_point(c: &mut Criterion) {
 criterion_group!(
     benches,
     single_cycle,
-    skip_comparison,
     short_load_curve,
     large_instance_point
 );

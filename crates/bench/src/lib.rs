@@ -21,6 +21,7 @@ use pf_sim::engine::SimConfig;
 use pf_topo::{Dragonfly, FatTree, Jellyfish, PolarFlyTopo, SlimFly, Topology};
 
 /// Whether the harness runs at the paper's full scale (`PF_FULL=1`).
+#[allow(clippy::disallowed_methods)] // the one sanctioned environment read (clippy.toml)
 pub fn full_scale() -> bool {
     std::env::var("PF_FULL").map(|v| v == "1").unwrap_or(false)
 }

@@ -98,51 +98,25 @@ impl Engine<'_> {
     /// Request phase: every ready VC head (with an allocated or
     /// allocatable output VC, downstream credit, and a free output link)
     /// and every sendable injection stream registers a request at its
-    /// output link. With skipping enabled only awake routers are
-    /// scanned — an asleep router holds no flit and a dozing router's
-    /// flits are all pre-ready, so the dense scan over either is a
-    /// no-op (and draws no RNG: routing runs only for ready heads).
+    /// output link. Only awake routers are scanned — an asleep router
+    /// holds no flit and a dozing router's flits are all pre-ready, so
+    /// a scan over either is a no-op (and draws no RNG: routing runs
+    /// only for ready heads).
     pub(crate) fn build_requests(&mut self, cycle: u32) {
         self.clear_requests();
         self.pass2_cand.clear();
-
-        if self.skip.enabled {
-            let list = std::mem::take(&mut self.skip.awake_list);
-            for &r in &list {
-                self.build_requests_router(r as usize, cycle);
-            }
-            self.skip.awake_list = list;
-        } else {
-            for r in 0..self.n {
-                self.build_requests_router(r, cycle);
-            }
-        }
-
+        self.for_each_awake(|e, r| e.build_requests_router(r, cycle));
         self.build_inject_requests(cycle);
     }
 
-    /// The transit-head request scan of one router. With the
-    /// port-occupancy masks available, only occupied ports are visited
-    /// (ascending bit order == the dense `lo..hi` order); the dense
-    /// fallback scans every port.
+    /// The transit-head request scan of one router: its occupied ports,
+    /// ascending.
     fn build_requests_router(&mut self, r: usize, cycle: u32) {
-        let (lo, hi) = self.geom.ports(r);
-        if self.skip.masks {
-            let mut m = self.skip.occ[r];
-            while m != 0 {
-                let port = lo + m.trailing_zeros();
-                m &= m - 1;
-                debug_assert!(self.port_flits[port as usize] > 0);
-                if self.port_used[port as usize] {
-                    continue;
-                }
-                self.build_requests_port(r, port, cycle);
-            }
-        } else {
-            for port in lo..hi {
-                if self.port_used[port as usize] || self.port_flits[port as usize] == 0 {
-                    continue;
-                }
+        let (mut from, hi) = self.geom.ports(r);
+        while let Some(port) = self.next_port(false, from, hi) {
+            from = port + 1;
+            debug_assert!(self.port_flits[port as usize] > 0);
+            if !self.port_used[port as usize] {
                 self.build_requests_port(r, port, cycle);
             }
         }
@@ -161,11 +135,9 @@ impl Engine<'_> {
             if self.bufs.head_term(qidx) {
                 continue; // ejection handles it
             }
-            if self.skip.enabled {
-                // Remember every eligible head — requested *or* stalled
-                // — for the later passes' replay (see `pass2_cand`).
-                self.pass2_cand.push(qidx as u32);
-            }
+            // Remember every eligible head — requested *or* stalled —
+            // for the later passes' replay (see `pass2_cand`).
+            self.pass2_cand.push(qidx as u32);
             self.try_request_queue(r, qidx, vc, pkt, seq);
         }
     }
@@ -173,7 +145,7 @@ impl Engine<'_> {
     /// Route + VC allocation, credit, and output-link checks for one
     /// eligible (ready, non-terminating) VC head, registering its
     /// request on success — the per-queue tail of the request scan,
-    /// shared by the dense pass and the candidate-replay pass.
+    /// shared by the first pass and the candidate-replay passes.
     fn try_request_queue(&mut self, r: usize, qidx: usize, vc: usize, pkt: u32, seq: u16) {
         // Route + VC allocation for a new head.
         if self.route[qidx].port == NONE32 {
@@ -270,18 +242,21 @@ impl Engine<'_> {
         );
     }
 
-    /// Later-pass request build for the skip schedule: replays
-    /// [`Engine::pass2_cand`] (the first pass's eligible heads, in the
-    /// dense scan order) filtered by [`Engine::port_used`], instead of
-    /// rescanning every awake router. Exactness: no VC head becomes
-    /// ready mid-cycle (arrivals and ejection precede allocation), a
-    /// granted pop marks its input port used, and the per-head
-    /// route/VC/credit/output checks — including the RNG draws of
-    /// still-unrouted heads and the stall diagnostics — rerun through
-    /// the same [`Engine::try_request_queue`] the dense pass uses, so
-    /// the dense later-pass scan and this replay register identical
-    /// requests in identical order.
+    /// Later-pass request build: replays [`Engine::pass2_cand`] (the
+    /// first pass's eligible heads, in scan order) filtered by
+    /// [`Engine::port_used`], instead of rescanning every awake router.
+    /// Exactness: no VC head becomes ready mid-cycle (arrivals and
+    /// ejection precede allocation), a granted pop marks its input port
+    /// used, and the per-head route/VC/credit/output checks — including
+    /// the RNG draws of still-unrouted heads and the stall diagnostics
+    /// — rerun through the same [`Engine::try_request_queue`] the first
+    /// pass uses, so a later-pass rescan (what the test reference does)
+    /// and this replay register identical requests in identical order.
     pub(crate) fn build_requests_again(&mut self, cycle: u32) {
+        #[cfg(test)]
+        if self.reference.dense_schedule() {
+            return self.build_requests(cycle);
+        }
         self.clear_requests();
         let cand = std::mem::take(&mut self.pass2_cand);
         for &q in &cand {
@@ -307,17 +282,7 @@ impl Engine<'_> {
     /// Routers with active streams are always awake, so the awake list
     /// loses none of them.
     fn build_inject_requests(&mut self, cycle: u32) {
-        if self.skip.enabled {
-            let list = std::mem::take(&mut self.skip.awake_list);
-            for &r in &list {
-                self.build_inject_requests_router(r as usize, cycle);
-            }
-            self.skip.awake_list = list;
-        } else {
-            for r in 0..self.n {
-                self.build_inject_requests_router(r, cycle);
-            }
-        }
+        self.for_each_awake(|e, r| e.build_inject_requests_router(r, cycle));
     }
 
     /// The injection-lane request scan of one router.
@@ -469,16 +434,13 @@ impl Engine<'_> {
                     if self.bufs.is_empty(q) {
                         self.vc_occ[in_port] &= !1u32.wrapping_shl((q % self.vcs) as u32);
                     }
-                    if self.skip.enabled {
-                        let r = self.port_owner[in_port] as usize;
-                        if self.skip.masks && self.port_flits[in_port] == 0 {
-                            let lo = self.geom.ports(r).0;
-                            self.skip.occ[r] &= !(1u32 << (in_port as u32 - lo));
-                        }
-                        if self.skip.on_drain(r, 1) {
-                            self.skip
-                                .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
-                        }
+                    if self.port_flits[in_port] == 0 {
+                        self.skip.occ.remove(in_port);
+                    }
+                    let r = self.port_owner[in_port] as usize;
+                    if self.skip.on_drain(r, 1) {
+                        self.skip
+                            .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
                     }
                     self.credits[q] += 1;
                     self.port_used[in_port] = true;
@@ -533,19 +495,9 @@ impl Engine<'_> {
         // always awake, so the awake list covers every sweep target); a
         // router whose last stream just finished may now be fully idle
         // and go to sleep.
-        if self.skip.enabled {
-            let list = std::mem::take(&mut self.skip.awake_list);
-            for &r in &list {
-                let r = r as usize;
-                self.inj.sweep_finished(r, self.cfg.packet_flits);
-                self.skip
-                    .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
-            }
-            self.skip.awake_list = list;
-        } else {
-            for r in 0..self.n {
-                self.inj.sweep_finished(r, self.cfg.packet_flits);
-            }
-        }
+        self.for_each_awake(|e, r| {
+            e.inj.sweep_finished(r, e.cfg.packet_flits);
+            e.skip.maybe_sleep(r, e.src_q.is_empty(r), e.inj.len(r));
+        });
     }
 }

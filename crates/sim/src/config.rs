@@ -20,6 +20,10 @@ pub enum InFlightPolicy {
 }
 
 /// Simulator configuration (defaults follow §VIII-A of the paper).
+/// Every field is a parameter of the *modelled network* or of what is
+/// observed about it; none selects how the engine executes — there is
+/// one schedule (DESIGN.md, "Event-driven cycle skipping") — and
+/// [`SimConfig::default`] reads nothing from the environment.
 ///
 /// Construct with [`SimConfig::default`] and chain the builder setters:
 ///
@@ -77,17 +81,6 @@ pub struct SimConfig {
     /// cycle is reported unfinished (`SimResult::saturated`) instead of
     /// spinning forever. Ignored by open-loop runs.
     pub workload_deadline: u32,
-    /// Event-driven cycle skipping (see `DESIGN.md`, "Event-driven
-    /// cycle skipping"): per-router activity tracking lets the per-cycle
-    /// phases scan only routers that could possibly act, and whole
-    /// cycles are leapt when every router is provably idle (drain
-    /// tails, closed-loop compute gaps, fault-quiesced spans). Results
-    /// are bit-for-bit identical with skipping on or off — pinned by
-    /// `tests/skip_parity.rs`; `SimResult::skipped_router_cycles`
-    /// reports the work avoided. On by default; set the `PF_SIM_SKIP`
-    /// environment variable to `0` to force the dense schedule (CI runs
-    /// the full test suite both ways).
-    pub skip: bool,
     /// Epoch length (cycles) of the observation-only telemetry
     /// time-series (see [`crate::telemetry`]): every `telemetry_interval`
     /// cycles the engine snapshots its counters into an
@@ -125,7 +118,6 @@ impl Default for SimConfig {
             fault_policy: InFlightPolicy::DropRetransmit,
             convergence_delay: 200,
             workload_deadline: 1_000_000,
-            skip: std::env::var("PF_SIM_SKIP").map_or(true, |s| s != "0"),
             telemetry_interval: 0,
             trace_sample: 0,
         }
@@ -187,8 +179,6 @@ impl SimConfig {
         convergence_delay: u32,
         /// Sets the closed-loop workload deadline (cycles).
         workload_deadline: u32,
-        /// Enables/disables event-driven cycle skipping.
-        skip: bool,
         /// Sets the telemetry epoch length (cycles; 0 = off).
         telemetry_interval: u32,
         /// Sets the packet-trace sampling rate (1/N packets; 0 = off).
@@ -201,6 +191,16 @@ impl SimConfig {
     #[doc(hidden)]
     #[must_use]
     pub fn shards(self, _k: usize) -> Self {
+        self
+    }
+
+    /// Does nothing: the engine has one schedule; both values produced
+    /// identical results by contract, so ignoring the flag is exact —
+    /// kept only until the benchmark package drops the call (ROADMAP
+    /// item 5).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn skip(self, _on: bool) -> Self {
         self
     }
 

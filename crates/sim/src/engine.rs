@@ -106,6 +106,37 @@ impl RouteEntry {
     };
 }
 
+/// Which retained oracle, if any, a test engine runs instead of the
+/// live code (release builds have no such field: one path). The
+/// dense-schedule reference maintains exactly the live engine's state
+/// and swaps only its *iteration domains*, at four sites — every
+/// router instead of the awake list ([`Engine::build_awake_list`]), the
+/// `port_flits` / `eject_flits` counters instead of the port bitsets
+/// ([`Engine::next_port`]), a pass-2 rescan instead of the `pass2_cand`
+/// replay ([`Engine::build_requests_again`]) and no whole-cycle leap
+/// ([`Engine::skip_prologue`]) — so a missed wake, a stale bit, a wrong
+/// replay and a wrong leap each show up as a diverging result.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reference {
+    /// The live engine.
+    Off,
+    /// The dense schedule.
+    DenseSchedule,
+    /// The per-endpoint draw loop ([`Engine::generate_reference`]), on
+    /// the dense schedule: that loop does not maintain `gen_next`,
+    /// which bounds the leap.
+    PerEndpointDraws,
+}
+
+#[cfg(test)]
+impl Reference {
+    /// Whether the dense schedule's iteration domains are in force.
+    pub(crate) fn dense_schedule(self) -> bool {
+        self != Reference::Off
+    }
+}
+
 /// One simulation instance at a fixed offered load.
 pub struct Engine<'a> {
     pub(crate) topo: &'a dyn Topology,
@@ -135,9 +166,9 @@ pub struct Engine<'a> {
     pub(crate) gen_next: u64,
     /// `ln(1 − load / packet_flits)`, the geometric gap law's parameter.
     pub(crate) gen_ln_q: f64,
-    /// Routes [`Engine::generate`] to the per-endpoint reference loop.
+    /// The oracle this engine runs as (tests only; see [`Reference`]).
     #[cfg(test)]
-    pub(crate) reference_generator: bool,
+    pub(crate) reference: Reference,
     pub(crate) geom: PortMap,
     /// Per-link liveness (indexed by downstream input port): `false` marks
     /// a failed link that routing must never select. All-true on healthy
@@ -157,10 +188,9 @@ pub struct Engine<'a> {
     /// when attached ([`Engine::attach_workload`]); `None` leaves the
     /// open-loop path untouched.
     pub(crate) workload: Option<WorkloadDriver>,
-    /// Event-driven cycle-skip controller (`SimConfig::skip`): per-router
+    /// The iteration domains of every per-cycle scan: per-router
     /// awake/doze/asleep tracking, the doze timing wheel, and the
-    /// port-occupancy masks the phase scans iterate. Inert when
-    /// disabled — every phase then runs its dense scan.
+    /// port-occupancy bitsets.
     pub(crate) skip: SkipCtl,
 
     /// All (port, VC) input buffers as flat SoA ring buffers.
@@ -217,9 +247,8 @@ pub struct Engine<'a> {
     /// cycle replay this list instead of rescanning every awake
     /// router's ports: no head can *become* ready mid-cycle (arrivals
     /// and ejection precede allocation, and a pop marks its input port
-    /// used), so the dense pass-2 scan's eligible set is exactly this
-    /// list filtered by [`Engine::port_used`]. Skipping enabled only;
-    /// the dense reference path rescans.
+    /// used), so a pass-2 rescan's eligible set is exactly this
+    /// list filtered by [`Engine::port_used`].
     pub(crate) pass2_cand: Vec<u32>,
     /// Per-pass grant epoch per input port: a port is taken this pass iff
     /// `input_grant[p] == grant_serial` (epoch tags avoid a full memset
@@ -391,15 +420,7 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // Event-driven skipping: the port-occupancy masks need every
-        // router degree to fit a u32 bit per local port; larger-degree
-        // topologies keep the awake-list machinery but fall back to the
-        // dense port scan within awake routers.
-        let max_degree = (0..n)
-            .map(|r| (geom.ports(r).1 - geom.ports(r).0) as usize)
-            .max()
-            .unwrap_or(0);
-        let skip = SkipCtl::new(n, cfg.pipeline_delay, max_degree, cfg.skip);
+        let skip = SkipCtl::new(n, num_ports, cfg.pipeline_delay);
 
         let seed = cfg.seed ^ (load.to_bits().rotate_left(17));
         let mut rng = StdRng::seed_from_u64(seed);
@@ -432,7 +453,7 @@ impl<'a> Engine<'a> {
             gen_next,
             gen_ln_q,
             #[cfg(test)]
-            reference_generator: false,
+            reference: Reference::Off,
             geom,
             link_up,
             degraded,
@@ -619,16 +640,17 @@ impl<'a> Engine<'a> {
     /// this very cycle blocks the leap by becoming awake.
     #[inline]
     fn skip_prologue(&mut self) {
-        if !self.skip.enabled {
+        self.skip.wheel_wake(self.cycle);
+        #[cfg(test)]
+        if self.reference.dense_schedule() {
             return;
         }
-        self.skip.wheel_wake(self.cycle);
         if self.skip.none_awake() && self.pipeline.in_flight() == 0 {
             self.maybe_leap();
             // Epoch boundaries leapt over are recorded here, before the
             // landing cycle executes — with the counters frozen across
-            // the leap, which is exactly what a dense walk of the
-            // provably idle span would have recorded at each boundary.
+            // the leap, which is exactly what a walk of the provably
+            // idle span would have recorded at each boundary.
             self.telemetry_tick();
             self.skip.wheel_wake(self.cycle);
         }
@@ -638,9 +660,9 @@ impl<'a> Engine<'a> {
     /// anything can happen: a dozing router's pipeline wake, the next
     /// open-loop arrival, an armed workload compute timer, or a
     /// transient-fault event / staged table swap — bounded by the run
-    /// deadline *minus one* (the dense loops execute their deadline
+    /// deadline *minus one* (the run loops execute their deadline
     /// cycle's predecessor last; executing the deadline cycle itself
-    /// would fire timers the dense path never fires). Called only with
+    /// would fire timers a cycle-by-cycle walk never fires). Called only with
     /// every router asleep or dozing and no flits on links, so the
     /// leapt-over cycles are provable no-ops: no RNG draw, no event, no
     /// statistic.
@@ -699,8 +721,7 @@ impl<'a> Engine<'a> {
 
     /// Advances one cycle.
     pub fn step(&mut self) {
-        // Epoch telemetry snapshots run before anything this cycle does
-        // (the same point dense or skipping).
+        // Epoch telemetry snapshots run before anything this cycle does.
         self.telemetry_tick();
         let mark = prof_mark();
         self.skip_prologue();
@@ -729,9 +750,7 @@ impl<'a> Engine<'a> {
         // Generation was the last phase that can wake a router, so the
         // awake list built here covers everything the remaining phases
         // must scan.
-        if self.skip.enabled {
-            self.skip.build_awake_list(self.n);
-        }
+        self.build_awake_list();
         // 3. Ejection (before switch allocation: ejection drains
         //    unconditionally, which the VC ordering relies on).
         let mark = prof_mark();
@@ -746,12 +765,11 @@ impl<'a> Engine<'a> {
         self.reset_inj_budgets();
         for it in 0..self.cfg.alloc_iters.max(1) {
             let mark = prof_mark();
-            if it == 0 || !self.skip.enabled {
+            if it == 0 {
                 self.build_requests(cycle);
             } else {
                 // Later passes replay the first pass's candidate list
-                // (identical result, no rescan — see
-                // `build_requests_again`).
+                // (no rescan — see `build_requests_again`).
                 self.build_requests_again(cycle);
             }
             self.telemetry.prof_lap(ProfPhase::Route, mark);
@@ -763,6 +781,54 @@ impl<'a> Engine<'a> {
         self.cycle += 1;
     }
 
+    /// Rebuilds this cycle's awake list (the routers every later phase
+    /// scans) and charges the routers left off it as skipped.
+    #[inline]
+    fn build_awake_list(&mut self) {
+        #[cfg(test)]
+        if self.reference.dense_schedule() {
+            self.skip.awake_list.clear();
+            self.skip.awake_list.extend(0..self.n as u32);
+            return;
+        }
+        self.skip.build_awake_list(self.n);
+    }
+
+    /// Runs `f` on every router of this cycle's awake list, ascending —
+    /// the one router loop of every per-cycle phase. A non-awake router
+    /// has no ready flit, no queued packet and no injection stream, so
+    /// a scan over it would do nothing and draw no RNG.
+    #[inline]
+    pub(crate) fn for_each_awake(&mut self, mut f: impl FnMut(&mut Self, usize)) {
+        let list = std::mem::take(&mut self.skip.awake_list);
+        for &r in &list {
+            f(self, r as usize);
+        }
+        self.skip.awake_list = list;
+    }
+
+    /// The lowest port in `[from, to)` holding a flit — with `eject`, a
+    /// flit that terminates at the port's router. The one port walk of
+    /// the request and ejection scans.
+    #[inline]
+    pub(crate) fn next_port(&self, eject: bool, from: u32, to: u32) -> Option<u32> {
+        #[cfg(test)]
+        if self.reference.dense_schedule() {
+            let flits = if eject {
+                &self.eject_flits
+            } else {
+                &self.port_flits
+            };
+            return (from..to).find(|&p| flits[p as usize] > 0);
+        }
+        let ports = if eject {
+            &self.skip.eject_occ
+        } else {
+            &self.skip.occ
+        };
+        ports.next_in(from, to)
+    }
+
     /// Drains this cycle's link arrivals into the input buffers (phase
     /// 1).
     fn apply_arrivals(&mut self, cycle: u32) {
@@ -772,23 +838,16 @@ impl<'a> Engine<'a> {
             let buf = a.buf as usize;
             let port = buf / self.vcs;
             self.port_flits[port] += 1;
+            self.skip.occ.insert(port);
             self.vc_occ[port] |= 1u32.wrapping_shl((buf % self.vcs) as u32);
             let r = self.port_owner[port] as usize;
             let term = a.term;
             debug_assert_eq!(term, self.packets.dst[a.pkt as usize] == r as u32);
             if term {
                 self.eject_flits[port] += 1;
+                self.skip.eject_occ.insert(port);
             }
-            if self.skip.enabled {
-                self.skip.on_arrival(r, ready_at, cycle);
-                if self.skip.masks {
-                    let bit = 1u32 << (port as u32 - self.geom.ports(r).0);
-                    self.skip.occ[r] |= bit;
-                    if term {
-                        self.skip.eject_occ[r] |= bit;
-                    }
-                }
-            }
+            self.skip.on_arrival(r, ready_at, cycle);
             self.bufs.push_back(buf, a.pkt, a.seq, ready_at, term);
         }
         self.pipeline.recycle(cycle, arrivals);
@@ -895,11 +954,11 @@ impl<'a> Engine<'a> {
         self.skip.skipped_router_cycles
     }
 
-    /// Asserts the event-driven cycle-skip invariants (used by the skip
-    /// property tests; a no-op when skipping is disabled):
+    /// Asserts the iteration-domain invariants (used by the skip
+    /// property tests):
     ///
     /// * per-router buffered-flit counts match the flit rings;
-    /// * the port-occupancy masks mirror `port_flits` / `eject_flits`;
+    /// * the port-occupancy bitsets mirror `port_flits` / `eject_flits`;
     /// * a non-awake router has no queued packet and no injection
     ///   stream;
     /// * an asleep router holds no buffered flit at all;
@@ -910,9 +969,6 @@ impl<'a> Engine<'a> {
     /// * while the open-loop generator runs, its next arrival is never
     ///   behind the clock — i.e. no leap crossed a due arrival.
     pub fn validate_skip_invariants(&self) {
-        if !self.skip.enabled {
-            return;
-        }
         if self.workload.is_none() && self.cycle < self.cfg.gen_cutoff {
             assert!(
                 self.gen_next >= u64::from(self.cycle) * self.gen_trials(),
@@ -933,19 +989,16 @@ impl<'a> Engine<'a> {
                         min_ready = min_ready.min(ready);
                     }
                 }
-                if self.skip.masks {
-                    let bit = 1u32 << (p - lo);
-                    assert_eq!(
-                        self.skip.occ[r] & bit != 0,
-                        self.port_flits[p as usize] > 0,
-                        "router {r} port {p}: occupancy mask drift"
-                    );
-                    assert_eq!(
-                        self.skip.eject_occ[r] & bit != 0,
-                        self.eject_flits[p as usize] > 0,
-                        "router {r} port {p}: eject mask drift"
-                    );
-                }
+                assert_eq!(
+                    self.skip.occ.contains(p as usize),
+                    self.port_flits[p as usize] > 0,
+                    "router {r} port {p}: occupancy bit drift"
+                );
+                assert_eq!(
+                    self.skip.eject_occ.contains(p as usize),
+                    self.eject_flits[p as usize] > 0,
+                    "router {r} port {p}: eject bit drift"
+                );
             }
             assert_eq!(
                 self.skip.buffered(r),

@@ -208,7 +208,7 @@ impl FaultCtl {
     /// scheduled event or the staged table swap, whichever comes first
     /// (`None` once the schedule is exhausted and no swap is pending).
     /// Bounds the engine's idle leap — skipping past either would shift
-    /// its effects to a later cycle and diverge from the dense schedule.
+    /// its effects to a later cycle.
     pub(crate) fn next_wake(&self) -> Option<u32> {
         let ev = self.events.get(self.next_event).map(|e| e.cycle);
         match (ev, self.pending_swap) {
@@ -540,7 +540,8 @@ impl Engine<'_> {
 
         // Pass B2: purge victim flits from every input buffer (keeping
         // the per-port occupancy caches — `port_flits`, `eject_flits`,
-        // `vc_occ` — in sync with what was removed).
+        // `vc_occ` and the port bitsets — in sync with what was
+        // removed).
         for q in 0..self.credits.len() {
             let port = q / self.vcs;
             let owner = self.port_owner[port];
@@ -560,20 +561,14 @@ impl Engine<'_> {
                 if self.bufs.is_empty(q) {
                     self.vc_occ[port] &= !1u32.wrapping_shl((q % self.vcs) as u32);
                 }
-                if self.skip.enabled {
-                    self.skip.on_drain(owner as usize, removed);
+                if self.port_flits[port] == 0 {
+                    self.skip.occ.remove(port);
                 }
+                if self.eject_flits[port] == 0 {
+                    self.skip.eject_occ.remove(port);
+                }
+                self.skip.on_drain(owner as usize, removed);
                 self.faults.dropped_flits += u64::from(removed);
-            }
-        }
-        // A purge touches many queues at once; rebuild the per-router
-        // occupancy masks wholesale from the (now re-synced) per-port
-        // counters rather than tracking per-queue mask deltas.
-        if self.skip.masks {
-            for r in 0..self.n {
-                let (lo, hi) = self.geom.ports(r);
-                self.skip
-                    .rebuild_masks(r, lo, hi, &self.port_flits, &self.eject_flits);
             }
         }
 
@@ -613,10 +608,8 @@ impl Engine<'_> {
             // router; a doze whose flits were purged away is canceled
             // here too. Victims returning to a source queue in Pass B5
             // re-wake their sources explicitly.
-            if self.skip.enabled {
-                self.skip
-                    .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
-            }
+            self.skip
+                .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
         }
 
         // Pass B5: return victims to their source queues (original birth
@@ -643,9 +636,7 @@ impl Engine<'_> {
             };
             self.packets.min_first_link[p] = link;
             self.src_q.push(src as usize, pkt);
-            if self.skip.enabled {
-                self.skip.wake_now(src as usize);
-            }
+            self.skip.wake_now(src as usize);
             if self.telemetry.tracing() {
                 self.telemetry.trace_retransmit(pkt, src, self.cycle);
             }

@@ -33,7 +33,7 @@ impl Engine<'_> {
     /// [`Engine::start_injections`].
     pub(crate) fn generate(&mut self, cycle: u32) {
         #[cfg(test)]
-        if self.reference_generator {
+        if self.reference == crate::engine::Reference::PerEndpointDraws {
             return self.generate_reference(cycle);
         }
         let trials = self.gen_trials();
@@ -105,11 +105,9 @@ impl Engine<'_> {
                 .trace_admit(id, self.total_generated, r, dst, cycle);
         }
         self.src_q.push(r as usize, id);
-        if self.skip.enabled {
-            // A queued packet makes the router interesting to every
-            // later phase this cycle (injection start, lane requests).
-            self.skip.wake_now(r as usize);
-        }
+        // A queued packet makes the router interesting to every later
+        // phase this cycle (injection start, lane requests).
+        self.skip.wake_now(r as usize);
         self.total_generated += 1;
         if measured {
             self.measured_generated += 1;
@@ -138,64 +136,35 @@ impl Engine<'_> {
     }
 
     /// Ejection: up to `endpoints(r)` flits/cycle leave the network at
-    /// their destination router (rotating port priority). With skipping
-    /// enabled only awake routers are scanned (a non-awake router has no
-    /// ready flit, so the dense scan over it ejects nothing).
+    /// their destination router (rotating port priority). Only awake
+    /// routers are scanned (a non-awake router has no ready flit, so a
+    /// scan over it ejects nothing).
     pub(crate) fn eject(&mut self, cycle: u32) {
         let in_window = self.clock.in_measurement(cycle);
-        if self.skip.enabled {
-            let list = std::mem::take(&mut self.skip.awake_list);
-            for &r in &list {
-                self.eject_router(r as usize, cycle, in_window);
-            }
-            self.skip.awake_list = list;
-        } else {
-            for r in 0..self.n {
-                self.eject_router(r, cycle, in_window);
-            }
-        }
+        self.for_each_awake(|e, r| e.eject_router(r, cycle, in_window));
     }
 
-    /// The ejection scan of one router. With the port-occupancy masks
-    /// available only ports holding terminating flits are visited, in
-    /// the same rotated order the dense scan walks.
+    /// The ejection scan of one router: its ports holding terminating
+    /// flits, ascending from the rotated start and wrapping. Ejecting
+    /// clears only already-visited ports' bits, so walking the live set
+    /// visits what a snapshot would.
     fn eject_router(&mut self, r: usize, cycle: u32, in_window: bool) {
         let mut budget = self.endpoints[r];
-        if budget == 0 {
+        let (lo, hi) = self.geom.ports(r);
+        // Most awake routers hold nothing to eject; one walk settles
+        // that before the rotation's division.
+        if self.next_port(true, lo, hi).is_none() {
             return;
         }
-        let (lo, hi) = self.geom.ports(r);
-        let ports = (hi - lo) as usize;
-        let start = crate::order::eject_start(cycle, ports);
-        if self.skip.masks {
-            // Snapshot: ejecting clears only already-visited ports' bits.
-            let mask = self.skip.eject_occ[r];
-            for off in crate::skip::rotated_bits(mask, ports, start) {
-                if budget == 0 {
+        let mid = lo + crate::order::eject_start(cycle, (hi - lo) as usize) as u32;
+        for (mut from, to) in [(mid, hi), (lo, mid)] {
+            while budget > 0 {
+                let Some(port) = self.next_port(true, from, to) else {
                     break;
-                }
-                let port = lo + off as u32;
+                };
+                from = port + 1;
                 debug_assert!(self.eject_flits[port as usize] > 0);
-                if self.port_used[port as usize] {
-                    continue;
-                }
-                if self.eject_port(r, port, cycle, in_window) {
-                    budget -= 1;
-                }
-            }
-        } else {
-            for off in 0..ports {
-                if budget == 0 {
-                    break;
-                }
-                let port = lo + ((start + off) % ports) as u32;
-                // `eject_flits` counts buffered flits terminating here, so
-                // a zero skips transit-only ports the VC scan would walk
-                // fruitlessly (it subsumes the `port_flits == 0` check).
-                if self.port_used[port as usize] || self.eject_flits[port as usize] == 0 {
-                    continue;
-                }
-                if self.eject_port(r, port, cycle, in_window) {
+                if !self.port_used[port as usize] && self.eject_port(r, port, cycle, in_window) {
                     budget -= 1;
                 }
             }
@@ -221,20 +190,15 @@ impl Engine<'_> {
             if self.bufs.is_empty(qidx) {
                 self.vc_occ[port as usize] &= !1u32.wrapping_shl(vc as u32);
             }
-            if self.skip.enabled {
-                if self.skip.masks {
-                    let bit = 1u32 << (port - self.geom.ports(r).0);
-                    if self.port_flits[port as usize] == 0 {
-                        self.skip.occ[r] &= !bit;
-                    }
-                    if self.eject_flits[port as usize] == 0 {
-                        self.skip.eject_occ[r] &= !bit;
-                    }
-                }
-                if self.skip.on_drain(r, 1) {
-                    self.skip
-                        .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
-                }
+            if self.port_flits[port as usize] == 0 {
+                self.skip.occ.remove(port as usize);
+            }
+            if self.eject_flits[port as usize] == 0 {
+                self.skip.eject_occ.remove(port as usize);
+            }
+            if self.skip.on_drain(r, 1) {
+                self.skip
+                    .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
             }
             self.credits[qidx] += 1;
             self.port_used[port as usize] = true;
@@ -278,21 +242,11 @@ impl Engine<'_> {
     /// Scans each source queue's head window, runs the routing plan, and
     /// promotes packets that win a class-0 output VC into injection
     /// streams (head-of-line relief: losers are skipped, not blocking).
-    /// With skipping enabled only awake routers are scanned — a
-    /// non-empty source queue forces its router awake, so the awake list
-    /// covers every router this scan (and its RNG draws) would touch.
+    /// Only awake routers are scanned — a non-empty source queue forces
+    /// its router awake, so the awake list covers every router this
+    /// scan (and its RNG draws) would touch.
     pub(crate) fn start_injections(&mut self) {
-        if self.skip.enabled {
-            let list = std::mem::take(&mut self.skip.awake_list);
-            for &r in &list {
-                self.start_injections_router(r);
-            }
-            self.skip.awake_list = list;
-        } else {
-            for r in 0..self.n as u32 {
-                self.start_injections_router(r);
-            }
-        }
+        self.for_each_awake(|e, r| e.start_injections_router(r as u32));
     }
 
     /// The injection-start scan of one router.

@@ -5,6 +5,7 @@
 //! statistics over the same seeds, and to its edge cases.
 
 use super::geometric_gap;
+use crate::engine::Reference;
 use crate::traffic::{resolve, DestMap, TrafficPattern};
 use crate::{Engine, RouteTables, Routing, SimConfig, SimResult};
 use pf_graph::FaultSchedule;
@@ -56,7 +57,9 @@ fn arrivals_follow_the_bernoulli_law() {
                 let cfg = SimConfig::default().seed(seed);
                 let prob = load / f64::from(cfg.packet_flits);
                 let mut e = Engine::new(&topo, &tables, &dests, Routing::Min, load, cfg);
-                e.reference_generator = reference;
+                if reference {
+                    e.reference = Reference::PerEndpointDraws;
+                }
                 let mut idle_cycles = 0u64;
                 for cycle in 0..CYCLES {
                     let before = e.packets.capacity();
@@ -106,14 +109,11 @@ fn seed_runs(load: f64, reference: bool) -> Vec<SimResult> {
     let (topo, tables, dests) = pf7();
     SEEDS
         .map(|seed| {
-            let mut cfg = SimConfig::quick().seed(seed);
-            if reference {
-                // The oracle runs dense: whole-cycle leaps read
-                // `gen_next`, which the reference loop does not maintain.
-                cfg = cfg.skip(false);
-            }
+            let cfg = SimConfig::quick().seed(seed);
             let mut e = Engine::new(&topo, &tables, &dests, Routing::Min, load, cfg);
-            e.reference_generator = reference;
+            if reference {
+                e.reference = Reference::PerEndpointDraws;
+            }
             e.run()
         })
         .collect()
@@ -152,14 +152,16 @@ fn run_statistics_sit_inside_the_reference_generators_spread() {
 }
 
 /// Load 0 draws nothing — not at construction, not per cycle — and never
-/// admits; skipping, the whole idle run is one leap. This is what keeps
-/// closed-loop engines (built at load 0) on their pre-change streams.
+/// admits; the whole idle run is one leap (the dense reference walks
+/// it). This is what keeps closed-loop engines (built at load 0) on
+/// their pre-change streams.
 #[test]
 fn load_zero_draws_no_rng_and_never_admits() {
     let (topo, tables, dests) = pf7();
-    for skip in [false, true] {
-        let cfg = SimConfig::quick().seed(77).skip(skip);
+    for reference in [Reference::DenseSchedule, Reference::Off] {
+        let cfg = SimConfig::quick().seed(77);
         let mut e = Engine::new(&topo, &tables, &dests, Routing::Min, 0.0, cfg);
+        e.reference = reference;
         assert_eq!(e.gen_next, u64::MAX);
         let mut steps = 0;
         while e.cycle() < 1000 {
@@ -167,7 +169,11 @@ fn load_zero_draws_no_rng_and_never_admits() {
             e.validate_skip_invariants();
             steps += 1;
         }
-        assert_eq!(steps == 1000, !skip, "leaps happen iff skipping");
+        assert_eq!(
+            steps == 1000,
+            reference.dense_schedule(),
+            "only the reference walks every cycle"
+        );
         assert_eq!(e.total_generated(), 0);
         assert_eq!(e.gen_next, u64::MAX);
         // Seed mixing is the identity at load 0 (`0.0f64.to_bits() == 0`).

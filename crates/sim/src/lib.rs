@@ -76,6 +76,11 @@
 //! are aggregated per router. These shift absolute zero-load latencies by a
 //! few cycles but preserve saturation points and ordering.
 
+// The parity suites' shared comparer (`tests/common`) names this crate
+// from outside; the in-crate suite includes the same file.
+#[cfg(test)]
+extern crate self as pf_sim;
+
 pub mod alloc;
 pub mod analytic;
 pub mod config;

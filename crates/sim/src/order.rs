@@ -3,17 +3,19 @@
 //! Simulation results depend on *iteration order* wherever the cycle
 //! engine resolves a many-to-one contention: which output link is
 //! considered first, which requester a granted output scans first, and
-//! which port ejection drains first. The dense and the skipping scans
+//! which port ejection drains first. The engine's scans and the dense
+//! test reference they are pinned against (`crate::engine::Reference`)
 //! must walk these orders identically or lose bit-for-bit parity. This
 //! module is the single definition — and the audit of what the orders
 //! are:
 //!
 //! * **Router scan order** — ascending router id. Every phase
-//!   (ejection, injection start, request build) walks routers `0..n`
-//!   (the awake list is ascending too).
+//!   (ejection, injection start, request build) walks the awake list,
+//!   which is ascending.
 //! * **Port scan order** — ascending port id within a router (ports are
-//!   numbered by neighbor index). Ejection rotates its *starting* port
-//!   by [`eject_start`] but still walks ascending offsets from it.
+//!   numbered by neighbor index; `BitSet::next_in` yields set ports in
+//!   exactly this order). Ejection rotates its *starting* port by
+//!   [`eject_start`] but still walks ascending offsets from it.
 //! * **VC scan order** — ascending VC index within a port, both for
 //!   request building and ejection ([`crate::router::VcIter`] yields
 //!   set mask bits in exactly this order, and its over-32-VC fallback

@@ -71,10 +71,10 @@ impl PhaseClock {
         self.steady_end().saturating_add(self.drain_max)
     }
 
-    /// The last cycle the dense loop would actually execute (the loop
-    /// runs `0..deadline()`). The event-driven idle leap must never
+    /// The last cycle a cycle-by-cycle run loop would actually execute
+    /// (it runs `0..deadline()`). The event-driven idle leap must never
     /// target a later cycle: leaping *to* the deadline would execute a
-    /// cycle the dense schedule never runs.
+    /// cycle such a walk never runs.
     #[inline]
     pub fn last_cycle(&self) -> u32 {
         self.deadline().saturating_sub(1)

@@ -97,7 +97,7 @@ impl SourceQueues {
     /// Skip contract: a non-empty source queue forces its router awake
     /// (`crate::skip::SkipCtl` sleeps a router only when this queue is
     /// empty), so every engine call site pairs a `push` with
-    /// `SkipCtl::wake_now` when cycle skipping is enabled.
+    /// `SkipCtl::wake_now`.
     #[inline]
     pub fn push(&mut self, r: usize, pkt: u32) {
         self.q[r].push_back(pkt);

@@ -37,11 +37,10 @@ pub struct SimResult {
     /// (nothing left in flight, yet undrained) from an over-slow but
     /// live one.
     pub deadline_expired: bool,
-    /// Router-cycles the event-driven skip machinery proved idle and
-    /// never scanned (`SimConfig::skip`; 0 with skipping disabled). A
-    /// pure execution counter: every simulated field is bit-identical
-    /// with and without skipping (pinned by the dense-vs-skip parity
-    /// tests).
+    /// Router-cycles the engine proved idle and never scanned. A pure
+    /// execution counter: every simulated field is bit-identical to a
+    /// walk of every router every cycle (pinned against that reference
+    /// by the parity tests in `src/skip/tests.rs`).
     pub skipped_router_cycles: u64,
     /// Flits dropped by the transient-fault drop-and-retransmit policy
     /// (0 on healthy/static runs and under the drain policy).

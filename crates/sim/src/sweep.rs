@@ -18,7 +18,7 @@ use rayon::prelude::*;
 /// built on the residual graph when the topology advertises failures (so
 /// hop-exact permutation patterns respect surviving distances too). The
 /// residual-or-full decision lives in [`crate::tables::routing_graph`].
-fn resolve_run(
+pub(crate) fn resolve_run(
     topo: &dyn Topology,
     pattern: TrafficPattern,
     seed: u64,

@@ -5,8 +5,9 @@
 //! no hook reachable from the record entry points takes `&mut` over
 //! simulator state or draws from the simulation RNG (enforced by the
 //! `pf_analyze` `telemetry-purity` rule), so every [`crate::SimResult`]
-//! field is bit-identical with telemetry on or off, dense or skipping
-//! — pinned by `tests/telemetry_parity.rs`.
+//! field is bit-identical with telemetry on or off — pinned by
+//! `tests/telemetry_parity.rs` (and, on the dense test reference, by
+//! `src/skip/tests.rs`).
 //!
 //! Three collectors, each zero-cost when its knob is off:
 //!
@@ -16,11 +17,11 @@
 //!   utilization, VOQ depth histogram, stall and fault counters, and
 //!   the awake/dozing/asleep router census. Records are *deltas over
 //!   the epoch* for monotone counters and point-in-time gauges for
-//!   occupancy. Epoch boundaries are the same cycles dense or
-//!   skipping: the tick runs at the top of each step, and the
-//!   cycle-skip prologue catches up immediately after a whole-cycle
-//!   leap (the leapt-over cycles are provable no-ops, so the deferred
-//!   records carry exactly the counters a dense walk would have seen).
+//!   occupancy. Epoch boundaries do not depend on leaps: the tick
+//!   runs at the top of each step, and the cycle-skip prologue catches
+//!   up immediately after a whole-cycle leap (the leapt-over cycles
+//!   are provable no-ops, so the deferred records carry exactly the
+//!   counters a cycle-by-cycle walk would have seen).
 //! * **Sampled packet traces** ([`SimConfig::trace_sample`]): a
 //!   deterministic sampler keyed on the packet's *birth serial* (the
 //!   value of `total_generated` at admission — packet pool ids are
@@ -124,9 +125,8 @@ pub struct TraceEvent {
 /// sampled at the epoch boundary.
 ///
 /// The router census (`awake`/`dozing`/`asleep`) reflects the
-/// cycle-skip state machine, so it is the one group that legitimately
-/// differs between `skip` on and off (dense runs report every router
-/// awake); all other fields are mode-independent.
+/// engine's activity tracking (`crate::skip`) rather than the traffic
+/// itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EpochRecord {
     /// Exclusive end cycle of the epoch.
@@ -161,13 +161,12 @@ pub struct EpochRecord {
     pub retransmitted: u64,
     /// Flits dropped by fault events during the epoch.
     pub dropped_flits: u64,
-    /// Routers awake at the boundary (every router, on dense runs).
+    /// Routers awake at the boundary.
     pub awake_routers: u32,
     /// Routers dozing (flits in the router pipeline only) at the
-    /// boundary; always 0 on dense runs.
+    /// boundary.
     pub dozing_routers: u32,
-    /// Routers asleep (provably idle) at the boundary; always 0 on
-    /// dense runs.
+    /// Routers asleep (provably idle) at the boundary.
     pub asleep_routers: u32,
     /// Flits buffered or on links at the boundary.
     pub in_flight_flits: u64,
@@ -481,10 +480,10 @@ impl Engine<'_> {
     /// Records every epoch boundary due at or before the current
     /// cycle. Called at the top of each step and immediately after a
     /// whole-cycle leap, so boundary snapshots are taken *before* the
-    /// boundary cycle executes, dense or skipping — a
-    /// leapt-over boundary is recorded with the counters frozen across
-    /// the leap, which are exactly the counters a dense walk of those
-    /// provably idle cycles would have carried to it.
+    /// boundary cycle executes — a leapt-over boundary is recorded
+    /// with the counters frozen across the leap, which are exactly the
+    /// counters a cycle-by-cycle walk of those provably idle cycles
+    /// would have carried to it.
     #[inline]
     pub(crate) fn telemetry_tick(&mut self) {
         if !self.telemetry.epoch_pending(self.cycle) {
@@ -559,18 +558,12 @@ impl Engine<'_> {
         let n = self.n as u32;
         let mut awake_routers = 0u32;
         let mut dozing_routers = 0u32;
-        if self.skip.enabled {
-            for r in 0..self.n {
-                if self.skip.is_awake(r) {
-                    awake_routers += 1;
-                } else if self.skip.wake_at(r) != NONE32 {
-                    dozing_routers += 1;
-                }
+        for r in 0..self.n {
+            if self.skip.is_awake(r) {
+                awake_routers += 1;
+            } else if self.skip.wake_at(r) != NONE32 {
+                dozing_routers += 1;
             }
-        } else {
-            // Dense schedule: no activity tracking — every router is
-            // scanned every cycle, i.e. awake.
-            awake_routers = n;
         }
         let rec = EpochRecord {
             end_cycle: end,

@@ -1,33 +1,20 @@
 //! The telemetry layer's zero-perturbation contract, pinned.
 //!
 //! Turning on epoch time-series and packet tracing must change *no*
-//! simulated field of [`SimResult`] — down to the bit, on the dense and
-//! the skip schedule. The collected data itself must also be
-//! schedule-independent: identical trace streams, and identical epoch
-//! records up to the awake/dozing/asleep router census (which reflects
-//! the scheduler, not the traffic). See `DESIGN.md`, "Telemetry and
-//! tracing".
+//! simulated field of [`SimResult`] — down to the bit. The same matrix
+//! against the dense reference schedule (identical traces and epochs
+//! across schedules) lives in-crate, in `src/skip/tests.rs`. See
+//! `DESIGN.md`, "Telemetry and tracing".
 
 mod common;
 
 use common::assert_bit_identical;
 use pf_sim::traffic::TrafficPattern;
-use pf_sim::{load_curve, EpochRecord, Routing, SimConfig, SimResult};
-use pf_topo::{PolarFlyTopo, Topology};
+use pf_sim::{load_curve, Routing, SimConfig, SimResult};
+use pf_topo::PolarFlyTopo;
 
-/// An epoch record with the skip-census gauges zeroed — the one group
-/// that legitimately differs between dense and skip schedules.
-fn without_census(e: &EpochRecord) -> EpochRecord {
-    EpochRecord {
-        awake_routers: 0,
-        dozing_routers: 0,
-        asleep_routers: 0,
-        ..e.clone()
-    }
-}
-
-fn run(topo: &PolarFlyTopo, load: f64, cfg: &SimConfig, skip: bool, telemetry: bool) -> SimResult {
-    let mut c = cfg.clone().skip(skip);
+fn run(topo: &PolarFlyTopo, load: f64, cfg: &SimConfig, telemetry: bool) -> SimResult {
+    let mut c = cfg.clone();
     if telemetry {
         c = c.telemetry_interval(64).trace_sample(8);
     }
@@ -35,55 +22,31 @@ fn run(topo: &PolarFlyTopo, load: f64, cfg: &SimConfig, skip: bool, telemetry: b
     curve.points.into_iter().next().unwrap()
 }
 
-/// The full matrix at PF(7): telemetry on/off × dense/skip, every
-/// cell bit-identical to the dense telemetry-off baseline; the
-/// collected epochs and traces are identical across schedules.
+/// PF(7): telemetry on is bit-identical to the telemetry-off baseline
+/// (which itself replays), and reports epochs and on-modulus traces.
 #[test]
 fn telemetry_parity_q7() {
     let topo = PolarFlyTopo::new(7, 4).unwrap();
     let cfg = SimConfig::quick().seed(3);
-    let base = run(&topo, 0.3, &cfg, false, false);
+    let base = run(&topo, 0.3, &cfg, false);
     assert!(base.delivered > 0, "vacuous baseline");
     assert!(base.telemetry.is_none(), "telemetry off must report None");
 
-    // One schedule's cells against the baseline; returns its report.
-    let cells = |skip: bool| {
-        let off = run(&topo, 0.3, &cfg, skip, false);
-        let on = run(&topo, 0.3, &cfg, skip, true);
-        let label = format!("q7 skip={skip}");
-        assert_bit_identical(&base, &off, &format!("{label} telemetry=off"));
-        assert_bit_identical(&base, &on, &format!("{label} telemetry=on"));
-        let t = on.telemetry.expect("telemetry on must report Some");
-        assert!(!t.epochs.is_empty(), "{label}: no epochs");
-        assert!(!t.traces.is_empty(), "{label}: no traces");
-        assert!(
-            t.traces.iter().all(|e| e.serial % 8 == 0),
-            "{label}: sampler leaked an off-modulus serial"
-        );
-        t
-    };
-    let dense = cells(false);
-    let skipping = cells(true);
-
-    // Dense vs skip: identical traces; identical epochs up to the
-    // awake/dozing/asleep census (dense reports every router awake).
-    assert_eq!(dense.traces, skipping.traces, "traces dense vs skip");
-    let dense_epochs: Vec<EpochRecord> = dense.epochs.iter().map(without_census).collect();
-    let skip_epochs: Vec<EpochRecord> = skipping.epochs.iter().map(without_census).collect();
-    assert_eq!(
-        dense_epochs, skip_epochs,
-        "epochs dense vs skip (census excluded)"
-    );
+    let off = run(&topo, 0.3, &cfg, false);
+    let on = run(&topo, 0.3, &cfg, true);
+    assert_bit_identical(&base, &off, "q7 telemetry=off");
+    assert_bit_identical(&base, &on, "q7 telemetry=on");
+    let t = on.telemetry.expect("telemetry on must report Some");
+    assert!(!t.epochs.is_empty(), "q7: no epochs");
+    assert!(!t.traces.is_empty(), "q7: no traces");
     assert!(
-        dense.epochs.iter().all(|e| e.dozing_routers == 0
-            && e.asleep_routers == 0
-            && e.awake_routers == topo.router_count() as u32),
-        "dense census must report every router awake"
+        t.traces.iter().all(|e| e.serial % 8 == 0),
+        "q7: sampler leaked an off-modulus serial"
     );
 }
 
-/// Reduced matrix at the paper's PF(31) scale — the full-size index
-/// space is where a telemetry hook reading a stale counter would hide.
+/// The paper's PF(31) scale — the full-size index space is where a
+/// telemetry hook reading a stale counter would hide.
 #[test]
 fn telemetry_parity_q31() {
     let topo = PolarFlyTopo::new(31, 16).unwrap();
@@ -92,19 +55,12 @@ fn telemetry_parity_q31() {
         .measure(100)
         .drain_max(500)
         .seed(9);
-    let base = run(&topo, 0.25, &cfg, false, false);
+    let base = run(&topo, 0.25, &cfg, false);
     assert!(base.delivered > 0, "vacuous baseline");
-    let dense_on = run(&topo, 0.25, &cfg, false, true);
-    let skip_on = run(&topo, 0.25, &cfg, true, true);
-    assert_bit_identical(&base, &dense_on, "q31 dense telemetry=on");
-    assert_bit_identical(&base, &skip_on, "q31 skip telemetry=on");
-    let a = dense_on.telemetry.unwrap();
-    let b = skip_on.telemetry.unwrap();
-    assert!(!a.epochs.is_empty() && !a.traces.is_empty());
-    assert_eq!(a.traces, b.traces, "q31 traces dense vs skip");
-    let an: Vec<EpochRecord> = a.epochs.iter().map(without_census).collect();
-    let bn: Vec<EpochRecord> = b.epochs.iter().map(without_census).collect();
-    assert_eq!(an, bn, "q31 epochs dense vs skip");
+    let on = run(&topo, 0.25, &cfg, true);
+    assert_bit_identical(&base, &on, "q31 telemetry=on");
+    let t = on.telemetry.unwrap();
+    assert!(!t.epochs.is_empty() && !t.traces.is_empty());
 }
 
 /// Golden epoch pins on a seeded, fully drained run: the time-series
@@ -119,7 +75,6 @@ fn epoch_records_conserve_and_replay() {
         .drain_max(2000)
         .gen_cutoff(300)
         .seed(41)
-        .skip(false)
         .telemetry_interval(64)
         .trace_sample(4);
     let curve = |c: &SimConfig| {
