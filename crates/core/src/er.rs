@@ -1,16 +1,43 @@
 //! Construction of the Erdős–Rényi polarity graph `ER_q` (paper §IV).
 //!
 //! Vertices are the `q² + q + 1` left-normalized vectors of `F_q³` (the
-//! points of `PG(2, q)`); two vertices are adjacent iff their dot product
-//! vanishes. Rather than testing all `O(N²)` pairs, each vertex's
-//! neighborhood is generated directly: the neighbors of `v` are exactly the
-//! `q + 1` projective points on the line `v⊥` (the polarity image of `v`),
-//! enumerated from a basis of the 2-dimensional orthogonal complement —
-//! `O(N·q)` total work, which keeps even the radix-128 instance
-//! (`q = 127`, `N = 16 257`) instant.
+//! points of `PG(2, q)`) in [`ProjectivePoints`]' numbering — `[1, y, z]`
+//! at `y·q + z`, `[0, 1, z]` at `q² + z`, `[0, 0, 1]` at `q² + q` — and two
+//! vertices are adjacent iff their dot product vanishes, so a vertex's
+//! neighbourhood is its polar line `v⊥`. Solving `v·w = 0` for
+//! left-normalized `w` gives every row in closed form, **already in
+//! ascending index order**:
+//!
+//! | `v`                  | `[1, y′, z′]` on `v⊥`            | `[0, 1, z′]` | `[0, 0, 1]` |
+//! |----------------------|----------------------------------|--------------|-------------|
+//! | `[1, y, z]`, `z ≠ 0` | every `y′`, `z′ = a·(1 + y·y′)`  | `z′ = a·y`   | —           |
+//! | `[1, y, 0]`, `y ≠ 0` | `y′ = −1/y`, every `z′`          | —            | yes         |
+//! | `[1, 0, 0]`          | —                                | every `z′`   | yes         |
+//! | `[0, 1, z]`, `z ≠ 0` | every `y′`, `z′ = a·y′`          | `z′ = a`     | —           |
+//! | `[0, 1, 0]`          | `y′ = 0`, every `z′`             | —            | yes         |
+//! | `[0, 0, 1]`          | every `y′`, `z′ = 0`             | `z′ = 0`     | —           |
+//!
+//! with `a = −1/z` throughout.
+//!
+//! Each row lists the `[1, ·, ·]` block by ascending `y′` (or ascending
+//! `z′` inside one `y′`), then the `[0, 1, ·]` block, then `[0, 0, 1]`,
+//! which is ascending index order. A row has `q + 1` entries; it contains
+//! `v` itself exactly when `v·v = 0` — that is how quadrics are found — and
+//! the self entry is dropped (the self-loop is structural, not an edge).
+//!
+//! [`PolarFly::new`] therefore writes the CSR `neighbors` array directly:
+//! one field inverse per row and one multiplication per entry (the factor
+//! `1 + y·y′` is computed once per `y` and shared by its `q` rows), with
+//! no edge list, no normalization and no sort — `O(N·q)` work and a fixed
+//! handful of allocations per graph. The rows are then handed to
+//! [`Csr::from_sorted_rows`], which re-checks range, order, self-loops and
+//! symmetry in `O(E)`, so a wrong case in the table above fails at
+//! construction. The independent route to the same graph — the polarity
+//! quotient of the incidence graph `B(q)` built from
+//! [`pf_galois::line_points`] — lives in [`crate::bipartite`].
 
 use pf_galois::{Gf, GfError, ProjectivePoints, V3};
-use pf_graph::{bfs, Csr, GraphBuilder};
+use pf_graph::{bfs, Csr};
 
 /// Classification of an `ER_q` vertex (paper §IV-F).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,48 +62,80 @@ pub struct PolarFly {
 }
 
 impl PolarFly {
-    /// Builds `ER_q` for a prime power `q`.
+    /// Builds `ER_q` for a prime power `q`, row by row from the closed form
+    /// in the module documentation.
+    ///
+    /// # Errors
+    /// [`GfError::NotPrimePower`] when no field of order `q` exists;
+    /// [`GfError::TooLarge`] when the field tables, or the graph's
+    /// `q(q + 1)²` adjacency entries, exceed what `u32` offsets address
+    /// (`q ≥ 1627`).
     pub fn new(q: u64) -> Result<Self, GfError> {
         let field = Gf::new(q)?;
-        let q32 = field.order();
-        let points = ProjectivePoints::new(q32);
+        let entries = adjacency_entries(q).ok_or(GfError::TooLarge(q))?;
+        let q = field.order();
+        let points = ProjectivePoints::new(q);
         let n = points.count();
+        let qq = q * q;
+        let top = qq + q; // [0, 0, 1]
+        let mut rows = Rows {
+            offsets: Vec::with_capacity(n + 1),
+            neighbors: Vec::with_capacity(entries as usize),
+            quadrics: Vec::with_capacity(q as usize + 1),
+        };
+        rows.offsets.push(0);
 
-        let mut builder = GraphBuilder::new(n);
-        let mut is_quadric = vec![false; n];
-        #[allow(clippy::needless_range_loop)] // idx indexes both the flag array and the point set
-        for idx in 0..n {
-            let v = points.point(idx);
-            if v.is_quadric(&field) {
-                is_quadric[idx] = true;
+        // 1 + y·y′ + z·z′ = 0  ⇔  z′ = a·(1 + y·y′) with a = −1/z: the
+        // second factor is shared by the q rows of one y.
+        let mut shared = vec![0u32; q as usize];
+        for y in 0..q {
+            for (y1, s) in (0..q).zip(&mut shared) {
+                *s = field.add(1, field.mul(y, y1));
             }
-            for w in orthogonal_line(&v, &field) {
-                let widx = points.index(&w);
-                if widx != idx && widx > idx {
-                    builder.add_edge(idx as u32, widx as u32);
+            for z in 0..q {
+                if z != 0 {
+                    let a = field.neg(field.inv(z));
+                    let block = (0..q).zip(&shared);
+                    rows.neighbors
+                        .extend(block.map(|(y1, &s)| y1 * q + field.mul(a, s)));
+                    rows.neighbors.push(qq + field.mul(a, y)); // y + z·z′ = 0
+                } else if y != 0 {
+                    let y1 = field.neg(field.inv(y)); // 1 + y·y′ = 0
+                    rows.neighbors.extend(y1 * q..(y1 + 1) * q);
+                    rows.neighbors.push(top);
+                } else {
+                    rows.neighbors.extend(qq..=top);
                 }
+                rows.end(y * q + z);
             }
         }
-        let graph = builder.build();
+        for z in 0..q {
+            if z != 0 {
+                let b = field.neg(field.inv(z)); // y′ + z·z′ = 0  ⇔  z′ = b·y′
+                rows.neighbors
+                    .extend((0..q).map(|y1| y1 * q + field.mul(b, y1)));
+                rows.neighbors.push(qq + b); // 1 + z·z′ = 0
+            } else {
+                rows.neighbors.extend(0..q);
+                rows.neighbors.push(top);
+            }
+            rows.end(qq + z);
+        }
+        // [0, 0, 1]: every [1, y′, 0], then [0, 1, 0] at q·q.
+        rows.neighbors.extend((0..=q).map(|y1| y1 * q));
+        rows.end(top);
 
-        let mut class = vec![VertexClass::V2; n];
-        let mut quadrics = Vec::new();
-        for idx in 0..n {
-            if is_quadric[idx] {
-                class[idx] = VertexClass::Quadric;
-                quadrics.push(idx as u32);
-            }
-        }
-        for &quadric in &quadrics {
-            for &nb in graph.neighbors(quadric) {
-                if class[nb as usize] == VertexClass::V2 {
-                    class[nb as usize] = VertexClass::V1;
-                }
-            }
-        }
+        let Rows {
+            offsets,
+            neighbors,
+            quadrics,
+        } = rows;
+        let graph = Csr::from_sorted_rows(offsets, neighbors);
+
+        let class = classify(&graph, &quadrics);
 
         Ok(PolarFly {
-            q: q32,
+            q,
             field,
             points,
             graph,
@@ -209,11 +268,49 @@ impl PolarFly {
     }
 }
 
-/// Enumerates the `q + 1` projective points on the line `v⊥ = {x : v·x = 0}`
-/// — the neighborhood of `v` in `ER_q`. Re-exported from
-/// [`pf_galois::line_points`], where the basis construction lives.
-pub fn orthogonal_line(v: &V3, f: &Gf) -> Vec<V3> {
-    pf_galois::line_points(v, f)
+/// Directed adjacency entries of `ER_q`: `q + 1` per vertex less one
+/// dropped self entry per quadric, `(q² + q + 1)(q + 1) − (q + 1)
+/// = q(q + 1)²`. `None` when that overflows the `u32` CSR offsets.
+fn adjacency_entries(q: u64) -> Option<u32> {
+    q.checked_mul((q + 1).checked_pow(2)?)?.try_into().ok()
+}
+
+/// Tags every vertex from the quadric list: a non-quadric is in `V1` iff it
+/// has a quadric neighbour (paper §IV-F).
+fn classify(graph: &Csr, quadrics: &[u32]) -> Vec<VertexClass> {
+    let mut class = vec![VertexClass::V2; graph.vertex_count()];
+    for &w in quadrics {
+        class[w as usize] = VertexClass::Quadric;
+    }
+    for &w in quadrics {
+        for &nb in graph.neighbors(w) {
+            if class[nb as usize] == VertexClass::V2 {
+                class[nb as usize] = VertexClass::V1;
+            }
+        }
+    }
+    class
+}
+
+/// The CSR arrays of `ER_q` under construction.
+struct Rows {
+    offsets: Vec<u32>,
+    neighbors: Vec<u32>,
+    quadrics: Vec<u32>,
+}
+
+impl Rows {
+    /// Closes the row of vertex `v`. The row is its whole polar line, so it
+    /// holds `v` itself iff `v` is self-orthogonal: a quadric, whose self
+    /// entry is not an edge.
+    fn end(&mut self, v: u32) {
+        let start = *self.offsets.last().expect("offsets starts at [0]") as usize;
+        if let Ok(i) = self.neighbors[start..].binary_search(&v) {
+            self.neighbors.remove(start + i);
+            self.quadrics.push(v);
+        }
+        self.offsets.push(self.neighbors.len() as u32);
+    }
 }
 
 #[cfg(test)]
@@ -221,6 +318,65 @@ mod tests {
     use super::*;
 
     const SMALL_Q: [u64; 8] = [3, 4, 5, 7, 8, 9, 11, 13];
+
+    /// `ER_q` the way it was built before the closed form: enumerate each
+    /// polar line from a basis, normalize every point, index it, and let
+    /// `GraphBuilder` sort and deduplicate the edge list. Shares nothing
+    /// with `PolarFly::new` but the field and the point numbering.
+    fn edge_list_oracle(q: u64) -> (Csr, Vec<u32>) {
+        let field = Gf::new(q).unwrap();
+        let points = ProjectivePoints::new(field.order());
+        let n = points.count();
+        let mut builder = pf_graph::GraphBuilder::new(n);
+        let mut quadrics = Vec::new();
+        for idx in 0..n {
+            let v = points.point(idx);
+            if v.is_quadric(&field) {
+                quadrics.push(idx as u32);
+            }
+            for w in pf_galois::line_points(&v, &field) {
+                let widx = points.index(&w);
+                if widx > idx {
+                    builder.add_edge(idx as u32, widx as u32);
+                }
+            }
+        }
+        (builder.build(), quadrics)
+    }
+
+    #[test]
+    fn closed_form_rows_equal_the_edge_list_construction() {
+        // Every prime power up to 32, plus 49 and 81: primes, powers of two
+        // and odd extension fields of degree 2, 3 and 4.
+        let orders = pf_galois::primes::prime_powers_in(2, 32)
+            .into_iter()
+            .chain([49, 81]);
+        for q in orders {
+            let pf = PolarFly::new(q).unwrap();
+            let (graph, quadrics) = edge_list_oracle(q);
+            // Csr equality is offsets, neighbors and the edge list.
+            assert!(*pf.graph() == graph, "q={q}: CSR arrays differ");
+            assert_eq!(pf.quadrics(), quadrics, "q={q}");
+            assert_eq!(pf.class, classify(&graph, &quadrics), "q={q}");
+        }
+    }
+
+    #[test]
+    fn adjacency_that_overflows_u32_offsets_is_refused() {
+        // q(q + 1)² directed entries: 1621 is the last prime power that
+        // fits, 1627 the first that does not. Checked on the count alone —
+        // building ER_1621 would take 17 GB.
+        assert_eq!(adjacency_entries(3), Some(48));
+        assert_eq!(adjacency_entries(1621), Some(4_264_662_964));
+        assert_eq!(adjacency_entries(1627), None);
+        assert_eq!(adjacency_entries(1 << 20), None);
+        assert!(pf_galois::primes::prime_powers_in(1622, 1626).is_empty());
+        assert!(matches!(PolarFly::new(1627), Err(GfError::TooLarge(1627))));
+        assert!(matches!(
+            PolarFly::new(1626),
+            Err(GfError::NotPrimePower(1626))
+        ));
+    }
 
     #[test]
     fn orders_and_degrees() {

@@ -6,9 +6,12 @@
 //! For prime `q` this collapses to ordinary arithmetic mod `p`.
 //!
 //! Construction builds discrete log/antilog tables over a primitive element
-//! so that multiplication, inversion, and division are O(1) table lookups —
-//! the hot operations in `ER_q` construction are `q³`-ish dot products, so
-//! this matters for the larger radixes (q = 127 → N = 16 257 vertices).
+//! so that multiplication, inversion, and division are O(1) table lookups.
+//! `ER_q` construction (`polarfly::er`) emits every adjacency row in closed
+//! form — one [`Gf::inv`] per vertex and one [`Gf::mul`] per entry, about
+//! `q³` of them — and routing takes a cross product and a normalization
+//! per 2-hop pair, so these stay the hot operations at the larger radixes
+//! (q = 127 → N = 16 257 vertices, 2.1 M entries).
 
 use crate::poly;
 use crate::primes;
@@ -20,7 +23,9 @@ pub enum GfError {
     /// The requested order is not a prime power (fields only exist for
     /// prime-power orders).
     NotPrimePower(u64),
-    /// The requested order is too large for the table-based representation.
+    /// The requested order is too large: for the log tables (`q > 2²⁰`),
+    /// or, from `PolarFly::new`, for `ER_q`'s `q(q + 1)²` adjacency entries
+    /// to fit `u32` CSR offsets (`q ≥ 1627`).
     TooLarge(u64),
 }
 
@@ -30,7 +35,11 @@ impl fmt::Display for GfError {
             GfError::NotPrimePower(q) => {
                 write!(f, "{q} is not a prime power; no field GF({q}) exists")
             }
-            GfError::TooLarge(q) => write!(f, "GF({q}) exceeds the supported table size (2^20)"),
+            GfError::TooLarge(q) => write!(
+                f,
+                "order {q} exceeds the supported table size \
+                 (field tables: 2^20; ER_q adjacency in u32 offsets: 1621)"
+            ),
         }
     }
 }

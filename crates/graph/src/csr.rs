@@ -4,7 +4,9 @@
 //! vertices are `u32` indices, adjacency is stored twice (once per
 //! direction) in a flat neighbor array for cache-friendly BFS. Builders
 //! deduplicate edges and reject self-loops, so structural invariants
-//! (degree counts, edge counts) are exact.
+//! (degree counts, edge counts) are exact; a generator that already has
+//! sorted rows skips the edge list via [`Csr::from_sorted_rows`], which
+//! checks the same invariants instead of establishing them.
 
 use std::fmt;
 
@@ -37,15 +39,6 @@ impl GraphBuilder {
         self.edges.push(e);
     }
 
-    /// Adds `{u, v}` unless it is already present. O(current edges); use
-    /// only in construction paths where duplicates are possible.
-    pub fn add_edge_dedup(&mut self, u: u32, v: u32) {
-        let e = if u < v { (u, v) } else { (v, u) };
-        if !self.edges.contains(&e) {
-            self.add_edge(u, v);
-        }
-    }
-
     /// Number of vertices.
     pub fn vertex_count(&self) -> usize {
         self.n
@@ -75,7 +68,7 @@ impl GraphBuilder {
 /// assert_eq!(g.neighbors(1), &[0, 2]);
 /// assert!(g.is_connected());
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Csr {
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
@@ -117,6 +110,80 @@ impl Csr {
         for i in 0..n {
             let (s, e) = (offsets[i] as usize, offsets[i + 1] as usize);
             neighbors[s..e].sort_unstable();
+        }
+        Csr {
+            offsets,
+            neighbors,
+            edges,
+        }
+    }
+
+    /// Adopts a finished adjacency structure: row `u` is
+    /// `neighbors[offsets[u]..offsets[u + 1]]`. For generators that emit
+    /// each vertex's neighbourhood already in ascending order (closed-form
+    /// constructions such as `ER_q`), so no edge list is built or sorted.
+    ///
+    /// Everything [`GraphBuilder`] guarantees by construction is checked
+    /// here instead, in one O(E) pass that also derives the canonical edge
+    /// list: `offsets` starts at 0, never decreases and ends at
+    /// `neighbors.len()`; every row is in range, strictly ascending (so
+    /// sorted and duplicate-free) and free of self-loops; and the
+    /// adjacency is symmetric. Symmetry uses one cursor per row: walking
+    /// `u` upwards, the mirror of each entry `v > u` must be the next
+    /// unconsumed entry of row `v`, and by the time row `u` is reached its
+    /// entries below `u` must all have been consumed that way.
+    ///
+    /// # Panics
+    /// On any violation, naming the offending row.
+    pub fn from_sorted_rows(offsets: Vec<u32>, neighbors: Vec<u32>) -> Csr {
+        assert!(
+            u32::try_from(neighbors.len()).is_ok(),
+            "{} adjacency entries overflow the u32 offsets",
+            neighbors.len()
+        );
+        assert!(offsets.first() == Some(&0), "row 0 must start at offset 0");
+        for (u, w) in offsets.windows(2).enumerate() {
+            assert!(
+                w[0] <= w[1],
+                "row {u}: offsets decrease ({} > {})",
+                w[0],
+                w[1]
+            );
+        }
+        let n = offsets.len() - 1;
+        assert!(
+            offsets[n] as usize == neighbors.len(),
+            "row {}: offsets end at {} but there are {} adjacency entries",
+            n.saturating_sub(1),
+            offsets[n],
+            neighbors.len()
+        );
+        // cursor[v]: the first entry of row v not yet matched as a mirror.
+        let mut cursor = offsets[..n].to_vec();
+        let mut edges = Vec::with_capacity(neighbors.len() / 2);
+        for u in 0..n as u32 {
+            // Entries before the cursor each equal some u' < u (matched when
+            // row u' was walked), so every remaining one must lie above u.
+            let above = cursor[u as usize] as usize..offsets[u as usize + 1] as usize;
+            let mut prev = None;
+            for &v in &neighbors[above] {
+                assert!((v as usize) < n, "row {u}: neighbour {v} out of range");
+                assert!(v != u, "row {u}: self-loop");
+                assert!(
+                    prev < Some(v),
+                    "row {u}: neighbour {v} breaks strictly ascending order"
+                );
+                assert!(v > u, "row {u}: neighbour {v} has no mirror in row {v}");
+                prev = Some(v);
+                let c = &mut cursor[v as usize];
+                assert!(
+                    *c < offsets[v as usize + 1] && neighbors[*c as usize] == u,
+                    "row {v}: next neighbour is not {u}, though row {u} lists {v} \
+                     (rows must be symmetric and ascending)"
+                );
+                *c += 1;
+                edges.push((u, v));
+            }
         }
         Csr {
             offsets,
@@ -290,19 +357,127 @@ mod tests {
         assert!(!g3.is_connected());
     }
 
-    #[test]
-    fn complete_graph_properties() {
-        let n = 8u32;
+    fn clique(n: u32) -> Csr {
         let mut b = GraphBuilder::new(n as usize);
         for u in 0..n {
             for v in (u + 1)..n {
                 b.add_edge(u, v);
             }
         }
-        let g = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn complete_graph_properties() {
+        let g = clique(8);
         assert_eq!(g.edge_count(), 28);
         assert!(g.is_regular(7));
         assert_eq!(g.max_degree(), 7);
         assert_eq!(g.min_degree(), 7);
+    }
+
+    #[test]
+    fn sorted_rows_round_trip_builder_graphs() {
+        // Two triangles joined by a bridge, plus an isolated vertex.
+        let dumbbell = Csr::from_edges(
+            7,
+            vec![(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)],
+        );
+        let petersen = Csr::from_edges(
+            10,
+            (0..5)
+                .flat_map(|i| [(i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5)])
+                .collect(),
+        );
+        assert!(petersen.is_regular(3));
+        let empty = GraphBuilder::new(0).build();
+        for g in [cycle(9), clique(6), dumbbell, petersen, empty] {
+            let back = Csr::from_sorted_rows(g.offsets.clone(), g.neighbors.clone());
+            assert_eq!(back.edges(), g.edges());
+            assert_eq!(back, g);
+        }
+    }
+
+    /// The path 0 – 1 – 2 – 3 as rows, for the rejection tests to corrupt.
+    fn path_rows() -> (Vec<u32>, Vec<u32>) {
+        (vec![0, 1, 3, 5, 6], vec![1, 0, 2, 1, 3, 2])
+    }
+
+    #[test]
+    fn sorted_rows_accepts_the_uncorrupted_path() {
+        let (offsets, neighbors) = path_rows();
+        let g = Csr::from_sorted_rows(offsets, neighbors);
+        assert_eq!(g.edges(), &[(0, 1), (1, 2), (2, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 3: next neighbour is not 0, though row 0 lists 3")]
+    fn sorted_rows_reject_an_entry_without_its_mirror() {
+        // 0 lists 3, 3 does not list 0.
+        Csr::from_sorted_rows(vec![0, 2, 4, 6, 7], vec![1, 3, 0, 2, 1, 3, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 3: neighbour 2 has no mirror in row 2")]
+    fn sorted_rows_reject_an_unmirrored_entry_below_the_diagonal() {
+        // The path 0 – 1 – 2, and 3 lists 2 unanswered.
+        Csr::from_sorted_rows(vec![0, 1, 3, 4, 5], vec![1, 0, 2, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1: next neighbour is not 0, though row 0 lists 1")]
+    fn sorted_rows_reject_a_row_unsorted_below_the_diagonal() {
+        let (offsets, mut neighbors) = path_rows();
+        neighbors.swap(1, 2); // row 1 becomes [2, 0]
+        Csr::from_sorted_rows(offsets, neighbors);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0: neighbour 1 breaks strictly ascending order")]
+    fn sorted_rows_reject_a_row_unsorted_above_the_diagonal() {
+        // A triangle whose row 0 reads [2, 1].
+        Csr::from_sorted_rows(vec![0, 2, 4, 6], vec![2, 1, 0, 2, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0: neighbour 1 breaks strictly ascending order")]
+    fn sorted_rows_reject_a_duplicate_entry() {
+        Csr::from_sorted_rows(vec![0, 2, 4], vec![1, 1, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1: self-loop")]
+    fn sorted_rows_reject_a_self_loop() {
+        Csr::from_sorted_rows(vec![0, 1, 3], vec![1, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 2: neighbour 4 out of range")]
+    fn sorted_rows_reject_an_out_of_range_vertex() {
+        let (offsets, mut neighbors) = path_rows();
+        neighbors[4] = 4; // row 2 becomes [1, 4]
+        Csr::from_sorted_rows(offsets, neighbors);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1: offsets decrease (3 > 2)")]
+    fn sorted_rows_reject_decreasing_offsets() {
+        let (_, neighbors) = path_rows();
+        Csr::from_sorted_rows(vec![0, 3, 2, 5, 6], neighbors);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 3: offsets end at 5 but there are 6 adjacency entries")]
+    fn sorted_rows_reject_offsets_of_the_wrong_length() {
+        let (_, neighbors) = path_rows();
+        Csr::from_sorted_rows(vec![0, 1, 3, 5, 5], neighbors);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 0 must start at offset 0")]
+    fn sorted_rows_reject_a_nonzero_first_offset() {
+        let (mut offsets, neighbors) = path_rows();
+        offsets[0] = 1;
+        Csr::from_sorted_rows(offsets, neighbors);
     }
 }

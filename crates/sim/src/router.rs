@@ -48,11 +48,26 @@ impl PortMap {
         }
         let num_ports = port_base[n] as usize;
         let mut out_link = vec![0u32; num_ports];
-        for r in 0..n as u32 {
-            for (i, &t) in g.neighbors(r).iter().enumerate() {
-                // pf-analyze: allow(panic-discipline) — construction-time symmetry check; Csr stores both directions of every edge, and a panic at build beats a silent misroute
-                let j = g.neighbors(t).binary_search(&r).expect("undirected graph") as u32;
-                out_link[(port_base[r as usize] + i as u32) as usize] = port_base[t as usize] + j;
+        // Rows are ascending, so walking r upwards the reverse of the link
+        // r → t, t > r, is the next unclaimed entry of row t, and the
+        // entries of row r below its cursor were claimed by smaller routers.
+        let mut cursor = port_base[..n].to_vec();
+        for r in 0..n {
+            let row = g.neighbors(r as u32);
+            for port in cursor[r]..port_base[r + 1] {
+                let t = row[(port - port_base[r]) as usize] as usize;
+                let back = cursor[t];
+                // Csr stores both directions of every edge; a panic at
+                // build beats a silent misroute.
+                assert!(
+                    t > r
+                        && back < port_base[t + 1]
+                        && g.neighbors(t as u32)[(back - port_base[t]) as usize] == r as u32,
+                    "undirected graph: {r} lists {t}, {t} does not list {r}"
+                );
+                cursor[t] += 1;
+                out_link[port as usize] = back;
+                out_link[back as usize] = port;
             }
         }
         PortMap {

@@ -48,16 +48,14 @@ impl Dragonfly {
             }
         }
         // Palm-tree global links: channel i of group g → group g+i+1,
-        // landing on channel a·h−1−i there. Add each link once (from the
-        // side with the smaller "gap" i... every link appears once as
-        // (g, i) with target gap i+1 ≤ g/2 rounding — simpler: add all and
-        // let the builder deduplicate the mirrored copies).
+        // landing on channel a·h−1−i there. Every link is visited from both
+        // ends; `GraphBuilder::build` deduplicates the mirrored copies.
         let ah = a * h;
         for g in 0..groups {
             for i in 0..ah {
                 let tg = (g + i + 1) % groups;
                 let ti = ah - 1 - i;
-                b.add_edge_dedup(id(g, i / h), id(tg, ti / h));
+                b.add_edge(id(g, i / h), id(tg, ti / h));
             }
         }
         Dragonfly {
@@ -167,6 +165,7 @@ mod tests {
         let df = Dragonfly::df1();
         assert_eq!(df.router_count(), 876);
         assert_eq!(df.degree(), 17);
+        assert_eq!(df.graph().edge_count(), 876 * 17 / 2);
         assert!(df.graph().is_regular(17));
         assert_eq!(bfs::diameter(df.graph()), Some(3));
     }
@@ -176,6 +175,7 @@ mod tests {
         let df = Dragonfly::df2();
         assert_eq!(df.router_count(), 978);
         assert_eq!(df.degree(), 32);
+        assert_eq!(df.graph().edge_count(), 978 * 32 / 2);
         assert!(df.graph().is_regular(32));
     }
 }
