@@ -1,5 +1,5 @@
 //! Switch allocation: iterated separable request–grant–accept (iSLIP
-//! style) over transit VC heads and injection streams.
+//! style) over transit VC heads and injection lanes.
 //!
 //! Each iteration, every eligible head registers a request at its output
 //! link; each requested output grants one requester (rotating priority,
@@ -7,6 +7,28 @@
 //! Accepted flits traverse the switch immediately — the router pipeline
 //! is charged downstream as a fixed `pipeline_delay` on arrival (see
 //! DESIGN.md).
+//!
+//! **Who owns what.** Everything the allocator keeps per output —
+//! `credits`, `out_owner`, `out_taken`, `req_span`, `link_flits`,
+//! `inj_wait`, the port of a route claim and a lane's `out_buf` — is
+//! indexed by the *sending* router's own port
+//! ([`crate::router::PortMap::tx`]), so request build, VC claim and
+//! grant touch only the requesting router's contiguous lines. The
+//! downstream id ([`crate::router::PortMap::peer`]) is derived where the
+//! law names it: the arrival buffer of a departing flit, the argument of
+//! `order::requester_rotation`, trace events, and the credit a
+//! receiver returns on a pop — `credits[peer(in_port)·vcs + vc] += 1`,
+//! the one remote write of a flit hop, read by nobody before the next
+//! request build.
+//!
+//! **What each pass walks.** The first pass visits every awake router
+//! once, transit heads then injection lanes. A later pass replays only
+//! what the previous one left *undecided*: the heads that stalled (no
+//! free VC of the class, or zero credit — `Engine::pass2_cand`) and
+//! the lanes of routers that had a zero-credit lane
+//! (`Engine::lane_stalled`). Every other requester is a provable
+//! silent no-op for the rest of the cycle — see `crate::order`, "Output
+//! grant order".
 
 use crate::engine::{net_view, Engine};
 use crate::flow::Arrival;
@@ -16,8 +38,9 @@ use crate::routing::HopContext;
 /// A requester in the request–grant–accept allocation.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ReqSrc {
-    /// A transit VC head (input buffer queue index).
-    Transit { queue: u32 },
+    /// A transit VC head: input buffer queue index and its input port
+    /// (`queue / vcs`, cached so the grant loop divides nothing).
+    Transit { queue: u32, port: u32 },
     /// An injection stream (`router`'s stream `stream`).
     Inject { router: u32, stream: u32 },
 }
@@ -25,6 +48,7 @@ pub(crate) enum ReqSrc {
 /// One registered request at an output link.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Req {
+    /// The requested (tx port, VC): `tx · vcs + vc`.
     pub(crate) out_buf: u32,
     /// Requesting packet and the sequence of the flit it would send,
     /// cached at build time. Exact: a requester (queue or stream)
@@ -45,7 +69,7 @@ const DUMMY_REQ: Req = Req {
     pkt: NONE32,
     seq: 0,
     term: false,
-    src: ReqSrc::Transit { queue: 0 },
+    src: ReqSrc::Transit { queue: 0, port: 0 },
 };
 
 impl Engine<'_> {
@@ -59,25 +83,33 @@ impl Engine<'_> {
         self.req_pending.clear();
     }
 
-    /// Registers a request at `out_port`, in discovery order (the grant
-    /// phase sees per-output request lists in exactly the order the old
-    /// per-output vectors held).
+    /// Registers a request at `out_port`, in discovery order. An output's
+    /// first request files it under the kind of its requester: transit
+    /// heads of a router are scanned before its lanes, so
+    /// [`Engine::touched_lane_only`] holds exactly the outputs no transit
+    /// head asked for.
     #[inline]
     fn push_request(&mut self, out_port: u32, req: Req) {
         let span = &mut self.req_span[out_port as usize];
         if span.1 == 0 {
-            self.touched_outputs.push(out_port);
+            match req.src {
+                ReqSrc::Transit { .. } => self.touched_outputs.push(out_port),
+                ReqSrc::Inject { .. } => self.touched_lane_only.push(out_port),
+            }
         }
         span.1 += 1;
         self.req_pending.push((out_port, req));
     }
 
-    /// Groups the pending requests contiguously per output port in the
-    /// arena (stable counting scatter: span starts from a prefix sum
-    /// over the touched outputs, then each pending request lands at its
-    /// output's cursor — `span.1` is reset and reused as the cursor, so
-    /// it ends back at the per-output count).
+    /// Closes the pass's request build: appends the lane-only outputs to
+    /// the transit-touched ones (the grant order's list, see
+    /// `crate::order`) and groups the pending requests contiguously per
+    /// output port in the arena (stable counting scatter: span starts
+    /// from a prefix sum over the touched outputs, then each pending
+    /// request lands at its output's cursor — `span.1` is reset and
+    /// reused as the cursor, so it ends back at the per-output count).
     fn finalize_requests(&mut self) {
+        self.touched_outputs.append(&mut self.touched_lane_only);
         if self.req_arena.len() < self.req_pending.len() {
             self.req_arena.resize(self.req_pending.len(), DUMMY_REQ);
         }
@@ -95,18 +127,23 @@ impl Engine<'_> {
         }
     }
 
-    /// Request phase: every ready VC head (with an allocated or
-    /// allocatable output VC, downstream credit, and a free output link)
-    /// and every sendable injection stream registers a request at its
-    /// output link. Only awake routers are scanned — an asleep router
-    /// holds no flit and a dozing router's flits are all pre-ready, so
-    /// a scan over either is a no-op (and draws no RNG: routing runs
-    /// only for ready heads).
+    /// First-pass request build, one visit per awake router: every ready
+    /// VC head (with an allocated or allocatable output VC, downstream
+    /// credit, and a free output link) and then every sendable injection
+    /// lane registers a request at its output link. An asleep router
+    /// holds no flit and a dozing router's flits are all pre-ready, so a
+    /// scan over either is a no-op (and draws no RNG: routing runs only
+    /// for ready heads); routers with active lanes are always awake.
     pub(crate) fn build_requests(&mut self, cycle: u32) {
         self.clear_requests();
         self.pass2_cand.clear();
-        self.for_each_awake(|e, r| e.build_requests_router(r, cycle));
-        self.build_inject_requests(cycle);
+        self.lane_stalled.clear();
+        self.for_each_awake(|e, r| {
+            e.build_requests_router(r, cycle);
+            if e.build_inject_requests_router(r, cycle) {
+                e.lane_stalled.push(r as u32);
+            }
+        });
     }
 
     /// The transit-head request scan of one router: its occupied ports,
@@ -135,18 +172,30 @@ impl Engine<'_> {
             if self.bufs.head_term(qidx) {
                 continue; // ejection handles it
             }
-            // Remember every eligible head — requested *or* stalled —
-            // for the later passes' replay (see `pass2_cand`).
-            self.pass2_cand.push(qidx as u32);
-            self.try_request_queue(r, qidx, vc, pkt, seq);
+            if self.try_request_queue(r, qidx, port, vc, pkt, seq) {
+                self.pass2_cand.push(qidx as u32);
+            }
         }
     }
 
     /// Route + VC allocation, credit, and output-link checks for one
-    /// eligible (ready, non-terminating) VC head, registering its
-    /// request on success — the per-queue tail of the request scan,
-    /// shared by the first pass and the candidate-replay passes.
-    fn try_request_queue(&mut self, r: usize, qidx: usize, vc: usize, pkt: u32, seq: u16) {
+    /// eligible (ready, non-terminating) VC head of input `port`,
+    /// registering its request on success — the per-queue tail of the
+    /// request scan, shared by the first pass and the replay passes.
+    ///
+    /// Returns whether the head *stalled* (no free VC of its class, or
+    /// zero credit): the only outcomes a later pass of the same cycle can
+    /// change. A head that registered — or found its output taken — is
+    /// settled for the cycle.
+    fn try_request_queue(
+        &mut self,
+        r: usize,
+        qidx: usize,
+        port: u32,
+        vc: usize,
+        pkt: u32,
+        seq: u16,
+    ) -> bool {
         // Route + VC allocation for a new head.
         if self.route[qidx].port == NONE32 {
             debug_assert_eq!(seq, 0, "body flit without route");
@@ -164,7 +213,7 @@ impl Engine<'_> {
                 hop,
                 &mut self.rng,
             );
-            let out_port = self.geom.downstream(r as u32, i as usize);
+            let out_port = self.geom.tx(r as u32, i as usize);
             // Class-indexed VC: hop h travels in class h, any
             // free VC within the class (deadlock freedom needs
             // paths of <= vc_classes hops; all routing
@@ -184,7 +233,7 @@ impl Engine<'_> {
                 self.per_class,
             ) else {
                 self.diag_vc_stalls += 1;
-                return; // all VCs of the class busy; retry next pass
+                return true; // all VCs of the class busy; retry next pass
             };
             if in_class + 1 >= classes {
                 // Counted once per clamped hop actually taken
@@ -195,7 +244,7 @@ impl Engine<'_> {
                 port: out_port,
                 pkt,
                 vc: ovc,
-                term_next: self.port_owner[out_port as usize] == dst,
+                term_next: self.graph.neighbors(r as u32)[i as usize] == dst,
             };
             if self.telemetry.tracing() {
                 // `passed_mid` was updated by `transit_target` above, so
@@ -209,15 +258,7 @@ impl Engine<'_> {
                 } else {
                     crate::telemetry::ROUTE_MIN
                 };
-                let out_buf = out_port as usize * self.vcs + ovc as usize;
-                self.telemetry.trace_route(
-                    pkt,
-                    r as u32,
-                    out_port,
-                    out_buf as u32,
-                    source,
-                    self.cycle,
-                );
+                self.trace_route_claim(pkt, r as u32, out_port, ovc, source);
             }
         }
         let re = self.route[qidx];
@@ -225,71 +266,79 @@ impl Engine<'_> {
         let out_idx = out_port as usize * self.vcs + re.vc as usize;
         if self.credits[out_idx] == 0 {
             self.diag_credit_stalls += 1;
-            return;
+            return true;
         }
-        if self.out_taken[out_port as usize] {
-            return;
+        if !self.out_taken[out_port as usize] {
+            self.push_request(
+                out_port,
+                Req {
+                    out_buf: out_idx as u32,
+                    pkt,
+                    seq,
+                    term: re.term_next,
+                    src: ReqSrc::Transit {
+                        queue: qidx as u32,
+                        port,
+                    },
+                },
+            );
         }
-        self.push_request(
-            out_port,
-            Req {
-                out_buf: out_idx as u32,
-                pkt,
-                seq,
-                term: re.term_next,
-                src: ReqSrc::Transit { queue: qidx as u32 },
-            },
-        );
+        false
     }
 
-    /// Later-pass request build: replays [`Engine::pass2_cand`] (the
-    /// first pass's eligible heads, in scan order) filtered by
-    /// [`Engine::port_used`], instead of rescanning every awake router.
-    /// Exactness: no VC head becomes ready mid-cycle (arrivals and
-    /// ejection precede allocation), a granted pop marks its input port
-    /// used, and the per-head route/VC/credit/output checks — including
-    /// the RNG draws of still-unrouted heads and the stall diagnostics
-    /// — rerun through the same [`Engine::try_request_queue`] the first
-    /// pass uses, so a later-pass rescan (what the test reference does)
-    /// and this replay register identical requests in identical order.
+    /// Later-pass request build: replays the heads the previous pass
+    /// left stalled ([`Engine::pass2_cand`], ascending) and then the
+    /// lanes of the routers it left with a zero-credit lane
+    /// ([`Engine::lane_stalled`], ascending), rebuilding both lists for
+    /// the pass after — instead of rescanning every awake router.
+    ///
+    /// Exactness (the argument is spelled out in `crate::order`): no VC
+    /// head becomes ready mid-cycle, a granted pop marks its input port
+    /// used, a requester that registered and lost faces a taken output, a
+    /// used input port or an exhausted `inj_budget` — all monotone within
+    /// a cycle — and nobody else can spend the credits of the (link, VC)
+    /// it owns, so its rerun would neither register, nor count a stall,
+    /// nor draw from the RNG. The stalled ones rerun through the same
+    /// [`Engine::try_request_queue`] / lane scan the first pass uses, so
+    /// a later-pass rescan (what the test reference does) and this replay
+    /// register identical requests in identical per-output order.
     pub(crate) fn build_requests_again(&mut self, cycle: u32) {
         #[cfg(test)]
-        if self.reference.dense_schedule() {
+        if self.reference.full_rescan() {
             return self.build_requests(cycle);
         }
         self.clear_requests();
-        let cand = std::mem::take(&mut self.pass2_cand);
-        for &q in &cand {
+        let mut heads = std::mem::take(&mut self.pass2_cand);
+        heads.retain(|&q| {
             let qidx = q as usize;
             let port = qidx / self.vcs;
             if self.port_used[port] {
-                continue;
+                return false;
             }
             let Some((pkt, seq, ready_at)) = self.bufs.front(qidx) else {
-                debug_assert!(false, "pass-1 candidate emptied without port_used");
-                continue;
+                debug_assert!(false, "stalled head emptied without port_used");
+                return false;
             };
             debug_assert!(ready_at <= cycle && !self.bufs.head_term(qidx));
             let r = self.port_owner[port] as usize;
-            self.try_request_queue(r, qidx, q as usize % self.vcs, pkt, seq);
-        }
-        self.pass2_cand = cand;
-        self.build_inject_requests(cycle);
+            let vc = qidx - port * self.vcs;
+            self.try_request_queue(r, qidx, port as u32, vc, pkt, seq)
+        });
+        self.pass2_cand = heads;
+        let mut routers = std::mem::take(&mut self.lane_stalled);
+        routers.retain(|&r| self.build_inject_requests_router(r as usize, cycle));
+        self.lane_stalled = routers;
     }
 
-    /// Injection lanes request their (pre-claimed) first-hop output —
-    /// the tail of the request phase, after the transit requests.
-    /// Routers with active streams are always awake, so the awake list
-    /// loses none of them.
-    fn build_inject_requests(&mut self, cycle: u32) {
-        self.for_each_awake(|e, r| e.build_inject_requests_router(r, cycle));
-    }
-
-    /// The injection-lane request scan of one router.
-    fn build_inject_requests_router(&mut self, r: usize, cycle: u32) {
+    /// The injection-lane request scan of one router: each unfinished
+    /// lane that has not sent this cycle requests its (pre-claimed)
+    /// first-hop output. Returns whether some lane found its output free
+    /// but without credit — the one lane outcome a later pass can change.
+    fn build_inject_requests_router(&mut self, r: usize, cycle: u32) -> bool {
         if self.inj_budget[r] == 0 {
-            return;
+            return false;
         }
+        let mut stalled = false;
         for s in 0..self.inj.len(r) {
             let slot = self.inj.slot(r, s);
             if self.inj.next_seq[slot] >= self.cfg.packet_flits || self.inj.last_sent[slot] == cycle
@@ -298,7 +347,11 @@ impl Engine<'_> {
             }
             let out_buf = self.inj.out_buf[slot];
             let out_port = (out_buf as usize) / self.vcs;
-            if self.out_taken[out_port] || self.credits[out_buf as usize] == 0 {
+            if self.out_taken[out_port] {
+                continue;
+            }
+            if self.credits[out_buf as usize] == 0 {
+                stalled = true;
                 continue;
             }
             self.push_request(
@@ -315,6 +368,7 @@ impl Engine<'_> {
                 },
             );
         }
+        stalled
     }
 
     /// Resolves the transit routing target of `pkt` at router `r`,
@@ -337,6 +391,27 @@ impl Engine<'_> {
         (target, dst)
     }
 
+    /// Accept: whether `req`'s requester can take a grant this pass — a
+    /// transit head's input port has accepted none yet (epoch `taken`),
+    /// a lane's router has injection bandwidth left — claiming it if so.
+    #[inline]
+    fn accept(&mut self, req: &Req, taken: u64) -> bool {
+        match req.src {
+            ReqSrc::Transit { port, .. } => {
+                let tag = &mut self.input_grant[port as usize];
+                let free = *tag != taken;
+                *tag = taken;
+                free
+            }
+            ReqSrc::Inject { router, .. } => {
+                let budget = &mut self.inj_budget[router as usize];
+                let free = *budget > 0;
+                *budget -= u32::from(free);
+                free
+            }
+        }
+    }
+
     /// Grant + accept: each requested output grants one requester
     /// (rotating start); each input port accepts at most one grant; an
     /// injection grant is accepted if router bandwidth remains. Accepted
@@ -353,47 +428,34 @@ impl Engine<'_> {
         // order; inputs accept first-come, so rotation doubles as the
         // accept tie-break.
         let outs = std::mem::take(&mut self.touched_outputs);
-        let olen = outs.len();
-        let ostart = crate::order::output_rotation(cycle, olen);
-        for oi in 0..olen {
-            let out_port = outs[(ostart + oi) % olen] as usize;
-            if self.out_taken[out_port] {
-                continue;
-            }
+        let arena = std::mem::take(&mut self.req_arena);
+        let ostart = crate::order::output_rotation(cycle, outs.len());
+        for &out in outs[ostart..].iter().chain(&outs[..ostart]) {
+            let out_port = out as usize;
+            // A touched output was free when its first request registered
+            // and is visited once.
+            debug_assert!(!self.out_taken[out_port]);
             let (rs, rl) = self.req_span[out_port];
-            let (rs, rl) = (rs as usize, rl as usize);
-            if rl == 0 {
-                continue;
-            }
-            let rstart = crate::order::requester_rotation(cycle, out_port, rl);
-            let mut chosen = None;
+            let reqs = &arena[rs as usize..(rs + rl) as usize];
+            // The downstream input port: the id the requester rotation
+            // hashes, trace events report and the departing flit is
+            // addressed to.
+            let down = self.geom.peer(out);
+            let rstart = if rl == 1 {
+                0
+            } else {
+                crate::order::requester_rotation(cycle, down as usize, rl as usize)
+            };
+            let (wrapped, first) = reqs.split_at(rstart);
             // Packet-continuation priority: drain in-flight packets before
             // granting new heads. Shorter output-VC hold times keep the VC
             // classes from exhausting (the dominant stall otherwise).
+            let mut chosen = None;
             'passes: for want_body in [true, false] {
-                for k in 0..rl {
-                    let req = self.req_arena[rs + (rstart + k) % rl];
-                    if (req.seq > 0) != want_body {
-                        continue;
-                    }
-                    match req.src {
-                        ReqSrc::Transit { queue } => {
-                            let in_port = (queue as usize) / self.vcs;
-                            if self.input_grant[in_port] == taken {
-                                continue; // input already accepted a grant
-                            }
-                            chosen = Some(req);
-                            self.input_grant[in_port] = taken;
-                            break 'passes;
-                        }
-                        ReqSrc::Inject { router, .. } => {
-                            if self.inj_budget[router as usize] == 0 {
-                                continue;
-                            }
-                            self.inj_budget[router as usize] -= 1;
-                            chosen = Some(req);
-                            break 'passes;
-                        }
+                for req in first.iter().chain(wrapped) {
+                    if (req.seq > 0) == want_body && self.accept(req, taken) {
+                        chosen = Some(*req);
+                        break 'passes;
                     }
                 }
             }
@@ -404,11 +466,11 @@ impl Engine<'_> {
             // Traverse.
             if self.telemetry.tracing() {
                 let src_router = match req.src {
-                    ReqSrc::Transit { queue } => self.port_owner[queue as usize / self.vcs],
+                    ReqSrc::Transit { port, .. } => self.port_owner[port as usize],
                     ReqSrc::Inject { router, .. } => router,
                 };
                 self.telemetry
-                    .trace_grant(req.pkt, src_router, out_port as u32, req.seq, cycle);
+                    .trace_grant(req.pkt, src_router, down, req.seq, cycle);
             }
             self.out_taken[out_port] = true;
             self.link_flits[out_port] += 1;
@@ -417,22 +479,32 @@ impl Engine<'_> {
                 // Tracked (not asserted) so sweeps can report it.
                 self.faults.down_link_flits += 1;
             }
-            self.credits[req.out_buf as usize] -= 1;
-            let arrive = cycle + self.cfg.link_latency;
+            let out_buf = req.out_buf as usize;
+            self.credits[out_buf] -= 1;
+            let out_vc = out_buf - out_port * self.vcs;
+            self.pipeline.depart(
+                cycle + self.cfg.link_latency,
+                Arrival {
+                    buf: (down as usize * self.vcs + out_vc) as u32,
+                    pkt: req.pkt,
+                    seq: req.seq,
+                    term: req.term,
+                },
+            );
+            let tail = req.seq + 1 == self.cfg.packet_flits;
             match req.src {
-                ReqSrc::Transit { queue } => {
-                    let q = queue as usize;
-                    let (pkt, seq) = (req.pkt, req.seq);
+                ReqSrc::Transit { queue, port } => {
+                    let (q, in_port) = (queue as usize, port as usize);
                     debug_assert_eq!(
                         self.bufs.front(q).map(|(p, s, _)| (p, s)),
-                        Some((pkt, seq)),
+                        Some((req.pkt, req.seq)),
                         "cached request head diverged"
                     );
                     self.bufs.pop_front(q);
-                    let in_port = q / self.vcs;
+                    let in_vc = q - in_port * self.vcs;
                     self.port_flits[in_port] -= 1;
                     if self.bufs.is_empty(q) {
-                        self.vc_occ[in_port] &= !1u32.wrapping_shl((q % self.vcs) as u32);
+                        self.vc_occ[in_port] &= !1u32.wrapping_shl(in_vc as u32);
                     }
                     if self.port_flits[in_port] == 0 {
                         self.skip.occ.remove(in_port);
@@ -442,62 +514,142 @@ impl Engine<'_> {
                         self.skip
                             .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
                     }
-                    self.credits[q] += 1;
+                    // The freed slot's credit goes back to the upstream
+                    // sender's counter.
+                    let sender = self.credit_of(port, in_vc);
+                    self.credits[sender] += 1;
                     self.port_used[in_port] = true;
-                    self.pipeline.depart(
-                        arrive,
-                        Arrival {
-                            buf: req.out_buf,
-                            pkt,
-                            seq,
-                            term: req.term,
-                        },
-                    );
-                    if seq == self.cfg.packet_flits - 1 {
+                    if tail {
                         // Tail flit: release the wormhole output VC.
-                        let re = self.route[q];
-                        let op = re.port;
-                        debug_assert_ne!(op, NONE32, "tail without route");
-                        self.out_owner[op as usize * self.vcs + re.vc as usize] = false;
+                        debug_assert_eq!(
+                            (self.route[q].port, self.route[q].vc as usize),
+                            (out, out_vc),
+                            "tail without its route claim"
+                        );
                         self.route[q] = crate::engine::RouteEntry::NONE;
-                        if self.transient {
-                            self.note_tail_traversed(op);
-                        }
                     }
                 }
                 ReqSrc::Inject { router, stream } => {
                     let slot = self.inj.slot(router as usize, stream);
-                    let seq = req.seq;
-                    debug_assert_eq!(seq, self.inj.next_seq[slot]);
-                    self.pipeline.depart(
-                        arrive,
-                        Arrival {
-                            buf: self.inj.out_buf[slot],
-                            pkt: self.inj.pkt[slot],
-                            seq,
-                            term: req.term,
-                        },
-                    );
-                    self.inj.next_seq[slot] = seq + 1;
+                    debug_assert_eq!(req.seq, self.inj.next_seq[slot]);
+                    self.inj.next_seq[slot] = req.seq + 1;
                     self.inj.last_sent[slot] = cycle;
-                    if seq + 1 == self.cfg.packet_flits {
-                        self.out_owner[self.inj.out_buf[slot] as usize] = false;
-                        if self.transient {
-                            self.note_tail_traversed(out_port as u32);
-                        }
+                    if tail {
+                        self.lanes_done.push(router);
                     }
+                }
+            }
+            if tail {
+                self.out_owner[out_buf] = false;
+                if self.transient {
+                    self.note_tail_traversed(out);
                 }
             }
         }
         self.touched_outputs = outs;
+        self.req_arena = arena;
 
-        // Sweep finished injection streams (routers with streams are
-        // always awake, so the awake list covers every sweep target); a
-        // router whose last stream just finished may now be fully idle
-        // and go to sleep.
-        self.for_each_awake(|e, r| {
-            e.inj.sweep_finished(r, e.cfg.packet_flits);
-            e.skip.maybe_sleep(r, e.src_q.is_empty(r), e.inj.len(r));
-        });
+        // Retire finished lanes where a tail just left; such a router
+        // may now be fully idle and go to sleep. (Every other way a
+        // router runs out of work — its last buffered flit popped,
+        // ejected or purged — sleeps it at that site.)
+        #[cfg(test)]
+        if self.reference.full_rescan() {
+            self.for_each_awake(|e, r| e.retire_lanes(r));
+        }
+        let mut done = std::mem::take(&mut self.lanes_done);
+        for r in done.drain(..) {
+            self.retire_lanes(r as usize);
+        }
+        self.lanes_done = done;
+    }
+
+    /// Removes router `r`'s fully injected lanes and sleeps it if that
+    /// left it with nothing to do.
+    fn retire_lanes(&mut self, r: usize) {
+        self.inj.sweep_finished(r, self.cfg.packet_flits);
+        self.skip
+            .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::sweep::resolve_run;
+    use crate::traffic::TrafficPattern;
+    use crate::{Engine, Routing, SimConfig};
+    use pf_topo::PolarFlyTopo;
+
+    /// The heads a request pass left stalled, read off the state it
+    /// leaves behind (before any grant): every ready, non-terminating
+    /// head of an unused input port of an awake router that either holds
+    /// no route claim (its class had no free VC) or holds one without a
+    /// credit. A head that registered has both.
+    fn stalled_heads(e: &Engine, cycle: u32) -> Vec<u32> {
+        let mut stalled = Vec::new();
+        for &r in &e.skip.awake_list {
+            let (lo, hi) = e.geom.ports(r as usize);
+            for port in (lo..hi).filter(|&p| !e.port_used[p as usize]) {
+                for vc in 0..e.vcs {
+                    let q = port as usize * e.vcs + vc;
+                    match e.bufs.front(q) {
+                        Some((_, _, ready)) if ready <= cycle && !e.bufs.head_term(q) => {}
+                        _ => continue,
+                    }
+                    let re = e.route[q];
+                    if re.port == super::NONE32
+                        || e.credits[re.port as usize * e.vcs + re.vc as usize] == 0
+                    {
+                        stalled.push(q as u32);
+                    }
+                }
+            }
+        }
+        stalled
+    }
+
+    /// After pass 1 `pass2_cand` holds exactly the heads whose
+    /// `try_request_queue` reported a stall, and each replay shrinks it
+    /// to the heads still stalled — on a saturated adversarial run,
+    /// where VC and credit stalls happen every cycle.
+    #[test]
+    fn later_passes_hold_exactly_the_stalled_heads() {
+        let topo = PolarFlyTopo::new(7, 4).unwrap();
+        let cfg = SimConfig::quick().seed(7).alloc_iters(3);
+        let (tables, dests) = resolve_run(&topo, TrafficPattern::Perm2Hop, cfg.seed);
+        let mut e = Engine::new(&topo, &tables, &dests, Routing::UgalPf, 0.8, cfg);
+        let mut held = [0usize; 3];
+        while e.cycle() < 400 {
+            let cycle = e.begin_cycle();
+            for (pass, total) in held.iter_mut().enumerate() {
+                let before = e.pass2_cand.clone();
+                if pass == 0 {
+                    e.build_requests(cycle);
+                } else {
+                    e.build_requests_again(cycle);
+                    assert!(
+                        e.pass2_cand.iter().all(|q| before.contains(q)),
+                        "cycle {cycle} pass {pass}: the replay grew its list"
+                    );
+                }
+                let want = stalled_heads(&e, cycle);
+                let want: Vec<u32> = if pass == 0 {
+                    want
+                } else {
+                    // A head that already settled (requested and lost)
+                    // is not stalled again just because it still waits.
+                    want.into_iter().filter(|q| before.contains(q)).collect()
+                };
+                assert_eq!(e.pass2_cand, want, "cycle {cycle} pass {pass}");
+                *total += want.len();
+                e.grant_and_accept(cycle);
+            }
+            e.cycle += 1;
+            e.validate_flow_invariants();
+        }
+        assert!(
+            held[0] > held[1] && held[1] > held[2] && held[2] > 0,
+            "stalled lists did not shrink pass over pass: {held:?}"
+        );
     }
 }

@@ -84,7 +84,8 @@ impl Tables<'_> {
 /// The wormhole route claim of one queue head (see [`Engine::route`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RouteEntry {
-    /// Downstream input port (`NONE32` = unrouted).
+    /// The claimed output: the holding router's own (tx) port
+    /// (`NONE32` = unrouted).
     pub(crate) port: u32,
     /// Owning packet (`NONE32` when unrouted).
     pub(crate) pkt: u32,
@@ -109,19 +110,27 @@ impl RouteEntry {
 /// Which retained oracle, if any, a test engine runs instead of the
 /// live code (release builds have no such field: one path). The
 /// dense-schedule reference maintains exactly the live engine's state
-/// and swaps only its *iteration domains*, at four sites — every
+/// and swaps only its *iteration domains*, at five sites — every
 /// router instead of the awake list ([`Engine::build_awake_list`]), the
 /// `port_flits` / `eject_flits` counters instead of the port bitsets
-/// ([`Engine::next_port`]), a pass-2 rescan instead of the `pass2_cand`
-/// replay ([`Engine::build_requests_again`]) and no whole-cycle leap
+/// ([`Engine::next_port`]), a rescan of every awake router in every
+/// allocator pass instead of the stalled-list replay
+/// ([`Engine::build_requests_again`]), a lane sweep of every awake
+/// router after every grant pass instead of the tail-sent list
+/// ([`Engine::grant_and_accept`]) and no whole-cycle leap
 /// ([`Engine::skip_prologue`]) — so a missed wake, a stale bit, a wrong
-/// replay and a wrong leap each show up as a diverging result.
+/// replay, a missed sleep and a wrong leap each show up as a diverging
+/// result.
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Reference {
     /// The live engine.
     Off,
-    /// The dense schedule.
+    /// The live awake list, bitsets and leaps, but the allocator's full
+    /// rescan and unconditional lane sweep: isolates the replay, so even
+    /// `skipped_router_cycles` must equal the live engine's.
+    FullRescan,
+    /// The dense schedule (implies the full rescan).
     DenseSchedule,
     /// The per-endpoint draw loop ([`Engine::generate_reference`]), on
     /// the dense schedule: that loop does not maintain `gen_next`,
@@ -133,6 +142,12 @@ pub(crate) enum Reference {
 impl Reference {
     /// Whether the dense schedule's iteration domains are in force.
     pub(crate) fn dense_schedule(self) -> bool {
+        matches!(self, Reference::DenseSchedule | Reference::PerEndpointDraws)
+    }
+
+    /// Whether later allocator passes rescan every awake router (and
+    /// every grant pass sweeps every awake router's lanes).
+    pub(crate) fn full_rescan(self) -> bool {
         self != Reference::Off
     }
 }
@@ -170,9 +185,11 @@ pub struct Engine<'a> {
     #[cfg(test)]
     pub(crate) reference: Reference,
     pub(crate) geom: PortMap,
-    /// Per-link liveness (indexed by downstream input port): `false` marks
-    /// a failed link that routing must never select. All-true on healthy
-    /// topologies; derived from [`pf_topo::Topology::link_failures`].
+    /// Per-link liveness, indexed by the sender's port: `false` marks a
+    /// failed link that routing must never select. Both directions of a
+    /// link fail and repair together, so the array is symmetric under
+    /// [`PortMap::peer`]. All-true on healthy topologies; derived from
+    /// [`pf_topo::Topology::link_failures`].
     pub(crate) link_up: Vec<bool>,
     /// Whether any link is failed (gates the mask loads off the healthy
     /// hot paths). Transient runs flip this as fault events fire.
@@ -195,14 +212,19 @@ pub struct Engine<'a> {
 
     /// All (port, VC) input buffers as flat SoA ring buffers.
     pub(crate) bufs: FlitRings,
-    /// Free slots per input-buffer queue (the sender's credit view).
+    /// The sender's credit view, indexed by the sender's (tx port, VC):
+    /// `credits[p · vcs + v]` counts the free slots of the downstream
+    /// input buffer `peer(p) · vcs + v`. Spent locally on a grant;
+    /// returned by the receiver on a pop or an ejection.
     pub(crate) credits: Vec<u16>,
-    /// Wormhole allocation of the packet at each queue head: downstream
-    /// input port (`NONE32` = unrouted), VC, and owning packet (tracked
-    /// so fault events can find and cancel claims). One record per queue
-    /// so a head probe costs a single cache line.
+    /// Wormhole allocation of the packet at each queue head: the claimed
+    /// output — the holding router's tx port (`NONE32` = unrouted) and
+    /// VC — and the owning packet (tracked so fault events can find and
+    /// cancel claims). One record per queue so a head probe costs a
+    /// single cache line.
     pub(crate) route: Vec<RouteEntry>,
-    /// Whether each (link, VC) output is owned by an in-flight packet.
+    /// Whether each (tx port, VC) output is owned by an in-flight packet
+    /// — a transit head's route claim or an unfinished injection lane.
     pub(crate) out_owner: Vec<bool>,
 
     pub(crate) src_q: SourceQueues,
@@ -223,7 +245,9 @@ pub struct Engine<'a> {
     pub(crate) total_delivered: u64,
 
     // Per-cycle scratch (reused allocations).
+    /// Input ports that ejected or forwarded a flit this cycle.
     pub(crate) port_used: Vec<bool>,
+    /// Outputs (tx ports) that sent a flit this cycle.
     pub(crate) out_taken: Vec<bool>,
     /// Switch requests in discovery order, tagged by output port;
     /// `finalize_requests` scatters them into [`Engine::req_arena`]
@@ -240,16 +264,29 @@ pub struct Engine<'a> {
     /// `finalize_requests` (only outputs in `touched_outputs` are
     /// nonzero).
     pub(crate) req_span: Vec<(u32, u32)>,
+    /// Outputs (tx ports) with a request this pass whose first request
+    /// came from a transit head, in discovery order; from
+    /// `finalize_requests` on, followed by [`Engine::touched_lane_only`]
+    /// — the list the grant phase rotates over (`crate::order`).
     pub(crate) touched_outputs: Vec<u32>,
-    /// Pass-1 transit candidates (queue indices of every ready,
-    /// non-terminating VC head the first request pass visited, in scan
-    /// order — i.e. ascending). Later allocator passes of the same
-    /// cycle replay this list instead of rescanning every awake
-    /// router's ports: no head can *become* ready mid-cycle (arrivals
-    /// and ejection precede allocation, and a pop marks its input port
-    /// used), so a pass-2 rescan's eligible set is exactly this
-    /// list filtered by [`Engine::port_used`].
+    /// Outputs only injection lanes requested this pass, in discovery
+    /// order (empty outside the request build).
+    pub(crate) touched_lane_only: Vec<u32>,
+    /// The transit heads the last request pass left *stalled* (no free
+    /// VC of the class, or zero credit), as ascending queue indices —
+    /// all the next pass of the cycle replays, filtered by
+    /// [`Engine::port_used`]: no head can *become* ready mid-cycle
+    /// (arrivals and ejection precede allocation, and a pop marks its
+    /// input port used), and a head that registered or met a taken
+    /// output is settled for the cycle.
     pub(crate) pass2_cand: Vec<u32>,
+    /// The routers (ascending) the last request pass left with a lane
+    /// whose output was free but out of credit — the lanes the next pass
+    /// of the cycle rescans.
+    pub(crate) lane_stalled: Vec<u32>,
+    /// Routers a lane of which sent its tail in the current grant pass:
+    /// where finished lanes are retired after it.
+    pub(crate) lanes_done: Vec<u32>,
     /// Per-pass grant epoch per input port: a port is taken this pass iff
     /// `input_grant[p] == grant_serial` (epoch tags avoid a full memset
     /// per allocator pass).
@@ -272,7 +309,8 @@ pub struct Engine<'a> {
     pub(crate) eject_flits: Vec<u32>,
     /// Router owning each input port (inverse of [`PortMap::ports`]).
     pub(crate) port_owner: Vec<u32>,
-    /// Packets waiting in source queues, per minimal first-hop link — the
+    /// Packets waiting in source queues, per minimal first-hop link
+    /// (indexed by the sender's port) — the
     /// virtual-output-queue component of the UGAL congestion signal. Under
     /// permutation traffic the bottleneck link stays busy (its buffers
     /// drain as fast as they fill), so source-side backlog is the only
@@ -281,8 +319,11 @@ pub struct Engine<'a> {
     /// Scratch for the per-router injection window.
     pub(crate) started_scratch: Vec<usize>,
 
-    /// Flits sent per link (indexed by downstream input port) — exposed
-    /// for utilization analysis and ablation benches.
+    /// Flits sent per directed link, indexed by the *sender's* port
+    /// ([`PortMap::tx`]): `link_flits[tx(r, i)]` counts `r →
+    /// neighbors(r)[i]`, and the flits received on input port `p` are
+    /// `link_flits[peer(p)]`. Exposed for utilization analysis and
+    /// ablation benches.
     pub link_flits: Vec<u64>,
     /// Diagnostic: heads stalled because every VC of the next hop class
     /// was owned (VC exhaustion), cumulative.
@@ -358,13 +399,13 @@ impl<'a> Engine<'a> {
                     .binary_search(&v)
                     // pf-analyze: allow(panic-discipline) — construction-time check of the failure set; a non-edge here is a topology bug caught before any cycle runs
                     .expect("failed link must be a graph edge");
-                link_up[geom.downstream(u, iu) as usize] = false;
+                link_up[geom.tx(u, iu) as usize] = false;
                 let iv = g
                     .neighbors(v)
                     .binary_search(&u)
                     // pf-analyze: allow(panic-discipline) — construction-time check of the failure set; a non-edge here is a topology bug caught before any cycle runs
                     .expect("failed link must be a graph edge");
-                link_up[geom.downstream(v, iv) as usize] = false;
+                link_up[geom.tx(v, iv) as usize] = false;
                 degraded = true;
             }
         }
@@ -484,7 +525,10 @@ impl<'a> Engine<'a> {
             req_arena: Vec::new(),
             req_span: vec![(0, 0); num_ports],
             touched_outputs: Vec::new(),
+            touched_lane_only: Vec::new(),
             pass2_cand: Vec::new(),
+            lane_stalled: Vec::new(),
+            lanes_done: Vec::new(),
             input_grant: vec![0; num_ports],
             grant_serial: 0,
             inj_budget: vec![0; n],
@@ -550,6 +594,12 @@ impl<'a> Engine<'a> {
     /// Panics if a workload is attached — a closed-loop run terminates
     /// on DAG drain, not the phase clock; use [`Engine::run_workload`].
     pub fn run(mut self) -> SimResult {
+        self.run_in_place()
+    }
+
+    /// [`Engine::run`] on a borrowed engine, so a test can still read the
+    /// diagnostic counters afterwards.
+    pub(crate) fn run_in_place(&mut self) -> SimResult {
         assert!(
             self.workload.is_none(),
             "run() with a workload attached: use run_workload()"
@@ -721,6 +771,32 @@ impl<'a> Engine<'a> {
 
     /// Advances one cycle.
     pub fn step(&mut self) {
+        let cycle = self.begin_cycle();
+        // 5. Switch allocation: iSLIP request–grant–accept over all ready
+        //    VC heads and injection streams, iterated so inputs that lose
+        //    a round can be rematched within the cycle.
+        for it in 0..self.cfg.alloc_iters.max(1) {
+            let mark = prof_mark();
+            if it == 0 {
+                self.build_requests(cycle);
+            } else {
+                // Later passes replay what the previous one left stalled
+                // (no rescan — see `build_requests_again`).
+                self.build_requests_again(cycle);
+            }
+            self.telemetry.prof_lap(ProfPhase::Route, mark);
+            let mark = prof_mark();
+            self.grant_and_accept(cycle);
+            self.telemetry.prof_lap(ProfPhase::Alloc, mark);
+        }
+
+        self.cycle += 1;
+    }
+
+    /// Everything of a cycle that precedes switch allocation (phases 0–4
+    /// and the injection-budget reset); returns the cycle being executed
+    /// — after a leap, not the one the step started at.
+    pub(crate) fn begin_cycle(&mut self) -> u32 {
         // Epoch telemetry snapshots run before anything this cycle does.
         self.telemetry_tick();
         let mark = prof_mark();
@@ -758,27 +834,8 @@ impl<'a> Engine<'a> {
         self.telemetry.prof_lap(ProfPhase::Eject, mark);
         // 4. Injection starts.
         self.start_injections();
-
-        // 5. Switch allocation: iSLIP request–grant–accept over all ready
-        //    VC heads and injection streams, iterated so inputs that lose
-        //    a round can be rematched within the cycle.
         self.reset_inj_budgets();
-        for it in 0..self.cfg.alloc_iters.max(1) {
-            let mark = prof_mark();
-            if it == 0 {
-                self.build_requests(cycle);
-            } else {
-                // Later passes replay the first pass's candidate list
-                // (no rescan — see `build_requests_again`).
-                self.build_requests_again(cycle);
-            }
-            self.telemetry.prof_lap(ProfPhase::Route, mark);
-            let mark = prof_mark();
-            self.grant_and_accept(cycle);
-            self.telemetry.prof_lap(ProfPhase::Alloc, mark);
-        }
-
-        self.cycle += 1;
+        cycle
     }
 
     /// Rebuilds this cycle's awake list (the routers every later phase
@@ -853,6 +910,15 @@ impl<'a> Engine<'a> {
         self.pipeline.recycle(cycle, arrivals);
     }
 
+    /// Index into [`Engine::credits`] of the counter guarding VC `vc` of
+    /// input port `port`: the upstream sender's (tx port, VC). A
+    /// receiver returning a credit is the one place a flit hop writes
+    /// another router's state.
+    #[inline]
+    pub(crate) fn credit_of(&self, port: u32, vc: usize) -> usize {
+        self.geom.peer(port) as usize * self.vcs + vc
+    }
+
     /// The (port, VC) flit buffers, read-only (diagnostics and tests).
     pub fn flit_rings(&self) -> &FlitRings {
         &self.bufs
@@ -920,15 +986,20 @@ impl<'a> Engine<'a> {
     /// * no credit counter exceeds the buffer depth;
     /// * no buffer holds more flits than its depth, and the flit store
     ///   leaks no pool node ([`FlitRings::validate`]);
-    /// * per queue, buffered flits never exceed the credits spent on it;
+    /// * per queue, buffered flits never exceed the credits its upstream
+    ///   sender spent on it (queue `q` of input port `p` pairs with the
+    ///   counter of `peer(p)`);
     /// * globally, credits spent == flits buffered + flits on links
-    ///   (credits return with zero latency, so nothing else may hold one).
+    ///   (credits return with zero latency, so nothing else may hold one);
+    /// * the owned (tx port, VC) outputs are exactly the live route
+    ///   claims plus the unfinished injection lanes, one owner each.
     pub fn validate_flow_invariants(&self) {
         self.bufs.validate();
         let cap = self.cap_per_vc;
         let mut spent_total: u64 = 0;
         for q in 0..self.credits.len() {
-            let credits = u32::from(self.credits[q]);
+            let (port, vc) = (q / self.vcs, q % self.vcs);
+            let credits = u32::from(self.credits[self.credit_of(port as u32, vc)]);
             let held = self.bufs.len(q);
             assert!(
                 credits <= cap,
@@ -946,6 +1017,36 @@ impl<'a> Engine<'a> {
             spent_total, accounted,
             "credit leak: {spent_total} credits spent vs {accounted} flits buffered/in flight"
         );
+
+        let mut owners = vec![0u32; self.out_owner.len()];
+        for (q, re) in self.route.iter().enumerate() {
+            if re.port != NONE32 {
+                assert_eq!(
+                    self.port_owner[re.port as usize],
+                    self.port_owner[q / self.vcs],
+                    "queue {q}: route claim on another router's output {}",
+                    re.port
+                );
+                owners[re.port as usize * self.vcs + re.vc as usize] += 1;
+            }
+        }
+        for r in 0..self.n {
+            for s in 0..self.inj.len(r) {
+                let slot = self.inj.slot(r, s);
+                if self.inj.next_seq[slot] < self.cfg.packet_flits {
+                    owners[self.inj.out_buf[slot] as usize] += 1;
+                }
+            }
+        }
+        for (o, (&owned, &claims)) in self.out_owner.iter().zip(&owners).enumerate() {
+            assert_eq!(
+                u32::from(owned),
+                claims,
+                "output (port {}, VC {}): owned = {owned} but {claims} live claim(s)",
+                o / self.vcs,
+                o % self.vcs
+            );
+        }
     }
 
     /// Router-cycles the skip machinery proved idle so far (mirrors

@@ -40,8 +40,11 @@ use crate::router::{PortMap, NONE32};
 use crate::tables::RouteTables;
 use pf_graph::{Csr, FaultEventKind, FaultSchedule};
 
-/// One engine-level fault transition with precomputed directed ports
-/// (`port_uv` = downstream input port of direction `u → v`).
+/// One engine-level fault transition with precomputed directed ports:
+/// `port_uv` is `u`'s own port toward `v` — the *sender's* id of
+/// direction `u → v`, which is how the engine indexes `link_up`,
+/// `draining` and every route claim — and `port_vu` is its
+/// [`PortMap::peer`], `v`'s port toward `u`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EngineEvent {
     pub(crate) cycle: u32,
@@ -81,8 +84,9 @@ pub(crate) struct FaultCtl {
     pub(crate) convergence_delay: u32,
     /// Per-router liveness (sized `n` on transient runs, empty otherwise).
     pub(crate) router_up: Vec<bool>,
-    /// Per-port count of wormhole claims still allowed to cross a dead
-    /// link under the drain policy (sized `num_ports` on transient runs).
+    /// Per sender's port, the wormhole claims still allowed to cross a
+    /// dead link under the drain policy (sized `num_ports` on transient
+    /// runs).
     pub(crate) draining: Vec<u32>,
     /// Links currently down, canonical `(u < v)` — the residual the next
     /// table rebuild uses.
@@ -149,7 +153,7 @@ impl FaultCtl {
                 .neighbors(v)
                 .binary_search(&u)
                 .expect("scheduled link must be a graph edge");
-            (geom.downstream(u, iu), geom.downstream(v, iv))
+            (geom.tx(u, iu), geom.tx(v, iv))
         };
         let events = schedule
             .resolved_events(g)
@@ -365,11 +369,11 @@ impl Engine<'_> {
         // events; force the drop path for anything still committed to
         // them — a dead router cannot drain — plus anything buffered at
         // the router or targeting it from anywhere in the network.
+        // Dead directed links, by sender's port: `r`'s own outputs and
+        // every neighbor's output toward `r`.
         let (lo, hi) = self.geom.ports(r as usize);
         let mut dead_ports: Vec<u32> = (lo..hi).collect();
-        for i in 0..self.graph.degree(r) {
-            dead_ports.push(self.geom.downstream(r, i));
-        }
+        dead_ports.extend((lo..hi).map(|p| self.geom.peer(p)));
         for &p in &dead_ports {
             self.faults.draining[p as usize] = 0;
         }
@@ -397,8 +401,9 @@ impl Engine<'_> {
     }
 
     /// Drain policy: counts the wormhole claims committed across the two
-    /// directed ports of a dying link; their remaining flits may still
-    /// cross it until each tail passes.
+    /// directions of a dying link (claims and `draining` are both keyed
+    /// by the sender's port); their remaining flits may still cross it
+    /// until each tail passes.
     fn count_draining(&mut self, port_uv: u32, port_vu: u32) {
         for q in 0..self.route.len() {
             let rp = self.route[q].port;
@@ -420,8 +425,9 @@ impl Engine<'_> {
         }
     }
 
-    /// Drain bookkeeping at a tail traversal of `out_port`: one committed
-    /// claim finished crossing the (possibly dead) link.
+    /// Drain bookkeeping at a tail traversal of `out_port` (the sender's
+    /// port): one committed claim finished crossing the (possibly dead)
+    /// link.
     #[inline]
     pub(crate) fn note_tail_traversed(&mut self, out_port: u32) {
         if !self.link_up[out_port as usize] && self.faults.draining[out_port as usize] > 0 {
@@ -439,7 +445,13 @@ impl Engine<'_> {
     /// The drop-and-retransmit path, shared by link deaths (policy
     /// `DropRetransmit`) and router deaths (always).
     ///
-    /// Victims are packets with a flit in flight on a dead port, a
+    /// `dead_ports` names the dead directed links by *sender's* port
+    /// (what route claims and lanes hold); `purge_ports` are *input*
+    /// ports — queue ids divided by `vcs`, what buffered flits and
+    /// in-flight [`crate::flow::Arrival`]s are addressed by. The two id
+    /// spaces meet through [`PortMap::peer`].
+    ///
+    /// Victims are packets with a flit in flight on a dead link, a
     /// wormhole claim across one that already carried flits, any flit
     /// buffered in `purge_ports` (a dead router's own input buffers), or
     /// — for router deaths — a destination/intermediate of `dead_router`.
@@ -460,9 +472,10 @@ impl Engine<'_> {
         let mut victim = vec![false; self.packets.capacity()];
         let mut victims: Vec<u32> = Vec::new();
 
-        // Pass A1: flits in flight toward a dead port.
+        // Pass A1: flits in flight on a dead link (an arrival is addressed
+        // to the receiver's buffer; its sender is that port's peer).
         for a in self.pipeline.iter() {
-            if dead_ports.contains(&(a.buf / vcs)) && !victim[a.pkt as usize] {
+            if dead_ports.contains(&self.geom.peer(a.buf / vcs)) && !victim[a.pkt as usize] {
                 victim[a.pkt as usize] = true;
                 victims.push(a.pkt);
             }
@@ -488,7 +501,8 @@ impl Engine<'_> {
             }
         }
 
-        // Pass A3: wormhole claims across a dead port. A claim whose head
+        // Pass A3: wormhole claims across a dead link (`route[q].port` is
+        // the claiming router's tx port). A claim whose head
         // flit is still at the front (seq 0) sent nothing across — it is
         // released for a live re-route; anything else split its packet
         // over the dead link and the packet must restart.
@@ -511,8 +525,8 @@ impl Engine<'_> {
             }
         }
 
-        // Pass A4: injection streams whose first hop died (or whose
-        // packet targets the dead router).
+        // Pass A4: injection streams whose first hop died (`out_buf` is a
+        // tx-side index) or whose packet targets the dead router.
         for r in 0..self.n {
             for s in 0..self.inj.len(r) {
                 let slot = self.inj.slot(r, s);
@@ -534,7 +548,9 @@ impl Engine<'_> {
         // which covers everything addressed to a dead port).
         let removed = self.pipeline.purge(|a| victim[a.pkt as usize]);
         for a in &removed {
-            self.credits[a.buf as usize] += 1;
+            // The sender spent this credit; hand it back to *its* counter.
+            let sender = self.credit_of(a.buf / vcs, (a.buf % vcs) as usize);
+            self.credits[sender] += 1;
         }
         self.faults.dropped_flits += removed.len() as u64;
 
@@ -555,7 +571,8 @@ impl Engine<'_> {
                 hit
             });
             if removed > 0 {
-                self.credits[q] += removed as u16;
+                let sender = self.credit_of(port as u32, q % self.vcs);
+                self.credits[sender] += removed as u16;
                 self.port_flits[port] -= removed;
                 self.eject_flits[port] -= ejectable;
                 if self.bufs.is_empty(q) {
@@ -628,7 +645,7 @@ impl Engine<'_> {
             let link = if routable {
                 let next = mh.next(&net_view!(self), src, dst);
                 let i = net_view!(self).neighbor_index(src, next);
-                let l = self.geom.downstream(src, i);
+                let l = self.geom.tx(src, i);
                 self.inj_wait[l as usize] += 1;
                 l
             } else {

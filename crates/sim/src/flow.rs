@@ -2,11 +2,13 @@
 //! (wormhole) ownership.
 //!
 //! Credits model downstream buffer space with zero return latency (see
-//! DESIGN.md): `credits[q]` counts free slots of input-buffer queue `q`,
-//! decremented by the sender on link traversal and incremented by the
-//! receiver on dequeue. Output-VC ownership (`out_owner`) implements
-//! wormhole switching: a packet holds its claimed (link, VC) from head
-//! allocation to tail traversal.
+//! DESIGN.md). The counter lives with the *sender*: `credits[p·vcs + v]`,
+//! `p` the sender's own port, counts the free slots of VC `v` of the
+//! input buffer at the far end of that link; the sender decrements it on
+//! link traversal and the receiver increments it (through
+//! `PortMap::peer`) on dequeue. Output-VC ownership (`out_owner`, same
+//! index) implements wormhole switching: a packet holds its claimed
+//! (link, VC) from head allocation to tail traversal.
 
 /// A flit in flight on a link, addressed to a downstream buffer queue.
 #[derive(Debug, Clone, Copy)]
@@ -104,9 +106,9 @@ impl LinkPipeline {
     }
 }
 
-/// Claims a free VC of `class` on `out_port`: returns the VC index and
-/// marks it owned, or `None` when the whole class is held by in-flight
-/// packets (a VC-exhaustion stall).
+/// Claims a free VC of `class` on `out_port` (the sender's port):
+/// returns the VC index and marks it owned, or `None` when the whole
+/// class is held by in-flight packets (a VC-exhaustion stall).
 #[inline]
 pub(crate) fn claim_vc(
     out_owner: &mut [bool],

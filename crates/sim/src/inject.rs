@@ -90,7 +90,7 @@ impl Engine<'_> {
         let min_first_link = if self.dst_routable(r, dst) {
             let next = mh.next(&net_view!(self), r, dst);
             let i = net_view!(self).neighbor_index(r, next);
-            let link = self.geom.downstream(r, i);
+            let link = self.geom.tx(r, i);
             self.inj_wait[link as usize] += 1;
             link
         } else {
@@ -200,7 +200,10 @@ impl Engine<'_> {
                 self.skip
                     .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
             }
-            self.credits[qidx] += 1;
+            // The freed slot's credit goes back to the upstream sender's
+            // counter.
+            let sender = self.credit_of(port, vc);
+            self.credits[sender] += 1;
             self.port_used[port as usize] = true;
             self.total_flits_ejected += 1;
             if in_window {
@@ -294,7 +297,7 @@ impl Engine<'_> {
                 hop,
                 &mut self.rng,
             );
-            let out_port = self.geom.downstream(r, port_i as usize);
+            let out_port = self.geom.tx(r, port_i as usize);
             // Injection uses class 0: any free VC in [0, per_class).
             let Some(vc) =
                 crate::flow::claim_vc(&mut self.out_owner, out_port, self.vcs, 0, self.per_class)
@@ -307,7 +310,7 @@ impl Engine<'_> {
                 self.inj_wait[charged as usize] -= 1;
                 self.packets.min_first_link[pkt_id as usize] = NONE32;
             }
-            let term = self.port_owner[out_port as usize] == dst;
+            let term = self.graph.neighbors(r)[port_i as usize] == dst;
             self.inj.push(ru, pkt_id, out_idx as u32, term);
             if self.telemetry.tracing() {
                 let source = if mid != NONE32 {
@@ -315,8 +318,7 @@ impl Engine<'_> {
                 } else {
                     crate::telemetry::ROUTE_INJECT_MIN
                 };
-                self.telemetry
-                    .trace_route(pkt_id, r, out_port, out_idx as u32, source, self.cycle);
+                self.trace_route_claim(pkt_id, r, out_port, vc, source);
             }
             started.push(idx);
         }

@@ -20,15 +20,42 @@
 //!   request building and ejection ([`crate::router::VcIter`] yields
 //!   set mask bits in exactly this order, and its over-32-VC fallback
 //!   walks `0..vcs` linearly — the same ascending order).
-//! * **Output grant order** — the touched-outputs list, rotated by
-//!   [`output_rotation`]. The list itself is in *request discovery
-//!   order*: ascending (router, port, VC) over transit heads, then
-//!   ascending (router, stream) over injection lanes. Outputs granted
-//!   earlier win input ports earlier (accept is first-come), so this
-//!   rotation doubles as the input-accept tie-break.
+//! * **Output grant order** — two touched lists, one rotation over their
+//!   concatenation: first the outputs some transit head requested, in
+//!   order of their first such request (ascending (router, port, VC));
+//!   then the outputs only injection lanes requested, in order of their
+//!   first request (ascending (router, stream)); the whole rotated by
+//!   [`output_rotation`] of the combined length. An output belongs to
+//!   one router and a router's heads are scanned before its lanes, so
+//!   the lists are the same whether a pass visits each router once
+//!   (heads, then lanes — what the engine does) or sweeps all heads and
+//!   then all lanes. Outputs granted earlier win input ports earlier
+//!   (accept is first-come), so this rotation doubles as the
+//!   input-accept tie-break.
 //! * **Requester order at one output** — the per-output request list in
-//!   discovery order, rotated by [`requester_rotation`], scanned in two
-//!   passes (packet-continuation flits before new heads).
+//!   discovery order (the owning router's heads, then its lanes),
+//!   rotated by [`requester_rotation`] of the cycle and the output's
+//!   *downstream input port* id, scanned in two passes
+//!   (packet-continuation flits before new heads). The engine indexes
+//!   outputs by the sender's port and derives the downstream id for this
+//!   hash alone, so the hash — hence every grant — does not depend on
+//!   how the arrays are laid out.
+//! * **What a later allocator pass replays.** Pass k + 1 of a cycle
+//!   reruns only the requesters pass k left *stalled*: heads that found
+//!   no free VC of their class or no credit, and the lanes of routers
+//!   with a lane whose output was free but out of credit. Everyone else
+//!   is settled for the cycle, so a full rescan would register the same
+//!   requests in the same per-output order: no head becomes ready
+//!   mid-cycle (arrivals and ejection precede allocation); a granted
+//!   requester has sent (its input port is `port_used`, its lane's
+//!   `last_sent` is this cycle); one that registered and lost faces an
+//!   output that is now `out_taken`, or an input port that accepted
+//!   another grant (`port_used`), or an `inj_budget` of 0 — all
+//!   monotone within a cycle; it already holds its route and VC, and
+//!   nobody else can spend the credits of a (link, VC) it owns, so its
+//!   rerun would reach the taken-output check without counting a stall
+//!   or drawing from the RNG. The dense test reference rescans anyway
+//!   and must agree bit for bit, stall counters included.
 //!
 //! The rotations are multiplicative hashes of the cycle (and output
 //! port), chosen to decorrelate consecutive cycles; their exact values

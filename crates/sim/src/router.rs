@@ -19,8 +19,9 @@
 //!   router (capacity `2·endpoints(r)`, the engine's stream cap).
 //! * [`crate::packet::PacketPool`] — in-flight packet records in SoA arrays with a free
 //!   list.
-//! * [`PortMap`] — the port geometry: prefix-summed input-port ids and the
-//!   `out_link` map from a local output to the downstream input port.
+//! * [`PortMap`] — the port geometry: prefix-summed port ids (one id
+//!   names a router's input *and* output toward the same neighbor) and
+//!   the `out_link` involution between the two ends of a link.
 
 use pf_graph::Csr;
 
@@ -29,10 +30,14 @@ pub const NONE32: u32 = u32::MAX;
 
 /// Port geometry of the whole network.
 ///
-/// Input port `port_base[r] + i` of router `r` receives from
-/// `neighbors(r)[i]`; `out_link[port_base[r] + i]` is the input port id at
-/// that neighbor whose peer is `r` (i.e. the link `r → neighbors(r)[i]`
-/// seen from the receiving side).
+/// Port `port_base[r] + i` is router `r`'s end of its link to
+/// `neighbors(r)[i]`, in both directions: as an *input* port it names the
+/// buffers receiving from that neighbor, as an *output* (`tx`) port the
+/// sender-side state of the direction `r → neighbors(r)[i]` (credits,
+/// VC ownership, link counters — everything the allocator keeps per
+/// output is indexed by it, so a router's outputs are contiguous).
+/// `out_link` maps a port to the other end of its link: the neighbor's
+/// port whose neighbor is `r`.
 pub struct PortMap {
     pub(crate) port_base: Vec<u32>,
     pub(crate) out_link: Vec<u32>,
@@ -82,16 +87,32 @@ impl PortMap {
         self.port_base.last().map_or(0, |&p| p as usize)
     }
 
-    /// Input-port id range `[lo, hi)` of router `r`.
+    /// Port id range `[lo, hi)` of router `r`.
     #[inline]
     pub fn ports(&self, r: usize) -> (u32, u32) {
         (self.port_base[r], self.port_base[r + 1])
     }
 
-    /// Downstream input port of local output `i` at router `r`.
+    /// Router `r`'s own port toward its neighbor-index `i` — the sender
+    /// side of that link.
+    #[inline]
+    pub fn tx(&self, r: u32, i: usize) -> u32 {
+        self.port_base[r as usize] + i as u32
+    }
+
+    /// The other end of port `p`'s link (an involution): a sender's port
+    /// maps to the input port its flits arrive at, an input port to the
+    /// upstream sender's port.
+    #[inline]
+    pub fn peer(&self, p: u32) -> u32 {
+        self.out_link[p as usize]
+    }
+
+    /// Downstream input port of local output `i` at router `r`:
+    /// `peer(tx(r, i))`.
     #[inline]
     pub fn downstream(&self, r: u32, i: usize) -> u32 {
-        self.out_link[(self.port_base[r as usize] + i as u32) as usize]
+        self.peer(self.tx(r, i))
     }
 }
 
@@ -455,6 +476,8 @@ pub struct InjPool {
     len: Vec<u32>,
     pub(crate) pkt: Vec<u32>,
     pub(crate) next_seq: Vec<u16>,
+    /// The claimed first-hop (tx port, VC): `tx · vcs + vc`, the index of
+    /// the lane's credit counter and `out_owner` flag.
     pub(crate) out_buf: Vec<u32>,
     pub(crate) last_sent: Vec<u32>,
     /// Whether the stream's packet terminates at the downstream router
@@ -533,15 +556,8 @@ impl InjPool {
     pub fn sweep_finished(&mut self, r: usize, packet_flits: u16) {
         let mut s = 0;
         while s < self.len[r] {
-            let slot = (self.base[r] + s) as usize;
-            if self.next_seq[slot] >= packet_flits {
-                let last = (self.base[r] + self.len[r] - 1) as usize;
-                self.pkt[slot] = self.pkt[last];
-                self.next_seq[slot] = self.next_seq[last];
-                self.out_buf[slot] = self.out_buf[last];
-                self.last_sent[slot] = self.last_sent[last];
-                self.term[slot] = self.term[last];
-                self.len[r] -= 1;
+            if self.next_seq[(self.base[r] + s) as usize] >= packet_flits {
+                self.remove(r, s);
             } else {
                 s += 1;
             }
@@ -597,24 +613,41 @@ mod tests {
         assert_eq!(p.total(), 1);
     }
 
+    /// `peer` is an involution pairing the two ends of every link:
+    /// `peer(tx(r, i))` is `downstream(r, i)`, a port of `neighbors(r)[i]`
+    /// whose own neighbor is `r` — on a ring, the Petersen graph and ER_7
+    /// (whose quadric vertices have a smaller degree).
     #[test]
     fn portmap_links_are_symmetric() {
         use pf_graph::GraphBuilder;
-        let mut b = GraphBuilder::new(5);
+        let mut ring = GraphBuilder::new(5);
+        let mut petersen = GraphBuilder::new(10);
         for i in 0..5u32 {
-            b.add_edge(i, (i + 1) % 5);
+            ring.add_edge(i, (i + 1) % 5);
+            petersen.add_edge(i, (i + 1) % 5);
+            petersen.add_edge(i, i + 5);
+            petersen.add_edge(i + 5, (i + 2) % 5 + 5);
         }
-        let g = b.build();
-        let pm = PortMap::build(&g);
-        assert_eq!(pm.num_ports(), 10);
-        for r in 0..5u32 {
-            for (i, &t) in g.neighbors(r).iter().enumerate() {
-                let down = pm.downstream(r, i);
-                // The downstream port belongs to t and its peer is r.
-                let (lo, hi) = pm.ports(t as usize);
-                assert!((lo..hi).contains(&down));
-                let j = (down - lo) as usize;
-                assert_eq!(g.neighbors(t)[j], r);
+        let er7 = polarfly::PolarFly::new(7).unwrap();
+        for g in [&ring.build(), &petersen.build(), er7.graph()] {
+            let pm = PortMap::build(g);
+            assert_eq!(pm.num_ports(), 2 * g.edge_count());
+            let mut port_owner = vec![0u32; pm.num_ports()];
+            for r in 0..g.vertex_count() {
+                let (lo, hi) = pm.ports(r);
+                port_owner[lo as usize..hi as usize].fill(r as u32);
+            }
+            for r in 0..g.vertex_count() as u32 {
+                for (i, &t) in g.neighbors(r).iter().enumerate() {
+                    let tx = pm.tx(r, i);
+                    let down = pm.peer(tx);
+                    assert_eq!(pm.peer(down), tx);
+                    assert_eq!(down, pm.downstream(r, i));
+                    assert_eq!(port_owner[tx as usize], r);
+                    assert_eq!(port_owner[down as usize], t);
+                    let j = (down - pm.ports(t as usize).0) as usize;
+                    assert_eq!(g.neighbors(t)[j], r);
+                }
             }
         }
     }

@@ -36,8 +36,10 @@ pub struct NetState<'e> {
     pub graph: &'e Csr,
     /// Port geometry.
     pub geom: &'e PortMap,
-    /// Per-link liveness, indexed by downstream input port: `false` marks
-    /// a failed link no routing decision may select.
+    /// Per-link liveness, indexed by the sender's port
+    /// ([`PortMap::tx`]): `false` marks a failed link no routing decision
+    /// may select. Both directions of a link fail together, so the slice
+    /// is symmetric under [`PortMap::peer`].
     pub link_up: &'e [bool],
     /// Per-router liveness on transient runs (empty = every router up).
     /// A down router neither injects nor ejects, and detour intermediates
@@ -50,9 +52,12 @@ pub struct NetState<'e> {
     /// Whether any link is failed — `false` keeps the healthy hot paths
     /// free of mask loads.
     pub degraded: bool,
-    /// Free slots per (input-buffer, VC) queue — the sender's credit view.
+    /// The sender's credit view, indexed by the sender's (tx port, VC):
+    /// `credits[tx(r, i) · vcs + v]` is the free space of VC `v` of the
+    /// input buffer at the far end of `r`'s link `i`.
     pub credits: &'e [u16],
-    /// Source-queue backlog charged per minimal first-hop link (packets).
+    /// Source-queue backlog (packets) charged per minimal first-hop
+    /// link, indexed by the sender's port.
     pub inj_wait: &'e [u32],
     /// Virtual channels per port.
     pub vcs: usize,
@@ -80,7 +85,7 @@ impl NetState<'_> {
     /// Occupied flits across all VCs of the link toward neighbor-index `i`
     /// of router `r` — the congestion signal UGAL uses.
     pub fn link_occupancy(&self, r: u32, i: usize) -> u32 {
-        let link = self.geom.downstream(r, i) as usize;
+        let link = self.geom.tx(r, i) as usize;
         let mut occ = 0;
         for vc in 0..self.vcs {
             occ += self.cap_per_vc - u32::from(self.credits[link * self.vcs + vc]);
@@ -92,7 +97,7 @@ impl NetState<'_> {
     /// plus the source-queue backlog charged to that link (in flits).
     pub fn occupancy_toward(&self, r: u32, next: u32) -> u32 {
         let i = self.neighbor_index(r, next);
-        let link = self.geom.downstream(r, i);
+        let link = self.geom.tx(r, i);
         self.link_occupancy(r, i) + self.inj_wait[link as usize] * u32::from(self.packet_flits)
     }
 
@@ -100,7 +105,7 @@ impl NetState<'_> {
     /// `next` — the congestion signal for the UGAL-PF threshold.
     pub fn class0_occupancy_toward(&self, r: u32, next: u32) -> u32 {
         let i = self.neighbor_index(r, next);
-        let link = self.geom.downstream(r, i) as usize;
+        let link = self.geom.tx(r, i) as usize;
         let mut occ = 0;
         for vc in 0..self.per_class {
             occ += self.cap_per_vc - u32::from(self.credits[link * self.vcs + vc]);
@@ -111,7 +116,7 @@ impl NetState<'_> {
     /// Whether the physical link from `r` to its neighbor-index `i` is up.
     #[inline]
     pub fn link_ok(&self, r: u32, i: usize) -> bool {
-        !self.degraded || self.link_up[self.geom.downstream(r, i) as usize]
+        !self.degraded || self.link_up[self.geom.tx(r, i) as usize]
     }
 
     /// Whether router `r` is up (always true outside transient runs).
@@ -127,7 +132,7 @@ impl NetState<'_> {
         if !self.degraded {
             return true;
         }
-        self.link_up[self.geom.downstream(r, self.neighbor_index(r, next)) as usize]
+        self.link_up[self.geom.tx(r, self.neighbor_index(r, next)) as usize]
     }
 
     /// A uniformly random *live* neighbor of `r` (reservoir sampling over

@@ -3,12 +3,14 @@
 //! Unit tests of [`SkipCtl`] and [`BitSet`], then the parity suite: the
 //! live engine against the dense reference schedule
 //! ([`Reference::DenseSchedule`] — every router, the per-port counters,
-//! a pass-2 rescan, every cycle), across topology sizes and degrees,
-//! routing algorithms, injection modes, fault bursts and telemetry
-//! settings. The contract is *exact*: every simulated field of
+//! a rescan in every allocator pass, every cycle), across topology sizes
+//! and degrees, routing algorithms, injection modes, fault bursts and
+//! telemetry settings. The contract is *exact*: every simulated field of
 //! `SimResult` equals the reference run's, down to the bit; only the
-//! execution-observability field `skipped_router_cycles` differs. See
-//! `DESIGN.md`, "Event-driven cycle skipping".
+//! execution-observability field `skipped_router_cycles` differs — and
+//! not even that against [`Reference::FullRescan`], which keeps the live
+//! iteration domains and swaps only the allocator's stalled-list replay
+//! for the rescan. See `DESIGN.md`, "Event-driven cycle skipping".
 
 #[path = "../../tests/common/mod.rs"]
 mod common;
@@ -191,6 +193,88 @@ fn check_bernoulli(topo: &dyn Topology, routing: Routing, load: f64, cfg: &SimCo
     );
 }
 
+/// The stalled-list replay against both oracles: the full rescan on the
+/// live iteration domains (everything equal, `skipped_router_cycles`
+/// included — a router the tail-sent list failed to sleep would show
+/// there) and the dense schedule. Returns the live run's result and
+/// `[vc stalls, credit stalls, match losses]`.
+fn check_replay(
+    topo: &dyn Topology,
+    pattern: TrafficPattern,
+    routing: Routing,
+    load: f64,
+    cfg: &SimConfig,
+) -> (SimResult, [u64; 3]) {
+    let (tables, dests) = resolve_run(topo, pattern, cfg.seed);
+    let run = |reference| {
+        let mut e = Engine::new(topo, &tables, &dests, routing, load, cfg.clone());
+        e.reference = reference;
+        let result = e.run_in_place();
+        let diags = [e.diag_vc_stalls, e.diag_credit_stalls, e.diag_match_losses];
+        (result, diags)
+    };
+    let label = format!(
+        "{} {} {pattern} load {load} iters {}",
+        topo.name(),
+        routing.label(),
+        cfg.alloc_iters
+    );
+    let (live, live_diags) = run(Reference::Off);
+    assert!(live.delivered > 0, "{label}: vacuous");
+    for reference in [Reference::FullRescan, Reference::DenseSchedule] {
+        let (oracle, oracle_diags) = run(reference);
+        let label = format!("{label} vs {reference:?}");
+        assert_bit_identical(&oracle, &live, &label);
+        assert_eq!(oracle_diags, live_diags, "{label}: stall/loss counters");
+        if reference == Reference::FullRescan {
+            assert_eq!(
+                oracle.skipped_router_cycles, live.skipped_router_cycles,
+                "{label}: skipped router-cycles"
+            );
+        }
+    }
+    (live, live_diags)
+}
+
+/// Three allocator passes — the stalled lists are rebuilt by a replay
+/// and replayed again — over one-packet VC buffers, so credits bind.
+#[test]
+fn replay_parity_three_passes() {
+    let topo = PolarFlyTopo::new(7, 4).unwrap();
+    let cfg = SimConfig::quick()
+        .seed(5)
+        .alloc_iters(3)
+        .buffer_flits_per_port(32);
+    for routing in [Routing::Min, Routing::UgalPf] {
+        let (_, [vc, credit, _]) = check_replay(&topo, TrafficPattern::Uniform, routing, 0.6, &cfg);
+        assert!(vc > 0 && credit > 0, "nothing ever stalled");
+    }
+}
+
+/// UGAL-PF on the 2-hop permutation past saturation: VC and credit
+/// stalls in every pass, and Valiant draws by heads first routed in a
+/// later pass.
+#[test]
+fn replay_parity_saturated_adversarial() {
+    let topo = PolarFlyTopo::new(7, 4).unwrap();
+    let cfg = SimConfig::quick().seed(7);
+    let (live, [vc, credit, losses]) =
+        check_replay(&topo, TrafficPattern::Perm2Hop, Routing::UgalPf, 0.8, &cfg);
+    assert!(live.saturated, "load 0.8 on a permutation must saturate");
+    assert!(vc > 0 && credit > 0 && losses > 0);
+}
+
+/// One endpoint per router: two lanes share one flit per cycle, so
+/// `inj_budget` decides grants (a lane that loses to it is a match
+/// loss) and gates the later passes' lane scans.
+#[test]
+fn replay_parity_injection_budget_binds() {
+    let topo = PolarFlyTopo::new(7, 1).unwrap();
+    let cfg = SimConfig::quick().seed(11).alloc_iters(3);
+    let (_, [_, _, losses]) = check_replay(&topo, TrafficPattern::Uniform, Routing::Min, 0.9, &cfg);
+    assert!(losses > 0, "the injection budget never bound");
+}
+
 /// Steps a live engine for `cycles`, holding the iteration domains to
 /// ground truth ([`Engine::validate_skip_invariants`]: bitset ⇔ counter
 /// coherence, wake bounds) and the flow accounting after every step.
@@ -360,6 +444,16 @@ fn workload_parity() {
             let run = closed_loop_run(&topo, routing, jobs(), &cfg, Reference::Off);
             let label = format!("workload q={q} {}", routing.label());
             assert_bit_identical(&dense, &run, &label);
+            if q == 7 {
+                // Mostly-asleep routers: where a lane retired without its
+                // router being put to sleep would cost skipped cycles.
+                let full = closed_loop_run(&topo, routing, jobs(), &cfg, Reference::FullRescan);
+                assert_bit_identical(&full, &run, &label);
+                assert_eq!(
+                    full.skipped_router_cycles, run.skipped_router_cycles,
+                    "{label}: skipped router-cycles vs the full rescan"
+                );
+            }
             assert!(
                 run.skipped_router_cycles > 0,
                 "{label}: no skips on a sparse workload"

@@ -477,6 +477,24 @@ impl TelemetryCtl {
 }
 
 impl Engine<'_> {
+    /// Traces a route decision that claimed VC `vc` of router `r`'s own
+    /// output `tx_port`. The engine indexes outputs by the sender's
+    /// port; trace events name the *downstream* input port and buffer
+    /// the flits will arrive at.
+    pub(crate) fn trace_route_claim(
+        &mut self,
+        pkt: u32,
+        r: u32,
+        tx_port: u32,
+        vc: u8,
+        source: u32,
+    ) {
+        let down = self.geom.peer(tx_port);
+        let buf = down * self.vcs as u32 + u32::from(vc);
+        self.telemetry
+            .trace_route(pkt, r, down, buf, source, self.cycle);
+    }
+
     /// Records every epoch boundary due at or before the current
     /// cycle. Called at the top of each step and immediately after a
     /// whole-cycle leap, so boundary snapshots are taken *before* the
