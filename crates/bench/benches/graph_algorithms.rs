@@ -36,10 +36,12 @@ fn graph_benches(c: &mut Criterion) {
         b.iter(|| failure_trial(g47, &[0.1, 0.3, 0.5], 1))
     });
     grp.bench_function("triangle_count_q31", |b| b.iter(|| triangles::count(g)));
-    grp.bench_function("bisection_q19", |b| {
-        let pf19 = PolarFly::new(19).unwrap();
-        b.iter(|| partition::bisect(pf19.graph(), 2, 1).cut_edges)
-    });
+    for q in [19u64, 47, 127] {
+        let pf = PolarFly::new(q).unwrap();
+        grp.bench_function(format!("bisection_q{q}"), |b| {
+            b.iter(|| partition::bisect(pf.graph(), 2, 1).cut_edges)
+        });
+    }
     grp.bench_function("jellyfish_gen_993x32", |b| {
         let mut seed = 0u64;
         b.iter(|| {

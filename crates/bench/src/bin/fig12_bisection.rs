@@ -1,7 +1,9 @@
 //! Figure 12: bisection bandwidth — fraction of links crossing a balanced
 //! bisection — versus network radix, for PF, SF, DF, JF (fat tree = 0.5 by
 //! construction). Partitioner: spectral + Fiduccia–Mattheyses (METIS
-//! substitute, see DESIGN.md).
+//! substitute, see DESIGN.md, "Bisection (Fig. 12)"). The default-scale
+//! stdout is committed as `crates/bench/golden/fig12_bisection.txt` and
+//! diffed in CI.
 
 #![allow(clippy::print_stdout)] // figure/table emitters print their artifact
 

@@ -562,7 +562,7 @@ impl<'a> Engine<'a> {
         deadline_expired: bool,
         jobs: Vec<crate::stats::JobResult>,
     ) -> SimResult {
-        let mut stats = std::mem::take(&mut self.stats);
+        let stats = std::mem::take(&mut self.stats);
         let telemetry = self.telemetry_finish();
         SimResult {
             offered_load,

@@ -120,41 +120,62 @@ impl SimResult {
     }
 }
 
-/// Online latency accumulator.
+/// Latencies below this bound are counted in a dense histogram; the rare
+/// ones at or above it are kept one by one, so a pathological latency
+/// cannot size the histogram.
+const DENSE_LATENCIES: u32 = 1 << 16;
+
+/// Online latency accumulator: an exact counting histogram, so its size
+/// follows the largest latency seen (a few KB) and not the packet count.
 #[derive(Debug, Default, Clone)]
 pub struct LatencyStats {
-    samples: Vec<u32>,
+    /// `counts[l]`: packets of latency `l < DENSE_LATENCIES`, grown to the
+    /// largest such latency recorded.
+    counts: Vec<u64>,
+    /// Every latency `≥ DENSE_LATENCIES`, unordered.
+    overflow: Vec<u32>,
+    packets: u64,
+    latency_sum: u64,
     hop_sum: u64,
 }
 
 impl LatencyStats {
     /// Records a delivered packet.
     pub fn record(&mut self, latency: u32, hops: u32) {
-        self.samples.push(latency);
+        if latency < DENSE_LATENCIES {
+            let l = latency as usize;
+            if l >= self.counts.len() {
+                self.counts.resize(l + 1, 0);
+            }
+            self.counts[l] += 1;
+        } else {
+            self.overflow.push(latency);
+        }
+        self.packets += 1;
+        self.latency_sum += u64::from(latency);
         self.hop_sum += u64::from(hops);
     }
 
     /// Number of recorded packets.
     pub fn count(&self) -> u64 {
-        self.samples.len() as u64
+        self.packets
     }
 
     /// Mean latency (0 if empty).
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.packets == 0 {
             0.0
         } else {
-            self.samples.iter().map(|&l| u64::from(l)).sum::<u64>() as f64
-                / self.samples.len() as f64
+            self.latency_sum as f64 / self.packets as f64
         }
     }
 
     /// Mean hop count (0 if empty).
     pub fn mean_hops(&self) -> f64 {
-        if self.samples.is_empty() {
+        if self.packets == 0 {
             0.0
         } else {
-            self.hop_sum as f64 / self.samples.len() as f64
+            self.hop_sum as f64 / self.packets as f64
         }
     }
 
@@ -165,22 +186,27 @@ impl LatencyStats {
     /// panicking). 0 if empty. Exact for tiny samples: `n < 1/(1-pct)`
     /// (e.g. p99 of under 100 packets) reports the maximum, never an
     /// interpolated or out-of-bounds rank.
-    pub fn percentile(&mut self, pct: f64) -> f64 {
-        if self.samples.is_empty() {
+    pub fn percentile(&self, pct: f64) -> f64 {
+        if self.packets == 0 {
             return 0.0;
         }
-        let n = self.samples.len();
-        if n == 1 {
-            // Every percentile of a single sample is that sample; the
-            // early return also skips the select entirely.
-            return f64::from(self.samples[0]);
-        }
+        let n = self.packets;
         let rank_f = (pct * n as f64).ceil();
         // NaN would cast to 0 and silently clamp to the *minimum*; the
         // conservative degradation for a meaningless pct is the max.
-        let rank = if rank_f.is_nan() { n } else { rank_f as usize };
-        let idx = rank.clamp(1, n) - 1;
-        let (_, v, _) = self.samples.select_nth_unstable(idx);
+        let rank = if rank_f.is_nan() { n } else { rank_f as u64 };
+        let rank = rank.clamp(1, n);
+        let mut below = 0u64;
+        for (latency, &c) in self.counts.iter().enumerate() {
+            below += c;
+            if below >= rank {
+                return latency as f64;
+            }
+        }
+        // The rank falls among the overflow latencies, all of which exceed
+        // every counted one.
+        let mut rest = self.overflow.clone();
+        let (_, v, _) = rest.select_nth_unstable((rank - below - 1) as usize);
         f64::from(*v)
     }
 }
@@ -203,7 +229,7 @@ mod tests {
 
     #[test]
     fn empty_stats_are_zero() {
-        let mut s = LatencyStats::default();
+        let s = LatencyStats::default();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.percentile(0.5), 0.0);
         assert_eq!(s.percentile(0.99), 0.0);
@@ -220,26 +246,26 @@ mod tests {
     #[test]
     fn percentile_nearest_rank_tiny_samples() {
         // n = 1: every percentile is the single sample.
-        let mut s = stats_of(&[42]);
+        let s = stats_of(&[42]);
         assert_eq!(s.percentile(0.0), 42.0);
         assert_eq!(s.percentile(0.5), 42.0);
         assert_eq!(s.percentile(0.99), 42.0);
         assert_eq!(s.percentile(1.0), 42.0);
 
         // n = 3: p50 rank = ceil(1.5) = 2, p99 rank = ceil(2.97) = 3.
-        let mut s = stats_of(&[30, 10, 20]);
+        let s = stats_of(&[30, 10, 20]);
         assert_eq!(s.percentile(0.5), 20.0);
         assert_eq!(s.percentile(0.99), 30.0);
 
         // n = 4: p50 rank = ceil(2.0) = 2 exactly — the classic
         // nearest-rank half-sample case (NOT the 3rd sample).
-        let mut s = stats_of(&[40, 10, 30, 20]);
+        let s = stats_of(&[40, 10, 30, 20]);
         assert_eq!(s.percentile(0.5), 20.0);
         assert_eq!(s.percentile(0.75), 30.0);
         assert_eq!(s.percentile(0.99), 40.0);
 
         // n = 10: p50 rank = ceil(5.0) = 5; p90 rank = 9; p99 rank = 10.
-        let mut s = stats_of(&[100, 10, 90, 20, 80, 30, 70, 40, 60, 50]);
+        let s = stats_of(&[100, 10, 90, 20, 80, 30, 70, 40, 60, 50]);
         assert_eq!(s.percentile(0.5), 50.0);
         assert_eq!(s.percentile(0.9), 90.0);
         assert_eq!(s.percentile(0.99), 100.0);
@@ -251,19 +277,19 @@ mod tests {
         // be the maximum, never an interpolated lower sample.
         for n in [2usize, 5, 50, 99] {
             let samples: Vec<u32> = (1..=n as u32).collect();
-            let mut s = stats_of(&samples);
+            let s = stats_of(&samples);
             assert_eq!(s.percentile(0.99), n as f64, "n = {n}");
         }
         // At exactly n = 100 the rank drops below the max for the first
         // time: ceil(99.0) = 99 → the 99th smallest.
         let samples: Vec<u32> = (1..=100).collect();
-        let mut s = stats_of(&samples);
+        let s = stats_of(&samples);
         assert_eq!(s.percentile(0.99), 99.0);
     }
 
     #[test]
     fn percentile_out_of_range_pct_clamps() {
-        let mut s = stats_of(&[10, 20, 30]);
+        let s = stats_of(&[10, 20, 30]);
         // Degenerate pct values clamp to min/max instead of panicking.
         assert_eq!(s.percentile(-1.0), 10.0);
         assert_eq!(s.percentile(0.0), 10.0);
@@ -272,31 +298,57 @@ mod tests {
         // A NaN pct degrades to the maximum (the conservative bound),
         // not the minimum a raw `NaN as usize` cast would pick.
         assert_eq!(s.percentile(f64::NAN), 30.0);
-        let mut one = stats_of(&[42]);
+        let one = stats_of(&[42]);
         assert_eq!(one.percentile(f64::NAN), 42.0);
     }
 
     #[test]
     fn percentile_p50_p999_tiny_samples() {
         // 0 samples: all percentiles are 0.
-        let mut s = LatencyStats::default();
+        let s = LatencyStats::default();
         assert_eq!(s.percentile(0.999), 0.0);
         // 1 sample: all percentiles are the sample.
-        let mut s = stats_of(&[7]);
+        let s = stats_of(&[7]);
         assert_eq!(s.percentile(0.5), 7.0);
         assert_eq!(s.percentile(0.999), 7.0);
         // 2 samples: p50 rank = ceil(1.0) = 1 (the smaller); p999 rank
         // = ceil(1.998) = 2 (the max).
-        let mut s = stats_of(&[20, 10]);
+        let s = stats_of(&[20, 10]);
         assert_eq!(s.percentile(0.5), 10.0);
         assert_eq!(s.percentile(0.999), 20.0);
         // Below 1000 samples p999 is pinned to the max; at exactly
         // n = 1000 the rank drops to 999 for the first time.
-        let mut s = stats_of(&(1..=999).collect::<Vec<u32>>());
+        let s = stats_of(&(1..=999).collect::<Vec<u32>>());
         assert_eq!(s.percentile(0.999), 999.0);
-        let mut s = stats_of(&(1..=1000).collect::<Vec<u32>>());
+        let s = stats_of(&(1..=1000).collect::<Vec<u32>>());
         assert_eq!(s.percentile(0.999), 999.0);
-        let mut s = stats_of(&(1..=1001).collect::<Vec<u32>>());
+        let s = stats_of(&(1..=1001).collect::<Vec<u32>>());
         assert_eq!(s.percentile(0.999), 1000.0);
+    }
+
+    #[test]
+    fn histogram_equals_sorted_samples() {
+        // Latencies on both sides of the dense bound, duplicates, and one
+        // far outlier that must not size the histogram.
+        let b = DENSE_LATENCIES;
+        let mut samples: Vec<u32> = (0..4_000u32).map(|i| i * i % 977).collect();
+        samples.extend([b - 1, b, b, b + 5, 7, 7, u32::MAX]);
+        let s = stats_of(&samples);
+        assert_eq!(s.counts.len(), b as usize);
+        assert_eq!(s.overflow.len(), 4);
+        assert_eq!(s.count(), samples.len() as u64);
+        let sum: u64 = samples.iter().map(|&l| u64::from(l)).sum();
+        assert_eq!(s.mean(), sum as f64 / samples.len() as f64);
+        samples.sort_unstable();
+        let n = samples.len();
+        for pct in [0.0, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 0.9985, 0.9995, 1.0] {
+            let rank = ((pct * n as f64).ceil() as usize).clamp(1, n);
+            assert_eq!(s.percentile(pct), f64::from(samples[rank - 1]), "pct {pct}");
+        }
+        // Only overflow samples.
+        let s = stats_of(&[b + 9, b + 1, b + 5]);
+        assert_eq!(s.percentile(0.0), f64::from(b + 1));
+        assert_eq!(s.percentile(0.5), f64::from(b + 5));
+        assert_eq!(s.percentile(1.0), f64::from(b + 9));
     }
 }

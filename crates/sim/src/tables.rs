@@ -5,8 +5,9 @@
 //!
 //! Distances come from [`DistanceMatrix::build`] (the word-parallel
 //! all-pairs kernel of `pf_graph::bfs`); next hops are picked
-//! source-major by comparing whole distance rows, with one RNG stream per
-//! destination so the tie-breaks do not depend on how the work is split.
+//! source-major from per-vertex distance-residue bitsets, with one RNG
+//! stream per destination so the tie-breaks do not depend on how the work
+//! is split.
 //! A next hop is stored as one byte — its position in the source's
 //! neighbor list — so the tables cost 2·n² bytes (distance + hop) plus
 //! the O(E) adjacency that turns the position back into a router id.
@@ -164,17 +165,19 @@ impl RouteTables {
 
 /// Fills the next-hop columns `d0 .. d0 + width` of every source row
 /// (`rows[s]` is that window of row `s`, pre-filled with [`STAY`]) with
-/// neighbor positions. For each `s` and each neighbor
-/// `w` in CSR order, the destinations `w` is a minimal next hop toward are
-/// those with `dist(w, d) + 1 == dist(s, d)` — a byte-wise compare of two
-/// distance rows (the matrix is symmetric, so row `w` is also "distance
-/// *to* every `d`"). Unreachable pairs wrap to 0 ≠ 255 and never match.
+/// neighbor positions. For each `s` and each neighbor `w` in CSR order, the
+/// destinations `w` is a minimal next hop toward are those with
+/// `dist(w, d) + 1 == dist(s, d)` (the matrix is symmetric, so row `w` is
+/// also "distance *to* every `d`").
 ///
 /// Candidates are sparse (one neighbor in `deg` on a diameter-2 graph), so
-/// the compare runs in three branch-free or well-predicted steps: a
-/// vectorizable pass writes one 0/1 byte per destination, the bytes are
-/// read back eight at a time and the non-zero groups compacted, and only
-/// those groups reach the reservoir draw.
+/// the rows are not compared byte by byte. Each vertex gets three bitsets
+/// over the window: bit `i` of `res[v][r]` is set iff `dist(v, d0 + i)` is
+/// finite and ≡ `r` (mod 3). Neighbors' distances to any `d` differ by at
+/// most one, so among them "one less" and "one less mod 3" are the same
+/// condition: the candidates of `(s, w)` are the OR over `r` of
+/// `res[s][r] & res[w][r − 1]`, a few words at any diameter, and only set
+/// bits reach the reservoir draw. Unreachable pairs are in no bitset.
 fn fill_stripe(g: &Csr, dist: &DistanceMatrix, seed: u64, d0: usize, rows: Vec<&mut [u8]>) {
     let width = rows.first().map_or(0, |r| r.len());
     let window = d0..d0 + width;
@@ -184,35 +187,28 @@ fn fill_stripe(g: &Csr, dist: &DistanceMatrix, seed: u64, d0: usize, rows: Vec<&
         .collect();
     // Reservoir sampling state: candidates seen so far per destination.
     let mut seen = vec![0u32; width];
-    // `hit[i] = 1` iff destination `d0 + i` is a candidate of the current
-    // `(s, w)`; zero-padded to whole 8-byte groups.
-    let mut hit = vec![0u8; width.next_multiple_of(8)];
-    // `(group index, its eight hit bytes as one word)` of non-zero groups.
-    let mut groups = vec![(0usize, 0u64); hit.len() / 8];
+    let words = width.div_ceil(64);
+    // `res[v·stride + r·words ..][.. words]` is the bitset `res[v][r]`.
+    let stride = 3 * words;
+    let mut res = vec![0u64; rows.len() * stride];
+    for (v, sets) in res.chunks_exact_mut(stride).enumerate() {
+        for (i, &dv) in dist.row(v as u32)[window.clone()].iter().enumerate() {
+            if dv != bfs::UNREACHABLE {
+                sets[usize::from(dv % 3) * words + i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
     for (s, out) in rows.into_iter().enumerate() {
-        let s = s as u32;
         seen.fill(0);
-        let from_s = &dist.row(s)[window.clone()];
-        for (wi, &w) in g.neighbors(s).iter().enumerate() {
-            let from_w = &dist.row(w)[window.clone()];
-            for (h, (&dw, &ds)) in hit.iter_mut().zip(from_w.iter().zip(from_s)) {
-                *h = u8::from(dw.wrapping_add(1) == ds);
-            }
-            let mut found = 0;
-            for (group, bytes) in hit.chunks_exact(8).enumerate() {
-                let word = bytes
-                    .iter()
-                    .rev()
-                    .fold(0u64, |acc, &b| acc << 8 | u64::from(b));
-                // Unconditional store, conditional advance: no branch on
-                // the (unpredictable) hit pattern.
-                groups[found] = (group, word);
-                found += usize::from(word != 0);
-            }
-            for &(group, word) in &groups[..found] {
-                let mut rest = word;
+        let of_s = &res[s * stride..][..stride];
+        for (wi, &w) in g.neighbors(s as u32).iter().enumerate() {
+            let of_w = &res[w as usize * stride..][..stride];
+            for k in 0..words {
+                let mut rest = (0..3).fold(0u64, |acc, r| {
+                    acc | of_s[r * words + k] & of_w[(r + 2) % 3 * words + k]
+                });
                 while rest != 0 {
-                    let i = group * 8 + (rest.trailing_zeros() / 8) as usize;
+                    let i = k * 64 + rest.trailing_zeros() as usize;
                     rest &= rest - 1;
                     seen[i] += 1;
                     // Uniform among the candidates.
@@ -223,7 +219,7 @@ fn fill_stripe(g: &Csr, dist: &DistanceMatrix, seed: u64, d0: usize, rows: Vec<&
             }
         }
         debug_assert!(
-            from_s
+            dist.row(s as u32)[window.clone()]
                 .iter()
                 .zip(&seen)
                 .all(|(&ds, &c)| (c == 0) == (ds == 0 || ds == bfs::UNREACHABLE)),
@@ -235,7 +231,8 @@ fn fill_stripe(g: &Csr, dist: &DistanceMatrix, seed: u64, d0: usize, rows: Vec<&
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pf_graph::GraphBuilder;
+    use pf_graph::{FailureSet, GraphBuilder};
+    use polarfly::PolarFly;
 
     fn ring(n: usize) -> Csr {
         let mut b = GraphBuilder::new(n);
@@ -243,6 +240,89 @@ mod tests {
             b.add_edge(i, (i + 1) % n as u32);
         }
         b.build()
+    }
+
+    /// The fill [`fill_stripe`] replaced, kept as its oracle: a byte-wise
+    /// compare of the two distance rows of every `(s, neighbor)`
+    /// (unreachable pairs wrap to 0 ≠ 255 and never match).
+    fn fill_stripe_bytes(
+        g: &Csr,
+        dist: &DistanceMatrix,
+        seed: u64,
+        d0: usize,
+        rows: Vec<&mut [u8]>,
+    ) {
+        let width = rows.first().map_or(0, |r| r.len());
+        let window = d0..d0 + width;
+        let mut rngs: Vec<StdRng> = window
+            .clone()
+            .map(|d| {
+                StdRng::seed_from_u64(seed ^ (d as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            })
+            .collect();
+        let mut seen = vec![0u32; width];
+        for (s, out) in rows.into_iter().enumerate() {
+            seen.fill(0);
+            let from_s = &dist.row(s as u32)[window.clone()];
+            for (wi, &w) in g.neighbors(s as u32).iter().enumerate() {
+                let from_w = &dist.row(w)[window.clone()];
+                for (i, (&dw, &ds)) in from_w.iter().zip(from_s).enumerate() {
+                    if dw.wrapping_add(1) == ds {
+                        seen[i] += 1;
+                        if rngs[i].gen_range(0..seen[i]) == 0 {
+                            out[i] = wi as u8;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whole `next` array of [`RouteTables::build`] against the oracle run
+    /// as a single stripe over all destinations (the table does not depend
+    /// on how the columns are striped).
+    fn assert_fill_matches_oracle(g: &Csr, seed: u64, what: &str) {
+        let n = g.vertex_count();
+        let t = RouteTables::build(g, seed);
+        let mut want = vec![STAY; n * n];
+        fill_stripe_bytes(g, &t.dist, seed, 0, want.chunks_mut(n).collect());
+        assert!(
+            t.next == want,
+            "{what}, seed {seed}: next-hop table differs"
+        );
+    }
+
+    #[test]
+    fn residue_fill_equals_byte_compare_fill() {
+        // Rings: diameter ≫ 2, so distances run through every residue many
+        // times over and (on the even ring) antipodal pairs tie; 300 spans
+        // two stripes.
+        for n in [9usize, 64, 101, 300] {
+            for seed in [1u64, 42] {
+                assert_fill_matches_oracle(&ring(n), seed, &format!("ring({n})"));
+            }
+        }
+        // Two components: unreachable pairs stay STAY.
+        let mut b = GraphBuilder::new(20);
+        for i in 0..12u32 {
+            b.add_edge(i, (i + 1) % 12);
+        }
+        for i in 12..19u32 {
+            b.add_edge(i, i + 1);
+        }
+        assert_fill_matches_oracle(&b.build(), 5, "ring(12) + path(8)");
+        // ER_7 with 30 % of its links failed: irregular degrees, ties.
+        let pf = PolarFly::new(7).unwrap();
+        let residual = FailureSet::sample(pf.graph(), 0.30, 3).residual(pf.graph());
+        for seed in [1u64, 7] {
+            assert_fill_matches_oracle(&residual, seed, "ER_7 -30%");
+        }
+        // The widest star the byte-wide table admits.
+        let mut b = GraphBuilder::new(MAX_DEGREE + 1);
+        for leaf in 1..=MAX_DEGREE as u32 {
+            b.add_edge(0, leaf);
+        }
+        assert_fill_matches_oracle(&b.build(), 1, "star");
     }
 
     #[test]

@@ -68,6 +68,75 @@ fn bisection_orders_topologies_like_figure_12() {
     assert!(cut_pf > 0.33 && cut_pf < 0.5);
 }
 
+/// Fig. 12 as the paper states it: PF exceeds 0.4 from radix 18 and keeps
+/// approaching 0.5, SF sits near 0.33, DF near 0.17, and a PF-sized
+/// Jellyfish falls between PF and SF.
+#[test]
+fn figure_12_bisection_fractions_match_the_paper() {
+    let mut last = 0.0;
+    for q in [7u64, 11, 13, 17, 19, 23, 25, 27, 31, 43, 61] {
+        let pf = PolarFly::new(q).unwrap();
+        let cut = bisection_cut_fraction(pf.graph(), 2, 42);
+        assert_eq!(cut > 0.40, q + 1 >= 18, "radix {}: {cut}", q + 1);
+        assert!(
+            cut > last && cut < 0.5,
+            "radix {}: {cut} after {last}",
+            q + 1
+        );
+        last = cut;
+    }
+    // The comparison points, with the restarts `fig12_bisection` uses.
+    let pf = bisection_cut_fraction(PolarFly::new(31).unwrap().graph(), 3, 42);
+    let jf = bisection_cut_fraction(pf_topo::Jellyfish::new(993, 32, 1, 7).graph(), 3, 42);
+    let sf = bisection_cut_fraction(pf_topo::SlimFly::new(19, 1).unwrap().graph(), 3, 42);
+    let df = bisection_cut_fraction(pf_topo::Dragonfly::new(12, 6, 1).graph(), 3, 42);
+    assert!((0.32..=0.36).contains(&sf), "SF {sf}");
+    assert!((0.16..=0.20).contains(&df), "DF {df}");
+    assert!(
+        pf > jf && jf > sf && sf > df,
+        "PF {pf} JF {jf} SF {sf} DF {df}"
+    );
+}
+
+/// `bisect` end to end on the four topology families of Fig. 12: cut and
+/// FNV-1a of the whole side assignment, recorded with the lazy-heap FM
+/// pass the gain buckets replaced (its pass-by-pass oracle lives in
+/// `pf_graph::partition`'s tests). These pin this repo's seeded streams on
+/// purpose: the partition is the contract.
+#[test]
+fn bisection_assignments_match_the_heap_pass() {
+    let er = |q| PolarFly::new(q).unwrap().graph().clone();
+    for (label, g, cut, side_fnv) in [
+        ("ER_7", er(7), 81, 5777689948085252192u64),
+        ("ER_31", er(31), 6700, 8872877210821933059),
+        (
+            "SF(19)",
+            pf_topo::SlimFly::new(19, 1).unwrap().graph().clone(),
+            3439,
+            3589405369161270990,
+        ),
+        (
+            "DF(12,6)",
+            pf_topo::Dragonfly::new(12, 6, 1).graph().clone(),
+            1354,
+            10257784178870300505,
+        ),
+        (
+            "JF(993,32)",
+            pf_topo::Jellyfish::new(993, 32, 1, 7).graph().clone(),
+            6000,
+            12513103175114543233,
+        ),
+    ] {
+        let b = bisect(&g, 2, 42);
+        let got = b.side.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &s| {
+            (h ^ u64::from(s)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((b.cut_edges, got), (cut, side_fnv), "{label}");
+    }
+    assert_eq!(bisect(&er(47), 2, 42).cut_edges, 23593);
+}
+
 #[test]
 fn bisection_sides_are_balanced() {
     let pf = PolarFly::new(9).unwrap();
