@@ -234,7 +234,7 @@ mod tests {
                 assert_eq!(blades.len() as u64, (q - 1) / 2, "q={q} cluster {i}");
                 // Triangles share only the center: non-center vertices
                 // appear in exactly one blade.
-                let mut used = std::collections::HashSet::new();
+                let mut used = std::collections::BTreeSet::new();
                 for &(c, a, b) in &blades {
                     assert_eq!(c, l.center(i));
                     assert!(pf.graph().has_edge(c, a) && pf.graph().has_edge(c, b));
@@ -255,7 +255,7 @@ mod tests {
                 // V.3.2: exactly q + 1 links between C_i and C0.
                 assert_eq!(edges.len() as u64, q + 1, "q={q} cluster {i}");
                 // V.3.3: each quadric is adjacent to exactly one router of C_i.
-                let mut per_quadric = std::collections::HashMap::new();
+                let mut per_quadric = std::collections::BTreeMap::new();
                 for &(_, w) in &edges {
                     *per_quadric.entry(w).or_insert(0u32) += 1;
                 }
@@ -284,8 +284,8 @@ mod tests {
                     let edges = l.inter_cluster_edges(&pf, i, j);
                     // V.4.2: q − 2 independent edges.
                     assert_eq!(edges.len() as u64, q - 2, "q={q} {i}->{j}");
-                    let mut left = std::collections::HashSet::new();
-                    let mut right = std::collections::HashSet::new();
+                    let mut left = std::collections::BTreeSet::new();
+                    let mut right = std::collections::BTreeSet::new();
                     for &(u, w) in &edges {
                         assert!(left.insert(u), "edges not independent");
                         assert!(right.insert(w), "edges not independent");

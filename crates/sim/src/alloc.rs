@@ -258,7 +258,10 @@ impl Engine<'_> {
                 } else {
                     crate::telemetry::ROUTE_MIN
                 };
-                self.trace_route_claim(pkt, r as u32, out_port, ovc, source);
+                let down = self.geom.peer(out_port);
+                let buf = down * self.vcs as u32 + u32::from(ovc);
+                self.telemetry
+                    .trace_route(pkt, r as u32, down, buf, source, self.cycle);
             }
         }
         let re = self.route[qidx];

@@ -288,11 +288,11 @@ impl WorkloadDriver {
         let mut out = Vec::new();
         let pf = self.packet_flits;
         for (ji, job) in self.jobs.iter_mut().enumerate() {
-            while let Some(&Reverse((t, _))) = job.timers.peek() {
+            while let Some(&Reverse((t, tid))) = job.timers.peek() {
                 if t > cycle {
                     break;
                 }
-                let Reverse((_, tid)) = job.timers.pop().unwrap();
+                job.timers.pop();
                 job.pending_tasks -= 1;
                 let (phase, host) = {
                     let task = &job.tasks[tid as usize];

@@ -393,17 +393,19 @@ impl<'a> Engine<'a> {
         let mut link_up = vec![true; num_ports];
         let mut degraded = false;
         if let Some(failures) = topo.link_failures() {
+            #[expect(
+                clippy::expect_used,
+                reason = "construction-time check of the failure set; a non-edge here is a topology bug caught before any cycle runs"
+            )]
             for &(u, v) in failures.edges() {
                 let iu = g
                     .neighbors(u)
                     .binary_search(&v)
-                    // pf-analyze: allow(panic-discipline) — construction-time check of the failure set; a non-edge here is a topology bug caught before any cycle runs
                     .expect("failed link must be a graph edge");
                 link_up[geom.tx(u, iu) as usize] = false;
                 let iv = g
                     .neighbors(v)
                     .binary_search(&u)
-                    // pf-analyze: allow(panic-discipline) — construction-time check of the failure set; a non-edge here is a topology bug caught before any cycle runs
                     .expect("failed link must be a graph edge");
                 link_up[geom.tx(v, iv) as usize] = false;
                 degraded = true;

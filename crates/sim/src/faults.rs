@@ -144,6 +144,10 @@ impl FaultCtl {
         num_ports: usize,
         cfg: &SimConfig,
     ) -> FaultCtl {
+        #[expect(
+            clippy::expect_used,
+            reason = "construction-time check of the fault schedule; a non-edge here is a schedule bug caught before any cycle runs"
+        )]
         let ports_of = |u: u32, v: u32| {
             let iu = g
                 .neighbors(u)
@@ -316,6 +320,10 @@ impl Engine<'_> {
         if self.faults.pending_dirty || self.faults.pending_tables.is_none() {
             self.build_pending_tables();
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "`build_pending_tables` just filled the slot; an empty one is a re-convergence bug where a panic beats serving stale tables forever"
+        )]
         let new = self
             .faults
             .pending_tables

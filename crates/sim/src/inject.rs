@@ -318,7 +318,10 @@ impl Engine<'_> {
                 } else {
                     crate::telemetry::ROUTE_INJECT_MIN
                 };
-                self.trace_route_claim(pkt_id, r, out_port, vc, source);
+                let down = self.geom.peer(out_port);
+                let buf = down * self.vcs as u32 + u32::from(vc);
+                self.telemetry
+                    .trace_route(pkt_id, r, down, buf, source, self.cycle);
             }
             started.push(idx);
         }

@@ -76,6 +76,19 @@
 //! are aggregated per router. These shift absolute zero-load latencies by a
 //! few cycles but preserve saturation points and ordering.
 
+// panic-discipline: the engine propagates an error or states its
+// invariant with an assert; every remaining site is an `#[expect]`
+// that says why it may panic (a suppression without a reason is
+// itself denied, a stale one fails `-D warnings`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
+
 // The parity suites' shared comparer (`tests/common`) names this crate
 // from outside; the in-crate suite includes the same file.
 #[cfg(test)]

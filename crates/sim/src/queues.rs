@@ -62,7 +62,7 @@ impl Ring32 {
             return;
         }
         let k = idxs.len();
-        debug_assert!(upto <= self.len && *idxs.last().unwrap() < upto);
+        debug_assert!(upto <= self.len && idxs[k - 1] < upto);
         let mut write = upto as isize - 1;
         let mut skip = k as isize - 1;
         for read in (0..upto as isize).rev() {

@@ -74,11 +74,14 @@ pub struct NetState<'e> {
 impl NetState<'_> {
     /// Local neighbor index of `t` at router `r`.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "route tables only ever name graph neighbors; a miss is a table-construction bug where a panic beats a silent misroute"
+    )]
     pub fn neighbor_index(&self, r: u32, t: u32) -> usize {
         self.graph
             .neighbors(r)
             .binary_search(&t)
-            // pf-analyze: allow(panic-discipline) — route tables only ever name graph neighbors; a miss is a table-construction bug where a panic beats a silent misroute
             .expect("next hop must be a neighbor")
     }
 

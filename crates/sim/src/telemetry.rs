@@ -2,12 +2,13 @@
 //! lifecycle traces, and (feature-gated) engine phase profiling.
 //!
 //! Everything in this module *observes* a run without perturbing it:
-//! no hook reachable from the record entry points takes `&mut` over
-//! simulator state or draws from the simulation RNG (enforced by the
-//! `pf_analyze` `telemetry-purity` rule), so every [`crate::SimResult`]
-//! field is bit-identical with telemetry on or off — pinned by
-//! `tests/telemetry_parity.rs` (and, on the dense test reference, by
-//! `src/skip/tests.rs`).
+//! every record hook is a `TelemetryCtl` method over scalars, and the
+//! epoch snapshot borrows the engine by `&self`, so no hook can write
+//! simulator state or draw from the simulation RNG (the workspace has
+//! no interior mutability to write through — `clippy.toml`) and every
+//! [`crate::SimResult`] field is bit-identical with telemetry on or
+//! off — pinned by `tests/telemetry_parity.rs` (and, on the dense test
+//! reference, by `src/skip/tests.rs`).
 //!
 //! Three collectors, each zero-cost when its knob is off:
 //!
@@ -33,8 +34,9 @@
 //! * **Phase profiling** (`phase-profile` cargo feature, default off):
 //!   wall-clock nanoseconds per engine phase (generate / eject / route
 //!   / alloc / skip-leap). Wall time never feeds simulated state —
-//!   the `Instant` reads sit behind recorded `pf-analyze` pragmas and
-//!   the whole mechanism compiles to nothing without the feature.
+//!   the two `Instant` sites are the workspace's only `#[expect]`s of
+//!   the clock ban and the whole mechanism compiles to nothing without
+//!   the feature.
 //!
 //! The collected data leaves the engine as a [`TelemetryReport`] on
 //! [`crate::SimResult::telemetry`] — execution observability, excluded
@@ -219,7 +221,10 @@ pub struct TelemetryReport {
 /// free without the `phase-profile` feature).
 pub(crate) struct ProfMark {
     #[cfg(feature = "phase-profile")]
-    // pf-analyze: allow(wall-clock-ban) — bench-only phase profiling; wall time is accumulated into TelemetryReport::phase_ns and never feeds simulated state (see DESIGN.md, "Telemetry and tracing")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "bench-only phase profiling; wall time is accumulated into TelemetryReport::phase_ns and never feeds simulated state (see DESIGN.md, \"Telemetry and tracing\")"
+    )]
     t: std::time::Instant,
 }
 
@@ -228,7 +233,10 @@ pub(crate) struct ProfMark {
 pub(crate) fn prof_mark() -> ProfMark {
     ProfMark {
         #[cfg(feature = "phase-profile")]
-        // pf-analyze: allow(wall-clock-ban) — bench-only phase profiling mark; never feeds simulated state
+        #[expect(
+            clippy::disallowed_types,
+            reason = "bench-only phase profiling mark; never feeds simulated state"
+        )]
         t: std::time::Instant::now(),
     }
 }
@@ -359,7 +367,10 @@ impl TelemetryCtl {
 
     /// Route-decision hook (transit hops and injection plans): records
     /// the chosen output port with its decision `source` (a `ROUTE_*`
-    /// code) and the claimed output VC buffer.
+    /// code) and the claimed output VC buffer. The engine indexes
+    /// outputs by the sender's port; trace events name the *downstream*
+    /// input port and buffer the flits will arrive at, so callers pass
+    /// `PortMap::peer` of the port they claimed.
     pub(crate) fn trace_route(
         &mut self,
         pkt: u32,
@@ -477,24 +488,6 @@ impl TelemetryCtl {
 }
 
 impl Engine<'_> {
-    /// Traces a route decision that claimed VC `vc` of router `r`'s own
-    /// output `tx_port`. The engine indexes outputs by the sender's
-    /// port; trace events name the *downstream* input port and buffer
-    /// the flits will arrive at.
-    pub(crate) fn trace_route_claim(
-        &mut self,
-        pkt: u32,
-        r: u32,
-        tx_port: u32,
-        vc: u8,
-        source: u32,
-    ) {
-        let down = self.geom.peer(tx_port);
-        let buf = down * self.vcs as u32 + u32::from(vc);
-        self.telemetry
-            .trace_route(pkt, r, down, buf, source, self.cycle);
-    }
-
     /// Records every epoch boundary due at or before the current
     /// cycle. Called at the top of each step and immediately after a
     /// whole-cycle leap, so boundary snapshots are taken *before* the
@@ -543,10 +536,8 @@ impl Engine<'_> {
     }
 
     /// Snapshots one epoch ending at `end` (exclusive) into `t`.
-    /// Observation-only by construction: takes the engine by `&self`
-    /// and mutates nothing but the detached collector — the
-    /// `telemetry-purity` analyzer rule pins this for everything
-    /// reachable from here.
+    /// Observation-only by construction: takes the engine by `&self`,
+    /// so the detached collector is the only thing it can write.
     fn telemetry_snapshot_epoch(&self, t: &mut TelemetryCtl, end: u32) {
         let span = end - t.epoch_start;
         let links = self.link_flits.len();

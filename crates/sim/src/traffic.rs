@@ -138,6 +138,10 @@ fn complete_permutation(perm: &mut [usize]) {
             // target differs from s (s's own slot is the only unused one),
             // so no new self-send can appear.
             let s = senders[0];
+            #[expect(
+                clippy::expect_used,
+                reason = "set-up-time invariant of the derangement repair: h >= 2 with one leftover leaves an assigned sender"
+            )]
             let a = (0..h)
                 .find(|&a| a != s && perm[a] != UNASSIGNED)
                 .expect("h >= 2 leaves an assigned sender to splice into");
@@ -149,6 +153,10 @@ fn complete_permutation(perm: &mut [usize]) {
             // each sender present among the targets forbids exactly one
             // offset, and either some sender is absent (≤ k−1 forbidden)
             // or senders == targets (only offset 0 forbidden).
+            #[expect(
+                clippy::expect_used,
+                reason = "set-up-time invariant of the derangement repair, argued in the comment above"
+            )]
             let r = (0..k)
                 .find(|&r| (0..k).all(|j| targets[(j + r) % k] != senders[j]))
                 .expect("a fixed-point-free rotation exists for k >= 2");
@@ -290,6 +298,10 @@ pub fn resolve(pattern: TrafficPattern, g: &Csr, hosts: &[u32], seed: u64) -> De
                     }
                 }
             });
+            #[expect(
+                clippy::panic,
+                reason = "set-up-time rejection of a pattern the topology cannot carry, before any cycle runs"
+            )]
             let m = matching::random_perfect_matching(hosts.len(), &allowed, seed)
                 .unwrap_or_else(|| panic!("no {}-hop permutation exists for this topology", want));
             let mut dest = vec![u32::MAX; n];
@@ -371,7 +383,7 @@ mod tests {
         let dm = resolve(TrafficPattern::Perm2Hop, &g, &evens, 3);
         assert_derangement(&dm, &evens, "perm2hop on even hosts");
         let DestMap::Fixed { dest } = dm else {
-            unreachable!("checked by assert_derangement");
+            panic!("checked by assert_derangement");
         };
         for &r in &evens {
             let d = dest[r as usize];
@@ -440,7 +452,7 @@ mod tests {
         let DestMap::Fixed { dest } = dm else {
             panic!("{label}: expected a fixed map");
         };
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &r in hosts {
             let d = dest[r as usize];
             assert_ne!(d, u32::MAX, "{label}: host {r} unassigned");

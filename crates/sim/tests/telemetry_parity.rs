@@ -9,15 +9,23 @@
 mod common;
 
 use common::assert_bit_identical;
+use pf_graph::FaultSchedule;
+use pf_sim::telemetry::TRACE_RETRANSMIT;
 use pf_sim::traffic::TrafficPattern;
-use pf_sim::{load_curve, Routing, SimConfig, SimResult};
-use pf_topo::PolarFlyTopo;
+use pf_sim::{load_curve, simulate_workload, InFlightPolicy, Routing, SimConfig, SimResult};
+use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
+use pf_workload::{ring_allreduce, JobAssignment};
 
-fn run(topo: &PolarFlyTopo, load: f64, cfg: &SimConfig, telemetry: bool) -> SimResult {
-    let mut c = cfg.clone();
+fn with_telemetry(cfg: &SimConfig, telemetry: bool) -> SimConfig {
     if telemetry {
-        c = c.telemetry_interval(64).trace_sample(8);
+        cfg.clone().telemetry_interval(64).trace_sample(8)
+    } else {
+        cfg.clone()
     }
+}
+
+fn run(topo: &dyn Topology, load: f64, cfg: &SimConfig, telemetry: bool) -> SimResult {
+    let c = with_telemetry(cfg, telemetry);
     let curve = load_curve(topo, Routing::UgalPf, TrafficPattern::Uniform, &[load], &c);
     curve.points.into_iter().next().unwrap()
 }
@@ -59,6 +67,62 @@ fn telemetry_parity_q31() {
     assert!(base.delivered > 0, "vacuous baseline");
     let on = run(&topo, 0.25, &cfg, true);
     assert_bit_identical(&base, &on, "q31 telemetry=on");
+    let t = on.telemetry.unwrap();
+    assert!(!t.epochs.is_empty() && !t.traces.is_empty());
+}
+
+/// A link-blip burst under drop-and-retransmit: the fault path's own
+/// hook (`trace_retransmit`) fires — the trace shows it — and still
+/// nothing simulated moves.
+#[test]
+fn telemetry_parity_transient_retransmit() {
+    let pf = PolarFlyTopo::new(7, 4).unwrap();
+    let schedule = FaultSchedule::sample_connected_links(pf.graph(), 0.08, 150, 150, 23);
+    let topo = TransientTopo::new(&pf, schedule);
+    let cfg = SimConfig::default()
+        .warmup(500)
+        .measure(400)
+        .drain_max(2500)
+        .vc_classes(8)
+        .convergence_delay(100)
+        .fault_policy(InFlightPolicy::DropRetransmit)
+        .seed(11);
+    let base = run(&topo, 0.2, &cfg, false);
+    assert!(
+        base.retransmitted_packets > 0,
+        "vacuous: nothing retransmitted"
+    );
+    let on = run(&topo, 0.2, &cfg, true);
+    assert_bit_identical(&base, &on, "transient telemetry=on");
+    let t = on.telemetry.unwrap();
+    assert!(
+        t.traces.iter().any(|e| e.kind == TRACE_RETRANSMIT),
+        "no sampled packet was retransmitted: the hook never ran"
+    );
+    assert!(t.epochs.iter().any(|e| e.retransmitted > 0));
+}
+
+/// The closed-loop driver: a ring allreduce's makespan, per-job
+/// accounting and latencies are the same run with the collectors on.
+#[test]
+fn telemetry_parity_closed_loop_allreduce() {
+    let topo = PolarFlyTopo::new(7, 4).unwrap();
+    let cfg = SimConfig::default().seed(5);
+    let go = |telemetry: bool| {
+        let jobs = vec![JobAssignment::solo(ring_allreduce(12, 32, 4))];
+        simulate_workload(
+            &topo,
+            Routing::UgalPf,
+            jobs,
+            &with_telemetry(&cfg, telemetry),
+        )
+        .unwrap()
+    };
+    let base = go(false);
+    assert!(base.jobs[0].makespan.is_some(), "vacuous: job unfinished");
+    assert!(base.telemetry.is_none());
+    let on = go(true);
+    assert_bit_identical(&base, &on, "allreduce telemetry=on");
     let t = on.telemetry.unwrap();
     assert!(!t.epochs.is_empty() && !t.traces.is_empty());
 }

@@ -187,7 +187,7 @@ fn diameter_stays_four_under_heavy_failures() {
 #[test]
 fn layout_is_starter_invariant_for_triangle_counts() {
     let pf = PolarFly::new(9).unwrap();
-    let mut counts = std::collections::HashSet::new();
+    let mut counts = std::collections::BTreeSet::new();
     for &w in pf.quadrics() {
         let layout = Layout::with_starter(&pf, w);
         let c = census(&pf, &layout);
