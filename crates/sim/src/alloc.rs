@@ -10,8 +10,9 @@
 //!
 //! **Who owns what.** Everything the allocator keeps per output —
 //! `credits`, `out_owner`, `out_taken`, `req_span`, `link_flits`,
-//! `inj_wait`, the port of a route claim and a lane's `out_buf` — is
-//! indexed by the *sending* router's own port
+//! `inj_wait`, the output of a route claim (stored as the holding
+//! router's neighbor index, read back through `tx`) and a lane's
+//! `out_buf` — is indexed by the *sending* router's own port
 //! ([`crate::router::PortMap::tx`]), so request build, VC claim and
 //! grant touch only the requesting router's contiguous lines. The
 //! downstream id ([`crate::router::PortMap::peer`]) is derived where the
@@ -30,7 +31,7 @@
 //! silent no-op for the rest of the cycle — see `crate::order`, "Output
 //! grant order".
 
-use crate::engine::{net_view, Engine};
+use crate::engine::{net_view, Engine, RouteEntry};
 use crate::flow::Arrival;
 use crate::router::NONE32;
 use crate::routing::HopContext;
@@ -197,7 +198,7 @@ impl Engine<'_> {
         seq: u16,
     ) -> bool {
         // Route + VC allocation for a new head.
-        if self.route[qidx].port == NONE32 {
+        if self.route[qidx].out == RouteEntry::UNROUTED {
             debug_assert_eq!(seq, 0, "body flit without route");
             let (target, dst) = self.transit_target(r as u32, pkt);
             let hop = HopContext {
@@ -217,11 +218,12 @@ impl Engine<'_> {
             // Class-indexed VC: hop h travels in class h, any
             // free VC within the class (deadlock freedom needs
             // paths of <= vc_classes hops; all routing
-            // algorithms of the paper satisfy 4). A hop index
-            // past the budget is clamped to the top class and
-            // counted — the deadlock argument no longer covers
-            // that packet, and the fault sweeps assert the
-            // counter stays 0.
+            // algorithms of the paper satisfy 4). `classes` is
+            // the allocated count, the algorithm's declared
+            // `max_hops` at most. A hop index past it is clamped
+            // to the top class and counted — the deadlock
+            // argument no longer covers that packet, and the
+            // fault sweeps assert the counter stays 0.
             let in_class = vc / self.per_class;
             let classes = self.vcs / self.per_class;
             let out_class = (in_class + 1).min(classes - 1);
@@ -240,9 +242,9 @@ impl Engine<'_> {
                 // (not per allocation retry of the same head).
                 self.diag_class_clamps += 1;
             }
-            self.route[qidx] = crate::engine::RouteEntry {
-                port: out_port,
+            self.route[qidx] = RouteEntry {
                 pkt,
+                out: i as u8,
                 vc: ovc,
                 term_next: self.graph.neighbors(r as u32)[i as usize] == dst,
             };
@@ -259,13 +261,14 @@ impl Engine<'_> {
                     crate::telemetry::ROUTE_MIN
                 };
                 let down = self.geom.peer(out_port);
-                let buf = down * self.vcs as u32 + u32::from(ovc);
+                // In the configured numbering, whatever is allocated.
+                let buf = down * self.cfg.vcs() as u32 + u32::from(ovc);
                 self.telemetry
                     .trace_route(pkt, r as u32, down, buf, source, self.cycle);
             }
         }
         let re = self.route[qidx];
-        let out_port = re.port;
+        let out_port = self.geom.tx(r as u32, usize::from(re.out));
         let out_idx = out_port as usize * self.vcs + re.vc as usize;
         if self.credits[out_idx] == 0 {
             self.diag_credit_stalls += 1;
@@ -525,11 +528,11 @@ impl Engine<'_> {
                     if tail {
                         // Tail flit: release the wormhole output VC.
                         debug_assert_eq!(
-                            (self.route[q].port, self.route[q].vc as usize),
-                            (out, out_vc),
+                            (self.claim_port(q), self.route[q].vc as usize),
+                            (Some(out), out_vc),
                             "tail without its route claim"
                         );
-                        self.route[q] = crate::engine::RouteEntry::NONE;
+                        self.route[q] = RouteEntry::NONE;
                     }
                 }
                 ReqSrc::Inject { router, stream } => {
@@ -599,9 +602,9 @@ mod tests {
                         Some((_, _, ready)) if ready <= cycle && !e.bufs.head_term(q) => {}
                         _ => continue,
                     }
-                    let re = e.route[q];
-                    if re.port == super::NONE32
-                        || e.credits[re.port as usize * e.vcs + re.vc as usize] == 0
+                    let vc = e.route[q].vc as usize;
+                    if e.claim_port(q)
+                        .is_none_or(|out| e.credits[out as usize * e.vcs + vc] == 0)
                     {
                         stalled.push(q as u32);
                     }

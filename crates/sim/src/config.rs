@@ -39,7 +39,12 @@ pub struct SimConfig {
     /// Flits per packet (paper: 4).
     pub packet_flits: u16,
     /// Virtual-channel *classes* — one per hop index, so paths of up to
-    /// `vc_classes` hops are deadlock-free (paper routes need 4).
+    /// `vc_classes` hops are deadlock-free. MIN on a diameter-2 graph
+    /// needs 2, Valiant/UGAL 4; the engine allocates `min(vc_classes,
+    /// need)` with `need` = [`crate::RoutingAlgorithm::max_hops`] of the
+    /// routed diameter (all of them on transient runs), while the
+    /// buffer split ([`SimConfig::cap_per_vc`]) always uses the full
+    /// budget.
     pub vc_classes: u8,
     /// VCs per class. Two per class lets consecutive packets of the same
     /// hop class overlap their wormhole allocation on a link, compensating
@@ -187,7 +192,7 @@ impl SimConfig {
 
     /// Does nothing: the engine is single-threaded; every K produced
     /// identical results by contract, so ignoring K is exact — kept only
-    /// until the benchmark package drops the call (ROADMAP item 5).
+    /// until the benchmark package drops the call (ROADMAP item 3).
     #[doc(hidden)]
     #[must_use]
     pub fn shards(self, _k: usize) -> Self {
@@ -197,14 +202,15 @@ impl SimConfig {
     /// Does nothing: the engine has one schedule; both values produced
     /// identical results by contract, so ignoring the flag is exact —
     /// kept only until the benchmark package drops the call (ROADMAP
-    /// item 5).
+    /// item 3).
     #[doc(hidden)]
     #[must_use]
     pub fn skip(self, _on: bool) -> Self {
         self
     }
 
-    /// Total virtual channels per port.
+    /// Total virtual channels per port, as configured (the engine may
+    /// allocate fewer — see [`SimConfig::vc_classes`]).
     #[inline]
     pub fn vcs(&self) -> usize {
         usize::from(self.vc_classes) * usize::from(self.vcs_per_class)

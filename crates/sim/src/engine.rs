@@ -23,7 +23,7 @@ use crate::router::{FlitRings, InjPool, PortMap, NONE32};
 use crate::routing::{MinHop, RoutingAlgorithm};
 use crate::skip::SkipCtl;
 use crate::stats::{LatencyStats, SimResult};
-use crate::tables::RouteTables;
+use crate::tables::{RouteTables, MAX_DEGREE};
 use crate::telemetry::{prof_mark, ProfPhase, TelemetryCtl};
 use crate::traffic::DestMap;
 use crate::Routing;
@@ -84,11 +84,13 @@ impl Tables<'_> {
 /// The wormhole route claim of one queue head (see [`Engine::route`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RouteEntry {
-    /// The claimed output: the holding router's own (tx) port
-    /// (`NONE32` = unrouted).
-    pub(crate) port: u32,
     /// Owning packet (`NONE32` when unrouted).
     pub(crate) pkt: u32,
+    /// The claimed output as the holding router's neighbor index
+    /// ([`RouteEntry::UNROUTED`] = unrouted): its tx port is
+    /// `geom.tx(r, out)`. A byte suffices — the engine refuses degrees
+    /// above [`crate::tables::MAX_DEGREE`].
+    pub(crate) out: u8,
     /// Claimed output VC.
     pub(crate) vc: u8,
     /// Whether the packet terminates at the downstream router (cached
@@ -97,11 +99,17 @@ pub(crate) struct RouteEntry {
     pub(crate) term_next: bool,
 }
 
+// Eight queues' claims per cache line.
+const _: () = assert!(std::mem::size_of::<RouteEntry>() == 8);
+
 impl RouteEntry {
+    /// `out` of an unrouted queue head.
+    pub(crate) const UNROUTED: u8 = u8::MAX;
+
     /// The unrouted state.
     pub(crate) const NONE: RouteEntry = RouteEntry {
-        port: NONE32,
         pkt: NONE32,
+        out: RouteEntry::UNROUTED,
         vc: 0,
         term_next: false,
     };
@@ -167,6 +175,9 @@ pub struct Engine<'a> {
     pub(crate) load: f64,
 
     pub(crate) n: usize,
+    /// Allocated VCs per port — the stride of every per-queue array:
+    /// `per_class` × the hop classes this run can reach (DESIGN.md, "VC
+    /// class budget"), at most [`SimConfig::vcs`].
     pub(crate) vcs: usize,
     pub(crate) per_class: usize,
     pub(crate) cap_per_vc: u32,
@@ -218,10 +229,10 @@ pub struct Engine<'a> {
     /// returned by the receiver on a pop or an ejection.
     pub(crate) credits: Vec<u16>,
     /// Wormhole allocation of the packet at each queue head: the claimed
-    /// output — the holding router's tx port (`NONE32` = unrouted) and
-    /// VC — and the owning packet (tracked so fault events can find and
-    /// cancel claims). One record per queue so a head probe costs a
-    /// single cache line.
+    /// output — the holding router's neighbor index (unrouted:
+    /// [`RouteEntry::UNROUTED`]) and VC — and the owning packet (tracked
+    /// so fault events can find and cancel claims). One 8-byte record
+    /// per queue so a head probe costs a single cache line.
     pub(crate) route: Vec<RouteEntry>,
     /// Whether each (tx port, VC) output is owned by an in-flight packet
     /// — a transit head's route claim or an unfinished injection lane.
@@ -381,12 +392,17 @@ impl<'a> Engine<'a> {
             (0.0..=1.0).contains(&load),
             "offered load must be in [0, 1]"
         );
-        let vcs = cfg.vcs();
+        // The modelled buffers split the configured VC budget, whatever
+        // is allocated below.
         let cap_per_vc = cfg.cap_per_vc();
+        assert!(
+            g.max_degree() <= MAX_DEGREE,
+            "router degree {} exceeds the {MAX_DEGREE}-neighbor ceiling of a byte-wide route claim",
+            g.max_degree()
+        );
 
         let geom = PortMap::build(g);
         let num_ports = geom.num_ports();
-        let queues = num_ports * vcs;
 
         // Per-port link masks from the topology's failure set. Both
         // directions of a failed (undirected) link go down together.
@@ -427,6 +443,8 @@ impl<'a> Engine<'a> {
             }
         }
 
+        let diameter = tables.max_finite_dist();
+        let need = algo.max_hops(diameter);
         if degraded || transient {
             // Residual minimal paths exceed the healthy diameter and
             // detours compose two of them; without a VC class per hop the
@@ -434,8 +452,6 @@ impl<'a> Engine<'a> {
             // allocator clamps to the last class). Fail loudly instead.
             // (Transient runs re-check at every table re-convergence,
             // when the residual diameter is known.)
-            let diameter = tables.max_finite_dist();
-            let need = algo.max_hops(diameter);
             assert!(
                 u32::from(cfg.vc_classes) >= need,
                 "degraded run under {} needs vc_classes >= {need} \
@@ -445,6 +461,19 @@ impl<'a> Engine<'a> {
                 cfg.vc_classes
             );
         }
+        // Allocate the VC state of the hop classes a path can reach — 2
+        // of 4 for MIN on a diameter-2 graph. A transient run keeps the
+        // configured budget: re-convergence can raise the diameter
+        // mid-run. An algorithm that outruns its declared `max_hops` is
+        // clamped to the top allocated class, never past its port.
+        let per_class = usize::from(cfg.vcs_per_class);
+        let classes = if transient {
+            usize::from(cfg.vc_classes)
+        } else {
+            usize::from(cfg.vc_classes).min(need.max(1) as usize)
+        };
+        let vcs = per_class * classes;
+        let queues = num_ports * vcs;
 
         let endpoints: Vec<u32> = (0..n as u32).map(|r| topo.endpoints(r) as u32).collect();
         // Up to 2p concurrent streams share p flits/cycle of aggregate
@@ -489,7 +518,7 @@ impl<'a> Engine<'a> {
             load,
             n,
             vcs,
-            per_class: cfg.vcs_per_class as usize,
+            per_class,
             cap_per_vc,
             endpoints,
             ep_end,
@@ -921,6 +950,18 @@ impl<'a> Engine<'a> {
         self.geom.peer(port) as usize * self.vcs + vc
     }
 
+    /// The tx port queue `q`'s route claim holds, if it is routed — a
+    /// port of the router owning `q`, by construction.
+    #[inline]
+    pub(crate) fn claim_port(&self, q: usize) -> Option<u32> {
+        let out = self.route[q].out;
+        if out == RouteEntry::UNROUTED {
+            return None;
+        }
+        let r = self.port_owner[q / self.vcs];
+        Some(self.geom.tx(r, usize::from(out)))
+    }
+
     /// The (port, VC) flit buffers, read-only (diagnostics and tests).
     pub fn flit_rings(&self) -> &FlitRings {
         &self.bufs
@@ -1022,14 +1063,15 @@ impl<'a> Engine<'a> {
 
         let mut owners = vec![0u32; self.out_owner.len()];
         for (q, re) in self.route.iter().enumerate() {
-            if re.port != NONE32 {
-                assert_eq!(
-                    self.port_owner[re.port as usize],
-                    self.port_owner[q / self.vcs],
-                    "queue {q}: route claim on another router's output {}",
-                    re.port
+            if let Some(port) = self.claim_port(q) {
+                let (_, hi) = self.geom.ports(self.port_owner[q / self.vcs] as usize);
+                assert!(
+                    port < hi && usize::from(re.vc) < self.vcs,
+                    "queue {q}: route claim (neighbor {}, VC {}) names no output of its router",
+                    re.out,
+                    re.vc
                 );
-                owners[re.port as usize * self.vcs + re.vc as usize] += 1;
+                owners[port as usize * self.vcs + re.vc as usize] += 1;
             }
         }
         for r in 0..self.n {

@@ -414,7 +414,9 @@ impl Engine<'_> {
     /// until each tail passes.
     fn count_draining(&mut self, port_uv: u32, port_vu: u32) {
         for q in 0..self.route.len() {
-            let rp = self.route[q].port;
+            let Some(rp) = self.claim_port(q) else {
+                continue;
+            };
             if rp == port_uv || rp == port_vu {
                 self.faults.draining[rp as usize] += 1;
             }
@@ -509,17 +511,16 @@ impl Engine<'_> {
             }
         }
 
-        // Pass A3: wormhole claims across a dead link (`route[q].port` is
+        // Pass A3: wormhole claims across a dead link (`claim_port` is
         // the claiming router's tx port). A claim whose head
         // flit is still at the front (seq 0) sent nothing across — it is
         // released for a live re-route; anything else split its packet
         // over the dead link and the packet must restart.
         for q in 0..self.route.len() {
-            let re = self.route[q];
-            let rp = re.port;
-            if rp == NONE32 || !dead_ports.contains(&rp) {
+            let Some(rp) = self.claim_port(q).filter(|rp| dead_ports.contains(rp)) else {
                 continue;
-            }
+            };
+            let re = self.route[q];
             let pkt = re.pkt;
             debug_assert_ne!(pkt, NONE32, "claim without owner");
             let untouched = matches!(self.bufs.front(q), Some((p, 0, _)) if p == pkt);
@@ -605,8 +606,10 @@ impl Engine<'_> {
         // repair.
         for q in 0..self.route.len() {
             let re = self.route[q];
-            let rp = re.port;
-            if rp != NONE32 && victim[re.pkt as usize] {
+            let Some(rp) = self.claim_port(q) else {
+                continue;
+            };
+            if victim[re.pkt as usize] {
                 self.out_owner[(rp * vcs) as usize + re.vc as usize] = false;
                 self.route[q] = crate::engine::RouteEntry::NONE;
                 self.note_tail_traversed(rp);

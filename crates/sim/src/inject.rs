@@ -319,7 +319,7 @@ impl Engine<'_> {
                     crate::telemetry::ROUTE_INJECT_MIN
                 };
                 let down = self.geom.peer(out_port);
-                let buf = down * self.vcs as u32 + u32::from(vc);
+                let buf = down * self.cfg.vcs() as u32 + u32::from(vc);
                 self.telemetry
                     .trace_route(pkt_id, r, down, buf, source, self.cycle);
             }

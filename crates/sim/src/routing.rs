@@ -59,7 +59,9 @@ pub struct NetState<'e> {
     /// Source-queue backlog (packets) charged per minimal first-hop
     /// link, indexed by the sender's port.
     pub inj_wait: &'e [u32],
-    /// Virtual channels per port.
+    /// Allocated virtual channels per port — the stride of `credits`:
+    /// `per_class` × the hop classes the run can reach (see
+    /// [`RoutingAlgorithm::max_hops`]), at most `SimConfig::vcs()`.
     pub vcs: usize,
     /// VCs per class.
     pub per_class: usize,
@@ -259,6 +261,13 @@ pub trait RoutingAlgorithm: Send + Sync {
     /// graph of the given `diameter` — the number of hop-indexed VC
     /// classes deadlock freedom requires. Default: a full Valiant detour
     /// through an arbitrary intermediate (two minimal legs).
+    ///
+    /// This also sizes the engine's VC state: outside transient runs an
+    /// engine allocates only `min(vc_classes, max_hops(diameter))`
+    /// classes. Declaring too few is safe but not free — hops past the
+    /// bound share the top allocated class and count as
+    /// [`crate::SimResult::vc_class_clamps`], which voids the
+    /// deadlock-freedom argument for those packets.
     fn max_hops(&self, diameter: u32) -> u32 {
         2 * diameter
     }

@@ -1,0 +1,204 @@
+//! The VC class budget: an engine allocates per-queue state only for the
+//! hop classes its routing algorithm can reach (`min(vc_classes,
+//! max_hops(diameter))`, the configured budget on transient runs), and
+//! that changes nothing it simulates — MIN on ER_q runs bit-identically
+//! on half the queues.
+
+mod common;
+
+use common::assert_bit_identical;
+use pf_graph::{FailureSet, FaultSchedule};
+use pf_sim::tables::RouteTables;
+use pf_sim::traffic::{resolve, DestMap, TrafficPattern};
+use pf_sim::{
+    Engine, FlitRings, HopContext, MinHop, NetState, Port, RoutePlan, Routing, RoutingAlgorithm,
+    SimConfig, SimResult,
+};
+use pf_topo::{DegradedTopo, PolarFlyTopo, Topology, TransientTopo};
+use rand::rngs::StdRng;
+
+/// `Min`, declaring the trait's default `max_hops` (a full Valiant
+/// detour): the engine allocates all four classes for the very routes
+/// `Min` runs on two.
+struct MinAllClasses<'t>(pf_sim::routing::Min<'t>);
+
+impl RoutingAlgorithm for MinAllClasses<'_> {
+    fn label(&self) -> &'static str {
+        "MIN"
+    }
+
+    fn next_output(&self, net: &NetState, hop: HopContext, rng: &mut StdRng) -> Port {
+        self.0.next_output(net, hop, rng)
+    }
+
+    fn plan(&self, net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> RoutePlan {
+        self.0.plan(net, src, dst, rng)
+    }
+}
+
+/// Compact Valiant for every pair — a ≤ 3-hop path — while declaring
+/// MIN's `max_hops`: the engine allocates two classes and the third hop
+/// must clamp into the second, on its own port.
+struct Underdeclared<'t>(MinHop<'t>);
+
+impl RoutingAlgorithm for Underdeclared<'_> {
+    fn label(&self) -> &'static str {
+        "UNDERDECLARED"
+    }
+
+    fn next_output(&self, net: &NetState, hop: HopContext, _rng: &mut StdRng) -> Port {
+        let next = self.0.next(net, hop.router, hop.target);
+        net.neighbor_index(hop.router, next) as Port
+    }
+
+    fn plan(&self, net: &NetState, src: u32, _dst: u32, rng: &mut StdRng) -> RoutePlan {
+        net.random_live_neighbor(src, rng)
+            .map_or(RoutePlan::Minimal, RoutePlan::Detour)
+    }
+
+    fn max_hops(&self, diameter: u32) -> u32 {
+        diameter
+    }
+}
+
+fn uniform(topo: &dyn Topology, seed: u64) -> (RouteTables, DestMap) {
+    let tables = RouteTables::build_for(topo, seed);
+    let dests = resolve(
+        TrafficPattern::Uniform,
+        topo.graph(),
+        &topo.host_routers(),
+        seed,
+    );
+    (tables, dests)
+}
+
+/// What an idle engine's flit store costs with `classes` hop classes
+/// allocated on every port of `topo`.
+fn idle_bytes(topo: &dyn Topology, cfg: &SimConfig, classes: usize) -> usize {
+    let ports = 2 * topo.graph().edge_count();
+    let queues = ports * classes * usize::from(cfg.vcs_per_class);
+    FlitRings::new(queues, cfg.cap_per_vc()).resident_bytes()
+}
+
+/// MIN on two classes against MIN on four, on PF(7) and PF(13), at a
+/// moderate and a heavy load: every simulated field, the skip
+/// accounting, the epoch series and the sampled traces (whose VC-buffer
+/// ids stay in the configured numbering) are identical.
+#[test]
+fn min_on_reachable_classes_matches_min_on_all() {
+    let cfg = SimConfig::default()
+        .warmup(200)
+        .measure(400)
+        .drain_max(800)
+        .seed(5)
+        .telemetry_interval(64)
+        .trace_sample(8);
+    for (q, p) in [(7, 4), (13, 7)] {
+        let topo = PolarFlyTopo::new(q, p).unwrap();
+        let (tables, dests) = uniform(&topo, cfg.seed);
+        for load in [0.3, 0.9] {
+            let run = |algo: Box<dyn RoutingAlgorithm + '_>| -> (usize, SimResult) {
+                let e = Engine::with_algorithm(&topo, &tables, &dests, algo, load, cfg.clone());
+                (e.flit_rings().resident_bytes(), e.run())
+            };
+            let min = pf_sim::routing::Min::new(MinHop::for_topology(&topo));
+            let (two, a) = run(Box::new(min));
+            let min = pf_sim::routing::Min::new(MinHop::for_topology(&topo));
+            let (four, b) = run(Box::new(MinAllClasses(min)));
+            let label = format!("PF({q}) load {load}");
+            assert_eq!(two, idle_bytes(&topo, &cfg, 2), "{label}: MIN allocation");
+            assert_eq!(
+                four,
+                idle_bytes(&topo, &cfg, 4),
+                "{label}: 4-class allocation"
+            );
+            assert!(a.delivered > 0, "{label}: vacuous run");
+            assert_bit_identical(&a, &b, &label);
+            assert_eq!(
+                a.skipped_router_cycles, b.skipped_router_cycles,
+                "{label}: skipped_router_cycles"
+            );
+            let (ta, tb) = (a.telemetry.unwrap(), b.telemetry.unwrap());
+            assert!(!ta.epochs.is_empty() && !ta.traces.is_empty());
+            assert_eq!(ta.epochs, tb.epochs, "{label}: epochs");
+            assert_eq!(ta.traces, tb.traces, "{label}: traces");
+        }
+    }
+}
+
+/// An idle MIN engine's flit store is exactly half of UGAL-PF's: two of
+/// the four hop classes.
+#[test]
+fn min_allocates_half_of_ugal_pf() {
+    let topo = PolarFlyTopo::new(13, 7).unwrap();
+    let (tables, dests) = uniform(&topo, 1);
+    let bytes = |routing| {
+        Engine::new(&topo, &tables, &dests, routing, 0.3, SimConfig::quick())
+            .flit_rings()
+            .resident_bytes()
+    };
+    let (min, ugal_pf) = (bytes(Routing::Min), bytes(Routing::UgalPf));
+    assert!(min > 0);
+    assert_eq!(2 * min, ugal_pf);
+}
+
+/// A statically degraded MIN run at `vc_classes(8)` allocates exactly
+/// the residual diameter's classes; a transient run keeps all eight,
+/// because re-convergence can lengthen paths mid-run.
+#[test]
+fn degraded_min_allocates_the_residual_need() {
+    let pf = PolarFlyTopo::new(7, 4).unwrap();
+    let cfg = SimConfig::quick().vc_classes(8).seed(11);
+
+    let degraded = DegradedTopo::new(&pf, FailureSet::sample_connected(pf.graph(), 0.1, 99));
+    let (tables, dests) = uniform(&degraded, cfg.seed);
+    let need = tables.max_finite_dist() as usize;
+    assert!(need > 2 && need < 8, "residual diameter {need}");
+    let e = Engine::new(&degraded, &tables, &dests, Routing::Min, 0.2, cfg.clone());
+    assert_eq!(
+        e.flit_rings().resident_bytes(),
+        idle_bytes(&degraded, &cfg, need)
+    );
+    let r = e.run();
+    assert!(!r.saturated && r.delivered == r.generated && r.delivered > 0);
+    assert_eq!(r.vc_class_clamps, 0);
+
+    let schedule = FaultSchedule::sample_connected_links(pf.graph(), 0.08, 150, 150, 23);
+    let transient = TransientTopo::new(&pf, schedule);
+    let (tables, dests) = uniform(&transient, cfg.seed);
+    let e = Engine::new(&transient, &tables, &dests, Routing::Min, 0.2, cfg.clone());
+    assert_eq!(
+        e.flit_rings().resident_bytes(),
+        idle_bytes(&transient, &cfg, 8)
+    );
+}
+
+/// An algorithm whose paths outrun its declared `max_hops` clamps into
+/// the top allocated class: counted, and never a claim on another
+/// port's queues — the credit, buffer and ownership invariants hold
+/// throughout, and the network drains.
+#[test]
+fn underdeclared_hops_clamp_inside_their_port() {
+    let topo = PolarFlyTopo::new(7, 4).unwrap();
+    let cfg = SimConfig::default()
+        .warmup(100)
+        .measure(300)
+        .drain_max(3000)
+        .gen_cutoff(400)
+        .seed(3);
+    let (tables, dests) = uniform(&topo, cfg.seed);
+    let algo = Box::new(Underdeclared(MinHop::for_topology(&topo)));
+    let mut e = Engine::with_algorithm(&topo, &tables, &dests, algo, 0.3, cfg.clone());
+    assert_eq!(e.flit_rings().resident_bytes(), idle_bytes(&topo, &cfg, 2));
+    for cycle in 0..3400 {
+        e.step();
+        if cycle % 17 == 0 {
+            e.validate_flow_invariants();
+        }
+    }
+    e.validate_flow_invariants();
+    assert!(e.diag_class_clamps > 0, "no path outran the declaration");
+    assert_eq!(e.flits_in_network(), 0, "network did not drain");
+    assert_eq!(e.source_backlog(), 0);
+    assert_eq!(e.total_delivered(), e.total_generated());
+}
