@@ -6,7 +6,8 @@
 //! operators actually ask of a degraded deployment: what happens to
 //! packet latency, accepted throughput, and delivery ratio when links
 //! die. For each failure ratio a seeded connected [`FailureSet`] is
-//! drawn, the topology is wrapped in [`DegradedTopo`], and a full
+//! drawn, the topology is wrapped in a [`TransientTopo`] whose schedule
+//! fails those links at cycle 0 and never repairs them, and a full
 //! latency-vs-load curve is run (Rayon-parallel across loads, like every
 //! `load_curve` consumer) under MIN and UGAL-PF — adaptive routing sees
 //! the failures only through residual route tables, per-port link masks,
@@ -26,9 +27,9 @@
 
 use crate::Args;
 use pf_bench::jsonl::Row;
-use pf_graph::FailureSet;
+use pf_graph::{FailureSet, FaultSchedule};
 use pf_sim::{load_curve, Routing, SimConfig, TrafficPattern};
-use pf_topo::{DegradedTopo, PolarFlyTopo, SlimFly, Topology};
+use pf_topo::{PolarFlyTopo, SlimFly, Topology, TransientTopo};
 
 /// Failure seed: one draw per (topology, ratio), shared by both routings
 /// so they face identical dead links.
@@ -74,7 +75,8 @@ pub fn run(args: &Args) -> Result<(), String> {
     for topo in &topos {
         for &ratio in &ratios {
             let failures = FailureSet::sample_connected(topo.graph(), ratio, FAILURE_SEED);
-            let degraded = DegradedTopo::new(topo.as_ref(), failures);
+            let degraded =
+                TransientTopo::new(topo.as_ref(), FaultSchedule::from_failures(&failures));
             for routing in routings {
                 let curve = load_curve(&degraded, routing, TrafficPattern::Uniform, &loads, &cfg);
                 for p in &curve.points {

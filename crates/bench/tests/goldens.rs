@@ -4,8 +4,8 @@
 //! root, so fig13's DOT/JSON files land in the ignored `target/`.
 //!
 //! No golden depends on the thread count. The three sweep smokes are the
-//! only runs that reach the degraded and transient branches of the
-//! engine's VC class budget (DESIGN.md, "VC class budget").
+//! only runs that reach the static-failure and transient inputs of the
+//! engine's VC class budget rule (DESIGN.md, "VC class budget").
 
 use std::process::{Command, Stdio};
 

@@ -1,6 +1,6 @@
 //! Random link-failure experiments (Fig. 14), the [`FailureSet`]
 //! sampler behind live fault injection, and the [`FaultSchedule`] of
-//! timestamped fail/repair windows behind *transient* (mid-run) faults.
+//! timestamped fail/repair windows behind every simulated fault.
 //!
 //! §IX-B of the paper: simulate random link failures until the network
 //! disconnects; over 100 trials report the *median* disconnection ratio,
@@ -8,18 +8,17 @@
 //! ratio for a median run. (Mean/σ are unusable because diameter becomes
 //! infinite at disconnection — the paper makes the same observation.)
 //!
-//! [`FailureSet`] packages one seeded failure draw as a reusable value:
-//! the simulator stack (`pf_topo::DegradedTopo`, the engine's per-port
-//! link masks) threads it through every layer so the *same* failed links
-//! are masked in route tables, algebraic next hops, and adaptive
-//! congestion decisions.
+//! [`FailureSet`] packages one seeded failure draw as a reusable value.
 //!
-//! [`FaultSchedule`] extends the fail-stop model along the time axis:
-//! each fault is a half-open `[fail, repair)` window on a link or a
-//! router (a router fault takes down every incident link for its
-//! duration). The simulator (`pf_topo::TransientTopo` + the engine's
-//! fault event queue) flips its per-port masks at the scheduled cycles
-//! and re-converges its route tables after each event.
+//! [`FaultSchedule`] is the simulator's one fault model: each fault is a
+//! half-open `[fail, repair)` window on a link or a router (a router
+//! fault takes down every incident link for its duration). A static
+//! failure set is the schedule whose link windows open at cycle 0 and
+//! never repair ([`FaultSchedule::from_failures`]). The simulator
+//! (`pf_topo::TransientTopo` + the engine's fault event queue) masks the
+//! cycle-0 state in route tables, algebraic next hops and adaptive
+//! congestion decisions, then flips its per-port masks at the scheduled
+//! cycles and re-converges its route tables after each event.
 
 use crate::bfs::DistanceHistogram;
 use crate::csr::Csr;
@@ -179,8 +178,9 @@ pub struct FaultEvent {
     pub kind: FaultEventKind,
 }
 
-/// A seeded schedule of transient faults: fail/repair windows per link,
-/// plus router (vertex) failures as a second axis.
+/// A schedule of faults: fail/repair windows per link, plus router
+/// (vertex) failures as a second axis. A window repairing at
+/// [`FaultSchedule::NEVER`] is a permanent failure.
 ///
 /// Every window is half-open: the element is down at cycle `fail` and up
 /// again at cycle `repair`. Overlapping or *touching* windows on the same
@@ -218,9 +218,31 @@ pub struct FaultSchedule {
 }
 
 impl FaultSchedule {
-    /// An empty schedule (no transient faults).
+    /// The repair cycle of a fault that never repairs: a window
+    /// `[fail, NEVER)` resolves to a down event and no up event.
+    pub const NEVER: u32 = u32::MAX;
+
+    /// An empty schedule (no faults: the healthy network).
     pub fn new() -> FaultSchedule {
         FaultSchedule::default()
+    }
+
+    /// A static failure set as a schedule: every failed link is down
+    /// from cycle 0 and never repairs.
+    pub fn from_failures(failures: &FailureSet) -> FaultSchedule {
+        let mut s = FaultSchedule::new();
+        for &(u, v) in failures.edges() {
+            s = s.link_fault(u, v, 0, FaultSchedule::NEVER);
+        }
+        s
+    }
+
+    /// Whether the fault state never changes after cycle 0: there is no
+    /// router window and every resolved event fires at cycle 0 (the
+    /// empty schedule included). Panics like
+    /// [`FaultSchedule::resolved_events`].
+    pub fn is_static(&self, g: &Csr) -> bool {
+        self.router_windows.is_empty() && self.resolved_events(g).iter().all(|e| e.cycle == 0)
     }
 
     /// Adds a link fault window: `{u, v}` is down for `[fail, repair)`.
@@ -259,7 +281,8 @@ impl FaultSchedule {
         self.link_windows.len() + self.router_windows.len()
     }
 
-    /// First cycle at which every scheduled fault has been repaired.
+    /// First cycle at which every scheduled fault has been repaired
+    /// ([`FaultSchedule::NEVER`] if some fault never repairs).
     pub fn horizon(&self) -> u32 {
         let l = self.link_windows.iter().map(|w| w.3).max().unwrap_or(0);
         let r = self.router_windows.iter().map(|w| w.2).max().unwrap_or(0);
@@ -370,7 +393,8 @@ impl FaultSchedule {
     /// both endpoint routers) and per-router intervals are merged so no
     /// element ever goes down twice without coming up in between, then
     /// emitted sorted by cycle with repairs *before* failures at the same
-    /// cycle. Panics if a scheduled link is not an edge of `g` or a
+    /// cycle. An interval ending at [`FaultSchedule::NEVER`] emits no
+    /// repair. Panics if a scheduled link is not an edge of `g` or a
     /// scheduled router is out of range.
     pub fn resolved_events(&self, g: &Csr) -> Vec<FaultEvent> {
         use std::collections::BTreeMap;
@@ -393,28 +417,34 @@ impl FaultSchedule {
         }
 
         let mut events = Vec::new();
-        for (&(u, v), windows) in per_link.iter_mut() {
-            for (fail, repair) in merge_windows(windows) {
-                events.push(FaultEvent {
-                    cycle: fail,
-                    kind: FaultEventKind::LinkDown(u, v),
-                });
+        let mut push = |(fail, repair): (u32, u32), down, up| {
+            events.push(FaultEvent {
+                cycle: fail,
+                kind: down,
+            });
+            if repair != FaultSchedule::NEVER {
                 events.push(FaultEvent {
                     cycle: repair,
-                    kind: FaultEventKind::LinkUp(u, v),
+                    kind: up,
                 });
+            }
+        };
+        for (&(u, v), windows) in per_link.iter_mut() {
+            for w in merge_windows(windows) {
+                push(
+                    w,
+                    FaultEventKind::LinkDown(u, v),
+                    FaultEventKind::LinkUp(u, v),
+                );
             }
         }
         for (&r, windows) in per_router.iter_mut() {
-            for (fail, repair) in merge_windows(windows) {
-                events.push(FaultEvent {
-                    cycle: fail,
-                    kind: FaultEventKind::RouterDown(r),
-                });
-                events.push(FaultEvent {
-                    cycle: repair,
-                    kind: FaultEventKind::RouterUp(r),
-                });
+            for w in merge_windows(windows) {
+                push(
+                    w,
+                    FaultEventKind::RouterDown(r),
+                    FaultEventKind::RouterUp(r),
+                );
             }
         }
         // Repairs first at a shared cycle: a resource handed from one
@@ -852,6 +882,37 @@ mod tests {
             assert!(union.contains(u, v));
             assert!(fail < 300);
         }
+    }
+
+    #[test]
+    fn a_failure_set_is_a_never_repaired_static_schedule() {
+        let g = ring_with_chords(12);
+        let f = FailureSet::sample_connected(&g, 0.25, 4);
+        let s = FaultSchedule::from_failures(&f);
+        assert_eq!(s.len(), f.len());
+        assert_eq!(s.active_at(&g, 0), f);
+        assert_eq!(s.active_at(&g, 1 << 30), f);
+        assert_eq!(s.horizon(), FaultSchedule::NEVER);
+        let events = s.resolved_events(&g);
+        assert_eq!(events.len(), f.len(), "no repair events");
+        assert!(events
+            .iter()
+            .all(|e| e.cycle == 0 && matches!(e.kind, FaultEventKind::LinkDown(..))));
+        assert!(s.is_static(&g));
+        assert!(FaultSchedule::new().is_static(&g));
+        // Any event after cycle 0, or any router window, is transient.
+        let (u, v) = g.edges()[0];
+        assert!(!s.clone().link_fault(u, v, 5, 9).is_static(&g));
+        assert!(!FaultSchedule::new().link_fault(u, v, 0, 9).is_static(&g));
+        assert!(!FaultSchedule::new()
+            .router_fault(0, 0, FaultSchedule::NEVER)
+            .is_static(&g));
+        // Touching windows that merge into one never-repaired outage
+        // opening at cycle 0 fire nothing later.
+        assert!(FaultSchedule::new()
+            .link_fault(u, v, 0, 9)
+            .link_fault(u, v, 9, FaultSchedule::NEVER)
+            .is_static(&g));
     }
 
     #[test]

@@ -31,8 +31,8 @@ use pf_workload::JobAssignment;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Convenience: builds tables (on the residual graph when the topology
-/// advertises failures), attaches the jobs to a fresh engine, and runs
+/// Convenience: builds tables (on the residual graph when links are down
+/// at cycle 0), attaches the jobs to a fresh engine, and runs
 /// the workload to completion. Errors on malformed jobs (validation
 /// failure, overlapping or out-of-range host sets).
 ///
@@ -56,9 +56,7 @@ pub fn simulate_workload(
     cfg: &SimConfig,
 ) -> Result<SimResult, String> {
     let driver = WorkloadDriver::new(topo, jobs, cfg.packet_flits)?;
-    let residual = crate::tables::routing_graph(topo);
-    let g = residual.as_ref().unwrap_or_else(|| topo.graph());
-    let tables = RouteTables::build(g, cfg.seed);
+    let tables = RouteTables::build_for(topo, cfg.seed);
     let dests = DestMap::Uniform {
         hosts: topo.host_routers(),
     };

@@ -14,7 +14,7 @@ pub use crate::config::SimConfig;
 
 use crate::alloc::Req;
 use crate::drive::WorkloadDriver;
-use crate::faults::FaultCtl;
+use crate::faults::{link_ports, FaultCtl};
 use crate::flow::LinkPipeline;
 use crate::packet::PacketPool;
 use crate::phase::PhaseClock;
@@ -63,8 +63,8 @@ pub(crate) use net_view;
 /// mid-run, while the old tables keep serving until the swap — the
 /// staged behavior of a real control plane.
 pub(crate) enum Tables<'a> {
-    /// Caller-owned tables (healthy and statically degraded runs; the
-    /// initial state of transient runs).
+    /// Caller-owned tables (healthy and static-failure runs; the initial
+    /// state of transient runs).
     Shared(&'a RouteTables),
     /// Engine-owned tables from a mid-run re-convergence.
     Owned(RouteTables),
@@ -199,14 +199,16 @@ pub struct Engine<'a> {
     /// Per-link liveness, indexed by the sender's port: `false` marks a
     /// failed link that routing must never select. Both directions of a
     /// link fail and repair together, so the array is symmetric under
-    /// [`PortMap::peer`]. All-true on healthy topologies; derived from
-    /// [`pf_topo::Topology::link_failures`].
+    /// [`PortMap::peer`]. All-true on healthy topologies; starts from
+    /// the fault schedule's cycle-0 state
+    /// ([`crate::tables::initial_failures`]).
     pub(crate) link_up: Vec<bool>,
     /// Whether any link is failed (gates the mask loads off the healthy
     /// hot paths). Transient runs flip this as fault events fire.
     pub(crate) degraded: bool,
-    /// Whether this run has a transient-fault schedule (gates the fault
-    /// event hooks off healthy and statically-degraded hot paths).
+    /// Whether the fault schedule can still change the network after
+    /// cycle 0 (gates the fault event hooks off healthy and
+    /// static-failure hot paths).
     pub(crate) transient: bool,
     /// Transient-fault control: event queue, router liveness, drain
     /// counts, re-convergence state, and fault counters. Inert (empty)
@@ -404,43 +406,31 @@ impl<'a> Engine<'a> {
         let geom = PortMap::build(g);
         let num_ports = geom.num_ports();
 
-        // Per-port link masks from the topology's failure set. Both
-        // directions of a failed (undirected) link go down together.
+        // The fault schedule decides both fault states. Its cycle-0 state
+        // masks links before the first cycle (both directions of a failed
+        // link go down together). Fault control runs only when an event
+        // can still fire after cycle 0 or a router window exists: a
+        // static failure set builds an engine with no fault hooks on its
+        // hot paths.
+        let initial = crate::tables::initial_failures(topo);
         let mut link_up = vec![true; num_ports];
-        let mut degraded = false;
-        if let Some(failures) = topo.link_failures() {
-            #[expect(
-                clippy::expect_used,
-                reason = "construction-time check of the failure set; a non-edge here is a topology bug caught before any cycle runs"
-            )]
-            for &(u, v) in failures.edges() {
-                let iu = g
-                    .neighbors(u)
-                    .binary_search(&v)
-                    .expect("failed link must be a graph edge");
-                link_up[geom.tx(u, iu) as usize] = false;
-                let iv = g
-                    .neighbors(v)
-                    .binary_search(&u)
-                    .expect("failed link must be a graph edge");
-                link_up[geom.tx(v, iv) as usize] = false;
-                degraded = true;
-            }
+        for &(u, v) in initial.edges() {
+            let (port_uv, port_vu) = link_ports(g, &geom, u, v);
+            link_up[port_uv as usize] = false;
+            link_up[port_vu as usize] = false;
         }
-        // Transient runs flip masks mid-cycle-loop; the event queue and
-        // fault bookkeeping come from the topology's schedule.
+        let degraded = !initial.is_empty();
         let mut faults = match topo.fault_schedule() {
-            Some(schedule) => FaultCtl::from_schedule(schedule, g, &geom, n, num_ports, &cfg),
-            None => FaultCtl::inactive(),
+            Some(schedule) if !schedule.is_static(g) => {
+                FaultCtl::from_schedule(schedule, g, &geom, n, num_ports, &cfg)
+            }
+            _ => FaultCtl::inactive(),
         };
         let transient = faults.active();
         if transient {
-            // Links already down at cycle 0 (including static failures a
-            // wrapped DegradedTopo advertises) must stay out of every
-            // mid-run table rebuild's residual.
-            if let Some(f) = topo.link_failures() {
-                faults.down_edges.extend_from_slice(f.edges());
-            }
+            // Links down at cycle 0 must stay out of every mid-run table
+            // rebuild's residual.
+            faults.down_edges.extend_from_slice(initial.edges());
         }
 
         let diameter = tables.max_finite_dist();
@@ -454,7 +444,7 @@ impl<'a> Engine<'a> {
             // when the residual diameter is known.)
             assert!(
                 u32::from(cfg.vc_classes) >= need,
-                "degraded run under {} needs vc_classes >= {need} \
+                "faulted run under {} needs vc_classes >= {need} \
                  (worst-case hops at residual diameter {diameter}) but got {}; \
                  raise SimConfig::vc_classes",
                 algo.label(),
@@ -462,7 +452,8 @@ impl<'a> Engine<'a> {
             );
         }
         // Allocate the VC state of the hop classes a path can reach — 2
-        // of 4 for MIN on a diameter-2 graph. A transient run keeps the
+        // of 4 for MIN on a diameter-2 graph, the residual diameter's
+        // need under a static failure set. A transient run keeps the
         // configured budget: re-convergence can raise the diameter
         // mid-run. An algorithm that outruns its declared `max_hops` is
         // clamped to the top allocated class, never past its port.

@@ -1,9 +1,10 @@
 //! Transient-fault control: the engine-side machinery behind
 //! [`pf_topo::TransientTopo`].
 //!
-//! A transient run threads four mechanisms through the cycle loop (all
-//! gated behind `Engine::transient`, so healthy and statically-degraded
-//! runs pay one branch per cycle):
+//! A run whose schedule can still change the network after cycle 0
+//! threads four mechanisms through the cycle loop (all gated behind
+//! `Engine::transient`, so healthy and static-failure runs pay one
+//! branch per cycle):
 //!
 //! * **Event queue.** The topology's [`pf_graph::FaultSchedule`] is
 //!   resolved into a sorted stream of link/router down/up transitions
@@ -49,6 +50,24 @@ use pf_graph::{Csr, FaultEventKind, FaultSchedule};
 pub(crate) struct EngineEvent {
     pub(crate) cycle: u32,
     pub(crate) kind: EngineEventKind,
+}
+
+/// The two directed ports of link `{u, v}`: `u`'s port toward `v` and
+/// `v`'s toward `u` (each the sender's id of its direction).
+#[expect(
+    clippy::expect_used,
+    reason = "construction-time check of the fault schedule; a non-edge here is a schedule bug caught before any cycle runs"
+)]
+pub(crate) fn link_ports(g: &Csr, geom: &PortMap, u: u32, v: u32) -> (u32, u32) {
+    let iu = g
+        .neighbors(u)
+        .binary_search(&v)
+        .expect("scheduled link must be a graph edge");
+    let iv = g
+        .neighbors(v)
+        .binary_search(&u)
+        .expect("scheduled link must be a graph edge");
+    (geom.tx(u, iu), geom.tx(v, iv))
 }
 
 /// The transition an [`EngineEvent`] applies.
@@ -144,21 +163,6 @@ impl FaultCtl {
         num_ports: usize,
         cfg: &SimConfig,
     ) -> FaultCtl {
-        #[expect(
-            clippy::expect_used,
-            reason = "construction-time check of the fault schedule; a non-edge here is a schedule bug caught before any cycle runs"
-        )]
-        let ports_of = |u: u32, v: u32| {
-            let iu = g
-                .neighbors(u)
-                .binary_search(&v)
-                .expect("scheduled link must be a graph edge");
-            let iv = g
-                .neighbors(v)
-                .binary_search(&u)
-                .expect("scheduled link must be a graph edge");
-            (geom.tx(u, iu), geom.tx(v, iv))
-        };
         let events = schedule
             .resolved_events(g)
             .into_iter()
@@ -166,7 +170,7 @@ impl FaultCtl {
                 cycle: e.cycle,
                 kind: match e.kind {
                     FaultEventKind::LinkDown(u, v) => {
-                        let (port_uv, port_vu) = ports_of(u, v);
+                        let (port_uv, port_vu) = link_ports(g, geom, u, v);
                         EngineEventKind::LinkDown {
                             u,
                             v,
@@ -175,7 +179,7 @@ impl FaultCtl {
                         }
                     }
                     FaultEventKind::LinkUp(u, v) => {
-                        let (port_uv, port_vu) = ports_of(u, v);
+                        let (port_uv, port_vu) = link_ports(g, geom, u, v);
                         EngineEventKind::LinkUp {
                             u,
                             v,

@@ -19,20 +19,19 @@
 //! * **Warmup / measurement / drain** phases; packet latency is
 //!   generation-to-tail-ejection, throughput is accepted flits per endpoint
 //!   cycle in the measurement window.
-//! * **Degraded operation**: topologies advertising failed links
-//!   (`pf_topo::DegradedTopo`) get residual-graph route tables
-//!   ([`RouteTables::build_for`]), per-port link masks in the engine, and
-//!   a mask-validated algebraic fast path, so every routing algorithm
-//!   routes around fail-stop links (see the fault-model section of
-//!   DESIGN.md).
-//! * **Transient faults**: topologies carrying a fault schedule
-//!   (`pf_topo::TransientTopo`) drive a mid-run event queue — links and
-//!   routers die and repair at scheduled cycles, in-flight flits follow a
-//!   configurable drop-and-retransmit / drain policy
-//!   ([`InFlightPolicy`]), and route tables re-converge in stages: the
-//!   stale tables keep serving (mask-checked, locally detoured) until a
-//!   Rayon-parallel rebuild swaps in after `convergence_delay` cycles
-//!   (see [`faults`]).
+//! * **Faults**: one model, a topology carrying a fault schedule
+//!   (`pf_topo::TransientTopo`; see the fault-model section of
+//!   DESIGN.md). Its cycle-0 state ([`tables::initial_failures`]) gets
+//!   residual-graph route tables ([`RouteTables::build_for`]), per-port
+//!   link masks in the engine, and a mask-validated algebraic fast path,
+//!   so every routing algorithm routes around fail-stop links. A static
+//!   failure set ends there. Anything later drives a mid-run event
+//!   queue: links and routers die and repair at scheduled cycles,
+//!   in-flight flits follow a configurable drop-and-retransmit / drain
+//!   policy ([`InFlightPolicy`]), and route tables re-converge in
+//!   stages — the stale tables keep serving (mask-checked, locally
+//!   detoured) until a Rayon-parallel rebuild swaps in after
+//!   `convergence_delay` cycles (see [`faults`]).
 //!
 //! ## Module map
 //!

@@ -209,13 +209,12 @@ impl MinHop<'_> {
 
     /// The minimal-hop source `topo` supports — the single decision point
     /// shared by the engine's bookkeeping and `Routing::algorithm`, so the
-    /// two can never disagree on the fast path. Topologies advertising
-    /// failed links — or a transient fault schedule, under which any link
-    /// may die mid-run — get the mask-validated algebraic variant (whose
-    /// mask checks are free while every link is up).
+    /// two can never disagree on the fast path. Topologies with a
+    /// non-empty fault schedule — links down from cycle 0, or dying
+    /// mid-run — get the mask-validated algebraic variant (whose mask
+    /// checks are free while every link is up).
     pub fn for_topology(topo: &dyn pf_topo::Topology) -> MinHop<'_> {
-        let degraded =
-            topo.link_failures().is_some_and(|f| !f.is_empty()) || topo.fault_schedule().is_some();
+        let degraded = topo.fault_schedule().is_some_and(|s| !s.is_empty());
         match topo.routing_hint() {
             pf_topo::RoutingHint::PolarFly(pf) if degraded => MinHop::AlgebraicMasked(pf),
             pf_topo::RoutingHint::PolarFly(pf) => MinHop::Algebraic(pf),
@@ -288,7 +287,7 @@ pub trait RoutingAlgorithm: Send + Sync {
 /// the two metrics hop-by-hop instead can ping-pong forever (stale
 /// points forward, backup points back).
 ///
-/// Healthy and statically-degraded runs take the algorithm's answer
+/// Healthy and static-failure runs take the algorithm's answer
 /// untouched: `pending` is `None` there (and after every completed
 /// swap), so the pin state is not even consulted — a stale pin past its
 /// convergence is deliberately ignored, because the serving tables *are*
@@ -374,7 +373,7 @@ fn port_toward(net: &NetState, min: &MinHop, at: u32, target: u32) -> Port {
 /// reachable in both legs under the current tables (a router mid-repair
 /// stays excluded until the tables re-converge, so no packet chases an
 /// intermediate the stale tables cannot route to). Healthy and
-/// statically-degraded runs skip the liveness/reachability loads: their
+/// static-failure runs skip the liveness/reachability loads: their
 /// routing graph is connected by construction.
 fn random_mid(net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> u32 {
     let n = net.graph.vertex_count() as u32;

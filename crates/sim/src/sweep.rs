@@ -2,8 +2,8 @@
 //! the latency-vs-load figures (Figs. 8–11) and the resilience sweeps.
 //! Tables and traffic patterns are resolved once per (topology, pattern)
 //! and shared across the Rayon-parallel per-load runs. Topologies with
-//! failed links ([`pf_topo::DegradedTopo`]) get residual-graph tables and
-//! traffic resolution automatically.
+//! links down at cycle 0 ([`crate::tables::initial_failures`]) get
+//! residual-graph tables and traffic resolution automatically.
 
 use crate::engine::{simulate, SimConfig};
 use crate::stats::SimResult;
@@ -15,7 +15,7 @@ use pf_topo::Topology;
 use rayon::prelude::*;
 
 /// Tables + destination map for one (topology, pattern, seed) triple,
-/// built on the residual graph when the topology advertises failures (so
+/// built on the residual graph when links are down at cycle 0 (so
 /// hop-exact permutation patterns respect surviving distances too). The
 /// residual-or-full decision lives in [`crate::tables::routing_graph`].
 pub(crate) fn resolve_run(

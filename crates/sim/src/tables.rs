@@ -12,12 +12,12 @@
 //! neighbor list — so the tables cost 2·n² bytes (distance + hop) plus
 //! the O(E) adjacency that turns the position back into a router id.
 //!
-//! Fault awareness: [`RouteTables::build_for`] consults
-//! [`pf_topo::Topology::link_failures`] and builds the tables on the
-//! *residual* graph, so every table next hop (and every UGAL distance
-//! term) already routes around the failed links.
+//! Fault awareness: [`RouteTables::build_for`] builds the tables on the
+//! *residual* graph of the topology's cycle-0 fault state
+//! ([`initial_failures`]), so every table next hop (and every UGAL
+//! distance term) already routes around the links down at the start.
 
-use pf_graph::{bfs, Csr, DistanceMatrix};
+use pf_graph::{bfs, Csr, DistanceMatrix, FailureSet};
 use pf_topo::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,15 +29,22 @@ use rayon::prelude::*;
 /// over all of ER_47 is < 10 % faster).
 const STRIPE: usize = 256;
 
+/// The links down when a run of `topo` starts: its fault schedule's
+/// state at cycle 0 (`active_at(graph, 0)`), empty on a healthy
+/// topology. The one source of the cycle-0 state — the engine's link
+/// masks, [`RouteTables::build_for`] and traffic resolution all read it.
+pub fn initial_failures(topo: &dyn Topology) -> FailureSet {
+    topo.fault_schedule()
+        .map(|s| s.active_at(topo.graph(), 0))
+        .unwrap_or_default()
+}
+
 /// The graph routing for `topo` must be computed on: `Some(residual)`
-/// when the topology advertises failed links, `None` (use the full graph)
-/// otherwise. The single decision point behind [`RouteTables::build_for`]
-/// and the sweep's traffic resolution — fault-aware policy changes land
-/// here once.
+/// when links are down at cycle 0, `None` (use the full graph)
+/// otherwise.
 pub fn routing_graph(topo: &dyn Topology) -> Option<Csr> {
-    topo.link_failures()
-        .filter(|f| !f.is_empty())
-        .map(|f| f.residual(topo.graph()))
+    let failures = initial_failures(topo);
+    (!failures.is_empty()).then(|| failures.residual(topo.graph()))
 }
 
 /// Largest router degree the byte-wide next-hop table can index;
@@ -102,9 +109,9 @@ impl RouteTables {
     }
 
     /// Builds the tables a `topo` run needs: on the full graph for healthy
-    /// topologies, on the residual graph when the topology advertises
-    /// failed links ([`pf_topo::DegradedTopo`]) — same router ids either
-    /// way, so the engine's geometry is unaffected.
+    /// topologies, on the residual graph when links are down at cycle 0
+    /// ([`routing_graph`]) — same router ids either way, so the engine's
+    /// geometry is unaffected.
     pub fn build_for(topo: &dyn Topology, seed: u64) -> RouteTables {
         match routing_graph(topo) {
             Some(residual) => RouteTables::build(&residual, seed),

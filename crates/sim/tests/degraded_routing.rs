@@ -1,15 +1,22 @@
-//! Live fault injection, end to end: a degraded PolarFly must deliver
-//! every packet below saturation on a connected residual network, the
-//! masked algebraic fast path must stay *residual*-minimal, and no flit
-//! may ever traverse a failed link — under any routing algorithm.
+//! Static link failures, end to end: a failure set is the fault schedule
+//! whose link windows open at cycle 0 and never repair
+//! ([`FaultSchedule::from_failures`]). A PolarFly degraded that way must
+//! deliver every packet below saturation on a connected residual
+//! network, the masked algebraic fast path must stay *residual*-minimal,
+//! and no flit may ever traverse a failed link — under any routing
+//! algorithm. The engine runs such a schedule without fault control: no
+//! table swap, nothing dropped.
 
-use pf_graph::{DistanceMatrix, FailureSet};
+mod common;
+
+use common::assert_bit_identical;
+use pf_graph::{DistanceMatrix, FailureSet, FaultSchedule};
 use pf_sim::engine::Engine;
 use pf_sim::router::PortMap;
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
 use pf_sim::{load_curve, simulate, MinHop, NetState, Routing, SimConfig};
-use pf_topo::{DegradedTopo, PolarFlyTopo, Topology};
+use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
 
 /// Residual minimal paths can exceed the healthy diameter of 2 and the
 /// adaptive detours add more: 8 hop-indexed VC classes keep every path of
@@ -17,6 +24,13 @@ use pf_topo::{DegradedTopo, PolarFlyTopo, Topology};
 /// only the healthy ≤ 4-hop routes).
 fn degraded_cfg() -> SimConfig {
     SimConfig::quick().vc_classes(8).seed(11)
+}
+
+/// `inner` with `failures` down from cycle 0, never repaired.
+fn degrade<'a>(inner: &'a dyn Topology, failures: &FailureSet) -> TransientTopo<'a> {
+    let schedule = FaultSchedule::from_failures(failures);
+    assert!(schedule.is_static(inner.graph()));
+    TransientTopo::new(inner, schedule)
 }
 
 /// Per-port liveness mask for a failure set, built the same way the
@@ -38,11 +52,11 @@ fn degraded_pf_delivers_everything_below_saturation() {
     for ratio in [0.05, 0.10] {
         let failures = FailureSet::sample_connected(pf.graph(), ratio, 23);
         assert!(!failures.is_empty());
-        let degraded = DegradedTopo::new(&pf, failures);
+        let degraded = degrade(&pf, &failures);
         let tables = RouteTables::build_for(&degraded, 11);
         let dests = resolve(
             TrafficPattern::Uniform,
-            degraded.residual(),
+            &failures.residual(pf.graph()),
             &degraded.host_routers(),
             11,
         );
@@ -60,6 +74,15 @@ fn degraded_pf_delivers_everything_below_saturation() {
                 routing.label()
             );
             assert!(r.avg_latency > 0.0);
+            assert_eq!(r.down_link_flits, 0, "{}", routing.label());
+            assert_eq!(r.vc_class_clamps, 0, "{}", routing.label());
+            assert_eq!(
+                r.table_swaps,
+                0,
+                "{}: a static set re-converged",
+                routing.label()
+            );
+            assert_eq!(r.dropped_flits + r.retransmitted_packets, 0);
         }
     }
 }
@@ -68,7 +91,7 @@ fn degraded_pf_delivers_everything_below_saturation() {
 fn masked_algebraic_next_hop_is_residual_minimal() {
     let pf = PolarFlyTopo::new(9, 5).unwrap();
     let failures = FailureSet::sample_connected(pf.graph(), 0.08, 5);
-    let degraded = DegradedTopo::new(&pf, failures.clone());
+    let degraded = degrade(&pf, &failures);
     let tables = RouteTables::build_for(&degraded, 3);
     let geom = PortMap::build(degraded.graph());
     let link_up = mask_for(degraded.graph(), &geom, &failures);
@@ -97,11 +120,14 @@ fn masked_algebraic_next_hop_is_residual_minimal() {
         matches!(min, MinHop::AlgebraicMasked(_)),
         "degraded PolarFly must get the mask-validated algebraic fast path"
     );
-    // Healthy PolarFly keeps the unchecked fast path.
+    // Healthy PolarFly, and an empty failure set, keep the unchecked
+    // fast path.
     assert!(matches!(MinHop::for_topology(&pf), MinHop::Algebraic(_)));
+    let empty = degrade(&pf, &FailureSet::empty());
+    assert!(matches!(MinHop::for_topology(&empty), MinHop::Algebraic(_)));
 
-    let residual = degraded.residual();
-    let dm = DistanceMatrix::build(residual);
+    let residual = failures.residual(pf.graph());
+    let dm = DistanceMatrix::build(&residual);
     let n = degraded.router_count() as u32;
     let mut fell_back = 0u32;
     for s in 0..n {
@@ -136,11 +162,11 @@ fn masked_algebraic_next_hop_is_residual_minimal() {
 fn no_flit_ever_crosses_a_failed_link() {
     let pf = PolarFlyTopo::new(7, 4).unwrap();
     let failures = FailureSet::sample_connected(pf.graph(), 0.1, 99);
-    let degraded = DegradedTopo::new(&pf, failures.clone());
+    let degraded = degrade(&pf, &failures);
     let tables = RouteTables::build_for(&degraded, 11);
     let dests = resolve(
         TrafficPattern::Uniform,
-        degraded.residual(),
+        &failures.residual(pf.graph()),
         &degraded.host_routers(),
         11,
     );
@@ -168,6 +194,13 @@ fn no_flit_ever_crosses_a_failed_link() {
                 );
             }
         }
+        assert_eq!(e.down_link_flits(), 0, "{}", routing.label());
+        assert_eq!(
+            e.table_swaps(),
+            0,
+            "{}: a static set re-converged",
+            routing.label()
+        );
     }
 }
 
@@ -175,7 +208,7 @@ fn no_flit_ever_crosses_a_failed_link() {
 fn load_curve_runs_on_degraded_topologies() {
     let pf = PolarFlyTopo::new(5, 2).unwrap();
     let failures = FailureSet::sample_connected(pf.graph(), 0.1, 1);
-    let degraded = DegradedTopo::new(&pf, failures);
+    let degraded = degrade(&pf, &failures);
     let curve = load_curve(
         &degraded,
         Routing::Min,
@@ -191,10 +224,15 @@ fn load_curve_runs_on_degraded_topologies() {
     assert!(curve.zero_load_latency() > 0.0);
 }
 
+/// An empty failure set is the empty schedule, and runs bit for bit like
+/// the healthy network under the `!f0.0%` name a 0 % resilience point
+/// prints.
 #[test]
 fn empty_failure_set_behaves_exactly_like_the_healthy_network() {
     let pf = PolarFlyTopo::new(5, 2).unwrap();
-    let degraded = DegradedTopo::new(&pf, FailureSet::empty());
+    let degraded = degrade(&pf, &FailureSet::empty());
+    assert_eq!(degraded.fault_schedule().unwrap(), &FaultSchedule::new());
+    assert_eq!(degraded.name(), "PF(q=5,p=2)!f0.0%");
     let cfg = SimConfig::quick().seed(4);
     let healthy_tables = RouteTables::build_for(&pf, 4);
     let degraded_tables = RouteTables::build_for(&degraded, 4);
@@ -216,7 +254,7 @@ fn empty_failure_set_behaves_exactly_like_the_healthy_network() {
         0.4,
         cfg,
     );
-    assert_eq!(a.generated, b.generated);
-    assert_eq!(a.delivered, b.delivered);
-    assert_eq!(a.avg_latency, b.avg_latency);
+    assert!(b.delivered > 0);
+    assert_bit_identical(&a, &b, "empty failure set");
+    assert_eq!(a.skipped_router_cycles, b.skipped_router_cycles);
 }

@@ -236,8 +236,8 @@ fn router_blip_holds_traffic_and_recovers() {
 /// topology must survive the post-repair stale window: a just-repaired
 /// router has live links but stays unreachable in the serving tables
 /// until the swap, and a detour targeting it used to panic in
-/// `next_hop` resolution. Also pins that cycle-0 windows trigger no
-/// spurious re-convergence swap.
+/// `next_hop` resolution. Also pins that cycle-0 windows of a transient
+/// schedule trigger no spurious re-convergence swap.
 #[test]
 fn neighbor_detours_survive_router_repair_window_on_tables() {
     use pf_topo::SlimFly;
@@ -274,10 +274,12 @@ fn neighbor_detours_survive_router_repair_window_on_tables() {
         assert_eq!(e.diag_class_clamps, 0, "{}", routing.label());
     }
 
-    // Cycle-0-only windows are already baked into the initial tables:
-    // no event "changes" anything, so no swap may fire.
+    // Cycle-0 windows are already baked into the initial tables: their
+    // down events "change" nothing, so no swap may fire. (The repair
+    // lands after the run, so the fault machinery is live.)
     let (u, v) = sf.graph().edges()[0];
-    let baked = TransientTopo::new(&sf, FaultSchedule::new().link_fault(u, v, 0, u32::MAX));
+    let baked = TransientTopo::new(&sf, FaultSchedule::new().link_fault(u, v, 0, 1 << 20));
+    assert!(baked.name().contains("~transient×1"));
     let curve = load_curve(
         &baked,
         Routing::Min,

@@ -1,6 +1,7 @@
 //! The VC class budget: an engine allocates per-queue state only for the
 //! hop classes its routing algorithm can reach (`min(vc_classes,
-//! max_hops(diameter))`, the configured budget on transient runs), and
+//! max_hops(diameter))`, the configured budget when a fault event can
+//! still fire after cycle 0), and
 //! that changes nothing it simulates — MIN on ER_q runs bit-identically
 //! on half the queues.
 
@@ -14,7 +15,7 @@ use pf_sim::{
     Engine, FlitRings, HopContext, MinHop, NetState, Port, RoutePlan, Routing, RoutingAlgorithm,
     SimConfig, SimResult,
 };
-use pf_topo::{DegradedTopo, PolarFlyTopo, Topology, TransientTopo};
+use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
 use rand::rngs::StdRng;
 
 /// `Min`, declaring the trait's default `max_hops` (a full Valiant
@@ -142,35 +143,47 @@ fn min_allocates_half_of_ugal_pf() {
     assert_eq!(2 * min, ugal_pf);
 }
 
-/// A statically degraded MIN run at `vc_classes(8)` allocates exactly
-/// the residual diameter's classes; a transient run keeps all eight,
-/// because re-convergence can lengthen paths mid-run.
+/// One rule sizes the VC state from the fault schedule: when no event
+/// can fire after cycle 0 and there is no router window, an engine
+/// allocates the classes its routes reach at the residual diameter;
+/// otherwise it keeps the configured budget, because re-convergence can
+/// lengthen paths mid-run. Three inputs to MIN at `vc_classes(8)`: a
+/// static 10 % failure set (the residual need), the same set plus one
+/// later blip (all 8), and the healthy network (2).
 #[test]
 fn degraded_min_allocates_the_residual_need() {
     let pf = PolarFlyTopo::new(7, 4).unwrap();
+    let g = pf.graph();
     let cfg = SimConfig::quick().vc_classes(8).seed(11);
-
-    let degraded = DegradedTopo::new(&pf, FailureSet::sample_connected(pf.graph(), 0.1, 99));
-    let (tables, dests) = uniform(&degraded, cfg.seed);
-    let need = tables.max_finite_dist() as usize;
+    let failures = FailureSet::sample_connected(g, 0.1, 99);
+    let need = RouteTables::build(&failures.residual(g), cfg.seed).max_finite_dist() as usize;
     assert!(need > 2 && need < 8, "residual diameter {need}");
-    let e = Engine::new(&degraded, &tables, &dests, Routing::Min, 0.2, cfg.clone());
-    assert_eq!(
-        e.flit_rings().resident_bytes(),
-        idle_bytes(&degraded, &cfg, need)
-    );
-    let r = e.run();
-    assert!(!r.saturated && r.delivered == r.generated && r.delivered > 0);
-    assert_eq!(r.vc_class_clamps, 0);
-
-    let schedule = FaultSchedule::sample_connected_links(pf.graph(), 0.08, 150, 150, 23);
-    let transient = TransientTopo::new(&pf, schedule);
-    let (tables, dests) = uniform(&transient, cfg.seed);
-    let e = Engine::new(&transient, &tables, &dests, Routing::Min, 0.2, cfg.clone());
-    assert_eq!(
-        e.flit_rings().resident_bytes(),
-        idle_bytes(&transient, &cfg, 8)
-    );
+    let static_set = FaultSchedule::from_failures(&failures);
+    let &(u, v) = g
+        .edges()
+        .iter()
+        .find(|&&(u, v)| !failures.contains(u, v))
+        .unwrap();
+    let blip = static_set.clone().link_fault(u, v, 400, 500);
+    let static_topo = TransientTopo::new(&pf, static_set);
+    let blip_topo = TransientTopo::new(&pf, blip);
+    let inputs: [(&dyn Topology, usize); 3] = [(&static_topo, need), (&blip_topo, 8), (&pf, 2)];
+    for (topo, classes) in inputs {
+        let label = topo.name();
+        let (tables, dests) = uniform(topo, cfg.seed);
+        let e = Engine::new(topo, &tables, &dests, Routing::Min, 0.2, cfg.clone());
+        assert_eq!(
+            e.flit_rings().resident_bytes(),
+            idle_bytes(topo, &cfg, classes),
+            "{label}: allocated classes"
+        );
+        let r = e.run();
+        assert!(
+            !r.saturated && r.delivered == r.generated && r.delivered > 0,
+            "{label}"
+        );
+        assert_eq!(r.vc_class_clamps, 0, "{label}");
+    }
 }
 
 /// An algorithm whose paths outrun its declared `max_hops` clamps into

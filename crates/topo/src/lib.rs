@@ -17,13 +17,12 @@
 //!   Moore-bound-achieving graphs (Fig. 2 reference points).
 //! * [`traits`] — the [`Topology`] abstraction consumed by the simulator,
 //!   plus the qualitative Table I feasibility matrix.
-//! * [`degraded`] — [`DegradedTopo`], the failed-link mask wrapper behind
-//!   the simulator's degraded-operation scenarios.
-//! * [`transient`] — [`TransientTopo`], the time-varying counterpart:
-//!   a [`pf_graph::FaultSchedule`] of fail/repair windows drives mid-run
-//!   mask flips and staged route re-convergence in the simulator.
+//! * [`transient`] — [`TransientTopo`], the one fault wrapper: a
+//!   [`pf_graph::FaultSchedule`] of fail/repair windows. A static failure
+//!   set is a schedule whose windows open at cycle 0 and never repair;
+//!   any later window drives mid-run mask flips and staged route
+//!   re-convergence in the simulator.
 
-pub mod degraded;
 pub mod dragonfly;
 pub mod fattree;
 pub mod hyperx;
@@ -35,7 +34,6 @@ pub mod slimfly;
 pub mod traits;
 pub mod transient;
 
-pub use degraded::DegradedTopo;
 pub use dragonfly::Dragonfly;
 pub use fattree::FatTree;
 pub use hyperx::HyperX;

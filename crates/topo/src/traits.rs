@@ -1,7 +1,7 @@
 //! The [`Topology`] abstraction consumed by the simulator and structural
 //! analyses, plus the qualitative feasibility matrix of Table I.
 
-use pf_graph::{Csr, FailureSet, FaultSchedule};
+use pf_graph::{Csr, FaultSchedule};
 use polarfly::PolarFly;
 
 /// What a topology can tell routing layers about its structure, beyond
@@ -62,86 +62,62 @@ pub trait Topology: Send + Sync {
     /// [`Topology::graph`] and must stay consistent with it: a
     /// [`RoutingHint::PolarFly`] answer promises that
     /// `polarfly::routing::next_hop_minimal` computes minimal next hops
-    /// on exactly that graph. Wrappers that mask links
-    /// ([`crate::DegradedTopo`], [`crate::TransientTopo`]) forward the
-    /// inner hint unchanged — the algebraic structure survives failures,
-    /// and consumers layer their own failure masks on top (the
-    /// simulator's `MinHop::AlgebraicMasked` validates each algebraic hop
-    /// against its per-port liveness mask before using it).
+    /// on exactly that graph. The fault wrapper ([`crate::TransientTopo`])
+    /// forwards the inner hint unchanged — the algebraic structure
+    /// survives failures, and consumers layer their own failure masks on
+    /// top (the simulator's `MinHop::AlgebraicMasked` validates each
+    /// algebraic hop against its per-port liveness mask before using it).
     ///
     /// ```
-    /// use pf_graph::FailureSet;
-    /// use pf_topo::{DegradedTopo, PolarFlyTopo, RoutingHint, Topology};
+    /// use pf_graph::{FailureSet, FaultSchedule};
+    /// use pf_topo::{PolarFlyTopo, RoutingHint, Topology, TransientTopo};
     ///
     /// let pf = PolarFlyTopo::new(7, 4).unwrap();
     /// assert!(matches!(pf.routing_hint(), RoutingHint::PolarFly(_)));
     ///
     /// // Masking links must not erase the structural hint.
     /// let failures = FailureSet::sample_connected(pf.graph(), 0.05, 1);
-    /// let degraded = DegradedTopo::new(&pf, failures);
+    /// let degraded = TransientTopo::new(&pf, FaultSchedule::from_failures(&failures));
     /// assert!(matches!(degraded.routing_hint(), RoutingHint::PolarFly(_)));
     /// ```
     fn routing_hint(&self) -> RoutingHint<'_> {
         RoutingHint::Generic
     }
 
-    /// Failed links to mask out of routing (default: none — a healthy
-    /// network). [`crate::DegradedTopo`] overrides this; the simulator
-    /// consumes it to build residual route tables and per-port link masks.
+    /// Fault schedule (default: none — a healthy network).
+    /// [`crate::TransientTopo`] overrides this; the simulator masks the
+    /// schedule's cycle-0 state (`active_at(graph, 0)`) in its route
+    /// tables and per-port link masks, and builds its fault event queue
+    /// from whatever fires later.
     ///
     /// # Contract
     ///
-    /// Every returned edge must be an edge of [`Topology::graph`] (the
+    /// Every scheduled link must be an edge of [`Topology::graph`]: the
     /// graph itself is *not* shrunk — failed links keep their ports and
-    /// buffers), and `Some(set)` with an empty set must behave exactly
-    /// like `None`. For a transient topology this is the state at cycle
-    /// 0; the schedule from [`Topology::fault_schedule`] evolves it.
+    /// buffers. An empty schedule must behave exactly like `None`.
     ///
     /// ```
-    /// use pf_graph::FailureSet;
-    /// use pf_topo::{DegradedTopo, PolarFlyTopo, Topology};
-    ///
-    /// let pf = PolarFlyTopo::new(7, 4).unwrap();
-    /// assert!(pf.link_failures().is_none()); // healthy by default
-    ///
-    /// let failures = FailureSet::sample_connected(pf.graph(), 0.05, 42);
-    /// let degraded = DegradedTopo::new(&pf, failures.clone());
-    /// let advertised = degraded.link_failures().unwrap();
-    /// assert_eq!(advertised, &failures);
-    /// // The physical graph is unchanged; only routing masks the links.
-    /// assert_eq!(degraded.graph().edge_count(), pf.graph().edge_count());
-    /// for &(u, v) in advertised.edges() {
-    ///     assert!(degraded.graph().has_edge(u, v));
-    /// }
-    /// ```
-    fn link_failures(&self) -> Option<&FailureSet> {
-        None
-    }
-
-    /// Transient-fault schedule (default: none — the fault state, if
-    /// any, is fixed for the whole run). [`crate::TransientTopo`]
-    /// overrides this; the simulator builds its fault event queue from
-    /// the resolved schedule and flips its per-port link masks mid-run.
-    ///
-    /// # Contract
-    ///
-    /// When `Some`, [`Topology::link_failures`] must describe the
-    /// schedule's state at cycle 0, and every scheduled link must be an
-    /// edge of [`Topology::graph`].
-    ///
-    /// ```
-    /// use pf_graph::FaultSchedule;
+    /// use pf_graph::{FailureSet, FaultSchedule};
     /// use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
     ///
     /// let pf = PolarFlyTopo::new(7, 4).unwrap();
-    /// assert!(pf.fault_schedule().is_none());
+    /// assert!(pf.fault_schedule().is_none()); // healthy by default
     ///
+    /// // A static failure set: down from cycle 0, never repaired.
+    /// let failures = FailureSet::sample_connected(pf.graph(), 0.05, 42);
+    /// let degraded = TransientTopo::new(&pf, FaultSchedule::from_failures(&failures));
+    /// let schedule = degraded.fault_schedule().unwrap();
+    /// assert_eq!(schedule.active_at(pf.graph(), 0), failures);
+    /// assert!(schedule.is_static(pf.graph()));
+    /// // The physical graph is unchanged; only routing masks the links.
+    /// assert_eq!(degraded.graph().edge_count(), pf.graph().edge_count());
+    ///
+    /// // A blip: healthy at cycle 0, down for [100, 400).
     /// let (u, v) = pf.graph().edges()[0];
-    /// let schedule = FaultSchedule::new().link_fault(u, v, 100, 400);
-    /// let transient = TransientTopo::new(&pf, schedule);
-    /// assert!(transient.fault_schedule().is_some());
-    /// // Healthy at cycle 0: the blip starts at cycle 100.
-    /// assert!(transient.link_failures().is_none());
+    /// let transient = TransientTopo::new(&pf, FaultSchedule::new().link_fault(u, v, 100, 400));
+    /// let schedule = transient.fault_schedule().unwrap();
+    /// assert!(schedule.active_at(pf.graph(), 0).is_empty());
+    /// assert!(!schedule.is_static(pf.graph()));
     /// ```
     fn fault_schedule(&self) -> Option<&FaultSchedule> {
         None

@@ -137,6 +137,32 @@ fn bisection_assignments_match_the_heap_pass() {
     assert_eq!(bisect(&er(47), 2, 42).cut_edges, 23593);
 }
 
+/// Fig. 12's lower bound, proved rather than sampled. ER_q's Laplacian
+/// is `(q+1)·I − A`, with `A` the polarity matrix including its quadric
+/// loops (a quadric's missing loop is also its missing degree), and
+/// `A² = J + q·I` because two distinct polar lines meet in one point. So
+/// `λ₂ = q + 1 − √q`, and every split `S` cuts at least
+/// `λ₂·|S|·|S̄|/n` edges. FM's balanced cut must clear it for every
+/// prime power q ≤ 49, odd and even; the gap grades FM, not PolarFly.
+#[test]
+fn bisection_clears_the_spectral_lower_bound() {
+    let qs = pf_galois::primes::prime_powers_in(2, 49);
+    assert_eq!(qs.len(), 23);
+    for q in qs {
+        let pf = PolarFly::new(q).unwrap();
+        let b = bisect(pf.graph(), 1, 42);
+        let n = pf.router_count();
+        let ones = b.side.iter().filter(|&&s| s).count();
+        let lambda2 = (q + 1) as f64 - (q as f64).sqrt();
+        let bound = lambda2 * (ones * (n - ones)) as f64 / n as f64;
+        assert!(
+            b.cut_edges as f64 >= bound,
+            "q = {q}: cut {} below the spectral bound {bound:.1}",
+            b.cut_edges
+        );
+    }
+}
+
 #[test]
 fn bisection_sides_are_balanced() {
     let pf = PolarFly::new(9).unwrap();
