@@ -38,7 +38,9 @@
 
 use crate::Args;
 use pf_bench::jsonl::Row;
-use pf_sim::{load_curve, simulate_workload, Routing, SimConfig, SimResult, TrafficPattern};
+use pf_sim::{
+    load_curve, simulate_workload, Routing, RoutingAlgorithm, SimConfig, SimResult, TrafficPattern,
+};
 use pf_topo::{PolarFlyTopo, SlimFly, Topology};
 use pf_workload::{
     all_to_all, halo_exchange, multi_job_mix, param_server, recursive_doubling_allreduce,

@@ -10,7 +10,7 @@ use crate::Args;
 use pf_sim::engine::{simulate, SimConfig};
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
-use pf_sim::Routing;
+use pf_sim::{Routing, RoutingAlgorithm};
 use pf_topo::{PolarFlyTopo, Topology};
 
 pub fn run(_: &Args) -> Result<(), String> {

@@ -1,20 +1,14 @@
-//! Minimal and non-minimal routing on PolarFly (paper §IV-D, §VII).
+//! Minimal routing on PolarFly (paper §IV-D).
 //!
 //! `ER_q` has a *unique* minimal path between every router pair: one hop
 //! when the vectors are orthogonal, otherwise two hops through the
-//! normalized cross product. [`MinRouteTable`] materializes next-hops for
-//! table-based routing (what a router would hold in hardware);
-//! [`next_hop_minimal`] computes the same answer algebraically in O(1) —
-//! tests pin the two against BFS distances.
-//!
-//! Non-minimal routing follows §VII: classic Valiant through a random
-//! intermediate (≤ 4 hops) and PolarFly's Compact Valiant through a random
-//! *neighbor* of the source (≤ 3 hops), which is only used when source and
-//! destination are not adjacent so that the detour can never bounce back
-//! through the source.
+//! normalized cross product. [`next_hop_minimal`] computes that next hop
+//! algebraically in O(1), with no table; tests pin it against BFS
+//! distances. The non-minimal algorithms of §VII (Valiant, Compact
+//! Valiant, UGAL, UGAL-PF) are the simulator's `pf_sim::Routing`, which
+//! rides this next hop on every minimal leg.
 
 use crate::er::PolarFly;
-use rand::Rng;
 
 /// Algebraic minimal next hop from `cur` toward `dst` (`cur ≠ dst`):
 /// `dst` itself when adjacent, otherwise the unique 2-hop intermediate.
@@ -28,165 +22,32 @@ pub fn next_hop_minimal(pf: &PolarFly, cur: u32, dst: u32) -> u32 {
     }
 }
 
-/// Dense next-hop table: `next[s·N + d]` is the neighbor of `s` on the
-/// minimal route to `d` (and `s` itself on the diagonal).
-pub struct MinRouteTable {
-    n: usize,
-    next: Vec<u32>,
-}
-
-impl MinRouteTable {
-    /// Builds the full table algebraically — `O(N²)` cross products.
-    pub fn build(pf: &PolarFly) -> MinRouteTable {
-        let n = pf.router_count();
-        let mut next = vec![0u32; n * n];
-        for s in 0..n as u32 {
-            for d in 0..n as u32 {
-                next[s as usize * n + d as usize] = if s == d {
-                    s
-                } else {
-                    next_hop_minimal(pf, s, d)
-                };
-            }
-        }
-        MinRouteTable { n, next }
-    }
-
-    /// Next hop from `s` toward `d`.
-    #[inline]
-    pub fn next_hop(&self, s: u32, d: u32) -> u32 {
-        self.next[s as usize * self.n + d as usize]
-    }
-
-    /// Full minimal route `s → … → d` (router ids, inclusive).
-    pub fn route(&self, s: u32, d: u32) -> Vec<u32> {
-        let mut out = vec![s];
-        let mut cur = s;
-        while cur != d {
-            cur = self.next_hop(cur, d);
-            out.push(cur);
-            debug_assert!(out.len() <= 3, "minimal ER_q routes have at most 2 hops");
-        }
-        out
-    }
-}
-
-/// Classic Valiant route: `s → … → r → … → d` for a uniformly random
-/// intermediate `r ∉ {s, d}` (≤ 4 hops in a diameter-2 network).
-pub fn valiant_route<R: Rng>(pf: &PolarFly, s: u32, d: u32, rng: &mut R) -> Vec<u32> {
-    assert_ne!(s, d);
-    let n = pf.router_count() as u32;
-    let r = loop {
-        let r = rng.gen_range(0..n);
-        if r != s && r != d {
-            break r;
-        }
-    };
-    join_via(pf, s, r, d)
-}
-
-/// Compact Valiant (§VII-B): the intermediate is a random *neighbor* of
-/// `s`, giving ≤ 3-hop detours. Falls back to the minimal route when `s`
-/// and `d` are adjacent (the only case where a neighbor detour could
-/// bounce through `s`).
-pub fn compact_valiant_route<R: Rng>(pf: &PolarFly, s: u32, d: u32, rng: &mut R) -> Vec<u32> {
-    assert_ne!(s, d);
-    if pf.graph().has_edge(s, d) {
-        return vec![s, d];
-    }
-    let nbrs = pf.graph().neighbors(s);
-    let r = nbrs[rng.gen_range(0..nbrs.len())];
-    if r == d {
-        return vec![s, d];
-    }
-    join_via(pf, s, r, d)
-}
-
-fn join_via(pf: &PolarFly, s: u32, r: u32, d: u32) -> Vec<u32> {
-    let mut path = pf.minimal_route(s, r);
-    let tail = pf.minimal_route(r, d);
-    path.extend_from_slice(&tail[1..]);
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pf_graph::DistanceMatrix;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
+    /// Following `next_hop_minimal` from `s` reaches `d` along graph
+    /// edges in exactly the BFS distance.
     #[test]
     fn table_matches_bfs_distances() {
         for q in [5u64, 7, 9] {
             let pf = PolarFly::new(q).unwrap();
-            let table = MinRouteTable::build(&pf);
             let dm = DistanceMatrix::build(pf.graph());
             for s in 0..pf.router_count() as u32 {
                 for d in 0..pf.router_count() as u32 {
-                    let route = table.route(s, d);
-                    assert_eq!(
-                        route.len() as u32 - 1,
-                        u32::from(dm.get(s, d)),
-                        "q={q} {s}->{d}"
-                    );
-                    for hop in route.windows(2) {
-                        assert!(pf.graph().has_edge(hop[0], hop[1]));
+                    let mut cur = s;
+                    let mut hops = 0u32;
+                    while cur != d {
+                        let next = next_hop_minimal(&pf, cur, d);
+                        assert!(pf.graph().has_edge(cur, next), "q={q} {s}->{d}");
+                        cur = next;
+                        hops += 1;
+                        assert!(hops <= 2, "q={q} {s}->{d}: more than 2 hops");
                     }
+                    assert_eq!(hops, u32::from(dm.get(s, d)), "q={q} {s}->{d}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn algebraic_next_hop_matches_table() {
-        let pf = PolarFly::new(11).unwrap();
-        let table = MinRouteTable::build(&pf);
-        for s in 0..pf.router_count() as u32 {
-            for d in 0..pf.router_count() as u32 {
-                if s != d {
-                    assert_eq!(next_hop_minimal(&pf, s, d), table.next_hop(s, d));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn valiant_routes_are_valid_and_bounded() {
-        let pf = PolarFly::new(7).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..2000 {
-            let s = rng.gen_range(0..pf.router_count() as u32);
-            let d = loop {
-                let d = rng.gen_range(0..pf.router_count() as u32);
-                if d != s {
-                    break d;
-                }
-            };
-            let vp = valiant_route(&pf, s, d, &mut rng);
-            assert!(vp.len() <= 5, "valiant must be ≤ 4 hops"); // 5 routers
-            assert_eq!((vp[0], *vp.last().unwrap()), (s, d));
-            for hop in vp.windows(2) {
-                assert!(pf.graph().has_edge(hop[0], hop[1]), "invalid hop in {vp:?}");
-            }
-
-            let cv = compact_valiant_route(&pf, s, d, &mut rng);
-            assert!(cv.len() <= 4, "compact valiant must be ≤ 3 hops");
-            assert_eq!((cv[0], *cv.last().unwrap()), (s, d));
-            for hop in cv.windows(2) {
-                assert!(pf.graph().has_edge(hop[0], hop[1]));
-            }
-            // No bounce through the source.
-            assert!(!cv[1..].contains(&s));
-        }
-    }
-
-    #[test]
-    fn compact_valiant_adjacent_pairs_use_min_path() {
-        let pf = PolarFly::new(5).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        for &(u, v) in pf.graph().edges() {
-            assert_eq!(compact_valiant_route(&pf, u, v, &mut rng), vec![u, v]);
         }
     }
 }

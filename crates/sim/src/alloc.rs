@@ -162,7 +162,7 @@ impl Engine<'_> {
 
     /// The per-port VC-head scan of [`Engine::build_requests_router`].
     fn build_requests_port(&mut self, r: usize, port: u32, cycle: u32) {
-        for vc in crate::router::VcIter::new(self.vc_occ[port as usize], self.vcs) {
+        for vc in crate::router::VcIter(self.vc_occ[port as usize]) {
             let qidx = port as usize * self.vcs + vc;
             let Some((pkt, seq, ready_at)) = self.bufs.front(qidx) else {
                 continue;

@@ -19,7 +19,7 @@ use crate::flow::LinkPipeline;
 use crate::packet::PacketPool;
 use crate::phase::PhaseClock;
 use crate::queues::SourceQueues;
-use crate::router::{FlitRings, InjPool, PortMap, NONE32};
+use crate::router::{FlitRings, InjPool, PortMap, MAX_VCS, NONE32};
 use crate::routing::{MinHop, RoutingAlgorithm};
 use crate::skip::SkipCtl;
 use crate::stats::{LatencyStats, SimResult};
@@ -43,6 +43,7 @@ macro_rules! net_view {
             geom: &$e.geom,
             link_up: &$e.link_up,
             router_up: &$e.faults.router_up,
+            min: $e.min_hop,
             stale_routers: $e.faults.routers_stale,
             degraded: $e.degraded,
             credits: &$e.credits,
@@ -167,9 +168,9 @@ pub struct Engine<'a> {
     pub(crate) tables: Tables<'a>,
     pub(crate) dests: &'a DestMap,
     pub(crate) algo: Box<dyn RoutingAlgorithm + 'a>,
-    /// Minimal next-hop source for bookkeeping outside the algorithm
-    /// (the `inj_wait` first-hop charge): algebraic when the topology
-    /// advertises it, table otherwise.
+    /// The run's one minimal next-hop source ([`MinHop::for_topology`]),
+    /// handed to routing and the `inj_wait` first-hop charge through
+    /// [`crate::routing::NetState::min`].
     pub(crate) min_hop: MinHop<'a>,
     pub(crate) cfg: SimConfig,
     pub(crate) load: f64,
@@ -312,10 +313,9 @@ pub struct Engine<'a> {
     /// Buffered flits per input port — lets the hot loops skip empty ports.
     pub(crate) port_flits: Vec<u32>,
     /// Per-port bitmask of nonempty VC queues (bit `v` set ⇔ queue
-    /// `port·vcs + v` is nonempty), valid when `vcs ≤ 32` — lets the VC
-    /// scans visit only occupied queues ([`crate::router::VcIter`]).
-    /// With more than 32 VCs the high bits alias harmlessly: the mask is
-    /// never consulted (VcIter falls back to a linear scan).
+    /// `port·vcs + v` is nonempty; the constructor refuses more than
+    /// [`MAX_VCS`] VCs) — the VC scans visit only its set bits
+    /// ([`crate::router::VcIter`]).
     pub(crate) vc_occ: Vec<u32>,
     /// Buffered flits per input port whose packet terminates at this
     /// port's router — lets ejection skip transit-only ports.
@@ -361,10 +361,10 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Builds an engine for one run, instantiating `routing` through the
-    /// [`RoutingAlgorithm`] layer (PolarFly topologies automatically get
-    /// the table-free algebraic minimal fast path). `tables` and `dests`
-    /// are shared across runs of the same topology/pattern.
+    /// Builds an engine for one run of `routing` (PolarFly topologies
+    /// automatically get the table-free algebraic minimal fast path).
+    /// `tables` and `dests` are shared across runs of the same
+    /// topology/pattern.
     pub fn new(
         topo: &'a dyn Topology,
         tables: &'a RouteTables,
@@ -373,12 +373,11 @@ impl<'a> Engine<'a> {
         load: f64,
         cfg: SimConfig,
     ) -> Self {
-        let algo = routing.algorithm(topo);
-        Engine::with_algorithm(topo, tables, dests, algo, load, cfg)
+        Engine::with_algorithm(topo, tables, dests, Box::new(routing), load, cfg)
     }
 
-    /// Builds an engine around a caller-supplied routing algorithm (the
-    /// extension point the [`Routing`] enum wraps).
+    /// Builds an engine around a caller-supplied routing algorithm — the
+    /// seam through which tests substitute one for [`Routing`].
     pub fn with_algorithm(
         topo: &'a dyn Topology,
         tables: &'a RouteTables,
@@ -397,11 +396,6 @@ impl<'a> Engine<'a> {
         // The modelled buffers split the configured VC budget, whatever
         // is allocated below.
         let cap_per_vc = cfg.cap_per_vc();
-        assert!(
-            g.max_degree() <= MAX_DEGREE,
-            "router degree {} exceeds the {MAX_DEGREE}-neighbor ceiling of a byte-wide route claim",
-            g.max_degree()
-        );
 
         let geom = PortMap::build(g);
         let num_ports = geom.num_ports();
@@ -465,6 +459,17 @@ impl<'a> Engine<'a> {
         };
         let vcs = per_class * classes;
         let queues = num_ports * vcs;
+        // Two hardware-shaped limits of the engine's per-port state.
+        assert!(
+            g.max_degree() <= MAX_DEGREE,
+            "router degree {} exceeds the {MAX_DEGREE}-neighbor ceiling of a byte-wide route claim",
+            g.max_degree()
+        );
+        assert!(
+            vcs <= MAX_VCS,
+            "{vcs} allocated VCs per port exceed the {MAX_VCS}-VC ceiling of the per-port \
+             occupancy mask; lower SimConfig::vcs_per_class or vc_classes"
+        );
 
         let endpoints: Vec<u32> = (0..n as u32).map(|r| topo.endpoints(r) as u32).collect();
         // Up to 2p concurrent streams share p flits/cycle of aggregate
@@ -981,11 +986,6 @@ impl<'a> Engine<'a> {
     /// Packets fully ejected since construction (measured or not).
     pub fn total_delivered(&self) -> u64 {
         self.total_delivered
-    }
-
-    /// The routing algorithm's display label.
-    pub fn routing_label(&self) -> &'static str {
-        self.algo.label()
     }
 
     /// Current cycle (the number of completed [`Engine::step`] calls).

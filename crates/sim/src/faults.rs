@@ -36,7 +36,7 @@
 //!   drop-and-retransmit path — a dead router cannot drain.
 
 use crate::config::{InFlightPolicy, SimConfig};
-use crate::engine::{net_view, Engine, Tables};
+use crate::engine::{Engine, Tables};
 use crate::router::{PortMap, NONE32};
 use crate::tables::RouteTables;
 use pf_graph::{Csr, FaultEventKind, FaultSchedule};
@@ -646,10 +646,9 @@ impl Engine<'_> {
 
         // Pass B5: return victims to their source queues (original birth
         // cycle and measurement flag kept — retransmission latency is
-        // real latency). The minimal-first-hop VOQ signal is recharged
-        // unless the pair is currently unroutable (held packets carry no
-        // charge until they can move).
-        let mh = self.min_hop;
+        // real latency), recharging the minimal-first-hop VOQ signal; a
+        // down source router holds its victims uncharged, like an
+        // unroutable pair.
         for &pkt in &victims {
             let p = pkt as usize;
             self.packets.mid[p] = NONE32;
@@ -657,16 +656,7 @@ impl Engine<'_> {
             self.packets.frr_pinned[p] = false;
             let (src, dst) = (self.packets.src[p], self.packets.dst[p]);
             let routable = self.faults.router_up[src as usize] && self.dst_routable(src, dst);
-            let link = if routable {
-                let next = mh.next(&net_view!(self), src, dst);
-                let i = net_view!(self).neighbor_index(src, next);
-                let l = self.geom.tx(src, i);
-                self.inj_wait[l as usize] += 1;
-                l
-            } else {
-                NONE32
-            };
-            self.packets.min_first_link[p] = link;
+            self.packets.min_first_link[p] = self.charge_voq(src, dst, routable);
             self.src_q.push(src as usize, pkt);
             self.skip.wake_now(src as usize);
             if self.telemetry.tracing() {

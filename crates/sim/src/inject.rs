@@ -86,16 +86,7 @@ impl Engine<'_> {
     /// generation counters. Shared by the open-loop generator and the
     /// closed-loop workload release path.
     pub(crate) fn admit_packet(&mut self, r: u32, dst: u32, cycle: u32, measured: bool) -> u32 {
-        let mh = self.min_hop;
-        let min_first_link = if self.dst_routable(r, dst) {
-            let next = mh.next(&net_view!(self), r, dst);
-            let i = net_view!(self).neighbor_index(r, next);
-            let link = self.geom.tx(r, i);
-            self.inj_wait[link as usize] += 1;
-            link
-        } else {
-            NONE32
-        };
+        let min_first_link = self.charge_voq(r, dst, self.dst_routable(r, dst));
         let id = self.packets.alloc(r, dst, cycle, measured, min_first_link);
         if self.telemetry.tracing() {
             // The birth serial (pre-increment `total_generated`) keys
@@ -113,6 +104,22 @@ impl Engine<'_> {
             self.measured_generated += 1;
         }
         id
+    }
+
+    /// Charges the virtual output queue of the minimal first-hop link
+    /// from `r` toward `dst` for one packet waiting at the source, and
+    /// returns that link (the sender's port) — or `NONE32`, charging
+    /// nothing, when the pair is not `routable`: held packets carry no
+    /// charge until they can move.
+    pub(crate) fn charge_voq(&mut self, r: u32, dst: u32, routable: bool) -> u32 {
+        if !routable {
+            return NONE32;
+        }
+        let net = net_view!(self);
+        let next = net.min.next(&net, r, dst);
+        let link = self.geom.tx(r, net.neighbor_index(r, next));
+        self.inj_wait[link as usize] += 1;
+        link
     }
 
     /// Closed-loop generation: polls the workload driver for task
@@ -175,7 +182,7 @@ impl Engine<'_> {
     /// per-port half of [`Engine::eject_router`]); reports whether a
     /// flit left.
     fn eject_port(&mut self, r: usize, port: u32, cycle: u32, in_window: bool) -> bool {
-        for vc in crate::router::VcIter::new(self.vc_occ[port as usize], self.vcs) {
+        for vc in crate::router::VcIter(self.vc_occ[port as usize]) {
             let qidx = port as usize * self.vcs + vc;
             let Some((pkt, seq, ready_at)) = self.bufs.front(qidx) else {
                 continue;

@@ -51,9 +51,9 @@
 //! * [`flow`] — link pipeline, credits, wormhole VC ownership;
 //! * [`inject`] — endpoint injection/ejection;
 //! * [`phase`] — the warmup/measure/drain clock;
-//! * [`routing`] — the pluggable [`RoutingAlgorithm`] trait and the
-//!   paper's six algorithms (§VII), with PolarFly's O(1) algebraic
-//!   minimal next hop as a table-free fast path;
+//! * [`routing`] — the paper's six algorithms (§VII) as the [`Routing`]
+//!   enum behind the [`RoutingAlgorithm`] trait, with PolarFly's O(1)
+//!   algebraic minimal next hop as a table-free fast path;
 //! * [`telemetry`] — observation-only epoch time-series, sampled
 //!   packet lifecycle traces, and feature-gated engine phase profiling
 //!   (bit-identical results with telemetry on or off);
@@ -65,9 +65,10 @@
 //! Valiant (random *neighbor* intermediate, ≤ 3 hops), UGAL-L, UGAL-PF
 //! (Compact Valiant + ⅔ buffer-occupancy threshold), and adaptive ECMP
 //! minimal routing which on a folded Clos is exactly fat-tree NCA routing.
-//! The closed [`Routing`] enum remains as a thin constructor for CLI and
-//! back-compat; [`Engine::with_algorithm`] accepts any
-//! [`RoutingAlgorithm`] implementation.
+//! [`Routing`] implements them all with one `match` per trait method and
+//! [`Engine::new`] boxes it; [`Engine::with_algorithm`] accepts any other
+//! [`RoutingAlgorithm`] (the seam tests use). Every algorithm reads the
+//! run's one minimal-hop source, [`NetState::min`].
 //!
 //! Differences from BookSim (documented in DESIGN.md): credits return with
 //! zero latency (shared-memory model), the router pipeline is a fixed
@@ -120,81 +121,9 @@ pub use drive::{simulate_workload, WorkloadDriver};
 pub use engine::{simulate, Engine};
 pub use phase::{PhaseClock, SimPhase};
 pub use router::FlitRings;
-pub use routing::{HopContext, MinHop, NetState, Port, RoutePlan, RoutingAlgorithm};
+pub use routing::{HopContext, MinHop, NetState, Port, RoutePlan, Routing, RoutingAlgorithm};
 pub use stats::{JobResult, PhaseResult, SimResult};
 pub use sweep::{load_curve, load_grid, LoadCurve};
 pub use tables::RouteTables;
 pub use telemetry::{EpochRecord, ProfPhase, TelemetryReport, TraceEvent};
 pub use traffic::TrafficPattern;
-
-use pf_topo::Topology;
-
-/// Routing algorithm selector (§VII of the paper).
-///
-/// This enum is the convenience constructor the CLI-facing layers use;
-/// each variant instantiates a [`RoutingAlgorithm`] via
-/// [`Routing::algorithm`]. On PolarFly topologies the minimal next hop is
-/// computed algebraically in O(1) (no table on the hot path) — parity
-/// with the table is pinned by `tests/routing_parity.rs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Routing {
-    /// Table-based minimal routing over a deterministic (seeded tie-break)
-    /// shortest-path next-hop table.
-    Min,
-    /// Adaptive minimal: at every hop choose, among the minimal next hops,
-    /// the output with most free downstream credits. On a fat tree this is
-    /// NCA routing; on direct networks it is adaptive ECMP.
-    MinAdaptive,
-    /// Valiant: minimal to a uniformly random intermediate router, then
-    /// minimal to the destination (≤ 4 hops on diameter-2 networks).
-    Valiant,
-    /// Compact Valiant (§VII-B): the intermediate is a random neighbor of
-    /// the source; used only when source and destination are not adjacent.
-    CompactValiant,
-    /// UGAL-L: per-packet choice between the minimal and a random-Valiant
-    /// path by comparing (queue length × hop count) at injection.
-    Ugal,
-    /// UGAL-PF (§VII-C): Compact-Valiant detours taken only when the
-    /// minimal output buffer is more than `ugal_pf_threshold` full.
-    UgalPf,
-}
-
-impl Routing {
-    /// Short label used in result tables (matches the paper's legends).
-    pub fn label(&self) -> &'static str {
-        match self {
-            Routing::Min => "MIN",
-            Routing::MinAdaptive => "NCA",
-            Routing::Valiant => "VAL",
-            Routing::CompactValiant => "CVAL",
-            Routing::Ugal => "UGAL",
-            Routing::UgalPf => "UGALPF",
-        }
-    }
-
-    /// All six algorithms, in the paper's presentation order.
-    pub fn all() -> [Routing; 6] {
-        [
-            Routing::Min,
-            Routing::MinAdaptive,
-            Routing::Valiant,
-            Routing::CompactValiant,
-            Routing::Ugal,
-            Routing::UgalPf,
-        ]
-    }
-
-    /// Instantiates the algorithm for `topo`, wiring the algebraic
-    /// PolarFly minimal fast path when the topology advertises it.
-    pub fn algorithm<'a>(self, topo: &'a dyn Topology) -> Box<dyn RoutingAlgorithm + 'a> {
-        let min = MinHop::for_topology(topo);
-        match self {
-            Routing::Min => Box::new(routing::Min::new(min)),
-            Routing::MinAdaptive => Box::new(routing::MinAdaptive),
-            Routing::Valiant => Box::new(routing::Valiant::new(min)),
-            Routing::CompactValiant => Box::new(routing::CompactValiant::new(min)),
-            Routing::Ugal => Box::new(routing::UgalL::new(min)),
-            Routing::UgalPf => Box::new(routing::UgalPf::new(min)),
-        }
-    }
-}

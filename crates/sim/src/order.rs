@@ -18,8 +18,7 @@
 //!   [`eject_start`] but still walks ascending offsets from it.
 //! * **VC scan order** — ascending VC index within a port, both for
 //!   request building and ejection ([`crate::router::VcIter`] yields
-//!   set mask bits in exactly this order, and its over-32-VC fallback
-//!   walks `0..vcs` linearly — the same ascending order).
+//!   set mask bits in exactly this order).
 //! * **Output grant order** — two touched lists, one rotation over their
 //!   concatenation: first the outputs some transit head requested, in
 //!   order of their first such request (ascending (router, port, VC));
@@ -121,14 +120,13 @@ mod tests {
     }
 
     /// The VC scan order contract: `VcIter` yields occupied VCs in
-    /// ascending order in both the mask mode and the >32-VC linear
-    /// fallback.
+    /// ascending order, up to the top bit of the mask.
     #[test]
-    fn vc_iter_is_ascending_in_both_modes() {
-        let got: Vec<usize> = crate::router::VcIter::new(0b1010_0110, 8).collect();
+    fn vc_iter_is_ascending() {
+        let got: Vec<usize> = crate::router::VcIter(0b1010_0110).collect();
         assert_eq!(got, vec![1, 2, 5, 7]);
-        let lin: Vec<usize> = crate::router::VcIter::new(0, 40).collect();
-        assert_eq!(lin, (0..40).collect::<Vec<_>>());
-        assert_eq!(crate::router::VcIter::new(0, 8).count(), 0);
+        let all: Vec<usize> = crate::router::VcIter(u32::MAX).collect();
+        assert_eq!(all, (0..crate::router::MAX_VCS).collect::<Vec<_>>());
+        assert_eq!(crate::router::VcIter(0).count(), 0);
     }
 }

@@ -414,55 +414,27 @@ impl FlitRings {
     }
 }
 
-/// Iterates the VCs of one port worth probing, in ascending order — the
-/// engine's canonical VC scan order (see `crate::order`).
-///
-/// When the port has ≤ 32 VCs the engine maintains a per-port occupancy
-/// bitmask (`vc_occ`) and this iterator walks only its set bits; with
-/// more VCs the mask cannot cover them, so every VC is visited and the
-/// per-VC emptiness check falls to the caller's `front()` probe (exactly
-/// the pre-mask behavior). Both modes visit nonempty VCs in the same
-/// ascending order, so results are identical.
-pub(crate) struct VcIter {
-    mask: u32,
-    lin: u32,
-    vcs: u32,
-    linear: bool,
-}
+/// The most VCs per port the engine allocates: one `u32` occupancy mask
+/// (`vc_occ`) covers a port's queues. `Engine::with_algorithm` refuses
+/// more.
+pub(crate) const MAX_VCS: usize = 32;
 
-impl VcIter {
-    /// `mask` is the port's occupancy bitmask (ignored when `vcs > 32`).
-    #[inline]
-    pub(crate) fn new(mask: u32, vcs: usize) -> VcIter {
-        VcIter {
-            mask,
-            lin: 0,
-            vcs: vcs as u32,
-            linear: vcs > 32,
-        }
-    }
-}
+/// Iterates the occupied VCs of one port in ascending order — the
+/// engine's canonical VC scan order (see `crate::order`) — by walking
+/// the set bits of the port's occupancy mask (`vc_occ`).
+pub(crate) struct VcIter(pub(crate) u32);
 
 impl Iterator for VcIter {
     type Item = usize;
 
     #[inline]
     fn next(&mut self) -> Option<usize> {
-        if self.linear {
-            if self.lin < self.vcs {
-                let v = self.lin;
-                self.lin += 1;
-                Some(v as usize)
-            } else {
-                None
-            }
-        } else if self.mask != 0 {
-            let v = self.mask.trailing_zeros();
-            self.mask &= self.mask - 1;
-            Some(v as usize)
-        } else {
-            None
+        if self.0 == 0 {
+            return None;
         }
+        let v = self.0.trailing_zeros();
+        self.0 &= self.0 - 1;
+        Some(v as usize)
     }
 }
 

@@ -1,5 +1,5 @@
-//! Pluggable routing: the [`RoutingAlgorithm`] trait and the paper's six
-//! algorithms (§VII).
+//! Routing (§VII): the paper's six algorithms as one [`Routing`] enum
+//! that implements the [`RoutingAlgorithm`] trait.
 //!
 //! The engine calls routing at exactly two points:
 //!
@@ -9,13 +9,15 @@
 //!   (router, current target) to a local output port.
 //!
 //! Both receive a [`NetState`] — a read-only view of the tables, port
-//! geometry, and congestion state — so algorithms stay stateless and the
-//! trait stays object-safe. Minimal next-hops flow through [`MinHop`]:
-//! table lookups on arbitrary topologies, or PolarFly's O(1) algebraic
-//! cross-product next hop ([`polarfly::routing::next_hop_minimal`]) when
-//! the topology advertises it via
-//! [`pf_topo::RoutingHint`] — no `O(N²)` table required on the fast path,
-//! and parity between the two is pinned by `tests/routing_parity.rs`.
+//! geometry, congestion state and the run's one minimal-hop source
+//! ([`NetState::min`]) — so the algorithms stay stateless and the trait
+//! object-safe. The trait is the seam a test uses to substitute an
+//! algorithm ([`crate::Engine::with_algorithm`]). Minimal next hops come
+//! from [`MinHop`]: table lookups on arbitrary topologies, or PolarFly's
+//! O(1) algebraic next hop ([`polarfly::routing::next_hop_minimal`],
+//! checked against the link mask) when the topology advertises it via
+//! [`pf_topo::RoutingHint`]. Parity between the two is pinned by
+//! `tests/routing_parity.rs`.
 
 use crate::router::PortMap;
 use crate::tables::RouteTables;
@@ -45,6 +47,9 @@ pub struct NetState<'e> {
     /// A down router neither injects nor ejects, and detour intermediates
     /// must avoid it.
     pub router_up: &'e [bool],
+    /// The run's minimal next-hop source ([`MinHop::for_topology`] of its
+    /// topology).
+    pub min: MinHop<'e>,
     /// Whether some router repaired since the last table swap: its links
     /// are live but the serving tables cannot reach it yet, so detour
     /// targets must be reachability-filtered until the swap lands.
@@ -124,12 +129,6 @@ impl NetState<'_> {
         !self.degraded || self.link_up[self.geom.tx(r, i) as usize]
     }
 
-    /// Whether router `r` is up (always true outside transient runs).
-    #[inline]
-    pub fn router_live(&self, r: u32) -> bool {
-        self.router_up.is_empty() || self.router_up[r as usize]
-    }
-
     /// Whether the physical link `r → next` is up (`next` must be a
     /// full-graph neighbor of `r`).
     #[inline]
@@ -173,13 +172,12 @@ pub enum MinHop<'t> {
     /// The seeded-tie-break table (`RouteTables`) — any topology.
     Table,
     /// PolarFly's algebraic O(1) next hop: adjacency check + cross
-    /// product, no table access on the hot path.
+    /// product, validated against the per-port link mask. A failed hop on
+    /// the (unique) algebraic path falls back to the residual-graph
+    /// table, so the result is always residual-minimal; with every link
+    /// up each check is [`NetState::edge_ok`]'s early return and the
+    /// answer is exactly [`polarfly::routing::next_hop_minimal`].
     Algebraic(&'t PolarFly),
-    /// The algebraic fast path over a degraded PolarFly: the computed hop
-    /// is validated against the per-port link mask, and any failed hop on
-    /// the algebraic path falls back to the residual-graph table — so the
-    /// result is always residual-minimal.
-    AlgebraicMasked(&'t PolarFly),
 }
 
 impl MinHop<'_> {
@@ -189,34 +187,24 @@ impl MinHop<'_> {
     pub fn next(&self, net: &NetState, s: u32, d: u32) -> u32 {
         match self {
             MinHop::Table => net.tables.next_hop(s, d),
-            MinHop::Algebraic(pf) => polarfly::routing::next_hop_minimal(pf, s, d),
-            MinHop::AlgebraicMasked(pf) => {
-                // ER_q minimal paths are unique, so a single failed hop on
-                // the algebraic path forces the table detour.
-                if pf.graph().has_edge(s, d) {
-                    if net.edge_ok(s, d) {
-                        return d;
-                    }
-                    return net.tables.next_hop(s, d);
-                }
-                match pf.intermediate(s, d) {
-                    Some(m) if net.edge_ok(s, m) && net.edge_ok(m, d) => m,
-                    _ => net.tables.next_hop(s, d),
-                }
+            MinHop::Algebraic(pf) => {
+                let hop = if pf.graph().has_edge(s, d) {
+                    net.edge_ok(s, d).then_some(d)
+                } else {
+                    pf.intermediate(s, d)
+                        .filter(|&m| net.edge_ok(s, m) && net.edge_ok(m, d))
+                };
+                hop.unwrap_or_else(|| net.tables.next_hop(s, d))
             }
         }
     }
 
-    /// The minimal-hop source `topo` supports — the single decision point
-    /// shared by the engine's bookkeeping and `Routing::algorithm`, so the
-    /// two can never disagree on the fast path. Topologies with a
-    /// non-empty fault schedule — links down from cycle 0, or dying
-    /// mid-run — get the mask-validated algebraic variant (whose mask
-    /// checks are free while every link is up).
+    /// The minimal-hop source `topo` supports: the algebra when it
+    /// advertises PolarFly (healthy or not), the table otherwise. The
+    /// engine calls this once and hands the answer to every routing
+    /// decision through [`NetState::min`].
     pub fn for_topology(topo: &dyn pf_topo::Topology) -> MinHop<'_> {
-        let degraded = topo.fault_schedule().is_some_and(|s| !s.is_empty());
         match topo.routing_hint() {
-            pf_topo::RoutingHint::PolarFly(pf) if degraded => MinHop::AlgebraicMasked(pf),
             pf_topo::RoutingHint::PolarFly(pf) => MinHop::Algebraic(pf),
             pf_topo::RoutingHint::Generic => MinHop::Table,
         }
@@ -245,7 +233,8 @@ pub enum RoutePlan {
 
 /// A routing algorithm, decomposed into the per-packet plan and the
 /// per-hop output choice. Object-safe: the engine stores
-/// `Box<dyn RoutingAlgorithm>`.
+/// `Box<dyn RoutingAlgorithm>`. [`Routing`] is the implementation; the
+/// trait is the seam through which a test substitutes its own.
 pub trait RoutingAlgorithm: Send + Sync {
     /// Label used in result tables (matches the paper's legends).
     fn label(&self) -> &'static str;
@@ -277,8 +266,8 @@ pub trait RoutingAlgorithm: Send + Sync {
 ///
 /// While stale tables serve during a re-convergence window, an
 /// algorithm's choice can land on a link that just died (or, for
-/// [`MinAdaptive`], no live stale-minimal candidate may exist, signalled
-/// by `Port::MAX`). The packet is then *fast-rerouted*: it takes the
+/// [`Routing::MinAdaptive`], no live stale-minimal candidate may exist,
+/// signalled by `Port::MAX`). The packet is then *fast-rerouted*: it takes the
 /// `pending` (already re-converged, residual-minimal) tables' next hop
 /// and stays pinned to them for the rest of its path — the simulator's
 /// model of precomputed link-failure backup routes. Pinning makes every
@@ -362,12 +351,6 @@ fn fallback_live_min(net: &NetState, hop: HopContext) -> Port {
     best
 }
 
-#[inline]
-fn port_toward(net: &NetState, min: &MinHop, at: u32, target: u32) -> Port {
-    let next = min.next(net, at, target);
-    net.neighbor_index(at, next) as Port
-}
-
 /// A uniformly random Valiant intermediate: distinct from both
 /// endpoints and — on transient runs only — on a live router and
 /// reachable in both legs under the current tables (a router mid-repair
@@ -392,235 +375,302 @@ fn random_mid(net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> u32 {
     }
 }
 
-/// Table/algebraic deterministic minimal routing.
-pub struct Min<'t> {
-    min: MinHop<'t>,
+/// Routing algorithm (§VII of the paper) — the one implementation of
+/// [`RoutingAlgorithm`]: [`crate::Engine::new`] boxes the value.
+///
+/// Every variant except [`Routing::MinAdaptive`] rides [`NetState::min`]
+/// on every hop; they differ only in the injection-time [`RoutePlan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Routing {
+    /// Deterministic minimal routing: the table's seeded tie-break, or
+    /// PolarFly's algebraic next hop.
+    Min,
+    /// Adaptive minimal: at every hop choose, among the minimal next hops,
+    /// the output with the fewest occupied downstream flits. On a fat tree
+    /// this is NCA routing; on direct networks it is adaptive ECMP.
+    MinAdaptive,
+    /// Valiant: minimal to a uniformly random intermediate router, then
+    /// minimal to the destination (≤ 4 hops on diameter-2 networks).
+    Valiant,
+    /// Compact Valiant (§VII-B): the intermediate is a random neighbor of
+    /// the source (≤ 3-hop detours); adjacent pairs go minimally.
+    CompactValiant,
+    /// UGAL-L: per-packet choice between the minimal and a random-Valiant
+    /// path by comparing (queue length × hop count) at injection.
+    Ugal,
+    /// UGAL-PF (§VII-C): Compact-Valiant detours taken only when the
+    /// minimal output's injection-class buffers are more than
+    /// `ugal_pf_threshold` full.
+    UgalPf,
 }
 
-impl<'t> Min<'t> {
-    /// Minimal routing over the given next-hop source.
-    pub fn new(min: MinHop<'t>) -> Self {
-        Min { min }
+impl Routing {
+    /// All six algorithms, in the paper's presentation order.
+    pub fn all() -> [Routing; 6] {
+        [
+            Routing::Min,
+            Routing::MinAdaptive,
+            Routing::Valiant,
+            Routing::CompactValiant,
+            Routing::Ugal,
+            Routing::UgalPf,
+        ]
     }
 }
 
-impl RoutingAlgorithm for Min<'_> {
+impl RoutingAlgorithm for Routing {
     fn label(&self) -> &'static str {
-        "MIN"
+        match self {
+            Routing::Min => "MIN",
+            Routing::MinAdaptive => "NCA",
+            Routing::Valiant => "VAL",
+            Routing::CompactValiant => "CVAL",
+            Routing::Ugal => "UGAL",
+            Routing::UgalPf => "UGALPF",
+        }
     }
 
-    fn next_output(&self, net: &NetState, hop: HopContext, _rng: &mut StdRng) -> Port {
-        port_toward(net, &self.min, hop.router, hop.target)
-    }
-
-    fn plan(&self, _net: &NetState, _src: u32, _dst: u32, _rng: &mut StdRng) -> RoutePlan {
-        RoutePlan::Minimal
-    }
-
-    fn max_hops(&self, diameter: u32) -> u32 {
-        diameter
-    }
-}
-
-/// Adaptive minimal: among the minimal next hops, take the output with the
-/// fewest occupied downstream flits. On a folded Clos this is NCA routing;
-/// on direct networks it is adaptive ECMP.
-pub struct MinAdaptive;
-
-impl RoutingAlgorithm for MinAdaptive {
-    fn label(&self) -> &'static str {
-        "NCA"
-    }
-
-    /// Ties are broken uniformly at random — deterministic tie-breaking
-    /// makes every source herd onto the same equal-cost port in the same
-    /// cycle, which measurably collapses folded-Clos throughput. Failed
-    /// links are masked out of the candidate set; tables built on the
-    /// residual graph guarantee a live minimal hop remains, but *stale*
-    /// tables inside a transient re-convergence window may not — then
-    /// `Port::MAX` is returned and the engine's fast-reroute wrapper
-    /// (`route_output`) detours the packet onto the pending tables.
     fn next_output(&self, net: &NetState, hop: HopContext, rng: &mut StdRng) -> Port {
-        let want = net.tables.dist(hop.router, hop.target) - 1;
-        let mut best = Port::MAX;
-        let mut best_occ = u32::MAX;
-        let mut ties = 0u32;
-        for (i, &w) in net.graph.neighbors(hop.router).iter().enumerate() {
-            if !net.link_ok(hop.router, i) || net.tables.dist(w, hop.target) != want {
-                continue;
+        match self {
+            Routing::MinAdaptive => adaptive_min_output(net, hop, rng),
+            _ => {
+                let next = net.min.next(net, hop.router, hop.target);
+                net.neighbor_index(hop.router, next) as Port
             }
-            let occ = net.link_occupancy(hop.router, i);
-            if occ < best_occ {
-                best_occ = occ;
-                best = i as Port;
-                ties = 1;
-            } else if occ == best_occ {
-                ties += 1;
-                // Reservoir sampling keeps the choice uniform over ties.
-                if rng.gen_range(0..ties) == 0 {
-                    best = i as Port;
+        }
+    }
+
+    fn plan(&self, net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> RoutePlan {
+        match self {
+            Routing::Min | Routing::MinAdaptive => RoutePlan::Minimal,
+            Routing::Valiant => RoutePlan::Detour(random_mid(net, src, dst, rng)),
+            Routing::CompactValiant if net.tables.dist(src, dst) <= 1 => RoutePlan::Minimal,
+            Routing::CompactValiant => neighbor_detour(net, src, rng),
+            Routing::Ugal => {
+                let mid = random_mid(net, src, dst, rng);
+                let h_min = net.tables.dist(src, dst);
+                let h_val = net.tables.dist(src, mid) + net.tables.dist(mid, dst);
+                let q_min = net.occupancy_toward(src, net.min.next(net, src, dst));
+                let q_val = net.occupancy_toward(src, net.min.next(net, src, mid));
+                if q_val * h_val < q_min * h_min {
+                    RoutePlan::Detour(mid)
+                } else {
+                    RoutePlan::Minimal
+                }
+            }
+            Routing::UgalPf => {
+                // Occupancy of the *injection class* (class-0 VCs) of the
+                // minimal output plus source-queue backlog: the buffer
+                // space this packet would contend for, so the threshold is
+                // taken against the class capacity.
+                let q_min = net.class0_occupancy_toward(src, net.min.next(net, src, dst));
+                let class_cap = net.cap_per_vc * net.per_class as u32;
+                if f64::from(q_min) <= net.ugal_pf_threshold * f64::from(class_cap) {
+                    RoutePlan::Minimal
+                } else if net.tables.dist(src, dst) <= 1 {
+                    // Adjacent pairs: a neighbor detour could bounce back
+                    // through the source (§VII-B), so fall back to general
+                    // Valiant — 4-hop detours, as Fig. 9b describes.
+                    RoutePlan::Detour(random_mid(net, src, dst, rng))
+                } else {
+                    neighbor_detour(net, src, rng)
                 }
             }
         }
-        debug_assert!(
-            net.degraded || best != Port::MAX,
-            "no minimal next hop found"
-        );
-        best
     }
 
-    fn plan(&self, _net: &NetState, _src: u32, _dst: u32, _rng: &mut StdRng) -> RoutePlan {
-        RoutePlan::Minimal
-    }
-
+    /// MIN and NCA stay minimal; Compact Valiant adds one hop to the
+    /// neighbor intermediate; Valiant and the UGALs compose two minimal
+    /// legs.
     fn max_hops(&self, diameter: u32) -> u32 {
-        diameter
+        match self {
+            Routing::Min | Routing::MinAdaptive => diameter,
+            Routing::CompactValiant => diameter + 1,
+            Routing::Valiant | Routing::Ugal | Routing::UgalPf => 2 * diameter,
+        }
     }
 }
 
-/// Valiant: minimal to a uniformly random intermediate, then minimal to
-/// the destination (≤ 4 hops on diameter-2 networks).
-pub struct Valiant<'t> {
-    min: MinHop<'t>,
+/// A detour through a random live neighbor of `src` (minimal if it has
+/// none).
+fn neighbor_detour(net: &NetState, src: u32, rng: &mut StdRng) -> RoutePlan {
+    net.random_live_neighbor(src, rng)
+        .map_or(RoutePlan::Minimal, RoutePlan::Detour)
 }
 
-impl<'t> Valiant<'t> {
-    /// Valiant routing over the given next-hop source.
-    pub fn new(min: MinHop<'t>) -> Self {
-        Valiant { min }
+/// [`Routing::MinAdaptive`]'s hop: the minimal next hop with the fewest
+/// occupied downstream flits.
+///
+/// Ties are broken uniformly at random — deterministic tie-breaking
+/// makes every source herd onto the same equal-cost port in the same
+/// cycle, which measurably collapses folded-Clos throughput. Failed
+/// links are masked out of the candidate set; tables built on the
+/// residual graph guarantee a live minimal hop remains, but *stale*
+/// tables inside a transient re-convergence window may not — then
+/// `Port::MAX` is returned and the engine's fast-reroute wrapper
+/// ([`route_output`]) detours the packet onto the pending tables.
+fn adaptive_min_output(net: &NetState, hop: HopContext, rng: &mut StdRng) -> Port {
+    let want = net.tables.dist(hop.router, hop.target) - 1;
+    let mut best = Port::MAX;
+    let mut best_occ = u32::MAX;
+    let mut ties = 0u32;
+    for (i, &w) in net.graph.neighbors(hop.router).iter().enumerate() {
+        if !net.link_ok(hop.router, i) || net.tables.dist(w, hop.target) != want {
+            continue;
+        }
+        let occ = net.link_occupancy(hop.router, i);
+        if occ < best_occ {
+            best_occ = occ;
+            best = i as Port;
+            ties = 1;
+        } else if occ == best_occ {
+            ties += 1;
+            // Reservoir sampling keeps the choice uniform over ties.
+            if rng.gen_range(0..ties) == 0 {
+                best = i as Port;
+            }
+        }
     }
+    debug_assert!(
+        net.degraded || best != Port::MAX,
+        "no minimal next hop found"
+    );
+    best
 }
 
-impl RoutingAlgorithm for Valiant<'_> {
-    fn label(&self) -> &'static str {
-        "VAL"
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SimConfig;
+    use pf_topo::{PolarFlyTopo, Topology};
+    use polarfly::routing::next_hop_minimal;
+    use rand::SeedableRng;
+
+    /// A congestion-free network view of `topo`: every link up, every
+    /// credit free, no source backlog.
+    struct Idle {
+        tables: RouteTables,
+        geom: PortMap,
+        link_up: Vec<bool>,
+        credits: Vec<u16>,
+        inj_wait: Vec<u32>,
+        cfg: SimConfig,
     }
 
-    fn next_output(&self, net: &NetState, hop: HopContext, _rng: &mut StdRng) -> Port {
-        port_toward(net, &self.min, hop.router, hop.target)
-    }
+    impl Idle {
+        fn new(topo: &PolarFlyTopo) -> Idle {
+            let cfg = SimConfig::default();
+            let geom = PortMap::build(topo.graph());
+            let ports = geom.num_ports();
+            Idle {
+                tables: RouteTables::build(topo.graph(), 1),
+                link_up: vec![true; ports],
+                credits: vec![cfg.cap_per_vc() as u16; ports * cfg.vcs()],
+                inj_wait: vec![0; ports],
+                geom,
+                cfg,
+            }
+        }
 
-    fn plan(&self, net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> RoutePlan {
-        RoutePlan::Detour(random_mid(net, src, dst, rng))
-    }
-}
-
-/// Compact Valiant (§VII-B): the intermediate is a random *neighbor* of
-/// the source (≤ 3-hop detours); adjacent pairs go minimally.
-pub struct CompactValiant<'t> {
-    min: MinHop<'t>,
-}
-
-impl<'t> CompactValiant<'t> {
-    /// Compact Valiant over the given next-hop source.
-    pub fn new(min: MinHop<'t>) -> Self {
-        CompactValiant { min }
-    }
-}
-
-impl RoutingAlgorithm for CompactValiant<'_> {
-    fn label(&self) -> &'static str {
-        "CVAL"
-    }
-
-    fn next_output(&self, net: &NetState, hop: HopContext, _rng: &mut StdRng) -> Port {
-        port_toward(net, &self.min, hop.router, hop.target)
-    }
-
-    fn plan(&self, net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> RoutePlan {
-        if net.tables.dist(src, dst) <= 1 {
-            RoutePlan::Minimal
-        } else {
-            match net.random_live_neighbor(src, rng) {
-                Some(m) => RoutePlan::Detour(m),
-                None => RoutePlan::Minimal,
+        fn net<'a>(&'a self, topo: &'a PolarFlyTopo, min: MinHop<'a>) -> NetState<'a> {
+            NetState {
+                tables: &self.tables,
+                graph: topo.graph(),
+                geom: &self.geom,
+                link_up: &self.link_up,
+                router_up: &[],
+                min,
+                stale_routers: false,
+                degraded: false,
+                credits: &self.credits,
+                inj_wait: &self.inj_wait,
+                vcs: self.cfg.vcs(),
+                per_class: usize::from(self.cfg.vcs_per_class),
+                cap_per_vc: self.cfg.cap_per_vc(),
+                packet_flits: self.cfg.packet_flits,
+                ugal_pf_threshold: self.cfg.ugal_pf_threshold,
             }
         }
     }
 
-    /// One hop to the neighbor intermediate, then a minimal leg.
-    fn max_hops(&self, diameter: u32) -> u32 {
-        diameter + 1
-    }
-}
-
-/// UGAL-L: per-packet choice between the minimal and one random-Valiant
-/// path by comparing (queue length × hop count) at injection.
-pub struct UgalL<'t> {
-    min: MinHop<'t>,
-}
-
-impl<'t> UgalL<'t> {
-    /// UGAL-L over the given next-hop source.
-    pub fn new(min: MinHop<'t>) -> Self {
-        UgalL { min }
-    }
-}
-
-impl RoutingAlgorithm for UgalL<'_> {
-    fn label(&self) -> &'static str {
-        "UGAL"
+    /// The routers a packet planned as `plan` visits from `s` to `d`,
+    /// riding `net.min` on every leg; each step must follow a graph edge.
+    fn walk(net: &NetState, s: u32, d: u32, plan: RoutePlan) -> Vec<u32> {
+        let legs = match plan {
+            RoutePlan::Detour(m) => vec![m, d],
+            RoutePlan::Minimal => vec![d],
+        };
+        let mut path = vec![s];
+        let mut cur = s;
+        for target in legs {
+            while cur != target {
+                let next = net.min.next(net, cur, target);
+                assert!(net.graph.has_edge(cur, next), "{s}->{d}: {path:?}");
+                path.push(next);
+                cur = next;
+            }
+        }
+        path
     }
 
-    fn next_output(&self, net: &NetState, hop: HopContext, _rng: &mut StdRng) -> Port {
-        port_toward(net, &self.min, hop.router, hop.target)
-    }
-
-    fn plan(&self, net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> RoutePlan {
-        let mid = random_mid(net, src, dst, rng);
-        let h_min = net.tables.dist(src, dst);
-        let h_val = net.tables.dist(src, mid) + net.tables.dist(mid, dst);
-        let q_min = net.occupancy_toward(src, self.min.next(net, src, dst));
-        let q_val = net.occupancy_toward(src, self.min.next(net, src, mid));
-        if q_val * h_val < q_min * h_min {
-            RoutePlan::Detour(mid)
-        } else {
-            RoutePlan::Minimal
+    #[test]
+    fn algebraic_next_hop_matches_table() {
+        let topo = PolarFlyTopo::new(11, 6).unwrap();
+        let pf = topo.inner();
+        let idle = Idle::new(&topo);
+        let table = idle.net(&topo, MinHop::Table);
+        let algebraic = idle.net(&topo, MinHop::Algebraic(pf));
+        let n = topo.router_count() as u32;
+        for s in 0..n {
+            for d in (0..n).filter(|&d| d != s) {
+                let hop = algebraic.min.next(&algebraic, s, d);
+                assert_eq!(hop, next_hop_minimal(pf, s, d), "{s}->{d}");
+                assert_eq!(hop, table.min.next(&table, s, d), "{s}->{d}");
+            }
         }
     }
-}
 
-/// UGAL-PF (§VII-C): Compact-Valiant detours taken only when the minimal
-/// output's injection-class buffers pass an occupancy threshold.
-pub struct UgalPf<'t> {
-    min: MinHop<'t>,
-}
+    #[test]
+    fn valiant_routes_are_valid_and_bounded() {
+        let topo = PolarFlyTopo::new(7, 4).unwrap();
+        let idle = Idle::new(&topo);
+        let net = idle.net(&topo, MinHop::for_topology(&topo));
+        let n = topo.router_count() as u32;
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..2000 {
+            let s = rng.gen_range(0..n);
+            let d = loop {
+                let d = rng.gen_range(0..n);
+                if d != s {
+                    break d;
+                }
+            };
+            let plan = Routing::Valiant.plan(&net, s, d, &mut rng);
+            let val = walk(&net, s, d, plan);
+            assert!(val.len() <= 5, "VAL longer than 4 hops: {val:?}");
+            assert_eq!(val.last(), Some(&d));
 
-impl<'t> UgalPf<'t> {
-    /// UGAL-PF over the given next-hop source.
-    pub fn new(min: MinHop<'t>) -> Self {
-        UgalPf { min }
+            let plan = Routing::CompactValiant.plan(&net, s, d, &mut rng);
+            let cval = walk(&net, s, d, plan);
+            assert!(cval.len() <= 4, "CVAL longer than 3 hops: {cval:?}");
+            assert_eq!(cval.last(), Some(&d));
+            // No bounce through the source.
+            let bounced = cval[1..].contains(&s);
+            assert!(!bounced, "CVAL bounced through {s}: {cval:?}");
+        }
     }
-}
 
-impl RoutingAlgorithm for UgalPf<'_> {
-    fn label(&self) -> &'static str {
-        "UGALPF"
-    }
-
-    fn next_output(&self, net: &NetState, hop: HopContext, _rng: &mut StdRng) -> Port {
-        port_toward(net, &self.min, hop.router, hop.target)
-    }
-
-    fn plan(&self, net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> RoutePlan {
-        // Occupancy of the *injection class* (class-0 VCs) of the minimal
-        // output plus source-queue backlog: the buffer space this packet
-        // would contend for, so the threshold is taken against the class
-        // capacity.
-        let next = self.min.next(net, src, dst);
-        let q_min = net.class0_occupancy_toward(src, next);
-        let class_cap = net.cap_per_vc * net.per_class as u32;
-        if f64::from(q_min) <= net.ugal_pf_threshold * f64::from(class_cap) {
-            RoutePlan::Minimal
-        } else if net.tables.dist(src, dst) <= 1 {
-            // Adjacent pairs: a neighbor detour could bounce back through
-            // the source (§VII-B), so fall back to general Valiant —
-            // 4-hop detours, as Fig. 9b describes.
-            RoutePlan::Detour(random_mid(net, src, dst, rng))
-        } else {
-            match net.random_live_neighbor(src, rng) {
-                Some(m) => RoutePlan::Detour(m),
-                None => RoutePlan::Minimal,
+    #[test]
+    fn compact_valiant_adjacent_pairs_use_min_path() {
+        let topo = PolarFlyTopo::new(5, 3).unwrap();
+        let idle = Idle::new(&topo);
+        let net = idle.net(&topo, MinHop::for_topology(&topo));
+        let mut rng = StdRng::seed_from_u64(3);
+        for &(u, v) in topo.inner().graph().edges() {
+            for (s, d) in [(u, v), (v, u)] {
+                let plan = Routing::CompactValiant.plan(&net, s, d, &mut rng);
+                assert_eq!(plan, RoutePlan::Minimal, "{s}->{d}");
+                assert_eq!(walk(&net, s, d, plan), vec![s, d]);
             }
         }
     }

@@ -19,7 +19,7 @@ use super::*;
 use crate::engine::Reference;
 use crate::sweep::resolve_run;
 use crate::traffic::{DestMap, TrafficPattern};
-use crate::{Engine, RouteTables, Routing, SimConfig, SimResult, WorkloadDriver};
+use crate::{Engine, RouteTables, Routing, RoutingAlgorithm, SimConfig, SimResult, WorkloadDriver};
 use common::assert_bit_identical;
 use pf_graph::FaultSchedule;
 use pf_topo::{HyperX, PolarFlyTopo, Topology, TransientTopo};

@@ -2,7 +2,7 @@
 //! whose link windows open at cycle 0 and never repair
 //! ([`FaultSchedule::from_failures`]). A PolarFly degraded that way must
 //! deliver every packet below saturation on a connected residual
-//! network, the masked algebraic fast path must stay *residual*-minimal,
+//! network, the algebraic fast path must stay *residual*-minimal,
 //! and no flit may ever traverse a failed link — under any routing
 //! algorithm. The engine runs such a schedule without fault control: no
 //! table swap, nothing dropped.
@@ -15,8 +15,8 @@ use pf_sim::engine::Engine;
 use pf_sim::router::PortMap;
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
-use pf_sim::{load_curve, simulate, MinHop, NetState, Routing, SimConfig};
-use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
+use pf_sim::{load_curve, simulate, MinHop, NetState, Routing, RoutingAlgorithm, SimConfig};
+use pf_topo::{PolarFlyTopo, SlimFly, Topology, TransientTopo};
 
 /// Residual minimal paths can exceed the healthy diameter of 2 and the
 /// adaptive detours add more: 8 hop-indexed VC classes keep every path of
@@ -98,12 +98,25 @@ fn masked_algebraic_next_hop_is_residual_minimal() {
     let cfg = SimConfig::default();
     let credits = vec![cfg.cap_per_vc() as u16; geom.num_ports() * cfg.vcs()];
     let inj_wait = vec![0u32; geom.num_ports()];
+
+    // PolarFly gets the algebra whatever its schedule — healthy, empty or
+    // degraded — because the arm checks every hop against the link mask;
+    // a topology without the hint gets the table.
+    let min = MinHop::for_topology(&degraded);
+    assert!(matches!(min, MinHop::Algebraic(_)));
+    assert!(matches!(MinHop::for_topology(&pf), MinHop::Algebraic(_)));
+    let empty = degrade(&pf, &FailureSet::empty());
+    assert!(matches!(MinHop::for_topology(&empty), MinHop::Algebraic(_)));
+    let sf = SlimFly::new(5, 4).unwrap();
+    assert!(matches!(MinHop::for_topology(&sf), MinHop::Table));
+
     let net = NetState {
         tables: &tables,
         graph: degraded.graph(),
         geom: &geom,
         link_up: &link_up,
         router_up: &[],
+        min,
         stale_routers: false,
         degraded: true,
         credits: &credits,
@@ -115,17 +128,6 @@ fn masked_algebraic_next_hop_is_residual_minimal() {
         ugal_pf_threshold: cfg.ugal_pf_threshold,
     };
 
-    let min = MinHop::for_topology(&degraded);
-    assert!(
-        matches!(min, MinHop::AlgebraicMasked(_)),
-        "degraded PolarFly must get the mask-validated algebraic fast path"
-    );
-    // Healthy PolarFly, and an empty failure set, keep the unchecked
-    // fast path.
-    assert!(matches!(MinHop::for_topology(&pf), MinHop::Algebraic(_)));
-    let empty = degrade(&pf, &FailureSet::empty());
-    assert!(matches!(MinHop::for_topology(&empty), MinHop::Algebraic(_)));
-
     let residual = failures.residual(pf.graph());
     let dm = DistanceMatrix::build(&residual);
     let n = degraded.router_count() as u32;
@@ -135,7 +137,7 @@ fn masked_algebraic_next_hop_is_residual_minimal() {
             if s == d {
                 continue;
             }
-            let next = min.next(&net, s, d);
+            let next = net.min.next(&net, s, d);
             assert!(
                 residual.has_edge(s, next),
                 "{s}->{d}: next hop {next} rides a failed or absent link"

@@ -7,8 +7,9 @@ mod common;
 use pf_sim::engine::{simulate, Engine, SimConfig};
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
-use pf_sim::Routing;
+use pf_sim::{HopContext, NetState, Port, RoutePlan, Routing, RoutingAlgorithm};
 use pf_topo::{PolarFlyTopo, Topology};
+use rand::rngs::StdRng;
 
 fn setup(q: u64, p: usize) -> (PolarFlyTopo, RouteTables) {
     let topo = PolarFlyTopo::new(q, p).unwrap();
@@ -311,10 +312,32 @@ fn hop_counts_respect_vc_bound() {
     assert!(r.delivered > 0);
 }
 
+/// A caller-built algorithm that forwards every decision to the
+/// `Routing` it wraps.
+struct Forward(Routing);
+
+impl RoutingAlgorithm for Forward {
+    fn label(&self) -> &'static str {
+        self.0.label()
+    }
+
+    fn next_output(&self, net: &NetState, hop: HopContext, rng: &mut StdRng) -> Port {
+        self.0.next_output(net, hop, rng)
+    }
+
+    fn plan(&self, net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> RoutePlan {
+        self.0.plan(net, src, dst, rng)
+    }
+
+    fn max_hops(&self, diameter: u32) -> u32 {
+        self.0.max_hops(diameter)
+    }
+}
+
 #[test]
 fn custom_algorithm_via_with_algorithm() {
     // The trait entry point: a caller-built Box<dyn RoutingAlgorithm>
-    // behaves identically to the enum constructor.
+    // behaves identically to the enum it forwards to.
     let (topo, tables) = setup(7, 3);
     let dests = resolve(
         TrafficPattern::Uniform,
@@ -324,12 +347,29 @@ fn custom_algorithm_via_with_algorithm() {
     );
     let cfg = SimConfig::quick().seed(11);
     let via_enum = simulate(&topo, &tables, &dests, Routing::UgalPf, 0.3, cfg.clone());
-    let algo = Routing::UgalPf.algorithm(&topo);
+    let algo = Box::new(Forward(Routing::UgalPf));
     let via_trait = Engine::with_algorithm(&topo, &tables, &dests, algo, 0.3, cfg).run();
     assert_eq!(via_enum.generated, via_trait.generated);
     assert_eq!(via_enum.delivered, via_trait.delivered);
     assert!((via_enum.avg_latency - via_trait.avg_latency).abs() < 1e-12);
     assert!((via_enum.accepted_load - via_trait.accepted_load).abs() < 1e-12);
+}
+
+/// The per-port VC occupancy mask is one `u32`: an engine that would
+/// allocate more than 32 VCs per port (9 per class × Valiant's 4 hop
+/// classes = 36) refuses to build.
+#[test]
+#[should_panic(expected = "36 allocated VCs per port exceed the 32-VC ceiling")]
+fn more_than_32_vcs_per_port_are_refused() {
+    let (topo, tables) = setup(5, 2);
+    let dests = resolve(
+        TrafficPattern::Uniform,
+        topo.graph(),
+        &topo.host_routers(),
+        1,
+    );
+    let cfg = SimConfig::quick().vcs_per_class(9);
+    Engine::new(&topo, &tables, &dests, Routing::Valiant, 0.1, cfg);
 }
 
 /// `load_curve` fans its load points out over Rayon workers — the one

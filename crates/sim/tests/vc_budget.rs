@@ -12,18 +12,18 @@ use pf_graph::{FailureSet, FaultSchedule};
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, DestMap, TrafficPattern};
 use pf_sim::{
-    Engine, FlitRings, HopContext, MinHop, NetState, Port, RoutePlan, Routing, RoutingAlgorithm,
-    SimConfig, SimResult,
+    Engine, FlitRings, HopContext, NetState, Port, RoutePlan, Routing, RoutingAlgorithm, SimConfig,
+    SimResult,
 };
 use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
 use rand::rngs::StdRng;
 
-/// `Min`, declaring the trait's default `max_hops` (a full Valiant
-/// detour): the engine allocates all four classes for the very routes
-/// `Min` runs on two.
-struct MinAllClasses<'t>(pf_sim::routing::Min<'t>);
+/// `Routing::Min`, declaring the trait's default `max_hops` (a full
+/// Valiant detour): the engine allocates all four classes for the very
+/// routes MIN runs on two.
+struct MinAllClasses(Routing);
 
-impl RoutingAlgorithm for MinAllClasses<'_> {
+impl RoutingAlgorithm for MinAllClasses {
     fn label(&self) -> &'static str {
         "MIN"
     }
@@ -39,17 +39,17 @@ impl RoutingAlgorithm for MinAllClasses<'_> {
 
 /// Compact Valiant for every pair — a ≤ 3-hop path — while declaring
 /// MIN's `max_hops`: the engine allocates two classes and the third hop
-/// must clamp into the second, on its own port.
-struct Underdeclared<'t>(MinHop<'t>);
+/// must clamp into the second, on its own port. Hops ride the wrapped
+/// `Routing::Min`.
+struct Underdeclared(Routing);
 
-impl RoutingAlgorithm for Underdeclared<'_> {
+impl RoutingAlgorithm for Underdeclared {
     fn label(&self) -> &'static str {
         "UNDERDECLARED"
     }
 
-    fn next_output(&self, net: &NetState, hop: HopContext, _rng: &mut StdRng) -> Port {
-        let next = self.0.next(net, hop.router, hop.target);
-        net.neighbor_index(hop.router, next) as Port
+    fn next_output(&self, net: &NetState, hop: HopContext, rng: &mut StdRng) -> Port {
+        self.0.next_output(net, hop, rng)
     }
 
     fn plan(&self, net: &NetState, src: u32, _dst: u32, rng: &mut StdRng) -> RoutePlan {
@@ -58,7 +58,7 @@ impl RoutingAlgorithm for Underdeclared<'_> {
     }
 
     fn max_hops(&self, diameter: u32) -> u32 {
-        diameter
+        self.0.max_hops(diameter)
     }
 }
 
@@ -102,10 +102,8 @@ fn min_on_reachable_classes_matches_min_on_all() {
                 let e = Engine::with_algorithm(&topo, &tables, &dests, algo, load, cfg.clone());
                 (e.flit_rings().resident_bytes(), e.run())
             };
-            let min = pf_sim::routing::Min::new(MinHop::for_topology(&topo));
-            let (two, a) = run(Box::new(min));
-            let min = pf_sim::routing::Min::new(MinHop::for_topology(&topo));
-            let (four, b) = run(Box::new(MinAllClasses(min)));
+            let (two, a) = run(Box::new(Routing::Min));
+            let (four, b) = run(Box::new(MinAllClasses(Routing::Min)));
             let label = format!("PF({q}) load {load}");
             assert_eq!(two, idle_bytes(&topo, &cfg, 2), "{label}: MIN allocation");
             assert_eq!(
@@ -200,7 +198,7 @@ fn underdeclared_hops_clamp_inside_their_port() {
         .gen_cutoff(400)
         .seed(3);
     let (tables, dests) = uniform(&topo, cfg.seed);
-    let algo = Box::new(Underdeclared(MinHop::for_topology(&topo)));
+    let algo = Box::new(Underdeclared(Routing::Min));
     let mut e = Engine::with_algorithm(&topo, &tables, &dests, algo, 0.3, cfg.clone());
     assert_eq!(e.flit_rings().resident_bytes(), idle_bytes(&topo, &cfg, 2));
     for cycle in 0..3400 {

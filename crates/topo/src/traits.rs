@@ -65,8 +65,9 @@ pub trait Topology: Send + Sync {
     /// on exactly that graph. The fault wrapper ([`crate::TransientTopo`])
     /// forwards the inner hint unchanged — the algebraic structure
     /// survives failures, and consumers layer their own failure masks on
-    /// top (the simulator's `MinHop::AlgebraicMasked` validates each
-    /// algebraic hop against its per-port liveness mask before using it).
+    /// top (the simulator's `MinHop::Algebraic` validates each algebraic
+    /// hop against its per-port liveness mask before using it, healthy
+    /// or not).
     ///
     /// ```
     /// use pf_graph::{FailureSet, FaultSchedule};

@@ -1,14 +1,14 @@
-//! Routing parity on `ER_31` (the paper's Table V PolarFly): every
-//! `RoutingAlgorithm` implementation must reproduce the closed enum's
-//! next-hop decisions, and the three minimal-next-hop sources — the
-//! `RoutingAlgorithm` trait objects, the seeded `RouteTables`, and the
-//! O(1) algebraic cross-product — must agree with each other and with
-//! BFS distances.
+//! Routing parity on `ER_31` (the paper's Table V PolarFly): the three
+//! minimal-next-hop sources — the engine's `NetState::min`, the seeded
+//! `RouteTables`, and the O(1) algebraic cross-product — must agree with
+//! each other and with BFS distances, every `Routing` variant must route
+//! that hop, and each plan must pick the detour §VII describes (the
+//! walked paths are checked in `pf_sim::routing`'s unit tests).
 
 use pf_graph::DistanceMatrix;
 use pf_sim::router::PortMap;
 use pf_sim::tables::RouteTables;
-use pf_sim::{NetState, Routing, SimConfig};
+use pf_sim::{MinHop, NetState, RoutePlan, Routing, RoutingAlgorithm, SimConfig};
 use pf_topo::{PolarFlyTopo, Topology};
 use polarfly::routing::next_hop_minimal;
 use polarfly::PolarFly;
@@ -49,6 +49,7 @@ impl ParityHarness {
             geom: &self.geom,
             link_up: &self.link_up,
             router_up: &[],
+            min: MinHop::for_topology(topo),
             stale_routers: false,
             degraded: false,
             credits: &self.credits,
@@ -71,18 +72,15 @@ fn er31_trait_table_algebraic_and_bfs_agree() {
     let dm = DistanceMatrix::build(topo.graph());
     let n = topo.router_count() as u32;
 
-    // One trait object per min-carrying algorithm; all route minimally
-    // toward a plain destination target.
-    let algos: Vec<_> = [
+    // Every algorithm but NCA routes `net.min` toward a plain
+    // destination target.
+    let algos = [
         Routing::Min,
         Routing::Valiant,
         Routing::CompactValiant,
         Routing::Ugal,
         Routing::UgalPf,
-    ]
-    .iter()
-    .map(|r| r.algorithm(&topo))
-    .collect();
+    ];
     let mut rng = StdRng::seed_from_u64(1);
 
     for s in 0..n {
@@ -99,6 +97,11 @@ fn er31_trait_table_algebraic_and_bfs_agree() {
                 table, algebraic,
                 "table vs algebraic divergence at {s}->{d}"
             );
+            assert_eq!(
+                net.min.next(&net, s, d),
+                algebraic,
+                "NetState::min diverges at {s}->{d}"
+            );
             // Both must descend the BFS distance field.
             let ds = u32::from(dm.get(s, d));
             assert_eq!(
@@ -106,9 +109,9 @@ fn er31_trait_table_algebraic_and_bfs_agree() {
                 ds - 1,
                 "next hop does not approach destination at {s}->{d}"
             );
-            // Every trait impl routes the same minimal hop (sampled
+            // Every algorithm routes the same minimal hop (sampled
             // sources: 5 algorithms × ~1M pairs is debug-build poison,
-            // and the impls share the one MinHop path checked above).
+            // and they share the one `net.min` checked above).
             if s % 7 == 0 {
                 let hop = pf_sim::HopContext {
                     router: s,
@@ -134,7 +137,7 @@ fn er31_adaptive_min_picks_a_minimal_hop() {
     let h = ParityHarness::new(&topo, 7);
     let net = h.net(&topo);
     let dm = DistanceMatrix::build(topo.graph());
-    let nca = Routing::MinAdaptive.algorithm(&topo);
+    let nca = Routing::MinAdaptive;
     let mut rng = StdRng::seed_from_u64(2);
     let n = topo.router_count() as u32;
     // Sampled pairs (the full product is covered by the deterministic
@@ -169,46 +172,34 @@ fn plans_match_paper_semantics_on_er31() {
     let net = h.net(&topo);
     let mut rng = StdRng::seed_from_u64(3);
     let n = topo.router_count() as u32;
-    let min = Routing::Min.algorithm(&topo);
-    let val = Routing::Valiant.algorithm(&topo);
-    let cval = Routing::CompactValiant.algorithm(&topo);
-    let ugalpf = Routing::UgalPf.algorithm(&topo);
 
     for s in (0..n).step_by(17) {
         for d in (0..n).step_by(5) {
             if s == d {
                 continue;
             }
-            assert_eq!(min.plan(&net, s, d, &mut rng), pf_sim::RoutePlan::Minimal);
+            assert_eq!(Routing::Min.plan(&net, s, d, &mut rng), RoutePlan::Minimal);
             // Valiant always detours through a proper intermediate.
-            match val.plan(&net, s, d, &mut rng) {
-                pf_sim::RoutePlan::Detour(m) => assert!(m != s && m != d),
-                pf_sim::RoutePlan::Minimal => panic!("valiant must always detour"),
+            match Routing::Valiant.plan(&net, s, d, &mut rng) {
+                RoutePlan::Detour(m) => assert!(m != s && m != d),
+                RoutePlan::Minimal => panic!("valiant must always detour"),
             }
             // Compact Valiant: adjacent pairs go minimal, others detour
             // through a neighbor of the source.
             let adjacent = h.tables.dist(s, d) <= 1;
-            match cval.plan(&net, s, d, &mut rng) {
-                pf_sim::RoutePlan::Minimal => assert!(adjacent, "CVAL skipped detour at {s}->{d}"),
-                pf_sim::RoutePlan::Detour(m) => {
+            match Routing::CompactValiant.plan(&net, s, d, &mut rng) {
+                RoutePlan::Minimal => assert!(adjacent, "CVAL skipped detour at {s}->{d}"),
+                RoutePlan::Detour(m) => {
                     assert!(!adjacent);
                     assert!(topo.graph().has_edge(s, m), "CVAL mid not a neighbor");
                 }
             }
             // UGAL-PF under zero congestion always goes minimal.
             assert_eq!(
-                ugalpf.plan(&net, s, d, &mut rng),
-                pf_sim::RoutePlan::Minimal,
+                Routing::UgalPf.plan(&net, s, d, &mut rng),
+                RoutePlan::Minimal,
                 "UGAL-PF must stay minimal with empty buffers at {s}->{d}"
             );
         }
-    }
-}
-
-#[test]
-fn enum_labels_match_trait_labels() {
-    let topo = PolarFlyTopo::new(7, 4).unwrap();
-    for r in Routing::all() {
-        assert_eq!(r.label(), r.algorithm(&topo).label());
     }
 }
