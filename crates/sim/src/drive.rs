@@ -27,7 +27,7 @@ use crate::tables::RouteTables;
 use crate::traffic::DestMap;
 use crate::Routing;
 use pf_topo::Topology;
-use pf_workload::JobAssignment;
+use pf_workload::{FlatLists, InverseEdges, JobAssignment, Task, TaskId, Workload};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -86,23 +86,24 @@ struct PhaseAcc {
     messages: u64,
 }
 
-/// One job's live DAG state.
+/// One job's live DAG state. The task DAG is the [`Workload`] the job
+/// was handed, read in place; only the inverse edges and the per-task /
+/// per-message counters are derived.
 #[derive(Debug)]
 struct JobState {
-    name: String,
     /// Rank → router id.
     routers: Vec<u32>,
-    tasks: Vec<pf_workload::Task>,
+    workload: Workload,
+    /// Tasks gated behind each task's firing (forward `after` edges).
+    dependents: FlatLists<TaskId>,
+    /// Tasks gated behind each message's delivery.
+    receivers: FlatLists<TaskId>,
     /// Remaining unsatisfied dependencies per task.
     deps_left: Vec<u32>,
-    /// Tasks gated behind each task's firing (forward `after` edges).
-    children: Vec<Vec<u32>>,
-    /// Tasks gated behind each message's delivery.
-    msg_receivers: Vec<Vec<u32>>,
     /// Remaining undelivered packets per message (`u32::MAX` = not yet
     /// released).
     msg_pkts_left: Vec<u32>,
-    msg_flits: Vec<u32>,
+    /// Phase tag of each message's sending task.
     msg_phase: Vec<u32>,
     /// Compute-timer queue: `(fire_cycle, task)`.
     timers: BinaryHeap<Reverse<(u32, u32)>>,
@@ -111,23 +112,29 @@ struct JobState {
     /// Cycle the job finished (all tasks fired, all messages delivered).
     completion: Option<u32>,
     phases: Vec<PhaseAcc>,
-    payload_flits: u64,
     delivered_msgs: u64,
 }
 
-impl JobState {
-    /// Marks one dependency of `task` satisfied; arms its compute timer
-    /// when the last one lands.
-    fn satisfy(&mut self, task: u32, cycle: u32) {
-        let d = &mut self.deps_left[task as usize];
-        debug_assert!(*d > 0, "over-satisfied task {task}");
-        *d -= 1;
-        if *d == 0 {
-            let fire = cycle.saturating_add(self.tasks[task as usize].compute);
-            self.timers.push(Reverse((fire, task)));
-        }
+/// Marks one dependency of `task` satisfied; arms its compute timer
+/// when the last one lands. A free function over the two fields it
+/// writes, so callers can walk `JobState`'s edge lists meanwhile.
+fn satisfy(
+    deps_left: &mut [u32],
+    timers: &mut BinaryHeap<Reverse<(u32, u32)>>,
+    tasks: &[Task],
+    task: TaskId,
+    cycle: u32,
+) {
+    let d = &mut deps_left[task as usize];
+    debug_assert!(*d > 0, "over-satisfied task {task}");
+    *d -= 1;
+    if *d == 0 {
+        let fire = cycle.saturating_add(tasks[task as usize].compute);
+        timers.push(Reverse((fire, task)));
     }
+}
 
+impl JobState {
     fn note_phase(&mut self, phase: u32, cycle: u32, message: bool) {
         let p = &mut self.phases[phase as usize];
         p.start = p.start.min(cycle);
@@ -207,44 +214,33 @@ impl WorkloadDriver {
             }
 
             let nmsg = w.messages as usize;
-            let mut msg_receivers: Vec<Vec<u32>> = vec![Vec::new(); nmsg];
-            let mut msg_flits: Vec<u32> = vec![0; nmsg];
+            let InverseEdges {
+                dependents,
+                receivers,
+            } = w.inverse();
             let mut msg_phase: Vec<u32> = vec![0; nmsg];
-            let mut children: Vec<Vec<u32>> = vec![Vec::new(); w.tasks.len()];
-            let mut deps_left: Vec<u32> = vec![0; w.tasks.len()];
-            let mut max_phase = 0u32;
-            for (ti, t) in w.tasks.iter().enumerate() {
-                max_phase = max_phase.max(t.phase);
-                deps_left[ti] = (t.after.len() + t.recvs.len()) as u32;
-                for &a in &t.after {
-                    children[a as usize].push(ti as u32);
+            let mut deps_left: Vec<u32> = Vec::with_capacity(w.tasks.len());
+            let mut timers = BinaryHeap::new();
+            for (ti, t) in (0..).zip(&w.tasks) {
+                let deps = (w.after(ti).len() + w.recvs(ti).len()) as u32;
+                if deps == 0 {
+                    timers.push(Reverse((t.compute, ti)));
                 }
-                for &m in &t.recvs {
-                    msg_receivers[m as usize].push(ti as u32);
-                }
-                for s in &t.sends {
-                    msg_flits[s.msg as usize] = s.flits;
+                deps_left.push(deps);
+                for s in w.sends(ti) {
                     msg_phase[s.msg as usize] = t.phase;
                 }
             }
-            let mut timers = BinaryHeap::new();
-            for (ti, t) in w.tasks.iter().enumerate() {
-                if deps_left[ti] == 0 {
-                    timers.push(Reverse((t.compute, ti as u32)));
-                }
-            }
-            let payload_flits = w.total_flits();
+            let max_phase = w.tasks.iter().map(|t| t.phase).max().unwrap_or(0);
             states.push(JobState {
-                name: w.name.clone(),
                 routers,
                 pending_tasks: w.tasks.len() as u32,
                 pending_msgs: w.messages,
-                tasks: w.tasks,
+                workload: w,
+                dependents,
+                receivers,
                 deps_left,
-                children,
-                msg_receivers,
                 msg_pkts_left: vec![u32::MAX; nmsg],
-                msg_flits,
                 msg_phase,
                 timers,
                 completion: None,
@@ -256,7 +252,6 @@ impl WorkloadDriver {
                     };
                     max_phase as usize + 1
                 ],
-                payload_flits,
                 delivered_msgs: 0,
             });
         }
@@ -272,7 +267,7 @@ impl WorkloadDriver {
     /// A single job occupying the first `workload.hosts` hosts of `topo`.
     pub fn single(
         topo: &dyn Topology,
-        workload: pf_workload::Workload,
+        workload: Workload,
         packet_flits: u16,
     ) -> Result<WorkloadDriver, String> {
         WorkloadDriver::new(topo, vec![JobAssignment::solo(workload)], packet_flits)
@@ -292,30 +287,28 @@ impl WorkloadDriver {
                 }
                 job.timers.pop();
                 job.pending_tasks -= 1;
-                let (phase, host) = {
-                    let task = &job.tasks[tid as usize];
-                    (task.phase, task.host)
-                };
-                job.note_phase(phase, cycle, false);
-                let src = job.routers[host as usize];
-                for si in 0..job.tasks[tid as usize].sends.len() {
-                    let (dst_rank, flits, msg) = {
-                        let s = &job.tasks[tid as usize].sends[si];
-                        (s.dst, s.flits, s.msg)
-                    };
-                    let packets = flits.div_ceil(pf);
-                    job.msg_pkts_left[msg as usize] = packets;
+                let task = job.workload.tasks[tid as usize];
+                job.note_phase(task.phase, cycle, false);
+                let src = job.routers[task.host as usize];
+                for s in job.workload.sends(tid) {
+                    let packets = s.flits.div_ceil(pf);
+                    job.msg_pkts_left[s.msg as usize] = packets;
                     out.push(Release {
                         src,
-                        dst: job.routers[dst_rank as usize],
+                        dst: job.routers[s.dst as usize],
                         job: ji as u32,
-                        msg,
+                        msg: s.msg,
                         packets,
                     });
                 }
-                for ci in 0..job.children[tid as usize].len() {
-                    let child = job.children[tid as usize][ci];
-                    job.satisfy(child, cycle);
+                for &child in job.dependents.get(tid as usize) {
+                    satisfy(
+                        &mut job.deps_left,
+                        &mut job.timers,
+                        &job.workload.tasks,
+                        child,
+                        cycle,
+                    );
                 }
                 job.check_complete(cycle);
             }
@@ -361,9 +354,14 @@ impl WorkloadDriver {
         job.pending_msgs -= 1;
         job.delivered_msgs += 1;
         job.note_phase(job.msg_phase[msg as usize], cycle, true);
-        for ri in 0..job.msg_receivers[msg as usize].len() {
-            let r = job.msg_receivers[msg as usize][ri];
-            job.satisfy(r, cycle);
+        for &r in job.receivers.get(msg as usize) {
+            satisfy(
+                &mut job.deps_left,
+                &mut job.timers,
+                &job.workload.tasks,
+                r,
+                cycle,
+            );
         }
         job.check_complete(cycle);
     }
@@ -399,13 +397,12 @@ impl WorkloadDriver {
     pub fn delivered_payload_flits(&self) -> u64 {
         self.jobs
             .iter()
-            .map(|j| {
-                j.msg_pkts_left
-                    .iter()
-                    .zip(&j.msg_flits)
-                    .filter(|(&left, _)| left == 0)
-                    .map(|(_, &f)| u64::from(f))
-                    .sum::<u64>()
+            .flat_map(|j| {
+                let w = &j.workload;
+                (0..w.tasks.len() as TaskId)
+                    .flat_map(|t| w.sends(t))
+                    .filter(|s| j.msg_pkts_left[s.msg as usize] == 0)
+                    .map(|s| u64::from(s.flits))
             })
             .sum()
     }
@@ -427,15 +424,16 @@ impl WorkloadDriver {
             .iter()
             .map(|j| {
                 let makespan = j.completion.map(|c| c + 1);
+                let payload_flits = j.workload.total_flits();
                 JobResult {
-                    name: j.name.clone(),
+                    name: j.workload.name.clone(),
                     ranks: j.routers.len() as u32,
                     makespan,
                     messages: u64::from(j.pending_msgs) + j.delivered_msgs,
                     messages_delivered: j.delivered_msgs,
-                    payload_flits: j.payload_flits,
+                    payload_flits,
                     alg_bandwidth: makespan
-                        .map_or(0.0, |m| j.payload_flits as f64 / f64::from(m.max(1))),
+                        .map_or(0.0, |m| payload_flits as f64 / f64::from(m.max(1))),
                     phases: j
                         .phases
                         .iter()

@@ -8,7 +8,10 @@ use pf_graph::FaultSchedule;
 use pf_sim::traffic::{resolve, TrafficPattern};
 use pf_sim::{simulate, simulate_workload, RouteTables, Routing, SimConfig, SimResult};
 use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
-use pf_workload::{multi_job_mix, param_server, ring_allreduce, JobAssignment};
+use pf_workload::{
+    all_to_all, halo_exchange, multi_job_mix, param_server, recursive_doubling_allreduce,
+    ring_allreduce, JobAssignment,
+};
 
 /// Asserts the conservation contract of a completed closed-loop run.
 fn assert_conserved(r: &SimResult, label: &str) {
@@ -170,4 +173,96 @@ fn open_loop_runs_match_pre_workload_engine_bit_for_bit() {
         assert_eq!(r.accepted_load.to_bits(), 0x3fd2ef3dc60ce227, "{routing:?}");
         assert_eq!(r.avg_hops.to_bits(), 0x3ffdc47b32f50de5, "{routing:?}");
     }
+}
+
+/// The generators [`every_generator_is_pinned_closed_loop`] runs.
+const GENERATORS: [&str; 6] = [
+    "ring",
+    "recdoub",
+    "all_to_all",
+    "halo",
+    "param_server",
+    "mix",
+];
+
+/// One generator's jobs, by [`GENERATORS`] name.
+fn generator_jobs(name: &str) -> Vec<JobAssignment> {
+    let solo = |w| vec![JobAssignment::solo(w)];
+    match name {
+        "ring" => solo(ring_allreduce(12, 16, 4)),
+        // 12 ranks: a core of 8 plus the 4-rank fold in and out.
+        "recdoub" => solo(recursive_doubling_allreduce(12, 16, 2)),
+        "all_to_all" => solo(all_to_all(10, 8, 2)),
+        "halo" => solo(halo_exchange(&[3, 4], 8, 2, 3)),
+        "param_server" => solo(param_server(12, 2, 32, 16, 4)),
+        // Five jobs: one of each generator family.
+        "mix" => multi_job_mix(40, 5, 4, 0xC0FFEE),
+        _ => unreachable!("{name}"),
+    }
+}
+
+/// One line per run: per job `(makespan, messages delivered)`, an
+/// FNV-1a digest of every job's per-phase `(phase, start, end,
+/// messages)`, the bits of `avg_latency`, and `skipped_router_cycles`.
+fn closed_loop_pin(name: &str, routing: Routing, r: &SimResult) -> String {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for p in r.jobs.iter().flat_map(|j| &j.phases) {
+        let fields = [
+            u64::from(p.phase),
+            u64::from(p.start),
+            u64::from(p.end),
+            p.messages,
+        ];
+        for b in fields.iter().flat_map(|x| x.to_le_bytes()) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    let jobs: Vec<_> = r
+        .jobs
+        .iter()
+        .map(|j| (j.makespan.unwrap_or(u32::MAX), j.messages_delivered))
+        .collect();
+    format!(
+        "{name} {routing:?} jobs {jobs:?} phases {h:#018x} avg_latency {:#018x} skipped {}\n",
+        r.avg_latency.to_bits(),
+        r.skipped_router_cycles
+    )
+}
+
+/// Every generator's closed-loop result on PF q=7 p=4 (default config),
+/// under MIN and UGAL-PF, pinned bit for bit. The golden values were
+/// extracted from the commit before the workload DAG moved to flat
+/// offset lists (per-task `Vec`s in `Task` and in the driver), so the
+/// flat layout is held to release sends and satisfy receivers in the
+/// same order. A mismatch prints every line as observed.
+#[test]
+fn every_generator_is_pinned_closed_loop() {
+    const PINS: &str = "\
+ring Min jobs [(537, 264)] phases 0xf003cdcdb8236a1b avg_latency 0x402e800000000000 skipped 23489
+ring UgalPf jobs [(537, 264)] phases 0xf003cdcdb8236a1b avg_latency 0x402e800000000000 skipped 23489
+recdoub Min jobs [(108, 32)] phases 0x0bf3e2b07d4d1da2 avg_latency 0x4030980000000000 skipped 5138
+recdoub UgalPf jobs [(108, 32)] phases 0x0bf3e2b07d4d1da2 avg_latency 0x4030980000000000 skipped 5138
+all_to_all Min jobs [(71, 90)] phases 0xca0e9b4047df2ead avg_latency 0x40324ccccccccccd skipped 3223
+all_to_all UgalPf jobs [(65, 90)] phases 0x53e55f2908c31f99 avg_latency 0x4031622222222222 skipped 2838
+halo Min jobs [(78, 96)] phases 0xcaef1f98a9053800 avg_latency 0x402e055555555555 skipped 3527
+halo UgalPf jobs [(91, 96)] phases 0x226deb0f4328c1dd avg_latency 0x402d5aaaaaaaaaab skipped 4190
+param_server Min jobs [(591, 48)] phases 0x4326e1cbab1f743c avg_latency 0x40506f1c71c71c72 skipped 30579
+param_server UgalPf jobs [(433, 48)] phases 0xb5227748c37f555d avg_latency 0x4048b6aaaaaaaaab skipped 21865
+mix Min jobs [(208, 112), (78, 24), (83, 56), (50, 32), (67, 28)] phases 0xf689c3930e5d74eb avg_latency 0x402e0f6603d980f6 skipped 8227
+mix UgalPf jobs [(208, 112), (77, 24), (71, 56), (52, 32), (67, 28)] phases 0xb98a1411ee194b18 avg_latency 0x402d1ecc07b301ed skipped 8246
+";
+    let topo = PolarFlyTopo::new(7, 4).unwrap();
+    let cfg = SimConfig::default();
+    let mut observed = String::new();
+    for name in GENERATORS {
+        for routing in [Routing::Min, Routing::UgalPf] {
+            let r = simulate_workload(&topo, routing, generator_jobs(name), &cfg).unwrap();
+            assert_conserved(&r, &format!("{name} {routing:?}"));
+            observed += &closed_loop_pin(name, routing, &r);
+        }
+    }
+    assert!(
+        observed == PINS,
+        "closed-loop pins moved; observed:\n{observed}"
+    );
 }

@@ -29,7 +29,7 @@ pub mod multijob;
 pub mod stencil;
 
 pub use collectives::{all_to_all, recursive_doubling_allreduce, ring_allreduce};
-pub use dag::{MsgId, SendSpec, Task, TaskId, Workload, WorkloadBuilder};
+pub use dag::{FlatLists, InverseEdges, MsgId, SendSpec, Task, TaskId, Workload, WorkloadBuilder};
 pub use incast::param_server;
 pub use multijob::{multi_job_mix, JobAssignment};
 pub use stencil::halo_exchange;
