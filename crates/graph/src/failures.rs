@@ -289,45 +289,6 @@ impl FaultSchedule {
         l.max(r)
     }
 
-    /// Samples independent per-link Poisson failure processes: each link
-    /// of `g` fails with exponential inter-failure gaps of mean
-    /// `mtbf_cycles` and stays down for `repair_cycles`; failures are
-    /// drawn until `horizon`. Deterministic per `(seed, link)` — the
-    /// schedule does not depend on iteration order. The residual network
-    /// may disconnect under concurrent faults; use
-    /// [`FaultSchedule::sample_connected_links`] when the consumer (the
-    /// cycle simulator) requires every live router pair to stay routable.
-    pub fn sample_links(
-        g: &Csr,
-        mtbf_cycles: f64,
-        repair_cycles: u32,
-        horizon: u32,
-        seed: u64,
-    ) -> FaultSchedule {
-        assert!(mtbf_cycles > 0.0, "MTBF must be positive");
-        assert!(repair_cycles > 0, "repair time must be positive");
-        let mut s = FaultSchedule::new();
-        for (idx, &(u, v)) in g.edges().iter().enumerate() {
-            let mut rng =
-                StdRng::seed_from_u64(seed ^ (idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut t = 0.0f64;
-            loop {
-                let draw: f64 = rng.gen();
-                // Exponential gap, floored at one cycle so t always advances.
-                let gap = (-mtbf_cycles * (1.0 - draw).max(1e-12).ln()).max(1.0);
-                t += gap;
-                if t >= f64::from(horizon) {
-                    break;
-                }
-                let fail = t as u32;
-                let repair = fail.saturating_add(repair_cycles);
-                s = s.link_fault(u, v, fail, repair);
-                t = f64::from(repair);
-            }
-        }
-        s
-    }
-
     /// Samples a *connectivity-safe* transient schedule: the failed links
     /// are a [`FailureSet::sample_connected`] draw (simultaneously
     /// removable without disconnecting `g`), each assigned a fail cycle
@@ -861,17 +822,11 @@ mod tests {
     #[test]
     fn schedule_sampling_is_seed_deterministic() {
         let g = ring_with_chords(20);
-        let a = FaultSchedule::sample_links(&g, 500.0, 50, 1000, 7);
-        let b = FaultSchedule::sample_links(&g, 500.0, 50, 1000, 7);
-        assert_eq!(a, b);
-        let c = FaultSchedule::sample_links(&g, 500.0, 50, 1000, 8);
-        assert_ne!(a, c, "different seeds must draw different schedules");
-        assert!(!a.is_empty(), "MTBF 500 over 1000 cycles must draw faults");
-        assert!(a.horizon() >= 50);
-
         let ca = FaultSchedule::sample_connected_links(&g, 0.2, 300, 100, 3);
         let cb = FaultSchedule::sample_connected_links(&g, 0.2, 300, 100, 3);
         assert_eq!(ca, cb);
+        let cc = FaultSchedule::sample_connected_links(&g, 0.2, 300, 100, 4);
+        assert_ne!(ca, cc, "different seeds must draw different schedules");
         // Union of all windows keeps the residual connected, so every
         // intermediate state does too (down sets are subsets).
         let peak = ca.active_at(&g, 0).len().max(ca.len());

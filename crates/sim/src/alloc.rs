@@ -153,7 +153,7 @@ impl Engine<'_> {
         let (mut from, hi) = self.geom.ports(r);
         while let Some(port) = self.next_port(false, from, hi) {
             from = port + 1;
-            debug_assert!(self.port_flits[port as usize] > 0);
+            debug_assert!(self.bufs.vc_mask(port as usize) != 0);
             if !self.port_used[port as usize] {
                 self.build_requests_port(r, port, cycle);
             }
@@ -162,7 +162,7 @@ impl Engine<'_> {
 
     /// The per-port VC-head scan of [`Engine::build_requests_router`].
     fn build_requests_port(&mut self, r: usize, port: u32, cycle: u32) {
-        for vc in crate::router::VcIter(self.vc_occ[port as usize]) {
+        for vc in crate::router::VcIter(self.bufs.vc_mask(port as usize)) {
             let qidx = port as usize * self.vcs + vc;
             let Some((pkt, seq, ready_at)) = self.bufs.front(qidx) else {
                 continue;
@@ -506,15 +506,8 @@ impl Engine<'_> {
                         Some((req.pkt, req.seq)),
                         "cached request head diverged"
                     );
-                    self.bufs.pop_front(q);
                     let in_vc = q - in_port * self.vcs;
-                    self.port_flits[in_port] -= 1;
-                    if self.bufs.is_empty(q) {
-                        self.vc_occ[in_port] &= !1u32.wrapping_shl(in_vc as u32);
-                    }
-                    if self.port_flits[in_port] == 0 {
-                        self.skip.occ.remove(in_port);
-                    }
+                    self.bufs.pop_front(in_port, in_vc);
                     let r = self.port_owner[in_port] as usize;
                     if self.skip.on_drain(r, 1) {
                         self.skip

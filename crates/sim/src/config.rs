@@ -69,9 +69,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// UGAL-PF adaptation threshold (paper: 2/3).
     pub ugal_pf_threshold: f64,
-    /// How many queued packets each router may consider for injection per
-    /// cycle (head-of-line relief at the source).
-    pub inject_window: usize,
     /// Stop generating new packets after this cycle (tests use this to
     /// verify full drain; `u32::MAX` = generate throughout).
     pub gen_cutoff: u32,
@@ -118,7 +115,6 @@ impl Default for SimConfig {
             drain_max: 4000,
             seed: 1,
             ugal_pf_threshold: 2.0 / 3.0,
-            inject_window: 16,
             gen_cutoff: u32::MAX,
             fault_policy: InFlightPolicy::DropRetransmit,
             convergence_delay: 200,
@@ -174,8 +170,6 @@ impl SimConfig {
         seed: u64,
         /// Sets the UGAL-PF adaptation threshold.
         ugal_pf_threshold: f64,
-        /// Sets the per-router injection consideration window.
-        inject_window: usize,
         /// Sets the generation cutoff cycle.
         gen_cutoff: u32,
         /// Sets the in-flight-flit policy for mid-run link deaths.
@@ -241,11 +235,11 @@ mod tests {
         let cfg = SimConfig::default()
             .seed(99)
             .link_latency(3)
-            .inject_window(4);
+            .convergence_delay(4);
         let def = SimConfig::default();
         assert_eq!(cfg.seed, 99);
         assert_eq!(cfg.link_latency, 3);
-        assert_eq!(cfg.inject_window, 4);
+        assert_eq!(cfg.convergence_delay, 4);
         assert_eq!(cfg.packet_flits, def.packet_flits);
         assert_eq!(cfg.warmup, def.warmup);
         assert_eq!(cfg.ugal_pf_threshold, def.ugal_pf_threshold);

@@ -19,7 +19,7 @@ use crate::flow::LinkPipeline;
 use crate::packet::PacketPool;
 use crate::phase::PhaseClock;
 use crate::queues::SourceQueues;
-use crate::router::{FlitRings, InjPool, PortMap, MAX_VCS, NONE32};
+use crate::router::{FlitRings, InjPool, PortMap, NONE32};
 use crate::routing::{MinHop, RoutingAlgorithm};
 use crate::skip::SkipCtl;
 use crate::stats::{LatencyStats, SimResult};
@@ -31,6 +31,7 @@ use pf_graph::Csr;
 use pf_topo::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// Builds the read-only [`crate::routing::NetState`] view from disjoint
 /// `Engine` fields, so a routing call can run while `self.rng` is
@@ -38,7 +39,7 @@ use rand::{Rng, SeedableRng};
 macro_rules! net_view {
     ($e:expr) => {
         $crate::routing::NetState {
-            tables: $e.tables.current(),
+            tables: &$e.tables,
             graph: $e.graph,
             geom: &$e.geom,
             link_up: &$e.link_up,
@@ -57,30 +58,6 @@ macro_rules! net_view {
     };
 }
 pub(crate) use net_view;
-
-/// The engine's route-table handle. A run starts on shared tables built
-/// by the caller (shared across the Rayon-parallel loads of a sweep);
-/// transient-fault re-convergence swaps in engine-owned rebuilds
-/// mid-run, while the old tables keep serving until the swap — the
-/// staged behavior of a real control plane.
-pub(crate) enum Tables<'a> {
-    /// Caller-owned tables (healthy and static-failure runs; the initial
-    /// state of transient runs).
-    Shared(&'a RouteTables),
-    /// Engine-owned tables from a mid-run re-convergence.
-    Owned(RouteTables),
-}
-
-impl Tables<'_> {
-    /// The tables currently serving routing decisions.
-    #[inline]
-    pub(crate) fn current(&self) -> &RouteTables {
-        match self {
-            Tables::Shared(t) => t,
-            Tables::Owned(t) => t,
-        }
-    }
-}
 
 /// The wormhole route claim of one queue head (see [`Engine::route`]).
 #[derive(Debug, Clone, Copy)]
@@ -121,9 +98,9 @@ impl RouteEntry {
 /// dense-schedule reference maintains exactly the live engine's state
 /// and swaps only its *iteration domains*, at five sites — every
 /// router instead of the awake list ([`Engine::build_awake_list`]), the
-/// `port_flits` / `eject_flits` counters instead of the port bitsets
-/// ([`Engine::next_port`]), a rescan of every awake router in every
-/// allocator pass instead of the stalled-list replay
+/// flit store's per-port VC masks / terminating-flit counts instead of
+/// its port bitsets ([`Engine::next_port`]), a rescan of every awake
+/// router in every allocator pass instead of the stalled-list replay
 /// ([`Engine::build_requests_again`]), a lane sweep of every awake
 /// router after every grant pass instead of the tail-sent list
 /// ([`Engine::grant_and_accept`]) and no whole-cycle leap
@@ -165,7 +142,12 @@ impl Reference {
 pub struct Engine<'a> {
     pub(crate) topo: &'a dyn Topology,
     pub(crate) graph: &'a Csr,
-    pub(crate) tables: Tables<'a>,
+    /// The route tables serving routing decisions. A run starts on the
+    /// caller's tables (shared across the Rayon-parallel loads of a
+    /// sweep); transient-fault re-convergence swaps in engine-owned
+    /// rebuilds mid-run, while the old tables keep serving until the
+    /// swap — the staged behavior of a real control plane.
+    pub(crate) tables: Cow<'a, RouteTables>,
     pub(crate) dests: &'a DestMap,
     pub(crate) algo: Box<dyn RoutingAlgorithm + 'a>,
     /// The run's one minimal next-hop source ([`MinHop::for_topology`]),
@@ -219,12 +201,12 @@ pub struct Engine<'a> {
     /// when attached ([`Engine::attach_workload`]); `None` leaves the
     /// open-loop path untouched.
     pub(crate) workload: Option<WorkloadDriver>,
-    /// The iteration domains of every per-cycle scan: per-router
-    /// awake/doze/asleep tracking, the doze timing wheel, and the
-    /// port-occupancy bitsets.
+    /// The domain of every per-cycle router loop: per-router
+    /// awake/doze/asleep tracking and the doze timing wheel.
     pub(crate) skip: SkipCtl,
 
-    /// All (port, VC) input buffers as flat SoA ring buffers.
+    /// All (port, VC) input buffers and the per-port indexes the port
+    /// and VC scans walk.
     pub(crate) bufs: FlitRings,
     /// The sender's credit view, indexed by the sender's (tx port, VC):
     /// `credits[p · vcs + v]` counts the free slots of the downstream
@@ -310,16 +292,6 @@ pub struct Engine<'a> {
     pub(crate) grant_serial: u64,
     /// Remaining injection bandwidth (flits) per router this cycle.
     pub(crate) inj_budget: Vec<u32>,
-    /// Buffered flits per input port — lets the hot loops skip empty ports.
-    pub(crate) port_flits: Vec<u32>,
-    /// Per-port bitmask of nonempty VC queues (bit `v` set ⇔ queue
-    /// `port·vcs + v` is nonempty; the constructor refuses more than
-    /// [`MAX_VCS`] VCs) — the VC scans visit only its set bits
-    /// ([`crate::router::VcIter`]).
-    pub(crate) vc_occ: Vec<u32>,
-    /// Buffered flits per input port whose packet terminates at this
-    /// port's router — lets ejection skip transit-only ports.
-    pub(crate) eject_flits: Vec<u32>,
     /// Router owning each input port (inverse of [`PortMap::ports`]).
     pub(crate) port_owner: Vec<u32>,
     /// Packets waiting in source queues, per minimal first-hop link
@@ -418,7 +390,7 @@ impl<'a> Engine<'a> {
             Some(schedule) if !schedule.is_static(g) => {
                 FaultCtl::from_schedule(schedule, g, &geom, n, num_ports, &cfg)
             }
-            _ => FaultCtl::inactive(),
+            _ => FaultCtl::default(),
         };
         let transient = faults.active();
         if transient {
@@ -459,17 +431,13 @@ impl<'a> Engine<'a> {
         };
         let vcs = per_class * classes;
         let queues = num_ports * vcs;
-        // Two hardware-shaped limits of the engine's per-port state.
         assert!(
             g.max_degree() <= MAX_DEGREE,
             "router degree {} exceeds the {MAX_DEGREE}-neighbor ceiling of a byte-wide route claim",
             g.max_degree()
         );
-        assert!(
-            vcs <= MAX_VCS,
-            "{vcs} allocated VCs per port exceed the {MAX_VCS}-VC ceiling of the per-port \
-             occupancy mask; lower SimConfig::vcs_per_class or vc_classes"
-        );
+        // The flit store refuses more VCs than its per-port mask holds.
+        let bufs = FlitRings::new(num_ports, vcs, cap_per_vc);
 
         let endpoints: Vec<u32> = (0..n as u32).map(|r| topo.endpoints(r) as u32).collect();
         // Up to 2p concurrent streams share p flits/cycle of aggregate
@@ -488,7 +456,7 @@ impl<'a> Engine<'a> {
             }
         }
 
-        let skip = SkipCtl::new(n, num_ports, cfg.pipeline_delay);
+        let skip = SkipCtl::new(n, cfg.pipeline_delay);
 
         let seed = cfg.seed ^ (load.to_bits().rotate_left(17));
         let mut rng = StdRng::seed_from_u64(seed);
@@ -507,7 +475,7 @@ impl<'a> Engine<'a> {
         Engine {
             topo,
             graph: g,
-            tables: Tables::Shared(tables),
+            tables: Cow::Borrowed(tables),
             dests,
             algo,
             min_hop,
@@ -529,7 +497,7 @@ impl<'a> Engine<'a> {
             faults,
             workload: None,
             skip,
-            bufs: FlitRings::new(queues, cap_per_vc),
+            bufs,
             credits: vec![cap_per_vc as u16; queues],
             route: vec![RouteEntry::NONE; queues],
             out_owner: vec![false; queues],
@@ -559,9 +527,6 @@ impl<'a> Engine<'a> {
             input_grant: vec![0; num_ports],
             grant_serial: 0,
             inj_budget: vec![0; n],
-            port_flits: vec![0; num_ports],
-            vc_occ: vec![0; num_ports],
-            eject_flits: vec![0; num_ports],
             port_owner,
             inj_wait: vec![0; num_ports],
             started_scratch: Vec::new(),
@@ -898,19 +863,16 @@ impl<'a> Engine<'a> {
     pub(crate) fn next_port(&self, eject: bool, from: u32, to: u32) -> Option<u32> {
         #[cfg(test)]
         if self.reference.dense_schedule() {
-            let flits = if eject {
-                &self.eject_flits
-            } else {
-                &self.port_flits
-            };
-            return (from..to).find(|&p| flits[p as usize] > 0);
+            let b = &self.bufs;
+            return (from..to).find(|&p| {
+                if eject {
+                    b.term_flits(p as usize) > 0
+                } else {
+                    b.vc_mask(p as usize) != 0
+                }
+            });
         }
-        let ports = if eject {
-            &self.skip.eject_occ
-        } else {
-            &self.skip.occ
-        };
-        ports.next_in(from, to)
+        self.bufs.next_port(eject, from, to)
     }
 
     /// Drains this cycle's link arrivals into the input buffers (phase
@@ -920,19 +882,12 @@ impl<'a> Engine<'a> {
         let ready_at = cycle + self.cfg.pipeline_delay;
         for a in &arrivals {
             let buf = a.buf as usize;
-            let port = buf / self.vcs;
-            self.port_flits[port] += 1;
-            self.skip.occ.insert(port);
-            self.vc_occ[port] |= 1u32.wrapping_shl((buf % self.vcs) as u32);
+            let (port, vc) = (buf / self.vcs, buf % self.vcs);
             let r = self.port_owner[port] as usize;
-            let term = a.term;
-            debug_assert_eq!(term, self.packets.dst[a.pkt as usize] == r as u32);
-            if term {
-                self.eject_flits[port] += 1;
-                self.skip.eject_occ.insert(port);
-            }
+            debug_assert_eq!(a.term, self.packets.dst[a.pkt as usize] == r as u32);
             self.skip.on_arrival(r, ready_at, cycle);
-            self.bufs.push_back(buf, a.pkt, a.seq, ready_at, term);
+            self.bufs
+                .push_back(port, vc, a.pkt, a.seq, ready_at, a.term);
         }
         self.pipeline.recycle(cycle, arrivals);
     }
@@ -1093,8 +1048,9 @@ impl<'a> Engine<'a> {
     /// Asserts the iteration-domain invariants (used by the skip
     /// property tests):
     ///
+    /// * the flit store's port bitsets, VC masks and terminating-flit
+    ///   counts match what its queues hold ([`FlitRings::validate`]);
     /// * per-router buffered-flit counts match the flit rings;
-    /// * the port-occupancy bitsets mirror `port_flits` / `eject_flits`;
     /// * a non-awake router has no queued packet and no injection
     ///   stream;
     /// * an asleep router holds no buffered flit at all;
@@ -1105,6 +1061,7 @@ impl<'a> Engine<'a> {
     /// * while the open-loop generator runs, its next arrival is never
     ///   behind the clock — i.e. no leap crossed a due arrival.
     pub fn validate_skip_invariants(&self) {
+        self.bufs.validate();
         if self.workload.is_none() && self.cycle < self.cfg.gen_cutoff {
             assert!(
                 self.gen_next >= u64::from(self.cycle) * self.gen_trials(),
@@ -1125,16 +1082,6 @@ impl<'a> Engine<'a> {
                         min_ready = min_ready.min(ready);
                     }
                 }
-                assert_eq!(
-                    self.skip.occ.contains(p as usize),
-                    self.port_flits[p as usize] > 0,
-                    "router {r} port {p}: occupancy bit drift"
-                );
-                assert_eq!(
-                    self.skip.eject_occ.contains(p as usize),
-                    self.eject_flits[p as usize] > 0,
-                    "router {r} port {p}: eject bit drift"
-                );
             }
             assert_eq!(
                 self.skip.buffered(r),

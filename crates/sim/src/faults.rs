@@ -36,10 +36,11 @@
 //!   drop-and-retransmit path — a dead router cannot drain.
 
 use crate::config::{InFlightPolicy, SimConfig};
-use crate::engine::{Engine, Tables};
+use crate::engine::Engine;
 use crate::router::{PortMap, NONE32};
 use crate::tables::RouteTables;
 use pf_graph::{Csr, FaultEventKind, FaultSchedule};
+use std::borrow::Cow;
 
 /// One engine-level fault transition with precomputed directed ports:
 /// `port_uv` is `u`'s own port toward `v` — the *sender's* id of
@@ -93,9 +94,11 @@ pub(crate) enum EngineEventKind {
     RouterUp(u32),
 }
 
-/// Transient-fault state and counters. One inert instance exists on
-/// every engine (empty vectors, no events) so the hot paths can gate on
-/// `Engine::transient` without `Option` juggling.
+/// Transient-fault state and counters. One inert instance
+/// ([`FaultCtl::default`]: empty vectors, no events) exists on every
+/// non-transient engine so the hot paths can gate on `Engine::transient`
+/// without `Option` juggling.
+#[derive(Default)]
 pub(crate) struct FaultCtl {
     pub(crate) events: Vec<EngineEvent>,
     pub(crate) next_event: usize,
@@ -132,27 +135,6 @@ pub(crate) struct FaultCtl {
 }
 
 impl FaultCtl {
-    /// The inert instance carried by non-transient runs.
-    pub(crate) fn inactive() -> FaultCtl {
-        FaultCtl {
-            events: Vec::new(),
-            next_event: 0,
-            policy: InFlightPolicy::default(),
-            convergence_delay: 0,
-            router_up: Vec::new(),
-            draining: Vec::new(),
-            down_edges: Vec::new(),
-            pending_swap: None,
-            pending_tables: None,
-            pending_dirty: false,
-            routers_stale: false,
-            dropped_flits: 0,
-            retransmitted_packets: 0,
-            table_swaps: 0,
-            down_link_flits: 0,
-        }
-    }
-
     /// Builds the event queue from a schedule, resolving undirected links
     /// to the two directed ports the engine masks.
     pub(crate) fn from_schedule(
@@ -194,20 +176,11 @@ impl FaultCtl {
             .collect();
         FaultCtl {
             events,
-            next_event: 0,
             policy: cfg.fault_policy,
             convergence_delay: cfg.convergence_delay,
             router_up: vec![true; n],
             draining: vec![0; num_ports],
-            down_edges: Vec::new(),
-            pending_swap: None,
-            pending_tables: None,
-            pending_dirty: false,
-            routers_stale: false,
-            dropped_flits: 0,
-            retransmitted_packets: 0,
-            table_swaps: 0,
-            down_link_flits: 0,
+            ..Default::default()
         }
     }
 
@@ -333,7 +306,7 @@ impl Engine<'_> {
             .pending_tables
             .take()
             .expect("pending tables built above");
-        self.tables = Tables::Owned(new);
+        self.tables = Cow::Owned(new);
         // The serving tables now reach every live router again.
         self.faults.routers_stale = false;
         self.faults.table_swaps += 1;
@@ -408,8 +381,7 @@ impl Engine<'_> {
     /// (a just-repaired router stays held until its tables re-converge).
     #[inline]
     pub(crate) fn dst_routable(&self, src: u32, dst: u32) -> bool {
-        !self.transient
-            || (self.faults.router_up[dst as usize] && self.tables.current().reachable(src, dst))
+        !self.transient || (self.faults.router_up[dst as usize] && self.tables.reachable(src, dst))
     }
 
     /// Drain policy: counts the wormhole claims committed across the two
@@ -567,37 +539,15 @@ impl Engine<'_> {
         }
         self.faults.dropped_flits += removed.len() as u64;
 
-        // Pass B2: purge victim flits from every input buffer (keeping
-        // the per-port occupancy caches — `port_flits`, `eject_flits`,
-        // `vc_occ` and the port bitsets — in sync with what was
-        // removed).
+        // Pass B2: purge victim flits from every input buffer (the store
+        // drops them from its per-port indexes too).
         for q in 0..self.credits.len() {
-            let port = q / self.vcs;
-            let owner = self.port_owner[port];
-            let dst = &self.packets.dst;
-            let mut ejectable = 0u32;
-            let removed = self.bufs.purge_queue(q, |p| {
-                let hit = victim[p as usize];
-                if hit && dst[p as usize] == owner {
-                    ejectable += 1;
-                }
-                hit
-            });
+            let (port, vc) = (q / self.vcs, q % self.vcs);
+            let removed = self.bufs.purge_queue(port, vc, |p| victim[p as usize]);
             if removed > 0 {
-                let sender = self.credit_of(port as u32, q % self.vcs);
+                let sender = self.credit_of(port as u32, vc);
                 self.credits[sender] += removed as u16;
-                self.port_flits[port] -= removed;
-                self.eject_flits[port] -= ejectable;
-                if self.bufs.is_empty(q) {
-                    self.vc_occ[port] &= !1u32.wrapping_shl((q % self.vcs) as u32);
-                }
-                if self.port_flits[port] == 0 {
-                    self.skip.occ.remove(port);
-                }
-                if self.eject_flits[port] == 0 {
-                    self.skip.eject_occ.remove(port);
-                }
-                self.skip.on_drain(owner as usize, removed);
+                self.skip.on_drain(self.port_owner[port] as usize, removed);
                 self.faults.dropped_flits += u64::from(removed);
             }
         }

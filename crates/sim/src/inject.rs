@@ -13,6 +13,10 @@ use crate::router::NONE32;
 use crate::routing::{HopContext, RoutePlan};
 use rand::Rng;
 
+/// How many queued packets each router considers for injection per
+/// cycle: head-of-line relief at the source.
+const INJECT_WINDOW: usize = 16;
+
 /// Failed trials before the next success of an iid Bernoulli(`prob`)
 /// sequence, by inversion: `u` uniform in [0, 1), `ln_q = ln(1 − prob)`.
 /// The cast saturates, so a vanishing `prob` gives `u64::MAX` ("never"),
@@ -170,7 +174,7 @@ impl Engine<'_> {
                     break;
                 };
                 from = port + 1;
-                debug_assert!(self.eject_flits[port as usize] > 0);
+                debug_assert!(self.bufs.term_flits(port as usize) > 0);
                 if !self.port_used[port as usize] && self.eject_port(r, port, cycle, in_window) {
                     budget -= 1;
                 }
@@ -182,7 +186,7 @@ impl Engine<'_> {
     /// per-port half of [`Engine::eject_router`]); reports whether a
     /// flit left.
     fn eject_port(&mut self, r: usize, port: u32, cycle: u32, in_window: bool) -> bool {
-        for vc in crate::router::VcIter(self.vc_occ[port as usize]) {
+        for vc in crate::router::VcIter(self.bufs.vc_mask(port as usize)) {
             let qidx = port as usize * self.vcs + vc;
             let Some((pkt, seq, ready_at)) = self.bufs.front(qidx) else {
                 continue;
@@ -191,18 +195,7 @@ impl Engine<'_> {
                 continue;
             }
             // Eject one flit from this port.
-            self.bufs.pop_front(qidx);
-            self.port_flits[port as usize] -= 1;
-            self.eject_flits[port as usize] -= 1;
-            if self.bufs.is_empty(qidx) {
-                self.vc_occ[port as usize] &= !1u32.wrapping_shl(vc as u32);
-            }
-            if self.port_flits[port as usize] == 0 {
-                self.skip.occ.remove(port as usize);
-            }
-            if self.eject_flits[port as usize] == 0 {
-                self.skip.eject_occ.remove(port as usize);
-            }
+            self.bufs.pop_front(port as usize, vc);
             if self.skip.on_drain(r, 1) {
                 self.skip
                     .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
@@ -268,7 +261,7 @@ impl Engine<'_> {
         if self.transient && !self.faults.router_up[ru] {
             return; // a down router injects nothing
         }
-        let window = self.cfg.inject_window.min(self.src_q.len(ru));
+        let window = INJECT_WINDOW.min(self.src_q.len(ru));
         let mut started = std::mem::take(&mut self.started_scratch);
         started.clear();
         for idx in 0..window {

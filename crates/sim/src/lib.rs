@@ -119,11 +119,11 @@ pub use analytic::{analyze, FluidAnalysis};
 pub use config::{InFlightPolicy, SimConfig};
 pub use drive::{simulate_workload, WorkloadDriver};
 pub use engine::{simulate, Engine};
-pub use phase::{PhaseClock, SimPhase};
+pub use phase::PhaseClock;
 pub use router::FlitRings;
 pub use routing::{HopContext, MinHop, NetState, Port, RoutePlan, Routing, RoutingAlgorithm};
 pub use stats::{JobResult, PhaseResult, SimResult};
-pub use sweep::{load_curve, load_grid, LoadCurve};
+pub use sweep::{load_curve, LoadCurve};
 pub use tables::RouteTables;
 pub use telemetry::{EpochRecord, ProfPhase, TelemetryReport, TraceEvent};
 pub use traffic::TrafficPattern;

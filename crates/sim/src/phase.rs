@@ -6,18 +6,6 @@
 
 use crate::config::SimConfig;
 
-/// Which phase a cycle falls into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimPhase {
-    /// Transient fill: traffic flows, nothing is recorded.
-    Warmup,
-    /// The measurement window: generated packets are tagged and tracked.
-    Measure,
-    /// Past the window: generation may continue but is unmeasured; the
-    /// run ends when measured packets finish or `drain_max` expires.
-    Drain,
-}
-
 /// Warmup/measurement/drain boundaries (in cycles).
 #[derive(Debug, Clone, Copy)]
 pub struct PhaseClock {
@@ -36,18 +24,6 @@ impl PhaseClock {
             warmup: cfg.warmup,
             measure: cfg.measure,
             drain_max: cfg.drain_max,
-        }
-    }
-
-    /// Phase of `cycle`.
-    #[inline]
-    pub fn phase(&self, cycle: u32) -> SimPhase {
-        if cycle < self.warmup {
-            SimPhase::Warmup
-        } else if cycle - self.warmup < self.measure {
-            SimPhase::Measure
-        } else {
-            SimPhase::Drain
         }
     }
 
@@ -92,13 +68,10 @@ mod tests {
             measure: 20,
             drain_max: 5,
         };
-        assert_eq!(c.phase(0), SimPhase::Warmup);
-        assert_eq!(c.phase(9), SimPhase::Warmup);
-        assert_eq!(c.phase(10), SimPhase::Measure);
-        assert_eq!(c.phase(29), SimPhase::Measure);
-        assert_eq!(c.phase(30), SimPhase::Drain);
-        assert!(c.in_measurement(10));
+        assert!(!c.in_measurement(0));
         assert!(!c.in_measurement(9));
+        assert!(c.in_measurement(10));
+        assert!(c.in_measurement(29));
         assert!(!c.in_measurement(30));
         assert_eq!(c.steady_end(), 30);
         assert_eq!(c.deadline(), 35);

@@ -2,9 +2,9 @@
 //!
 //! Each router's pending queue is a growable power-of-two ring over one
 //! contiguous `u32` allocation. The injection logic only ever removes
-//! from the first `inject_window` logical slots, so removal compacts the
-//! front window in O(window) instead of shifting the (possibly huge,
-//! under saturation) backlog.
+//! from the first `INJECT_WINDOW` logical slots (`inject.rs`), so
+//! removal compacts the front window in O(window) instead of shifting
+//! the (possibly huge, under saturation) backlog.
 
 /// One growable power-of-two ring of `u32` ids.
 #[derive(Clone, Default)]

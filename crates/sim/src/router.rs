@@ -11,7 +11,10 @@
 //!   and one shared pool of linked nodes for the flits *behind* heads,
 //!   so memory follows the flits actually buffered rather than
 //!   ports × VCs × depth (the credit loop still bounds each queue to its
-//!   depth).
+//!   depth). It also owns the per-port indexes the scans walk — the
+//!   nonempty-VC mask, the terminating-flit count and the two port
+//!   bitsets (`BitSet`) — and every push, pop and purge keeps them in
+//!   step with the queues.
 //! * [`crate::queues::SourceQueues`] — per-router pending-packet queues as growable
 //!   power-of-two rings with O(window) front compaction (the injection
 //!   window removes packets from the first few slots only).
@@ -27,6 +30,63 @@ use pf_graph::Csr;
 
 /// Sentinel for "no packet / no link / no route".
 pub const NONE32: u32 = u32::MAX;
+
+/// A fixed-size bitset over router ids or over the input ports of the
+/// whole network. A router's ports are the contiguous range
+/// [`PortMap::ports`], so a router's port scan is a walk of
+/// [`BitSet::next_in`] over that range — at any router degree, across
+/// any number of 64-bit words.
+pub(crate) struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    pub(crate) fn new(len: usize) -> BitSet {
+        BitSet {
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    pub(crate) fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1u64 << (i % 64);
+    }
+
+    #[inline]
+    pub(crate) fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1u64 << (i % 64));
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The lowest member in `[from, to)`, if any. An ascending scan of
+    /// `[lo, hi)` restarts it from each hit + 1; a scan rotated to start
+    /// at `mid` walks `[mid, hi)` and then `[lo, mid)`.
+    #[inline]
+    pub(crate) fn next_in(&self, from: u32, to: u32) -> Option<u32> {
+        if from >= to {
+            return None;
+        }
+        let first = (from / 64) as usize;
+        let m = self.words[first] >> (from % 64);
+        let i = if m != 0 {
+            from + m.trailing_zeros()
+        } else {
+            let last = ((to - 1) / 64) as usize;
+            let w = (first + 1..=last).find(|&w| self.words[w] != 0)?;
+            w as u32 * 64 + self.words[w].trailing_zeros()
+        };
+        (i < to).then_some(i)
+    }
+}
 
 /// Port geometry of the whole network.
 ///
@@ -150,51 +210,85 @@ struct Node {
     next: u32,
 }
 
-/// All (port, VC) flit buffers, stored by occupancy.
+/// All (port, VC) flit buffers, stored by occupancy, with the per-port
+/// indexes the engine's scans walk.
 ///
-/// Queue `q`'s head flit lives in `meta[q].hf`, the copy every scan
-/// reads; the flits behind it are a singly linked chain of nodes in one
-/// shared `pool`, entered through `links[q] = [first behind head, tail]`
-/// (valid iff `len ≥ 2`). Freed nodes go on a LIFO free list threaded
-/// through `Node::next` and are reused hottest-first; the pool grows
-/// only when that list is empty. So the store has a fixed part of 24 B
-/// per queue (`meta` + `links`, the latter untouched — not even paged
-/// in — until a queue first holds two flits) and a live part of one
-/// 16-byte node per flit behind a head at the busiest moment so far;
-/// queue depth (`cap`) costs nothing until flits use it.
+/// Queue `q = port · vcs + vc`'s head flit lives in `meta[q].hf`, the
+/// copy every scan reads; the flits behind it are a singly linked chain
+/// of nodes in one shared `pool`, entered through
+/// `links[q] = [first behind head, tail]` (valid iff `len ≥ 2`). Freed
+/// nodes go on a LIFO free list threaded through `Node::next` and are
+/// reused hottest-first; the pool grows only when that list is empty. So
+/// the queues cost a fixed 24 B each (`meta` + `links`, the latter
+/// untouched — not even paged in — until a queue first holds two flits)
+/// and a live part of one 16-byte node per flit behind a head at the
+/// busiest moment so far; queue depth (`cap`) costs nothing until flits
+/// use it.
+///
+/// Per port the store also keeps the mask of its nonempty VCs
+/// ([`FlitRings::vc_mask`]), the count of its flits whose packet
+/// terminates at the port's router ([`FlitRings::term_flits`]), and one
+/// bit each in two port bitsets — "holds a flit" (mask ≠ 0, the request
+/// scan's domain) and "holds a terminating flit" (count > 0, the
+/// ejection scan's domain), walked by [`FlitRings::next_port`]. Only
+/// [`FlitRings::push_back`], [`FlitRings::pop_front`] and
+/// [`FlitRings::purge_queue`] mutate the store, and each updates the
+/// queue and its indexes together. They take the (port, VC) the caller
+/// already holds, so the store divides nothing.
 ///
 /// `cap` is still the credit protocol's bound: a sender never pushes
 /// into a full buffer, and [`FlitRings::push_back`] checks it in debug
-/// builds. Pushes and pops mutate the shared pool, so they need
-/// `&mut self`; head reads ([`FlitRings::front`],
-/// [`FlitRings::head_term`]) go through `&self` and never leave `meta`.
-/// There is no global occupancy counter ([`FlitRings::total_flits`] sums
-/// on demand).
+/// builds. Head reads ([`FlitRings::front`], [`FlitRings::head_term`])
+/// take a queue index and never leave `meta`. There is no global
+/// occupancy counter ([`FlitRings::total_flits`] sums on demand).
 pub struct FlitRings {
     cap: u32,
+    vcs: usize,
     meta: Vec<QueueMeta>,
     links: Vec<[u32; 2]>,
     pool: Vec<Node>,
     /// Top of the free list (`NONE32` when empty).
     free: u32,
+    /// Per port, bit `v` set ⇔ queue `port · vcs + v` is nonempty.
+    vc_mask: Vec<u32>,
+    /// Per port, buffered flits whose packet terminates at its router.
+    term: Vec<u32>,
+    /// Ports whose `vc_mask` is nonzero.
+    occ: BitSet,
+    /// Ports whose `term` count is nonzero.
+    eject_occ: BitSet,
 }
 
 impl FlitRings {
-    /// `queues` buffers of at most `cap` flits each.
-    pub fn new(queues: usize, cap: u32) -> FlitRings {
+    /// `vcs` buffers of at most `cap` flits on each of `ports` ports.
+    ///
+    /// # Panics
+    /// If `vcs` exceeds the 32 bits of a port's VC mask.
+    pub fn new(ports: usize, vcs: usize, cap: u32) -> FlitRings {
         assert!(cap > 0, "flit ring capacity must be positive");
         assert!(
             cap <= u16::MAX as u32,
             "flit ring capacity exceeds the packed u16 occupancy"
         );
+        assert!(
+            vcs <= MAX_VCS,
+            "{vcs} allocated VCs per port exceed the {MAX_VCS}-VC ceiling of the per-port \
+             occupancy mask; lower SimConfig::vcs_per_class or vc_classes"
+        );
+        let queues = ports * vcs;
         FlitRings {
             cap,
+            vcs,
             meta: vec![QueueMeta::default(); queues],
             // An all-zero array type takes the allocator's zeroed path:
             // no page is touched here.
             links: vec![[0; 2]; queues],
             pool: Vec::new(),
             free: NONE32,
+            vc_mask: vec![0; ports],
+            term: vec![0; ports],
+            occ: BitSet::new(ports),
+            eject_occ: BitSet::new(ports),
         }
     }
 
@@ -223,8 +317,9 @@ impl FlitRings {
         self.meta.iter().map(|m| m.len as usize).sum()
     }
 
-    /// Bytes the store has allocated (Σ capacity × element size):
-    /// 24 per queue plus 16 per pool node ever needed at once.
+    /// Bytes the queues have allocated (Σ capacity × element size):
+    /// 24 per queue plus 16 per pool node ever needed at once (the
+    /// per-port indexes, 8 B and two bits a port, are not counted).
     /// Diagnostic — pins that the footprint follows live flits.
     pub fn resident_bytes(&self) -> usize {
         self.meta.capacity() * std::mem::size_of::<QueueMeta>()
@@ -232,17 +327,60 @@ impl FlitRings {
             + self.pool.capacity() * std::mem::size_of::<Node>()
     }
 
-    /// Appends a flit; panics (debug) on overflow — the credit loop must
+    /// The nonempty VCs of `port` as a bitmask (bit `v` ⇔ queue
+    /// `port · vcs + v` holds a flit); the VC scans walk its set bits.
+    #[inline]
+    pub fn vc_mask(&self, port: usize) -> u32 {
+        self.vc_mask[port]
+    }
+
+    /// Flits buffered at `port` whose packet terminates at the port's
+    /// router.
+    #[inline]
+    pub fn term_flits(&self, port: usize) -> u32 {
+        self.term[port]
+    }
+
+    /// The lowest port in `[from, to)` holding a flit — with `eject`, a
+    /// flit that terminates at the port's router.
+    #[inline]
+    pub fn next_port(&self, eject: bool, from: u32, to: u32) -> Option<u32> {
+        let ports = if eject { &self.eject_occ } else { &self.occ };
+        ports.next_in(from, to)
+    }
+
+    /// Appends a flit to queue (`port`, `vc`) and records it in the
+    /// port's indexes; panics (debug) on overflow — the credit loop must
     /// prevent it. `term` marks a flit whose packet terminates at the
     /// buffering router (see [`FlitRings::head_term`]).
     #[inline]
-    pub fn push_back(&mut self, q: usize, pkt: u32, seq: u16, ready: u32, term: bool) {
+    pub fn push_back(
+        &mut self,
+        port: usize,
+        vc: usize,
+        pkt: u32,
+        seq: u16,
+        ready: u32,
+        term: bool,
+    ) {
         let f = FlitSlot {
             pkt,
             ready,
             seq,
             term,
         };
+        self.enqueue(port * self.vcs + vc, f);
+        self.vc_mask[port] |= 1 << vc;
+        self.occ.insert(port);
+        if term {
+            self.term[port] += 1;
+            self.eject_occ.insert(port);
+        }
+    }
+
+    /// The queue half of [`FlitRings::push_back`].
+    #[inline]
+    fn enqueue(&mut self, q: usize, f: FlitSlot) {
         let m = &mut self.meta[q];
         debug_assert!(
             u32::from(m.len) < self.cap,
@@ -299,12 +437,35 @@ impl FlitRings {
         self.meta[q].hf.term
     }
 
-    /// Removes the head flit of queue `q`; the flit behind it (if any)
-    /// moves from its pool node into the head copy and the node is freed.
+    /// Removes the head flit of queue (`port`, `vc`) and drops it from
+    /// the port's indexes; the flit behind it (if any) moves from its
+    /// pool node into the head copy and the node is freed.
     #[inline]
-    pub fn pop_front(&mut self, q: usize) {
+    pub fn pop_front(&mut self, port: usize, vc: usize) {
+        let q = port * self.vcs + vc;
+        if self.dequeue(q).term {
+            let t = &mut self.term[port];
+            *t -= 1;
+            if *t == 0 {
+                self.eject_occ.remove(port);
+            }
+        }
+        if self.meta[q].len == 0 {
+            let mask = &mut self.vc_mask[port];
+            *mask &= !(1 << vc);
+            if *mask == 0 {
+                self.occ.remove(port);
+            }
+        }
+    }
+
+    /// The queue half of [`FlitRings::pop_front`]; returns the removed
+    /// head.
+    #[inline]
+    fn dequeue(&mut self, q: usize) -> FlitSlot {
         let m = &mut self.meta[q];
         debug_assert!(m.len > 0);
+        let head = m.hf;
         m.len -= 1;
         if m.len > 0 {
             let l = &mut self.links[q];
@@ -315,6 +476,7 @@ impl FlitRings {
             node.next = self.free;
             self.free = i;
         }
+        head
     }
 
     /// The flits of queue `q`, head first.
@@ -345,12 +507,19 @@ impl FlitRings {
         (f.pkt, f.seq, f.ready)
     }
 
-    /// Removes every flit of queue `q` whose packet satisfies `victim`
-    /// (asked once per flit, head first), preserving the FIFO order of
-    /// survivors and returning the victims' nodes to the free list;
-    /// returns the number removed. O(queue length) — called only at
-    /// (rare) fault events, never from the hot loops.
-    pub fn purge_queue<F: FnMut(u32) -> bool>(&mut self, q: usize, mut victim: F) -> u32 {
+    /// Removes every flit of queue (`port`, `vc`) whose packet satisfies
+    /// `victim` (asked once per flit, head first), preserving the FIFO
+    /// order of survivors, returning the victims' nodes to the free list
+    /// and dropping them from the port's indexes; returns the number
+    /// removed. O(queue length) — called only at (rare) fault events,
+    /// never from the hot loops.
+    pub fn purge_queue<F: FnMut(u32) -> bool>(
+        &mut self,
+        port: usize,
+        vc: usize,
+        mut victim: F,
+    ) -> u32 {
+        let q = port * self.vcs + vc;
         let len = self.len(q);
         let kept: Vec<FlitSlot> = self.slots(q).filter(|f| !victim(f.pkt)).collect();
         let removed = len - kept.len() as u32;
@@ -358,10 +527,10 @@ impl FlitRings {
             return 0;
         }
         while !self.is_empty(q) {
-            self.pop_front(q);
+            self.pop_front(port, vc);
         }
         for f in kept {
-            self.push_back(q, f.pkt, f.seq, f.ready, f.term);
+            self.push_back(port, vc, f.pkt, f.seq, f.ready, f.term);
         }
         removed
     }
@@ -370,8 +539,11 @@ impl FlitRings {
     /// [`crate::engine::Engine::validate_flow_invariants`]; panics with
     /// a diagnostic on violation): no queue exceeds `cap`, every queue's
     /// chain holds exactly `len − 1` nodes and ends at its recorded
-    /// tail, and every pool node is either on such a chain or on the
-    /// free list — a leaked node would make the two sides differ.
+    /// tail, every pool node is either on such a chain or on the free
+    /// list — a leaked node would make the two sides differ — and every
+    /// port's indexes match what its queues actually hold: the VC mask
+    /// their occupancy, the count their terminating flits, and the two
+    /// bits the mask and the count.
     pub fn validate(&self) {
         let mut chained = 0usize;
         for (q, m) in self.meta.iter().enumerate() {
@@ -411,17 +583,42 @@ impl FlitRings {
             "flit pool leak: {} nodes, {free} free + {chained} behind queue heads",
             self.pool.len()
         );
+        for port in 0..self.vc_mask.len() {
+            let q0 = port * self.vcs;
+            let mask = (0..self.vcs)
+                .filter(|&v| !self.is_empty(q0 + v))
+                .fold(0u32, |m, v| m | 1 << v);
+            let term = (q0..q0 + self.vcs)
+                .flat_map(|q| self.slots(q))
+                .filter(|f| f.term)
+                .count() as u32;
+            assert_eq!(self.vc_mask[port], mask, "port {port}: VC mask drift");
+            assert_eq!(
+                self.term[port], term,
+                "port {port}: terminating-flit count drift"
+            );
+            assert_eq!(
+                self.occ.contains(port),
+                mask != 0,
+                "port {port}: occupancy bit drift"
+            );
+            assert_eq!(
+                self.eject_occ.contains(port),
+                term > 0,
+                "port {port}: eject bit drift"
+            );
+        }
     }
 }
 
-/// The most VCs per port the engine allocates: one `u32` occupancy mask
-/// (`vc_occ`) covers a port's queues. `Engine::with_algorithm` refuses
-/// more.
+/// The most VCs per port a store holds: one `u32` mask
+/// ([`FlitRings::vc_mask`]) covers a port's queues, and
+/// [`FlitRings::new`] refuses more.
 pub(crate) const MAX_VCS: usize = 32;
 
 /// Iterates the occupied VCs of one port in ascending order — the
 /// engine's canonical VC scan order (see `crate::order`) — by walking
-/// the set bits of the port's occupancy mask (`vc_occ`).
+/// the set bits of the port's mask ([`FlitRings::vc_mask`]).
 pub(crate) struct VcIter(pub(crate) u32);
 
 impl Iterator for VcIter {
@@ -548,10 +745,10 @@ mod tests {
 
     #[test]
     fn flit_ring_fifo_and_node_reuse() {
-        let mut r = FlitRings::new(2, 4);
+        let mut r = FlitRings::new(1, 2, 4);
         for round in 0..5u32 {
             for i in 0..4u32 {
-                r.push_back(1, 100 + i, i as u16, round, i % 2 == 0);
+                r.push_back(0, 1, 100 + i, i as u16, round, i % 2 == 0);
             }
             assert!(r.head_term(1));
             assert_eq!(r.len(1), 4);
@@ -559,7 +756,7 @@ mod tests {
             for i in 0..4u32 {
                 let (pkt, seq, ready) = r.front(1).unwrap();
                 assert_eq!((pkt, seq, ready), (100 + i, i as u16, round));
-                r.pop_front(1);
+                r.pop_front(0, 1);
             }
             assert!(r.front(1).is_none());
             r.validate();

@@ -1,6 +1,6 @@
-//! The engine's iteration domains: which routers a cycle scans (the
-//! awake list) and which ports of a router a scan visits (the
-//! port-occupancy bitsets).
+//! Which routers a cycle scans: the awake list. (Which ports of a
+//! router a scan visits is the flit store's business — the port bitsets
+//! of [`crate::router::FlitRings`], walked by `Engine::next_port`.)
 //!
 //! Below saturation most router-cycles do nothing, so the per-cycle
 //! phases do not walk every router, port, and VC: this module tracks,
@@ -38,67 +38,10 @@
 //! compute timer, fault event, staged table swap) — see
 //! `Engine::maybe_leap`.
 
-use crate::router::NONE32;
+use crate::router::{BitSet, NONE32};
 
-/// A fixed-size bitset over router ids or over the input ports of the
-/// whole network. A router's ports are the contiguous range
-/// [`crate::router::PortMap::ports`], so a router's port scan is a walk
-/// of [`BitSet::next_in`] over that range — at any router degree,
-/// across any number of 64-bit words.
-pub(crate) struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    fn new(len: usize) -> BitSet {
-        BitSet {
-            words: vec![0; len.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    pub(crate) fn insert(&mut self, i: usize) {
-        self.words[i / 64] |= 1u64 << (i % 64);
-    }
-
-    #[inline]
-    pub(crate) fn remove(&mut self, i: usize) {
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
-    #[inline]
-    pub(crate) fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// The lowest member in `[from, to)`, if any. An ascending scan of
-    /// `[lo, hi)` restarts it from each hit + 1; a scan rotated to start
-    /// at `mid` walks `[mid, hi)` and then `[lo, mid)`.
-    #[inline]
-    pub(crate) fn next_in(&self, from: u32, to: u32) -> Option<u32> {
-        if from >= to {
-            return None;
-        }
-        let first = (from / 64) as usize;
-        let m = self.words[first] >> (from % 64);
-        let i = if m != 0 {
-            from + m.trailing_zeros()
-        } else {
-            let last = ((to - 1) / 64) as usize;
-            let w = (first + 1..=last).find(|&w| self.words[w] != 0)?;
-            w as u32 * 64 + self.words[w].trailing_zeros()
-        };
-        (i < to).then_some(i)
-    }
-}
-
-/// Per-router activity tracking and per-port occupancy: the engine's
-/// two iteration domains.
+/// Per-router activity tracking: the domain of every per-cycle router
+/// loop.
 pub(crate) struct SkipCtl {
     /// Awake routers.
     awake: BitSet,
@@ -117,23 +60,16 @@ pub(crate) struct SkipCtl {
     /// doze canceled by a fault purge leaves a stale entry that the
     /// drain filters out via the `wake_at` check.
     wheel: Vec<Vec<u32>>,
-    /// Input ports holding any flit (bit `p` ⇔ `port_flits[p] > 0`):
-    /// the transit request scan's domain.
-    pub(crate) occ: BitSet,
-    /// Input ports holding flits that terminate at the port's router
-    /// (bit `p` ⇔ `eject_flits[p] > 0`): the ejection scan's domain.
-    pub(crate) eject_occ: BitSet,
     /// Router-cycles proven idle and never scanned (reported as
     /// [`crate::SimResult::skipped_router_cycles`]).
     pub(crate) skipped_router_cycles: u64,
 }
 
 impl SkipCtl {
-    /// Builds the controller for `n` routers with `num_ports` input
-    /// ports in all. `pipeline_delay` sizes the timing wheel (a doze
-    /// target is always within `pipeline_delay` cycles of the arrival
-    /// that set it).
-    pub(crate) fn new(n: usize, num_ports: usize, pipeline_delay: u32) -> SkipCtl {
+    /// Builds the controller for `n` routers. `pipeline_delay` sizes the
+    /// timing wheel (a doze target is always within `pipeline_delay`
+    /// cycles of the arrival that set it).
+    pub(crate) fn new(n: usize, pipeline_delay: u32) -> SkipCtl {
         let wheel_len = pipeline_delay as usize + 1;
         SkipCtl {
             awake: BitSet::new(n),
@@ -141,8 +77,6 @@ impl SkipCtl {
             buffered: vec![0; n],
             wake_at: vec![NONE32; n],
             wheel: vec![Vec::new(); wheel_len],
-            occ: BitSet::new(num_ports),
-            eject_occ: BitSet::new(num_ports),
             skipped_router_cycles: 0,
         }
     }

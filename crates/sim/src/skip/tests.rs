@@ -2,8 +2,9 @@
 //!
 //! Unit tests of [`SkipCtl`] and [`BitSet`], then the parity suite: the
 //! live engine against the dense reference schedule
-//! ([`Reference::DenseSchedule`] — every router, the per-port counters,
-//! a rescan in every allocator pass, every cycle), across topology sizes
+//! ([`Reference::DenseSchedule`] — every router, the flit store's
+//! per-port masks and counts instead of its port bitsets, a rescan in
+//! every allocator pass, every cycle), across topology sizes
 //! and degrees, routing algorithms, injection modes, fault bursts and
 //! telemetry settings. The contract is *exact*: every simulated field of
 //! `SimResult` equals the reference run's, down to the bit; only the
@@ -27,7 +28,7 @@ use pf_workload::{param_server, ring_allreduce, JobAssignment};
 
 #[test]
 fn wake_doze_sleep_lifecycle() {
-    let mut s = SkipCtl::new(100, 0, 2);
+    let mut s = SkipCtl::new(100, 2);
     assert!(s.none_awake());
     assert!(!s.is_awake(5));
 
@@ -56,7 +57,7 @@ fn wake_doze_sleep_lifecycle() {
 
 #[test]
 fn maybe_sleep_requires_all_three_empty() {
-    let mut s = SkipCtl::new(8, 0, 2);
+    let mut s = SkipCtl::new(8, 2);
     s.wake_now(3);
     s.maybe_sleep(3, false, 0); // source queue still holds a packet
     assert!(s.is_awake(3));
@@ -68,7 +69,7 @@ fn maybe_sleep_requires_all_three_empty() {
 
 #[test]
 fn canceled_doze_leaves_no_valid_wheel_entry() {
-    let mut s = SkipCtl::new(8, 0, 3);
+    let mut s = SkipCtl::new(8, 3);
     s.on_arrival(2, 7, 4);
     assert_eq!(s.next_doze_wake(4), Some(7));
     // Fault purge removes the flit: the doze is canceled.
@@ -82,7 +83,7 @@ fn canceled_doze_leaves_no_valid_wheel_entry() {
 
 #[test]
 fn awake_list_is_ascending_and_counts_skips() {
-    let mut s = SkipCtl::new(130, 0, 2);
+    let mut s = SkipCtl::new(130, 2);
     for r in [129, 0, 64, 63] {
         s.wake_now(r);
     }
@@ -276,8 +277,8 @@ fn replay_parity_injection_budget_binds() {
 }
 
 /// Steps a live engine for `cycles`, holding the iteration domains to
-/// ground truth ([`Engine::validate_skip_invariants`]: bitset ⇔ counter
-/// coherence, wake bounds) and the flow accounting after every step.
+/// ground truth ([`Engine::validate_skip_invariants`]: port bitsets ⇔
+/// queue contents, wake bounds) and the flow accounting after every step.
 /// Returns the router-cycles skipped and the packets retransmitted.
 fn step_validating(
     topo: &dyn Topology,
@@ -502,7 +503,7 @@ fn transient_burst_parity() {
             assert_bit_identical(&dense, &run(Reference::Off), &label);
         }
     }
-    // The purge path under the per-cycle bitset ⇔ counter check.
+    // The purge path under the per-cycle bitset ⇔ queue-content check.
     let schedule = FaultSchedule::sample_connected_links(hx66.graph(), 0.05, 150, 150, 23);
     let transient = TransientTopo::new(&hx66, schedule);
     let cfg = SimConfig::default()

@@ -1,4 +1,4 @@
-//! Offered-load sweeps and saturation estimation — the workhorses behind
+//! Offered-load sweeps — the workhorses behind
 //! the latency-vs-load figures (Figs. 8–11) and the resilience sweeps.
 //! Tables and traffic patterns are resolved once per (topology, pattern)
 //! and shared across the Rayon-parallel per-load runs. Topologies with
@@ -56,16 +56,6 @@ impl LoadCurve {
     pub fn zero_load_latency(&self) -> f64 {
         self.points.first().map_or(0.0, |p| p.avg_latency)
     }
-
-    /// The largest offered load whose average latency stays below `cap`
-    /// cycles (how the paper's plots visually define "saturation").
-    pub fn saturation_load(&self, cap: f64) -> f64 {
-        self.points
-            .iter()
-            .filter(|p| p.avg_latency <= cap && !p.saturated)
-            .map(|p| p.offered_load)
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Runs a full latency-vs-load curve (Rayon-parallel across loads).
@@ -102,38 +92,10 @@ pub fn load_curve(
     }
 }
 
-/// Evenly spaced loads `lo..=hi` (inclusive), `n ≥ 2` points.
-pub fn load_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
-    assert!(n >= 2);
-    (0..n)
-        .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
-        .collect()
-}
-
-/// Measured saturation throughput: accepted load when offered 100%.
-pub fn saturation(
-    topo: &dyn Topology,
-    routing: Routing,
-    pattern: TrafficPattern,
-    cfg: &SimConfig,
-) -> f64 {
-    let (tables, dests) = resolve_run(topo, pattern, cfg.seed);
-    simulate(topo, &tables, &dests, routing, 1.0, cfg.clone()).accepted_load
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pf_topo::PolarFlyTopo;
-
-    #[test]
-    fn grid_is_inclusive_and_even() {
-        let g = load_grid(0.1, 0.9, 5);
-        assert_eq!(g.len(), 5);
-        assert!((g[0] - 0.1).abs() < 1e-12);
-        assert!((g[4] - 0.9).abs() < 1e-12);
-        assert!((g[2] - 0.5).abs() < 1e-12);
-    }
 
     #[test]
     fn curve_latency_monotone_under_uniform_min() {
@@ -150,17 +112,5 @@ mod tests {
         assert!(curve.points[0].avg_latency <= curve.points[2].avg_latency);
         assert!(curve.zero_load_latency() > 0.0);
         assert!(curve.saturation_throughput() > 0.5);
-    }
-
-    #[test]
-    fn saturation_measures_accepted_at_full_offer() {
-        let topo = PolarFlyTopo::new(5, 2).unwrap();
-        let s = saturation(
-            &topo,
-            Routing::Min,
-            TrafficPattern::Uniform,
-            &SimConfig::quick(),
-        );
-        assert!(s > 0.4 && s <= 1.0, "saturation {s}");
     }
 }

@@ -56,6 +56,7 @@ pub const MAX_DEGREE: usize = 254;
 const STAY: u8 = u8::MAX;
 
 /// Dense distance + next-hop tables for one topology.
+#[derive(Clone)]
 pub struct RouteTables {
     dist: DistanceMatrix,
     /// The graph the tables were built on: `next` indexes its neighbor
@@ -153,20 +154,6 @@ impl RouteTables {
             STAY => s,
             i => self.graph.neighbors(s)[usize::from(i)],
         }
-    }
-
-    /// All minimal next hops from `s` toward `d` (for adaptive ECMP / NCA).
-    pub fn min_next_hops<'a>(
-        &'a self,
-        g: &'a Csr,
-        s: u32,
-        d: u32,
-    ) -> impl Iterator<Item = u32> + 'a {
-        let want = self.dist(s, d).wrapping_sub(1);
-        g.neighbors(s)
-            .iter()
-            .copied()
-            .filter(move |&w| self.dist(w, d) == want)
     }
 }
 
@@ -369,17 +356,6 @@ mod tests {
         assert_eq!(t.next_hop(0, MAX_DEGREE as u32), MAX_DEGREE as u32);
         assert_eq!(t.next_hop(MAX_DEGREE as u32, 1), 0);
         assert_eq!(t.next_hop(7, 7), 7);
-    }
-
-    #[test]
-    fn ecmp_enumeration() {
-        // On an even ring, the antipodal pair has two minimal next hops.
-        let g = ring(8);
-        let t = RouteTables::build(&g, 3);
-        let hops: Vec<u32> = t.min_next_hops(&g, 0, 4).collect();
-        assert_eq!(hops.len(), 2);
-        let single: Vec<u32> = t.min_next_hops(&g, 0, 1).collect();
-        assert_eq!(single, vec![1]);
     }
 
     #[test]

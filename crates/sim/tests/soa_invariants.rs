@@ -19,24 +19,51 @@ proptest! {
 
     /// FlitRings against a VecDeque reference model: random interleaved
     /// push/pop/purge across more queues than the pool ever holds nodes
-    /// preserves exact FIFO contents, leaks no node, and reuses freed
-    /// nodes instead of growing.
+    /// preserves exact FIFO contents, leaks no node, reuses freed nodes
+    /// instead of growing, and keeps each port's indexes — VC mask,
+    /// occupancy bit, terminating-flit count, eject bit — equal to what
+    /// the model's queues of that port hold: the touched port after
+    /// every operation, every port periodically. Up to 32 VCs per port,
+    /// so the mask's top bit is exercised.
     #[test]
-    fn flit_rings_match_fifo_model(cap in 1u32..24, queues in 1usize..40, seed in 0u64..10_000) {
-        let mut rings = FlitRings::new(queues, cap);
+    fn flit_rings_match_fifo_model(
+        cap in 1u32..24,
+        ports in 1usize..12,
+        vcs in prop_oneof![1usize..5, Just(32)],
+        seed in 0u64..10_000,
+    ) {
+        let queues = ports * vcs;
+        let mut rings = FlitRings::new(ports, vcs, cap);
         let idle_bytes = rings.resident_bytes();
         let mut model: Vec<VecDeque<(u32, u16, u32)>> = vec![VecDeque::new(); queues];
+        // Flits of even packets terminate at the buffering router.
+        let term = |f: &(u32, u16, u32)| f.0.is_multiple_of(2);
+        // The port's indexes as the model's queues imply them.
+        let check_port = |rings: &FlitRings, model: &[VecDeque<(u32, u16, u32)>], port: usize| {
+            let held = &model[port * vcs..(port + 1) * vcs];
+            let mask = (0..vcs)
+                .filter(|&v| !held[v].is_empty())
+                .fold(0u32, |m, v| m | 1 << v);
+            let terms = held.iter().flatten().filter(|f| term(f)).count() as u32;
+            let p = port as u32;
+            prop_assert_eq!(rings.vc_mask(port), mask, "port {}: VC mask", port);
+            prop_assert_eq!(rings.next_port(false, p, p + 1).is_some(), mask != 0, "port {}: occupancy bit", port);
+            prop_assert_eq!(rings.term_flits(port), terms, "port {}: terminating flits", port);
+            prop_assert_eq!(rings.next_port(true, p, p + 1).is_some(), terms > 0, "port {}: eject bit", port);
+            Ok(())
+        };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut stamp = 0u32;
         // Most nodes ever needed at once: one per flit behind a head.
         let mut peak_behind = 0usize;
         for step in 0..10_000 {
             let q = rng.gen_range(0..queues);
+            let (port, vc) = (q / vcs, q % vcs);
             let op = rng.gen::<f64>();
             if op < 0.5 {
                 if model[q].len() < cap as usize {
                     let flit = (stamp, (stamp % 7) as u16, stamp / 3);
-                    rings.push_back(q, flit.0, flit.1, flit.2, flit.0.is_multiple_of(2));
+                    rings.push_back(port, vc, flit.0, flit.1, flit.2, term(&flit));
                     model[q].push_back(flit);
                     stamp += 1;
                 }
@@ -45,23 +72,27 @@ proptest! {
                 let class = rng.gen_range(0..3u32);
                 let before = model[q].len();
                 model[q].retain(|f| f.0 % 3 != class);
-                let removed = rings.purge_queue(q, |pkt| pkt % 3 == class);
+                let removed = rings.purge_queue(port, vc, |pkt| pkt % 3 == class);
                 prop_assert_eq!(removed as usize, before - model[q].len());
                 prop_assert!(rings.iter(q).eq(model[q].iter().copied()));
             } else if let Some(expect) = model[q].pop_front() {
                 prop_assert_eq!(rings.front(q), Some(expect));
                 // The cached termination flag rides the head slot.
-                prop_assert_eq!(rings.head_term(q), expect.0 % 2 == 0);
-                rings.pop_front(q);
+                prop_assert_eq!(rings.head_term(q), term(&expect));
+                rings.pop_front(port, vc);
             } else {
                 prop_assert_eq!(rings.front(q), None);
             }
             prop_assert_eq!(rings.len(q) as usize, model[q].len());
             prop_assert_eq!(rings.front(q), model[q].front().copied());
+            check_port(&rings, &model, port)?;
             let behind: usize = model.iter().map(|m| m.len().saturating_sub(1)).sum();
             peak_behind = peak_behind.max(behind);
             if step % 257 == 0 {
                 rings.validate();
+                for other in 0..ports {
+                    check_port(&rings, &model, other)?;
+                }
             }
         }
         rings.validate();

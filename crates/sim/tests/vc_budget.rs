@@ -77,8 +77,8 @@ fn uniform(topo: &dyn Topology, seed: u64) -> (RouteTables, DestMap) {
 /// allocated on every port of `topo`.
 fn idle_bytes(topo: &dyn Topology, cfg: &SimConfig, classes: usize) -> usize {
     let ports = 2 * topo.graph().edge_count();
-    let queues = ports * classes * usize::from(cfg.vcs_per_class);
-    FlitRings::new(queues, cfg.cap_per_vc()).resident_bytes()
+    let vcs = classes * usize::from(cfg.vcs_per_class);
+    FlitRings::new(ports, vcs, cfg.cap_per_vc()).resident_bytes()
 }
 
 /// MIN on two classes against MIN on four, on PF(7) and PF(13), at a

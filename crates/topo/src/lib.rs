@@ -10,9 +10,6 @@
 //! * [`jellyfish`] — random regular graph baseline.
 //! * [`fattree`] — 3-level folded-Clos fat tree with NCA routing metadata.
 //! * [`hyperx`] — 2-D Hamming graphs (generalized Flattened Butterfly).
-//! * [`oft`] — two-level Orthogonal Fat Tree (the un-quotiented `B(q)`
-//!   as an indirect network; Table I candidate).
-//! * [`mlfm`] — Multi-Layer Full Mesh (Table I candidate).
 //! * [`named`] — Petersen and Hoffman–Singleton, the only diameter-2
 //!   Moore-bound-achieving graphs (Fig. 2 reference points).
 //! * [`traits`] — the [`Topology`] abstraction consumed by the simulator,
@@ -27,9 +24,7 @@ pub mod dragonfly;
 pub mod fattree;
 pub mod hyperx;
 pub mod jellyfish;
-pub mod mlfm;
 pub mod named;
-pub mod oft;
 pub mod slimfly;
 pub mod traits;
 pub mod transient;
@@ -38,8 +33,83 @@ pub use dragonfly::Dragonfly;
 pub use fattree::FatTree;
 pub use hyperx::HyperX;
 pub use jellyfish::Jellyfish;
-pub use mlfm::Mlfm;
-pub use oft::Oft;
 pub use slimfly::SlimFly;
 pub use traits::{PolarFlyTopo, RoutingHint, Topology};
 pub use transient::TransientTopo;
+
+/// Two-level Orthogonal Fat Tree (Kathareios et al., SC'15; Table I row
+/// `OFT`). Leaf switches are the points and spine switches the lines of
+/// `PG(2, q)`, wired by incidence: the graph is exactly `B(q)` as built by
+/// [`polarfly::bipartite::IncidenceGraph`], so there is no separate OFT
+/// type. Hosts attach to leaves only, `q + 1` per leaf.
+#[cfg(test)]
+mod oft {
+    mod tests {
+        use pf_graph::{bfs, DistanceMatrix};
+        use polarfly::bipartite::IncidenceGraph;
+        use polarfly::PolarFly;
+
+        #[test]
+        fn structure_counts() {
+            for q in [3u64, 4, 5, 7] {
+                let oft = IncidenceGraph::new(q).unwrap();
+                let n = (q * q + q + 1) as usize;
+                assert_eq!(oft.side_count(), n);
+                assert_eq!(oft.graph().vertex_count(), 2 * n);
+                assert!(oft.graph().is_regular((q + 1) as usize));
+                // Indirect: every link joins a leaf to a spine, so spines
+                // (the only host-free switches) carry all leaf-to-leaf
+                // traffic.
+                for &(u, v) in oft.graph().edges() {
+                    assert!((u as usize) < n && (v as usize) >= n, "{u}-{v}");
+                }
+            }
+        }
+
+        #[test]
+        fn leaf_pairs_share_exactly_one_spine() {
+            // The "orthogonality" that gives host-level diameter 2: any two
+            // leaves have exactly one common spine (two points span one line).
+            let oft = IncidenceGraph::new(5).unwrap();
+            let g = oft.graph();
+            let n = oft.side_count() as u32;
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    let common = g
+                        .neighbors(a)
+                        .iter()
+                        .filter(|&&s| g.neighbors(b).binary_search(&s).is_ok())
+                        .count();
+                    assert_eq!(common, 1, "leaves {a},{b}");
+                }
+            }
+        }
+
+        #[test]
+        fn leaf_to_leaf_distance_is_two() {
+            let oft = IncidenceGraph::new(4).unwrap();
+            let dm = DistanceMatrix::build(oft.graph());
+            let n = oft.side_count() as u32;
+            for a in 0..n {
+                for b in 0..n {
+                    if a != b {
+                        assert_eq!(dm.get(a, b), 2);
+                    }
+                }
+            }
+            // Whole switch graph (incl. spine-to-spine) has diameter 3.
+            assert_eq!(bfs::diameter(oft.graph()), Some(3));
+        }
+
+        #[test]
+        fn twice_the_switches_of_polarfly() {
+            // §III's cost argument: OFT needs 2x the switches of the polarity
+            // quotient at the same q, and a second (host-free) chip type.
+            let oft = IncidenceGraph::new(7).unwrap();
+            let pf = PolarFly::new(7).unwrap();
+            assert_eq!(oft.graph().vertex_count(), 2 * pf.router_count());
+            let spines = oft.graph().vertex_count() - oft.side_count();
+            assert_eq!(spines, pf.router_count());
+        }
+    }
+}

@@ -8,9 +8,9 @@ use pf_sim::engine::{simulate, SimConfig};
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
 use pf_sim::Routing;
-use pf_topo::{Oft, PolarFlyTopo, SlimFly, Topology};
+use pf_topo::{PolarFlyTopo, SlimFly, Topology};
 use polarfly::automorphism::{standard_generators, vertex_permutation};
-use polarfly::bipartite::quotient_equals_er;
+use polarfly::bipartite::{quotient_equals_er, IncidenceGraph};
 use polarfly::PolarFly;
 
 #[test]
@@ -65,14 +65,15 @@ fn section_iv_e_quotient_theorem() {
 
 #[test]
 fn oft_is_the_unquotiented_polarfly() {
-    // The OFT leaf–spine graph is B(q); PolarFly is its polarity quotient:
-    // same per-switch degree, half the switches, diameter 2 instead of 3.
+    // The two-level OFT's leaf–spine graph is B(q); PolarFly is its
+    // polarity quotient: same per-switch degree, half the switches,
+    // diameter 2 instead of 3.
     let q = 5u64;
-    let oft = Oft::new(q).unwrap();
+    let bq = IncidenceGraph::new(q).unwrap();
     let pf = PolarFly::new(q).unwrap();
-    assert_eq!(oft.graph().max_degree(), (q + 1) as usize);
+    assert_eq!(bq.graph().max_degree(), (q + 1) as usize);
     assert_eq!(pf.graph().max_degree(), (q + 1) as usize);
-    assert_eq!(oft.router_count(), 2 * pf.router_count());
+    assert_eq!(bq.graph().vertex_count(), 2 * pf.router_count());
 }
 
 #[test]
