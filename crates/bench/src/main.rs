@@ -114,9 +114,6 @@ subcommands! {
     Skip collective_sweep       COLLECTIVE, &[];
     Skip quickstart             NONE, &[];
     Skip design_explorer        NONE, &[Number("RADIX"), Number("TARGET")];
-    Skip expansion              NONE, &[];
-    Skip resilience             NONE, &[];
-    Skip traffic_sim            NONE, &[];
 }
 
 fn find(name: &str) -> Option<&'static Cmd> {
@@ -215,7 +212,7 @@ mod tests {
         let mut names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 26);
+        assert_eq!(names.len(), 23);
     }
 
     #[test]

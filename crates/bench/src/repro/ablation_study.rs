@@ -11,7 +11,7 @@ use pf_graph::partition;
 use pf_sim::engine::{simulate, SimConfig};
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
-use pf_sim::{Routing, RoutingAlgorithm};
+use pf_sim::Routing;
 use pf_topo::{PolarFlyTopo, Topology};
 use polarfly::PolarFly;
 

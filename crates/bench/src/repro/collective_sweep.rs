@@ -39,7 +39,7 @@
 use crate::Args;
 use pf_bench::jsonl::Row;
 use pf_sim::{
-    load_curve, simulate_workload, Routing, RoutingAlgorithm, SimConfig, SimResult, TrafficPattern,
+    load_curve, simulate_workload, Routing, SimConfig, SimResult, TrafficPattern,
 };
 use pf_topo::{PolarFlyTopo, SlimFly, Topology};
 use pf_workload::{

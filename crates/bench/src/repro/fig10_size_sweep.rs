@@ -5,7 +5,7 @@
 use crate::Args;
 use pf_bench::{load_points, print_curve_rows, sim_config};
 use pf_sim::sweep::load_curve;
-use pf_sim::{Routing, RoutingAlgorithm, TrafficPattern};
+use pf_sim::{Routing, TrafficPattern};
 use pf_topo::PolarFlyTopo;
 
 pub fn run(args: &Args) -> Result<(), String> {

@@ -206,7 +206,7 @@ impl Engine<'_> {
                 target,
             };
             let i = crate::routing::route_output(
-                self.algo.as_ref(),
+                self.routing,
                 &net_view!(self),
                 self.faults.pending_tables.as_ref(),
                 &mut self.packets.frr_pinned,

@@ -41,7 +41,7 @@ pub struct SimConfig {
     /// Virtual-channel *classes* — one per hop index, so paths of up to
     /// `vc_classes` hops are deadlock-free. MIN on a diameter-2 graph
     /// needs 2, Valiant/UGAL 4; the engine allocates `min(vc_classes,
-    /// need)` with `need` = [`crate::RoutingAlgorithm::max_hops`] of the
+    /// need)` with `need` = [`crate::Routing::max_hops`] of the
     /// routed diameter (all of them on transient runs), while the
     /// buffer split ([`SimConfig::cap_per_vc`]) always uses the full
     /// budget.

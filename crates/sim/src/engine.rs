@@ -7,8 +7,8 @@
 //! [`crate::alloc`] (switch allocation), [`crate::flow`] (credits +
 //! wormhole), [`crate::inject`] (endpoint injection/ejection),
 //! [`crate::phase`] (warmup/measure/drain clock), and [`crate::routing`]
-//! (the pluggable [`RoutingAlgorithm`] layer). See the crate docs for the
-//! model summary and DESIGN.md for deviations from BookSim.
+//! (the paper's six algorithms, one [`Routing`] enum). See the crate
+//! docs for the model summary and DESIGN.md for deviations from BookSim.
 
 pub use crate::config::SimConfig;
 
@@ -20,7 +20,7 @@ use crate::packet::PacketPool;
 use crate::phase::PhaseClock;
 use crate::queues::SourceQueues;
 use crate::router::{FlitRings, InjPool, PortMap, NONE32};
-use crate::routing::{MinHop, RoutingAlgorithm};
+use crate::routing::MinHop;
 use crate::skip::SkipCtl;
 use crate::stats::{LatencyStats, SimResult};
 use crate::tables::{RouteTables, MAX_DEGREE};
@@ -149,7 +149,7 @@ pub struct Engine<'a> {
     /// swap — the staged behavior of a real control plane.
     pub(crate) tables: Cow<'a, RouteTables>,
     pub(crate) dests: &'a DestMap,
-    pub(crate) algo: Box<dyn RoutingAlgorithm + 'a>,
+    pub(crate) routing: Routing,
     /// The run's one minimal next-hop source ([`MinHop::for_topology`]),
     /// handed to routing and the `inj_wait` first-hop charge through
     /// [`crate::routing::NetState::min`].
@@ -345,19 +345,6 @@ impl<'a> Engine<'a> {
         load: f64,
         cfg: SimConfig,
     ) -> Self {
-        Engine::with_algorithm(topo, tables, dests, Box::new(routing), load, cfg)
-    }
-
-    /// Builds an engine around a caller-supplied routing algorithm — the
-    /// seam through which tests substitute one for [`Routing`].
-    pub fn with_algorithm(
-        topo: &'a dyn Topology,
-        tables: &'a RouteTables,
-        dests: &'a DestMap,
-        algo: Box<dyn RoutingAlgorithm + 'a>,
-        load: f64,
-        cfg: SimConfig,
-    ) -> Self {
         let g = topo.graph();
         let n = g.vertex_count();
         assert_eq!(tables.router_count(), n);
@@ -400,7 +387,11 @@ impl<'a> Engine<'a> {
         }
 
         let diameter = tables.max_finite_dist();
-        let need = algo.max_hops(diameter);
+        let need = routing.max_hops(diameter);
+        // The one way past the declaration: an in-crate test may declare
+        // another bound for the engines its thread builds.
+        #[cfg(test)]
+        let need = tests::declared_hops().unwrap_or(need);
         if degraded || transient {
             // Residual minimal paths exceed the healthy diameter and
             // detours compose two of them; without a VC class per hop the
@@ -413,7 +404,7 @@ impl<'a> Engine<'a> {
                 "faulted run under {} needs vc_classes >= {need} \
                  (worst-case hops at residual diameter {diameter}) but got {}; \
                  raise SimConfig::vc_classes",
-                algo.label(),
+                routing.label(),
                 cfg.vc_classes
             );
         }
@@ -421,8 +412,8 @@ impl<'a> Engine<'a> {
         // of 4 for MIN on a diameter-2 graph, the residual diameter's
         // need under a static failure set. A transient run keeps the
         // configured budget: re-convergence can raise the diameter
-        // mid-run. An algorithm that outruns its declared `max_hops` is
-        // clamped to the top allocated class, never past its port.
+        // mid-run. A hop past the allocated classes is clamped to the
+        // top one, never past its port.
         let per_class = usize::from(cfg.vcs_per_class);
         let classes = if transient {
             usize::from(cfg.vc_classes)
@@ -477,7 +468,7 @@ impl<'a> Engine<'a> {
             graph: g,
             tables: Cow::Borrowed(tables),
             dests,
-            algo,
+            routing,
             min_hop,
             load,
             n,
@@ -1124,3 +1115,6 @@ pub fn simulate(
 ) -> SimResult {
     Engine::new(topo, tables, dests, routing, load, cfg).run()
 }
+
+#[cfg(test)]
+mod tests;

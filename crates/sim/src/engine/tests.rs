@@ -1,65 +1,44 @@
 //! The VC class budget: an engine allocates per-queue state only for the
-//! hop classes its routing algorithm can reach (`min(vc_classes,
+//! hop classes its routing can reach (`min(vc_classes,
 //! max_hops(diameter))`, the configured budget when a fault event can
-//! still fire after cycle 0), and
-//! that changes nothing it simulates — MIN on ER_q runs bit-identically
-//! on half the queues.
+//! still fire after cycle 0), and that changes nothing it simulates —
+//! MIN on ER_q runs bit-identically on half the queues.
+//!
+//! Every [`Routing`] declares a bound its paths keep
+//! (`tests/hop_certificate.rs`), so the one way to build an engine whose
+//! declaration differs from its routes is this suite's override of the
+//! declared bound ([`declaring`]), read where `Engine::new` computes it.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the override is a per-test-thread `Cell`; no engine state is written through it"
+)]
 
-mod common;
-
-use common::assert_bit_identical;
+use crate::common::assert_bit_identical;
+use crate::tables::RouteTables;
+use crate::traffic::{resolve, DestMap, TrafficPattern};
+use crate::{Engine, FlitRings, Routing, SimConfig, SimResult};
 use pf_graph::{FailureSet, FaultSchedule};
-use pf_sim::tables::RouteTables;
-use pf_sim::traffic::{resolve, DestMap, TrafficPattern};
-use pf_sim::{
-    Engine, FlitRings, HopContext, NetState, Port, RoutePlan, Routing, RoutingAlgorithm, SimConfig,
-    SimResult,
-};
 use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
-use rand::rngs::StdRng;
+use std::cell::Cell;
 
-/// `Routing::Min`, declaring the trait's default `max_hops` (a full
-/// Valiant detour): the engine allocates all four classes for the very
-/// routes MIN runs on two.
-struct MinAllClasses(Routing);
-
-impl RoutingAlgorithm for MinAllClasses {
-    fn label(&self) -> &'static str {
-        "MIN"
-    }
-
-    fn next_output(&self, net: &NetState, hop: HopContext, rng: &mut StdRng) -> Port {
-        self.0.next_output(net, hop, rng)
-    }
-
-    fn plan(&self, net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> RoutePlan {
-        self.0.plan(net, src, dst, rng)
-    }
+thread_local! {
+    /// The hop bound engines built on this thread declare instead of
+    /// their routing's `max_hops` (`None`: their routing's own).
+    static DECLARED_HOPS: Cell<Option<u32>> = const { Cell::new(None) };
 }
 
-/// Compact Valiant for every pair — a ≤ 3-hop path — while declaring
-/// MIN's `max_hops`: the engine allocates two classes and the third hop
-/// must clamp into the second, on its own port. Hops ride the wrapped
-/// `Routing::Min`.
-struct Underdeclared(Routing);
+/// The overriding hop bound of an engine built on this thread, if any.
+pub(super) fn declared_hops() -> Option<u32> {
+    DECLARED_HOPS.with(Cell::get)
+}
 
-impl RoutingAlgorithm for Underdeclared {
-    fn label(&self) -> &'static str {
-        "UNDERDECLARED"
-    }
-
-    fn next_output(&self, net: &NetState, hop: HopContext, rng: &mut StdRng) -> Port {
-        self.0.next_output(net, hop, rng)
-    }
-
-    fn plan(&self, net: &NetState, src: u32, _dst: u32, rng: &mut StdRng) -> RoutePlan {
-        net.random_live_neighbor(src, rng)
-            .map_or(RoutePlan::Minimal, RoutePlan::Detour)
-    }
-
-    fn max_hops(&self, diameter: u32) -> u32 {
-        self.0.max_hops(diameter)
-    }
+/// Runs `build` with every engine it constructs declaring `hops`
+/// (`None`: the routing's own bound).
+fn declaring<T>(hops: Option<u32>, build: impl FnOnce() -> T) -> T {
+    DECLARED_HOPS.with(|d| d.set(hops));
+    let built = build();
+    DECLARED_HOPS.with(|d| d.set(None));
+    built
 }
 
 fn uniform(topo: &dyn Topology, seed: u64) -> (RouteTables, DestMap) {
@@ -81,10 +60,11 @@ fn idle_bytes(topo: &dyn Topology, cfg: &SimConfig, classes: usize) -> usize {
     FlitRings::new(ports, vcs, cfg.cap_per_vc()).resident_bytes()
 }
 
-/// MIN on two classes against MIN on four, on PF(7) and PF(13), at a
-/// moderate and a heavy load: every simulated field, the skip
-/// accounting, the epoch series and the sampled traces (whose VC-buffer
-/// ids stay in the configured numbering) are identical.
+/// MIN on two classes against MIN declaring a full Valiant detour (all
+/// four), on PF(7) and PF(13), at a moderate and a heavy load: every
+/// simulated field, the skip accounting, the epoch series and the
+/// sampled traces (whose VC-buffer ids stay in the configured numbering)
+/// are identical.
 #[test]
 fn min_on_reachable_classes_matches_min_on_all() {
     let cfg = SimConfig::default()
@@ -98,12 +78,14 @@ fn min_on_reachable_classes_matches_min_on_all() {
         let topo = PolarFlyTopo::new(q, p).unwrap();
         let (tables, dests) = uniform(&topo, cfg.seed);
         for load in [0.3, 0.9] {
-            let run = |algo: Box<dyn RoutingAlgorithm + '_>| -> (usize, SimResult) {
-                let e = Engine::with_algorithm(&topo, &tables, &dests, algo, load, cfg.clone());
+            let run = |hops| -> (usize, SimResult) {
+                let e = declaring(hops, || {
+                    Engine::new(&topo, &tables, &dests, Routing::Min, load, cfg.clone())
+                });
                 (e.flit_rings().resident_bytes(), e.run())
             };
-            let (two, a) = run(Box::new(Routing::Min));
-            let (four, b) = run(Box::new(MinAllClasses(Routing::Min)));
+            let (two, a) = run(None);
+            let (four, b) = run(Some(4));
             let label = format!("PF({q}) load {load}");
             assert_eq!(two, idle_bytes(&topo, &cfg, 2), "{label}: MIN allocation");
             assert_eq!(
@@ -184,10 +166,11 @@ fn degraded_min_allocates_the_residual_need() {
     }
 }
 
-/// An algorithm whose paths outrun its declared `max_hops` clamps into
-/// the top allocated class: counted, and never a claim on another
-/// port's queues — the credit, buffer and ownership invariants hold
-/// throughout, and the network drains.
+/// Compact Valiant declaring MIN's bound (2) while its non-adjacent
+/// pairs take 3 hops: the third hop clamps into the top allocated class
+/// — counted, and never a claim on another port's queues. The credit,
+/// buffer and ownership invariants hold throughout, and the network
+/// drains.
 #[test]
 fn underdeclared_hops_clamp_inside_their_port() {
     let topo = PolarFlyTopo::new(7, 4).unwrap();
@@ -198,8 +181,16 @@ fn underdeclared_hops_clamp_inside_their_port() {
         .gen_cutoff(400)
         .seed(3);
     let (tables, dests) = uniform(&topo, cfg.seed);
-    let algo = Box::new(Underdeclared(Routing::Min));
-    let mut e = Engine::with_algorithm(&topo, &tables, &dests, algo, 0.3, cfg.clone());
+    let mut e = declaring(Some(2), || {
+        Engine::new(
+            &topo,
+            &tables,
+            &dests,
+            Routing::CompactValiant,
+            0.3,
+            cfg.clone(),
+        )
+    });
     assert_eq!(e.flit_rings().resident_bytes(), idle_bytes(&topo, &cfg, 2));
     for cycle in 0..3400 {
         e.step();

@@ -271,13 +271,13 @@ impl Engine<'_> {
         // the hop-indexed VC budget the constructor checked for the
         // initial state.
         let diameter = new.max_finite_dist();
-        let need = self.algo.max_hops(diameter);
+        let need = self.routing.max_hops(diameter);
         assert!(
             u32::from(self.cfg.vc_classes) >= need,
             "re-converged tables under {} need vc_classes >= {need} \
              (worst-case hops at residual diameter {diameter}) but got {}; \
              raise SimConfig::vc_classes",
-            self.algo.label(),
+            self.routing.label(),
             self.cfg.vc_classes
         );
         self.faults.pending_tables = Some(new);

@@ -275,7 +275,7 @@ impl Engine<'_> {
             }
             // Decide min-vs-Valiant and the intermediate (§VII; UGAL
             // decisions read current buffer state).
-            let plan = self.algo.plan(&net_view!(self), r, dst, &mut self.rng);
+            let plan = self.routing.plan(&net_view!(self), r, dst, &mut self.rng);
             // A draw that degenerates to an endpoint means "minimal".
             let mid = match plan {
                 RoutePlan::Detour(m) if m != r && m != dst => m,
@@ -289,7 +289,7 @@ impl Engine<'_> {
                 target: first_target,
             };
             let port_i = crate::routing::route_output(
-                self.algo.as_ref(),
+                self.routing,
                 &net_view!(self),
                 self.faults.pending_tables.as_ref(),
                 &mut self.packets.frr_pinned,

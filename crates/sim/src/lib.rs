@@ -51,9 +51,9 @@
 //! * [`flow`] — link pipeline, credits, wormhole VC ownership;
 //! * [`inject`] — endpoint injection/ejection;
 //! * [`phase`] — the warmup/measure/drain clock;
-//! * [`routing`] — the paper's six algorithms (§VII) as the [`Routing`]
-//!   enum behind the [`RoutingAlgorithm`] trait, with PolarFly's O(1)
-//!   algebraic minimal next hop as a table-free fast path;
+//! * [`routing`] — the paper's six algorithms (§VII) as the closed
+//!   [`Routing`] enum, with PolarFly's O(1) algebraic minimal next hop
+//!   as a table-free fast path;
 //! * [`telemetry`] — observation-only epoch time-series, sampled
 //!   packet lifecycle traces, and feature-gated engine phase profiling
 //!   (bit-identical results with telemetry on or off);
@@ -65,10 +65,9 @@
 //! Valiant (random *neighbor* intermediate, ≤ 3 hops), UGAL-L, UGAL-PF
 //! (Compact Valiant + ⅔ buffer-occupancy threshold), and adaptive ECMP
 //! minimal routing which on a folded Clos is exactly fat-tree NCA routing.
-//! [`Routing`] implements them all with one `match` per trait method and
-//! [`Engine::new`] boxes it; [`Engine::with_algorithm`] accepts any other
-//! [`RoutingAlgorithm`] (the seam tests use). Every algorithm reads the
-//! run's one minimal-hop source, [`NetState::min`].
+//! [`Routing`] implements them all with one `match` per method and the
+//! [`Engine`] holds the value. Every algorithm reads the run's one
+//! minimal-hop source, [`NetState::min`].
 //!
 //! Differences from BookSim (documented in DESIGN.md): credits return with
 //! zero latency (shared-memory model), the router pipeline is a fixed
@@ -90,9 +89,12 @@
 )]
 
 // The parity suites' shared comparer (`tests/common`) names this crate
-// from outside; the in-crate suite includes the same file.
+// from outside; the in-crate suites include the same file.
 #[cfg(test)]
 extern crate self as pf_sim;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
 
 pub mod alloc;
 pub mod analytic;
@@ -121,7 +123,7 @@ pub use drive::{simulate_workload, WorkloadDriver};
 pub use engine::{simulate, Engine};
 pub use phase::PhaseClock;
 pub use router::FlitRings;
-pub use routing::{HopContext, MinHop, NetState, Port, RoutePlan, Routing, RoutingAlgorithm};
+pub use routing::{HopContext, MinHop, NetState, Port, RoutePlan, Routing};
 pub use stats::{JobResult, PhaseResult, SimResult};
 pub use sweep::{load_curve, LoadCurve};
 pub use tables::RouteTables;

@@ -1,23 +1,20 @@
-//! Routing (§VII): the paper's six algorithms as one [`Routing`] enum
-//! that implements the [`RoutingAlgorithm`] trait.
+//! Routing (§VII): the paper's six algorithms as one closed [`Routing`]
+//! enum, one `match` per method. The engine holds the value and calls
+//! it at exactly two points:
 //!
-//! The engine calls routing at exactly two points:
-//!
-//! * [`RoutingAlgorithm::plan`] — once per packet at injection, deciding
+//! * [`Routing::plan`] — once per packet at injection, deciding
 //!   minimal vs. detour (and the Valiant intermediate);
-//! * [`RoutingAlgorithm::next_output`] — once per packet per hop, mapping
+//! * [`Routing::next_output`] — once per packet per hop, mapping
 //!   (router, current target) to a local output port.
 //!
 //! Both receive a [`NetState`] — a read-only view of the tables, port
 //! geometry, congestion state and the run's one minimal-hop source
-//! ([`NetState::min`]) — so the algorithms stay stateless and the trait
-//! object-safe. The trait is the seam a test uses to substitute an
-//! algorithm ([`crate::Engine::with_algorithm`]). Minimal next hops come
-//! from [`MinHop`]: table lookups on arbitrary topologies, or PolarFly's
-//! O(1) algebraic next hop ([`polarfly::routing::next_hop_minimal`],
-//! checked against the link mask) when the topology advertises it via
-//! [`pf_topo::RoutingHint`]. Parity between the two is pinned by
-//! `tests/routing_parity.rs`.
+//! ([`NetState::min`]) — so the algorithms stay stateless. Minimal next
+//! hops come from [`MinHop`]: table lookups on arbitrary topologies, or
+//! PolarFly's O(1) algebraic next hop
+//! ([`polarfly::routing::next_hop_minimal`], checked against the link
+//! mask) when the topology advertises it via [`pf_topo::RoutingHint`].
+//! Parity between the two is pinned by `tests/routing_parity.rs`.
 
 use crate::router::PortMap;
 use crate::tables::RouteTables;
@@ -66,7 +63,7 @@ pub struct NetState<'e> {
     pub inj_wait: &'e [u32],
     /// Allocated virtual channels per port — the stride of `credits`:
     /// `per_class` × the hop classes the run can reach (see
-    /// [`RoutingAlgorithm::max_hops`]), at most `SimConfig::vcs()`.
+    /// [`Routing::max_hops`]), at most `SimConfig::vcs()`.
     pub vcs: usize,
     /// VCs per class.
     pub per_class: usize,
@@ -231,37 +228,7 @@ pub enum RoutePlan {
     Detour(u32),
 }
 
-/// A routing algorithm, decomposed into the per-packet plan and the
-/// per-hop output choice. Object-safe: the engine stores
-/// `Box<dyn RoutingAlgorithm>`. [`Routing`] is the implementation; the
-/// trait is the seam through which a test substitutes its own.
-pub trait RoutingAlgorithm: Send + Sync {
-    /// Label used in result tables (matches the paper's legends).
-    fn label(&self) -> &'static str;
-
-    /// Chooses the local output port at `hop.router` toward `hop.target`.
-    fn next_output(&self, net: &NetState, hop: HopContext, rng: &mut StdRng) -> Port;
-
-    /// Decides minimal vs. detour for a packet about to be injected.
-    fn plan(&self, net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> RoutePlan;
-
-    /// Worst-case path length (hops) this algorithm can produce on a
-    /// graph of the given `diameter` — the number of hop-indexed VC
-    /// classes deadlock freedom requires. Default: a full Valiant detour
-    /// through an arbitrary intermediate (two minimal legs).
-    ///
-    /// This also sizes the engine's VC state: outside transient runs an
-    /// engine allocates only `min(vc_classes, max_hops(diameter))`
-    /// classes. Declaring too few is safe but not free — hops past the
-    /// bound share the top allocated class and count as
-    /// [`crate::SimResult::vc_class_clamps`], which voids the
-    /// deadlock-freedom argument for those packets.
-    fn max_hops(&self, diameter: u32) -> u32 {
-        2 * diameter
-    }
-}
-
-/// Routes one packet hop through `algo`, enforcing the link-liveness
+/// Routes one packet hop through `routing`, enforcing the link-liveness
 /// contract on degraded/transient networks.
 ///
 /// While stale tables serve during a re-convergence window, an
@@ -283,7 +250,7 @@ pub trait RoutingAlgorithm: Send + Sync {
 /// the backup routes once the swap lands.
 #[inline]
 pub(crate) fn route_output(
-    algo: &dyn RoutingAlgorithm,
+    routing: Routing,
     net: &NetState,
     pending: Option<&RouteTables>,
     pinned: &mut [bool],
@@ -301,7 +268,7 @@ pub(crate) fn route_output(
             return fallback_live_min(net, hop);
         }
     }
-    let p = algo.next_output(net, hop, rng);
+    let p = routing.next_output(net, hop, rng);
     if !net.degraded || (p != Port::MAX && net.link_ok(hop.router, p as usize)) {
         return p;
     }
@@ -375,8 +342,9 @@ fn random_mid(net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> u32 {
     }
 }
 
-/// Routing algorithm (§VII of the paper) — the one implementation of
-/// [`RoutingAlgorithm`]: [`crate::Engine::new`] boxes the value.
+/// Routing algorithm (§VII of the paper), decomposed into the
+/// per-packet plan and the per-hop output choice. [`crate::Engine::new`]
+/// stores the value.
 ///
 /// Every variant except [`Routing::MinAdaptive`] rides [`NetState::min`]
 /// on every hop; they differ only in the injection-time [`RoutePlan`].
@@ -416,10 +384,9 @@ impl Routing {
             Routing::UgalPf,
         ]
     }
-}
 
-impl RoutingAlgorithm for Routing {
-    fn label(&self) -> &'static str {
+    /// Label used in result tables (matches the paper's legends).
+    pub fn label(self) -> &'static str {
         match self {
             Routing::Min => "MIN",
             Routing::MinAdaptive => "NCA",
@@ -430,7 +397,8 @@ impl RoutingAlgorithm for Routing {
         }
     }
 
-    fn next_output(&self, net: &NetState, hop: HopContext, rng: &mut StdRng) -> Port {
+    /// Chooses the local output port at `hop.router` toward `hop.target`.
+    pub fn next_output(self, net: &NetState, hop: HopContext, rng: &mut StdRng) -> Port {
         match self {
             Routing::MinAdaptive => adaptive_min_output(net, hop, rng),
             _ => {
@@ -440,7 +408,8 @@ impl RoutingAlgorithm for Routing {
         }
     }
 
-    fn plan(&self, net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> RoutePlan {
+    /// Decides minimal vs. detour for a packet about to be injected.
+    pub fn plan(self, net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> RoutePlan {
         match self {
             Routing::Min | Routing::MinAdaptive => RoutePlan::Minimal,
             Routing::Valiant => RoutePlan::Detour(random_mid(net, src, dst, rng)),
@@ -479,10 +448,19 @@ impl RoutingAlgorithm for Routing {
         }
     }
 
-    /// MIN and NCA stay minimal; Compact Valiant adds one hop to the
-    /// neighbor intermediate; Valiant and the UGALs compose two minimal
-    /// legs.
-    fn max_hops(&self, diameter: u32) -> u32 {
+    /// Worst-case path length (hops) this algorithm can produce on a
+    /// graph of the given `diameter` — the number of hop-indexed VC
+    /// classes deadlock freedom requires. MIN and NCA stay minimal;
+    /// Compact Valiant adds one hop to the neighbor intermediate; Valiant
+    /// and the UGALs compose two minimal legs. `tests/hop_certificate.rs`
+    /// checks the bound against every path each algorithm may take.
+    ///
+    /// This also sizes the engine's VC state: outside transient runs an
+    /// engine allocates only `min(vc_classes, max_hops(diameter))`
+    /// classes. A hop past the bound would share the top allocated class
+    /// and count as [`crate::SimResult::vc_class_clamps`], voiding the
+    /// deadlock-freedom argument for that packet.
+    pub fn max_hops(self, diameter: u32) -> u32 {
         match self {
             Routing::Min | Routing::MinAdaptive => diameter,
             Routing::CompactValiant => diameter + 1,

@@ -13,15 +13,12 @@
 //! iteration domains and swaps only the allocator's stalled-list replay
 //! for the rescan. See `DESIGN.md`, "Event-driven cycle skipping".
 
-#[path = "../../tests/common/mod.rs"]
-mod common;
-
 use super::*;
+use crate::common::assert_bit_identical;
 use crate::engine::Reference;
 use crate::sweep::resolve_run;
 use crate::traffic::{DestMap, TrafficPattern};
-use crate::{Engine, RouteTables, Routing, RoutingAlgorithm, SimConfig, SimResult, WorkloadDriver};
-use common::assert_bit_identical;
+use crate::{Engine, RouteTables, Routing, SimConfig, SimResult, WorkloadDriver};
 use pf_graph::FaultSchedule;
 use pf_topo::{HyperX, PolarFlyTopo, Topology, TransientTopo};
 use pf_workload::{param_server, ring_allreduce, JobAssignment};

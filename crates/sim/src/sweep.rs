@@ -9,7 +9,7 @@ use crate::engine::{simulate, SimConfig};
 use crate::stats::SimResult;
 use crate::tables::RouteTables;
 use crate::traffic::{resolve, TrafficPattern};
-use crate::{Routing, RoutingAlgorithm};
+use crate::Routing;
 use pf_graph::Csr;
 use pf_topo::Topology;
 use rayon::prelude::*;

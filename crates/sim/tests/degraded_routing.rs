@@ -15,7 +15,7 @@ use pf_sim::engine::Engine;
 use pf_sim::router::PortMap;
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
-use pf_sim::{load_curve, simulate, MinHop, NetState, Routing, RoutingAlgorithm, SimConfig};
+use pf_sim::{load_curve, simulate, MinHop, NetState, Routing, SimConfig};
 use pf_topo::{PolarFlyTopo, SlimFly, Topology, TransientTopo};
 
 /// Residual minimal paths can exceed the healthy diameter of 2 and the

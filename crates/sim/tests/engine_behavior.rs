@@ -7,9 +7,8 @@ mod common;
 use pf_sim::engine::{simulate, Engine, SimConfig};
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
-use pf_sim::{HopContext, NetState, Port, RoutePlan, Routing, RoutingAlgorithm};
+use pf_sim::Routing;
 use pf_topo::{PolarFlyTopo, Topology};
-use rand::rngs::StdRng;
 
 fn setup(q: u64, p: usize) -> (PolarFlyTopo, RouteTables) {
     let topo = PolarFlyTopo::new(q, p).unwrap();
@@ -40,7 +39,19 @@ fn zero_load_latency_matches_pipeline_model() {
         "latency {}",
         r.avg_latency
     );
-    assert!(r.avg_hops > 1.5 && r.avg_hops <= 2.0, "hops {}", r.avg_hops);
+    // ER_q has diameter 2: a uniform packet takes 1 hop to a neighbor of
+    // its source and 2 to any other router, so the mean over router
+    // pairs is 2 − 2|E|/(n(n − 1)) = 2 − (q + 1)/n (1.8596 at q = 7).
+    // A packet's hop count is 1 or 2, so its standard deviation is at
+    // most 0.5; allow 4 standard errors of the measured mean.
+    let n = topo.router_count() as f64;
+    let expect = 2.0 - 8.0 / n;
+    let tol = 4.0 * 0.5 / (r.delivered as f64).sqrt();
+    assert!(
+        (r.avg_hops - expect).abs() <= tol,
+        "hops {} vs {expect:.4} ± {tol:.4}",
+        r.avg_hops
+    );
     // Accepted ≈ offered below saturation.
     assert!((r.accepted_load - r.offered_load).abs() < 0.01);
 }
@@ -310,49 +321,6 @@ fn hop_counts_respect_vc_bound() {
     );
     assert!(r.avg_hops <= 4.0);
     assert!(r.delivered > 0);
-}
-
-/// A caller-built algorithm that forwards every decision to the
-/// `Routing` it wraps.
-struct Forward(Routing);
-
-impl RoutingAlgorithm for Forward {
-    fn label(&self) -> &'static str {
-        self.0.label()
-    }
-
-    fn next_output(&self, net: &NetState, hop: HopContext, rng: &mut StdRng) -> Port {
-        self.0.next_output(net, hop, rng)
-    }
-
-    fn plan(&self, net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> RoutePlan {
-        self.0.plan(net, src, dst, rng)
-    }
-
-    fn max_hops(&self, diameter: u32) -> u32 {
-        self.0.max_hops(diameter)
-    }
-}
-
-#[test]
-fn custom_algorithm_via_with_algorithm() {
-    // The trait entry point: a caller-built Box<dyn RoutingAlgorithm>
-    // behaves identically to the enum it forwards to.
-    let (topo, tables) = setup(7, 3);
-    let dests = resolve(
-        TrafficPattern::Uniform,
-        topo.graph(),
-        &topo.host_routers(),
-        2,
-    );
-    let cfg = SimConfig::quick().seed(11);
-    let via_enum = simulate(&topo, &tables, &dests, Routing::UgalPf, 0.3, cfg.clone());
-    let algo = Box::new(Forward(Routing::UgalPf));
-    let via_trait = Engine::with_algorithm(&topo, &tables, &dests, algo, 0.3, cfg).run();
-    assert_eq!(via_enum.generated, via_trait.generated);
-    assert_eq!(via_enum.delivered, via_trait.delivered);
-    assert!((via_enum.avg_latency - via_trait.avg_latency).abs() < 1e-12);
-    assert!((via_enum.accepted_load - via_trait.accepted_load).abs() < 1e-12);
 }
 
 /// The per-port VC occupancy mask is one `u32`: an engine that would

@@ -10,7 +10,7 @@ use pf_sim::engine::Engine;
 use pf_sim::router::PortMap;
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
-use pf_sim::{load_curve, InFlightPolicy, Routing, RoutingAlgorithm, SimConfig};
+use pf_sim::{load_curve, InFlightPolicy, Routing, SimConfig};
 use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
 
 /// Transient runs need VC-class headroom twice over: residual minimal

@@ -8,7 +8,7 @@
 use pf_graph::DistanceMatrix;
 use pf_sim::router::PortMap;
 use pf_sim::tables::RouteTables;
-use pf_sim::{MinHop, NetState, RoutePlan, Routing, RoutingAlgorithm, SimConfig};
+use pf_sim::{MinHop, NetState, RoutePlan, Routing, SimConfig};
 use pf_topo::{PolarFlyTopo, Topology};
 use polarfly::routing::next_hop_minimal;
 use polarfly::PolarFly;
