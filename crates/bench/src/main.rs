@@ -40,6 +40,18 @@ impl Args {
     pub fn number(&self, i: usize) -> Option<u64> {
         self.operands.get(i).and_then(|s| s.parse().ok())
     }
+
+    /// `cfg` with the engine telemetry `--telemetry-interval` and
+    /// `--trace-sample` ask for, announced on stdout when either is on.
+    /// Both default to 0 (off), which leaves `cfg` and the output as
+    /// they were.
+    pub fn telemetry(&self, cfg: pf_sim::SimConfig) -> pf_sim::SimConfig {
+        let (interval, sample) = (self.telemetry_interval, self.trace_sample);
+        if interval > 0 || sample > 0 {
+            println!("(telemetry: epoch interval {interval}, trace sample 1/{sample})");
+        }
+        cfg.telemetry_interval(interval).trace_sample(sample)
+    }
 }
 
 /// One optional positional slot of a subcommand.
@@ -72,7 +84,12 @@ enum InAll {
 
 const NONE: &[&str] = &[];
 const FULL: &[&str] = &["--full"];
-const SWEEP: &[&str] = &["--full", "--smoke"];
+const FAULT_SWEEP: &[&str] = &[
+    "--full",
+    "--smoke",
+    "--telemetry-interval N",
+    "--trace-sample N",
+];
 const COLLECTIVE: &[&str] = &["--smoke", "--telemetry-interval N", "--trace-sample N"];
 
 /// Declares the module of each subcommand and [`COMMANDS`], in usage order
@@ -109,8 +126,8 @@ subcommands! {
     List fig12_bisection        FULL, &[];
     List fig14_resilience       FULL, &[];
     List ablation_study         NONE, &[];
-    Skip resilience_sweep       SWEEP, &[];
-    Skip transient_sweep        SWEEP, &[];
+    Skip resilience_sweep       FAULT_SWEEP, &[];
+    Skip transient_sweep        FAULT_SWEEP, &[];
     Skip collective_sweep       COLLECTIVE, &[];
     Skip quickstart             NONE, &[];
     Skip design_explorer        NONE, &[Number("RADIX"), Number("TARGET")];
@@ -222,6 +239,17 @@ mod tests {
         assert!(a.smoke && !a.full);
         assert_eq!((a.telemetry_interval, a.trace_sample), (256, 64));
         assert!(parse_str("resilience_sweep --full --smoke").unwrap().full);
+        for sweep in ["resilience_sweep", "transient_sweep"] {
+            let line = format!("{sweep} --full --telemetry-interval 128 --trace-sample 8");
+            let a = parse_str(&line).unwrap();
+            assert!(a.full && !a.smoke);
+            assert_eq!((a.telemetry_interval, a.trace_sample), (128, 8));
+            let a = parse_str(&format!("{sweep} --smoke --trace-sample 4")).unwrap();
+            assert_eq!(
+                (a.smoke, a.telemetry_interval, a.trace_sample),
+                (true, 0, 4)
+            );
+        }
         assert_eq!(
             parse_str("fig08_comparison tornado").unwrap().operands,
             ["tornado"]
@@ -240,7 +268,8 @@ mod tests {
             "collective_sweep --smokey",             // unknown flag
             "fig01_design_space --smoke",            // a flag it does not read
             "collective_sweep --full",               // ditto
-            "resilience_sweep --trace-sample 4",     // ditto
+            "fig09_perm_hops --trace-sample 4",      // ditto
+            "transient_sweep --trace-sample",        // missing value
             "collective_sweep --trace-sample x",     // non-numeric value
             "collective_sweep --trace-sample -1",    // ditto
             "collective_sweep --telemetry-interval", // missing value
@@ -259,6 +288,7 @@ mod tests {
         let u = usage();
         assert!(COMMANDS.iter().all(|c| u.contains(c.name)));
         assert!(u.contains("[--smoke] [--telemetry-interval N] [--trace-sample N]\n"));
+        assert!(u.contains("[--full] [--smoke] [--telemetry-interval N] [--trace-sample N]\n"));
         assert!(u.contains("[uniform-min|uniform-adaptive|randperm|tornado]\n"));
     }
 }

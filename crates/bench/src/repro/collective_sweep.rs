@@ -176,8 +176,6 @@ fn open_loop_unperturbed(topo: &dyn Topology, cfg: &SimConfig) -> Vec<String> {
 
 pub fn run(args: &Args) -> Result<(), String> {
     let smoke = args.smoke;
-    // Engine telemetry is off (0) unless requested.
-    let (telemetry_interval, trace_sample) = (args.telemetry_interval, args.trace_sample);
     let topos: Vec<Box<dyn Topology>> = vec![
         Box::new(PolarFlyTopo::new(31, 16).unwrap()),
         Box::new(SlimFly::new(23, 18).unwrap()),
@@ -188,17 +186,12 @@ pub fn run(args: &Args) -> Result<(), String> {
     } else {
         (64, 192, vec![16, 128, 1024])
     };
-    // Closed-loop runs ignore warmup/measure; the deadline bounds a
-    // wedged DAG. 4 VC classes suffice (healthy topology, ≤ 4 hops).
-    let cfg = SimConfig::default()
-        .workload_deadline(2_000_000)
-        .telemetry_interval(telemetry_interval)
-        .trace_sample(trace_sample);
 
     println!("Collective sweep — closed-loop workload completion, PF vs SF");
-    if telemetry_interval > 0 || trace_sample > 0 {
-        println!("(telemetry: epoch interval {telemetry_interval}, trace sample 1/{trace_sample})");
-    }
+    // Closed-loop runs ignore warmup/measure; the deadline bounds a
+    // wedged DAG. 4 VC classes suffice (healthy topology, ≤ 4 hops).
+    // Engine telemetry is off unless requested.
+    let cfg = args.telemetry(SimConfig::default().workload_deadline(2_000_000));
     println!("(every DAG must drain with conservation; smoke additionally checks");
     println!(" seed-determinism and the untouched open-loop path;");
     println!(" data rows are JSON lines — filter with `grep '^{{'`)\n");

@@ -20,6 +20,10 @@
 //!   (q=23, p=18) with reduced windows;
 //! * `--full` — the full §VIII-A warmup/measurement windows.
 //!
+//! `--telemetry-interval N` / `--trace-sample N` turn on the engine's
+//! epoch time-series and sampled packet traces, as in `collective_sweep`:
+//! each load point's report follows its data row, keyed by its run label.
+//!
 //! Fails (exit 1) if any curve fails to deliver everything at its
 //! *lowest* offered load (10%): the engine flags saturation exactly when
 //! packets fail to drain, and at 10% load congestion cannot explain that
@@ -68,6 +72,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let routings = [Routing::Min, Routing::UgalPf];
 
     println!("Resilience sweep — latency under live link failures (uniform traffic)");
+    let cfg = args.telemetry(cfg);
     println!("(a curve failing to deliver everything at its lowest load is a routing bug;");
     println!(" data rows are JSON lines — filter with `grep '^{{'`)\n");
 
@@ -87,6 +92,13 @@ pub fn run(args: &Args) -> Result<(), String> {
                         .f64("failure_ratio", ratio)
                         .sim_result(p)
                         .emit();
+                    if let Some(report) = &p.telemetry {
+                        let label = format!(
+                            "{} / {} / failure_ratio {ratio} / load {}",
+                            curve.topology, curve.routing, p.offered_load
+                        );
+                        pf_bench::telemetry::emit_report(&label, report);
+                    }
                 }
                 // `saturated` is set exactly when packets failed to drain;
                 // at the lowest offered load that can only be a routing

@@ -15,6 +15,9 @@
 //!
 //! Scales: `--smoke` (CI-sized instances), default (Table V topologies,
 //! reduced windows), `--full` (full §VIII-A windows and more loads).
+//! `--telemetry-interval N` / `--trace-sample N` turn on the engine's
+//! epoch time-series and sampled packet traces, as in `collective_sweep`:
+//! each load point's report follows its data row, keyed by its run label.
 //!
 //! Fails (exit 1) if any cell:
 //!
@@ -100,11 +103,12 @@ fn scale(args: &Args) -> Scale {
 }
 
 pub fn run(args: &Args) -> Result<(), String> {
-    let s = scale(args);
+    let mut s = scale(args);
     let routings = [Routing::Min, Routing::UgalPf];
     let policies = [InFlightPolicy::DropRetransmit, InFlightPolicy::Drain];
 
     println!("Transient-fault sweep — MTBF × repair × load, uniform traffic");
+    s.cfg = args.telemetry(s.cfg);
     println!("(delivery must return to 1.0 after repair; no flit on a down link;");
     println!(" no VC-class clamp in the stale-table window;");
     println!(" data rows are JSON lines — filter with `grep '^{{'`)\n");
@@ -137,6 +141,10 @@ pub fn run(args: &Args) -> Result<(), String> {
                             &s.loads,
                             &cfg,
                         );
+                        let policy_label = match policy {
+                            InFlightPolicy::DropRetransmit => "drop",
+                            InFlightPolicy::Drain => "drain",
+                        };
                         for p in &curve.points {
                             let delivered_all = !p.saturated && p.delivered == p.generated;
                             let clean = p.down_link_flits == 0 && p.vc_class_clamps == 0;
@@ -149,19 +157,22 @@ pub fn run(args: &Args) -> Result<(), String> {
                             Row::new("transient")
                                 .str("topology", &topo.name())
                                 .str("routing", curve.routing)
-                                .str(
-                                    "policy",
-                                    match policy {
-                                        InFlightPolicy::DropRetransmit => "drop",
-                                        InFlightPolicy::Drain => "drain",
-                                    },
-                                )
+                                .str("policy", policy_label)
                                 .f64("mtbf", mtbf)
                                 .u64("repair", u64::from(repair))
                                 .u64("faults", faults as u64)
                                 .sim_result(p)
                                 .bool("ok", ok)
                                 .emit();
+                            if let Some(report) = &p.telemetry {
+                                let label = format!(
+                                    "{} / {} / {policy_label} / mtbf {mtbf} / repair {repair} / load {}",
+                                    topo.name(),
+                                    curve.routing,
+                                    p.offered_load
+                                );
+                                pf_bench::telemetry::emit_report(&label, report);
+                            }
                             if !delivered_all {
                                 eprintln!(
                                     "BROKEN: {} / {} / {:?} mtbf={mtbf} repair={repair} \

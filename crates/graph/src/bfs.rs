@@ -29,7 +29,7 @@ pub const UNREACHABLE: u8 = u8::MAX;
 pub const MAX_DISTANCE: u8 = UNREACHABLE - 1;
 
 /// Sources per kernel batch: one bit of a frontier word each.
-const LANES: usize = u64::BITS as usize;
+pub const LANES: usize = u64::BITS as usize;
 
 /// Panics when a BFS is about to label a vertex beyond [`MAX_DISTANCE`].
 #[inline]
@@ -62,14 +62,23 @@ pub fn bfs_distances(g: &Csr, src: u32) -> Vec<u8> {
 }
 
 /// The word-parallel kernel: one level-synchronous BFS from the sources
-/// `first .. first + lanes` (`lanes ≤ 64`) at once. Calls
-/// `sink(level, words)` once per non-empty level, starting at level 0;
+/// `first .. first + lanes` (`1 ≤ lanes ≤` [`LANES`]) at once. Calls
+/// `sink(level, words)` once per non-empty level, starting at level 0,
+/// so the last call's `level` is the deepest distance any lane reaches;
 /// bit `b` of `words[v]` is set iff `dist(first + b, v) == level`. Each
 /// level costs one word OR per directed edge, i.e. O(E · n / 64) word
 /// operations per level over a whole all-pairs run.
-fn for_each_level(g: &Csr, first: usize, lanes: usize, mut sink: impl FnMut(u8, &[u64])) {
+///
+/// # Panics
+/// If the lanes are empty, wider than [`LANES`] or past the last vertex,
+/// or if a finite distance would exceed [`MAX_DISTANCE`].
+pub fn for_each_level(g: &Csr, first: usize, lanes: usize, mut sink: impl FnMut(u8, &[u64])) {
     let n = g.vertex_count();
-    debug_assert!((1..=LANES).contains(&lanes) && first + lanes <= n);
+    assert!(
+        (1..=LANES).contains(&lanes) && first + lanes <= n,
+        "BFS lanes {first}..{} outside 1..={LANES} sources of {n} vertices",
+        first + lanes
+    );
     let full = u64::MAX >> (LANES - lanes);
     let mut frontier = vec![0u64; n];
     for (b, word) in frontier[first..first + lanes].iter_mut().enumerate() {

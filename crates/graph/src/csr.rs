@@ -258,6 +258,13 @@ impl Csr {
         &self.edges
     }
 
+    /// Bytes the three arrays have allocated (Σ capacity × element size):
+    /// 4 per offset, 4 per adjacency entry and 8 per canonical edge.
+    pub fn resident_bytes(&self) -> usize {
+        (self.offsets.capacity() + self.neighbors.capacity()) * std::mem::size_of::<u32>()
+            + self.edges.capacity() * std::mem::size_of::<(u32, u32)>()
+    }
+
     /// A copy of the graph with the given canonical edges removed.
     pub fn without_edges(&self, removed: &[(u32, u32)]) -> Csr {
         let mut removed: Vec<(u32, u32)> = removed

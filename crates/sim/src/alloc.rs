@@ -9,8 +9,9 @@
 //! DESIGN.md).
 //!
 //! **Who owns what.** Everything the allocator keeps per output —
-//! `credits`, `out_owner`, `out_taken`, `req_span`, `link_flits`,
-//! `inj_wait`, the output of a route claim (stored as the holding
+//! `credits`, `out_owner` (the packet holding the output, `NONE32` when
+//! free), `out_taken`, `req_span`, `link_flits`, `inj_wait`, the output
+//! of a route claim (kept in the claiming queue's record as the holding
 //! router's neighbor index, read back through `tx`) and a lane's
 //! `out_buf` — is indexed by the *sending* router's own port
 //! ([`crate::router::PortMap::tx`]), so request build, VC claim and
@@ -31,9 +32,9 @@
 //! silent no-op for the rest of the cycle — see `crate::order`, "Output
 //! grant order".
 
-use crate::engine::{net_view, Engine, RouteEntry};
+use crate::engine::{net_view, Engine};
 use crate::flow::Arrival;
-use crate::router::NONE32;
+use crate::router::{Claim, NONE32};
 use crate::routing::HopContext;
 
 /// A requester in the request–grant–accept allocation.
@@ -198,78 +199,15 @@ impl Engine<'_> {
         seq: u16,
     ) -> bool {
         // Route + VC allocation for a new head.
-        if self.route[qidx].out == RouteEntry::UNROUTED {
-            debug_assert_eq!(seq, 0, "body flit without route");
-            let (target, dst) = self.transit_target(r as u32, pkt);
-            let hop = HopContext {
-                router: r as u32,
-                target,
-            };
-            let i = crate::routing::route_output(
-                self.routing,
-                &net_view!(self),
-                self.faults.pending_tables.as_ref(),
-                &mut self.packets.frr_pinned,
-                pkt,
-                hop,
-                &mut self.rng,
-            );
-            let out_port = self.geom.tx(r as u32, i as usize);
-            // Class-indexed VC: hop h travels in class h, any
-            // free VC within the class (deadlock freedom needs
-            // paths of <= vc_classes hops; all routing
-            // algorithms of the paper satisfy 4). `classes` is
-            // the allocated count, the algorithm's declared
-            // `max_hops` at most. A hop index past it is clamped
-            // to the top class and counted — the deadlock
-            // argument no longer covers that packet, and the
-            // fault sweeps assert the counter stays 0.
-            let in_class = vc / self.per_class;
-            let classes = self.vcs / self.per_class;
-            let out_class = (in_class + 1).min(classes - 1);
-            let Some(ovc) = crate::flow::claim_vc(
-                &mut self.out_owner,
-                out_port,
-                self.vcs,
-                out_class,
-                self.per_class,
-            ) else {
-                self.diag_vc_stalls += 1;
-                return true; // all VCs of the class busy; retry next pass
-            };
-            if in_class + 1 >= classes {
-                // Counted once per clamped hop actually taken
-                // (not per allocation retry of the same head).
-                self.diag_class_clamps += 1;
-            }
-            self.route[qidx] = RouteEntry {
-                pkt,
-                out: i as u8,
-                vc: ovc,
-                term_next: self.graph.neighbors(r as u32)[i as usize] == dst,
-            };
-            if self.telemetry.tracing() {
-                // `passed_mid` was updated by `transit_target` above, so
-                // this detour check is the packet's *remaining* leg.
-                let p = pkt as usize;
-                let detour = self.packets.mid[p] != NONE32 && !self.packets.passed_mid[p];
-                let source = if self.packets.frr_pinned[p] {
-                    crate::telemetry::ROUTE_FRR
-                } else if detour {
-                    crate::telemetry::ROUTE_DETOUR
-                } else {
-                    crate::telemetry::ROUTE_MIN
-                };
-                let down = self.geom.peer(out_port);
-                // In the configured numbering, whatever is allocated.
-                let buf = down * self.cfg.vcs() as u32 + u32::from(ovc);
-                self.telemetry
-                    .trace_route(pkt, r as u32, down, buf, source, self.cycle);
-            }
-        }
-        let re = self.route[qidx];
-        let out_port = self.geom.tx(r as u32, usize::from(re.out));
-        let out_idx = out_port as usize * self.vcs + re.vc as usize;
+        let Some(claim) = self
+            .bufs
+            .claim(qidx)
+            .or_else(|| self.route_head(r, qidx, vc, pkt, seq))
+        else {
+            return true; // all VCs of the class busy; retry next pass
+        };
+        let out_port = self.geom.tx(r as u32, usize::from(claim.out));
+        let out_idx = out_port as usize * self.vcs + usize::from(claim.vc);
         if self.credits[out_idx] == 0 {
             self.diag_credit_stalls += 1;
             return true;
@@ -281,7 +219,7 @@ impl Engine<'_> {
                     out_buf: out_idx as u32,
                     pkt,
                     seq,
-                    term: re.term_next,
+                    term: claim.term_next,
                     src: ReqSrc::Transit {
                         queue: qidx as u32,
                         port,
@@ -290,6 +228,87 @@ impl Engine<'_> {
             );
         }
         false
+    }
+
+    /// Routes `pkt`, the unclaimed head of queue `qidx` (VC `vc` at
+    /// router `r`), claims a free output VC of its next hop class for it
+    /// and records the claim in the queue's record. `None` is a VC
+    /// stall: every VC of the class is owned.
+    fn route_head(
+        &mut self,
+        r: usize,
+        qidx: usize,
+        vc: usize,
+        pkt: u32,
+        seq: u16,
+    ) -> Option<Claim> {
+        debug_assert_eq!(seq, 0, "body flit without route");
+        let (target, dst) = self.transit_target(r as u32, pkt);
+        let hop = HopContext {
+            router: r as u32,
+            target,
+        };
+        let i = crate::routing::route_output(
+            self.routing,
+            &net_view!(self),
+            self.faults.pending_tables.as_ref(),
+            &mut self.packets.frr_pinned,
+            pkt,
+            hop,
+            &mut self.rng,
+        );
+        let out_port = self.geom.tx(r as u32, i as usize);
+        // Class-indexed VC: hop h travels in class h, any free VC within
+        // the class (deadlock freedom needs paths of <= vc_classes hops;
+        // all routing algorithms of the paper satisfy 4). `classes` is the
+        // allocated count, the algorithm's declared `max_hops` at most. A
+        // hop index past it is clamped to the top class and counted — the
+        // deadlock argument no longer covers that packet, and the fault
+        // sweeps assert the counter stays 0.
+        let in_class = vc / self.per_class;
+        let classes = self.vcs / self.per_class;
+        let out_class = (in_class + 1).min(classes - 1);
+        let Some(ovc) = crate::flow::claim_vc(
+            &mut self.out_owner,
+            out_port,
+            self.vcs,
+            out_class,
+            self.per_class,
+            pkt,
+        ) else {
+            self.diag_vc_stalls += 1;
+            return None;
+        };
+        if in_class + 1 >= classes {
+            // Counted once per clamped hop actually taken (not per
+            // allocation retry of the same head).
+            self.diag_class_clamps += 1;
+        }
+        let claim = Claim {
+            out: i as u8,
+            vc: ovc,
+            term_next: self.graph.neighbors(r as u32)[i as usize] == dst,
+        };
+        self.bufs.set_claim(qidx, Some(claim));
+        if self.telemetry.tracing() {
+            // `passed_mid` was updated by `transit_target` above, so this
+            // detour check is the packet's *remaining* leg.
+            let p = pkt as usize;
+            let detour = self.packets.mid[p] != NONE32 && !self.packets.passed_mid[p];
+            let source = if self.packets.frr_pinned[p] {
+                crate::telemetry::ROUTE_FRR
+            } else if detour {
+                crate::telemetry::ROUTE_DETOUR
+            } else {
+                crate::telemetry::ROUTE_MIN
+            };
+            let down = self.geom.peer(out_port);
+            // In the configured numbering, whatever is allocated.
+            let buf = down * self.cfg.vcs() as u32 + u32::from(ovc);
+            self.telemetry
+                .trace_route(pkt, r as u32, down, buf, source, self.cycle);
+        }
+        Some(claim)
     }
 
     /// Later-pass request build: replays the heads the previous pass
@@ -521,11 +540,11 @@ impl Engine<'_> {
                     if tail {
                         // Tail flit: release the wormhole output VC.
                         debug_assert_eq!(
-                            (self.claim_port(q), self.route[q].vc as usize),
-                            (Some(out), out_vc),
+                            self.claim_output(q),
+                            Some(out_buf),
                             "tail without its route claim"
                         );
-                        self.route[q] = RouteEntry::NONE;
+                        self.bufs.set_claim(q, None);
                     }
                 }
                 ReqSrc::Inject { router, stream } => {
@@ -539,7 +558,7 @@ impl Engine<'_> {
                 }
             }
             if tail {
-                self.out_owner[out_buf] = false;
+                self.out_owner[out_buf] = NONE32;
                 if self.transient {
                     self.note_tail_traversed(out);
                 }
@@ -595,10 +614,7 @@ mod tests {
                         Some((_, _, ready)) if ready <= cycle && !e.bufs.head_term(q) => {}
                         _ => continue,
                     }
-                    let vc = e.route[q].vc as usize;
-                    if e.claim_port(q)
-                        .is_none_or(|out| e.credits[out as usize * e.vcs + vc] == 0)
-                    {
+                    if e.claim_output(q).is_none_or(|o| e.credits[o] == 0) {
                         stalled.push(q as u32);
                     }
                 }

@@ -59,40 +59,6 @@ macro_rules! net_view {
 }
 pub(crate) use net_view;
 
-/// The wormhole route claim of one queue head (see [`Engine::route`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RouteEntry {
-    /// Owning packet (`NONE32` when unrouted).
-    pub(crate) pkt: u32,
-    /// The claimed output as the holding router's neighbor index
-    /// ([`RouteEntry::UNROUTED`] = unrouted): its tx port is
-    /// `geom.tx(r, out)`. A byte suffices — the engine refuses degrees
-    /// above [`crate::tables::MAX_DEGREE`].
-    pub(crate) out: u8,
-    /// Claimed output VC.
-    pub(crate) vc: u8,
-    /// Whether the packet terminates at the downstream router (cached
-    /// at route time, where `dst` is in cache; every departing flit of
-    /// the packet carries it — see [`crate::flow::Arrival::term`]).
-    pub(crate) term_next: bool,
-}
-
-// Eight queues' claims per cache line.
-const _: () = assert!(std::mem::size_of::<RouteEntry>() == 8);
-
-impl RouteEntry {
-    /// `out` of an unrouted queue head.
-    pub(crate) const UNROUTED: u8 = u8::MAX;
-
-    /// The unrouted state.
-    pub(crate) const NONE: RouteEntry = RouteEntry {
-        pkt: NONE32,
-        out: RouteEntry::UNROUTED,
-        vc: 0,
-        term_next: false,
-    };
-}
-
 /// Which retained oracle, if any, a test engine runs instead of the
 /// live code (release builds have no such field: one path). The
 /// dense-schedule reference maintains exactly the live engine's state
@@ -205,23 +171,19 @@ pub struct Engine<'a> {
     /// awake/doze/asleep tracking and the doze timing wheel.
     pub(crate) skip: SkipCtl,
 
-    /// All (port, VC) input buffers and the per-port indexes the port
-    /// and VC scans walk.
+    /// All (port, VC) input buffers, the route claim of each queue's
+    /// head packet (`FlitRings::claim`) and the per-port indexes the
+    /// port and VC scans walk.
     pub(crate) bufs: FlitRings,
     /// The sender's credit view, indexed by the sender's (tx port, VC):
     /// `credits[p · vcs + v]` counts the free slots of the downstream
     /// input buffer `peer(p) · vcs + v`. Spent locally on a grant;
     /// returned by the receiver on a pop or an ejection.
     pub(crate) credits: Vec<u16>,
-    /// Wormhole allocation of the packet at each queue head: the claimed
-    /// output — the holding router's neighbor index (unrouted:
-    /// [`RouteEntry::UNROUTED`]) and VC — and the owning packet (tracked
-    /// so fault events can find and cancel claims). One 8-byte record
-    /// per queue so a head probe costs a single cache line.
-    pub(crate) route: Vec<RouteEntry>,
-    /// Whether each (tx port, VC) output is owned by an in-flight packet
-    /// — a transit head's route claim or an unfinished injection lane.
-    pub(crate) out_owner: Vec<bool>,
+    /// The packet owning each (tx port, VC) output (`NONE32` = free):
+    /// the holder of a transit head's route claim or of an unfinished
+    /// injection lane. Fault events read a claim's owner here.
+    pub(crate) out_owner: Vec<u32>,
 
     pub(crate) src_q: SourceQueues,
     pub(crate) inj: InjPool,
@@ -490,8 +452,7 @@ impl<'a> Engine<'a> {
             skip,
             bufs,
             credits: vec![cap_per_vc as u16; queues],
-            route: vec![RouteEntry::NONE; queues],
-            out_owner: vec![false; queues],
+            out_owner: vec![NONE32; queues],
             src_q: SourceQueues::new(n),
             inj: InjPool::new(&stream_caps),
             pipeline: LinkPipeline::new(cfg.link_latency),
@@ -892,16 +853,14 @@ impl<'a> Engine<'a> {
         self.geom.peer(port) as usize * self.vcs + vc
     }
 
-    /// The tx port queue `q`'s route claim holds, if it is routed — a
-    /// port of the router owning `q`, by construction.
+    /// The (tx port, VC) output index (`tx · vcs + vc`) queue `q`'s route
+    /// claim holds, if it is routed — an output of the router owning `q`,
+    /// by construction.
     #[inline]
-    pub(crate) fn claim_port(&self, q: usize) -> Option<u32> {
-        let out = self.route[q].out;
-        if out == RouteEntry::UNROUTED {
-            return None;
-        }
+    pub(crate) fn claim_output(&self, q: usize) -> Option<usize> {
+        let c = self.bufs.claim(q)?;
         let r = self.port_owner[q / self.vcs];
-        Some(self.geom.tx(r, usize::from(out)))
+        Some(self.geom.tx(r, usize::from(c.out)) as usize * self.vcs + usize::from(c.vc))
     }
 
     /// The (port, VC) flit buffers, read-only (diagnostics and tests).
@@ -972,7 +931,10 @@ impl<'a> Engine<'a> {
     /// * globally, credits spent == flits buffered + flits on links
     ///   (credits return with zero latency, so nothing else may hold one);
     /// * the owned (tx port, VC) outputs are exactly the live route
-    ///   claims plus the unfinished injection lanes, one owner each.
+    ///   claims plus the unfinished injection lanes, one owner each;
+    /// * an owned output's packet is the head packet of its claiming
+    ///   queue whenever that queue is nonempty, and the packet of its
+    ///   lane.
     pub fn validate_flow_invariants(&self) {
         self.bufs.validate();
         let cap = self.cap_per_vc;
@@ -999,29 +961,44 @@ impl<'a> Engine<'a> {
         );
 
         let mut owners = vec![0u32; self.out_owner.len()];
-        for (q, re) in self.route.iter().enumerate() {
-            if let Some(port) = self.claim_port(q) {
-                let (_, hi) = self.geom.ports(self.port_owner[q / self.vcs] as usize);
-                assert!(
-                    port < hi && usize::from(re.vc) < self.vcs,
-                    "queue {q}: route claim (neighbor {}, VC {}) names no output of its router",
-                    re.out,
-                    re.vc
+        for q in 0..self.credits.len() {
+            let Some(c) = self.bufs.claim(q) else {
+                continue;
+            };
+            let r = self.port_owner[q / self.vcs];
+            assert!(
+                usize::from(c.out) < self.graph.degree(r) && usize::from(c.vc) < self.vcs,
+                "queue {q}: route claim (neighbor {}, VC {}) names no output of its router",
+                c.out,
+                c.vc
+            );
+            let o = self.geom.tx(r, usize::from(c.out)) as usize * self.vcs + usize::from(c.vc);
+            owners[o] += 1;
+            if let Some((head, _, _)) = self.bufs.front(q) {
+                assert_eq!(
+                    self.out_owner[o], head,
+                    "queue {q}: its claimed output is owned by another packet than its head's"
                 );
-                owners[port as usize * self.vcs + re.vc as usize] += 1;
             }
         }
         for r in 0..self.n {
             for s in 0..self.inj.len(r) {
                 let slot = self.inj.slot(r, s);
                 if self.inj.next_seq[slot] < self.cfg.packet_flits {
-                    owners[self.inj.out_buf[slot] as usize] += 1;
+                    let o = self.inj.out_buf[slot] as usize;
+                    owners[o] += 1;
+                    assert_eq!(
+                        self.out_owner[o], self.inj.pkt[slot],
+                        "lane of packet {}: its output is owned by another packet",
+                        self.inj.pkt[slot]
+                    );
                 }
             }
         }
-        for (o, (&owned, &claims)) in self.out_owner.iter().zip(&owners).enumerate() {
+        for (o, (&owner, &claims)) in self.out_owner.iter().zip(&owners).enumerate() {
+            let owned = u32::from(owner != NONE32);
             assert_eq!(
-                u32::from(owned),
+                owned,
                 claims,
                 "output (port {}, VC {}): owned = {owned} but {claims} live claim(s)",
                 o / self.vcs,

@@ -389,10 +389,11 @@ impl Engine<'_> {
     /// by the sender's port); their remaining flits may still cross it
     /// until each tail passes.
     fn count_draining(&mut self, port_uv: u32, port_vu: u32) {
-        for q in 0..self.route.len() {
-            let Some(rp) = self.claim_port(q) else {
+        for q in 0..self.credits.len() {
+            let Some(o) = self.claim_output(q) else {
                 continue;
             };
+            let rp = (o / self.vcs) as u32;
             if rp == port_uv || rp == port_vu {
                 self.faults.draining[rp as usize] += 1;
             }
@@ -487,22 +488,26 @@ impl Engine<'_> {
             }
         }
 
-        // Pass A3: wormhole claims across a dead link (`claim_port` is
-        // the claiming router's tx port). A claim whose head
-        // flit is still at the front (seq 0) sent nothing across — it is
-        // released for a live re-route; anything else split its packet
-        // over the dead link and the packet must restart.
-        for q in 0..self.route.len() {
-            let Some(rp) = self.claim_port(q).filter(|rp| dead_ports.contains(rp)) else {
+        // Pass A3: wormhole claims across a dead link (`claim_output`
+        // is on the claiming router's tx port; `out_owner` names the
+        // claim's packet). A claim whose head flit is still at the front
+        // (seq 0) sent nothing across — it is released for a live
+        // re-route; anything else split its packet over the dead link and
+        // the packet must restart.
+        for q in 0..self.credits.len() {
+            let Some(o) = self.claim_output(q) else {
                 continue;
             };
-            let re = self.route[q];
-            let pkt = re.pkt;
+            let rp = o as u32 / vcs;
+            if !dead_ports.contains(&rp) {
+                continue;
+            }
+            let pkt = self.out_owner[o];
             debug_assert_ne!(pkt, NONE32, "claim without owner");
             let untouched = matches!(self.bufs.front(q), Some((p, 0, _)) if p == pkt);
             if untouched {
-                self.out_owner[(rp * vcs) as usize + re.vc as usize] = false;
-                self.route[q] = crate::engine::RouteEntry::NONE;
+                self.out_owner[o] = NONE32;
+                self.bufs.set_claim(q, None);
                 self.note_tail_traversed(rp);
             } else if !victim[pkt as usize] {
                 victim[pkt as usize] = true;
@@ -558,15 +563,14 @@ impl Engine<'_> {
         // traverse — surrender its drain slot here, or the `draining > 0`
         // guard would exempt that port from down-link detection until
         // repair.
-        for q in 0..self.route.len() {
-            let re = self.route[q];
-            let Some(rp) = self.claim_port(q) else {
+        for q in 0..self.credits.len() {
+            let Some(o) = self.claim_output(q) else {
                 continue;
             };
-            if victim[re.pkt as usize] {
-                self.out_owner[(rp * vcs) as usize + re.vc as usize] = false;
-                self.route[q] = crate::engine::RouteEntry::NONE;
-                self.note_tail_traversed(rp);
+            if victim[self.out_owner[o] as usize] {
+                self.out_owner[o] = NONE32;
+                self.bufs.set_claim(q, None);
+                self.note_tail_traversed(o as u32 / vcs);
             }
         }
 
@@ -578,7 +582,7 @@ impl Engine<'_> {
                 let slot = self.inj.slot(r, s);
                 if victim[self.inj.pkt[slot] as usize] {
                     if self.inj.next_seq[slot] < self.cfg.packet_flits {
-                        self.out_owner[self.inj.out_buf[slot] as usize] = false;
+                        self.out_owner[self.inj.out_buf[slot] as usize] = NONE32;
                         self.note_tail_traversed(self.inj.out_buf[slot] / vcs);
                     }
                     self.inj.remove(r, s);

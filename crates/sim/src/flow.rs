@@ -7,8 +7,11 @@
 //! input buffer at the far end of that link; the sender decrements it on
 //! link traversal and the receiver increments it (through
 //! `PortMap::peer`) on dequeue. Output-VC ownership (`out_owner`, same
-//! index) implements wormhole switching: a packet holds its claimed
-//! (link, VC) from head allocation to tail traversal.
+//! index, holding the owning packet or `NONE32`) implements wormhole
+//! switching: a packet holds its claimed (link, VC) from head allocation
+//! to tail traversal.
+
+use crate::router::NONE32;
 
 /// A flit in flight on a link, addressed to a downstream buffer queue.
 #[derive(Debug, Clone, Copy)]
@@ -106,22 +109,24 @@ impl LinkPipeline {
     }
 }
 
-/// Claims a free VC of `class` on `out_port` (the sender's port):
-/// returns the VC index and marks it owned, or `None` when the whole
-/// class is held by in-flight packets (a VC-exhaustion stall).
+/// Claims a free VC of `class` on `out_port` (the sender's port) for
+/// `pkt`: returns the VC index and records `pkt` as its owner, or `None`
+/// when the whole class is held by in-flight packets (a VC-exhaustion
+/// stall).
 #[inline]
 pub(crate) fn claim_vc(
-    out_owner: &mut [bool],
+    out_owner: &mut [u32],
     out_port: u32,
     vcs: usize,
     class: usize,
     per_class: usize,
+    pkt: u32,
 ) -> Option<u8> {
     for sub in 0..per_class {
         let ovc = class * per_class + sub;
         let out_idx = out_port as usize * vcs + ovc;
-        if !out_owner[out_idx] {
-            out_owner[out_idx] = true;
+        if out_owner[out_idx] == NONE32 {
+            out_owner[out_idx] = pkt;
             return Some(ovc as u8);
         }
     }
@@ -169,15 +174,17 @@ mod tests {
     fn claim_vc_walks_the_class_and_respects_ownership() {
         let vcs = 4;
         let per_class = 2;
-        let mut owner = vec![false; 2 * vcs];
+        let mut owner = vec![NONE32; 2 * vcs];
         // Claim both VCs of class 1 on port 1 (indices 1*4+2, 1*4+3).
-        assert_eq!(claim_vc(&mut owner, 1, vcs, 1, per_class), Some(2));
-        assert_eq!(claim_vc(&mut owner, 1, vcs, 1, per_class), Some(3));
-        assert_eq!(claim_vc(&mut owner, 1, vcs, 1, per_class), None);
+        assert_eq!(claim_vc(&mut owner, 1, vcs, 1, per_class, 10), Some(2));
+        assert_eq!(claim_vc(&mut owner, 1, vcs, 1, per_class, 11), Some(3));
+        assert_eq!(claim_vc(&mut owner, 1, vcs, 1, per_class, 12), None);
+        assert_eq!((owner[vcs + 2], owner[vcs + 3]), (10, 11));
         // Class 0 of the same port is untouched.
-        assert_eq!(claim_vc(&mut owner, 1, vcs, 0, per_class), Some(0));
+        assert_eq!(claim_vc(&mut owner, 1, vcs, 0, per_class, 12), Some(0));
         // Releasing re-enables the class.
-        owner[vcs + 2] = false;
-        assert_eq!(claim_vc(&mut owner, 1, vcs, 1, per_class), Some(2));
+        owner[vcs + 2] = NONE32;
+        assert_eq!(claim_vc(&mut owner, 1, vcs, 1, per_class, 13), Some(2));
+        assert_eq!(owner[vcs + 2], 13);
     }
 }

@@ -299,9 +299,14 @@ impl Engine<'_> {
             );
             let out_port = self.geom.tx(r, port_i as usize);
             // Injection uses class 0: any free VC in [0, per_class).
-            let Some(vc) =
-                crate::flow::claim_vc(&mut self.out_owner, out_port, self.vcs, 0, self.per_class)
-            else {
+            let Some(vc) = crate::flow::claim_vc(
+                &mut self.out_owner,
+                out_port,
+                self.vcs,
+                0,
+                self.per_class,
+                pkt_id,
+            ) else {
                 continue; // try the next queued packet (HoL relief)
             };
             let out_idx = out_port as usize * self.vcs + vc as usize;

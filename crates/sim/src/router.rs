@@ -7,8 +7,9 @@
 //! with flat arrays over a handful of contiguous allocations:
 //!
 //! * [`FlitRings`] — every VC buffer of every port: a dense 16-byte
-//!   record per queue holding its occupancy and a copy of its head flit,
-//!   and one shared pool of linked nodes for the flits *behind* heads,
+//!   record per queue holding its occupancy, a copy of its head flit and
+//!   the wormhole route claim of the packet at its head, and one shared
+//!   pool of linked nodes for the flits *behind* heads,
 //!   so memory follows the flits actually buffered rather than
 //!   ports × VCs × depth (the credit loop still bounds each queue to its
 //!   depth). It also owns the per-port indexes the scans walk — the
@@ -191,14 +192,80 @@ struct FlitSlot {
     term: bool,
 }
 
-/// Per-queue occupancy packed with the head flit into one 16-byte
-/// record, so a head probe, a push into an empty queue and a pop that
-/// empties one touch a single cache line (four queues per line).
-/// `hf` is valid iff `len > 0`.
-#[derive(Debug, Clone, Copy, Default)]
+/// The wormhole route claim of a queue's head packet: the output it
+/// holds from head allocation until its tail leaves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Claim {
+    /// The claimed output as the holding router's neighbor index: its tx
+    /// port is `PortMap::tx(r, out)`. A byte suffices — the engine
+    /// refuses degrees above [`crate::tables::MAX_DEGREE`], so
+    /// [`UNROUTED`] is never a neighbor index.
+    pub(crate) out: u8,
+    /// Claimed output VC.
+    pub(crate) vc: u8,
+    /// Whether the packet terminates at the downstream router (cached at
+    /// route time, where `dst` is in cache; every departing flit of the
+    /// packet carries it — see [`crate::flow::Arrival::term`]).
+    pub(crate) term_next: bool,
+}
+
+/// [`Claim::out`] of a queue without a claim.
+const UNROUTED: u8 = u8::MAX;
+
+impl Claim {
+    const NONE: Claim = Claim {
+        out: UNROUTED,
+        vc: 0,
+        term_next: false,
+    };
+}
+
+/// One queue's record: the head flit's fields, the occupancy and the
+/// head packet's route claim, packed into 16 bytes so a head probe, a
+/// push into an empty queue, a pop that empties one and the route
+/// lookup of a head touch a single cache line (four queues per line).
+/// The head fields are valid iff `len > 0`. The claim is not tied to
+/// them: push, pop and purge never touch it, so a claim survives a
+/// queue that empties mid-packet (its body flits still upstream).
+#[derive(Debug, Clone, Copy)]
 struct QueueMeta {
-    hf: FlitSlot,
+    pkt: u32,
+    ready: u32,
+    seq: u16,
     len: u16,
+    term: bool,
+    claim: Claim,
+}
+
+const _: () = assert!(std::mem::size_of::<QueueMeta>() == 16);
+
+impl QueueMeta {
+    const EMPTY: QueueMeta = QueueMeta {
+        pkt: 0,
+        ready: 0,
+        seq: 0,
+        len: 0,
+        term: false,
+        claim: Claim::NONE,
+    };
+
+    #[inline]
+    fn head(&self) -> FlitSlot {
+        FlitSlot {
+            pkt: self.pkt,
+            ready: self.ready,
+            seq: self.seq,
+            term: self.term,
+        }
+    }
+
+    #[inline]
+    fn set_head(&mut self, f: FlitSlot) {
+        self.pkt = f.pkt;
+        self.ready = f.ready;
+        self.seq = f.seq;
+        self.term = f.term;
+    }
 }
 
 /// A pooled flit *behind* a queue's head. `next` is the following flit
@@ -213,14 +280,16 @@ struct Node {
 /// All (port, VC) flit buffers, stored by occupancy, with the per-port
 /// indexes the engine's scans walk.
 ///
-/// Queue `q = port · vcs + vc`'s head flit lives in `meta[q].hf`, the
-/// copy every scan reads; the flits behind it are a singly linked chain
+/// Queue `q = port · vcs + vc`'s head flit lives in `meta[q]`, the copy
+/// every scan reads, next to the queue's route claim
+/// (`FlitRings::claim`); the flits behind it are a singly linked chain
 /// of nodes in one shared `pool`, entered through
 /// `links[q] = [first behind head, tail]` (valid iff `len ≥ 2`). Freed
 /// nodes go on a LIFO free list threaded through `Node::next` and are
 /// reused hottest-first; the pool grows only when that list is empty. So
-/// the queues cost a fixed 24 B each (`meta` + `links`, the latter
-/// untouched — not even paged in — until a queue first holds two flits)
+/// the queues cost a fixed 24 B each (the 16-byte `meta`, route claim
+/// included, + 8-byte `links`, the latter untouched — not even paged in —
+/// until a queue first holds two flits)
 /// and a live part of one 16-byte node per flit behind a head at the
 /// busiest moment so far; queue depth (`cap`) costs nothing until flits
 /// use it.
@@ -232,9 +301,10 @@ struct Node {
 /// scan's domain) and "holds a terminating flit" (count > 0, the
 /// ejection scan's domain), walked by [`FlitRings::next_port`]. Only
 /// [`FlitRings::push_back`], [`FlitRings::pop_front`] and
-/// [`FlitRings::purge_queue`] mutate the store, and each updates the
-/// queue and its indexes together. They take the (port, VC) the caller
-/// already holds, so the store divides nothing.
+/// [`FlitRings::purge_queue`] mutate the flits, and each updates the
+/// queue and its indexes together; only `set_claim` mutates a claim.
+/// They take the (port, VC) the caller already holds, so the store
+/// divides nothing.
 ///
 /// `cap` is still the credit protocol's bound: a sender never pushes
 /// into a full buffer, and [`FlitRings::push_back`] checks it in debug
@@ -279,7 +349,7 @@ impl FlitRings {
         FlitRings {
             cap,
             vcs,
-            meta: vec![QueueMeta::default(); queues],
+            meta: vec![QueueMeta::EMPTY; queues],
             // An all-zero array type takes the allocator's zeroed path:
             // no page is touched here.
             links: vec![[0; 2]; queues],
@@ -389,7 +459,7 @@ impl FlitRings {
         let len = m.len;
         m.len = len + 1;
         if len == 0 {
-            m.hf = f;
+            m.set_head(f);
             return;
         }
         let node = Node { f, next: NONE32 };
@@ -424,7 +494,7 @@ impl FlitRings {
         if m.len == 0 {
             return None;
         }
-        Some((m.hf.pkt, m.hf.seq, m.hf.ready))
+        Some((m.pkt, m.seq, m.ready))
     }
 
     /// Whether the head flit of queue `q` terminates at the buffering
@@ -434,7 +504,21 @@ impl FlitRings {
     #[inline]
     pub fn head_term(&self, q: usize) -> bool {
         debug_assert!(self.meta[q].len > 0);
-        self.meta[q].hf.term
+        self.meta[q].term
+    }
+
+    /// The route claim of queue `q`'s head packet, if it holds one.
+    #[inline]
+    pub(crate) fn claim(&self, q: usize) -> Option<Claim> {
+        let c = self.meta[q].claim;
+        (c.out != UNROUTED).then_some(c)
+    }
+
+    /// Sets (`Some`) or releases (`None`) queue `q`'s route claim.
+    #[inline]
+    pub(crate) fn set_claim(&mut self, q: usize, claim: Option<Claim>) {
+        debug_assert!(claim.is_none_or(|c| c.out != UNROUTED));
+        self.meta[q].claim = claim.unwrap_or(Claim::NONE);
     }
 
     /// Removes the head flit of queue (`port`, `vc`) and drops it from
@@ -465,13 +549,13 @@ impl FlitRings {
     fn dequeue(&mut self, q: usize) -> FlitSlot {
         let m = &mut self.meta[q];
         debug_assert!(m.len > 0);
-        let head = m.hf;
+        let head = m.head();
         m.len -= 1;
         if m.len > 0 {
             let l = &mut self.links[q];
             let i = l[0];
             let node = &mut self.pool[i as usize];
-            m.hf = node.f;
+            m.set_head(node.f);
             l[0] = node.next;
             node.next = self.free;
             self.free = i;
@@ -485,7 +569,7 @@ impl FlitRings {
         let mut at = if m.len > 1 { self.links[q][0] } else { NONE32 };
         (0..m.len).map(move |i| {
             if i == 0 {
-                return m.hf;
+                return m.head();
             }
             let node = self.pool[at as usize];
             at = node.next;
@@ -646,7 +730,7 @@ pub struct InjPool {
     pub(crate) pkt: Vec<u32>,
     pub(crate) next_seq: Vec<u16>,
     /// The claimed first-hop (tx port, VC): `tx · vcs + vc`, the index of
-    /// the lane's credit counter and `out_owner` flag.
+    /// the lane's credit counter and `out_owner` entry.
     pub(crate) out_buf: Vec<u32>,
     pub(crate) last_sent: Vec<u32>,
     /// Whether the stream's packet terminates at the downstream router
@@ -764,6 +848,35 @@ mod tests {
         assert_eq!(r.total_flits(), 0);
         // Five rounds of depth 4 never needed more than 3 nodes at once.
         assert_eq!(r.pool.len(), 3);
+    }
+
+    /// Push, pop and purge never touch a queue's route claim: it
+    /// survives the queue emptying mid-packet and a purge of other
+    /// packets' flits, and only `set_claim` changes it.
+    #[test]
+    fn claim_outlives_push_pop_and_purge() {
+        let mut r = FlitRings::new(1, 2, 4);
+        assert_eq!((r.claim(0), r.claim(1)), (None, None));
+        let c = Claim {
+            out: 3,
+            vc: 1,
+            term_next: true,
+        };
+        r.set_claim(1, Some(c));
+        r.push_back(0, 1, 7, 0, 0, false);
+        r.push_back(0, 1, 7, 1, 0, false);
+        r.pop_front(0, 1);
+        r.pop_front(0, 1);
+        assert!(r.is_empty(1));
+        assert_eq!(r.claim(1), Some(c));
+        r.push_back(0, 1, 7, 2, 5, false);
+        r.push_back(0, 1, 9, 0, 6, true);
+        assert_eq!(r.purge_queue(0, 1, |p| p == 9), 1);
+        assert_eq!(r.front(1), Some((7, 2, 5)));
+        assert_eq!((r.claim(0), r.claim(1)), (None, Some(c)));
+        r.set_claim(1, None);
+        assert_eq!(r.claim(1), None);
+        r.validate();
     }
 
     #[test]

@@ -28,8 +28,9 @@ pub type Port = u32;
 
 /// Read-only network view handed to routing decisions.
 pub struct NetState<'e> {
-    /// Distance + minimal next-hop tables (built on the residual graph
-    /// when links have failed — see [`RouteTables::build_for`]).
+    /// Minimal next-hop tables, distances walked along them (built on
+    /// the residual graph when links have failed — see
+    /// [`RouteTables::build_for`]).
     pub tables: &'e RouteTables,
     /// The *physical* router graph (failed links keep their ports).
     pub graph: &'e Csr,
@@ -413,7 +414,7 @@ impl Routing {
         match self {
             Routing::Min | Routing::MinAdaptive => RoutePlan::Minimal,
             Routing::Valiant => RoutePlan::Detour(random_mid(net, src, dst, rng)),
-            Routing::CompactValiant if net.tables.dist(src, dst) <= 1 => RoutePlan::Minimal,
+            Routing::CompactValiant if net.tables.next_hop(src, dst) == dst => RoutePlan::Minimal,
             Routing::CompactValiant => neighbor_detour(net, src, rng),
             Routing::Ugal => {
                 let mid = random_mid(net, src, dst, rng);
@@ -436,7 +437,7 @@ impl Routing {
                 let class_cap = net.cap_per_vc * net.per_class as u32;
                 if f64::from(q_min) <= net.ugal_pf_threshold * f64::from(class_cap) {
                     RoutePlan::Minimal
-                } else if net.tables.dist(src, dst) <= 1 {
+                } else if net.tables.next_hop(src, dst) == dst {
                     // Adjacent pairs: a neighbor detour could bounce back
                     // through the source (§VII-B), so fall back to general
                     // Valiant — 4-hop detours, as Fig. 9b describes.
@@ -493,7 +494,9 @@ fn adaptive_min_output(net: &NetState, hop: HopContext, rng: &mut StdRng) -> Por
     let mut best_occ = u32::MAX;
     let mut ties = 0u32;
     for (i, &w) in net.graph.neighbors(hop.router).iter().enumerate() {
-        if !net.link_ok(hop.router, i) || net.tables.dist(w, hop.target) != want {
+        // A walk of at most `want` hops settles `dist(w, target) == want`.
+        if !net.link_ok(hop.router, i) || net.tables.dist_within(w, hop.target, want) != Some(want)
+        {
             continue;
         }
         let occ = net.link_occupancy(hop.router, i);

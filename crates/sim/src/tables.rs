@@ -1,33 +1,44 @@
-//! Routing tables: all-pairs distances plus a deterministic minimal
-//! next-hop table with seeded random tie-breaking (as BookSim's table-based
-//! routing does, avoiding the systematic hotspots a lowest-id tie-break
-//! would create on topologies with equal-cost path multiplicity).
+//! Routing tables: a deterministic minimal next-hop table with seeded
+//! random tie-breaking (as BookSim's table-based routing does, avoiding
+//! the systematic hotspots a lowest-id tie-break would create on
+//! topologies with equal-cost path multiplicity).
 //!
-//! Distances come from [`DistanceMatrix::build`] (the word-parallel
-//! all-pairs kernel of `pf_graph::bfs`); next hops are picked
-//! source-major from per-vertex distance-residue bitsets, with one RNG
-//! stream per destination so the tie-breaks do not depend on how the work
-//! is split.
+//! The table is filled `STRIPE` = 64 destinations at a time, one batch
+//! of the word-parallel kernel [`bfs::for_each_level`]: distances are
+//! symmetric, so a BFS *from* the stripe's destinations yields every
+//! vertex's distance *to* them, and each level's frontier words fold
+//! straight into per-vertex distance-residue bitsets. Next hops are picked
+//! source-major from those bitsets, with one RNG stream per destination so
+//! the tie-breaks do not depend on how the work is split. No distance
+//! matrix is ever built.
+//!
 //! A next hop is stored as one byte — its position in the source's
-//! neighbor list — so the tables cost 2·n² bytes (distance + hop) plus
-//! the O(E) adjacency that turns the position back into a router id.
+//! neighbor list — so the tables cost n² bytes plus the O(E) adjacency
+//! that turns the position back into a router id
+//! ([`RouteTables::resident_bytes`]).
+//!
+//! Distances are walked, not stored: [`RouteTables::dist`] follows next
+//! hops from `s` until it reaches `d`. That is exact because every table
+//! hop is minimal — `dist(next_hop(s, d), d) == dist(s, d) − 1`, so
+//! minimal next hops strictly decrease the distance — hence the walk
+//! takes exactly `dist(s, d)` steps, never more than the largest finite
+//! distance, and an unreachable pair stops at its first (absent) hop.
 //!
 //! Fault awareness: [`RouteTables::build_for`] builds the tables on the
 //! *residual* graph of the topology's cycle-0 fault state
 //! ([`initial_failures`]), so every table next hop (and every UGAL
 //! distance term) already routes around the links down at the start.
 
-use pf_graph::{bfs, Csr, DistanceMatrix, FailureSet};
+use pf_graph::{bfs, Csr, FailureSet};
 use pf_topo::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 /// Destinations per work item of [`RouteTables::build`], the unit of the
-/// Rayon fan-out: narrow enough that the 993-router tables still split
-/// four ways, wide enough that the per-window set-up is noise (one stripe
-/// over all of ER_47 is < 10 % faster).
-const STRIPE: usize = 256;
+/// Rayon fan-out: one batch of the BFS kernel, whose 64 lanes are the
+/// stripe's destinations. The table does not depend on it.
+const STRIPE: usize = bfs::LANES;
 
 /// The links down when a run of `topo` starts: its fault schedule's
 /// state at cycle 0 (`active_at(graph, 0)`), empty on a healthy
@@ -55,16 +66,19 @@ pub const MAX_DEGREE: usize = 254;
 /// unreachable): [`RouteTables::next_hop`] answers `s`.
 const STAY: u8 = u8::MAX;
 
-/// Dense distance + next-hop tables for one topology.
+/// Dense minimal next-hop table for one topology; distances are walked
+/// along it.
 #[derive(Clone)]
 pub struct RouteTables {
-    dist: DistanceMatrix,
     /// The graph the tables were built on: `next` indexes its neighbor
     /// lists.
     graph: Csr,
     /// `next[s·N + d]`: position in `graph.neighbors(s)` of the hop
     /// toward `d`, or [`STAY`].
     next: Vec<u8>,
+    /// The deepest BFS level any stripe reached: the largest finite
+    /// distance.
+    max_dist: u8,
 }
 
 impl RouteTables {
@@ -78,7 +92,8 @@ impl RouteTables {
     /// the thread count.
     ///
     /// # Panics
-    /// If a router has more than [`MAX_DEGREE`] neighbors.
+    /// If a router has more than [`MAX_DEGREE`] neighbors, or a finite
+    /// distance exceeds [`bfs::MAX_DISTANCE`].
     pub fn build(g: &Csr, seed: u64) -> RouteTables {
         let n = g.vertex_count();
         assert!(
@@ -86,7 +101,6 @@ impl RouteTables {
             "router degree {} exceeds the {MAX_DEGREE}-neighbor ceiling of the byte-wide next-hop table",
             g.max_degree()
         );
-        let dist = DistanceMatrix::build(g);
         let mut next = vec![STAY; n * n];
         // Column stripes of the row-major table: stripe k borrows columns
         // `k·STRIPE ..` of every row, so workers write disjoint memory.
@@ -99,13 +113,15 @@ impl RouteTables {
                 stripe.1.push(piece);
             }
         }
-        stripes
+        let max_dist = stripes
             .into_par_iter()
-            .for_each(|(d0, rows)| fill_stripe(g, &dist, seed, d0, rows));
+            .map(|(d0, rows)| fill_stripe(g, seed, d0, rows))
+            .max_by_key(|&deepest| deepest)
+            .unwrap_or(0);
         RouteTables {
-            dist,
             graph: g.clone(),
             next,
+            max_dist,
         }
     }
 
@@ -123,109 +139,145 @@ impl RouteTables {
     /// Number of routers.
     #[inline]
     pub fn router_count(&self) -> usize {
-        self.dist.vertex_count()
+        self.graph.vertex_count()
     }
 
-    /// Hop distance from `s` to `d`.
+    /// The `next` entry of the pair `(s, d)`.
+    #[inline]
+    fn entry(&self, s: u32, d: u32) -> u8 {
+        self.next[s as usize * self.router_count() + d as usize]
+    }
+
+    /// Hop distance from `s` to `d` (`bfs::UNREACHABLE` = 255 when `d`
+    /// is unreachable), walked along the next hops in at most
+    /// [`RouteTables::max_finite_dist`] steps.
     #[inline]
     pub fn dist(&self, s: u32, d: u32) -> u32 {
-        u32::from(self.dist.get(s, d))
+        self.dist_within(s, d, u32::from(self.max_dist))
+            .unwrap_or(u32::from(bfs::UNREACHABLE))
+    }
+
+    /// `Some(dist(s, d))` when it is at most `limit`, `None` otherwise
+    /// (unreachable pairs included) — a walk of at most `limit` next
+    /// hops, so a caller that only needs "is it exactly `k`" stops after
+    /// `k`.
+    #[inline]
+    pub(crate) fn dist_within(&self, s: u32, d: u32, limit: u32) -> Option<u32> {
+        let mut at = s;
+        let mut hops = 0;
+        while at != d {
+            if hops == limit {
+                return None;
+            }
+            match self.entry(at, d) {
+                STAY => return None,
+                i => at = self.graph.neighbors(at)[usize::from(i)],
+            }
+            hops += 1;
+        }
+        Some(hops)
     }
 
     /// Largest finite table distance — the diameter of the (residual)
     /// graph the tables were built on, when it is connected.
     pub fn max_finite_dist(&self) -> u32 {
-        self.dist.diameter_reachable()
+        u32::from(self.max_dist)
     }
 
     /// Whether `d` is reachable from `s` in the graph the tables were
-    /// built on (always true on a connected residual; finite-checked by
-    /// the transient engine before routing toward a repaired router whose
+    /// built on (always true on a connected residual; checked by the
+    /// transient engine before routing toward a repaired router whose
     /// tables have not re-converged yet).
     #[inline]
     pub fn reachable(&self, s: u32, d: u32) -> bool {
-        self.dist.get(s, d) != bfs::UNREACHABLE
+        s == d || self.entry(s, d) != STAY
     }
 
-    /// The table's minimal next hop from `s` toward `d` (`s` if `s == d`).
+    /// The table's minimal next hop from `s` toward `d` (`s` if `s == d`
+    /// or `d` is unreachable).
     #[inline]
     pub fn next_hop(&self, s: u32, d: u32) -> u32 {
-        match self.next[s as usize * self.dist.vertex_count() + d as usize] {
+        match self.entry(s, d) {
             STAY => s,
             i => self.graph.neighbors(s)[usize::from(i)],
         }
     }
+
+    /// Bytes the tables have allocated: the n² next-hop bytes plus the
+    /// graph copy ([`Csr::resident_bytes`]). Diagnostic — pins that no
+    /// distance matrix is kept.
+    pub fn resident_bytes(&self) -> usize {
+        self.next.capacity() + self.graph.resident_bytes()
+    }
+}
+
+/// Destination `d`'s tie-break stream.
+fn dest_rng(seed: u64, d: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (d as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Fills the next-hop columns `d0 .. d0 + width` of every source row
 /// (`rows[s]` is that window of row `s`, pre-filled with [`STAY`]) with
-/// neighbor positions. For each `s` and each neighbor `w` in CSR order, the
-/// destinations `w` is a minimal next hop toward are those with
-/// `dist(w, d) + 1 == dist(s, d)` (the matrix is symmetric, so row `w` is
-/// also "distance *to* every `d`").
+/// neighbor positions, and returns the deepest BFS level the stripe
+/// reached — its largest finite distance. For each `s` and each neighbor
+/// `w` in CSR order, the destinations `w` is a minimal next hop toward
+/// are those with `dist(w, d) + 1 == dist(s, d)`.
 ///
-/// Candidates are sparse (one neighbor in `deg` on a diameter-2 graph), so
-/// the rows are not compared byte by byte. Each vertex gets three bitsets
-/// over the window: bit `i` of `res[v][r]` is set iff `dist(v, d0 + i)` is
-/// finite and ≡ `r` (mod 3). Neighbors' distances to any `d` differ by at
-/// most one, so among them "one less" and "one less mod 3" are the same
-/// condition: the candidates of `(s, w)` are the OR over `r` of
-/// `res[s][r] & res[w][r − 1]`, a few words at any diameter, and only set
-/// bits reach the reservoir draw. Unreachable pairs are in no bitset.
-fn fill_stripe(g: &Csr, dist: &DistanceMatrix, seed: u64, d0: usize, rows: Vec<&mut [u8]>) {
+/// One kernel batch from the stripe's destinations gives each vertex
+/// three bitsets over the window: bit `i` of `res[v][r]` is set iff
+/// `dist(v, d0 + i)` is finite and ≡ `r` (mod 3) — the level-`ℓ`
+/// frontier word of `v` ORs into `res[v][ℓ mod 3]` (a BFS *from*
+/// `d0 + i` measures the distance *to* it, by symmetry). Neighbors'
+/// distances to any `d` differ by at most one, so among them "one less"
+/// and "one less mod 3" are the same condition: the candidates of
+/// `(s, w)` are the OR over `r` of `res[s][r] & res[w][r − 1]`, one word
+/// at any diameter, and only set bits reach the reservoir draw.
+/// Unreachable pairs are in no bitset.
+fn fill_stripe(g: &Csr, seed: u64, d0: usize, rows: Vec<&mut [u8]>) -> u8 {
     let width = rows.first().map_or(0, |r| r.len());
-    let window = d0..d0 + width;
-    let mut rngs: Vec<StdRng> = window
-        .clone()
-        .map(|d| StdRng::seed_from_u64(seed ^ (d as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-        .collect();
+    let mut rngs: Vec<StdRng> = (d0..d0 + width).map(|d| dest_rng(seed, d)).collect();
     // Reservoir sampling state: candidates seen so far per destination.
     let mut seen = vec![0u32; width];
-    let words = width.div_ceil(64);
-    // `res[v·stride + r·words ..][.. words]` is the bitset `res[v][r]`.
-    let stride = 3 * words;
-    let mut res = vec![0u64; rows.len() * stride];
-    for (v, sets) in res.chunks_exact_mut(stride).enumerate() {
-        for (i, &dv) in dist.row(v as u32)[window.clone()].iter().enumerate() {
-            if dv != bfs::UNREACHABLE {
-                sets[usize::from(dv % 3) * words + i / 64] |= 1 << (i % 64);
-            }
+    let mut res = vec![[0u64; 3]; rows.len()];
+    let mut deepest = 0;
+    bfs::for_each_level(g, d0, width, |level, words| {
+        deepest = level;
+        let r = usize::from(level % 3);
+        for (sets, &word) in res.iter_mut().zip(words) {
+            sets[r] |= word;
         }
-    }
+    });
     for (s, out) in rows.into_iter().enumerate() {
         seen.fill(0);
-        let of_s = &res[s * stride..][..stride];
+        let of_s = res[s];
         for (wi, &w) in g.neighbors(s as u32).iter().enumerate() {
-            let of_w = &res[w as usize * stride..][..stride];
-            for k in 0..words {
-                let mut rest = (0..3).fold(0u64, |acc, r| {
-                    acc | of_s[r * words + k] & of_w[(r + 2) % 3 * words + k]
-                });
-                while rest != 0 {
-                    let i = k * 64 + rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    seen[i] += 1;
-                    // Uniform among the candidates.
-                    if rngs[i].gen_range(0..seen[i]) == 0 {
-                        out[i] = wi as u8;
-                    }
+            let of_w = res[w as usize];
+            let mut rest = (0..3).fold(0u64, |acc, r| acc | of_s[r] & of_w[(r + 2) % 3]);
+            while rest != 0 {
+                let i = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                seen[i] += 1;
+                // Uniform among the candidates.
+                if rngs[i].gen_range(0..seen[i]) == 0 {
+                    out[i] = wi as u8;
                 }
             }
         }
         debug_assert!(
-            dist.row(s as u32)[window.clone()]
-                .iter()
-                .zip(&seen)
-                .all(|(&ds, &c)| (c == 0) == (ds == 0 || ds == bfs::UNREACHABLE)),
+            seen.iter().enumerate().all(|(i, &c)| {
+                let reached = (of_s[0] | of_s[1] | of_s[2]) >> i & 1 != 0;
+                (c == 0) == (s == d0 + i || !reached)
+            }),
             "no minimal next hop found"
         );
     }
+    deepest
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pf_graph::{FailureSet, GraphBuilder};
+    use pf_graph::{DistanceHistogram, FailureSet, GraphBuilder};
     use polarfly::PolarFly;
 
     fn ring(n: usize) -> Csr {
@@ -236,30 +288,44 @@ mod tests {
         b.build()
     }
 
+    /// `n` vertices, `m` seeded random edge draws (duplicates collapse),
+    /// the last `isolated` vertices left without edges — the BFS
+    /// kernel's test corpus.
+    fn random_graph(n: usize, m: usize, isolated: usize, seed: u64) -> Csr {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let live = n.saturating_sub(isolated) as u32;
+        let mut b = GraphBuilder::new(n);
+        for _ in 0..if live >= 2 { m } else { 0 } {
+            let (u, v) = (rng.gen_range(0..live), rng.gen_range(0..live));
+            if u != v {
+                b.add_edge(u, v);
+            }
+        }
+        b.build()
+    }
+
+    /// All-pairs distances, row-major, from the scalar single-source BFS
+    /// (no code shared with the word-parallel kernel).
+    fn scalar_distances(g: &Csr) -> Vec<u8> {
+        (0..g.vertex_count() as u32)
+            .flat_map(|s| bfs::bfs_distances(g, s))
+            .collect()
+    }
+
     /// The fill [`fill_stripe`] replaced, kept as its oracle: a byte-wise
-    /// compare of the two distance rows of every `(s, neighbor)`
-    /// (unreachable pairs wrap to 0 ≠ 255 and never match).
-    fn fill_stripe_bytes(
-        g: &Csr,
-        dist: &DistanceMatrix,
-        seed: u64,
-        d0: usize,
-        rows: Vec<&mut [u8]>,
-    ) {
-        let width = rows.first().map_or(0, |r| r.len());
-        let window = d0..d0 + width;
-        let mut rngs: Vec<StdRng> = window
-            .clone()
-            .map(|d| {
-                StdRng::seed_from_u64(seed ^ (d as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            })
-            .collect();
-        let mut seen = vec![0u32; width];
-        for (s, out) in rows.into_iter().enumerate() {
+    /// compare of the two distance rows of every `(s, neighbor)` of the
+    /// row-major matrix `dist` (unreachable pairs wrap to 0 ≠ 255 and
+    /// never match), one stripe over every destination.
+    fn fill_bytes(g: &Csr, dist: &[u8], seed: u64) -> Vec<u8> {
+        let n = g.vertex_count();
+        let mut next = vec![STAY; n * n];
+        let mut rngs: Vec<StdRng> = (0..n).map(|d| dest_rng(seed, d)).collect();
+        let mut seen = vec![0u32; n];
+        for (s, out) in next.chunks_mut(n.max(1)).enumerate() {
             seen.fill(0);
-            let from_s = &dist.row(s as u32)[window.clone()];
+            let from_s = &dist[s * n..][..n];
             for (wi, &w) in g.neighbors(s as u32).iter().enumerate() {
-                let from_w = &dist.row(w)[window.clone()];
+                let from_w = &dist[w as usize * n..][..n];
                 for (i, (&dw, &ds)) in from_w.iter().zip(from_s).enumerate() {
                     if dw.wrapping_add(1) == ds {
                         seen[i] += 1;
@@ -270,30 +336,61 @@ mod tests {
                 }
             }
         }
+        next
     }
 
-    /// Whole `next` array of [`RouteTables::build`] against the oracle run
-    /// as a single stripe over all destinations (the table does not depend
-    /// on how the columns are striped).
-    fn assert_fill_matches_oracle(g: &Csr, seed: u64, what: &str) {
+    /// Every output of [`RouteTables::build`] against an oracle: `next`
+    /// against the byte-compare fill, `dist` and `reachable` against the
+    /// scalar BFS, `max_finite_dist` against the distance histogram.
+    fn assert_matches_oracles(g: &Csr, seed: u64, what: &str) {
         let n = g.vertex_count();
         let t = RouteTables::build(g, seed);
-        let mut want = vec![STAY; n * n];
-        fill_stripe_bytes(g, &t.dist, seed, 0, want.chunks_mut(n).collect());
+        let dist = scalar_distances(g);
         assert!(
-            t.next == want,
+            t.next == fill_bytes(g, &dist, seed),
             "{what}, seed {seed}: next-hop table differs"
         );
+        for s in 0..n as u32 {
+            for d in 0..n as u32 {
+                let want = dist[s as usize * n + d as usize];
+                assert_eq!(t.dist(s, d), u32::from(want), "{what}: dist({s}, {d})");
+                assert_eq!(
+                    t.reachable(s, d),
+                    want != bfs::UNREACHABLE,
+                    "{what}: reachable({s}, {d})"
+                );
+            }
+        }
+        assert_eq!(
+            t.max_finite_dist(),
+            DistanceHistogram::build(g).diameter_reachable(),
+            "{what}: max_finite_dist"
+        );
+    }
+
+    #[test]
+    fn build_matches_oracles_on_random_graphs() {
+        // Sizes straddle the 64-destination stripe; edge budgets run from
+        // shattered (many components, isolated vertices) to dense.
+        for (i, &n) in [0usize, 1, 2, 63, 64, 65, 130, 200].iter().enumerate() {
+            for (j, m) in [0, n / 2, n, 3 * n].into_iter().enumerate() {
+                for isolated in [0, n / 5] {
+                    let seed = (i * 16 + j * 2) as u64 + u64::from(isolated > 0);
+                    let g = random_graph(n, m, isolated, seed);
+                    assert_matches_oracles(&g, seed, &format!("n={n} m={m} iso={isolated}"));
+                }
+            }
+        }
     }
 
     #[test]
     fn residue_fill_equals_byte_compare_fill() {
         // Rings: diameter ≫ 2, so distances run through every residue many
-        // times over and (on the even ring) antipodal pairs tie; 300 spans
-        // two stripes.
+        // times over and (on the even rings) antipodal pairs tie; 300 spans
+        // five stripes.
         for n in [9usize, 64, 101, 300] {
             for seed in [1u64, 42] {
-                assert_fill_matches_oracle(&ring(n), seed, &format!("ring({n})"));
+                assert_matches_oracles(&ring(n), seed, &format!("ring({n})"));
             }
         }
         // Two components: unreachable pairs stay STAY.
@@ -304,19 +401,19 @@ mod tests {
         for i in 12..19u32 {
             b.add_edge(i, i + 1);
         }
-        assert_fill_matches_oracle(&b.build(), 5, "ring(12) + path(8)");
+        assert_matches_oracles(&b.build(), 5, "ring(12) + path(8)");
         // ER_7 with 30 % of its links failed: irregular degrees, ties.
         let pf = PolarFly::new(7).unwrap();
         let residual = FailureSet::sample(pf.graph(), 0.30, 3).residual(pf.graph());
         for seed in [1u64, 7] {
-            assert_fill_matches_oracle(&residual, seed, "ER_7 -30%");
+            assert_matches_oracles(&residual, seed, "ER_7 -30%");
         }
         // The widest star the byte-wide table admits.
         let mut b = GraphBuilder::new(MAX_DEGREE + 1);
         for leaf in 1..=MAX_DEGREE as u32 {
             b.add_edge(0, leaf);
         }
-        assert_fill_matches_oracle(&b.build(), 1, "star");
+        assert_matches_oracles(&b.build(), 1, "star");
     }
 
     #[test]
@@ -324,6 +421,7 @@ mod tests {
         let g = ring(9);
         let t = RouteTables::build(&g, 1);
         for s in 0..9u32 {
+            let from_s = bfs::bfs_distances(&g, s);
             for d in 0..9u32 {
                 if s == d {
                     assert_eq!(t.next_hop(s, d), s);
@@ -331,9 +429,36 @@ mod tests {
                 }
                 let nh = t.next_hop(s, d);
                 assert!(g.has_edge(s, nh));
-                assert_eq!(t.dist(nh, d), t.dist(s, d) - 1);
+                assert_eq!(
+                    bfs::bfs_distances(&g, nh)[d as usize],
+                    from_s[d as usize] - 1
+                );
             }
         }
+    }
+
+    #[test]
+    fn dist_within_stops_at_its_limit() {
+        let t = RouteTables::build(&ring(9), 1);
+        // dist(0, 4) = 4 on the 9-ring.
+        assert_eq!(t.dist_within(0, 4, 4), Some(4));
+        assert_eq!(t.dist_within(0, 4, 3), None);
+        assert_eq!(t.dist_within(0, 4, 9), Some(4));
+        assert_eq!(t.dist_within(3, 3, 0), Some(0));
+    }
+
+    /// The next-hop bytes and the graph copy are all the tables hold: on
+    /// ER_31, n² = 986 049 bytes plus the CSR's 994 offsets, 31 744
+    /// adjacency entries and 15 872 edges.
+    #[test]
+    fn tables_hold_n_squared_bytes_plus_the_graph() {
+        let pf = PolarFly::new(31).unwrap();
+        let t = RouteTables::build(pf.graph(), 1);
+        let (n, e) = (993usize, 15_872usize);
+        assert_eq!(pf.graph().edge_count(), e);
+        let csr = 4 * (n + 1) + 4 * 2 * e + 8 * e;
+        assert_eq!(t.resident_bytes(), n * n + csr);
+        assert_eq!(t.resident_bytes(), 1_243_977);
     }
 
     #[test]

@@ -7,13 +7,63 @@ mod common;
 use pf_sim::engine::{simulate, Engine, SimConfig};
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
-use pf_sim::Routing;
+use pf_sim::{Routing, WorkloadDriver};
 use pf_topo::{PolarFlyTopo, Topology};
+use pf_workload::{JobAssignment, WorkloadBuilder};
 
 fn setup(q: u64, p: usize) -> (PolarFlyTopo, RouteTables) {
     let topo = PolarFlyTopo::new(q, p).unwrap();
     let tables = RouteTables::build(topo.graph(), 7);
     (topo, tables)
+}
+
+/// The single-packet latency law (DESIGN.md, "Single-packet latency
+/// law"): an uncontended packet over `hops` hops is delivered
+/// `hops·(link_latency + pipeline_delay) + packet_flits` cycles after
+/// its birth, both ends counted — `3h + 4` at the defaults.
+fn latency_law(cfg: &SimConfig, hops: f64) -> f64 {
+    hops * f64::from(cfg.link_latency + cfg.pipeline_delay) + f64::from(cfg.packet_flits)
+}
+
+/// The law holds exactly for every ordered pair of PF q = 7, one packet
+/// in flight per run (a one-message DAG), at the defaults and at a
+/// non-default link/pipeline/packet configuration. The hop count comes
+/// from adjacency: 1 for orthogonal points, 2 otherwise.
+#[test]
+fn single_packet_latency_law_is_exact_for_every_pair() {
+    let (topo, tables) = setup(7, 4);
+    let g = topo.graph();
+    let dests = resolve(TrafficPattern::Uniform, g, &topo.host_routers(), 3);
+    let n = topo.router_count() as u32;
+    let other = SimConfig::default()
+        .link_latency(2)
+        .pipeline_delay(3)
+        .packet_flits(2);
+    for cfg in [SimConfig::default(), other] {
+        let mut pairs = 0;
+        for s in 0..n {
+            for d in (0..n).filter(|&d| d != s) {
+                let mut b = WorkloadBuilder::new("one packet", 2);
+                let send = b.task(0, 0, 0);
+                let msg = b.send(send, 1, u32::from(cfg.packet_flits));
+                let recv = b.task(1, 0, 1);
+                b.recv(recv, msg);
+                let job = JobAssignment {
+                    workload: b.build(),
+                    hosts: vec![s, d],
+                };
+                let driver = WorkloadDriver::new(&topo, vec![job], cfg.packet_flits).unwrap();
+                let mut e = Engine::new(&topo, &tables, &dests, Routing::Min, 0.0, cfg.clone());
+                e.attach_workload(driver);
+                let r = e.run_workload();
+                let hops = if g.has_edge(s, d) { 1.0 } else { 2.0 };
+                assert_eq!((r.delivered, r.avg_hops), (1, hops), "{s}->{d}");
+                assert_eq!(r.avg_latency, latency_law(&cfg, hops), "{s}->{d}");
+                pairs += 1;
+            }
+        }
+        assert_eq!(pairs, 3192);
+    }
 }
 
 #[test]
@@ -29,14 +79,16 @@ fn zero_load_latency_matches_pipeline_model() {
         .warmup(200)
         .measure(800)
         .drain_max(1000);
-    let r = simulate(&topo, &tables, &dests, Routing::Min, 0.02, cfg);
+    let r = simulate(&topo, &tables, &dests, Routing::Min, 0.02, cfg.clone());
     assert!(!r.saturated);
     assert_eq!(r.delivered, r.generated);
-    // Expected: hops·(link+pipeline) + serialization (3 flits) + eject,
-    // with avg hops ≈ 1.9: roughly 9–12 cycles at near-zero load.
+    // The law is linear in the hop count, so over the delivered packets
+    // it predicts exactly `law(avg_hops)` without contention; contention
+    // only adds cycles, and at load 0.02 less than one on average.
+    let law = latency_law(&cfg, r.avg_hops);
     assert!(
-        r.avg_latency > 4.0 && r.avg_latency < 20.0,
-        "latency {}",
+        r.avg_latency >= law - 1e-9 && r.avg_latency <= law + 1.0,
+        "latency {} vs law {law}",
         r.avg_latency
     );
     // ER_q has diameter 2: a uniform packet takes 1 hop to a neighbor of

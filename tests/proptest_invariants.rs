@@ -229,16 +229,24 @@ fn random_schedule(g: &Csr, links: usize, routers: usize, seed: u64) -> (FaultSc
 
 #[test]
 fn routing_table_distance_consistency_random_topologies() {
-    // Next-hop tables strictly decrease distance on arbitrary graphs.
+    // Next-hop tables strictly decrease distance on arbitrary graphs, and
+    // the walked table distance is the BFS distance. (The table's own
+    // `dist` walks next hops, so `dist(nh, d) == dist(s, d) − 1` holds by
+    // construction; the scalar BFS is the independent measure.)
     for seed in 0..5u64 {
         let g = pf_graph::random_regular::random_regular(60, 5, seed);
         let t = RouteTables::build(&g, seed);
+        let dist: Vec<Vec<u8>> = (0..60u32)
+            .map(|s| pf_graph::bfs::bfs_distances(&g, s))
+            .collect();
         for s in 0..60u32 {
             for d in 0..60u32 {
+                let want = dist[s as usize][d as usize];
+                assert_eq!(t.dist(s, d), u32::from(want));
                 if s != d {
                     let nh = t.next_hop(s, d);
                     assert!(g.has_edge(s, nh));
-                    assert_eq!(t.dist(nh, d), t.dist(s, d) - 1);
+                    assert_eq!(dist[nh as usize][d as usize], want - 1);
                 }
             }
         }
