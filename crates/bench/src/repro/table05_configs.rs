@@ -2,7 +2,7 @@
 
 use crate::Args;
 use pf_bench::comparison_topologies;
-use pf_graph::bfs;
+use pf_graph::DistanceHistogram;
 
 pub fn run(args: &Args) -> Result<(), String> {
     println!(
@@ -15,18 +15,17 @@ pub fn run(args: &Args) -> Result<(), String> {
     );
     for t in comparison_topologies(args.full) {
         let g = t.graph();
-        let dm = pf_graph::DistanceMatrix::build(g);
-        let _ = bfs::diameter(g);
+        let hist = DistanceHistogram::build(g);
         println!(
             "{:<18} {:>9} {:>12} {:>10} {:>10} {:>9.3}",
             t.name(),
             t.router_count(),
             g.max_degree(),
             t.total_endpoints(),
-            dm.diameter()
+            hist.diameter()
                 .map(|d| d.to_string())
                 .unwrap_or_else(|| "inf".into()),
-            dm.average_shortest_path()
+            hist.average_shortest_path()
         );
     }
     Ok(())

@@ -121,18 +121,24 @@ fn batches(n: usize) -> impl Iterator<Item = (usize, usize)> {
 
 /// The kernel's scatter sink: writes the distance rows of the sources
 /// `first .. first + lanes` into `rows` (`lanes × n`, row-major, pre-filled
-/// with [`UNREACHABLE`]) — one store per set bit.
-fn scatter_batch(g: &Csr, first: usize, lanes: usize, rows: &mut [u8]) {
+/// with [`UNREACHABLE`]) — one store per set bit — and returns how many
+/// it stored at each level.
+fn scatter_batch(g: &Csr, first: usize, lanes: usize, rows: &mut [u8]) -> Vec<u64> {
     let n = g.vertex_count();
+    let mut counts = Vec::new();
     for_each_level(g, first, lanes, |level, words| {
+        let mut stored = 0u64;
         for (v, &word) in words.iter().enumerate() {
+            stored += u64::from(word.count_ones());
             let mut bits = word;
             while bits != 0 {
                 rows[bits.trailing_zeros() as usize * n + v] = level;
                 bits &= bits - 1;
             }
         }
+        counts.push(stored);
     });
+    counts
 }
 
 /// Streams the all-pairs distances 64 source rows at a time, in ascending
@@ -164,7 +170,7 @@ impl DistanceHistogram {
     /// exceed [`MAX_DISTANCE`].
     pub fn build(g: &Csr) -> DistanceHistogram {
         let n = g.vertex_count();
-        let per_batch: Vec<Vec<u64>> = batches(n)
+        let per_batch = batches(n)
             .into_par_iter()
             .map(|(first, lanes)| {
                 let mut counts = Vec::new();
@@ -174,6 +180,12 @@ impl DistanceHistogram {
                 counts
             })
             .collect();
+        DistanceHistogram::from_batches(n, per_batch)
+    }
+
+    /// Sums per-batch level counts (`per_batch[b][d]` = pairs at distance
+    /// `d` from batch `b`'s sources, level 0 included) into the histogram.
+    fn from_batches(n: usize, per_batch: Vec<Vec<u64>>) -> DistanceHistogram {
         let mut counts = Vec::new();
         for batch in per_batch {
             if counts.len() < batch.len() {
@@ -195,8 +207,7 @@ impl DistanceHistogram {
     }
 
     /// `counts()[d]` = ordered pairs `u ≠ v` at distance `d` (entry 0 is
-    /// 0, the last entry is non-zero, unreachable pairs are not counted) —
-    /// the same contract as [`DistanceMatrix::distance_histogram`].
+    /// 0, the last entry is non-zero, unreachable pairs are not counted).
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
@@ -231,25 +242,31 @@ impl DistanceHistogram {
     }
 }
 
-/// Dense all-pairs distance matrix.
+/// Dense all-pairs distance matrix, with the histogram of its entries.
 #[derive(Clone)]
 pub struct DistanceMatrix {
     n: usize,
     dist: Vec<u8>,
+    hist: DistanceHistogram,
 }
 
 impl DistanceMatrix {
     /// All-pairs distances from the word-parallel kernel, parallel over
     /// batches of 64 sources (each batch owns its 64 rows of the matrix).
-    /// Panics if a finite distance would exceed [`MAX_DISTANCE`].
+    /// The histogram is counted as the rows are scattered, so no summary
+    /// rescans the n² entries. Panics if a finite distance would exceed
+    /// [`MAX_DISTANCE`].
     pub fn build(g: &Csr) -> DistanceMatrix {
         let n = g.vertex_count();
         let mut dist = vec![UNREACHABLE; n * n];
-        dist.chunks_mut((LANES * n).max(1))
+        let per_batch = dist
+            .chunks_mut((LANES * n).max(1))
             .zip(batches(n))
             .into_par_iter()
-            .for_each(|(rows, (first, lanes))| scatter_batch(g, first, lanes, rows));
-        DistanceMatrix { n, dist }
+            .map(|(rows, (first, lanes))| scatter_batch(g, first, lanes, rows))
+            .collect();
+        let hist = DistanceHistogram::from_batches(n, per_batch);
+        DistanceMatrix { n, dist, hist }
     }
 
     /// Number of vertices.
@@ -270,78 +287,22 @@ impl DistanceMatrix {
         &self.dist[u as usize * self.n..(u as usize + 1) * self.n]
     }
 
-    /// `true` iff every pair is reachable.
-    pub fn connected(&self) -> bool {
-        self.dist.iter().all(|&d| d != UNREACHABLE)
+    /// The histogram of the matrix's entries, counted by the scatter
+    /// sink — the value [`DistanceHistogram::build`] counts without the
+    /// matrix. Connectivity and the reachable-pair diameter live there.
+    #[inline]
+    pub fn histogram(&self) -> &DistanceHistogram {
+        &self.hist
     }
 
     /// Graph diameter, or `None` if disconnected.
     pub fn diameter(&self) -> Option<u32> {
-        let mut max = 0u8;
-        for &d in &self.dist {
-            if d == UNREACHABLE {
-                return None;
-            }
-            max = max.max(d);
-        }
-        Some(u32::from(max))
-    }
-
-    /// Diameter over reachable pairs only (the "observed" diameter reported
-    /// for partially failed networks before disconnection is detected).
-    pub fn diameter_reachable(&self) -> u32 {
-        self.dist
-            .iter()
-            .copied()
-            .filter(|&d| d != UNREACHABLE)
-            .max()
-            .map_or(0, u32::from)
+        self.histogram().diameter()
     }
 
     /// Average shortest path length over ordered reachable pairs `u ≠ v`.
     pub fn average_shortest_path(&self) -> f64 {
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for u in 0..self.n {
-            for v in 0..self.n {
-                if u == v {
-                    continue;
-                }
-                let d = self.dist[u * self.n + v];
-                if d != UNREACHABLE {
-                    sum += u64::from(d);
-                    count += 1;
-                }
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum as f64 / count as f64
-        }
-    }
-
-    /// Histogram of distances over ordered pairs `u ≠ v`; index = distance.
-    /// Unreachable pairs are not counted.
-    pub fn distance_histogram(&self) -> Vec<u64> {
-        let mut hist = Vec::new();
-        for u in 0..self.n {
-            for v in 0..self.n {
-                if u == v {
-                    continue;
-                }
-                let d = self.dist[u * self.n + v];
-                if d == UNREACHABLE {
-                    continue;
-                }
-                let d = d as usize;
-                if hist.len() <= d {
-                    hist.resize(d + 1, 0);
-                }
-                hist[d] += 1;
-            }
-        }
-        hist
+        self.histogram().average_shortest_path()
     }
 }
 
@@ -384,7 +345,7 @@ mod tests {
         assert_eq!(m.diameter(), Some(3));
         // ordered pairs: distances 1,2,3,1,1,2,2,1,1,3,2,1 → sum 20 / 12
         assert!((m.average_shortest_path() - 20.0 / 12.0).abs() < 1e-12);
-        assert_eq!(m.distance_histogram(), vec![0, 6, 4, 2]);
+        assert_eq!(m.histogram().counts(), [0, 6, 4, 2]);
     }
 
     #[test]
@@ -395,8 +356,8 @@ mod tests {
         let g = b.build();
         let m = DistanceMatrix::build(&g);
         assert_eq!(m.diameter(), None);
-        assert!(!m.connected());
-        assert_eq!(m.diameter_reachable(), 1);
+        assert!(!m.histogram().connected());
+        assert_eq!(m.histogram().diameter_reachable(), 1);
         assert_eq!(m.get(0, 2), UNREACHABLE);
     }
 
@@ -428,10 +389,10 @@ mod tests {
     fn histogram_sums_to_ordered_pairs() {
         let g = path(5);
         let m = DistanceMatrix::build(&g);
-        let hist = m.distance_histogram();
-        let total: u64 = hist.iter().sum();
+        let hist = m.histogram();
+        let total: u64 = hist.counts().iter().sum();
         assert_eq!(total, 5 * 4); // all ordered pairs reachable
-        assert_eq!(hist[0], 0);
+        assert_eq!(hist.counts()[0], 0);
     }
 
     /// `n` vertices, `m` seeded random edge draws (duplicates collapse),
@@ -463,16 +424,18 @@ mod tests {
             streamed.extend_from_slice(rows);
         });
         assert_eq!(streamed, m.dist, "{label}");
-        let h = DistanceHistogram::build(g);
-        assert_eq!(h.counts(), m.distance_histogram(), "{label}");
-        assert_eq!(h.connected(), m.connected(), "{label}");
-        assert_eq!(h.diameter(), m.diameter(), "{label}");
-        assert_eq!(h.diameter_reachable(), m.diameter_reachable(), "{label}");
-        assert_eq!(
-            h.average_shortest_path().to_bits(),
-            m.average_shortest_path().to_bits(),
-            "{label}"
-        );
+        // The scatter kernel's histogram against the popcount kernel's,
+        // and against the matrix entries it counted.
+        assert_eq!(m.histogram(), &DistanceHistogram::build(g), "{label}");
+        let mut entries = vec![0u64; usize::from(UNREACHABLE)];
+        for (i, &d) in m.dist.iter().enumerate() {
+            if d != UNREACHABLE && i % (n + 1) != 0 {
+                entries[usize::from(d)] += 1;
+            }
+        }
+        let counts = m.histogram().counts();
+        assert_eq!(&entries[..counts.len()], counts, "{label}");
+        assert!(entries[counts.len()..].iter().all(|&c| c == 0), "{label}");
     }
 
     #[test]
@@ -518,7 +481,7 @@ mod tests {
         for n in [0, 1, 70] {
             let g = GraphBuilder::new(n).build();
             assert!(DistanceHistogram::build(&g).counts().is_empty(), "n={n}");
-            assert!(DistanceMatrix::build(&g).distance_histogram().is_empty());
+            assert!(DistanceMatrix::build(&g).histogram().counts().is_empty());
         }
     }
 

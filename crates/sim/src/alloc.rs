@@ -417,15 +417,20 @@ impl Engine<'_> {
     }
 
     /// Accept: whether `req`'s requester can take a grant this pass — a
-    /// transit head's input port has accepted none yet (epoch `taken`),
-    /// a lane's router has injection bandwidth left — claiming it if so.
+    /// transit head's input port has not sent this cycle, a lane's
+    /// router has injection bandwidth left — claiming it if so.
+    ///
+    /// `port_used` is the whole input-side test: every transit request
+    /// of a pass was built from a port whose bit was clear (the first
+    /// scan and the replay both filter on it), and within the pass only
+    /// the port's own accepted grant sets it.
     #[inline]
-    fn accept(&mut self, req: &Req, taken: u64) -> bool {
+    fn accept(&mut self, req: &Req) -> bool {
         match req.src {
             ReqSrc::Transit { port, .. } => {
-                let tag = &mut self.input_grant[port as usize];
-                let free = *tag != taken;
-                *tag = taken;
+                let used = &mut self.port_used[port as usize];
+                let free = !*used;
+                *used = true;
                 free
             }
             ReqSrc::Inject { router, .. } => {
@@ -444,11 +449,6 @@ impl Engine<'_> {
     pub(crate) fn grant_and_accept(&mut self, cycle: u32) {
         // Group this pass's requests per output in the flat arena.
         self.finalize_requests();
-        // New grant epoch: an input port has accepted this pass iff its
-        // tag equals `grant_serial` (epoch tags instead of a per-pass
-        // memset of `input_grant`).
-        self.grant_serial += 1;
-        let taken = self.grant_serial;
         // Grant phase: winner per output. Outputs processed in rotated
         // order; inputs accept first-come, so rotation doubles as the
         // accept tie-break.
@@ -478,7 +478,7 @@ impl Engine<'_> {
             let mut chosen = None;
             'passes: for want_body in [true, false] {
                 for req in first.iter().chain(wrapped) {
-                    if (req.seq > 0) == want_body && self.accept(req, taken) {
+                    if (req.seq > 0) == want_body && self.accept(req) {
                         chosen = Some(*req);
                         break 'passes;
                     }
@@ -528,15 +528,11 @@ impl Engine<'_> {
                     let in_vc = q - in_port * self.vcs;
                     self.bufs.pop_front(in_port, in_vc);
                     let r = self.port_owner[in_port] as usize;
-                    if self.skip.on_drain(r, 1) {
-                        self.skip
-                            .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
-                    }
+                    self.maybe_sleep(r);
                     // The freed slot's credit goes back to the upstream
                     // sender's counter.
                     let sender = self.credit_of(port, in_vc);
                     self.credits[sender] += 1;
-                    self.port_used[in_port] = true;
                     if tail {
                         // Tail flit: release the wormhole output VC.
                         debug_assert_eq!(
@@ -586,8 +582,7 @@ impl Engine<'_> {
     /// left it with nothing to do.
     fn retire_lanes(&mut self, r: usize) {
         self.inj.sweep_finished(r, self.cfg.packet_flits);
-        self.skip
-            .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
+        self.maybe_sleep(r);
     }
 }
 

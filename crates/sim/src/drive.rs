@@ -167,8 +167,6 @@ pub struct WorkloadDriver {
     /// (the packet keeps its id) and are cleared at delivery.
     pkt_map: Vec<(u32, u32)>,
     packet_flits: u32,
-    packets_released: u64,
-    packets_delivered: u64,
 }
 
 impl WorkloadDriver {
@@ -259,8 +257,6 @@ impl WorkloadDriver {
             jobs: states,
             pkt_map: Vec::new(),
             packet_flits: u32::from(packet_flits),
-            packets_released: 0,
-            packets_delivered: 0,
         })
     }
 
@@ -313,7 +309,6 @@ impl WorkloadDriver {
                 job.check_complete(cycle);
             }
         }
-        self.packets_released += out.iter().map(|r| u64::from(r.packets)).sum::<u64>();
         out
     }
 
@@ -339,7 +334,6 @@ impl WorkloadDriver {
         if (ji, msg) == UNOWNED {
             return;
         }
-        self.packets_delivered += 1;
         let job = &mut self.jobs[ji as usize];
         let left = &mut job.msg_pkts_left[msg as usize];
         debug_assert!(
@@ -405,16 +399,6 @@ impl WorkloadDriver {
                     .map(|s| u64::from(s.flits))
             })
             .sum()
-    }
-
-    /// Packets admitted into source queues so far.
-    pub fn packets_released(&self) -> u64 {
-        self.packets_released
-    }
-
-    /// Packets whose tail flit ejected so far.
-    pub fn packets_delivered(&self) -> u64 {
-        self.packets_delivered
     }
 
     /// Per-job results (makespan, algorithmic bandwidth, phase

@@ -245,13 +245,6 @@ pub struct Engine<'a> {
     /// Routers a lane of which sent its tail in the current grant pass:
     /// where finished lanes are retired after it.
     pub(crate) lanes_done: Vec<u32>,
-    /// Per-pass grant epoch per input port: a port is taken this pass iff
-    /// `input_grant[p] == grant_serial` (epoch tags avoid a full memset
-    /// per allocator pass).
-    pub(crate) input_grant: Vec<u64>,
-    /// Current grant epoch (incremented at the top of every
-    /// `grant_and_accept` pass; starts at 0 = "no pass yet").
-    pub(crate) grant_serial: u64,
     /// Remaining injection bandwidth (flits) per router this cycle.
     pub(crate) inj_budget: Vec<u32>,
     /// Router owning each input port (inverse of [`PortMap::ports`]).
@@ -335,18 +328,13 @@ impl<'a> Engine<'a> {
             link_up[port_vu as usize] = false;
         }
         let degraded = !initial.is_empty();
-        let mut faults = match topo.fault_schedule() {
+        let faults = match topo.fault_schedule() {
             Some(schedule) if !schedule.is_static(g) => {
                 FaultCtl::from_schedule(schedule, g, &geom, n, num_ports, &cfg)
             }
             _ => FaultCtl::default(),
         };
         let transient = faults.active();
-        if transient {
-            // Links down at cycle 0 must stay out of every mid-run table
-            // rebuild's residual.
-            faults.down_edges.extend_from_slice(initial.edges());
-        }
 
         let diameter = tables.max_finite_dist();
         let need = routing.max_hops(diameter);
@@ -476,8 +464,6 @@ impl<'a> Engine<'a> {
             pass2_cand: Vec::new(),
             lane_stalled: Vec::new(),
             lanes_done: Vec::new(),
-            input_grant: vec![0; num_ports],
-            grant_serial: 0,
             inj_budget: vec![0; n],
             port_owner,
             inj_wait: vec![0; num_ports],
@@ -1018,7 +1004,6 @@ impl<'a> Engine<'a> {
     ///
     /// * the flit store's port bitsets, VC masks and terminating-flit
     ///   counts match what its queues hold ([`FlitRings::validate`]);
-    /// * per-router buffered-flit counts match the flit rings;
     /// * a non-awake router has no queued packet and no injection
     ///   stream;
     /// * an asleep router holds no buffered flit at all;
@@ -1051,11 +1036,6 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            assert_eq!(
-                self.skip.buffered(r),
-                buffered,
-                "router {r}: buffered-flit count drift"
-            );
             if !self.skip.is_awake(r) {
                 assert!(
                     self.src_q.is_empty(r),

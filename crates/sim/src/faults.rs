@@ -20,10 +20,12 @@
 //!   per port so the down-link invariant still holds).
 //! * **Staged re-convergence.** A fault event triggers a table rebuild
 //!   on the current residual (the Rayon-parallel all-pairs BFS of
-//!   [`RouteTables::build`]), but the *old* tables keep serving routing
-//!   and UGAL distance queries until the rebuild swaps in atomically at
-//!   `convergence_delay` cycles after the burst's first event — the
-//!   distribution latency of a real control plane. In the stale window,
+//!   [`RouteTables::build`]; the residual is read off the `link_up`
+//!   masks, the one record of which links are down), but the *old*
+//!   tables keep serving routing and UGAL distance queries until the
+//!   rebuild swaps in atomically at `convergence_delay` cycles after the
+//!   burst's first event — the distribution latency of a real control
+//!   plane. In the stale window,
 //!   a packet whose stale next hop is dead is *fast-rerouted*: it pins
 //!   onto the pending (re-converged) tables for the rest of its path —
 //!   modelling precomputed link-failure backup routes — which keeps
@@ -75,19 +77,9 @@ pub(crate) fn link_ports(g: &Csr, geom: &PortMap, u: u32, v: u32) -> (u32, u32) 
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EngineEventKind {
     /// Link `{u, v}` dies; both directed ports go down.
-    LinkDown {
-        u: u32,
-        v: u32,
-        port_uv: u32,
-        port_vu: u32,
-    },
+    LinkDown { port_uv: u32, port_vu: u32 },
     /// Link `{u, v}` repairs.
-    LinkUp {
-        u: u32,
-        v: u32,
-        port_uv: u32,
-        port_vu: u32,
-    },
+    LinkUp { port_uv: u32, port_vu: u32 },
     /// Router `r` dies (its links carry their own events).
     RouterDown(u32),
     /// Router `r` repairs.
@@ -110,9 +102,6 @@ pub(crate) struct FaultCtl {
     /// dead link under the drain policy (sized `num_ports` on transient
     /// runs).
     pub(crate) draining: Vec<u32>,
-    /// Links currently down, canonical `(u < v)` — the residual the next
-    /// table rebuild uses.
-    pub(crate) down_edges: Vec<(u32, u32)>,
     /// Cycle at which the pending table rebuild swaps in. Set by the
     /// *first* event of a burst and not postponed by later ones: a
     /// rolling burst must not starve convergence.
@@ -153,21 +142,11 @@ impl FaultCtl {
                 kind: match e.kind {
                     FaultEventKind::LinkDown(u, v) => {
                         let (port_uv, port_vu) = link_ports(g, geom, u, v);
-                        EngineEventKind::LinkDown {
-                            u,
-                            v,
-                            port_uv,
-                            port_vu,
-                        }
+                        EngineEventKind::LinkDown { port_uv, port_vu }
                     }
                     FaultEventKind::LinkUp(u, v) => {
                         let (port_uv, port_vu) = link_ports(g, geom, u, v);
-                        EngineEventKind::LinkUp {
-                            u,
-                            v,
-                            port_uv,
-                            port_vu,
-                        }
+                        EngineEventKind::LinkUp { port_uv, port_vu }
                     }
                     FaultEventKind::RouterDown(r) => EngineEventKind::RouterDown(r),
                     FaultEventKind::RouterUp(r) => EngineEventKind::RouterUp(r),
@@ -217,19 +196,11 @@ impl Engine<'_> {
             let ev = self.faults.events[self.faults.next_event];
             self.faults.next_event += 1;
             applied |= match ev.kind {
-                EngineEventKind::LinkDown {
-                    u,
-                    v,
-                    port_uv,
-                    port_vu,
-                } => self.fault_link_down(u, v, port_uv, port_vu),
-                EngineEventKind::LinkUp {
-                    u,
-                    v,
-                    port_uv,
-                    port_vu,
-                } => {
-                    self.fault_link_up(u, v, port_uv, port_vu);
+                EngineEventKind::LinkDown { port_uv, port_vu } => {
+                    self.fault_link_down(port_uv, port_vu)
+                }
+                EngineEventKind::LinkUp { port_uv, port_vu } => {
+                    self.fault_link_up(port_uv, port_vu);
                     true
                 }
                 EngineEventKind::RouterDown(r) => {
@@ -259,13 +230,21 @@ impl Engine<'_> {
     }
 
     /// Rebuilds `pending_tables` on the current residual (the same
-    /// Rayon-parallel all-pairs BFS a run starts with).
+    /// Rayon-parallel all-pairs BFS a run starts with). The residual is
+    /// read off `link_up`: a link is down iff its directed ports are.
     fn build_pending_tables(&mut self) {
-        let new = if self.faults.down_edges.is_empty() {
-            RouteTables::build(self.graph, self.cfg.seed)
+        let new = if self.degraded {
+            let mut down = Vec::new();
+            for u in 0..self.n as u32 {
+                for (i, &v) in self.graph.neighbors(u).iter().enumerate() {
+                    if u < v && !self.link_up[self.geom.tx(u, i) as usize] {
+                        down.push((u, v));
+                    }
+                }
+            }
+            RouteTables::build(&self.graph.without_edges(&down), self.cfg.seed)
         } else {
-            let residual = self.graph.without_edges(&self.faults.down_edges);
-            RouteTables::build(&residual, self.cfg.seed)
+            RouteTables::build(self.graph, self.cfg.seed)
         };
         // Re-converged minimal paths ride the residual diameter: re-check
         // the hop-indexed VC budget the constructor checked for the
@@ -316,15 +295,11 @@ impl Engine<'_> {
     /// windows of a schedule were already masked at construction (and
     /// baked into the caller-built tables), so they must not trigger a
     /// pointless rebuild-and-swap.
-    fn fault_link_down(&mut self, u: u32, v: u32, port_uv: u32, port_vu: u32) -> bool {
+    fn fault_link_down(&mut self, port_uv: u32, port_vu: u32) -> bool {
         let already_down = !self.link_up[port_uv as usize];
         self.link_up[port_uv as usize] = false;
         self.link_up[port_vu as usize] = false;
         self.degraded = true;
-        let e = if u < v { (u, v) } else { (v, u) };
-        if !self.faults.down_edges.contains(&e) {
-            self.faults.down_edges.push(e);
-        }
         if already_down {
             return false;
         }
@@ -337,15 +312,13 @@ impl Engine<'_> {
         true
     }
 
-    fn fault_link_up(&mut self, u: u32, v: u32, port_uv: u32, port_vu: u32) {
+    fn fault_link_up(&mut self, port_uv: u32, port_vu: u32) {
         self.link_up[port_uv as usize] = true;
         self.link_up[port_vu as usize] = true;
         // Any claim still draining across the link is ordinary traffic now.
         self.faults.draining[port_uv as usize] = 0;
         self.faults.draining[port_vu as usize] = 0;
-        let e = if u < v { (u, v) } else { (v, u) };
-        self.faults.down_edges.retain(|&d| d != e);
-        self.degraded = !self.faults.down_edges.is_empty();
+        self.degraded = self.link_up.contains(&false);
     }
 
     fn fault_router_down(&mut self, r: u32) {
@@ -552,7 +525,6 @@ impl Engine<'_> {
             if removed > 0 {
                 let sender = self.credit_of(port as u32, vc);
                 self.credits[sender] += removed as u16;
-                self.skip.on_drain(self.port_owner[port] as usize, removed);
                 self.faults.dropped_flits += u64::from(removed);
             }
         }
@@ -594,8 +566,7 @@ impl Engine<'_> {
             // router; a doze whose flits were purged away is canceled
             // here too. Victims returning to a source queue in Pass B5
             // re-wake their sources explicitly.
-            self.skip
-                .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
+            self.maybe_sleep(r);
         }
 
         // Pass B5: return victims to their source queues (original birth

@@ -9,7 +9,8 @@
 //! `PortMap::peer`) on dequeue. Output-VC ownership (`out_owner`, same
 //! index, holding the owning packet or `NONE32`) implements wormhole
 //! switching: a packet holds its claimed (link, VC) from head allocation
-//! to tail traversal.
+//! to tail traversal. The pipeline's arrival lists are the one record
+//! of the flits on links; the in-flight count sums their lengths.
 
 use crate::router::NONE32;
 
@@ -33,7 +34,6 @@ pub struct Arrival {
 /// indexed by arrival cycle modulo (latency + 1).
 pub struct LinkPipeline {
     slots: Vec<Vec<Arrival>>,
-    in_flight: usize,
 }
 
 impl LinkPipeline {
@@ -41,7 +41,6 @@ impl LinkPipeline {
     pub fn new(link_latency: u32) -> LinkPipeline {
         LinkPipeline {
             slots: vec![Vec::new(); link_latency as usize + 1],
-            in_flight: 0,
         }
     }
 
@@ -55,7 +54,6 @@ impl LinkPipeline {
     pub fn depart(&mut self, arrive_cycle: u32, a: Arrival) {
         let s = self.slot_of(arrive_cycle);
         self.slots[s].push(a);
-        self.in_flight += 1;
     }
 
     /// Takes this cycle's arrivals. The returned buffer must be handed
@@ -63,9 +61,7 @@ impl LinkPipeline {
     #[inline]
     pub fn arrivals(&mut self, cycle: u32) -> Vec<Arrival> {
         let s = self.slot_of(cycle);
-        let v = std::mem::take(&mut self.slots[s]);
-        self.in_flight -= v.len();
-        v
+        std::mem::take(&mut self.slots[s])
     }
 
     /// Returns a drained arrival buffer for reuse.
@@ -78,10 +74,10 @@ impl LinkPipeline {
         }
     }
 
-    /// Flits currently on links.
+    /// Flits currently on links: O(link latency).
     #[inline]
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.slots.iter().map(Vec::len).sum()
     }
 
     /// All scheduled arrivals, in no particular order (fault-event scan).
@@ -104,7 +100,6 @@ impl LinkPipeline {
                 }
             });
         }
-        self.in_flight -= removed.len();
         removed
     }
 }

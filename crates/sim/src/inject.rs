@@ -196,10 +196,7 @@ impl Engine<'_> {
             }
             // Eject one flit from this port.
             self.bufs.pop_front(port as usize, vc);
-            if self.skip.on_drain(r, 1) {
-                self.skip
-                    .maybe_sleep(r, self.src_q.is_empty(r), self.inj.len(r));
-            }
+            self.maybe_sleep(r);
             // The freed slot's credit goes back to the upstream sender's
             // counter.
             let sender = self.credit_of(port, vc);

@@ -95,7 +95,7 @@ impl SourceQueues {
     /// Appends a packet id at router `r`.
     ///
     /// Skip contract: a non-empty source queue forces its router awake
-    /// (`crate::skip::SkipCtl` sleeps a router only when this queue is
+    /// (`Engine::maybe_sleep` sleeps a router only when this queue is
     /// empty), so every engine call site pairs a `push` with
     /// `SkipCtl::wake_now`.
     #[inline]

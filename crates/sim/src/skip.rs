@@ -32,12 +32,18 @@
 //!   any effect (and it draws no RNG), so the scan is skipped entirely
 //!   and counted in [`SkipCtl::skipped_router_cycles`].
 //!
+//! [`SkipCtl`] keeps no count of a router's work. The sleep test,
+//! [`Engine::maybe_sleep`], asks the three stores that own it: the flit
+//! store's "holds a flit" port bitset, the source queue and the
+//! injection pool.
+//!
 //! When *every* router is asleep or dozing and the link pipeline is
 //! empty, the engine additionally leaps whole cycles forward to the
 //! next interesting cycle (doze wake, open-loop arrival, workload
 //! compute timer, fault event, staged table swap) — see
 //! `Engine::maybe_leap`.
 
+use crate::engine::Engine;
 use crate::router::{BitSet, NONE32};
 
 /// Per-router activity tracking: the domain of every per-cycle router
@@ -51,8 +57,6 @@ pub(crate) struct SkipCtl {
     /// mid-cycle leave it in the list — scanning a just-slept router is
     /// a no-op.
     pub(crate) awake_list: Vec<u32>,
-    /// Buffered flits per router (ready or not; all ports, all VCs).
-    buffered: Vec<u32>,
     /// Doze target cycle (`NONE32` unless dozing).
     wake_at: Vec<u32>,
     /// Timing wheel: `wheel[c % wheel.len()]` holds the routers whose
@@ -74,7 +78,6 @@ impl SkipCtl {
         SkipCtl {
             awake: BitSet::new(n),
             awake_list: Vec::new(),
-            buffered: vec![0; n],
             wake_at: vec![NONE32; n],
             wheel: vec![Vec::new(); wheel_len],
             skipped_router_cycles: 0,
@@ -94,12 +97,6 @@ impl SkipCtl {
         self.awake.is_empty()
     }
 
-    /// Buffered-flit count of router `r` (invariant checks).
-    #[inline]
-    pub(crate) fn buffered(&self, r: usize) -> u32 {
-        self.buffered[r]
-    }
-
     /// Doze target of router `r` (`NONE32` unless dozing; invariant
     /// checks and the idle leap).
     #[inline]
@@ -116,8 +113,12 @@ impl SkipCtl {
         self.wake_at[r] = NONE32;
     }
 
+    /// Puts router `r` to sleep, canceling any pending doze. The engine
+    /// calls it only from `Engine::maybe_sleep`, once the flit store,
+    /// the source queue and the injection pool all report the router
+    /// empty.
     #[inline]
-    fn sleep(&mut self, r: usize) {
+    pub(crate) fn sleep(&mut self, r: usize) {
         self.awake.remove(r);
         self.wake_at[r] = NONE32;
     }
@@ -125,12 +126,11 @@ impl SkipCtl {
     /// Records a flit arrival into router `r`'s input buffers. A fully
     /// idle router starts a doze until the flit clears the router
     /// pipeline at `ready_at` (or wakes outright when it is already
-    /// clear); an awake or dozing router just counts the flit — doze
+    /// clear); an awake or dozing router is left as it is — doze
     /// targets never need moving *earlier* because `ready_at` is
     /// monotone in the arrival cycle.
     #[inline]
     pub(crate) fn on_arrival(&mut self, r: usize, ready_at: u32, cycle: u32) {
-        self.buffered[r] += 1;
         if !self.is_awake(r) && self.wake_at[r] == NONE32 {
             if ready_at <= cycle {
                 self.wake_now(r);
@@ -139,27 +139,6 @@ impl SkipCtl {
                 let w = ready_at as usize % self.wheel.len();
                 self.wheel[w].push(r as u32);
             }
-        }
-    }
-
-    /// Records `k` buffered flits leaving router `r` (ejection, switch
-    /// traversal, fault purge). Returns whether the router's buffers are
-    /// now empty — only then can [`SkipCtl::maybe_sleep`] possibly act,
-    /// so hot callers skip its source-queue/stream loads otherwise.
-    #[inline]
-    pub(crate) fn on_drain(&mut self, r: usize, k: u32) -> bool {
-        debug_assert!(self.buffered[r] >= k);
-        self.buffered[r] -= k;
-        self.buffered[r] == 0
-    }
-
-    /// Sleeps router `r` if nothing is left: no buffered flit, no
-    /// source-queue packet, no injection stream. Also cancels a doze
-    /// whose flits were purged away (fault events).
-    #[inline]
-    pub(crate) fn maybe_sleep(&mut self, r: usize, srcq_empty: bool, inj_len: u32) {
-        if self.buffered[r] == 0 && srcq_empty && inj_len == 0 {
-            self.sleep(r);
         }
     }
 
@@ -209,6 +188,24 @@ impl SkipCtl {
     #[inline]
     pub(crate) fn charge_leap(&mut self, n: usize, cycles: u32) {
         self.skipped_router_cycles += n as u64 * u64::from(cycles);
+    }
+}
+
+impl Engine<'_> {
+    /// Sleeps router `r` if nothing is left — no buffered flit, no
+    /// source-queue packet, no injection stream — canceling a doze whose
+    /// flits were purged away (fault events). Called wherever a router
+    /// can run out of work: a flit popped, ejected or purged, a lane
+    /// retired.
+    #[inline]
+    pub(crate) fn maybe_sleep(&mut self, r: usize) {
+        let (lo, hi) = self.geom.ports(r);
+        if self.bufs.next_port(false, lo, hi).is_none()
+            && self.src_q.is_empty(r)
+            && self.inj.len(r) == 0
+        {
+            self.skip.sleep(r);
+        }
     }
 }
 

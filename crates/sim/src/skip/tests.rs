@@ -45,23 +45,43 @@ fn wake_doze_sleep_lifecycle() {
     assert!(s.is_awake(5));
     assert_eq!(s.wake_at(5), NONE32);
 
-    // Draining both flits puts it back to sleep.
-    s.on_drain(5, 2);
-    s.maybe_sleep(5, true, 0);
+    // Once both flits drained, the engine puts it back to sleep.
+    s.sleep(5);
     assert!(!s.is_awake(5));
     assert!(s.none_awake());
 }
 
+/// `Engine::maybe_sleep` asks the three stores that own a router's
+/// work, and sleeps the router only when all three are empty for it.
 #[test]
 fn maybe_sleep_requires_all_three_empty() {
-    let mut s = SkipCtl::new(8, 2);
-    s.wake_now(3);
-    s.maybe_sleep(3, false, 0); // source queue still holds a packet
-    assert!(s.is_awake(3));
-    s.maybe_sleep(3, true, 1); // an injection stream is active
-    assert!(s.is_awake(3));
-    s.maybe_sleep(3, true, 0);
-    assert!(!s.is_awake(3));
+    let topo = PolarFlyTopo::new(3, 2).unwrap();
+    let (tables, dests) = resolve_run(&topo, TrafficPattern::Uniform, 1);
+    let mut e = Engine::new(
+        &topo,
+        &tables,
+        &dests,
+        Routing::Min,
+        0.0,
+        SimConfig::quick(),
+    );
+    let r = 3;
+    let port = e.geom.ports(r).0 as usize;
+    e.skip.wake_now(r);
+    e.bufs.push_back(port, 0, 0, 0, 0, false); // a buffered flit
+    e.maybe_sleep(r);
+    assert!(e.skip.is_awake(r));
+    e.bufs.pop_front(port, 0);
+    e.src_q.push(r, 0); // a queued packet
+    e.maybe_sleep(r);
+    assert!(e.skip.is_awake(r));
+    e.src_q.remove_front(r, &[0], 1);
+    e.inj.push(r, 0, 0, false); // an injection stream
+    e.maybe_sleep(r);
+    assert!(e.skip.is_awake(r));
+    e.inj.remove(r, 0);
+    e.maybe_sleep(r);
+    assert!(!e.skip.is_awake(r));
 }
 
 #[test]
@@ -69,9 +89,9 @@ fn canceled_doze_leaves_no_valid_wheel_entry() {
     let mut s = SkipCtl::new(8, 3);
     s.on_arrival(2, 7, 4);
     assert_eq!(s.next_doze_wake(4), Some(7));
-    // Fault purge removes the flit: the doze is canceled.
-    s.on_drain(2, 1);
-    s.maybe_sleep(2, true, 0);
+    // A fault purge removed the flit and the engine slept the router:
+    // the doze is canceled.
+    s.sleep(2);
     assert_eq!(s.next_doze_wake(4), None);
     // Draining the stale entry does not wake the router.
     s.wheel_wake(7);

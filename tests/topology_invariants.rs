@@ -113,8 +113,8 @@ fn all_pairs_kernel_matches_scalar_bfs_on_er_residuals() {
                 );
             }
             assert_eq!(
-                DistanceHistogram::build(&g).counts(),
-                dm.distance_histogram(),
+                &DistanceHistogram::build(&g),
+                dm.histogram(),
                 "q={q} ratio={ratio}"
             );
         }
