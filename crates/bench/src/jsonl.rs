@@ -197,7 +197,6 @@ mod tests {
     #[test]
     fn sim_result_fields_are_complete() {
         use pf_sim::{simulate, RouteTables, Routing, SimConfig, TrafficPattern};
-        use pf_topo::Topology;
         let topo = pf_topo::PolarFlyTopo::new(5, 2).unwrap();
         let tables = RouteTables::build(topo.graph(), 1);
         let dests = pf_sim::traffic::resolve(

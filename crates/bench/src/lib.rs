@@ -45,30 +45,30 @@ pub fn load_points(full: bool) -> Vec<f64> {
 
 /// The comparison topologies (Table V at full scale; proportionally
 /// reduced instances otherwise). Order: PF, SF, DF1, DF2, JF, FT.
-pub fn comparison_topologies(full: bool) -> Vec<Box<dyn Topology>> {
+pub fn comparison_topologies(full: bool) -> Vec<Topology> {
     if full {
         vec![
-            Box::new(PolarFlyTopo::new(31, 16).unwrap()),
-            Box::new(SlimFly::new(23, 18).unwrap()),
-            Box::new(Dragonfly::df1()),
-            Box::new(Dragonfly::df2()),
-            Box::new(Jellyfish::table_v(7)),
-            Box::new(FatTree::table_v()),
+            PolarFlyTopo::new(31, 16).unwrap(),
+            SlimFly::new(23, 18).unwrap(),
+            Dragonfly::df1(),
+            Dragonfly::df2(),
+            Jellyfish::table_v(7),
+            FatTree::table_v(),
         ]
     } else {
         vec![
             // PF q=13: 183 routers, radix 14, balanced p=7.
-            Box::new(PolarFlyTopo::new(13, 7).unwrap()),
+            PolarFlyTopo::new(13, 7).unwrap(),
             // SF q=9: 162 routers, radix 13, balanced p=7.
-            Box::new(SlimFly::new(9, 7).unwrap()),
+            SlimFly::new(9, 7).unwrap(),
             // Balanced small Dragonfly: 114 routers, radix 8.
-            Box::new(Dragonfly::new(6, 3, 3)),
+            Dragonfly::new(6, 3, 3),
             // Radix-matched Dragonfly: 180 routers, radix 14.
-            Box::new(Dragonfly::new(4, 11, 5)),
+            Dragonfly::new(4, 11, 5),
             // Jellyfish at PF scale/radix.
-            Box::new(Jellyfish::new(183, 14, 7, 7)),
+            Jellyfish::new(183, 14, 7, 7),
             // 3-level folded Clos, 108 switches, radix 12.
-            Box::new(FatTree::new(6)),
+            FatTree::new(6),
         ]
     }
 }

@@ -12,7 +12,7 @@ use pf_sim::engine::{simulate, SimConfig};
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
 use pf_sim::Routing;
-use pf_topo::{PolarFlyTopo, Topology};
+use pf_topo::PolarFlyTopo;
 use polarfly::PolarFly;
 
 pub fn run(_: &Args) -> Result<(), String> {

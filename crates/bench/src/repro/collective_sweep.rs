@@ -139,7 +139,7 @@ fn check(result: &SimResult, label: &str) -> Vec<String> {
 /// pre-workload engine lives in
 /// `crates/sim/tests/workload_closed_loop.rs`; this gate covers the
 /// Table V scale the tests do not.
-fn open_loop_unperturbed(topo: &dyn Topology, cfg: &SimConfig) -> Vec<String> {
+fn open_loop_unperturbed(topo: &Topology, cfg: &SimConfig) -> Vec<String> {
     let loads = [0.2];
     let a = load_curve(topo, Routing::Min, TrafficPattern::Uniform, &loads, cfg);
     let b = load_curve(topo, Routing::Min, TrafficPattern::Uniform, &loads, cfg);
@@ -176,9 +176,9 @@ fn open_loop_unperturbed(topo: &dyn Topology, cfg: &SimConfig) -> Vec<String> {
 
 pub fn run(args: &Args) -> Result<(), String> {
     let smoke = args.smoke;
-    let topos: Vec<Box<dyn Topology>> = vec![
-        Box::new(PolarFlyTopo::new(31, 16).unwrap()),
-        Box::new(SlimFly::new(23, 18).unwrap()),
+    let topos: Vec<Topology> = vec![
+        PolarFlyTopo::new(31, 16).unwrap(),
+        SlimFly::new(23, 18).unwrap(),
     ];
     let routings = [Routing::Min, Routing::UgalPf];
     let (ranks, total_hosts, sizes): (u32, u32, Vec<u32>) = if smoke {
@@ -211,7 +211,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let results: Vec<(usize, Routing, usize, SimResult, Option<SimResult>)> = tasks
         .par_iter()
         .map(|&(ti, routing, ci)| {
-            let topo = topos[ti].as_ref();
+            let topo = &topos[ti];
             let cell = &cell_list[ci];
             let r = simulate_workload(topo, routing, cell.jobs.clone(), &cfg)
                 .expect("job assignment must be valid");
@@ -244,7 +244,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         for j in &result.jobs {
             messages_total += j.messages_delivered;
             let mut row = Row::new("collective")
-                .str("topology", &topo.name())
+                .str("topology", topo.name())
                 .str("routing", routing.label())
                 .str("workload", cell.workload)
                 .u64("msg_flits", u64::from(cell.msg_flits))
@@ -276,7 +276,7 @@ pub fn run(args: &Args) -> Result<(), String> {
 
     if smoke {
         for topo in &topos {
-            violations.extend(open_loop_unperturbed(topo.as_ref(), &SimConfig::quick()));
+            violations.extend(open_loop_unperturbed(topo, &SimConfig::quick()));
         }
     }
     if messages_total == 0 {

@@ -44,7 +44,7 @@ pub fn run(args: &Args) -> Result<(), String> {
                 (false, true, _) => vec![Routing::Ugal],
             };
             for routing in routings {
-                let curve = load_curve(topo.as_ref(), routing, pattern, &loads, &cfg);
+                let curve = load_curve(topo, routing, pattern, &loads, &cfg);
                 print_curve_rows(&curve);
             }
         }

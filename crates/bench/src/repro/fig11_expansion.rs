@@ -7,7 +7,7 @@ use crate::Args;
 use pf_bench::{load_points, print_curve_rows, sim_config};
 use pf_sim::sweep::load_curve;
 use pf_sim::{Routing, TrafficPattern};
-use pf_topo::traits::GraphTopo;
+use pf_topo::GraphTopo;
 use pf_topo::PolarFlyTopo;
 use polarfly::expansion::{replicate_non_quadric, replicate_quadric};
 use polarfly::Layout;
@@ -15,7 +15,8 @@ use polarfly::Layout;
 pub fn run(args: &Args) -> Result<(), String> {
     let (q, p) = if args.full { (31u64, 16usize) } else { (13, 7) };
     let base = PolarFlyTopo::new(q, p).unwrap();
-    let layout = Layout::new(base.inner());
+    let pf = base.polarfly().expect("a PolarFly network carries its algebra");
+    let layout = Layout::new(pf);
     let cfg = sim_config(args.full);
     let loads = load_points(args.full);
 
@@ -40,10 +41,10 @@ pub fn run(args: &Args) -> Result<(), String> {
         println!("=== Figure 11: {method} replication ===\n");
         for &s in &steps {
             let (graph, growth) = if method == "quadric" {
-                let ex = replicate_quadric(base.inner(), &layout, s);
+                let ex = replicate_quadric(pf, &layout, s);
                 (ex.graph.clone(), ex.growth())
             } else {
-                let ex = replicate_non_quadric(base.inner(), &layout, s);
+                let ex = replicate_non_quadric(pf, &layout, s);
                 (ex.graph.clone(), ex.growth())
             };
             let name = format!("PF(q={q})+{:.0}%-{method}", growth * 100.0);

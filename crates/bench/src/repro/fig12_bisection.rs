@@ -7,7 +7,7 @@
 
 use crate::Args;
 use pf_graph::partition::bisection_cut_fraction;
-use pf_topo::{Dragonfly, Jellyfish, SlimFly, Topology};
+use pf_topo::{Dragonfly, Jellyfish, SlimFly};
 use polarfly::PolarFly;
 
 pub fn run(args: &Args) -> Result<(), String> {
@@ -43,7 +43,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         let cut = bisection_cut_fraction(sf.graph(), restarts, 42);
         println!(
             "  radix {:>4} N {:>6}: {:.4}",
-            sf.degree(),
+            sf.graph().max_degree(),
             sf.router_count(),
             cut
         );
@@ -60,7 +60,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         let cut = bisection_cut_fraction(df.graph(), restarts, 42);
         println!(
             "  radix {:>4} N {:>6}: {:.4}",
-            df.degree(),
+            df.graph().max_degree(),
             df.router_count(),
             cut
         );

@@ -6,8 +6,9 @@
 //! operators actually ask of a degraded deployment: what happens to
 //! packet latency, accepted throughput, and delivery ratio when links
 //! die. For each failure ratio a seeded connected [`FailureSet`] is
-//! drawn, the topology is wrapped in a [`TransientTopo`] whose schedule
-//! fails those links at cycle 0 and never repairs them, and a full
+//! drawn, the topology takes it as a fault schedule
+//! ([`Topology::with_faults`]) that fails those links at cycle 0 and
+//! never repairs them, and a full
 //! latency-vs-load curve is run (Rayon-parallel across loads, like every
 //! `load_curve` consumer) under MIN and UGAL-PF — adaptive routing sees
 //! the failures only through residual route tables, per-port link masks,
@@ -33,7 +34,7 @@ use crate::Args;
 use pf_bench::jsonl::Row;
 use pf_graph::{FailureSet, FaultSchedule};
 use pf_sim::{load_curve, Routing, SimConfig, TrafficPattern};
-use pf_topo::{PolarFlyTopo, SlimFly, Topology, TransientTopo};
+use pf_topo::{PolarFlyTopo, SlimFly, Topology};
 
 /// Failure seed: one draw per (topology, ratio), shared by both routings
 /// so they face identical dead links.
@@ -57,15 +58,15 @@ pub fn run(args: &Args) -> Result<(), String> {
     } else {
         vec![0.1, 0.25, 0.4, 0.55, 0.7, 0.85]
     };
-    let topos: Vec<Box<dyn Topology>> = if args.smoke {
+    let topos: Vec<Topology> = if args.smoke {
         vec![
-            Box::new(PolarFlyTopo::new(7, 4).unwrap()),
-            Box::new(SlimFly::new(5, 4).unwrap()),
+            PolarFlyTopo::new(7, 4).unwrap(),
+            SlimFly::new(5, 4).unwrap(),
         ]
     } else {
         vec![
-            Box::new(PolarFlyTopo::new(31, 16).unwrap()),
-            Box::new(SlimFly::new(23, 18).unwrap()),
+            PolarFlyTopo::new(31, 16).unwrap(),
+            SlimFly::new(23, 18).unwrap(),
         ]
     };
     let ratios = [0.0, 0.05, 0.10];
@@ -81,7 +82,9 @@ pub fn run(args: &Args) -> Result<(), String> {
         for &ratio in &ratios {
             let failures = FailureSet::sample_connected(topo.graph(), ratio, FAILURE_SEED);
             let degraded =
-                TransientTopo::new(topo.as_ref(), FaultSchedule::from_failures(&failures));
+                topo
+                .with_faults(FaultSchedule::from_failures(&failures))
+                .map_err(|e| e.to_string())?;
             for routing in routings {
                 let curve = load_curve(&degraded, routing, TrafficPattern::Uniform, &loads, &cfg);
                 for p in &curve.points {

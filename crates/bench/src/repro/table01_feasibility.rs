@@ -1,7 +1,7 @@
 //! Table I: qualitative feasibility of candidate data-center topologies.
 
 use crate::Args;
-use pf_topo::traits::{feasibility_table, Support};
+use pf_topo::feasibility::{feasibility_table, Support};
 
 fn sym(s: Support) -> &'static str {
     match s {

@@ -6,8 +6,8 @@
 //! operational one the Slim Fly deployment study and the multipathing
 //! survey both stress: what happens *during* failure and re-convergence.
 //! Each cell draws a seeded, connectivity-safe [`FaultSchedule`] (fault
-//! count = `links · window / MTBF`), wraps the topology in
-//! [`TransientTopo`], and runs PF vs SF under MIN and UGAL-PF with both
+//! count = `links · window / MTBF`), puts it on the topology
+//! ([`Topology::with_faults`]), and runs PF vs SF under MIN and UGAL-PF with both
 //! in-flight policies: drop-and-retransmit at source, and drain. Faults
 //! land inside the warmup window and every link repairs before
 //! measurement, so the measurement-window delivery ratio must return to
@@ -34,14 +34,14 @@ use crate::Args;
 use pf_bench::jsonl::Row;
 use pf_graph::FaultSchedule;
 use pf_sim::{load_curve, InFlightPolicy, Routing, SimConfig, TrafficPattern};
-use pf_topo::{PolarFlyTopo, SlimFly, Topology, TransientTopo};
+use pf_topo::{PolarFlyTopo, SlimFly, Topology};
 
 /// Schedule seed: one draw per (topology, MTBF, repair), shared by both
 /// routings and both policies so they face identical fault timelines.
 const FAULT_SEED: u64 = 0x7A11;
 
 struct Scale {
-    topos: Vec<Box<dyn Topology>>,
+    topos: Vec<Topology>,
     /// Per-link mean cycles between failures.
     mtbfs: Vec<f64>,
     /// Cycles from failure to repair.
@@ -60,8 +60,8 @@ fn scale(args: &Args) -> Scale {
     if args.smoke {
         Scale {
             topos: vec![
-                Box::new(PolarFlyTopo::new(7, 4).unwrap()),
-                Box::new(SlimFly::new(5, 4).unwrap()),
+                PolarFlyTopo::new(7, 4).unwrap(),
+                SlimFly::new(5, 4).unwrap(),
             ],
             mtbfs: vec![2_000.0, 8_000.0],
             repairs: vec![120, 300],
@@ -77,8 +77,8 @@ fn scale(args: &Args) -> Scale {
     } else {
         Scale {
             topos: vec![
-                Box::new(PolarFlyTopo::new(31, 16).unwrap()),
-                Box::new(SlimFly::new(23, 18).unwrap()),
+                PolarFlyTopo::new(31, 16).unwrap(),
+                SlimFly::new(23, 18).unwrap(),
             ],
             mtbfs: vec![100_000.0, 400_000.0],
             repairs: vec![150, 450],
@@ -130,7 +130,7 @@ pub fn run(args: &Args) -> Result<(), String> {
                     seed,
                 );
                 let faults = schedule.len();
-                let transient = TransientTopo::new(topo.as_ref(), schedule);
+                let transient = topo.with_faults(schedule).map_err(|e| e.to_string())?;
                 for routing in routings {
                     for policy in policies {
                         let cfg = s.cfg.clone().fault_policy(policy);
@@ -155,7 +155,7 @@ pub fn run(args: &Args) -> Result<(), String> {
                             retransmissions += p.retransmitted_packets;
                             swaps_seen += p.table_swaps;
                             Row::new("transient")
-                                .str("topology", &topo.name())
+                                .str("topology", topo.name())
                                 .str("routing", curve.routing)
                                 .str("policy", policy_label)
                                 .f64("mtbf", mtbf)

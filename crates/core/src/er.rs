@@ -52,6 +52,7 @@ pub enum VertexClass {
 
 /// The PolarFly topology: `ER_q` together with its field, point indexing,
 /// and vertex classification.
+#[derive(Clone)]
 pub struct PolarFly {
     q: u32,
     field: Gf,

@@ -15,7 +15,8 @@
 //! fault takes down every incident link for its duration). A static
 //! failure set is the schedule whose link windows open at cycle 0 and
 //! never repair ([`FaultSchedule::from_failures`]). The simulator
-//! (`pf_topo::TransientTopo` + the engine's fault event queue) masks the
+//! (`pf_topo::Topology::with_faults` + the engine's fault event queue),
+//! after [`FaultSchedule::validate`] has accepted the schedule, masks the
 //! cycle-0 state in route tables, algebraic next hops and adaptive
 //! congestion decisions, then flips its per-port masks at the scheduled
 //! cycles and re-converges its route tables after each event.
@@ -177,6 +178,48 @@ pub struct FaultEvent {
     /// The transition.
     pub kind: FaultEventKind,
 }
+
+/// Why a [`FaultSchedule`] cannot drive a simulation of a graph
+/// ([`FaultSchedule::validate`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ScheduleError {
+    /// A scheduled link `{u, v}` is not an edge of the graph.
+    NotAnEdge(u32, u32),
+    /// A scheduled router is not a vertex of the graph.
+    RouterOutOfRange(u32),
+    /// The fault state at `cycle` splits the live routers: some pair of
+    /// them has no path over live links, so packets between them could
+    /// never drain.
+    Disconnects {
+        /// First cycle of the disconnecting state.
+        cycle: u32,
+        /// Links down in that state (router faults' links included).
+        links_down: usize,
+        /// Routers down in that state.
+        routers_down: usize,
+    },
+}
+
+impl std::fmt::Display for ScheduleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScheduleError::NotAnEdge(u, v) => write!(f, "scheduled link {u}-{v} is not an edge"),
+            ScheduleError::RouterOutOfRange(r) => write!(f, "scheduled router {r} is out of range"),
+            ScheduleError::Disconnects {
+                cycle,
+                links_down,
+                routers_down,
+            } => write!(
+                f,
+                "fault state at cycle {cycle} disconnects the live network \
+                 ({links_down} links, {routers_down} routers down); sample with \
+                 FaultSchedule::sample_connected_links"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ScheduleError {}
 
 /// A schedule of faults: fail/repair windows per link, plus router
 /// (vertex) failures as a second axis. A window repairing at
@@ -347,6 +390,49 @@ impl FaultSchedule {
             }
         }
         FailureSet::from_edges(&edges)
+    }
+
+    /// Checks what a cycle simulation of `g` needs from the schedule:
+    /// every scheduled link is an edge, every scheduled router a vertex,
+    /// and every fault state — the state after each event cycle of
+    /// [`FaultSchedule::resolved_events`] — keeps the live routers
+    /// connected over live links. Draw safe schedules with
+    /// [`FailureSet::sample_connected`] or
+    /// [`FaultSchedule::sample_connected_links`].
+    pub fn validate(&self, g: &Csr) -> Result<(), ScheduleError> {
+        if let Some(&(u, v, ..)) = self.link_windows.iter().find(|w| !g.has_edge(w.0, w.1)) {
+            return Err(ScheduleError::NotAnEdge(u, v));
+        }
+        if let Some(&(r, ..)) = self
+            .router_windows
+            .iter()
+            .find(|w| w.0 as usize >= g.vertex_count())
+        {
+            return Err(ScheduleError::RouterOutOfRange(r));
+        }
+        let mut cycles: Vec<u32> = self.resolved_events(g).iter().map(|e| e.cycle).collect();
+        cycles.dedup();
+        for cycle in cycles {
+            let links = self.active_at(g, cycle);
+            let routers = self.routers_down_at(cycle).len();
+            // A down router's links are all in `links`, so it stays a
+            // singleton: the live routers are connected iff at most one
+            // component is left besides those singletons.
+            let mut uf = UnionFind::new(g.vertex_count());
+            for &(u, v) in g.edges() {
+                if !links.contains(u, v) {
+                    uf.union(u, v);
+                }
+            }
+            if uf.components > routers + 1 {
+                return Err(ScheduleError::Disconnects {
+                    cycle,
+                    links_down: links.len(),
+                    routers_down: routers,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Flattens the schedule into the event stream the simulator
@@ -879,5 +965,97 @@ mod tests {
         assert_eq!(s.horizon(), 0);
         assert!(s.resolved_events(&g).is_empty());
         assert!(s.active_at(&g, 123).is_empty());
+    }
+
+    /// The replay `validate` replaced: apply each cycle's resolved events
+    /// to sets of down links and routers, then union the live edges.
+    /// Returns the first disconnecting state as `(cycle, links, routers)`.
+    fn replay_oracle(s: &FaultSchedule, g: &Csr) -> Option<(u32, usize, usize)> {
+        use std::collections::BTreeSet;
+        let events = s.resolved_events(g);
+        let (mut links, mut routers) = (BTreeSet::new(), BTreeSet::new());
+        let mut i = 0;
+        while i < events.len() {
+            let cycle = events[i].cycle;
+            while i < events.len() && events[i].cycle == cycle {
+                match events[i].kind {
+                    FaultEventKind::LinkDown(u, v) => links.insert((u, v)),
+                    FaultEventKind::LinkUp(u, v) => links.remove(&(u, v)),
+                    FaultEventKind::RouterDown(r) => routers.insert(r),
+                    FaultEventKind::RouterUp(r) => routers.remove(&r),
+                };
+                i += 1;
+            }
+            let mut parent: Vec<u32> = (0..g.vertex_count() as u32).collect();
+            fn find(parent: &mut [u32], mut v: u32) -> u32 {
+                while parent[v as usize] != v {
+                    v = parent[v as usize];
+                }
+                v
+            }
+            for &(u, v) in g.edges() {
+                if !links.contains(&(u, v)) && !routers.contains(&u) && !routers.contains(&v) {
+                    let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
+                    parent[ru as usize] = rv;
+                }
+            }
+            let mut roots = (0..g.vertex_count() as u32)
+                .filter(|v| !routers.contains(v))
+                .map(|v| find(&mut parent, v));
+            let first = roots.next();
+            if roots.any(|r| Some(r) != first) {
+                return Some((cycle, links.len(), routers.len()));
+            }
+        }
+        None
+    }
+
+    /// `validate` rejects exactly the schedules the event replay
+    /// rejects, at the same state, over random link and router windows.
+    #[test]
+    fn validate_matches_the_event_replay() {
+        // A 12-ring with two chords: two cuts often split it, one rarely.
+        let mut b = GraphBuilder::new(12);
+        for i in 0..12u32 {
+            b.add_edge(i, (i + 1) % 12);
+        }
+        b.add_edge(0, 6);
+        b.add_edge(3, 9);
+        let g = b.build();
+        let mut rng = StdRng::seed_from_u64(17);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..400 {
+            let mut s = FaultSchedule::new();
+            for _ in 0..rng.gen_range(1..7) {
+                let (u, v) = g.edges()[rng.gen_range(0..g.edge_count())];
+                let fail = rng.gen_range(0..40);
+                let repair = if rng.gen_bool(0.2) {
+                    FaultSchedule::NEVER
+                } else {
+                    fail + rng.gen_range(1..30u32)
+                };
+                s = s.link_fault(u, v, fail, repair);
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                let fail = rng.gen_range(0..40);
+                s = s.router_fault(rng.gen_range(0..12), fail, fail + rng.gen_range(1..30u32));
+            }
+            let got = match s.validate(&g) {
+                Ok(()) => None,
+                Err(ScheduleError::Disconnects {
+                    cycle,
+                    links_down,
+                    routers_down,
+                }) => Some((cycle, links_down, routers_down)),
+                Err(e) => panic!("valid elements rejected: {e}"),
+            };
+            assert_eq!(got, replay_oracle(&s, &g), "{s:?}");
+            if got.is_some() {
+                rejected += 1;
+            } else {
+                accepted += 1;
+            }
+        }
+        assert!(accepted > 50 && rejected > 50, "{accepted} / {rejected}");
     }
 }

@@ -33,4 +33,4 @@ pub mod triangles;
 
 pub use bfs::{DistanceHistogram, DistanceMatrix};
 pub use csr::{Csr, GraphBuilder};
-pub use failures::{FailureSet, FaultEvent, FaultEventKind, FaultSchedule};
+pub use failures::{FailureSet, FaultEvent, FaultEventKind, FaultSchedule, ScheduleError};

@@ -33,8 +33,8 @@ pub struct FluidAnalysis {
 /// Computes the fluid analysis. Flows follow the deterministic next-hop
 /// table; `Uniform` spreads each host's `p` flits/cycle over all other
 /// hosts, `Fixed` concentrates them on the pattern destination.
-pub fn analyze(topo: &dyn Topology, tables: &RouteTables, dests: &DestMap) -> FluidAnalysis {
-    let hosts = topo.host_routers();
+pub fn analyze(topo: &Topology, tables: &RouteTables, dests: &DestMap) -> FluidAnalysis {
+    let (hosts, endpoints) = (topo.host_routers(), topo.endpoints());
     let mut link_load: BTreeMap<(u32, u32), f64> = BTreeMap::new();
     let route_flow = |s: u32, d: u32, rate: f64, link_load: &mut BTreeMap<(u32, u32), f64>| {
         let mut cur = s;
@@ -47,7 +47,7 @@ pub fn analyze(topo: &dyn Topology, tables: &RouteTables, dests: &DestMap) -> Fl
     match dests {
         DestMap::Uniform { hosts: hs } => {
             for &s in &hosts {
-                let rate = topo.endpoints(s) as f64 / (hs.len() - 1) as f64;
+                let rate = f64::from(endpoints[s as usize]) / (hs.len() - 1) as f64;
                 for &d in hs {
                     if d != s {
                         route_flow(s, d, rate, &mut link_load);
@@ -59,7 +59,7 @@ pub fn analyze(topo: &dyn Topology, tables: &RouteTables, dests: &DestMap) -> Fl
             for &s in &hosts {
                 let d = dest[s as usize];
                 if d != u32::MAX && d != s {
-                    route_flow(s, d, topo.endpoints(s) as f64, &mut link_load);
+                    route_flow(s, d, f64::from(endpoints[s as usize]), &mut link_load);
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! Simulator configuration.
 
 /// What happens to packets with flits committed to a link that dies
-/// mid-run (transient faults; see `pf_topo::TransientTopo` and the
+/// mid-run (transient faults; see `pf_topo::Topology::with_faults` and the
 /// fault-model section of DESIGN.md).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InFlightPolicy {

@@ -50,7 +50,7 @@ use std::collections::BinaryHeap;
 /// assert_eq!(r.generated, r.delivered);
 /// ```
 pub fn simulate_workload(
-    topo: &dyn Topology,
+    topo: &Topology,
     routing: Routing,
     jobs: Vec<JobAssignment>,
     cfg: &SimConfig,
@@ -176,7 +176,7 @@ impl WorkloadDriver {
     /// count. `packet_flits` must match the `SimConfig` the engine runs
     /// with (messages are rounded up to whole packets).
     pub fn new(
-        topo: &dyn Topology,
+        topo: &Topology,
         jobs: Vec<JobAssignment>,
         packet_flits: u16,
     ) -> Result<WorkloadDriver, String> {
@@ -262,7 +262,7 @@ impl WorkloadDriver {
 
     /// A single job occupying the first `workload.hosts` hosts of `topo`.
     pub fn single(
-        topo: &dyn Topology,
+        topo: &Topology,
         workload: Workload,
         packet_flits: u16,
     ) -> Result<WorkloadDriver, String> {

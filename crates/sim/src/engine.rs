@@ -106,7 +106,7 @@ impl Reference {
 
 /// One simulation instance at a fixed offered load.
 pub struct Engine<'a> {
-    pub(crate) topo: &'a dyn Topology,
+    pub(crate) topo: &'a Topology,
     pub(crate) graph: &'a Csr,
     /// The route tables serving routing decisions. A run starts on the
     /// caller's tables (shared across the Rayon-parallel loads of a
@@ -130,8 +130,8 @@ pub struct Engine<'a> {
     pub(crate) vcs: usize,
     pub(crate) per_class: usize,
     pub(crate) cap_per_vc: u32,
-    /// Endpoints per router (cached: the hot loops hit this every cycle).
-    pub(crate) endpoints: Vec<u32>,
+    /// Endpoints per router ([`Topology::endpoints`]).
+    pub(crate) endpoints: &'a [u32],
     /// Inclusive prefix sums of `endpoints`: router `r` owns open-loop
     /// trials `ep_end[r - 1]..ep_end[r]` of a cycle's `T` = `ep_end[n - 1]`.
     pub(crate) ep_end: Vec<u32>,
@@ -293,7 +293,7 @@ impl<'a> Engine<'a> {
     /// `tables` and `dests` are shared across runs of the same
     /// topology/pattern.
     pub fn new(
-        topo: &'a dyn Topology,
+        topo: &'a Topology,
         tables: &'a RouteTables,
         dests: &'a DestMap,
         routing: Routing,
@@ -328,11 +328,10 @@ impl<'a> Engine<'a> {
             link_up[port_vu as usize] = false;
         }
         let degraded = !initial.is_empty();
-        let faults = match topo.fault_schedule() {
-            Some(schedule) if !schedule.is_static(g) => {
-                FaultCtl::from_schedule(schedule, g, &geom, n, num_ports, &cfg)
-            }
-            _ => FaultCtl::default(),
+        let faults = if topo.faults().is_static(g) {
+            FaultCtl::default()
+        } else {
+            FaultCtl::from_schedule(topo.faults(), g, &geom, n, num_ports, &cfg)
         };
         let transient = faults.active();
 
@@ -380,7 +379,7 @@ impl<'a> Engine<'a> {
         // The flit store refuses more VCs than its per-port mask holds.
         let bufs = FlitRings::new(num_ports, vcs, cap_per_vc);
 
-        let endpoints: Vec<u32> = (0..n as u32).map(|r| topo.endpoints(r) as u32).collect();
+        let endpoints = topo.endpoints();
         // Up to 2p concurrent streams share p flits/cycle of aggregate
         // endpoint bandwidth: each stream is rate-limited to 1 flit/cycle
         // (a physical endpoint channel), and the 2x slack absorbs
@@ -401,7 +400,7 @@ impl<'a> Engine<'a> {
 
         let seed = cfg.seed ^ (load.to_bits().rotate_left(17));
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut ep_end = endpoints.clone();
+        let mut ep_end = endpoints.to_vec();
         for r in 1..n {
             ep_end[r] += ep_end[r - 1];
         }
@@ -1063,7 +1062,7 @@ impl<'a> Engine<'a> {
 
 /// Convenience: one full run.
 pub fn simulate(
-    topo: &dyn Topology,
+    topo: &Topology,
     tables: &RouteTables,
     dests: &DestMap,
     routing: Routing,

@@ -18,7 +18,7 @@ use crate::tables::RouteTables;
 use crate::traffic::{resolve, DestMap, TrafficPattern};
 use crate::{Engine, FlitRings, Routing, SimConfig, SimResult};
 use pf_graph::{FailureSet, FaultSchedule};
-use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
+use pf_topo::{PolarFlyTopo, Topology};
 use std::cell::Cell;
 
 thread_local! {
@@ -41,7 +41,7 @@ fn declaring<T>(hops: Option<u32>, build: impl FnOnce() -> T) -> T {
     built
 }
 
-fn uniform(topo: &dyn Topology, seed: u64) -> (RouteTables, DestMap) {
+fn uniform(topo: &Topology, seed: u64) -> (RouteTables, DestMap) {
     let tables = RouteTables::build_for(topo, seed);
     let dests = resolve(
         TrafficPattern::Uniform,
@@ -54,7 +54,7 @@ fn uniform(topo: &dyn Topology, seed: u64) -> (RouteTables, DestMap) {
 
 /// What an idle engine's flit store costs with `classes` hop classes
 /// allocated on every port of `topo`.
-fn idle_bytes(topo: &dyn Topology, cfg: &SimConfig, classes: usize) -> usize {
+fn idle_bytes(topo: &Topology, cfg: &SimConfig, classes: usize) -> usize {
     let ports = 2 * topo.graph().edge_count();
     let vcs = classes * usize::from(cfg.vcs_per_class);
     FlitRings::new(ports, vcs, cfg.cap_per_vc()).resident_bytes()
@@ -145,9 +145,9 @@ fn degraded_min_allocates_the_residual_need() {
         .find(|&&(u, v)| !failures.contains(u, v))
         .unwrap();
     let blip = static_set.clone().link_fault(u, v, 400, 500);
-    let static_topo = TransientTopo::new(&pf, static_set);
-    let blip_topo = TransientTopo::new(&pf, blip);
-    let inputs: [(&dyn Topology, usize); 3] = [(&static_topo, need), (&blip_topo, 8), (&pf, 2)];
+    let static_topo = pf.with_faults(static_set).unwrap();
+    let blip_topo = pf.with_faults(blip).unwrap();
+    let inputs: [(&Topology, usize); 3] = [(&static_topo, need), (&blip_topo, 8), (&pf, 2)];
     for (topo, classes) in inputs {
         let label = topo.name();
         let (tables, dests) = uniform(topo, cfg.seed);

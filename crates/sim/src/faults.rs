@@ -1,5 +1,5 @@
 //! Transient-fault control: the engine-side machinery behind
-//! [`pf_topo::TransientTopo`].
+//! [`pf_topo::Topology::with_faults`].
 //!
 //! A run whose schedule can still change the network after cycle 0
 //! threads four mechanisms through the cycle loop (all gated behind

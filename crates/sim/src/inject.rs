@@ -236,7 +236,7 @@ impl Engine<'_> {
     /// Resets per-cycle injection bandwidth budgets (p flits per router —
     /// the aggregate endpoint channel bandwidth).
     pub(crate) fn reset_inj_budgets(&mut self) {
-        self.inj_budget.copy_from_slice(&self.endpoints);
+        self.inj_budget.copy_from_slice(self.endpoints);
     }
 
     /// Scans each source queue's head window, runs the routing plan, and

@@ -9,7 +9,7 @@ use crate::engine::Reference;
 use crate::traffic::{resolve, DestMap, TrafficPattern};
 use crate::{Engine, RouteTables, Routing, SimConfig, SimResult};
 use pf_graph::FaultSchedule;
-use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
+use pf_topo::{PolarFlyTopo, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,7 +20,7 @@ const LOADS: [f64; 3] = [0.02, 0.3, 0.9];
 const SEEDS: std::ops::RangeInclusive<u64> = 1..=16;
 
 /// PF q=7 p=4: 57 routers, 228 endpoints.
-fn pf7() -> (PolarFlyTopo, RouteTables, DestMap) {
+fn pf7() -> (Topology, RouteTables, DestMap) {
     let topo = PolarFlyTopo::new(7, 4).unwrap();
     let tables = RouteTables::build(topo.graph(), 5);
     let dests = resolve(
@@ -234,7 +234,7 @@ fn down_router_generates_nothing_and_neighbours_keep_their_rate() {
     const WINDOWS: [(u32, u32); 3] = [(0, 1000), (1000, 3000), (3000, 4000)];
     let (topo, tables, dests) = pf7();
     let schedule = FaultSchedule::new().router_fault(DOWN as u32, 1000, 3000);
-    let transient = TransientTopo::new(&topo, schedule);
+    let transient = topo.with_faults(schedule).unwrap();
     let cfg = SimConfig::default().vc_classes(8).seed(21);
     let prob = 0.3 / f64::from(cfg.packet_flits);
     let mut e = Engine::new(&transient, &tables, &dests, Routing::Min, 0.3, cfg);

@@ -20,7 +20,7 @@
 //!   generation-to-tail-ejection, throughput is accepted flits per endpoint
 //!   cycle in the measurement window.
 //! * **Faults**: one model, a topology carrying a fault schedule
-//!   (`pf_topo::TransientTopo`; see the fault-model section of
+//!   (`pf_topo::Topology::with_faults`; see the fault-model section of
 //!   DESIGN.md). Its cycle-0 state ([`tables::initial_failures`]) gets
 //!   residual-graph route tables ([`RouteTables::build_for`]), per-port
 //!   link masks in the engine, and a mask-validated algebraic fast path,

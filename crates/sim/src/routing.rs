@@ -13,7 +13,7 @@
 //! hops come from [`MinHop`]: table lookups on arbitrary topologies, or
 //! PolarFly's O(1) algebraic next hop
 //! ([`polarfly::routing::next_hop_minimal`], checked against the link
-//! mask) when the topology advertises it via [`pf_topo::RoutingHint`].
+//! mask) when the topology carries it ([`pf_topo::Topology::polarfly`]).
 //! Parity between the two is pinned by `tests/routing_parity.rs`.
 
 use crate::router::PortMap;
@@ -198,14 +198,11 @@ impl MinHop<'_> {
     }
 
     /// The minimal-hop source `topo` supports: the algebra when it
-    /// advertises PolarFly (healthy or not), the table otherwise. The
+    /// carries PolarFly's (healthy or not), the table otherwise. The
     /// engine calls this once and hands the answer to every routing
     /// decision through [`NetState::min`].
-    pub fn for_topology(topo: &dyn pf_topo::Topology) -> MinHop<'_> {
-        match topo.routing_hint() {
-            pf_topo::RoutingHint::PolarFly(pf) => MinHop::Algebraic(pf),
-            pf_topo::RoutingHint::Generic => MinHop::Table,
-        }
+    pub fn for_topology(topo: &pf_topo::Topology) -> MinHop<'_> {
+        topo.polarfly().map_or(MinHop::Table, MinHop::Algebraic)
     }
 }
 
@@ -539,7 +536,7 @@ mod tests {
     }
 
     impl Idle {
-        fn new(topo: &PolarFlyTopo) -> Idle {
+        fn new(topo: &Topology) -> Idle {
             let cfg = SimConfig::default();
             let geom = PortMap::build(topo.graph());
             let ports = geom.num_ports();
@@ -553,7 +550,7 @@ mod tests {
             }
         }
 
-        fn net<'a>(&'a self, topo: &'a PolarFlyTopo, min: MinHop<'a>) -> NetState<'a> {
+        fn net<'a>(&'a self, topo: &'a Topology, min: MinHop<'a>) -> NetState<'a> {
             NetState {
                 tables: &self.tables,
                 graph: topo.graph(),
@@ -597,7 +594,7 @@ mod tests {
     #[test]
     fn algebraic_next_hop_matches_table() {
         let topo = PolarFlyTopo::new(11, 6).unwrap();
-        let pf = topo.inner();
+        let pf = topo.polarfly().unwrap();
         let idle = Idle::new(&topo);
         let table = idle.net(&topo, MinHop::Table);
         let algebraic = idle.net(&topo, MinHop::Algebraic(pf));
@@ -647,7 +644,7 @@ mod tests {
         let idle = Idle::new(&topo);
         let net = idle.net(&topo, MinHop::for_topology(&topo));
         let mut rng = StdRng::seed_from_u64(3);
-        for &(u, v) in topo.inner().graph().edges() {
+        for &(u, v) in topo.polarfly().unwrap().graph().edges() {
             for (s, d) in [(u, v), (v, u)] {
                 let plan = Routing::CompactValiant.plan(&net, s, d, &mut rng);
                 assert_eq!(plan, RoutePlan::Minimal, "{s}->{d}");

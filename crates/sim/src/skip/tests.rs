@@ -20,7 +20,7 @@ use crate::sweep::resolve_run;
 use crate::traffic::{DestMap, TrafficPattern};
 use crate::{Engine, RouteTables, Routing, SimConfig, SimResult, WorkloadDriver};
 use pf_graph::FaultSchedule;
-use pf_topo::{HyperX, PolarFlyTopo, Topology, TransientTopo};
+use pf_topo::{HyperX, PolarFlyTopo, Topology};
 use pf_workload::{param_server, ring_allreduce, JobAssignment};
 
 #[test]
@@ -178,7 +178,7 @@ fn next_in_matches_naive_filter_over_every_mask_range_and_rotation() {
 /// One open-loop run set up as [`crate::load_curve`] sets its points up,
 /// live or as a reference.
 fn open_loop_run(
-    topo: &dyn Topology,
+    topo: &Topology,
     (tables, dests): &(RouteTables, DestMap),
     routing: Routing,
     load: f64,
@@ -193,7 +193,7 @@ fn open_loop_run(
 /// Runs one Bernoulli load point as the dense reference, then live,
 /// asserting both agree bit-for-bit and that the live run actually
 /// skipped something.
-fn check_bernoulli(topo: &dyn Topology, routing: Routing, load: f64, cfg: &SimConfig) {
+fn check_bernoulli(topo: &Topology, routing: Routing, load: f64, cfg: &SimConfig) {
     let resolved = resolve_run(topo, TrafficPattern::Uniform, cfg.seed);
     let run = |reference| open_loop_run(topo, &resolved, routing, load, cfg, reference);
     let dense = run(Reference::DenseSchedule);
@@ -217,7 +217,7 @@ fn check_bernoulli(topo: &dyn Topology, routing: Routing, load: f64, cfg: &SimCo
 /// there) and the dense schedule. Returns the live run's result and
 /// `[vc stalls, credit stalls, match losses]`.
 fn check_replay(
-    topo: &dyn Topology,
+    topo: &Topology,
     pattern: TrafficPattern,
     routing: Routing,
     load: f64,
@@ -298,7 +298,7 @@ fn replay_parity_injection_budget_binds() {
 /// queue contents, wake bounds) and the flow accounting after every step.
 /// Returns the router-cycles skipped and the packets retransmitted.
 fn step_validating(
-    topo: &dyn Topology,
+    topo: &Topology,
     routing: Routing,
     load: f64,
     cfg: &SimConfig,
@@ -414,7 +414,7 @@ fn bernoulli_parity_leaps_between_arrivals() {
 /// One closed-loop run set up as [`crate::simulate_workload`] sets it
 /// up, live or as a reference.
 fn closed_loop_run(
-    topo: &dyn Topology,
+    topo: &Topology,
     routing: Routing,
     jobs: Vec<JobAssignment>,
     cfg: &SimConfig,
@@ -491,7 +491,7 @@ fn transient_burst_parity() {
     let pf31 = PolarFlyTopo::new(31, 16).unwrap();
     let hx66 = HyperX::new(66, 2, 2);
     let both = [Routing::Min, Routing::UgalPf];
-    let cases: [(&dyn Topology, u32, &[Routing]); 3] = [
+    let cases: [(&Topology, u32, &[Routing]); 3] = [
         (&pf7, 1500, &both),
         (&pf31, 900, &both[..1]),
         (&hx66, 1500, &both[..1]),
@@ -499,7 +499,7 @@ fn transient_burst_parity() {
     for (topo, drain_max, routings) in cases {
         let schedule = FaultSchedule::sample_connected_links(topo.graph(), 0.05, 150, 150, 23);
         assert!(!schedule.is_empty());
-        let transient = TransientTopo::new(topo, schedule);
+        let transient = topo.with_faults(schedule).unwrap();
         let cfg = SimConfig::default()
             .warmup(300)
             .measure(250)
@@ -522,7 +522,7 @@ fn transient_burst_parity() {
     }
     // The purge path under the per-cycle bitset ⇔ queue-content check.
     let schedule = FaultSchedule::sample_connected_links(hx66.graph(), 0.05, 150, 150, 23);
-    let transient = TransientTopo::new(&hx66, schedule);
+    let transient = hx66.with_faults(schedule).unwrap();
     let cfg = SimConfig::default()
         .vc_classes(8)
         .convergence_delay(100)
@@ -560,7 +560,7 @@ fn next_interesting_cycle_never_overshoots() {
 /// reference/live, every cell bit-identical to the reference
 /// telemetry-off baseline, and the collected traces and epochs —
 /// router census included — identical across schedules.
-fn check_telemetry(topo: &PolarFlyTopo, load: f64, cfg: &SimConfig) {
+fn check_telemetry(topo: &Topology, load: f64, cfg: &SimConfig) {
     let resolved = resolve_run(topo, TrafficPattern::Uniform, cfg.seed);
     let on = cfg.clone().telemetry_interval(64).trace_sample(8);
     let run =

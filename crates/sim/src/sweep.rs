@@ -19,7 +19,7 @@ use rayon::prelude::*;
 /// hop-exact permutation patterns respect surviving distances too). The
 /// residual-or-full decision lives in [`crate::tables::routing_graph`].
 pub(crate) fn resolve_run(
-    topo: &dyn Topology,
+    topo: &Topology,
     pattern: TrafficPattern,
     seed: u64,
 ) -> (RouteTables, crate::traffic::DestMap) {
@@ -73,7 +73,7 @@ impl LoadCurve {
 /// assert!(curve.points[0].avg_latency > 0.0);
 /// ```
 pub fn load_curve(
-    topo: &dyn Topology,
+    topo: &Topology,
     routing: Routing,
     pattern: TrafficPattern,
     loads: &[f64],
@@ -85,7 +85,7 @@ pub fn load_curve(
         .map(|&load| simulate(topo, &tables, &dests, routing, load, cfg.clone()))
         .collect();
     LoadCurve {
-        topology: topo.name(),
+        topology: topo.name().to_owned(),
         routing: routing.label(),
         pattern: pattern.label(),
         points,

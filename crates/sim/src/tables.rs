@@ -44,16 +44,14 @@ const STRIPE: usize = bfs::LANES;
 /// state at cycle 0 (`active_at(graph, 0)`), empty on a healthy
 /// topology. The one source of the cycle-0 state — the engine's link
 /// masks, [`RouteTables::build_for`] and traffic resolution all read it.
-pub fn initial_failures(topo: &dyn Topology) -> FailureSet {
-    topo.fault_schedule()
-        .map(|s| s.active_at(topo.graph(), 0))
-        .unwrap_or_default()
+pub fn initial_failures(topo: &Topology) -> FailureSet {
+    topo.faults().active_at(topo.graph(), 0)
 }
 
 /// The graph routing for `topo` must be computed on: `Some(residual)`
 /// when links are down at cycle 0, `None` (use the full graph)
 /// otherwise.
-pub fn routing_graph(topo: &dyn Topology) -> Option<Csr> {
+pub fn routing_graph(topo: &Topology) -> Option<Csr> {
     let failures = initial_failures(topo);
     (!failures.is_empty()).then(|| failures.residual(topo.graph()))
 }
@@ -129,7 +127,7 @@ impl RouteTables {
     /// topologies, on the residual graph when links are down at cycle 0
     /// ([`routing_graph`]) — same router ids either way, so the engine's
     /// geometry is unaffected.
-    pub fn build_for(topo: &dyn Topology, seed: u64) -> RouteTables {
+    pub fn build_for(topo: &Topology, seed: u64) -> RouteTables {
         match routing_graph(topo) {
             Some(residual) => RouteTables::build(&residual, seed),
             None => RouteTables::build(topo.graph(), seed),

@@ -16,7 +16,7 @@ use pf_sim::router::PortMap;
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
 use pf_sim::{load_curve, simulate, MinHop, NetState, Routing, SimConfig};
-use pf_topo::{PolarFlyTopo, SlimFly, Topology, TransientTopo};
+use pf_topo::{PolarFlyTopo, SlimFly, Topology};
 
 /// Residual minimal paths can exceed the healthy diameter of 2 and the
 /// adaptive detours add more: 8 hop-indexed VC classes keep every path of
@@ -27,10 +27,10 @@ fn degraded_cfg() -> SimConfig {
 }
 
 /// `inner` with `failures` down from cycle 0, never repaired.
-fn degrade<'a>(inner: &'a dyn Topology, failures: &FailureSet) -> TransientTopo<'a> {
+fn degrade(inner: &Topology, failures: &FailureSet) -> Topology {
     let schedule = FaultSchedule::from_failures(failures);
     assert!(schedule.is_static(inner.graph()));
-    TransientTopo::new(inner, schedule)
+    inner.with_faults(schedule).unwrap()
 }
 
 /// Per-port liveness mask for a failure set, built the same way the
@@ -233,7 +233,7 @@ fn load_curve_runs_on_degraded_topologies() {
 fn empty_failure_set_behaves_exactly_like_the_healthy_network() {
     let pf = PolarFlyTopo::new(5, 2).unwrap();
     let degraded = degrade(&pf, &FailureSet::empty());
-    assert_eq!(degraded.fault_schedule().unwrap(), &FaultSchedule::new());
+    assert_eq!(degraded.faults(), &FaultSchedule::new());
     assert_eq!(degraded.name(), "PF(q=5,p=2)!f0.0%");
     let cfg = SimConfig::quick().seed(4);
     let healthy_tables = RouteTables::build_for(&pf, 4);

@@ -17,7 +17,7 @@ use pf_graph::{bfs, FailureSet, FaultSchedule};
 use pf_sim::traffic::{resolve, TrafficPattern};
 use pf_sim::{simulate, simulate_workload, InFlightPolicy, RouteTables, Routing, SimConfig};
 use pf_sim::{JobResult, SimResult};
-use pf_topo::{Dragonfly, HyperX, PolarFlyTopo, SlimFly, Topology, TransientTopo};
+use pf_topo::{Dragonfly, HyperX, PolarFlyTopo, SlimFly, Topology};
 use pf_workload::{
     all_to_all, halo_exchange, multi_job_mix, param_server, recursive_doubling_allreduce,
     ring_allreduce, JobAssignment,
@@ -257,7 +257,7 @@ fn config(faulted: bool, policy: InFlightPolicy) -> SimConfig {
 
 /// The transient schedule: the static cell's links, each failing in
 /// `[0, 200)` and repaired 120 cycles later.
-fn transient_schedule(topo: &dyn Topology) -> FaultSchedule {
+fn transient_schedule(topo: &Topology) -> FaultSchedule {
     FaultSchedule::sample_connected_links(topo.graph(), RATIO, 200, 120, SEED)
 }
 
@@ -265,19 +265,21 @@ fn transient_schedule(topo: &dyn Topology) -> FaultSchedule {
 const FAULTS: [&str; 4] = ["healthy", "static", "drop", "drain"];
 
 /// Simulates every valid cell of `topo` and returns one pin line each.
-fn open_loop_lines(label: &str, topo: &dyn Topology) -> String {
+fn open_loop_lines(label: &str, topo: &Topology) -> String {
     let g = topo.graph();
     let failures = FailureSet::sample_connected(g, RATIO, SEED);
     assert!(!failures.is_empty(), "{label}: the 5 % draw fails no link");
     let residual = bfs::diameter(&failures.residual(g)).expect("connected residual");
     let healthy = bfs::diameter(g).expect("connected topology");
-    let static_topo = TransientTopo::new(topo, FaultSchedule::from_failures(&failures));
-    let transient_topo = TransientTopo::new(topo, transient_schedule(topo));
+    let static_topo = topo
+        .with_faults(FaultSchedule::from_failures(&failures))
+        .unwrap();
+    let transient_topo = topo.with_faults(transient_schedule(topo)).unwrap();
     let mut out = String::new();
     for pattern in [TrafficPattern::Uniform, TrafficPattern::Perm2Hop] {
         let dests = resolve(pattern, g, &topo.host_routers(), SEED);
         for fault in FAULTS {
-            let (net, policy): (&dyn Topology, _) = match fault {
+            let (net, policy): (&Topology, _) = match fault {
                 "healthy" => (topo, InFlightPolicy::default()),
                 "static" => (&static_topo, InFlightPolicy::default()),
                 "drop" => (&transient_topo, InFlightPolicy::DropRetransmit),
@@ -364,7 +366,7 @@ fn generator_jobs(name: &str) -> Vec<JobAssignment> {
 #[test]
 fn closed_loop_generators() {
     let topo = PolarFlyTopo::new(7, 4).unwrap();
-    let transient = TransientTopo::new(&topo, transient_schedule(&topo));
+    let transient = topo.with_faults(transient_schedule(&topo)).unwrap();
     let mut out = String::new();
     for name in [
         "ring",
@@ -374,7 +376,7 @@ fn closed_loop_generators() {
         "param_server",
         "mix",
     ] {
-        let runs: [(&str, &dyn Topology, Routing, bool); 2] = [
+        let runs: [(&str, &Topology, Routing, bool); 2] = [
             ("healthy", &topo, Routing::Min, false),
             ("drop", &transient, Routing::UgalPf, true),
         ];

@@ -11,7 +11,7 @@ use pf_sim::{Routing, WorkloadDriver};
 use pf_topo::{PolarFlyTopo, Topology};
 use pf_workload::{JobAssignment, WorkloadBuilder};
 
-fn setup(q: u64, p: usize) -> (PolarFlyTopo, RouteTables) {
+fn setup(q: u64, p: usize) -> (Topology, RouteTables) {
     let topo = PolarFlyTopo::new(q, p).unwrap();
     let tables = RouteTables::build(topo.graph(), 7);
     (topo, tables)

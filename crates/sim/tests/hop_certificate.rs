@@ -32,7 +32,7 @@ use rand::{Rng, SeedableRng};
 /// down from cycle 0.
 struct Case<'t> {
     name: String,
-    topo: &'t dyn Topology,
+    topo: &'t Topology,
     failed: Option<(u32, u32)>,
 }
 
@@ -192,16 +192,13 @@ impl Cdg {
 }
 
 /// Every topology the certificate covers, healthy.
-fn topologies() -> Vec<(String, Box<dyn Topology>)> {
-    let mut topos: Vec<(String, Box<dyn Topology>)> = [3, 4, 5, 7, 8, 9]
+fn topologies() -> Vec<(String, Topology)> {
+    let mut topos: Vec<(String, Topology)> = [3, 4, 5, 7, 8, 9]
         .into_iter()
-        .map(|q| {
-            let topo: Box<dyn Topology> = Box::new(PolarFlyTopo::new(q, 1).unwrap());
-            (format!("PF q={q}"), topo)
-        })
+        .map(|q| (format!("PF q={q}"), PolarFlyTopo::new(q, 1).unwrap()))
         .collect();
-    topos.push(("SF q=5".into(), Box::new(SlimFly::new(5, 1).unwrap())));
-    topos.push(("DF(2,1,1)".into(), Box::new(Dragonfly::new(2, 1, 1))));
+    topos.push(("SF q=5".into(), SlimFly::new(5, 1).unwrap()));
+    topos.push(("DF(2,1,1)".into(), Dragonfly::new(2, 1, 1)));
     topos
 }
 
@@ -212,7 +209,7 @@ fn for_each_case(mut check: impl FnMut(&Case)) {
     for (name, topo) in &topos {
         check(&Case {
             name: name.clone(),
-            topo: topo.as_ref(),
+            topo,
             failed: None,
         });
     }

@@ -8,7 +8,7 @@ use pf_sim::queues::SourceQueues;
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
 use pf_sim::{FlitRings, Routing};
-use pf_topo::{PolarFlyTopo, Topology};
+use pf_topo::PolarFlyTopo;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -13,7 +13,7 @@ use pf_graph::FaultSchedule;
 use pf_sim::telemetry::TRACE_RETRANSMIT;
 use pf_sim::traffic::TrafficPattern;
 use pf_sim::{load_curve, simulate_workload, InFlightPolicy, Routing, SimConfig, SimResult};
-use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
+use pf_topo::{PolarFlyTopo, Topology};
 use pf_workload::{ring_allreduce, JobAssignment};
 
 fn with_telemetry(cfg: &SimConfig, telemetry: bool) -> SimConfig {
@@ -24,7 +24,7 @@ fn with_telemetry(cfg: &SimConfig, telemetry: bool) -> SimConfig {
     }
 }
 
-fn run(topo: &dyn Topology, load: f64, cfg: &SimConfig, telemetry: bool) -> SimResult {
+fn run(topo: &Topology, load: f64, cfg: &SimConfig, telemetry: bool) -> SimResult {
     let c = with_telemetry(cfg, telemetry);
     let curve = load_curve(topo, Routing::UgalPf, TrafficPattern::Uniform, &[load], &c);
     curve.points.into_iter().next().unwrap()
@@ -78,7 +78,7 @@ fn telemetry_parity_q31() {
 fn telemetry_parity_transient_retransmit() {
     let pf = PolarFlyTopo::new(7, 4).unwrap();
     let schedule = FaultSchedule::sample_connected_links(pf.graph(), 0.08, 150, 150, 23);
-    let topo = TransientTopo::new(&pf, schedule);
+    let topo = pf.with_faults(schedule).unwrap();
     let cfg = SimConfig::default()
         .warmup(500)
         .measure(400)

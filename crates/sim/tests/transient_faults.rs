@@ -11,7 +11,7 @@ use pf_sim::router::PortMap;
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
 use pf_sim::{load_curve, InFlightPolicy, Routing, SimConfig};
-use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
+use pf_topo::PolarFlyTopo;
 
 /// Transient runs need VC-class headroom twice over: residual minimal
 /// paths exceed the healthy diameter of 2, and stale-window local
@@ -36,7 +36,7 @@ fn warmup_link_blips_recover_full_delivery() {
     let schedule = FaultSchedule::sample_connected_links(pf.graph(), 0.08, 150, 150, 23);
     assert!(!schedule.is_empty());
     assert!(schedule.horizon() < 400, "blips must end inside warmup");
-    let transient = TransientTopo::new(&pf, schedule);
+    let transient = pf.with_faults(schedule).unwrap();
     for routing in [Routing::Min, Routing::MinAdaptive, Routing::UgalPf] {
         let curve = load_curve(
             &transient,
@@ -93,7 +93,7 @@ fn mid_measurement_blip_still_delivers_everything() {
         let fail = 550 + 40 * k as u32;
         schedule = schedule.link_fault(u, v, fail, fail + 120);
     }
-    let transient = TransientTopo::new(&pf, schedule);
+    let transient = pf.with_faults(schedule).unwrap();
     for routing in [Routing::Min, Routing::UgalPf] {
         let curve = load_curve(
             &transient,
@@ -118,7 +118,7 @@ fn mid_measurement_blip_still_delivers_everything() {
 fn drain_policy_drops_nothing() {
     let pf = PolarFlyTopo::new(7, 4).unwrap();
     let schedule = FaultSchedule::sample_connected_links(pf.graph(), 0.08, 150, 150, 23);
-    let transient = TransientTopo::new(&pf, schedule);
+    let transient = pf.with_faults(schedule).unwrap();
     let cfg = transient_cfg().fault_policy(InFlightPolicy::Drain);
     for routing in [Routing::Min, Routing::UgalPf] {
         let curve = load_curve(&transient, routing, TrafficPattern::Uniform, &[0.2], &cfg);
@@ -148,7 +148,7 @@ fn no_flit_crosses_the_down_window() {
         .first()
         .expect("draw one safe link");
     let schedule = FaultSchedule::new().link_fault(u, v, 200, 600);
-    let transient = TransientTopo::new(&pf, schedule);
+    let transient = pf.with_faults(schedule).unwrap();
     let tables = RouteTables::build_for(&transient, 11);
     let dests = resolve(
         TrafficPattern::Uniform,
@@ -202,7 +202,7 @@ fn no_flit_crosses_the_down_window() {
 fn router_blip_holds_traffic_and_recovers() {
     let pf = PolarFlyTopo::new(5, 2).unwrap();
     let schedule = FaultSchedule::new().router_fault(3, 150, 500);
-    let transient = TransientTopo::new(&pf, schedule);
+    let transient = pf.with_faults(schedule).unwrap();
     let tables = RouteTables::build_for(&transient, 11);
     let dests = resolve(
         TrafficPattern::Uniform,
@@ -243,7 +243,7 @@ fn neighbor_detours_survive_router_repair_window_on_tables() {
     use pf_topo::SlimFly;
     let sf = SlimFly::new(5, 4).unwrap();
     let schedule = FaultSchedule::new().router_fault(3, 150, 500);
-    let transient = TransientTopo::new(&sf, schedule);
+    let transient = sf.with_faults(schedule).unwrap();
     let tables = RouteTables::build_for(&transient, 11);
     let dests = resolve(
         TrafficPattern::Uniform,
@@ -278,7 +278,9 @@ fn neighbor_detours_survive_router_repair_window_on_tables() {
     // down events "change" nothing, so no swap may fire. (The repair
     // lands after the run, so the fault machinery is live.)
     let (u, v) = sf.graph().edges()[0];
-    let baked = TransientTopo::new(&sf, FaultSchedule::new().link_fault(u, v, 0, 1 << 20));
+    let baked = sf
+        .with_faults(FaultSchedule::new().link_fault(u, v, 0, 1 << 20))
+        .unwrap();
     assert!(baked.name().contains("~transient×1"));
     let curve = load_curve(
         &baked,
@@ -301,7 +303,7 @@ fn neighbor_detours_survive_router_repair_window_on_tables() {
 fn transient_runs_are_deterministic() {
     let pf = PolarFlyTopo::new(7, 4).unwrap();
     let schedule = FaultSchedule::sample_connected_links(pf.graph(), 0.06, 200, 180, 41);
-    let transient = TransientTopo::new(&pf, schedule);
+    let transient = pf.with_faults(schedule).unwrap();
     let run = || {
         load_curve(
             &transient,
@@ -326,7 +328,7 @@ fn transient_runs_are_deterministic() {
 #[test]
 fn empty_schedule_matches_healthy_run() {
     let pf = PolarFlyTopo::new(5, 2).unwrap();
-    let transient = TransientTopo::new(&pf, FaultSchedule::new());
+    let transient = pf.with_faults(FaultSchedule::new()).unwrap();
     let cfg = SimConfig::quick().vc_classes(8).seed(4);
     let healthy = load_curve(&pf, Routing::UgalPf, TrafficPattern::Uniform, &[0.4], &cfg);
     let faulted = load_curve(

@@ -7,7 +7,7 @@
 use pf_graph::FaultSchedule;
 use pf_sim::traffic::{resolve, TrafficPattern};
 use pf_sim::{simulate, simulate_workload, RouteTables, Routing, SimConfig, SimResult};
-use pf_topo::{PolarFlyTopo, Topology, TransientTopo};
+use pf_topo::PolarFlyTopo;
 use pf_workload::{
     all_to_all, halo_exchange, multi_job_mix, param_server, recursive_doubling_allreduce,
     ring_allreduce, JobAssignment,
@@ -117,7 +117,7 @@ fn transient_faults_stretch_makespan_without_wedging() {
     // the window overlaps it.
     let schedule = FaultSchedule::sample_connected_links(pf.graph(), 0.15, m0 / 2, 200, 23);
     assert!(!schedule.is_empty(), "vacuous schedule");
-    let transient = TransientTopo::new(&pf, schedule);
+    let transient = pf.with_faults(schedule).unwrap();
     let faulty = simulate_workload(&transient, Routing::Min, jobs(), &cfg).unwrap();
     assert_conserved(&faulty, "faulted ring");
     let m1 = faulty.jobs[0].makespan.unwrap();

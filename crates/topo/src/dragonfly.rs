@@ -17,100 +17,60 @@
 //! routers, radix 32 (throughput-limited by its thin intra-group links,
 //! which Fig. 8 shows).
 
-use crate::traits::Topology;
+use crate::Topology;
 use pf_graph::{Csr, GraphBuilder};
 
-/// A Dragonfly instance.
-pub struct Dragonfly {
-    a: u32,
-    h: u32,
-    p: usize,
-    groups: u32,
-    graph: Csr,
-}
+/// Dragonfly constructor.
+pub enum Dragonfly {}
 
 impl Dragonfly {
     /// Builds a Dragonfly with `a` routers per group, `h` global links per
     /// router, `p` endpoints per router, and the maximal `g = a·h + 1`
     /// groups.
-    pub fn new(a: u32, h: u32, p: usize) -> Dragonfly {
-        assert!(a >= 1 && h >= 1);
-        let groups = a * h + 1;
-        let n = (groups * a) as usize;
-        let id = |g: u32, r: u32| g * a + r;
-        let mut b = GraphBuilder::new(n);
-        // Intra-group cliques.
-        for g in 0..groups {
-            for r1 in 0..a {
-                for r2 in (r1 + 1)..a {
-                    b.add_edge(id(g, r1), id(g, r2));
-                }
-            }
-        }
-        // Palm-tree global links: channel i of group g → group g+i+1,
-        // landing on channel a·h−1−i there. Every link is visited from both
-        // ends; `GraphBuilder::build` deduplicates the mirrored copies.
-        let ah = a * h;
-        for g in 0..groups {
-            for i in 0..ah {
-                let tg = (g + i + 1) % groups;
-                let ti = ah - 1 - i;
-                b.add_edge(id(g, i / h), id(tg, ti / h));
-            }
-        }
-        Dragonfly {
-            a,
-            h,
-            p,
-            groups,
-            graph: b.build(),
-        }
+    pub fn new(a: u32, h: u32, p: usize) -> Topology {
+        let name = format!("DF(a={a},h={h},p={p})");
+        Topology::uniform(name, graph(a, h), p)
     }
 
     /// The paper's balanced DF1: `a = 12, h = 6, p = 6` (876 routers).
-    pub fn df1() -> Dragonfly {
+    pub fn df1() -> Topology {
         Dragonfly::new(12, 6, 6)
     }
 
     /// The paper's radix/scale-matched DF2: `a = 6, h = 27, p = 10`
     /// (978 routers, radix 32).
-    pub fn df2() -> Dragonfly {
+    pub fn df2() -> Topology {
         Dragonfly::new(6, 27, 10)
-    }
-
-    /// Routers per group.
-    pub fn group_size(&self) -> u32 {
-        self.a
-    }
-
-    /// Number of groups, `a·h + 1`.
-    pub fn group_count(&self) -> u32 {
-        self.groups
-    }
-
-    /// Group of router `r`.
-    pub fn group_of(&self, r: u32) -> u32 {
-        r / self.a
-    }
-
-    /// Network radix `a − 1 + h`.
-    pub fn degree(&self) -> u32 {
-        self.a - 1 + self.h
     }
 }
 
-impl Topology for Dragonfly {
-    fn name(&self) -> String {
-        format!("DF(a={},h={},p={})", self.a, self.h, self.p)
+/// The router graph of `(a, h)`: `a·h + 1` groups of `a` routers.
+fn graph(a: u32, h: u32) -> Csr {
+    assert!(a >= 1 && h >= 1);
+    let groups = a * h + 1;
+    let n = (groups * a) as usize;
+    let id = |g: u32, r: u32| g * a + r;
+    let mut b = GraphBuilder::new(n);
+    // Intra-group cliques.
+    for g in 0..groups {
+        for r1 in 0..a {
+            for r2 in (r1 + 1)..a {
+                b.add_edge(id(g, r1), id(g, r2));
+            }
+        }
     }
-
-    fn graph(&self) -> &Csr {
-        &self.graph
+    // Palm-tree global links: channel i of group g → group g+i+1,
+    // landing on channel a·h−1−i there. Every link is visited from both
+    // ends; `GraphBuilder::build` deduplicates the mirrored copies.
+    let ah = a * h;
+    for g in 0..groups {
+        for i in 0..ah {
+            let tg = (g + i + 1) % groups;
+            let ti = ah - 1 - i;
+            b.add_edge(id(g, i / h), id(tg, ti / h));
+        }
     }
-
-    fn endpoints(&self, _r: u32) -> usize {
-        self.p
-    }
+    b.build()
 }
 
 #[cfg(test)]
@@ -121,8 +81,7 @@ mod tests {
     #[test]
     fn small_dragonfly_structure() {
         let df = Dragonfly::new(4, 2, 2);
-        assert_eq!(df.group_count(), 9);
-        assert_eq!(df.router_count(), 36);
+        assert_eq!(df.router_count(), 36); // 9 groups of 4
         assert!(df.graph().is_regular(5)); // a−1+h = 5
         assert_eq!(bfs::diameter(df.graph()), Some(3));
     }
@@ -130,10 +89,10 @@ mod tests {
     #[test]
     fn every_group_pair_has_exactly_one_global_link() {
         let df = Dragonfly::new(4, 2, 2);
-        let g = df.group_count();
+        let g = 9; // a·h + 1
         let mut counts = vec![0u32; (g * g) as usize];
         for &(u, v) in df.graph().edges() {
-            let (gu, gv) = (df.group_of(u), df.group_of(v));
+            let (gu, gv) = (u / 4, v / 4); // groups of a = 4
             if gu != gv {
                 let (a, b) = (gu.min(gv), gu.max(gv));
                 counts[(a * g + b) as usize] += 1;
@@ -154,7 +113,7 @@ mod tests {
                 .graph()
                 .neighbors(r)
                 .iter()
-                .filter(|&&w| df.group_of(w) != df.group_of(r))
+                .filter(|&&w| w / 6 != r / 6) // groups of a = 6
                 .count();
             assert_eq!(global, 3, "router {r}");
         }
@@ -164,7 +123,6 @@ mod tests {
     fn df1_matches_table_v() {
         let df = Dragonfly::df1();
         assert_eq!(df.router_count(), 876);
-        assert_eq!(df.degree(), 17);
         assert_eq!(df.graph().edge_count(), 876 * 17 / 2);
         assert!(df.graph().is_regular(17));
         assert_eq!(bfs::diameter(df.graph()), Some(3));
@@ -174,7 +132,6 @@ mod tests {
     fn df2_matches_table_v() {
         let df = Dragonfly::df2();
         assert_eq!(df.router_count(), 978);
-        assert_eq!(df.degree(), 32);
         assert_eq!(df.graph().edge_count(), 978 * 32 / 2);
         assert!(df.graph().is_regular(32));
     }

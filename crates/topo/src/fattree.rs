@@ -13,33 +13,20 @@
 //! ECMP over shortest paths in this graph: up-hops have `k` equal-cost
 //! choices, down-paths are unique.
 
-use crate::traits::Topology;
-use pf_graph::{Csr, GraphBuilder};
+use crate::Topology;
+use pf_graph::GraphBuilder;
 
-/// Switch level within the fat tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Level {
-    /// Leaf level — hosts attach here.
-    Edge,
-    /// Middle (pod) level.
-    Aggregation,
-    /// Top (spine) level; uses half its radix.
-    Core,
-}
-
-/// A 3-level folded-Clos fat tree.
-pub struct FatTree {
-    k: u32,
-    graph: Csr,
-}
+/// 3-level folded-Clos fat tree constructor.
+pub enum FatTree {}
 
 impl FatTree {
     /// Builds the 3-level folded Clos with half-radix `k` (switch radix
-    /// `2k`): `k` pods, `3k²` switches, `k³` hosts.
-    pub fn new(k: u32) -> FatTree {
+    /// `2k`): `k` pods, `3k²` switches, `k³` hosts — `k` on each edge
+    /// switch, none elsewhere, so the network is indirect.
+    pub fn new(k: u32) -> Topology {
         assert!(k >= 2);
-        let n = (3 * k * k) as usize;
-        let mut b = GraphBuilder::new(n);
+        let n = 3 * k * k;
+        let mut b = GraphBuilder::new(n as usize);
         let edge = |pod: u32, i: u32| pod * k + i;
         let agg = |pod: u32, j: u32| k * k + pod * k + j;
         let core = |j: u32, c: u32| 2 * k * k + j * k + c;
@@ -55,63 +42,14 @@ impl FatTree {
                 }
             }
         }
-        FatTree {
-            k,
-            graph: b.build(),
-        }
+        // Switches 0..k² are the edge level.
+        let endpoints = (0..n).map(|r| if r < k * k { k } else { 0 }).collect();
+        Topology::new(format!("FT(n=3,k={k})"), b.build(), endpoints, false)
     }
 
     /// The Table V instance: `k = 18` → 972 switches, radix 36, 5 832 hosts.
-    pub fn table_v() -> FatTree {
+    pub fn table_v() -> Topology {
         FatTree::new(18)
-    }
-
-    /// Half radix `k`.
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
-    /// Level of switch `r`.
-    pub fn level(&self, r: u32) -> Level {
-        let kk = self.k * self.k;
-        match r / kk {
-            0 => Level::Edge,
-            1 => Level::Aggregation,
-            _ => Level::Core,
-        }
-    }
-
-    /// Pod of an edge or aggregation switch.
-    pub fn pod(&self, r: u32) -> Option<u32> {
-        let kk = self.k * self.k;
-        match r / kk {
-            0 => Some(r / self.k),
-            1 => Some((r - kk) / self.k),
-            _ => None,
-        }
-    }
-}
-
-impl Topology for FatTree {
-    fn name(&self) -> String {
-        format!("FT(n=3,k={})", self.k)
-    }
-
-    fn graph(&self) -> &Csr {
-        &self.graph
-    }
-
-    fn endpoints(&self, r: u32) -> usize {
-        // Hosts attach only to edge switches, k per switch.
-        if self.level(r) == Level::Edge {
-            self.k as usize
-        } else {
-            0
-        }
-    }
-
-    fn is_direct(&self) -> bool {
-        false
     }
 }
 
@@ -124,13 +62,12 @@ mod tests {
     fn small_fat_tree_structure() {
         let ft = FatTree::new(3);
         assert_eq!(ft.router_count(), 27);
-        // Edge/agg degree k (up) + hosts on edge; core degree k.
+        // Edge switches (0..k²) and cores (2k²..) have degree k,
+        // aggregation switches 2k; hosts sit on the edge level only.
         for r in 0..ft.router_count() as u32 {
-            match ft.level(r) {
-                Level::Edge => assert_eq!(ft.graph().degree(r), 3),
-                Level::Aggregation => assert_eq!(ft.graph().degree(r), 6),
-                Level::Core => assert_eq!(ft.graph().degree(r), 3),
-            }
+            let agg = (9..18).contains(&r);
+            assert_eq!(ft.graph().degree(r), if agg { 6 } else { 3 });
+            assert_eq!(ft.endpoints()[r as usize], if r < 9 { 3 } else { 0 });
         }
         assert!(ft.graph().is_connected());
     }
@@ -144,7 +81,8 @@ mod tests {
                 if a == b {
                     continue;
                 }
-                let expect = if ft.pod(a) == ft.pod(b) { 2 } else { 4 };
+                // Edge switch `e` sits in pod `e / k`.
+                let expect = if a / 4 == b / 4 { 2 } else { 4 };
                 assert_eq!(u32::from(dm.get(a, b)), expect, "edge {a}->{b}");
             }
         }

@@ -4,20 +4,15 @@
 //! `a + b − 2`; the balanced square `a = b` maximizes routers per radix at
 //! `≈ ((k+2)/2)²` — roughly 25% of the Moore bound, the low curve in Fig. 2.
 
-use crate::traits::Topology;
-use pf_graph::{Csr, GraphBuilder};
+use crate::Topology;
+use pf_graph::GraphBuilder;
 
-/// A 2-D HyperX (Hamming graph `K_a □ K_b`).
-pub struct HyperX {
-    a: u32,
-    b: u32,
-    p: usize,
-    graph: Csr,
-}
+/// 2-D HyperX (Hamming graph `K_a □ K_b`) constructor.
+pub enum HyperX {}
 
 impl HyperX {
     /// Builds `K_a □ K_b` with `p` endpoints per router.
-    pub fn new(a: u32, b: u32, p: usize) -> HyperX {
+    pub fn new(a: u32, b: u32, p: usize) -> Topology {
         assert!(a >= 2 && b >= 2);
         let id = |i: u32, j: u32| i * b + j;
         let mut g = GraphBuilder::new((a * b) as usize);
@@ -31,37 +26,13 @@ impl HyperX {
                 }
             }
         }
-        HyperX {
-            a,
-            b,
-            p,
-            graph: g.build(),
-        }
+        Topology::uniform(format!("HX({a}x{b},p={p})"), g.build(), p)
     }
 
     /// Balanced square HyperX of the largest size with degree ≤ `max_degree`.
-    pub fn square_for_degree(max_degree: u32, p: usize) -> HyperX {
+    pub fn square_for_degree(max_degree: u32, p: usize) -> Topology {
         let a = (max_degree + 2) / 2;
         HyperX::new(a, a, p)
-    }
-
-    /// Network degree `a + b − 2`.
-    pub fn degree(&self) -> u32 {
-        self.a + self.b - 2
-    }
-}
-
-impl Topology for HyperX {
-    fn name(&self) -> String {
-        format!("HX({}x{},p={})", self.a, self.b, self.p)
-    }
-
-    fn graph(&self) -> &Csr {
-        &self.graph
-    }
-
-    fn endpoints(&self, _r: u32) -> usize {
-        self.p
     }
 }
 
@@ -81,14 +52,13 @@ mod tests {
     #[test]
     fn square_maximizes_size() {
         let hx = HyperX::square_for_degree(16, 1);
-        assert_eq!(hx.degree(), 16);
+        assert!(hx.graph().is_regular(16));
         assert_eq!(hx.router_count(), 81); // ((16+2)/2)²
     }
 
     #[test]
     fn rectangular_hyperx_degrees() {
         let hx = HyperX::new(3, 7, 2);
-        assert_eq!(hx.degree(), 8);
         assert_eq!(hx.router_count(), 21);
         assert_eq!(hx.total_endpoints(), 42);
         assert!(hx.graph().is_regular(8));

@@ -2,57 +2,24 @@
 //! regular graph. The paper uses it as the random-expander baseline
 //! (Table V: 993 routers of radix 32, mirroring the PolarFly scale).
 
-use crate::traits::Topology;
-use pf_graph::{random_regular, Csr};
+use crate::Topology;
+use pf_graph::random_regular;
 
-/// A Jellyfish (random regular) instance.
-pub struct Jellyfish {
-    graph: Csr,
-    k: usize,
-    p: usize,
-    seed: u64,
-}
+/// Jellyfish (random regular) constructor.
+pub enum Jellyfish {}
 
 impl Jellyfish {
     /// Builds a connected random `k`-regular network on `n` routers with
     /// `p` endpoints each. Deterministic in `seed`.
-    pub fn new(n: usize, k: usize, p: usize, seed: u64) -> Jellyfish {
-        Jellyfish {
-            graph: random_regular::random_regular(n, k, seed),
-            k,
-            p,
-            seed,
-        }
+    pub fn new(n: usize, k: usize, p: usize, seed: u64) -> Topology {
+        let graph = random_regular::random_regular(n, k, seed);
+        let name = format!("JF(n={},k={k},p={p},s={seed})", graph.vertex_count());
+        Topology::uniform(name, graph, p)
     }
 
     /// The Table V configuration: 993 routers, network radix 32, p = 16.
-    pub fn table_v(seed: u64) -> Jellyfish {
+    pub fn table_v(seed: u64) -> Topology {
         Jellyfish::new(993, 32, 16, seed)
-    }
-
-    /// Network radix.
-    pub fn degree(&self) -> usize {
-        self.k
-    }
-}
-
-impl Topology for Jellyfish {
-    fn name(&self) -> String {
-        format!(
-            "JF(n={},k={},p={},s={})",
-            self.graph.vertex_count(),
-            self.k,
-            self.p,
-            self.seed
-        )
-    }
-
-    fn graph(&self) -> &Csr {
-        &self.graph
-    }
-
-    fn endpoints(&self, _r: u32) -> usize {
-        self.p
     }
 }
 

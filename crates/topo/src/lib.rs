@@ -1,32 +1,48 @@
 //! Baseline interconnect topologies for the PolarFly evaluation (§VIII).
 //!
-//! Every comparison target of the paper is constructed from scratch:
+//! Every network is one [`Topology`] value: a router graph, endpoints
+//! per router, whether it is direct, PolarFly's algebra when the graph
+//! is `ER_q`, and a fault schedule (empty for a healthy network). Each
+//! module below is a constructor that returns one, built from scratch:
 //!
+//! * [`PolarFlyTopo`] — `ER_q` with `p` endpoints per router; the only
+//!   network carrying the algebra ([`Topology::polarfly`]).
 //! * [`slimfly`] — Slim Fly / McKay–Miller–Širáň graphs (`N = 2q²`,
 //!   `k = (3q − δ)/2`), the most competitive diameter-2 rival.
 //! * [`dragonfly`] — canonical Dragonfly (Kim et al.) with the palm-tree
 //!   global-link arrangement; the paper's balanced DF1 and radix-matched
 //!   DF2 variants.
 //! * [`jellyfish`] — random regular graph baseline.
-//! * [`fattree`] — 3-level folded-Clos fat tree with NCA routing metadata.
+//! * [`fattree`] — 3-level folded-Clos fat tree, the one indirect
+//!   network (hosts on edge switches only).
 //! * [`hyperx`] — 2-D Hamming graphs (generalized Flattened Butterfly).
+//! * [`GraphTopo`] — any pre-built graph (expanded PolarFly, Fig. 11).
 //! * [`named`] — Petersen and Hoffman–Singleton, the only diameter-2
 //!   Moore-bound-achieving graphs (Fig. 2 reference points).
-//! * [`traits`] — the [`Topology`] abstraction consumed by the simulator,
-//!   plus the qualitative Table I feasibility matrix.
-//! * [`transient`] — [`TransientTopo`], the one fault wrapper: a
-//!   [`pf_graph::FaultSchedule`] of fail/repair windows. A static failure
-//!   set is a schedule whose windows open at cycle 0 and never repair;
-//!   any later window drives mid-run mask flips and staged route
-//!   re-convergence in the simulator.
+//! * [`feasibility`] — the qualitative Table I feasibility matrix.
+//! * [`transient`] — the fault model, [`Topology::with_faults`]: the
+//!   same network under a [`pf_graph::FaultSchedule`] of fail/repair
+//!   windows, validated to keep the live network connected at every
+//!   fault state (a [`TopoError`] otherwise). A static failure set is a
+//!   schedule whose windows open at cycle 0 and never repair; any later
+//!   window drives mid-run mask flips and staged route re-convergence in
+//!   the simulator.
+
+// Each topology type is a field-less constructor namespace whose `new`
+// returns the one `Topology` value.
+#![expect(
+    clippy::new_ret_no_self,
+    reason = "topology types are constructor namespaces for `Topology`"
+)]
 
 pub mod dragonfly;
 pub mod fattree;
+pub mod feasibility;
 pub mod hyperx;
 pub mod jellyfish;
 pub mod named;
 pub mod slimfly;
-pub mod traits;
+mod topology;
 pub mod transient;
 
 pub use dragonfly::Dragonfly;
@@ -34,8 +50,8 @@ pub use fattree::FatTree;
 pub use hyperx::HyperX;
 pub use jellyfish::Jellyfish;
 pub use slimfly::SlimFly;
-pub use traits::{PolarFlyTopo, RoutingHint, Topology};
-pub use transient::TransientTopo;
+pub use topology::{GraphTopo, PolarFlyTopo, Topology};
+pub use transient::TopoError;
 
 /// Two-level Orthogonal Fat Tree (Kathareios et al., SC'15; Table I row
 /// `OFT`). Leaf switches are the points and spine switches the lines of

@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::traits::Topology;
+use crate::Topology;
 
 /// Errors from [`SlimFly::new`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,91 +56,50 @@ impl std::fmt::Display for SlimFlyError {
 
 impl std::error::Error for SlimFlyError {}
 
-/// A Slim Fly (MMS) topology instance.
+/// Slim Fly (MMS) constructor.
 ///
 /// # Examples
 ///
 /// ```
-/// use pf_topo::{SlimFly, Topology};
+/// use pf_topo::SlimFly;
 ///
 /// // The paper's Table V baseline: q = 23 → 1058 routers of radix 35.
 /// let sf = SlimFly::new(23, 18).unwrap();
 /// assert_eq!(sf.router_count(), 1058);
-/// assert_eq!(sf.degree(), 35);
+/// assert_eq!(sf.graph().max_degree(), 35);
 /// ```
-#[derive(Debug)]
-pub struct SlimFly {
-    q: u32,
-    delta: i32,
-    graph: Csr,
-    p: usize,
-    gen_x: Vec<u32>,
-    gen_xp: Vec<u32>,
-}
+pub enum SlimFly {}
 
 impl SlimFly {
     /// Builds the MMS graph for prime power `q` with `p` endpoints per
     /// router.
-    pub fn new(q: u64, p: usize) -> Result<Self, SlimFlyError> {
-        let field = Gf::new(q).map_err(|_| SlimFlyError::NotPrimePower(q))?;
-        let delta: i32 = match q % 4 {
-            1 => 1,
-            3 => -1,
-            0 => 0,
-            _ => return Err(SlimFlyError::BadResidue(q)),
-        };
-        let (gen_x, gen_xp) =
-            find_generator_sets(&field, delta).ok_or(SlimFlyError::NoGeneratorSets(q))?;
-        let graph = build_graph(&field, &gen_x, &gen_xp);
-        Ok(SlimFly {
-            q: field.order(),
-            delta,
-            graph,
-            p,
-            gen_x,
-            gen_xp,
-        })
-    }
-
-    /// The MMS parameter `q`.
-    pub fn q(&self) -> u32 {
-        self.q
-    }
-
-    /// `δ` with `q = 4w + δ`.
-    pub fn delta(&self) -> i32 {
-        self.delta
-    }
-
-    /// Network degree `k = (3q − δ)/2`.
-    pub fn degree(&self) -> u32 {
-        ((3 * self.q as i64 - self.delta as i64) / 2) as u32
-    }
-
-    /// The generator sets `(X, X′)` used.
-    pub fn generator_sets(&self) -> (&[u32], &[u32]) {
-        (&self.gen_x, &self.gen_xp)
-    }
-
-    /// Router id of `(part, col, row)`.
-    pub fn router_id(&self, part: u32, col: u32, row: u32) -> u32 {
-        let q = self.q;
-        part * q * q + col * q + row
+    pub fn new(q: u64, p: usize) -> Result<Topology, SlimFlyError> {
+        let (field, x, xp) = generator_sets(q)?;
+        let name = format!("SF(q={},p={p})", field.order());
+        Ok(Topology::uniform(name, build_graph(&field, &x, &xp), p))
     }
 }
 
-impl Topology for SlimFly {
-    fn name(&self) -> String {
-        format!("SF(q={},p={})", self.q, self.p)
+/// `δ` with `q = 4w + δ`.
+fn delta(q: u64) -> Result<i32, SlimFlyError> {
+    match q % 4 {
+        1 => Ok(1),
+        3 => Ok(-1),
+        0 => Ok(0),
+        _ => Err(SlimFlyError::BadResidue(q)),
     }
+}
 
-    fn graph(&self) -> &Csr {
-        &self.graph
-    }
+/// The field of order `q` and validated generator sets `(X, X′)`.
+fn generator_sets(q: u64) -> Result<(Gf, Vec<u32>, Vec<u32>), SlimFlyError> {
+    let field = Gf::new(q).map_err(|_| SlimFlyError::NotPrimePower(q))?;
+    let (x, xp) = find_generator_sets(&field, delta(q)?).ok_or(SlimFlyError::NoGeneratorSets(q))?;
+    Ok((field, x, xp))
+}
 
-    fn endpoints(&self, _r: u32) -> usize {
-        self.p
-    }
+/// Router id of `(part, col, row)`.
+fn router_id(q: u32, part: u32, col: u32, row: u32) -> u32 {
+    part * q * q + col * q + row
 }
 
 /// Checks the two diameter-2 conditions plus symmetry and size.
@@ -315,7 +274,7 @@ fn random_symmetric_pair(f: &Gf, want: usize, rng: &mut StdRng) -> (Vec<u32>, Ve
 /// Materializes the MMS graph from validated generator sets.
 fn build_graph(f: &Gf, x: &[u32], xp: &[u32]) -> Csr {
     let q = f.order();
-    let id = |part: u32, col: u32, row: u32| part * q * q + col * q + row;
+    let id = |part: u32, col: u32, row: u32| router_id(q, part, col, row);
     let mut b = GraphBuilder::new(2 * (q as usize) * (q as usize));
     // Intra-column edges in both parts.
     for (part, set) in [(0u32, x), (1u32, xp)] {
@@ -351,10 +310,9 @@ mod tests {
         let sf = SlimFly::new(q, 1).unwrap();
         let n = 2 * q * q;
         assert_eq!(sf.router_count() as u64, n, "q={q}");
-        assert!(
-            sf.graph().is_regular(sf.degree() as usize),
-            "q={q} not regular"
-        );
+        // Network degree k = (3q − δ)/2.
+        let k = (3 * q as i64 - i64::from(delta(q).unwrap())) / 2;
+        assert!(sf.graph().is_regular(k as usize), "q={q} not regular");
         assert_eq!(bfs::diameter(sf.graph()), Some(2), "q={q} diameter");
     }
 
@@ -406,17 +364,17 @@ mod tests {
         // Table V: SF q=23, p=18 → 1058 routers, network radix 35.
         let sf = SlimFly::new(23, 18).unwrap();
         assert_eq!(sf.router_count(), 1058);
-        assert_eq!(sf.degree(), 35);
+        assert!(sf.graph().is_regular(35));
         assert_eq!(sf.total_endpoints(), 1058 * 18);
     }
 
     #[test]
     fn rejects_bad_parameters() {
         assert_eq!(
-            SlimFly::new(6, 1).unwrap_err(),
-            SlimFlyError::NotPrimePower(6)
+            SlimFly::new(6, 1).err(),
+            Some(SlimFlyError::NotPrimePower(6))
         );
-        assert_eq!(SlimFly::new(2, 1).unwrap_err(), SlimFlyError::BadResidue(2));
+        assert_eq!(SlimFly::new(2, 1).err(), Some(SlimFlyError::BadResidue(2)));
     }
 
     #[test]
@@ -424,23 +382,23 @@ mod tests {
         let a = SlimFly::new(11, 4).unwrap();
         let b = SlimFly::new(11, 4).unwrap();
         assert_eq!(a.graph().edges(), b.graph().edges());
-        assert_eq!(a.generator_sets(), b.generator_sets());
+        let (_, x1, xp1) = generator_sets(11).unwrap();
+        let (_, x2, xp2) = generator_sets(11).unwrap();
+        assert_eq!((x1, xp1), (x2, xp2));
     }
 
     #[test]
     fn router_id_layout_is_consistent() {
-        let sf = SlimFly::new(5, 1).unwrap();
-        assert_eq!(sf.router_id(0, 0, 0), 0);
-        assert_eq!(sf.router_id(1, 0, 0), 25);
-        assert_eq!(sf.router_id(1, 4, 4), 49);
+        assert_eq!(router_id(5, 0, 0, 0), 0);
+        assert_eq!(router_id(5, 1, 0, 0), 25);
+        assert_eq!(router_id(5, 1, 4, 4), 49);
     }
 
     #[test]
     fn generator_sets_are_symmetric_and_covering() {
         for q in [7u64, 9, 11, 16] {
-            let sf = SlimFly::new(q, 1).unwrap();
-            let f = Gf::new(q).unwrap();
-            let (x, xp) = sf.generator_sets();
+            let (f, x, xp) = generator_sets(q).unwrap();
+            let (x, xp) = (&x[..], &xp[..]);
             let mut covered = vec![false; q as usize];
             for &e in x.iter().chain(xp) {
                 covered[e as usize] = true;

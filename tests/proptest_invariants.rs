@@ -10,7 +10,7 @@ use pf_sim::engine::{Engine, SimConfig};
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
 use pf_sim::Routing;
-use pf_topo::{PolarFlyTopo, Topology};
+use pf_topo::PolarFlyTopo;
 use polarfly::PolarFly;
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -6,7 +6,7 @@ use pf_sim::engine::{simulate, SimConfig};
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
 use pf_sim::Routing;
-use pf_topo::{FatTree, PolarFlyTopo, Topology};
+use pf_topo::{FatTree, PolarFlyTopo};
 use polarfly::routing::next_hop_minimal;
 use polarfly::PolarFly;
 

@@ -28,7 +28,7 @@ struct ParityHarness {
 }
 
 impl ParityHarness {
-    fn new(topo: &PolarFlyTopo, seed: u64) -> ParityHarness {
+    fn new(topo: &Topology, seed: u64) -> ParityHarness {
         let cfg = SimConfig::default();
         let geom = PortMap::build(topo.graph());
         let ports = geom.num_ports();
@@ -42,7 +42,7 @@ impl ParityHarness {
         }
     }
 
-    fn net<'a>(&'a self, topo: &'a PolarFlyTopo) -> NetState<'a> {
+    fn net<'a>(&'a self, topo: &'a Topology) -> NetState<'a> {
         NetState {
             tables: &self.tables,
             graph: topo.graph(),
@@ -66,7 +66,7 @@ impl ParityHarness {
 #[test]
 fn er31_trait_table_algebraic_and_bfs_agree() {
     let topo = PolarFlyTopo::new(31, 16).unwrap();
-    let pf: &PolarFly = topo.inner();
+    let pf: &PolarFly = topo.polarfly().unwrap();
     let h = ParityHarness::new(&topo, 7);
     let net = h.net(&topo);
     let dm = DistanceMatrix::build(topo.graph());

@@ -130,7 +130,7 @@ fn engine_efficiency_factor_is_uniform_across_topologies() {
     let mut ratios = Vec::new();
     let pf = PolarFlyTopo::new(9, 5).unwrap();
     let sf = SlimFly::new(9, 6).unwrap();
-    let topos: [&dyn Topology; 2] = [&pf, &sf];
+    let topos: [&Topology; 2] = [&pf, &sf];
     for topo in topos {
         let tables = RouteTables::build(topo.graph(), 1);
         let dests = resolve(

@@ -4,7 +4,6 @@
 
 use pf_graph::failures::failure_trial;
 use pf_graph::partition::{bisect, bisection_cut_fraction};
-use pf_topo::Topology;
 use polarfly::expansion::{replicate_non_quadric, replicate_quadric, stats};
 use polarfly::paths::verify_table_vi;
 use polarfly::triangles::{census, cluster_triplet_design_holds, expected_census};

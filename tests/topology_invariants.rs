@@ -2,7 +2,7 @@
 //! constructed and checked against its defining invariants.
 
 use pf_graph::{bfs, DistanceHistogram, DistanceMatrix, FailureSet};
-use pf_topo::{Dragonfly, FatTree, HyperX, Jellyfish, PolarFlyTopo, SlimFly, Topology};
+use pf_topo::{Dragonfly, FatTree, HyperX, Jellyfish, PolarFlyTopo, SlimFly};
 use polarfly::{feasibility, PolarFly, VertexClass};
 
 #[test]
@@ -49,7 +49,10 @@ fn slimfly_all_residues_diameter_two() {
     for q in [5u64, 7, 8, 9, 11, 13, 16, 17, 19] {
         let sf = SlimFly::new(q, 1).unwrap();
         assert_eq!(sf.router_count() as u64, 2 * q * q, "order q={q}");
-        assert!(sf.graph().is_regular(sf.degree() as usize), "regular q={q}");
+        // Network degree k = (3q − δ)/2, q = 4w + δ.
+        let delta = [0, 1, 0, -1][(q % 4) as usize];
+        let k = ((3 * q as i64 - delta) / 2) as usize;
+        assert!(sf.graph().is_regular(k), "regular q={q}");
         assert_eq!(bfs::diameter(sf.graph()), Some(2), "diameter q={q}");
     }
 }
@@ -61,13 +64,13 @@ fn table_v_configurations_match_paper() {
     assert_eq!((pf.router_count(), pf.graph().max_degree()), (993, 32));
 
     let sf = SlimFly::new(23, 18).unwrap();
-    assert_eq!((sf.router_count(), sf.degree()), (1058, 35));
+    assert_eq!((sf.router_count(), sf.graph().max_degree()), (1058, 35));
 
     let df1 = Dragonfly::df1();
-    assert_eq!((df1.router_count(), df1.degree()), (876, 17));
+    assert_eq!((df1.router_count(), df1.graph().max_degree()), (876, 17));
 
     let df2 = Dragonfly::df2();
-    assert_eq!((df2.router_count(), df2.degree()), (978, 32));
+    assert_eq!((df2.router_count(), df2.graph().max_degree()), (978, 32));
 
     let ft = FatTree::table_v();
     assert_eq!(ft.router_count(), 972);
