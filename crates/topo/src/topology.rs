@@ -120,6 +120,23 @@ impl Topology {
     /// on exactly [`Topology::graph`]. Consumers layer their own failure
     /// masks on top (the simulator's `MinHop::Algebraic` validates each
     /// algebraic hop against its per-port liveness mask).
+    ///
+    /// ```
+    /// use pf_graph::{FailureSet, FaultSchedule};
+    /// use pf_topo::{GraphTopo, PolarFlyTopo};
+    ///
+    /// let pf = PolarFlyTopo::new(7, 4).unwrap();
+    /// assert!(pf.polarfly().is_some());
+    ///
+    /// // Masking links must not erase the algebra.
+    /// let failures = FailureSet::sample_connected(pf.graph(), 0.05, 1);
+    /// let degraded = pf.with_faults(FaultSchedule::from_failures(&failures)).unwrap();
+    /// assert!(degraded.polarfly().is_some());
+    ///
+    /// // The same graph wrapped as a plain graph carries no algebra.
+    /// let plain = GraphTopo::new("ER_7", pf.graph().clone(), 4);
+    /// assert!(plain.polarfly().is_none());
+    /// ```
     pub fn polarfly(&self) -> Option<&PolarFly> {
         match &self.graph {
             Graph::Plain(_) => None,
@@ -139,6 +156,32 @@ impl Topology {
     /// masks its cycle-0 state (`active_at(graph, 0)`) in its route
     /// tables and per-port link masks, and builds its fault event queue
     /// from whatever fires later.
+    ///
+    /// Every scheduled link is an edge of [`Topology::graph`]: the graph
+    /// itself is *not* shrunk — failed links keep their ports and
+    /// buffers.
+    ///
+    /// ```
+    /// use pf_graph::{FailureSet, FaultSchedule};
+    /// use pf_topo::PolarFlyTopo;
+    ///
+    /// let pf = PolarFlyTopo::new(7, 4).unwrap();
+    /// assert!(pf.faults().is_empty()); // healthy by default
+    ///
+    /// // A static failure set: down from cycle 0, never repaired.
+    /// let failures = FailureSet::sample_connected(pf.graph(), 0.05, 42);
+    /// let degraded = pf.with_faults(FaultSchedule::from_failures(&failures)).unwrap();
+    /// assert_eq!(degraded.faults().active_at(pf.graph(), 0), failures);
+    /// assert!(degraded.faults().is_static(pf.graph()));
+    /// // The physical graph is unchanged; only routing masks the links.
+    /// assert_eq!(degraded.graph().edge_count(), pf.graph().edge_count());
+    ///
+    /// // A blip: healthy at cycle 0, down for [100, 400).
+    /// let (u, v) = pf.graph().edges()[0];
+    /// let transient = pf.with_faults(FaultSchedule::new().link_fault(u, v, 100, 400)).unwrap();
+    /// assert!(transient.faults().active_at(pf.graph(), 0).is_empty());
+    /// assert!(!transient.faults().is_static(pf.graph()));
+    /// ```
     pub fn faults(&self) -> &FaultSchedule {
         &self.faults
     }
