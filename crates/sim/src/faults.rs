@@ -591,3 +591,6 @@ impl Engine<'_> {
         self.faults.retransmitted_packets += victims.len() as u64;
     }
 }
+
+#[cfg(test)]
+mod tests;
