@@ -36,6 +36,9 @@ use crate::engine::{net_view, Engine};
 use crate::flow::Arrival;
 use crate::router::{Claim, NONE32};
 use crate::routing::HopContext;
+use crate::telemetry::{
+    ROUTE_DETOUR, ROUTE_FRR, ROUTE_MIN, TRACE_GRANT, TRACE_ROUTE, TRACE_VC_ALLOC,
+};
 
 /// A requester in the request–grant–accept allocation.
 #[derive(Debug, Clone, Copy)]
@@ -296,17 +299,18 @@ impl Engine<'_> {
             let p = pkt as usize;
             let detour = self.packets.mid[p] != NONE32 && !self.packets.passed_mid[p];
             let source = if self.packets.frr_pinned[p] {
-                crate::telemetry::ROUTE_FRR
+                ROUTE_FRR
             } else if detour {
-                crate::telemetry::ROUTE_DETOUR
+                ROUTE_DETOUR
             } else {
-                crate::telemetry::ROUTE_MIN
+                ROUTE_MIN
             };
             let down = self.geom.peer(out_port);
             // In the configured numbering, whatever is allocated.
             let buf = down * self.cfg.vcs() as u32 + u32::from(ovc);
-            self.telemetry
-                .trace_route(pkt, r as u32, down, buf, source, self.cycle);
+            let (t, r) = (&mut self.telemetry, r as u32);
+            t.trace(pkt, TRACE_ROUTE, r, down, source, self.cycle);
+            t.trace(pkt, TRACE_VC_ALLOC, r, buf, 0, self.cycle);
         }
         Some(claim)
     }
@@ -494,8 +498,9 @@ impl Engine<'_> {
                     ReqSrc::Transit { port, .. } => self.port_owner[port as usize],
                     ReqSrc::Inject { router, .. } => router,
                 };
+                let seq = u32::from(req.seq);
                 self.telemetry
-                    .trace_grant(req.pkt, src_router, down, req.seq, cycle);
+                    .trace(req.pkt, TRACE_GRANT, src_router, down, seq, cycle);
             }
             self.out_taken[out_port] = true;
             self.link_flits[out_port] += 1;

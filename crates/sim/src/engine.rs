@@ -18,7 +18,6 @@ use crate::faults::{link_ports, FaultCtl};
 use crate::flow::LinkPipeline;
 use crate::packet::PacketPool;
 use crate::phase::PhaseClock;
-use crate::queues::SourceQueues;
 use crate::router::{FlitRings, InjPool, PortMap, NONE32};
 use crate::routing::MinHop;
 use crate::skip::SkipCtl;
@@ -32,6 +31,7 @@ use pf_topo::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
+use std::collections::VecDeque;
 
 /// Builds the read-only [`crate::routing::NetState`] view from disjoint
 /// `Engine` fields, so a routing call can run while `self.rng` is
@@ -185,7 +185,12 @@ pub struct Engine<'a> {
     /// injection lane. Fault events read a claim's owner here.
     pub(crate) out_owner: Vec<u32>,
 
-    pub(crate) src_q: SourceQueues,
+    /// Per-router source queues: packets generated but not yet
+    /// injected, in generation order. Skip contract: a non-empty queue
+    /// forces its router awake (`Engine::maybe_sleep` sleeps a router
+    /// only when it is empty), so every push is paired with
+    /// `SkipCtl::wake_now`.
+    pub(crate) src_q: Vec<VecDeque<u32>>,
     pub(crate) inj: InjPool,
     pub(crate) pipeline: LinkPipeline,
     pub(crate) packets: PacketPool,
@@ -331,7 +336,7 @@ impl<'a> Engine<'a> {
         let faults = if topo.faults().is_static(g) {
             FaultCtl::default()
         } else {
-            FaultCtl::from_schedule(topo.faults(), g, &geom, n, num_ports, &cfg)
+            FaultCtl::from_schedule(topo.faults(), g, num_ports)
         };
         let transient = faults.active();
 
@@ -440,7 +445,7 @@ impl<'a> Engine<'a> {
             bufs,
             credits: vec![cap_per_vc as u16; queues],
             out_owner: vec![NONE32; queues],
-            src_q: SourceQueues::new(n),
+            src_q: vec![VecDeque::new(); n],
             inj: InjPool::new(&stream_caps),
             pipeline: LinkPipeline::new(cfg.link_latency),
             packets: PacketPool::new(),
@@ -860,7 +865,7 @@ impl<'a> Engine<'a> {
 
     /// Packets generated but not yet injected, across all routers.
     pub fn source_backlog(&self) -> usize {
-        self.src_q.total()
+        self.src_q.iter().map(VecDeque::len).sum()
     }
 
     /// Injection streams currently active, across all routers.
@@ -1037,7 +1042,7 @@ impl<'a> Engine<'a> {
             }
             if !self.skip.is_awake(r) {
                 assert!(
-                    self.src_q.is_empty(r),
+                    self.src_q[r].is_empty(),
                     "non-awake router {r} has queued packets"
                 );
                 assert_eq!(

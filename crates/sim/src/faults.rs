@@ -7,10 +7,11 @@
 //! branch per cycle):
 //!
 //! * **Event queue.** The topology's [`pf_graph::FaultSchedule`] is
-//!   resolved into a sorted stream of link/router down/up transitions
-//!   with precomputed directed-port ids; the engine applies them at the
-//!   start of each scheduled cycle, flipping the per-port `link_up`
-//!   masks.
+//!   resolved into a sorted stream of [`pf_graph::FaultEvent`]s
+//!   (link/router down/up transitions); the engine applies them at the
+//!   start of each scheduled cycle, resolving a link event's `(u, v)` to
+//!   its two directed ports (`link_ports`) when it fires and flipping
+//!   the per-port `link_up` masks.
 //! * **In-flight policy.** When a link dies,
 //!   [`crate::config::InFlightPolicy`] decides the fate of committed
 //!   traffic: `DropRetransmit` removes every victim packet's flits from
@@ -37,29 +38,21 @@
 //!   their sources until it repairs. Router deaths always use the
 //!   drop-and-retransmit path — a dead router cannot drain.
 
-use crate::config::{InFlightPolicy, SimConfig};
+use crate::config::InFlightPolicy;
 use crate::engine::Engine;
 use crate::router::{PortMap, NONE32};
 use crate::tables::RouteTables;
-use pf_graph::{Csr, FaultEventKind, FaultSchedule};
+use crate::telemetry::TRACE_RETRANSMIT;
+use pf_graph::{Csr, FaultEvent, FaultEventKind, FaultSchedule};
 use std::borrow::Cow;
 
-/// One engine-level fault transition with precomputed directed ports:
-/// `port_uv` is `u`'s own port toward `v` — the *sender's* id of
-/// direction `u → v`, which is how the engine indexes `link_up`,
-/// `draining` and every route claim — and `port_vu` is its
+/// The two directed ports of link `{u, v}`: `u`'s port toward `v` — the
+/// *sender's* id of direction `u → v`, which is how the engine indexes
+/// `link_up`, `draining` and every route claim — and its
 /// [`PortMap::peer`], `v`'s port toward `u`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EngineEvent {
-    pub(crate) cycle: u32,
-    pub(crate) kind: EngineEventKind,
-}
-
-/// The two directed ports of link `{u, v}`: `u`'s port toward `v` and
-/// `v`'s toward `u` (each the sender's id of its direction).
 #[expect(
     clippy::expect_used,
-    reason = "construction-time check of the fault schedule; a non-edge here is a schedule bug caught before any cycle runs"
+    reason = "every link reaching here passed the schedule's edge check (`FaultSchedule::active_at` / `resolved_events`) when the engine was built; a non-edge is a schedule bug"
 )]
 pub(crate) fn link_ports(g: &Csr, geom: &PortMap, u: u32, v: u32) -> (u32, u32) {
     let iu = g
@@ -73,29 +66,15 @@ pub(crate) fn link_ports(g: &Csr, geom: &PortMap, u: u32, v: u32) -> (u32, u32) 
     (geom.tx(u, iu), geom.tx(v, iv))
 }
 
-/// The transition an [`EngineEvent`] applies.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum EngineEventKind {
-    /// Link `{u, v}` dies; both directed ports go down.
-    LinkDown { port_uv: u32, port_vu: u32 },
-    /// Link `{u, v}` repairs.
-    LinkUp { port_uv: u32, port_vu: u32 },
-    /// Router `r` dies (its links carry their own events).
-    RouterDown(u32),
-    /// Router `r` repairs.
-    RouterUp(u32),
-}
-
 /// Transient-fault state and counters. One inert instance
 /// ([`FaultCtl::default`]: empty vectors, no events) exists on every
 /// non-transient engine so the hot paths can gate on `Engine::transient`
 /// without `Option` juggling.
 #[derive(Default)]
 pub(crate) struct FaultCtl {
-    pub(crate) events: Vec<EngineEvent>,
+    /// The schedule's resolved transitions, in cycle order.
+    pub(crate) events: Vec<FaultEvent>,
     pub(crate) next_event: usize,
-    pub(crate) policy: InFlightPolicy,
-    pub(crate) convergence_delay: u32,
     /// Per-router liveness (sized `n` on transient runs, empty otherwise).
     pub(crate) router_up: Vec<bool>,
     /// Per sender's port, the wormhole claims still allowed to cross a
@@ -124,40 +103,11 @@ pub(crate) struct FaultCtl {
 }
 
 impl FaultCtl {
-    /// Builds the event queue from a schedule, resolving undirected links
-    /// to the two directed ports the engine masks.
-    pub(crate) fn from_schedule(
-        schedule: &FaultSchedule,
-        g: &Csr,
-        geom: &PortMap,
-        n: usize,
-        num_ports: usize,
-        cfg: &SimConfig,
-    ) -> FaultCtl {
-        let events = schedule
-            .resolved_events(g)
-            .into_iter()
-            .map(|e| EngineEvent {
-                cycle: e.cycle,
-                kind: match e.kind {
-                    FaultEventKind::LinkDown(u, v) => {
-                        let (port_uv, port_vu) = link_ports(g, geom, u, v);
-                        EngineEventKind::LinkDown { port_uv, port_vu }
-                    }
-                    FaultEventKind::LinkUp(u, v) => {
-                        let (port_uv, port_vu) = link_ports(g, geom, u, v);
-                        EngineEventKind::LinkUp { port_uv, port_vu }
-                    }
-                    FaultEventKind::RouterDown(r) => EngineEventKind::RouterDown(r),
-                    FaultEventKind::RouterUp(r) => EngineEventKind::RouterUp(r),
-                },
-            })
-            .collect();
+    /// Builds the event queue from a schedule.
+    pub(crate) fn from_schedule(schedule: &FaultSchedule, g: &Csr, num_ports: usize) -> FaultCtl {
         FaultCtl {
-            events,
-            policy: cfg.fault_policy,
-            convergence_delay: cfg.convergence_delay,
-            router_up: vec![true; n],
+            events: schedule.resolved_events(g),
+            router_up: vec![true; g.vertex_count()],
             draining: vec![0; num_ports],
             ..Default::default()
         }
@@ -196,18 +146,20 @@ impl Engine<'_> {
             let ev = self.faults.events[self.faults.next_event];
             self.faults.next_event += 1;
             applied |= match ev.kind {
-                EngineEventKind::LinkDown { port_uv, port_vu } => {
+                FaultEventKind::LinkDown(u, v) => {
+                    let (port_uv, port_vu) = link_ports(self.graph, &self.geom, u, v);
                     self.fault_link_down(port_uv, port_vu)
                 }
-                EngineEventKind::LinkUp { port_uv, port_vu } => {
+                FaultEventKind::LinkUp(u, v) => {
+                    let (port_uv, port_vu) = link_ports(self.graph, &self.geom, u, v);
                     self.fault_link_up(port_uv, port_vu);
                     true
                 }
-                EngineEventKind::RouterDown(r) => {
+                FaultEventKind::RouterDown(r) => {
                     self.fault_router_down(r);
                     true
                 }
-                EngineEventKind::RouterUp(r) => {
+                FaultEventKind::RouterUp(r) => {
                     self.fault_router_up(r);
                     true
                 }
@@ -216,8 +168,7 @@ impl Engine<'_> {
         if applied {
             self.faults.pending_dirty = true;
             if self.faults.pending_swap.is_none() {
-                self.faults.pending_swap =
-                    Some(cycle.saturating_add(self.faults.convergence_delay));
+                self.faults.pending_swap = Some(cycle.saturating_add(self.cfg.convergence_delay));
             }
             // The fast-reroute oracle must reflect the newest residual
             // whenever a stale next hop can be dead. With every link up
@@ -303,7 +254,7 @@ impl Engine<'_> {
         if already_down {
             return false;
         }
-        match self.faults.policy {
+        match self.cfg.fault_policy {
             InFlightPolicy::Drain => self.count_draining(port_uv, port_vu),
             InFlightPolicy::DropRetransmit => {
                 self.drop_and_retransmit(&[port_uv, port_vu], &[], None)
@@ -582,10 +533,11 @@ impl Engine<'_> {
             let (src, dst) = (self.packets.src[p], self.packets.dst[p]);
             let routable = self.faults.router_up[src as usize] && self.dst_routable(src, dst);
             self.packets.min_first_link[p] = self.charge_voq(src, dst, routable);
-            self.src_q.push(src as usize, pkt);
+            self.src_q[src as usize].push_back(pkt);
             self.skip.wake_now(src as usize);
             if self.telemetry.tracing() {
-                self.telemetry.trace_retransmit(pkt, src, self.cycle);
+                self.telemetry
+                    .trace(pkt, TRACE_RETRANSMIT, src, 0, 0, self.cycle);
             }
         }
         self.faults.retransmitted_packets += victims.len() as u64;

@@ -3,14 +3,17 @@
 //!
 //! Each router carries `p` endpoints modelled as aggregate channel
 //! bandwidth — `p` flits/cycle of injection and ejection. Generated
-//! packets queue per source router ([`crate::queues::SourceQueues`]); a
-//! packet leaves the queue when it wins a class-0 output VC on its first
-//! hop, becoming an injection *stream* that feeds one flit per cycle into
-//! the switch allocator.
+//! packets queue per source router (`Engine::src_q`, one `VecDeque` per
+//! router); a packet leaves the queue when it wins a class-0 output VC
+//! on its first hop, becoming an injection *stream* that feeds one flit
+//! per cycle into the switch allocator.
 
 use crate::engine::{net_view, Engine};
 use crate::router::NONE32;
 use crate::routing::{HopContext, RoutePlan};
+use crate::telemetry::{
+    ROUTE_INJECT_DETOUR, ROUTE_INJECT_MIN, TRACE_EJECT, TRACE_ROUTE, TRACE_VC_ALLOC,
+};
 use rand::Rng;
 
 /// How many queued packets each router considers for injection per
@@ -99,7 +102,7 @@ impl Engine<'_> {
             self.telemetry
                 .trace_admit(id, self.total_generated, r, dst, cycle);
         }
-        self.src_q.push(r as usize, id);
+        self.src_q[r as usize].push_back(id);
         // A queued packet makes the router interesting to every later
         // phase this cycle (injection start, lane requests).
         self.skip.wake_now(r as usize);
@@ -224,7 +227,8 @@ impl Engine<'_> {
                 }
                 if self.telemetry.tracing() {
                     let latency = cycle - self.packets.birth[pkt as usize] + 1;
-                    self.telemetry.trace_eject(pkt, r as u32, latency, cycle);
+                    self.telemetry
+                        .trace(pkt, TRACE_EJECT, r as u32, latency, 0, cycle);
                 }
                 self.packets.release(pkt);
             }
@@ -252,20 +256,20 @@ impl Engine<'_> {
     /// The injection-start scan of one router.
     fn start_injections_router(&mut self, r: u32) {
         let ru = r as usize;
-        if self.endpoints[ru] == 0 || self.src_q.is_empty(ru) {
+        if self.endpoints[ru] == 0 || self.src_q[ru].is_empty() {
             return;
         }
         if self.transient && !self.faults.router_up[ru] {
             return; // a down router injects nothing
         }
-        let window = INJECT_WINDOW.min(self.src_q.len(ru));
+        let window = INJECT_WINDOW.min(self.src_q[ru].len());
         let mut started = std::mem::take(&mut self.started_scratch);
         started.clear();
         for idx in 0..window {
             if !self.inj.has_capacity(ru) {
                 break;
             }
-            let pkt_id = self.src_q.get(ru, idx);
+            let pkt_id = self.src_q[ru][idx];
             let dst = self.packets.dst[pkt_id as usize];
             if !self.dst_routable(r, dst) {
                 continue; // held until the destination is routable again
@@ -316,18 +320,24 @@ impl Engine<'_> {
             self.inj.push(ru, pkt_id, out_idx as u32, term);
             if self.telemetry.tracing() {
                 let source = if mid != NONE32 {
-                    crate::telemetry::ROUTE_INJECT_DETOUR
+                    ROUTE_INJECT_DETOUR
                 } else {
-                    crate::telemetry::ROUTE_INJECT_MIN
+                    ROUTE_INJECT_MIN
                 };
                 let down = self.geom.peer(out_port);
                 let buf = down * self.cfg.vcs() as u32 + u32::from(vc);
-                self.telemetry
-                    .trace_route(pkt_id, r, down, buf, source, self.cycle);
+                let t = &mut self.telemetry;
+                t.trace(pkt_id, TRACE_ROUTE, r, down, source, self.cycle);
+                t.trace(pkt_id, TRACE_VC_ALLOC, r, buf, 0, self.cycle);
             }
             started.push(idx);
         }
-        self.src_q.remove_front(ru, &started, window);
+        // Every started index is below `INJECT_WINDOW`, and
+        // `VecDeque::remove` shifts the shorter side, so each removal
+        // moves at most a window's worth of ids, whatever the backlog.
+        for &i in started.iter().rev() {
+            self.src_q[ru].remove(i);
+        }
         self.started_scratch = started;
     }
 }

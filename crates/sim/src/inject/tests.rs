@@ -85,7 +85,7 @@ fn arrivals_follow_the_bernoulli_law() {
                 let chi2: f64 = (0..e.n)
                     .map(|r| {
                         let mean = f64::from(e.endpoints[r] * CYCLES) * prob;
-                        (e.src_q.len(r) as f64 - mean).powi(2) / (mean * (1.0 - prob))
+                        (e.src_q[r].len() as f64 - mean).powi(2) / (mean * (1.0 - prob))
                     })
                     .sum();
                 let (df, spread) = (e.n as f64, 4.0 * (2.0 * e.n as f64).sqrt());
@@ -194,7 +194,7 @@ fn probability_one_admits_every_endpoint_every_cycle() {
         e.generate(cycle);
         assert_eq!(e.gen_next, u64::from(cycle + 1) * e.gen_trials());
         for r in 0..e.n {
-            assert_eq!(e.src_q.len(r), (e.endpoints[r] * (cycle + 1)) as usize);
+            assert_eq!(e.src_q[r].len(), (e.endpoints[r] * (cycle + 1)) as usize);
         }
     }
 }
@@ -240,12 +240,12 @@ fn down_router_generates_nothing_and_neighbours_keep_their_rate() {
     let mut e = Engine::new(&transient, &tables, &dests, Routing::Min, 0.3, cfg);
     assert!(e.transient);
     for (w, (from, to)) in WINDOWS.into_iter().enumerate() {
-        let before: Vec<usize> = (0..e.n).map(|r| e.src_q.len(r)).collect();
+        let before: Vec<usize> = (0..e.n).map(|r| e.src_q[r].len()).collect();
         for cycle in from..to {
             e.apply_fault_events(cycle);
             e.generate(cycle);
         }
-        let grown = |r: usize| (e.src_q.len(r) - before[r]) as u64;
+        let grown = |r: usize| (e.src_q[r].len() - before[r]) as u64;
         let others: u64 = (0..e.n).filter(|&r| r != DOWN).map(grown).sum();
         let other_trials = (e.gen_trials() - u64::from(e.endpoints[DOWN])) * u64::from(to - from);
         assert_binomial(

@@ -37,16 +37,18 @@
 //!
 //! The engine is decomposed along router-microarchitecture lines:
 //!
-//! * [`engine`] — the [`Engine`] state and per-cycle orchestration;
+//! * [`engine`] — the [`Engine`] state (per-router source queues
+//!   included) and per-cycle orchestration;
 //! * [`drive`] — the closed-loop [`WorkloadDriver`]: `pf_workload`
 //!   task DAGs as a second injection source next to Bernoulli, advanced
 //!   by per-packet completion callbacks and terminated when every job's
 //!   DAG drains (per-job makespans in [`SimResult::jobs`]);
-//! * [`faults`] — the transient-fault event queue, in-flight-flit
+//! * [`faults`] — the transient-fault event queue (the schedule's
+//!   `pf_graph::FaultEvent`s, applied as they fire), in-flight-flit
 //!   policies, and staged table re-convergence;
 //! * [`router`] — per-router state as flat structure-of-arrays ring
 //!   buffers (port geometry, input buffers, injection streams), with
-//!   [`queues`] (source queues) and [`packet`] (packet records) alongside;
+//!   [`packet`] (packet records) alongside;
 //! * [`alloc`] — the separable switch allocator;
 //! * [`flow`] — link pipeline, credits, wormhole VC ownership;
 //! * [`inject`] — endpoint injection/ejection;
@@ -107,7 +109,6 @@ pub mod inject;
 pub(crate) mod order;
 pub mod packet;
 pub mod phase;
-pub mod queues;
 pub mod router;
 pub mod routing;
 pub(crate) mod skip;

@@ -16,9 +16,6 @@
 //!   nonempty-VC mask, the terminating-flit count and the two port
 //!   bitsets (`BitSet`) — and every push, pop and purge keeps them in
 //!   step with the queues.
-//! * [`crate::queues::SourceQueues`] — per-router pending-packet queues as growable
-//!   power-of-two rings with O(window) front compaction (the injection
-//!   window removes packets from the first few slots only).
 //! * [`InjPool`] — active injection streams in SoA arrays partitioned by
 //!   router (capacity `2·endpoints(r)`, the engine's stream cap).
 //! * [`crate::packet::PacketPool`] — in-flight packet records in SoA arrays with a free

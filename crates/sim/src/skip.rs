@@ -201,7 +201,7 @@ impl Engine<'_> {
     pub(crate) fn maybe_sleep(&mut self, r: usize) {
         let (lo, hi) = self.geom.ports(r);
         if self.bufs.next_port(false, lo, hi).is_none()
-            && self.src_q.is_empty(r)
+            && self.src_q[r].is_empty()
             && self.inj.len(r) == 0
         {
             self.skip.sleep(r);

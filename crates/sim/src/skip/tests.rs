@@ -72,10 +72,10 @@ fn maybe_sleep_requires_all_three_empty() {
     e.maybe_sleep(r);
     assert!(e.skip.is_awake(r));
     e.bufs.pop_front(port, 0);
-    e.src_q.push(r, 0); // a queued packet
+    e.src_q[r].push_back(0); // a queued packet
     e.maybe_sleep(r);
     assert!(e.skip.is_awake(r));
-    e.src_q.remove_front(r, &[0], 1);
+    e.src_q[r].clear();
     e.inj.push(r, 0, 0, false); // an injection stream
     e.maybe_sleep(r);
     assert!(e.skip.is_awake(r));
@@ -488,12 +488,12 @@ fn workload_parity() {
 #[test]
 fn transient_burst_parity() {
     let pf7 = PolarFlyTopo::new(7, 4).unwrap();
-    let pf31 = PolarFlyTopo::new(31, 16).unwrap();
+    let pf13 = PolarFlyTopo::new(13, 7).unwrap();
     let hx66 = HyperX::new(66, 2, 2);
     let both = [Routing::Min, Routing::UgalPf];
     let cases: [(&Topology, u32, &[Routing]); 3] = [
         (&pf7, 1500, &both),
-        (&pf31, 900, &both[..1]),
+        (&pf13, 900, &both[..1]),
         (&hx66, 1500, &both[..1]),
     ];
     for (topo, drain_max, routings) in cases {

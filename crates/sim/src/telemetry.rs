@@ -365,21 +365,15 @@ impl TelemetryCtl {
         }
     }
 
-    /// Route-decision hook (transit hops and injection plans): records
-    /// the chosen output port with its decision `source` (a `ROUTE_*`
-    /// code) and the claimed output VC buffer. The engine indexes
-    /// outputs by the sender's port; trace events name the *downstream*
-    /// input port and buffer the flits will arrive at, so callers pass
-    /// `PortMap::peer` of the port they claimed.
-    pub(crate) fn trace_route(
-        &mut self,
-        pkt: u32,
-        router: u32,
-        out_port: u32,
-        out_buf: u32,
-        source: u32,
-        cycle: u32,
-    ) {
+    /// The one record hook after admission: appends a `kind` event
+    /// (operands `a`, `b` as the `TRACE_*` constants define them) if
+    /// `pkt` is traced. A route decision is two calls, [`TRACE_ROUTE`]
+    /// then [`TRACE_VC_ALLOC`]; trace events name the *downstream* input
+    /// port and buffer the flits will arrive at, so route callers pass
+    /// `PortMap::peer` of the port they claimed. [`TRACE_EJECT`] also
+    /// clears the pool slot — the id is about to be recycled; a
+    /// retransmitted packet keeps its id, serial and slot.
+    pub(crate) fn trace(&mut self, pkt: u32, kind: u8, router: u32, a: u32, b: u32, cycle: u32) {
         if self.sample == 0 {
             return;
         }
@@ -390,86 +384,14 @@ impl TelemetryCtl {
         self.push_trace(TraceEvent {
             serial,
             cycle,
-            kind: TRACE_ROUTE,
+            kind,
             router,
-            a: out_port,
-            b: source,
+            a,
+            b,
         });
-        self.push_trace(TraceEvent {
-            serial,
-            cycle,
-            kind: TRACE_VC_ALLOC,
-            router,
-            a: out_buf,
-            b: 0,
-        });
-    }
-
-    /// Grant hook: one flit of the packet traversed the switch.
-    pub(crate) fn trace_grant(
-        &mut self,
-        pkt: u32,
-        router: u32,
-        out_port: u32,
-        seq: u16,
-        cycle: u32,
-    ) {
-        if self.sample == 0 {
-            return;
+        if kind == TRACE_EJECT {
+            self.slot[pkt as usize] = UNTRACED;
         }
-        let serial = self.serial_of(pkt);
-        if serial == UNTRACED {
-            return;
-        }
-        self.push_trace(TraceEvent {
-            serial,
-            cycle,
-            kind: TRACE_GRANT,
-            router,
-            a: out_port,
-            b: u32::from(seq),
-        });
-    }
-
-    /// Ejection hook: the packet's tail flit left the network. Clears
-    /// the pool slot — the id is about to be recycled.
-    pub(crate) fn trace_eject(&mut self, pkt: u32, router: u32, latency: u32, cycle: u32) {
-        if self.sample == 0 {
-            return;
-        }
-        let serial = self.serial_of(pkt);
-        if serial == UNTRACED {
-            return;
-        }
-        self.push_trace(TraceEvent {
-            serial,
-            cycle,
-            kind: TRACE_EJECT,
-            router,
-            a: latency,
-            b: 0,
-        });
-        self.slot[pkt as usize] = UNTRACED;
-    }
-
-    /// Retransmission hook: a fault event returned the packet to its
-    /// source queue (same id, same serial — the slot stays claimed).
-    pub(crate) fn trace_retransmit(&mut self, pkt: u32, router: u32, cycle: u32) {
-        if self.sample == 0 {
-            return;
-        }
-        let serial = self.serial_of(pkt);
-        if serial == UNTRACED {
-            return;
-        }
-        self.push_trace(TraceEvent {
-            serial,
-            cycle,
-            kind: TRACE_RETRANSMIT,
-            router,
-            a: 0,
-            b: 0,
-        });
     }
 
     /// Accumulates the wall time since `mark` into `phase`'s counter.
@@ -629,7 +551,7 @@ mod tests {
         // Serial 4 traced into a fresh slot.
         t.trace_admit(7, 4, 1, 5, 12);
         assert_eq!(t.serial_of(7), 4);
-        t.trace_eject(7, 5, 9, 20);
+        t.trace(7, TRACE_EJECT, 5, 9, 0, 20);
         assert_eq!(t.serial_of(7), UNTRACED);
         let kinds: Vec<u8> = t.traces.iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![TRACE_INJECT, TRACE_INJECT, TRACE_EJECT]);
@@ -639,10 +561,9 @@ mod tests {
     fn hooks_are_inert_when_tracing_is_off() {
         let mut t = TelemetryCtl::new(64, 0);
         t.trace_admit(0, 0, 0, 1, 0);
-        t.trace_route(0, 0, 0, 0, ROUTE_MIN, 0);
-        t.trace_grant(0, 0, 0, 0, 0);
-        t.trace_eject(0, 0, 0, 0);
-        t.trace_retransmit(0, 0, 0);
+        for kind in TRACE_ROUTE..=TRACE_RETRANSMIT {
+            t.trace(0, kind, 0, 0, 0, 0);
+        }
         assert!(t.traces.is_empty());
         assert!(t.slot.is_empty());
     }

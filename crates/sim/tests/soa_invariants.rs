@@ -4,7 +4,6 @@
 //! warmup → measure → drain.
 
 use pf_sim::engine::{Engine, SimConfig};
-use pf_sim::queues::SourceQueues;
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
 use pf_sim::{FlitRings, Routing};
@@ -108,35 +107,6 @@ proptest! {
         // Freed nodes are reused: the pool (16 B per node, at most doubled
         // by `Vec` growth) never outgrew the busiest moment.
         prop_assert!(rings.resident_bytes() - idle_bytes <= 32 * peak_behind.max(2));
-    }
-
-    /// SourceQueues against a Vec reference model: pushes interleaved
-    /// with front-window removals preserve order.
-    #[test]
-    fn source_queues_match_vec_model(seed in 0u64..10_000, window in 1usize..8) {
-        let mut q = SourceQueues::new(1);
-        let mut model: Vec<u32> = Vec::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut next = 0u32;
-        for _ in 0..250 {
-            for _ in 0..rng.gen_range(0..4u32) {
-                q.push(0, next);
-                model.push(next);
-                next += 1;
-            }
-            let w = window.min(q.len(0));
-            if w > 0 {
-                // Random ascending subset of the first w positions.
-                let idxs: Vec<usize> = (0..w).filter(|_| rng.gen::<f64>() < 0.4).collect();
-                q.remove_front(0, &idxs, w);
-                for &i in idxs.iter().rev() {
-                    model.remove(i);
-                }
-            }
-            prop_assert_eq!(q.len(0), model.len());
-        }
-        let got: Vec<u32> = (0..q.len(0)).map(|i| q.get(0, i)).collect();
-        prop_assert_eq!(got, model);
     }
 
     /// Engine credit accounting under random configurations: at every

@@ -72,7 +72,7 @@ fn telemetry_parity_q31() {
 }
 
 /// A link-blip burst under drop-and-retransmit: the fault path's own
-/// hook (`trace_retransmit`) fires — the trace shows it — and still
+/// trace event (`TRACE_RETRANSMIT`) fires — the trace shows it — and still
 /// nothing simulated moves.
 #[test]
 fn telemetry_parity_transient_retransmit() {
