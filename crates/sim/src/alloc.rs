@@ -308,9 +308,11 @@ impl Engine<'_> {
             let down = self.geom.peer(out_port);
             // In the configured numbering, whatever is allocated.
             let buf = down * self.cfg.vcs() as u32 + u32::from(ovc);
-            let (t, r) = (&mut self.telemetry, r as u32);
-            t.trace(pkt, TRACE_ROUTE, r, down, source, self.cycle);
-            t.trace(pkt, TRACE_VC_ALLOC, r, buf, 0, self.cycle);
+            let r = r as u32;
+            self.telemetry
+                .trace(pkt, TRACE_ROUTE, r, down, source, self.cycle);
+            self.telemetry
+                .trace(pkt, TRACE_VC_ALLOC, r, buf, 0, self.cycle);
         }
         Some(claim)
     }

@@ -326,9 +326,10 @@ impl Engine<'_> {
                 };
                 let down = self.geom.peer(out_port);
                 let buf = down * self.cfg.vcs() as u32 + u32::from(vc);
-                let t = &mut self.telemetry;
-                t.trace(pkt_id, TRACE_ROUTE, r, down, source, self.cycle);
-                t.trace(pkt_id, TRACE_VC_ALLOC, r, buf, 0, self.cycle);
+                self.telemetry
+                    .trace(pkt_id, TRACE_ROUTE, r, down, source, self.cycle);
+                self.telemetry
+                    .trace(pkt_id, TRACE_VC_ALLOC, r, buf, 0, self.cycle);
             }
             started.push(idx);
         }
