@@ -202,3 +202,100 @@ fn epoch_records_conserve_and_replay() {
     assert_eq!(t.epochs, t2.epochs, "epoch replay");
     assert_eq!(t.traces, t2.traces, "trace replay");
 }
+
+/// The route-decision trace law, on the operands: every `TRACE_ROUTE`
+/// is followed directly by the `TRACE_VC_ALLOC` of the same decision
+/// (same packet, router and cycle), whose buffer — numbered with the
+/// *configured* VCs per port — lies on the routed port and in the VC
+/// class of the decision's index along the packet's path; the packet's
+/// next head-flit grant at that router names the same downstream port.
+#[test]
+fn route_decisions_pair_with_their_vc_claim_and_grant() {
+    use pf_sim::telemetry::{TraceEvent, TRACE_EJECT, TRACE_GRANT, TRACE_ROUTE, TRACE_VC_ALLOC};
+    use std::collections::BTreeMap;
+
+    let topo = PolarFlyTopo::new(7, 4).unwrap();
+    let cfg = SimConfig::default()
+        .warmup(100)
+        .measure(300)
+        .drain_max(1000)
+        .seed(5)
+        .trace_sample(4);
+    let vcs = cfg.vcs() as u32;
+    let per_class = u32::from(cfg.vcs_per_class);
+    for (routing, pattern, top_class) in [
+        (Routing::Min, TrafficPattern::Uniform, 1),
+        (Routing::UgalPf, TrafficPattern::Perm2Hop, 2),
+        (Routing::Valiant, TrafficPattern::Uniform, 3),
+    ] {
+        let label = format!("{} on {}", routing.label(), pattern.label());
+        let r = load_curve(&topo, routing, pattern, &[0.2], &cfg)
+            .points
+            .into_iter()
+            .next()
+            .unwrap();
+        let t = r.telemetry.expect("tracing on must report Some");
+        assert_eq!(t.traces_dropped, 0, "{label}: trace buffer overflowed");
+        let mut by_serial: BTreeMap<u64, Vec<TraceEvent>> = BTreeMap::new();
+        for (i, ev) in t.traces.iter().enumerate() {
+            if ev.kind != TRACE_ROUTE {
+                continue;
+            }
+            let alloc = t
+                .traces
+                .get(i + 1)
+                .unwrap_or_else(|| panic!("{label}: route decision {ev:?} is the last event"));
+            assert_eq!(
+                (alloc.kind, alloc.serial, alloc.router, alloc.cycle),
+                (TRACE_VC_ALLOC, ev.serial, ev.router, ev.cycle),
+                "{label}: route decision {ev:?} not followed by its VC claim"
+            );
+            assert_eq!(
+                alloc.a / vcs,
+                ev.a,
+                "{label}: VC claim {alloc:?} off the routed port of {ev:?}"
+            );
+        }
+        for ev in &t.traces {
+            by_serial.entry(ev.serial).or_default().push(*ev);
+        }
+        let (mut decisions, mut max_class) = (0usize, 0u32);
+        for (serial, evs) in &by_serial {
+            let ejected = evs.iter().any(|e| e.kind == TRACE_EJECT);
+            let mut hop = 0u32;
+            for (i, ev) in evs.iter().enumerate() {
+                if ev.kind != TRACE_ROUTE {
+                    continue;
+                }
+                let class = evs[i + 1].a % vcs / per_class;
+                assert_eq!(
+                    class, hop,
+                    "serial {serial} ({label}): decision {hop} claimed class {class}"
+                );
+                let grant = evs[i + 2..]
+                    .iter()
+                    .find(|g| g.kind == TRACE_GRANT && g.router == ev.router && g.b == 0);
+                match grant {
+                    Some(g) => assert_eq!(
+                        g.a, ev.a,
+                        "serial {serial} ({label}): head granted to another port than routed"
+                    ),
+                    // Only a packet the run ended with may be ungranted.
+                    None => assert!(
+                        !ejected,
+                        "serial {serial} ({label}): ejected, but never granted at router {}",
+                        ev.router
+                    ),
+                }
+                hop += 1;
+                decisions += 1;
+                max_class = max_class.max(class);
+            }
+        }
+        assert!(
+            decisions > 1000,
+            "{label}: only {decisions} decisions traced"
+        );
+        assert_eq!(max_class, top_class, "{label}: classes reached");
+    }
+}

@@ -345,3 +345,50 @@ fn empty_schedule_matches_healthy_run() {
     assert_eq!(f.table_swaps, 0);
     assert_eq!(f.dropped_flits, 0);
 }
+
+/// A link at a quadric of PF(7): its two endpoints share no 2-hop path
+/// (the one vector orthogonal to both is the quadric itself), so losing
+/// the link stretches the residual diameter to 4 — and Valiant to 8
+/// hops, past a 4-class VC budget.
+fn quadric_link(pf: &pf_topo::Topology) -> (u32, u32) {
+    let u = pf.polarfly().unwrap().quadrics()[0];
+    (u, pf.graph().neighbors(u)[0])
+}
+
+/// The VC-class budget is checked against the residual diameter at
+/// construction when the link is down from cycle 0.
+#[test]
+#[should_panic(expected = "vc_classes >= 8")]
+fn vc_budget_is_checked_for_a_link_down_at_cycle_0() {
+    let pf = PolarFlyTopo::new(7, 4).unwrap();
+    let (u, v) = quadric_link(&pf);
+    let schedule = FaultSchedule::new().link_fault(u, v, 0, FaultSchedule::NEVER);
+    let faulted = pf.with_faults(schedule).unwrap();
+    let cfg = transient_cfg().vc_classes(4);
+    load_curve(
+        &faulted,
+        Routing::Valiant,
+        TrafficPattern::Uniform,
+        &[0.1],
+        &cfg,
+    );
+}
+
+/// The same budget is re-checked when the tables re-converge after the
+/// link dies mid-run (the construction-time check saw diameter 2).
+#[test]
+#[should_panic(expected = "vc_classes >= 8")]
+fn vc_budget_is_checked_at_reconvergence() {
+    let pf = PolarFlyTopo::new(7, 4).unwrap();
+    let (u, v) = quadric_link(&pf);
+    let schedule = FaultSchedule::new().link_fault(u, v, 50, FaultSchedule::NEVER);
+    let faulted = pf.with_faults(schedule).unwrap();
+    let cfg = transient_cfg().vc_classes(4);
+    load_curve(
+        &faulted,
+        Routing::Valiant,
+        TrafficPattern::Uniform,
+        &[0.1],
+        &cfg,
+    );
+}
