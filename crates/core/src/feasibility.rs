@@ -37,25 +37,26 @@ pub fn polarfly_radixes(max_radix: u64) -> Vec<u64> {
         .collect()
 }
 
+/// The MMS radix `(3q − δ)/2` of prime power `q = 4w + δ`, or `None`
+/// for `q ≡ 2 (mod 4)` — only `q = 2`, not an MMS parameter.
+fn mms_radix(q: u64) -> Option<u64> {
+    let delta: i64 = match q % 4 {
+        1 => 1,
+        3 => -1,
+        0 => 0,
+        _ => return None,
+    };
+    Some(((3 * q as i64 - delta) / 2) as u64)
+}
+
 /// Feasible Slim Fly (MMS) radixes `≤ max_radix`, ascending, deduplicated.
 pub fn slimfly_radixes(max_radix: u64) -> Vec<u64> {
-    let mut out: Vec<u64> = Vec::new();
     // k = (3q − δ)/2 grows with q; scanning q ≤ max_radix covers all k.
-    for q in primes::prime_powers_in(2, max_radix) {
-        let delta: i64 = match q % 4 {
-            1 => 1,
-            3 => -1,
-            0 => 0,
-            _ => continue, // q ≡ 2 (mod 4): only q = 2, not an MMS parameter
-        };
-        if q == 2 {
-            continue;
-        }
-        let k = ((3 * q as i64 - delta) / 2) as u64;
-        if k <= max_radix {
-            out.push(k);
-        }
-    }
+    let mut out: Vec<u64> = primes::prime_powers_in(2, max_radix)
+        .into_iter()
+        .filter_map(mms_radix)
+        .filter(|&k| k <= max_radix)
+        .collect();
     out.sort_unstable();
     out.dedup();
     out
@@ -99,19 +100,12 @@ pub fn polarfly_moore_curve(max_degree: u64) -> Vec<MoorePoint> {
 
 /// Slim Fly scalability curve: `((3q−δ)/2, 2q²)` per MMS parameter.
 pub fn slimfly_moore_curve(max_degree: u64) -> Vec<MoorePoint> {
-    let mut out = Vec::new();
-    for q in primes::prime_powers_in(3, max_degree) {
-        let delta: i64 = match q % 4 {
-            1 => 1,
-            3 => -1,
-            0 => 0,
-            _ => continue,
-        };
-        let k = ((3 * q as i64 - delta) / 2) as u64;
-        if k <= max_degree {
-            out.push(pt(k, 2 * q * q));
-        }
-    }
+    let mut out: Vec<MoorePoint> = primes::prime_powers_in(3, max_degree)
+        .into_iter()
+        .filter_map(|q| mms_radix(q).map(|k| (q, k)))
+        .filter(|&(_, k)| k <= max_degree)
+        .map(|(q, k)| pt(k, 2 * q * q))
+        .collect();
     out.sort_by_key(|p| p.degree);
     out
 }

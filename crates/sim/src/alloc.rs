@@ -35,7 +35,7 @@
 use crate::engine::{net_view, Engine};
 use crate::flow::Arrival;
 use crate::router::{Claim, NONE32};
-use crate::routing::HopContext;
+use crate::routing::{HopContext, Port};
 use crate::telemetry::{
     ROUTE_DETOUR, ROUTE_FRR, ROUTE_MIN, TRACE_GRANT, TRACE_ROUTE, TRACE_VC_ALLOC,
 };
@@ -247,20 +247,6 @@ impl Engine<'_> {
     ) -> Option<Claim> {
         debug_assert_eq!(seq, 0, "body flit without route");
         let (target, dst) = self.transit_target(r as u32, pkt);
-        let hop = HopContext {
-            router: r as u32,
-            target,
-        };
-        let i = crate::routing::route_output(
-            self.routing,
-            &net_view!(self),
-            self.faults.pending_tables.as_ref(),
-            &mut self.packets.frr_pinned,
-            pkt,
-            hop,
-            &mut self.rng,
-        );
-        let out_port = self.geom.tx(r as u32, i as usize);
         // Class-indexed VC: hop h travels in class h, any free VC within
         // the class (deadlock freedom needs paths of <= vc_classes hops;
         // all routing algorithms of the paper satisfy 4). `classes` is the
@@ -271,14 +257,8 @@ impl Engine<'_> {
         let in_class = vc / self.per_class;
         let classes = self.vcs / self.per_class;
         let out_class = (in_class + 1).min(classes - 1);
-        let Some(ovc) = crate::flow::claim_vc(
-            &mut self.out_owner,
-            out_port,
-            self.vcs,
-            out_class,
-            self.per_class,
-            pkt,
-        ) else {
+        let Some((i, out_port, ovc)) = self.route_and_claim(r as u32, pkt, target, out_class)
+        else {
             self.diag_vc_stalls += 1;
             return None;
         };
@@ -305,16 +285,59 @@ impl Engine<'_> {
             } else {
                 ROUTE_MIN
             };
-            let down = self.geom.peer(out_port);
-            // In the configured numbering, whatever is allocated.
-            let buf = down * self.cfg.vcs() as u32 + u32::from(ovc);
-            let r = r as u32;
-            self.telemetry
-                .trace(pkt, TRACE_ROUTE, r, down, source, self.cycle);
-            self.telemetry
-                .trace(pkt, TRACE_VC_ALLOC, r, buf, 0, self.cycle);
+            self.trace_route(pkt, r as u32, out_port, ovc, source);
         }
         Some(claim)
+    }
+
+    /// The route decision of a head at injection or in transit: routes
+    /// `pkt` at router `r` toward `target` (drawing the route and
+    /// setting any fast-reroute pin first), then claims a free output
+    /// VC of hop class `class` on the chosen link for it. Returns the
+    /// neighbor index, its tx port and the claimed VC, or `None` — a VC
+    /// stall — when every VC of the class is owned.
+    #[inline]
+    pub(crate) fn route_and_claim(
+        &mut self,
+        r: u32,
+        pkt: u32,
+        target: u32,
+        class: usize,
+    ) -> Option<(Port, u32, u8)> {
+        let i = crate::routing::route_output(
+            self.routing,
+            &net_view!(self),
+            self.faults.pending_tables.as_ref(),
+            &mut self.packets.frr_pinned,
+            pkt,
+            HopContext { router: r, target },
+            &mut self.rng,
+        );
+        let out_port = self.geom.tx(r, i as usize);
+        let vc = crate::flow::claim_vc(
+            &mut self.out_owner,
+            out_port,
+            self.vcs,
+            class,
+            self.per_class,
+            pkt,
+        )?;
+        Some((i, out_port, vc))
+    }
+
+    /// Records a route decision of `pkt` at router `r` — the output
+    /// `out_port` (the sender's port) and VC `vc` that
+    /// [`Engine::route_and_claim`] returned, `source` one of the
+    /// `ROUTE_*` codes — as [`TRACE_ROUTE`] then [`TRACE_VC_ALLOC`]:
+    /// the one site that records route decisions.
+    pub(crate) fn trace_route(&mut self, pkt: u32, r: u32, out_port: u32, vc: u8, source: u32) {
+        let down = self.geom.peer(out_port);
+        // In the configured numbering, whatever is allocated.
+        let buf = down * self.cfg.vcs() as u32 + u32::from(vc);
+        self.telemetry
+            .trace(pkt, TRACE_ROUTE, r, down, source, self.cycle);
+        self.telemetry
+            .trace(pkt, TRACE_VC_ALLOC, r, buf, 0, self.cycle);
     }
 
     /// Later-pass request build: replays the heads the previous pass

@@ -210,6 +210,27 @@ impl SimConfig {
         usize::from(self.vc_classes) * usize::from(self.vcs_per_class)
     }
 
+    /// Whether packets generated at `cycle` are measured: the window
+    /// `[warmup, warmup + measure)`. (Subtraction form: immune to
+    /// `warmup + measure` overflow for sentinel-sized warmups.)
+    #[inline]
+    pub fn in_measurement(&self, cycle: u32) -> bool {
+        cycle >= self.warmup && cycle - self.warmup < self.measure
+    }
+
+    /// First cycle past the measurement window.
+    #[inline]
+    pub fn steady_end(&self) -> u32 {
+        self.warmup.saturating_add(self.measure)
+    }
+
+    /// Hard stop of an open-loop run: measurement end plus the drain
+    /// budget.
+    #[inline]
+    pub fn deadline(&self) -> u32 {
+        self.steady_end().saturating_add(self.drain_max)
+    }
+
     /// Flit capacity of one VC buffer (per-port budget split across VCs,
     /// floored at one packet so wormhole never wedges on capacity).
     #[inline]
@@ -243,6 +264,30 @@ mod tests {
         assert_eq!(cfg.packet_flits, def.packet_flits);
         assert_eq!(cfg.warmup, def.warmup);
         assert_eq!(cfg.ugal_pf_threshold, def.ugal_pf_threshold);
+    }
+
+    #[test]
+    fn phases_partition_the_timeline() {
+        let c = SimConfig::default().warmup(10).measure(20).drain_max(5);
+        assert!(!c.in_measurement(0));
+        assert!(!c.in_measurement(9));
+        assert!(c.in_measurement(10));
+        assert!(c.in_measurement(29));
+        assert!(!c.in_measurement(30));
+        assert_eq!(c.steady_end(), 30);
+        assert_eq!(c.deadline(), 35);
+    }
+
+    #[test]
+    fn sentinel_warmup_never_measures_and_never_overflows() {
+        let c = SimConfig::default()
+            .warmup(u32::MAX)
+            .measure(2000)
+            .drain_max(4000);
+        assert!(!c.in_measurement(0));
+        assert!(!c.in_measurement(u32::MAX - 1));
+        assert_eq!(c.steady_end(), u32::MAX);
+        assert_eq!(c.deadline(), u32::MAX);
     }
 
     #[test]

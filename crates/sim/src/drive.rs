@@ -112,7 +112,6 @@ struct JobState {
     /// Cycle the job finished (all tasks fired, all messages delivered).
     completion: Option<u32>,
     phases: Vec<PhaseAcc>,
-    delivered_msgs: u64,
 }
 
 /// Marks one dependency of `task` satisfied; arms its compute timer
@@ -250,7 +249,6 @@ impl WorkloadDriver {
                     };
                     max_phase as usize + 1
                 ],
-                delivered_msgs: 0,
             });
         }
         Ok(WorkloadDriver {
@@ -346,7 +344,6 @@ impl WorkloadDriver {
         }
         // Message fully delivered.
         job.pending_msgs -= 1;
-        job.delivered_msgs += 1;
         job.note_phase(job.msg_phase[msg as usize], cycle, true);
         for &r in job.receivers.get(msg as usize) {
             satisfy(
@@ -413,8 +410,8 @@ impl WorkloadDriver {
                     name: j.workload.name.clone(),
                     ranks: j.routers.len() as u32,
                     makespan,
-                    messages: u64::from(j.pending_msgs) + j.delivered_msgs,
-                    messages_delivered: j.delivered_msgs,
+                    messages: u64::from(j.workload.messages),
+                    messages_delivered: u64::from(j.workload.messages - j.pending_msgs),
                     payload_flits,
                     alg_bandwidth: makespan
                         .map_or(0.0, |m| payload_flits as f64 / f64::from(m.max(1))),

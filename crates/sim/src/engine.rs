@@ -4,20 +4,21 @@
 //!
 //! This module owns the [`Engine`] state and the per-cycle orchestration;
 //! the mechanics live in sibling modules — [`crate::router`] (SoA state),
-//! [`crate::alloc`] (switch allocation), [`crate::flow`] (credits +
-//! wormhole), [`crate::inject`] (endpoint injection/ejection),
-//! [`crate::phase`] (warmup/measure/drain clock), and [`crate::routing`]
-//! (the paper's six algorithms, one [`Routing`] enum). See the crate
-//! docs for the model summary and DESIGN.md for deviations from BookSim.
+//! [`crate::alloc`] (switch allocation and the one route decision,
+//! `Engine::route_and_claim`), [`crate::flow`] (credits + wormhole),
+//! [`crate::inject`] (endpoint injection/ejection) and [`crate::routing`]
+//! (the paper's six algorithms, one [`Routing`] enum); the
+//! warmup/measure/drain clock is [`SimConfig::in_measurement`] and
+//! `Engine::deadline`. See the crate docs for the model summary and
+//! DESIGN.md for deviations from BookSim.
 
 pub use crate::config::SimConfig;
 
 use crate::alloc::Req;
 use crate::drive::WorkloadDriver;
-use crate::faults::{link_ports, FaultCtl};
+use crate::faults::{assert_vc_budget, link_ports, FaultCtl};
 use crate::flow::LinkPipeline;
 use crate::packet::PacketPool;
-use crate::phase::PhaseClock;
 use crate::router::{FlitRings, InjPool, PortMap, NONE32};
 use crate::routing::MinHop;
 use crate::skip::SkipCtl;
@@ -197,12 +198,10 @@ pub struct Engine<'a> {
 
     pub(crate) rng: StdRng,
     pub(crate) cycle: u32,
-    pub(crate) clock: PhaseClock,
 
     // Statistics.
     pub(crate) stats: LatencyStats,
     pub(crate) measured_generated: u64,
-    pub(crate) measured_delivered: u64,
     pub(crate) window_flits_ejected: u64,
     pub(crate) total_generated: u64,
     pub(crate) total_delivered: u64,
@@ -347,20 +346,9 @@ impl<'a> Engine<'a> {
         #[cfg(test)]
         let need = tests::declared_hops().unwrap_or(need);
         if degraded || transient {
-            // Residual minimal paths exceed the healthy diameter and
-            // detours compose two of them; without a VC class per hop the
-            // hop-indexed deadlock-freedom argument silently breaks (the
-            // allocator clamps to the last class). Fail loudly instead.
-            // (Transient runs re-check at every table re-convergence,
-            // when the residual diameter is known.)
-            assert!(
-                u32::from(cfg.vc_classes) >= need,
-                "faulted run under {} needs vc_classes >= {need} \
-                 (worst-case hops at residual diameter {diameter}) but got {}; \
-                 raise SimConfig::vc_classes",
-                routing.label(),
-                cfg.vc_classes
-            );
+            // Transient runs re-check at every table re-convergence, when
+            // the residual diameter is known.
+            assert_vc_budget(&cfg, routing, need, diameter);
         }
         // Allocate the VC state of the hop classes a path can reach — 2
         // of 4 for MIN on a diameter-2 graph, the residual diameter's
@@ -451,10 +439,8 @@ impl<'a> Engine<'a> {
             packets: PacketPool::new(),
             rng,
             cycle: 0,
-            clock: PhaseClock::new(&cfg),
             stats: LatencyStats::default(),
             measured_generated: 0,
-            measured_delivered: 0,
             window_flits_ejected: 0,
             total_generated: 0,
             total_delivered: 0,
@@ -507,7 +493,7 @@ impl<'a> Engine<'a> {
             p999_latency: stats.percentile(0.999),
             avg_hops: stats.mean_hops(),
             generated: self.measured_generated,
-            delivered: self.measured_delivered,
+            delivered: stats.count(),
             saturated,
             deadline_expired,
             skipped_router_cycles: self.skip.skipped_router_cycles,
@@ -538,20 +524,20 @@ impl<'a> Engine<'a> {
             self.workload.is_none(),
             "run() with a workload attached: use run_workload()"
         );
-        let steady = self.clock.steady_end();
-        let deadline = self.clock.deadline();
+        let steady = self.cfg.steady_end();
+        let deadline = self.deadline();
         loop {
             self.step();
-            if self.cycle >= steady && self.measured_delivered == self.measured_generated {
+            if self.cycle >= steady && self.stats.count() == self.measured_generated {
                 break;
             }
             if self.cycle >= deadline {
                 break;
             }
         }
-        let saturated = self.measured_delivered < self.measured_generated;
+        let saturated = self.stats.count() < self.measured_generated;
         let accepted = self.window_flits_ejected as f64
-            / (f64::from(self.clock.measure) * self.topo.total_endpoints() as f64);
+            / (f64::from(self.cfg.measure) * self.topo.total_endpoints() as f64);
         // Open-loop, the only deadline is the drain budget, so expiry
         // and saturation are the same observation.
         self.pack_result(self.load, accepted, saturated, saturated, Vec::new())
@@ -590,7 +576,7 @@ impl<'a> Engine<'a> {
             self.workload.is_some(),
             "run_workload without attach_workload"
         );
-        let deadline = self.cfg.workload_deadline;
+        let deadline = self.deadline();
         let driver = loop {
             self.step();
             let done = self.workload.as_ref().is_none_or(|d| d.done());
@@ -652,11 +638,7 @@ impl<'a> Engine<'a> {
     /// statistic.
     fn maybe_leap(&mut self) {
         let cycle = self.cycle;
-        let bound = if self.workload.is_some() {
-            self.cfg.workload_deadline.saturating_sub(1)
-        } else {
-            self.clock.last_cycle()
-        };
+        let bound = self.deadline().saturating_sub(1);
         if bound <= cycle {
             return;
         }
@@ -694,6 +676,18 @@ impl<'a> Engine<'a> {
         if target > cycle {
             self.skip.charge_leap(self.n, target - cycle);
             self.cycle = target;
+        }
+    }
+
+    /// The run's hard stop: [`SimConfig::workload_deadline`] with a
+    /// workload attached, [`SimConfig::deadline`] otherwise. The run
+    /// loops execute cycles `0..deadline()`.
+    #[inline]
+    pub(crate) fn deadline(&self) -> u32 {
+        if self.workload.is_some() {
+            self.cfg.workload_deadline
+        } else {
+            self.cfg.deadline()
         }
     }
 

@@ -38,11 +38,12 @@
 //!   their sources until it repairs. Router deaths always use the
 //!   drop-and-retransmit path — a dead router cannot drain.
 
-use crate::config::InFlightPolicy;
+use crate::config::{InFlightPolicy, SimConfig};
 use crate::engine::Engine;
 use crate::router::{PortMap, NONE32};
 use crate::tables::RouteTables;
 use crate::telemetry::TRACE_RETRANSMIT;
+use crate::Routing;
 use pf_graph::{Csr, FaultEvent, FaultEventKind, FaultSchedule};
 use std::borrow::Cow;
 
@@ -64,6 +65,24 @@ pub(crate) fn link_ports(g: &Csr, geom: &PortMap, u: u32, v: u32) -> (u32, u32) 
         .binary_search(&u)
         .expect("scheduled link must be a graph edge");
     (geom.tx(u, iu), geom.tx(v, iv))
+}
+
+/// Asserts that `cfg` gives `routing` a VC class per hop of its longest
+/// path, `need` hops at residual `diameter`. Residual minimal paths
+/// exceed the healthy diameter and detours compose two of them; without
+/// a class per hop the hop-indexed deadlock-freedom argument silently
+/// breaks (the allocator clamps to the last class), so a faulted run
+/// fails loudly instead — at construction and at every table
+/// re-convergence.
+pub(crate) fn assert_vc_budget(cfg: &SimConfig, routing: Routing, need: u32, diameter: u32) {
+    assert!(
+        u32::from(cfg.vc_classes) >= need,
+        "faulted run under {} needs vc_classes >= {need} \
+         (worst-case hops at residual diameter {diameter}) but got {}; \
+         raise SimConfig::vc_classes",
+        routing.label(),
+        cfg.vc_classes
+    );
 }
 
 /// Transient-fault state and counters. One inert instance
@@ -201,14 +220,11 @@ impl Engine<'_> {
         // the hop-indexed VC budget the constructor checked for the
         // initial state.
         let diameter = new.max_finite_dist();
-        let need = self.routing.max_hops(diameter);
-        assert!(
-            u32::from(self.cfg.vc_classes) >= need,
-            "re-converged tables under {} need vc_classes >= {need} \
-             (worst-case hops at residual diameter {diameter}) but got {}; \
-             raise SimConfig::vc_classes",
-            self.routing.label(),
-            self.cfg.vc_classes
+        assert_vc_budget(
+            &self.cfg,
+            self.routing,
+            self.routing.max_hops(diameter),
+            diameter,
         );
         self.faults.pending_tables = Some(new);
         self.faults.pending_dirty = false;

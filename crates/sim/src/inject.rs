@@ -10,10 +10,8 @@
 
 use crate::engine::{net_view, Engine};
 use crate::router::NONE32;
-use crate::routing::{HopContext, RoutePlan};
-use crate::telemetry::{
-    ROUTE_INJECT_DETOUR, ROUTE_INJECT_MIN, TRACE_EJECT, TRACE_ROUTE, TRACE_VC_ALLOC,
-};
+use crate::routing::RoutePlan;
+use crate::telemetry::{ROUTE_INJECT_DETOUR, ROUTE_INJECT_MIN, TRACE_EJECT};
 use rand::Rng;
 
 /// How many queued packets each router considers for injection per
@@ -46,7 +44,7 @@ impl Engine<'_> {
         let trials = self.gen_trials();
         let base = u64::from(cycle) * trials;
         let end = base + trials;
-        let measured_window = self.clock.in_measurement(cycle);
+        let measured_window = self.cfg.in_measurement(cycle);
         let mut r = 0;
         while self.gen_next < end {
             // Successes within a cycle ascend, so the walk through the
@@ -71,7 +69,7 @@ impl Engine<'_> {
     #[cfg(test)]
     fn generate_reference(&mut self, cycle: u32) {
         let prob = self.load / f64::from(self.cfg.packet_flits);
-        let measured_window = self.clock.in_measurement(cycle);
+        let measured_window = self.cfg.in_measurement(cycle);
         for r in 0..self.n as u32 {
             if self.transient && !self.faults.router_up[r as usize] {
                 continue;
@@ -154,7 +152,7 @@ impl Engine<'_> {
     /// routers are scanned (a non-awake router has no ready flit, so a
     /// scan over it ejects nothing).
     pub(crate) fn eject(&mut self, cycle: u32) {
-        let in_window = self.clock.in_measurement(cycle);
+        let in_window = self.cfg.in_measurement(cycle);
         self.for_each_awake(|e, r| e.eject_router(r, cycle, in_window));
     }
 
@@ -219,7 +217,6 @@ impl Engine<'_> {
                     w.on_packet_delivered(pkt, cycle);
                 }
                 if self.packets.measured[pkt as usize] {
-                    self.measured_delivered += 1;
                     let latency = cycle - self.packets.birth[pkt as usize] + 1;
                     // Arrival VC class h−1 ⇒ the packet took h hops.
                     let hops = (vc / self.per_class) as u32 + 1;
@@ -283,31 +280,10 @@ impl Engine<'_> {
                 _ => NONE32,
             };
             self.packets.mid[pkt_id as usize] = mid;
-            // First hop toward mid (if any) or dst.
+            // First hop toward mid (if any) or dst, in class 0.
             let first_target = if mid != NONE32 { mid } else { dst };
-            let hop = HopContext {
-                router: r,
-                target: first_target,
-            };
-            let port_i = crate::routing::route_output(
-                self.routing,
-                &net_view!(self),
-                self.faults.pending_tables.as_ref(),
-                &mut self.packets.frr_pinned,
-                pkt_id,
-                hop,
-                &mut self.rng,
-            );
-            let out_port = self.geom.tx(r, port_i as usize);
-            // Injection uses class 0: any free VC in [0, per_class).
-            let Some(vc) = crate::flow::claim_vc(
-                &mut self.out_owner,
-                out_port,
-                self.vcs,
-                0,
-                self.per_class,
-                pkt_id,
-            ) else {
+            let Some((port_i, out_port, vc)) = self.route_and_claim(r, pkt_id, first_target, 0)
+            else {
                 continue; // try the next queued packet (HoL relief)
             };
             let out_idx = out_port as usize * self.vcs + vc as usize;
@@ -324,12 +300,7 @@ impl Engine<'_> {
                 } else {
                     ROUTE_INJECT_MIN
                 };
-                let down = self.geom.peer(out_port);
-                let buf = down * self.cfg.vcs() as u32 + u32::from(vc);
-                self.telemetry
-                    .trace(pkt_id, TRACE_ROUTE, r, down, source, self.cycle);
-                self.telemetry
-                    .trace(pkt_id, TRACE_VC_ALLOC, r, buf, 0, self.cycle);
+                self.trace_route(pkt_id, r, out_port, vc, source);
             }
             started.push(idx);
         }

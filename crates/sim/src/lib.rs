@@ -49,10 +49,10 @@
 //! * [`router`] — per-router state as flat structure-of-arrays ring
 //!   buffers (port geometry, input buffers, injection streams), with
 //!   [`packet`] (packet records) alongside;
-//! * [`alloc`] — the separable switch allocator;
+//! * [`alloc`] — the separable switch allocator, and the one route
+//!   decision injection and transit share (route, VC claim, trace);
 //! * [`flow`] — link pipeline, credits, wormhole VC ownership;
 //! * [`inject`] — endpoint injection/ejection;
-//! * [`phase`] — the warmup/measure/drain clock;
 //! * [`routing`] — the paper's six algorithms (§VII) as the closed
 //!   [`Routing`] enum, with PolarFly's O(1) algebraic minimal next hop
 //!   as a table-free fast path;
@@ -60,8 +60,9 @@
 //!   packet lifecycle traces, and feature-gated engine phase profiling
 //!   (bit-identical results with telemetry on or off);
 //! * [`config`], [`stats`], [`sweep`], [`tables`], [`traffic`],
-//!   [`analytic`] — configuration, results, load sweeps, route tables,
-//!   traffic patterns, and the fluid-model cross-check.
+//!   [`analytic`] — configuration (with the warmup/measure/drain
+//!   clock), results, load sweeps, route tables, traffic patterns, and
+//!   the fluid-model cross-check.
 //!
 //! Routing algorithms (§VII): table-based minimal, Valiant, Compact
 //! Valiant (random *neighbor* intermediate, ≤ 3 hops), UGAL-L, UGAL-PF
@@ -108,7 +109,6 @@ pub mod flow;
 pub mod inject;
 pub(crate) mod order;
 pub mod packet;
-pub mod phase;
 pub mod router;
 pub mod routing;
 pub(crate) mod skip;
@@ -122,7 +122,6 @@ pub use analytic::{analyze, FluidAnalysis};
 pub use config::{InFlightPolicy, SimConfig};
 pub use drive::{simulate_workload, WorkloadDriver};
 pub use engine::{simulate, Engine};
-pub use phase::PhaseClock;
 pub use router::FlitRings;
 pub use routing::{HopContext, MinHop, NetState, Port, RoutePlan, Routing};
 pub use stats::{JobResult, PhaseResult, SimResult};

@@ -10,23 +10,21 @@ use crate::stats::SimResult;
 use crate::tables::RouteTables;
 use crate::traffic::{resolve, TrafficPattern};
 use crate::Routing;
-use pf_graph::Csr;
 use pf_topo::Topology;
 use rayon::prelude::*;
 
-/// Tables + destination map for one (topology, pattern, seed) triple,
-/// built on the residual graph when links are down at cycle 0 (so
-/// hop-exact permutation patterns respect surviving distances too). The
-/// residual-or-full decision lives in [`crate::tables::routing_graph`].
+/// Tables + destination map for one (topology, pattern, seed) triple.
+/// The pattern is resolved on the graph the tables were built on — the
+/// residual graph when links are down at cycle 0
+/// ([`RouteTables::build_for`]), so hop-exact permutation patterns
+/// respect surviving distances too.
 pub(crate) fn resolve_run(
     topo: &Topology,
     pattern: TrafficPattern,
     seed: u64,
 ) -> (RouteTables, crate::traffic::DestMap) {
-    let residual: Option<Csr> = crate::tables::routing_graph(topo);
-    let g = residual.as_ref().unwrap_or_else(|| topo.graph());
-    let tables = RouteTables::build(g, seed);
-    let dests = resolve(pattern, g, &topo.host_routers(), seed);
+    let tables = RouteTables::build_for(topo, seed);
+    let dests = resolve(pattern, tables.graph(), &topo.host_routers(), seed);
     (tables, dests)
 }
 

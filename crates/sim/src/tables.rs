@@ -48,14 +48,6 @@ pub fn initial_failures(topo: &Topology) -> FailureSet {
     topo.faults().active_at(topo.graph(), 0)
 }
 
-/// The graph routing for `topo` must be computed on: `Some(residual)`
-/// when links are down at cycle 0, `None` (use the full graph)
-/// otherwise.
-pub fn routing_graph(topo: &Topology) -> Option<Csr> {
-    let failures = initial_failures(topo);
-    (!failures.is_empty()).then(|| failures.residual(topo.graph()))
-}
-
 /// Largest router degree the byte-wide next-hop table can index;
 /// [`RouteTables::build`] panics above it.
 pub const MAX_DEGREE: usize = 254;
@@ -125,13 +117,23 @@ impl RouteTables {
 
     /// Builds the tables a `topo` run needs: on the full graph for healthy
     /// topologies, on the residual graph when links are down at cycle 0
-    /// ([`routing_graph`]) — same router ids either way, so the engine's
-    /// geometry is unaffected.
+    /// ([`initial_failures`]) — same router ids either way, so the
+    /// engine's geometry is unaffected. [`RouteTables::graph`] returns
+    /// the graph chosen.
     pub fn build_for(topo: &Topology, seed: u64) -> RouteTables {
-        match routing_graph(topo) {
-            Some(residual) => RouteTables::build(&residual, seed),
-            None => RouteTables::build(topo.graph(), seed),
+        let failures = initial_failures(topo);
+        if failures.is_empty() {
+            RouteTables::build(topo.graph(), seed)
+        } else {
+            RouteTables::build(&failures.residual(topo.graph()), seed)
         }
+    }
+
+    /// The graph the tables were built on — the residual graph when
+    /// [`RouteTables::build_for`] saw links down at cycle 0.
+    #[inline]
+    pub fn graph(&self) -> &Csr {
+        &self.graph
     }
 
     /// Number of routers.

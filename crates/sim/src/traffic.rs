@@ -167,11 +167,12 @@ fn complete_permutation(perm: &mut [usize]) {
     }
 }
 
-/// Materializes a host-index permutation as a router-indexed [`DestMap`].
-fn fixed_map(n: usize, hosts: &[u32], perm: &[usize]) -> DestMap {
+/// Materializes a host-index permutation (host `i` sends to host
+/// `perm[i]`, in `hosts` order) as a router-indexed [`DestMap`].
+fn fixed_map(n: usize, hosts: &[u32], perm: impl IntoIterator<Item = usize>) -> DestMap {
     let mut dest = vec![u32::MAX; n];
-    for (i, &r) in hosts.iter().enumerate() {
-        dest[r as usize] = hosts[perm[i]];
+    for (&r, j) in hosts.iter().zip(perm) {
+        dest[r as usize] = hosts[j];
     }
     DestMap::Fixed { dest }
 }
@@ -200,11 +201,7 @@ pub fn resolve(pattern: TrafficPattern, g: &Csr, hosts: &[u32], seed: u64) -> De
         },
         TrafficPattern::Tornado => {
             let h = hosts.len();
-            let mut dest = vec![u32::MAX; n];
-            for (i, &r) in hosts.iter().enumerate() {
-                dest[r as usize] = hosts[(i + h / 2) % h];
-            }
-            DestMap::Fixed { dest }
+            fixed_map(n, hosts, (0..h).map(|i| (i + h / 2) % h))
         }
         TrafficPattern::RandomPermutation => {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -217,11 +214,7 @@ pub fn resolve(pattern: TrafficPattern, g: &Csr, hosts: &[u32], seed: u64) -> De
                     break p;
                 }
             };
-            let mut dest = vec![u32::MAX; n];
-            for (i, &r) in hosts.iter().enumerate() {
-                dest[r as usize] = hosts[perm[i]];
-            }
-            DestMap::Fixed { dest }
+            fixed_map(n, hosts, perm)
         }
         TrafficPattern::BitComplement => {
             // `i → h-1-i` is an involution with one fixed point for odd H;
@@ -236,7 +229,7 @@ pub fn resolve(pattern: TrafficPattern, g: &Csr, hosts: &[u32], seed: u64) -> De
                 }
             }
             complete_permutation(&mut perm);
-            fixed_map(n, hosts, &perm)
+            fixed_map(n, hosts, perm)
         }
         TrafficPattern::Transpose => {
             // The in-square transpose is an involution whose fixed points
@@ -254,7 +247,7 @@ pub fn resolve(pattern: TrafficPattern, g: &Csr, hosts: &[u32], seed: u64) -> De
                 }
             }
             complete_permutation(&mut perm);
-            fixed_map(n, hosts, &perm)
+            fixed_map(n, hosts, perm)
         }
         TrafficPattern::Shuffle => {
             // First-come tentative doubling: a sender whose image is taken
@@ -271,7 +264,7 @@ pub fn resolve(pattern: TrafficPattern, g: &Csr, hosts: &[u32], seed: u64) -> De
                 }
             }
             complete_permutation(&mut perm);
-            fixed_map(n, hosts, &perm)
+            fixed_map(n, hosts, perm)
         }
         TrafficPattern::Perm1Hop | TrafficPattern::Perm2Hop => {
             let want: u8 = if pattern == TrafficPattern::Perm1Hop {
@@ -304,11 +297,7 @@ pub fn resolve(pattern: TrafficPattern, g: &Csr, hosts: &[u32], seed: u64) -> De
             )]
             let m = matching::random_perfect_matching(hosts.len(), &allowed, seed)
                 .unwrap_or_else(|| panic!("no {}-hop permutation exists for this topology", want));
-            let mut dest = vec![u32::MAX; n];
-            for (i, &r) in hosts.iter().enumerate() {
-                dest[r as usize] = hosts[m[i] as usize];
-            }
-            DestMap::Fixed { dest }
+            fixed_map(n, hosts, m.into_iter().map(|j| j as usize))
         }
     }
 }
