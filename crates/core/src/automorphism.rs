@@ -136,8 +136,7 @@ pub fn is_graph_automorphism(pf: &PolarFly, perm: &[u32]) -> bool {
         seen[p as usize] = true;
     }
     g.edges()
-        .iter()
-        .all(|&(u, v)| g.has_edge(perm[u as usize], perm[v as usize]))
+        .all(|(u, v)| g.has_edge(perm[u as usize], perm[v as usize]))
 }
 
 /// A useful generating set of similitudes: the 3-cycle and swap

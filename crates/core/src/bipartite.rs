@@ -68,7 +68,7 @@ impl IncidenceGraph {
     pub fn polarity_quotient(&self) -> Csr {
         let n = self.side_count();
         let mut edges = Vec::with_capacity(self.graph.edge_count());
-        for &(u, v) in self.graph.edges() {
+        for (u, v) in self.graph.edges() {
             // u is a point, v = n + line index.
             let (p, l) = (u, v - n as u32);
             if p != l {
@@ -85,7 +85,7 @@ pub fn quotient_equals_er(q: u64) -> Result<bool, GfError> {
     let bq = IncidenceGraph::new(q)?;
     let quotient = bq.polarity_quotient();
     let er = PolarFly::new(q)?;
-    Ok(quotient.edges() == er.graph().edges())
+    Ok(quotient.edges().eq(er.graph().edges()))
 }
 
 #[cfg(test)]
@@ -109,7 +109,7 @@ mod tests {
     fn incidence_graph_is_bipartite() {
         let bq = IncidenceGraph::new(5).unwrap();
         let n = bq.side_count() as u32;
-        for &(u, v) in bq.graph().edges() {
+        for (u, v) in bq.graph().edges() {
             assert!(u < n && v >= n, "edge {u}-{v} not across the partition");
         }
     }

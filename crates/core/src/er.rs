@@ -355,11 +355,49 @@ mod tests {
         for q in orders {
             let pf = PolarFly::new(q).unwrap();
             let (graph, quadrics) = edge_list_oracle(q);
-            // Csr equality is offsets, neighbors and the edge list.
+            // Csr equality is offsets and neighbors: all a Csr stores.
             assert!(*pf.graph() == graph, "q={q}: CSR arrays differ");
             assert_eq!(pf.quadrics(), quadrics, "q={q}");
             assert_eq!(pf.class, classify(&graph, &quadrics), "q={q}");
         }
+    }
+
+    /// `edges()` is read off the rows, so check it against an independent
+    /// double loop over `has_edge`, on ER_q and on a residual of it.
+    #[test]
+    fn edges_are_the_canonical_pairs_of_er_q_and_its_residuals() {
+        for q in [3, 4, 5, 7, 8, 9, 13] {
+            let pf = PolarFly::new(q).unwrap();
+            let residual = pf
+                .graph()
+                .without_edges(&pf.graph().edges().step_by(7).collect::<Vec<_>>());
+            for g in [pf.graph(), &residual] {
+                let n = g.vertex_count() as u32;
+                let pairs: Vec<(u32, u32)> = (0..n)
+                    .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                    .filter(|&(u, v)| g.has_edge(u, v))
+                    .collect();
+                assert!(g.edges().eq(pairs.iter().copied()), "q={q}: {g:?}");
+                assert_eq!(g.edge_count(), pairs.len(), "q={q}");
+                assert_eq!(g.resident_bytes(), 4 * (n as usize + 1) + 8 * pairs.len());
+            }
+            let e = (q * (q + 1) * (q + 1) / 2) as usize;
+            assert_eq!(residual.edge_count(), e - e.div_ceil(7), "q={q}");
+        }
+    }
+
+    /// The graph is its two row arrays and nothing else: n + 1 offsets and
+    /// q(q + 1)² adjacency entries, 4 bytes each (8.4 MB at q = 127).
+    #[test]
+    fn er_127_stores_only_its_rows() {
+        let q = 127usize;
+        let n = q * q + q + 1;
+        let pf = PolarFly::new(q as u64).unwrap();
+        assert_eq!(
+            pf.graph().resident_bytes(),
+            4 * (n + 1) + 4 * q * (q + 1) * (q + 1)
+        );
+        assert_eq!(pf.graph().resident_bytes(), 8_388_104);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub fn replicate_quadric(pf: &PolarFly, layout: &Layout, steps: usize) -> Expand
     let q1 = pf.quadrics().len(); // q + 1
     let n = base_n + steps * q1;
     let mut b = GraphBuilder::new(n);
-    for &(u, v) in pf.graph().edges() {
+    for (u, v) in pf.graph().edges() {
         b.add_edge(u, v);
     }
     let mut cluster_of: Vec<u32> = (0..base_n as u32).map(|v| layout.cluster_of(v)).collect();
@@ -113,7 +113,7 @@ pub fn replicate_non_quadric(pf: &PolarFly, layout: &Layout, steps: usize) -> Ex
     let n = base_n + steps * q;
 
     // Growing edge list; cluster membership for every router so far.
-    let mut edges: Vec<(u32, u32)> = pf.graph().edges().to_vec();
+    let mut edges: Vec<(u32, u32)> = pf.graph().edges().collect();
     let mut cluster_of: Vec<u32> = (0..base_n as u32).map(|v| layout.cluster_of(v)).collect();
     let mut original_of: Vec<u32> = Vec::with_capacity(steps * q);
     // Centers per cluster id (index 0 unused placeholder = starter).
@@ -224,13 +224,11 @@ pub fn stats(pf: &PolarFly, ex: &Expanded) -> ExpansionStats {
     } else {
         f64::INFINITY
     };
-    let base_edges: std::collections::BTreeSet<(u32, u32)> =
-        pf.graph().edges().iter().copied().collect();
+    let base_edges: std::collections::BTreeSet<(u32, u32)> = pf.graph().edges().collect();
     let rewired = ex
         .graph
         .edges()
-        .iter()
-        .filter(|&&(u, v)| {
+        .filter(|&(u, v)| {
             (u as usize) < ex.base_n && (v as usize) < ex.base_n && !base_edges.contains(&(u, v))
         })
         .count();

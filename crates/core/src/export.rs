@@ -91,7 +91,7 @@ pub fn to_dot(pf: &PolarFly, layout: &Layout) -> String {
             n.y
         );
     }
-    for &(u, v) in pf.graph().edges() {
+    for (u, v) in pf.graph().edges() {
         let intra = layout.cluster_of(u) == layout.cluster_of(v);
         let style = if intra { "" } else { " [color=gray]" };
         let _ = writeln!(s, "  {u} -- {v}{style};");
@@ -121,7 +121,7 @@ pub fn to_json(pf: &PolarFly, layout: &Layout) -> String {
         );
     }
     s.push_str("],\"links\":[");
-    for (i, &(u, v)) in pf.graph().edges().iter().enumerate() {
+    for (i, (u, v)) in pf.graph().edges().enumerate() {
         if i > 0 {
             s.push(',');
         }

@@ -168,7 +168,7 @@ pub fn verify_intermediate_types(pf: &PolarFly) -> bool {
         VertexClass::V2 => 1,
         VertexClass::Quadric => unreachable!(),
     };
-    for &(u, v) in pf.graph().edges() {
+    for (u, v) in pf.graph().edges() {
         if pf.is_quadric(u) || pf.is_quadric(v) {
             continue;
         }
@@ -238,7 +238,7 @@ mod tests {
         // Property 1.5 via edge support: edges at quadrics lie in no
         // triangle; edges between non-quadrics lie in exactly one.
         let pf = PolarFly::new(9).unwrap();
-        for &(u, v) in pf.graph().edges() {
+        for (u, v) in pf.graph().edges() {
             let expect = if pf.is_quadric(u) || pf.is_quadric(v) {
                 0
             } else {

@@ -2,7 +2,7 @@
 //!
 //! All topologies in the workspace are materialized as [`Csr`] graphs:
 //! vertices are `u32` indices, adjacency is stored twice (once per
-//! direction) in a flat neighbor array for cache-friendly BFS. Builders
+//! direction, and nowhere else) in a flat neighbor array for BFS. Builders
 //! deduplicate edges and reject self-loops, so structural invariants
 //! (degree counts, edge counts) are exact; a generator that already has
 //! sorted rows skips the edge list via [`Csr::from_sorted_rows`], which
@@ -48,11 +48,35 @@ impl GraphBuilder {
     pub fn build(mut self) -> Csr {
         self.edges.sort_unstable();
         self.edges.dedup();
-        Csr::from_sorted_edges(self.n, self.edges)
+        let (n, edges) = (self.n, &self.edges);
+        let mut degree = vec![0u32; n];
+        for &(u, v) in edges {
+            degree[u as usize] += 1;
+            degree[v as usize] += 1;
+        }
+        let mut offsets = vec![0u32; n + 1];
+        for i in 0..n {
+            offsets[i + 1] = offsets[i] + degree[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut neighbors = vec![0u32; edges.len() * 2];
+        for &(u, v) in edges {
+            neighbors[cursor[u as usize] as usize] = v;
+            cursor[u as usize] += 1;
+            neighbors[cursor[v as usize] as usize] = u;
+            cursor[v as usize] += 1;
+        }
+        // Sort each adjacency run so neighbor lookups can binary-search.
+        for i in 0..n {
+            let (s, e) = (offsets[i] as usize, offsets[i + 1] as usize);
+            neighbors[s..e].sort_unstable();
+        }
+        Csr { offsets, neighbors }
     }
 }
 
-/// An undirected graph in CSR form.
+/// An undirected graph in CSR form: `offsets` (n + 1 row starts) and
+/// ascending `neighbors` rows are all it stores; [`Csr::edges`] reads them.
 ///
 /// # Examples
 ///
@@ -66,15 +90,14 @@ impl GraphBuilder {
 /// let g = b.build();
 /// assert_eq!(g.edge_count(), 3);
 /// assert_eq!(g.neighbors(1), &[0, 2]);
+/// assert!(g.edges().eq([(0, 1), (1, 2), (2, 3)]));
+/// assert_eq!(g.resident_bytes(), 4 * (4 + 1) + 8 * 3);
 /// assert!(g.is_connected());
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct Csr {
     offsets: Vec<u32>,
     neighbors: Vec<u32>,
-    /// Canonical edge list (`u < v`), sorted. Kept alongside the adjacency
-    /// arrays because partitioning and failure injection iterate edges.
-    edges: Vec<(u32, u32)>,
 }
 
 impl fmt::Debug for Csr {
@@ -87,45 +110,14 @@ impl fmt::Debug for Csr {
 }
 
 impl Csr {
-    /// Builds from a sorted, deduplicated canonical edge list.
-    fn from_sorted_edges(n: usize, edges: Vec<(u32, u32)>) -> Csr {
-        let mut degree = vec![0u32; n];
-        for &(u, v) in &edges {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-        let mut offsets = vec![0u32; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + degree[i];
-        }
-        let mut cursor = offsets.clone();
-        let mut neighbors = vec![0u32; edges.len() * 2];
-        for &(u, v) in &edges {
-            neighbors[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize] as usize] = u;
-            cursor[v as usize] += 1;
-        }
-        // Sort each adjacency run so neighbor lookups can binary-search.
-        for i in 0..n {
-            let (s, e) = (offsets[i] as usize, offsets[i + 1] as usize);
-            neighbors[s..e].sort_unstable();
-        }
-        Csr {
-            offsets,
-            neighbors,
-            edges,
-        }
-    }
-
     /// Adopts a finished adjacency structure: row `u` is
     /// `neighbors[offsets[u]..offsets[u + 1]]`. For generators that emit
     /// each vertex's neighbourhood already in ascending order (closed-form
     /// constructions such as `ER_q`), so no edge list is built or sorted.
     ///
     /// Everything [`GraphBuilder`] guarantees by construction is checked
-    /// here instead, in one O(E) pass that also derives the canonical edge
-    /// list: `offsets` starts at 0, never decreases and ends at
+    /// here instead, in one O(E) pass whose only allocation is a cursor
+    /// per row: `offsets` starts at 0, never decreases and ends at
     /// `neighbors.len()`; every row is in range, strictly ascending (so
     /// sorted and duplicate-free) and free of self-loops; and the
     /// adjacency is symmetric. Symmetry uses one cursor per row: walking
@@ -160,7 +152,6 @@ impl Csr {
         );
         // cursor[v]: the first entry of row v not yet matched as a mirror.
         let mut cursor = offsets[..n].to_vec();
-        let mut edges = Vec::with_capacity(neighbors.len() / 2);
         for u in 0..n as u32 {
             // Entries before the cursor each equal some u' < u (matched when
             // row u' was walked), so every remaining one must lie above u.
@@ -182,28 +173,16 @@ impl Csr {
                      (rows must be symmetric and ascending)"
                 );
                 *c += 1;
-                edges.push((u, v));
             }
         }
-        Csr {
-            offsets,
-            neighbors,
-            edges,
-        }
+        Csr { offsets, neighbors }
     }
 
     /// Builds directly from an arbitrary edge list (deduplicated here).
-    pub fn from_edges(n: usize, mut edges: Vec<(u32, u32)>) -> Csr {
-        for e in &mut edges {
-            if e.0 > e.1 {
-                *e = (e.1, e.0);
-            }
-            assert!(e.0 != e.1, "self-loop rejected");
-            assert!((e.1 as usize) < n, "edge out of range");
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        Csr::from_sorted_edges(n, edges)
+    pub fn from_edges(n: usize, edges: Vec<(u32, u32)>) -> Csr {
+        let mut b = GraphBuilder::new(n);
+        edges.into_iter().for_each(|(u, v)| b.add_edge(u, v));
+        b.build()
     }
 
     /// Number of vertices.
@@ -215,7 +194,7 @@ impl Csr {
     /// Number of undirected edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.neighbors.len() / 2
     }
 
     /// Degree of `v`.
@@ -252,33 +231,38 @@ impl Csr {
         self.neighbors(u).binary_search(&v).is_ok()
     }
 
-    /// The canonical (`u < v`, sorted) edge list.
-    #[inline]
-    pub fn edges(&self) -> &[(u32, u32)] {
-        &self.edges
+    /// The canonical edges (`u < v`) in ascending order: each row's
+    /// entries above its own vertex. Collect it for random access.
+    pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
+        (0..self.vertex_count() as u32).flat_map(move |u| {
+            let row = self.neighbors(u).iter();
+            row.skip_while(move |&&v| v < u).map(move |&v| (u, v))
+        })
     }
 
-    /// Bytes the three arrays have allocated (Σ capacity × element size):
-    /// 4 per offset, 4 per adjacency entry and 8 per canonical edge.
+    /// Bytes the two arrays have allocated: 4 per offset and 4 per
+    /// adjacency entry, so 4·(n + 1) + 8·E when built exactly.
     pub fn resident_bytes(&self) -> usize {
         (self.offsets.capacity() + self.neighbors.capacity()) * std::mem::size_of::<u32>()
-            + self.edges.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 
-    /// A copy of the graph with the given canonical edges removed.
+    /// A copy of the graph without the given edges (either orientation;
+    /// pairs that are not edges are ignored), its rows filtered in order.
     pub fn without_edges(&self, removed: &[(u32, u32)]) -> Csr {
-        let mut removed: Vec<(u32, u32)> = removed
-            .iter()
-            .map(|&(u, v)| if u < v { (u, v) } else { (v, u) })
-            .collect();
+        let mut removed: Vec<(u32, u32)> =
+            removed.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
         removed.sort_unstable();
-        let kept: Vec<(u32, u32)> = self
-            .edges
-            .iter()
-            .copied()
-            .filter(|e| removed.binary_search(e).is_err())
-            .collect();
-        Csr::from_sorted_edges(self.vertex_count(), kept)
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        let mut neighbors = Vec::with_capacity(self.neighbors.len());
+        offsets.push(0);
+        for u in 0..self.vertex_count() as u32 {
+            let row = self.neighbors(u).iter();
+            neighbors
+                .extend(row.filter(|&&v| removed.binary_search(&(u.min(v), u.max(v))).is_err()));
+            offsets.push(neighbors.len() as u32);
+        }
+        neighbors.shrink_to_fit();
+        Csr { offsets, neighbors }
     }
 
     /// Whether the graph is connected (BFS from vertex 0).
@@ -400,8 +384,64 @@ mod tests {
         let empty = GraphBuilder::new(0).build();
         for g in [cycle(9), clique(6), dumbbell, petersen, empty] {
             let back = Csr::from_sorted_rows(g.offsets.clone(), g.neighbors.clone());
-            assert_eq!(back.edges(), g.edges());
+            assert!(back.edges().eq(g.edges()));
             assert_eq!(back, g);
+        }
+    }
+
+    /// Checks `edges()` against the canonical pairs found by asking
+    /// `has_edge` of every `u < v` (a walk that shares nothing with the row
+    /// scan), `edge_count()` against their number, and the footprint
+    /// against the two exact arrays.
+    fn assert_edges_are_the_canonical_pairs(g: &Csr) {
+        let n = g.vertex_count() as u32;
+        let pairs: Vec<(u32, u32)> = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+            .filter(|&(u, v)| g.has_edge(u, v))
+            .collect();
+        assert!(g.edges().eq(pairs.iter().copied()), "{g:?}");
+        assert_eq!(g.edge_count(), pairs.len());
+        assert_eq!(g.resident_bytes(), 4 * (n as usize + 1) + 8 * pairs.len());
+    }
+
+    #[test]
+    fn edges_are_the_canonical_pairs_of_random_graphs_and_residuals() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..60 {
+            let n = rng.gen_range(1..40u32);
+            let p = f64::from(rng.gen_range(0..101u32)) / 100.0;
+            let mut b = GraphBuilder::new(n as usize);
+            for u in 0..n {
+                for v in u + 1..n {
+                    if rng.gen_bool(p) {
+                        b.add_edge(u, v);
+                    }
+                }
+            }
+            let g = b.build();
+            assert_edges_are_the_canonical_pairs(&g);
+            // Remove about a third of the edges, in either orientation,
+            // plus a pair that may not be an edge at all.
+            let mut removed = Vec::new();
+            for (u, v) in g.edges() {
+                if rng.gen_bool(0.3) {
+                    removed.push(if rng.gen_bool(0.5) { (v, u) } else { (u, v) });
+                }
+            }
+            let gone = removed.len();
+            let stray = (0, n - 1);
+            if n > 1 && !g.has_edge(stray.0, stray.1) {
+                removed.push(stray);
+            }
+            let r = g.without_edges(&removed);
+            assert_edges_are_the_canonical_pairs(&r);
+            assert_eq!(r.edge_count(), g.edge_count() - gone);
+            let kept = g
+                .edges()
+                .filter(|&(u, v)| !removed.contains(&(u, v)) && !removed.contains(&(v, u)));
+            assert_eq!(r, Csr::from_edges(n as usize, kept.collect()));
         }
     }
 
@@ -414,7 +454,7 @@ mod tests {
     fn sorted_rows_accepts_the_uncorrupted_path() {
         let (offsets, neighbors) = path_rows();
         let g = Csr::from_sorted_rows(offsets, neighbors);
-        assert_eq!(g.edges(), &[(0, 1), (1, 2), (2, 3)]);
+        assert!(g.edges().eq([(0, 1), (1, 2), (2, 3)]));
     }
 
     #[test]

@@ -63,7 +63,7 @@ impl FailureSet {
             (0.0..=1.0).contains(&ratio),
             "failure ratio must be in [0, 1]"
         );
-        let mut order: Vec<(u32, u32)> = g.edges().to_vec();
+        let mut order: Vec<(u32, u32)> = g.edges().collect();
         let mut rng = StdRng::seed_from_u64(seed);
         order.shuffle(&mut rng);
         let k = ((ratio * order.len() as f64).round() as usize).min(order.len());
@@ -81,7 +81,8 @@ impl FailureSet {
             (0.0..=1.0).contains(&ratio),
             "failure ratio must be in [0, 1]"
         );
-        let m = g.edge_count();
+        let edges: Vec<(u32, u32)> = g.edges().collect();
+        let m = edges.len();
         let target = ((ratio * m as f64).round() as usize).min(m);
         let mut order: Vec<usize> = (0..m).collect();
         let mut rng = StdRng::seed_from_u64(seed);
@@ -93,11 +94,11 @@ impl FailureSet {
         for &e in &order[..target] {
             removed_flags[e] = true;
         }
-        if connected_without(g, &removed_flags) {
+        if connected_without(g.vertex_count(), &edges, &removed_flags) {
             return FailureSet::from_edges(
                 &order[..target]
                     .iter()
-                    .map(|&e| g.edges()[e])
+                    .map(|&e| edges[e])
                     .collect::<Vec<_>>(),
             );
         }
@@ -110,8 +111,8 @@ impl FailureSet {
                 break;
             }
             removed_flags[e] = true;
-            if connected_without(g, &removed_flags) {
-                chosen.push(g.edges()[e]);
+            if connected_without(g.vertex_count(), &edges, &removed_flags) {
+                chosen.push(edges[e]);
             } else {
                 removed_flags[e] = false;
             }
@@ -419,7 +420,7 @@ impl FaultSchedule {
             // singleton: the live routers are connected iff at most one
             // component is left besides those singletons.
             let mut uf = UnionFind::new(g.vertex_count());
-            for &(u, v) in g.edges() {
+            for (u, v) in g.edges() {
                 if !links.contains(u, v) {
                     uf.union(u, v);
                 }
@@ -523,12 +524,12 @@ fn merge_windows(windows: &mut [(u32, u32)]) -> Vec<(u32, u32)> {
     merged
 }
 
-/// Connectivity of `g` restricted to edges whose flag is unset
-/// (union-find over the survivors).
-fn connected_without(g: &Csr, removed: &[bool]) -> bool {
-    let mut uf = UnionFind::new(g.vertex_count());
-    for (idx, &(u, v)) in g.edges().iter().enumerate() {
-        if !removed[idx] {
+/// Connectivity of the `n`-vertex graph on `edges` restricted to edges
+/// whose flag is unset (union-find over the survivors).
+fn connected_without(n: usize, edges: &[(u32, u32)], removed: &[bool]) -> bool {
+    let mut uf = UnionFind::new(n);
+    for (&(u, v), &gone) in edges.iter().zip(removed) {
+        if !gone {
             uf.union(u, v);
         }
     }
@@ -630,7 +631,7 @@ fn disconnect_prefix(g: &Csr, order: &[(u32, u32)]) -> usize {
 /// shuffle) and reports metrics at each checkpoint ratio, plus the exact
 /// disconnection ratio.
 pub fn failure_trial(g: &Csr, checkpoints: &[f64], seed: u64) -> FailureTrial {
-    let mut order: Vec<(u32, u32)> = g.edges().to_vec();
+    let mut order: Vec<(u32, u32)> = g.edges().collect();
     let mut rng = StdRng::seed_from_u64(seed);
     order.shuffle(&mut rng);
 
@@ -675,7 +676,7 @@ pub fn median_failure_trial(
         .into_par_iter()
         .map(|t| {
             let s = seed.wrapping_add(t.wrapping_mul(0xA24B_AED4_963E_E407));
-            let mut order: Vec<(u32, u32)> = g.edges().to_vec();
+            let mut order: Vec<(u32, u32)> = g.edges().collect();
             let mut rng = StdRng::seed_from_u64(s);
             order.shuffle(&mut rng);
             (
@@ -712,7 +713,7 @@ mod tests {
             b.add_edge(0, i);
         }
         let g = b.build();
-        let order = g.edges().to_vec();
+        let order: Vec<(u32, u32)> = g.edges().collect();
         assert_eq!(disconnect_prefix(&g, &order), 1);
     }
 
@@ -942,7 +943,7 @@ mod tests {
         assert!(s.is_static(&g));
         assert!(FaultSchedule::new().is_static(&g));
         // Any event after cycle 0, or any router window, is transient.
-        let (u, v) = g.edges()[0];
+        let (u, v) = g.edges().next().unwrap();
         assert!(!s.clone().link_fault(u, v, 5, 9).is_static(&g));
         assert!(!FaultSchedule::new().link_fault(u, v, 0, 9).is_static(&g));
         assert!(!FaultSchedule::new()
@@ -993,7 +994,7 @@ mod tests {
                 }
                 v
             }
-            for &(u, v) in g.edges() {
+            for (u, v) in g.edges() {
                 if !links.contains(&(u, v)) && !routers.contains(&u) && !routers.contains(&v) {
                     let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
                     parent[ru as usize] = rv;
@@ -1022,12 +1023,13 @@ mod tests {
         b.add_edge(0, 6);
         b.add_edge(3, 9);
         let g = b.build();
+        let edges: Vec<(u32, u32)> = g.edges().collect();
         let mut rng = StdRng::seed_from_u64(17);
         let (mut accepted, mut rejected) = (0, 0);
         for _ in 0..400 {
             let mut s = FaultSchedule::new();
             for _ in 0..rng.gen_range(1..7) {
-                let (u, v) = g.edges()[rng.gen_range(0..g.edge_count())];
+                let (u, v) = edges[rng.gen_range(0..edges.len())];
                 let fail = rng.gen_range(0..40);
                 let repair = if rng.gen_bool(0.2) {
                     FaultSchedule::NEVER

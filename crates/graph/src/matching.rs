@@ -57,16 +57,19 @@ pub fn maximum_matching(n: usize, allowed: &[Vec<u32>]) -> Vec<u32> {
     match_left
 }
 
-/// A *random* perfect matching: adjacency lists are shuffled with `seed`
-/// before running Kuhn's algorithm, so different seeds explore different
-/// permutations. Returns `None` if no perfect matching exists.
-pub fn random_perfect_matching(n: usize, allowed: &[Vec<u32>], seed: u64) -> Option<Vec<u32>> {
+/// A *random* perfect matching: adjacency lists are shuffled in place
+/// with `seed` before running Kuhn's algorithm, so different seeds explore
+/// different permutations. Returns `None` if no perfect matching exists.
+pub fn random_perfect_matching(
+    n: usize,
+    mut allowed: Vec<Vec<u32>>,
+    seed: u64,
+) -> Option<Vec<u32>> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut shuffled: Vec<Vec<u32>> = allowed.to_vec();
-    for lst in &mut shuffled {
+    for lst in &mut allowed {
         lst.shuffle(&mut rng);
     }
-    let m = maximum_matching(n, &shuffled);
+    let m = maximum_matching(n, &allowed);
     m.iter().all(|&v| v != u32::MAX).then_some(m)
 }
 
@@ -94,13 +97,13 @@ mod tests {
         let m = maximum_matching(3, &allowed);
         let matched = m.iter().filter(|&&v| v != u32::MAX).count();
         assert_eq!(matched, 2);
-        assert!(random_perfect_matching(3, &allowed, 0).is_none());
+        assert!(random_perfect_matching(3, allowed, 0).is_none());
     }
 
     #[test]
     fn respects_allowed_sets() {
         let allowed = vec![vec![1, 2], vec![0, 2], vec![0, 1]];
-        let m = random_perfect_matching(3, &allowed, 5).unwrap();
+        let m = random_perfect_matching(3, allowed.clone(), 5).unwrap();
         for (u, &v) in m.iter().enumerate() {
             assert!(allowed[u].contains(&v));
             assert_ne!(
@@ -114,8 +117,8 @@ mod tests {
     fn different_seeds_vary() {
         let n = 16;
         let allowed: Vec<Vec<u32>> = (0..n).map(|_| (0..n as u32).collect()).collect();
-        let a = random_perfect_matching(n, &allowed, 1).unwrap();
-        let b = random_perfect_matching(n, &allowed, 2).unwrap();
+        let a = random_perfect_matching(n, allowed.clone(), 1).unwrap();
+        let b = random_perfect_matching(n, allowed, 2).unwrap();
         assert_ne!(a, b);
     }
 }

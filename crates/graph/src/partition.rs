@@ -84,8 +84,7 @@ pub fn bisection_cut_fraction(g: &Csr, restarts: usize, seed: u64) -> f64 {
 /// Number of edges crossing the given side assignment.
 pub fn cut_size(g: &Csr, side: &[bool]) -> usize {
     g.edges()
-        .iter()
-        .filter(|&&(u, v)| side[u as usize] != side[v as usize])
+        .filter(|&(u, v)| side[u as usize] != side[v as usize])
         .count()
 }
 

@@ -18,7 +18,7 @@ pub fn enumerate(g: &Csr) -> Vec<(u32, u32, u32)> {
 
 /// Calls `f` for every triangle `(a, b, c)`, `a < b < c`.
 pub fn for_each<F: FnMut(u32, u32, u32)>(g: &Csr, mut f: F) {
-    for &(a, b) in g.edges() {
+    for (a, b) in g.edges() {
         // Neighbor lists are sorted: intersect the suffixes above b.
         let na = g.neighbors(a);
         let nb = g.neighbors(b);

@@ -139,11 +139,7 @@ fn degraded_min_allocates_the_residual_need() {
     let need = RouteTables::build(&failures.residual(g), cfg.seed).max_finite_dist() as usize;
     assert!(need > 2 && need < 8, "residual diameter {need}");
     let static_set = FaultSchedule::from_failures(&failures);
-    let &(u, v) = g
-        .edges()
-        .iter()
-        .find(|&&(u, v)| !failures.contains(u, v))
-        .unwrap();
+    let (u, v) = g.edges().find(|&(u, v)| !failures.contains(u, v)).unwrap();
     let blip = static_set.clone().link_fault(u, v, 400, 500);
     let static_topo = pf.with_faults(static_set).unwrap();
     let blip_topo = pf.with_faults(blip).unwrap();

@@ -14,7 +14,7 @@ use pf_topo::PolarFlyTopo;
 fn masks_follow_the_schedule_every_cycle() {
     let pf = PolarFlyTopo::new(7, 4).unwrap();
     let g = pf.graph();
-    let edges = g.edges();
+    let edges: Vec<(u32, u32)> = g.edges().collect();
     let (a, b) = (edges[0], edges[40]);
     let router = (0..g.vertex_count() as u32)
         .find(|&r| ![a.0, a.1, b.0, b.1].contains(&r))

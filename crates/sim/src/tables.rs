@@ -142,12 +142,6 @@ impl RouteTables {
         self.graph.vertex_count()
     }
 
-    /// The `next` entry of the pair `(s, d)`.
-    #[inline]
-    fn entry(&self, s: u32, d: u32) -> u8 {
-        self.next[s as usize * self.router_count() + d as usize]
-    }
-
     /// Hop distance from `s` to `d` (`bfs::UNREACHABLE` = 255 when `d`
     /// is unreachable), walked along the next hops in at most
     /// [`RouteTables::max_finite_dist`] steps.
@@ -169,10 +163,7 @@ impl RouteTables {
             if hops == limit {
                 return None;
             }
-            match self.entry(at, d) {
-                STAY => return None,
-                i => at = self.graph.neighbors(at)[usize::from(i)],
-            }
+            at = self.graph.neighbors(at)[self.port(at, d)?];
             hops += 1;
         }
         Some(hops)
@@ -190,16 +181,23 @@ impl RouteTables {
     /// tables have not re-converged yet).
     #[inline]
     pub fn reachable(&self, s: u32, d: u32) -> bool {
-        s == d || self.entry(s, d) != STAY
+        s == d || self.port(s, d).is_some()
     }
 
     /// The table's minimal next hop from `s` toward `d` (`s` if `s == d`
     /// or `d` is unreachable).
     #[inline]
     pub fn next_hop(&self, s: u32, d: u32) -> u32 {
-        match self.entry(s, d) {
-            STAY => s,
-            i => self.graph.neighbors(s)[usize::from(i)],
+        self.port(s, d).map_or(s, |i| self.graph.neighbors(s)[i])
+    }
+
+    /// [`RouteTables::next_hop`] as stored: its position in
+    /// `graph().neighbors(s)`, or `None` when there is no hop.
+    #[inline]
+    pub fn port(&self, s: u32, d: u32) -> Option<usize> {
+        match self.next[s as usize * self.router_count() + d as usize] {
+            STAY => None,
+            i => Some(usize::from(i)),
         }
     }
 
@@ -448,17 +446,17 @@ mod tests {
     }
 
     /// The next-hop bytes and the graph copy are all the tables hold: on
-    /// ER_31, n² = 986 049 bytes plus the CSR's 994 offsets, 31 744
-    /// adjacency entries and 15 872 edges.
+    /// ER_31, n² = 986 049 bytes plus the CSR's 994 offsets and 31 744
+    /// adjacency entries (15 872 edges, each listed from both ends).
     #[test]
     fn tables_hold_n_squared_bytes_plus_the_graph() {
         let pf = PolarFly::new(31).unwrap();
         let t = RouteTables::build(pf.graph(), 1);
         let (n, e) = (993usize, 15_872usize);
         assert_eq!(pf.graph().edge_count(), e);
-        let csr = 4 * (n + 1) + 4 * 2 * e + 8 * e;
+        let csr = 4 * (n + 1) + 4 * 2 * e;
         assert_eq!(t.resident_bytes(), n * n + csr);
-        assert_eq!(t.resident_bytes(), 1_243_977);
+        assert_eq!(t.resident_bytes(), 1_117_001);
     }
 
     #[test]

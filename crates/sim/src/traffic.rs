@@ -295,7 +295,7 @@ pub fn resolve(pattern: TrafficPattern, g: &Csr, hosts: &[u32], seed: u64) -> De
                 clippy::panic,
                 reason = "set-up-time rejection of a pattern the topology cannot carry, before any cycle runs"
             )]
-            let m = matching::random_perfect_matching(hosts.len(), &allowed, seed)
+            let m = matching::random_perfect_matching(hosts.len(), allowed, seed)
                 .unwrap_or_else(|| panic!("no {}-hop permutation exists for this topology", want));
             fixed_map(n, hosts, m.into_iter().map(|j| j as usize))
         }

@@ -214,7 +214,7 @@ fn for_each_case(mut check: impl FnMut(&Case)) {
         });
     }
     let pf5 = PolarFlyTopo::new(5, 1).unwrap();
-    for &(u, v) in pf5.graph().edges() {
+    for (u, v) in pf5.graph().edges() {
         check(&Case {
             name: format!("PF q=5 without {u}-{v}"),
             topo: &pf5,

@@ -277,7 +277,7 @@ fn neighbor_detours_survive_router_repair_window_on_tables() {
     // Cycle-0 windows are already baked into the initial tables: their
     // down events "change" nothing, so no swap may fire. (The repair
     // lands after the run, so the fault machinery is live.)
-    let (u, v) = sf.graph().edges()[0];
+    let (u, v) = sf.graph().edges().next().unwrap();
     let baked = sf
         .with_faults(FaultSchedule::new().link_fault(u, v, 0, 1 << 20))
         .unwrap();

@@ -91,7 +91,7 @@ mod tests {
         let df = Dragonfly::new(4, 2, 2);
         let g = 9; // a·h + 1
         let mut counts = vec![0u32; (g * g) as usize];
-        for &(u, v) in df.graph().edges() {
+        for (u, v) in df.graph().edges() {
             let (gu, gv) = (u / 4, v / 4); // groups of a = 4
             if gu != gv {
                 let (a, b) = (gu.min(gv), gu.max(gv));

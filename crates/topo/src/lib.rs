@@ -76,7 +76,7 @@ mod oft {
                 // Indirect: every link joins a leaf to a spine, so spines
                 // (the only host-free switches) carry all leaf-to-leaf
                 // traffic.
-                for &(u, v) in oft.graph().edges() {
+                for (u, v) in oft.graph().edges() {
                     assert!((u as usize) < n && (v as usize) >= n, "{u}-{v}");
                 }
             }

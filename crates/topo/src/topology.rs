@@ -177,7 +177,7 @@ impl Topology {
     /// assert_eq!(degraded.graph().edge_count(), pf.graph().edge_count());
     ///
     /// // A blip: healthy at cycle 0, down for [100, 400).
-    /// let (u, v) = pf.graph().edges()[0];
+    /// let (u, v) = pf.graph().edges().next().unwrap();
     /// let transient = pf.with_faults(FaultSchedule::new().link_fault(u, v, 100, 400)).unwrap();
     /// assert!(transient.faults().active_at(pf.graph(), 0).is_empty());
     /// assert!(!transient.faults().is_static(pf.graph()));

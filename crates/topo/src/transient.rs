@@ -50,7 +50,7 @@ impl Topology {
     /// assert_eq!(degraded.name(), "PF(q=7,p=4)!f4.9%");
     ///
     /// // A blip: healthy at cycle 0, down for [100, 400).
-    /// let (u, v) = pf.graph().edges()[0];
+    /// let (u, v) = pf.graph().edges().next().unwrap();
     /// let blip = FaultSchedule::new().link_fault(u, v, 100, 400);
     /// let transient = pf.with_faults(blip).unwrap();
     /// assert_eq!(transient.name(), "PF(q=7,p=4)~transient×1");
@@ -149,9 +149,9 @@ mod tests {
     fn initial_state_matches_cycle_zero() {
         let pf = PolarFlyTopo::new(5, 2).unwrap();
         let g = pf.graph();
-        let (u, v) = g.edges()[3];
+        let (u, v) = g.edges().nth(3).unwrap();
         // One link already down at cycle 0, another failing later.
-        let (a, b) = g.edges()[10];
+        let (a, b) = g.edges().nth(10).unwrap();
         let s = FaultSchedule::new()
             .link_fault(u, v, 0, 500)
             .link_fault(a, b, 200, 400);
@@ -176,11 +176,8 @@ mod tests {
         let static_failures = FailureSet::sample_connected(g, 0.05, 8);
         assert!(!static_failures.is_empty());
         // Blips on links that are NOT statically failed.
-        let mut healthy = g
-            .edges()
-            .iter()
-            .filter(|&&(u, v)| !static_failures.contains(u, v));
-        let (&(u, v), &(a, b)) = (healthy.next().unwrap(), healthy.next().unwrap());
+        let mut healthy = g.edges().filter(|&(u, v)| !static_failures.contains(u, v));
+        let ((u, v), (a, b)) = (healthy.next().unwrap(), healthy.next().unwrap());
         let s = FaultSchedule::from_failures(&static_failures)
             .link_fault(u, v, 0, 100)
             .link_fault(a, b, 200, 400);

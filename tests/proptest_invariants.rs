@@ -178,6 +178,7 @@ proptest! {
 /// four, and one time in three restarts on the previous window's element
 /// where that window closed (touching) or before (overlapping).
 fn random_schedule(g: &Csr, links: usize, routers: usize, seed: u64) -> (FaultSchedule, u32) {
+    let edges: Vec<(u32, u32)> = g.edges().collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut s = FaultSchedule::new();
     let mut horizon = 0u32;
@@ -208,7 +209,7 @@ fn random_schedule(g: &Csr, links: usize, routers: usize, seed: u64) -> (FaultSc
     for _ in 0..links {
         let (u, v) = match prev {
             Some((u, v, ..)) if rng.gen_range(0..2) == 0 => (u, v),
-            _ => g.edges()[rng.gen_range(0..g.edge_count())],
+            _ => edges[rng.gen_range(0..edges.len())],
         };
         let (fail, repair) = window(&mut rng, prev.map(|p| (p.2, p.3)));
         s = s.link_fault(u, v, fail, repair);

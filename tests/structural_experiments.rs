@@ -182,11 +182,10 @@ fn single_quadric_link_failure_raises_diameter_to_four() {
     assert_eq!(pf_graph::bfs::diameter(&without_quadric_link), Some(4));
 
     // A non-quadric link has a 2-hop alternative: diameter 3.
-    let (a, b) = *pf
+    let (a, b) = pf
         .graph()
         .edges()
-        .iter()
-        .find(|&&(a, b)| !pf.is_quadric(a) && !pf.is_quadric(b))
+        .find(|&(a, b)| !pf.is_quadric(a) && !pf.is_quadric(b))
         .unwrap();
     let without_plain_link = pf.graph().without_edges(&[(a, b)]);
     assert_eq!(pf_graph::bfs::diameter(&without_plain_link), Some(3));
