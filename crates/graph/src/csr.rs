@@ -30,13 +30,7 @@ impl GraphBuilder {
     /// or self-loops (no topology in this workspace has them; quadric
     /// "self-loops" in `ER_q` are modelled structurally, not as edges).
     pub fn add_edge(&mut self, u: u32, v: u32) {
-        assert!(u != v, "self-loop {u}-{v} rejected");
-        assert!(
-            (u as usize) < self.n && (v as usize) < self.n,
-            "edge {u}-{v} out of range"
-        );
-        let e = if u < v { (u, v) } else { (v, u) };
-        self.edges.push(e);
+        self.edges.push(canonical(self.n, u, v));
     }
 
     /// Number of vertices.
@@ -72,6 +66,20 @@ impl GraphBuilder {
             neighbors[s..e].sort_unstable();
         }
         Csr { offsets, neighbors }
+    }
+}
+
+/// `{u, v}` as `(min, max)`, after [`GraphBuilder::add_edge`]'s checks.
+fn canonical(n: usize, u: u32, v: u32) -> (u32, u32) {
+    assert!(u != v, "self-loop {u}-{v} rejected");
+    assert!(
+        (u as usize) < n && (v as usize) < n,
+        "edge {u}-{v} out of range"
+    );
+    if u < v {
+        (u, v)
+    } else {
+        (v, u)
     }
 }
 
@@ -179,10 +187,11 @@ impl Csr {
     }
 
     /// Builds directly from an arbitrary edge list (deduplicated here).
-    pub fn from_edges(n: usize, edges: Vec<(u32, u32)>) -> Csr {
-        let mut b = GraphBuilder::new(n);
-        edges.into_iter().for_each(|(u, v)| b.add_edge(u, v));
-        b.build()
+    pub fn from_edges(n: usize, mut edges: Vec<(u32, u32)>) -> Csr {
+        for e in &mut edges {
+            *e = canonical(n, e.0, e.1);
+        }
+        GraphBuilder { n, edges }.build()
     }
 
     /// Number of vertices.

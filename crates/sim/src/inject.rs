@@ -121,7 +121,8 @@ impl Engine<'_> {
             return NONE32;
         }
         let net = net_view!(self);
-        let link = self.geom.tx(r, net.min.port(&net, r, dst));
+        let next = net.min.next(&net, r, dst);
+        let link = self.geom.tx(r, net.neighbor_index(r, next));
         self.inj_wait[link as usize] += 1;
         link
     }

@@ -90,18 +90,6 @@ impl NetState<'_> {
             .expect("next hop must be a neighbor")
     }
 
-    /// Local port of `tables`' next hop from `r` toward `d` (`None`: no
-    /// hop): the stored position, unless `r`'s row in a residual graph
-    /// lost a link below the hop and the hop's id must be looked up.
-    #[inline]
-    pub fn table_port(&self, tables: &RouteTables, r: u32, d: u32) -> Option<usize> {
-        let (i, next) = (tables.port(r, d)?, tables.next_hop(r, d));
-        match self.graph.neighbors(r).get(i) {
-            Some(&w) if w == next => Some(i),
-            _ => Some(self.neighbor_index(r, next)),
-        }
-    }
-
     /// Occupied flits across all VCs of the link toward neighbor-index `i`
     /// of router `r` — the congestion signal UGAL uses.
     pub fn link_occupancy(&self, r: u32, i: usize) -> u32 {
@@ -113,16 +101,18 @@ impl NetState<'_> {
         occ
     }
 
-    /// UGAL congestion signal toward neighbor-index `i`: downstream buffer
-    /// occupancy plus the source-queue backlog charged to that link (in flits).
-    pub fn occupancy_toward(&self, r: u32, i: usize) -> u32 {
+    /// UGAL congestion signal toward `next`: downstream buffer occupancy
+    /// plus the source-queue backlog charged to that link (in flits).
+    pub fn occupancy_toward(&self, r: u32, next: u32) -> u32 {
+        let i = self.neighbor_index(r, next);
         let link = self.geom.tx(r, i);
         self.link_occupancy(r, i) + self.inj_wait[link as usize] * u32::from(self.packet_flits)
     }
 
     /// Occupied flits in the class-0 (injection) VCs of the link toward
-    /// neighbor-index `i` — the congestion signal for the UGAL-PF threshold.
-    pub fn class0_occupancy_toward(&self, r: u32, i: usize) -> u32 {
+    /// `next` — the congestion signal for the UGAL-PF threshold.
+    pub fn class0_occupancy_toward(&self, r: u32, next: u32) -> u32 {
+        let i = self.neighbor_index(r, next);
         let link = self.geom.tx(r, i) as usize;
         let mut occ = 0;
         for vc in 0..self.per_class {
@@ -205,16 +195,6 @@ impl MinHop<'_> {
                 hop.unwrap_or_else(|| net.tables.next_hop(s, d))
             }
         }
-    }
-
-    /// Local port of [`MinHop::next`]; a table hop skips the id lookup.
-    #[inline]
-    pub fn port(&self, net: &NetState, s: u32, d: u32) -> usize {
-        match self {
-            MinHop::Table => net.table_port(net.tables, s, d),
-            MinHop::Algebraic(_) => None,
-        }
-        .unwrap_or_else(|| net.neighbor_index(s, self.next(net, s, d)))
     }
 
     /// The minimal-hop source `topo` supports: the algebra when it
@@ -302,7 +282,11 @@ pub(crate) fn route_output(
 
 /// The live local port toward `tables`' next hop for this pair, if any.
 fn table_port(net: &NetState, tables: &RouteTables, hop: HopContext) -> Option<Port> {
-    let i = net.table_port(tables, hop.router, hop.target)?;
+    let next = tables.next_hop(hop.router, hop.target);
+    if next == hop.router {
+        return None; // unreachable under these tables
+    }
+    let i = net.neighbor_index(hop.router, next);
     net.link_ok(hop.router, i).then_some(i as Port)
 }
 
@@ -415,7 +399,10 @@ impl Routing {
     pub fn next_output(self, net: &NetState, hop: HopContext, rng: &mut StdRng) -> Port {
         match self {
             Routing::MinAdaptive => adaptive_min_output(net, hop, rng),
-            _ => net.min.port(net, hop.router, hop.target) as Port,
+            _ => {
+                let next = net.min.next(net, hop.router, hop.target);
+                net.neighbor_index(hop.router, next) as Port
+            }
         }
     }
 
@@ -430,8 +417,8 @@ impl Routing {
                 let mid = random_mid(net, src, dst, rng);
                 let h_min = net.tables.dist(src, dst);
                 let h_val = net.tables.dist(src, mid) + net.tables.dist(mid, dst);
-                let q_min = net.occupancy_toward(src, net.min.port(net, src, dst));
-                let q_val = net.occupancy_toward(src, net.min.port(net, src, mid));
+                let q_min = net.occupancy_toward(src, net.min.next(net, src, dst));
+                let q_val = net.occupancy_toward(src, net.min.next(net, src, mid));
                 if q_val * h_val < q_min * h_min {
                     RoutePlan::Detour(mid)
                 } else {
@@ -443,7 +430,7 @@ impl Routing {
                 // minimal output plus source-queue backlog: the buffer
                 // space this packet would contend for, so the threshold is
                 // taken against the class capacity.
-                let q_min = net.class0_occupancy_toward(src, net.min.port(net, src, dst));
+                let q_min = net.class0_occupancy_toward(src, net.min.next(net, src, dst));
                 let class_cap = net.cap_per_vc * net.per_class as u32;
                 if f64::from(q_min) <= net.ugal_pf_threshold * f64::from(class_cap) {
                     RoutePlan::Minimal
@@ -533,8 +520,7 @@ fn adaptive_min_output(net: &NetState, hop: HopContext, rng: &mut StdRng) -> Por
 mod tests {
     use super::*;
     use crate::SimConfig;
-    use pf_graph::{FailureSet, FaultSchedule};
-    use pf_topo::{Dragonfly, PolarFlyTopo, SlimFly, Topology};
+    use pf_topo::{PolarFlyTopo, Topology};
     use polarfly::routing::next_hop_minimal;
     use rand::SeedableRng;
 
@@ -664,40 +650,6 @@ mod tests {
                 assert_eq!(plan, RoutePlan::Minimal, "{s}->{d}");
                 assert_eq!(walk(&net, s, d, plan), vec![s, d]);
             }
-        }
-    }
-
-    /// A table-routed hop's port is the port of the hop's id, whether the
-    /// tables were built on the physical graph (Slim Fly, Dragonfly) or on
-    /// a residual one whose rows shifted (PolarFly with a link down).
-    #[test]
-    fn table_ports_match_the_next_hops_neighbor_index() {
-        let pf = PolarFlyTopo::new(7, 4).unwrap();
-        let (u, v) = pf.graph().edges().next().unwrap();
-        let down = FaultSchedule::from_failures(&FailureSet::from_edges(&[(u, v)]));
-        let topos = [
-            SlimFly::new(5, 3).unwrap(),
-            Dragonfly::new(2, 2, 2),
-            pf.with_faults(down).unwrap(),
-        ];
-        for (k, topo) in topos.iter().enumerate() {
-            let mut idle = Idle::new(topo);
-            idle.tables = RouteTables::build_for(topo, 1);
-            let (t, net) = (&idle.tables, idle.net(topo, MinHop::Table));
-            let n = topo.graph().vertex_count() as u32;
-            let mut shifted = 0;
-            for s in 0..n {
-                assert_eq!(net.table_port(t, s, s), None);
-                for d in (0..n).filter(|&d| d != s) {
-                    let next = t.next_hop(s, d);
-                    let stored = t.port(s, d).unwrap();
-                    assert_eq!(t.graph().neighbors(s)[stored], next);
-                    let port = net.table_port(t, s, d);
-                    assert_eq!(port, Some(net.neighbor_index(s, next)), "{s}->{d}");
-                    shifted += usize::from(port != Some(stored));
-                }
-            }
-            assert_eq!(shifted > 0, k == 2, "{}: {shifted} shifted", topo.name());
         }
     }
 }

@@ -142,6 +142,12 @@ impl RouteTables {
         self.graph.vertex_count()
     }
 
+    /// The `next` entry of the pair `(s, d)`.
+    #[inline]
+    fn entry(&self, s: u32, d: u32) -> u8 {
+        self.next[s as usize * self.router_count() + d as usize]
+    }
+
     /// Hop distance from `s` to `d` (`bfs::UNREACHABLE` = 255 when `d`
     /// is unreachable), walked along the next hops in at most
     /// [`RouteTables::max_finite_dist`] steps.
@@ -163,7 +169,10 @@ impl RouteTables {
             if hops == limit {
                 return None;
             }
-            at = self.graph.neighbors(at)[self.port(at, d)?];
+            match self.entry(at, d) {
+                STAY => return None,
+                i => at = self.graph.neighbors(at)[usize::from(i)],
+            }
             hops += 1;
         }
         Some(hops)
@@ -181,23 +190,16 @@ impl RouteTables {
     /// tables have not re-converged yet).
     #[inline]
     pub fn reachable(&self, s: u32, d: u32) -> bool {
-        s == d || self.port(s, d).is_some()
+        s == d || self.entry(s, d) != STAY
     }
 
     /// The table's minimal next hop from `s` toward `d` (`s` if `s == d`
     /// or `d` is unreachable).
     #[inline]
     pub fn next_hop(&self, s: u32, d: u32) -> u32 {
-        self.port(s, d).map_or(s, |i| self.graph.neighbors(s)[i])
-    }
-
-    /// [`RouteTables::next_hop`] as stored: its position in
-    /// `graph().neighbors(s)`, or `None` when there is no hop.
-    #[inline]
-    pub fn port(&self, s: u32, d: u32) -> Option<usize> {
-        match self.next[s as usize * self.router_count() + d as usize] {
-            STAY => None,
-            i => Some(usize::from(i)),
+        match self.entry(s, d) {
+            STAY => s,
+            i => self.graph.neighbors(s)[usize::from(i)],
         }
     }
 
