@@ -16,7 +16,7 @@
 //! the routers, diameter 3.
 
 use crate::er::PolarFly;
-use pf_galois::{Gf, GfError, ProjectivePlane};
+use pf_galois::{line_points, Gf, GfError, ProjectivePoints};
 use pf_graph::{Csr, GraphBuilder};
 
 /// The bipartite point–line incidence graph `B(q)`.
@@ -24,31 +24,26 @@ use pf_graph::{Csr, GraphBuilder};
 /// Vertices `0..N` are points, `N..2N` are lines (both in the canonical
 /// projective index order, `N = q² + q + 1`).
 pub struct IncidenceGraph {
-    plane: ProjectivePlane,
+    side_count: usize,
     graph: Csr,
 }
 
 impl IncidenceGraph {
-    /// Builds `B(q)`.
+    /// Builds `B(q)`: point `x` is joined to line `l` when `l · x = 0`.
     pub fn new(q: u64) -> Result<Self, GfError> {
-        let plane = ProjectivePlane::new(Gf::new(q)?);
-        let n = plane.point_count();
+        let f = Gf::new(q)?;
+        let points = ProjectivePoints::new(f.order());
+        let n = points.count();
         let mut b = GraphBuilder::new(2 * n);
-        for line_idx in 0..n {
-            let line = plane.point(line_idx);
-            for point_idx in plane.points_on_line(&line) {
-                b.add_edge(point_idx as u32, (n + line_idx) as u32);
+        for (line_idx, line) in points.iter().enumerate() {
+            for x in line_points(&line, &f) {
+                b.add_edge(points.index(&x) as u32, (n + line_idx) as u32);
             }
         }
         Ok(IncidenceGraph {
-            plane,
+            side_count: n,
             graph: b.build(),
         })
-    }
-
-    /// The underlying plane.
-    pub fn plane(&self) -> &ProjectivePlane {
-        &self.plane
     }
 
     /// The incidence graph (`2(q² + q + 1)` vertices).
@@ -58,7 +53,7 @@ impl IncidenceGraph {
 
     /// Number of points (= lines), `q² + q + 1`.
     pub fn side_count(&self) -> usize {
-        self.plane.point_count()
+        self.side_count
     }
 
     /// Applies the polarity quotient: glue point `i` with line `i` (the
@@ -130,14 +125,11 @@ mod tests {
         assert_eq!(bfs::diameter(&quotient), Some(2));
         // Degree is preserved except at the q+1 absolute points (their
         // self-incidence becomes a dropped self-loop).
-        let absolute = bq.plane().absolute_points();
+        let er = PolarFly::new(q).unwrap();
+        let absolute = er.quadrics();
         assert_eq!(absolute.len() as u64, q + 1);
         for v in 0..quotient.vertex_count() as u32 {
-            let expect = if absolute.contains(&(v as usize)) {
-                q
-            } else {
-                q + 1
-            };
+            let expect = if absolute.contains(&v) { q } else { q + 1 };
             assert_eq!(quotient.degree(v) as u64, expect);
         }
     }

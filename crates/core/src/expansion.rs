@@ -215,7 +215,7 @@ pub struct ExpansionStats {
 
 /// Measures Table IV characteristics for an expanded network against its base.
 pub fn stats(pf: &PolarFly, ex: &Expanded) -> ExpansionStats {
-    let dm = pf_graph::DistanceMatrix::build(&ex.graph);
+    let hist = pf_graph::DistanceHistogram::build(&ex.graph);
     let base_max = pf.graph().max_degree();
     let added = ex.router_count() - ex.base_n;
     let new_max = ex.graph.max_degree();
@@ -224,19 +224,20 @@ pub fn stats(pf: &PolarFly, ex: &Expanded) -> ExpansionStats {
     } else {
         f64::INFINITY
     };
-    let base_edges: std::collections::BTreeSet<(u32, u32)> = pf.graph().edges().collect();
     let rewired = ex
         .graph
         .edges()
         .filter(|&(u, v)| {
-            (u as usize) < ex.base_n && (v as usize) < ex.base_n && !base_edges.contains(&(u, v))
+            (u as usize) < ex.base_n && (v as usize) < ex.base_n && !pf.graph().has_edge(u, v)
         })
         .count();
     ExpansionStats {
         scalability,
         degree_range: (ex.graph.min_degree(), new_max),
-        diameter: dm.diameter().expect("expanded network must stay connected"),
-        aspl: dm.average_shortest_path(),
+        diameter: hist
+            .diameter()
+            .expect("expanded network must stay connected"),
+        aspl: hist.average_shortest_path(),
         rewired_links: rewired,
     }
 }

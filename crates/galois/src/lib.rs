@@ -13,15 +13,13 @@
 //!   power `q = p^m`, with O(1) multiplication/inversion via discrete
 //!   log/antilog tables.
 //! * [`vec3`] — length-3 vectors over `F_q`: dot product, cross product,
-//!   left-normalization, and the canonical indexing of the `q² + q + 1`
-//!   projective points.
+//!   left-normalization, the canonical indexing of the `q² + q + 1`
+//!   projective points, and the line incidences of `PG(2, q)`.
 
 pub mod field;
-pub mod pg;
 pub mod poly;
 pub mod primes;
 pub mod vec3;
 
 pub use field::{Gf, GfError};
-pub use pg::ProjectivePlane;
 pub use vec3::{line_points, ProjectivePoints, V3};

@@ -5,6 +5,21 @@
 //! point. Edges are orthogonal pairs under the `F_q` dot product, and the
 //! unique intermediate vertex of a 2-hop path is the (normalized) cross
 //! product of the endpoints (paper §IV-D).
+//!
+//! Lines of `PG(2, q)` share the points' representatives: the line `b`
+//! holds the points `x` with `b·x = 0` ([`line_points`]), so the
+//! dot-product polarity `[a] ↦ [a]⊥` that halves the incidence graph
+//! `B(q)` into `ER_q` (§IV-E) is the identity on coordinates. The plane's
+//! axioms, each pinned by a test below:
+//!
+//! * `q² + q + 1` points and equally many lines;
+//! * every line carries `q + 1` points, every point lies on `q + 1` lines;
+//! * two distinct points span exactly one line, their normalized cross
+//!   product; two distinct lines meet in exactly one point, likewise;
+//! * the polarity is an involution (`(a⊥)⊥ = a`) exchanging incidence
+//!   (`x ∈ a⊥ ⇔ a ∈ x⊥`);
+//! * `q + 1` points are *absolute* (lie on their own polar line) — the
+//!   quadrics of PolarFly.
 
 use crate::field::Gf;
 
@@ -222,6 +237,100 @@ mod tests {
         let was = v.orthogonal(&w, &f);
         for c in 1..7 {
             assert_eq!(v.scale(c, &f).orthogonal(&w, &f), was);
+        }
+    }
+
+    #[test]
+    fn point_and_line_counts() {
+        for q in [2u64, 3, 4, 5, 7, 9] {
+            let f = Gf::new(q).unwrap();
+            let pp = ProjectivePoints::new(f.order());
+            assert_eq!(pp.count() as u64, q * q + q + 1);
+            // Every line has q+1 points; every point is on q+1 lines.
+            for (i, x) in pp.iter().enumerate() {
+                assert_eq!(line_points(&x, &f).len() as u64, q + 1, "line {i}");
+                let through = pp.iter().filter(|l| x.orthogonal(l, &f)).count();
+                assert_eq!(through as u64, q + 1, "point {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_points_span_one_line() {
+        for q in [3u64, 4, 5] {
+            let f = Gf::new(q).unwrap();
+            let pp = ProjectivePoints::new(f.order());
+            let n = pp.count();
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    let (a, b) = (pp.point(i), pp.point(j));
+                    let l = a
+                        .cross(&b, &f)
+                        .normalize(&f)
+                        .expect("distinct points span a line");
+                    assert!(a.orthogonal(&l, &f) && b.orthogonal(&l, &f));
+                    // Uniqueness: no other line contains both.
+                    let count = pp
+                        .iter()
+                        .filter(|cand| a.orthogonal(cand, &f) && b.orthogonal(cand, &f))
+                        .count();
+                    assert_eq!(count, 1, "points {i},{j} on {count} common lines");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_lines_meet_in_one_point() {
+        let f = Gf::new(5).unwrap();
+        let pp = ProjectivePoints::new(f.order());
+        let n = pp.count();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let (l1, l2) = (pp.point(i), pp.point(j));
+                let x = l1.cross(&l2, &f).normalize(&f).unwrap();
+                assert!(x.orthogonal(&l1, &f) && x.orthogonal(&l2, &f));
+            }
+        }
+    }
+
+    #[test]
+    fn polarity_is_incidence_preserving_involution() {
+        let f = Gf::new(7).unwrap();
+        let pp = ProjectivePoints::new(f.order());
+        let polar: Vec<Vec<V3>> = pp.iter().map(|a| line_points(&a, &f)).collect();
+        for (i, a) in pp.iter().enumerate() {
+            // Involution: the pole of a⊥, recovered from two of its
+            // points, is a again.
+            let on = &polar[i];
+            assert_eq!(
+                on[0].cross(&on[1], &f).normalize(&f),
+                Some(a),
+                "pole of {i}⊥"
+            );
+            for (j, x) in pp.iter().enumerate() {
+                // x on a⊥ ⇔ a on x⊥.
+                assert_eq!(
+                    polar[i].contains(&x),
+                    polar[j].contains(&a),
+                    "polarity incidence symmetry failed at {i},{j}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn absolute_points_are_the_quadrics() {
+        for q in [3u64, 5, 7, 9, 11] {
+            let f = Gf::new(q).unwrap();
+            let pp = ProjectivePoints::new(f.order());
+            let mut absolute = 0;
+            for a in pp.iter() {
+                let on_own_polar = line_points(&a, &f).contains(&a);
+                assert_eq!(on_own_polar, a.is_quadric(&f), "q={q} point {a:?}");
+                absolute += usize::from(on_own_polar);
+            }
+            assert_eq!(absolute as u64, q + 1, "q={q}");
         }
     }
 

@@ -553,7 +553,8 @@ pub struct FailurePoint {
 /// One seeded failure trial.
 #[derive(Debug, Clone)]
 pub struct FailureTrial {
-    /// Smallest failure ratio at which the network disconnects.
+    /// Smallest failure ratio at which the network disconnects: 0 if it
+    /// is disconnected before any link fails or has no links.
     pub disconnect_ratio: f64,
     /// Metrics at each requested checkpoint.
     pub curve: Vec<FailurePoint>,
@@ -599,8 +600,10 @@ impl UnionFind {
     }
 }
 
-/// Returns the number of removed edges (prefix of `order`) at which the
-/// graph first disconnects.
+/// Returns the number of removed edges (prefix of `order`, all of `g`'s
+/// edges) at which the graph first disconnects: 0 if it is disconnected
+/// before any removal, `order.len()` if it never disconnects (at most one
+/// vertex).
 fn disconnect_prefix(g: &Csr, order: &[(u32, u32)]) -> usize {
     // Connectivity is monotone in the removal prefix: binary search for the
     // first prefix length whose *complement* is disconnected.
@@ -612,19 +615,22 @@ fn disconnect_prefix(g: &Csr, order: &[(u32, u32)]) -> usize {
         }
         uf.components == 1
     };
-    let (mut lo, mut hi) = (0usize, m); // lo connected, hi disconnected
-    if connected_with_prefix_removed(m) {
-        return m; // never disconnects (impossible for non-trivial graphs)
-    }
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
+    let (mut lo, mut hi) = (0usize, m + 1); // the answer lies in lo..=hi
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
         if connected_with_prefix_removed(mid) {
-            lo = mid;
+            lo = mid + 1;
         } else {
             hi = mid;
         }
     }
-    hi
+    lo.min(m)
+}
+
+/// [`disconnect_prefix`] as a fraction of the edge count; 0 for a graph
+/// with no edges.
+fn disconnect_ratio(g: &Csr, order: &[(u32, u32)]) -> f64 {
+    disconnect_prefix(g, order) as f64 / order.len().max(1) as f64
 }
 
 /// Runs one failure trial: removes a random prefix of links (seeded
@@ -636,8 +642,7 @@ pub fn failure_trial(g: &Csr, checkpoints: &[f64], seed: u64) -> FailureTrial {
     order.shuffle(&mut rng);
 
     let m = order.len();
-    let disconnect_at = disconnect_prefix(g, &order);
-    let disconnect_ratio = disconnect_at as f64 / m as f64;
+    let disconnect_ratio = disconnect_ratio(g, &order);
 
     let curve = checkpoints
         .iter()
@@ -679,10 +684,7 @@ pub fn median_failure_trial(
             let mut order: Vec<(u32, u32)> = g.edges().collect();
             let mut rng = StdRng::seed_from_u64(s);
             order.shuffle(&mut rng);
-            (
-                disconnect_prefix(g, &order) as f64 / g.edge_count() as f64,
-                s,
-            )
+            (disconnect_ratio(g, &order), s)
         })
         .collect();
     ratios.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -715,6 +717,27 @@ mod tests {
         let g = b.build();
         let order: Vec<(u32, u32)> = g.edges().collect();
         assert_eq!(disconnect_prefix(&g, &order), 1);
+    }
+
+    #[test]
+    fn an_already_disconnected_graph_disconnects_at_ratio_zero() {
+        // Two disjoint triangles: disconnected before any link fails.
+        let mut b = GraphBuilder::new(6);
+        for t in [0u32, 3] {
+            b.add_edge(t, t + 1);
+            b.add_edge(t + 1, t + 2);
+            b.add_edge(t, t + 2);
+        }
+        let g = b.build();
+        assert_eq!(failure_trial(&g, &[0.5], 1).disconnect_ratio, 0.0);
+        assert_eq!(median_failure_trial(&g, 5, &[0.5], 1).0, 0.0);
+    }
+
+    #[test]
+    fn an_edge_free_graph_has_ratio_zero_not_nan() {
+        let g = GraphBuilder::new(3).build();
+        assert_eq!(failure_trial(&g, &[0.5], 1).disconnect_ratio, 0.0);
+        assert_eq!(median_failure_trial(&g, 5, &[0.5], 1).0, 0.0);
     }
 
     #[test]

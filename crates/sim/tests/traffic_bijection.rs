@@ -1,8 +1,8 @@
-//! Permutation-property regression net: every `DestMap::Fixed` traffic
-//! pattern must be a self-send-free **bijection** over the hosts — the
-//! documented contract the old `Transpose`/`Shuffle` fallback chains
-//! violated (collisions for non-square / odd host counts), silently
-//! skewing adversarial-pattern results with hidden load imbalance.
+//! Permutation contract: every `DestMap::Fixed` traffic pattern maps the
+//! hosts onto the hosts bijectively, never sends a host to itself, and
+//! leaves non-host routers unassigned — for every host count, for sparse
+//! host subsets and for any seed. A collision would load one destination
+//! twice and skew a permutation experiment without any error.
 
 use pf_graph::{Csr, GraphBuilder};
 use pf_sim::traffic::{resolve, DestMap, TrafficPattern};
@@ -11,13 +11,8 @@ use proptest::prelude::*;
 /// The patterns that resolve to a fixed per-source destination on any
 /// graph (the hop-exact permutations additionally need the graph to admit
 /// a matching and are exercised separately).
-const FIXED_PATTERNS: &[TrafficPattern] = &[
-    TrafficPattern::Tornado,
-    TrafficPattern::RandomPermutation,
-    TrafficPattern::BitComplement,
-    TrafficPattern::Transpose,
-    TrafficPattern::Shuffle,
-];
+const FIXED_PATTERNS: &[TrafficPattern] =
+    &[TrafficPattern::Tornado, TrafficPattern::RandomPermutation];
 
 fn ring(n: usize) -> Csr {
     let mut b = GraphBuilder::new(n);
@@ -66,10 +61,8 @@ fn assert_host_derangement(dm: &DestMap, n: usize, hosts: &[u32], label: &str) {
     }
 }
 
-/// The headline property of the issue: for every fixed pattern and every
-/// host count 4..=200, the resolved map is a self-send-free bijection.
-/// (H=6..10 reproduced the old Transpose collisions; odd H the Shuffle
-/// ones.)
+/// For every fixed pattern and every host count 4..=200, the resolved map
+/// is a self-send-free bijection (odd and even H, square and non-square).
 #[test]
 fn every_fixed_pattern_is_a_derangement_for_all_host_counts() {
     for h in 4..=200usize {
