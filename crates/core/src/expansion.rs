@@ -335,12 +335,12 @@ mod tests {
         // them) all lie in the replica C_{q+i}, and vice versa.
         let (pf, l) = setup(5);
         let ex = replicate_non_quadric(&pf, &l, 2);
-        let dm = pf_graph::DistanceMatrix::build(&ex.graph);
         let q = 5u32;
         for u in 0..ex.router_count() as u32 {
             let cu = ex.cluster_of[u as usize];
+            let from_u = pf_graph::bfs::bfs_distances(&ex.graph, u);
             let far: Vec<u32> = (0..ex.router_count() as u32)
-                .filter(|&v| dm.get(u, v) >= 3)
+                .filter(|&v| from_u[v as usize] >= 3)
                 .collect();
             assert!(
                 (far.len() as u32) < q,

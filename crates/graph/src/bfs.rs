@@ -1,22 +1,24 @@
-//! Breadth-first search, all-pairs distances, diameter, and average
+//! Breadth-first search, distance histograms, diameter, and average
 //! shortest path length.
 //!
 //! The interconnect graphs in this workspace are small (≤ ~20 000 vertices)
 //! and unweighted. All-pairs work runs on one level-synchronous,
-//! word-parallel kernel (`for_each_level`, private to this module): 64
-//! sources share a `u64` frontier word per vertex, a level is
+//! word-parallel kernel ([`for_each_level`]): 64 sources share a `u64`
+//! frontier word per vertex, a level is
 //! `next[v] = (OR of frontier[u] over N(v)) & !seen[v]`, and a per-level
-//! sink either scatters `u8` distances ([`DistanceMatrix::build`], or
-//! [`for_each_row_batch`] to stream them 64 rows at a time) or only
-//! popcounts them ([`DistanceHistogram::build`]). Batches of 64 sources are the
-//! unit of the Rayon fan-out. [`bfs_distances`] is the scalar single-source
-//! entry point and the oracle the kernel is tested against.
+//! sink either scatters `u8` distances into 64 rows at a time
+//! ([`for_each_row_batch`]) or only popcounts them
+//! ([`DistanceHistogram::build`]). Batches of 64 sources are the unit of
+//! the Rayon fan-out. [`bfs_distances`] is the scalar single-source entry
+//! point and the oracle the kernel is tested against.
+//!
+//! No N² distance matrix is kept: diameter, ASPL and connectivity all
+//! follow from the histogram, and a consumer of rows reads them one
+//! 64-row block at a time.
 //!
 //! Distances are stored as `u8` with `UNREACHABLE = 255`, so the largest
 //! representable finite distance is [`MAX_DISTANCE`] = 254 hops; both BFS
-//! paths panic with a message naming that ceiling instead of wrapping. The
-//! compact matrix (N² bytes) is what makes full routing tables for the
-//! 993-router configurations cheap.
+//! paths panic with a message naming that ceiling instead of wrapping.
 
 use crate::csr::Csr;
 use rayon::prelude::*;
@@ -119,45 +121,32 @@ fn batches(n: usize) -> impl Iterator<Item = (usize, usize)> {
         .map(move |first| (first, LANES.min(n - first)))
 }
 
-/// The kernel's scatter sink: writes the distance rows of the sources
-/// `first .. first + lanes` into `rows` (`lanes × n`, row-major, pre-filled
-/// with [`UNREACHABLE`]) — one store per set bit — and returns how many
-/// it stored at each level.
-fn scatter_batch(g: &Csr, first: usize, lanes: usize, rows: &mut [u8]) -> Vec<u64> {
-    let n = g.vertex_count();
-    let mut counts = Vec::new();
-    for_each_level(g, first, lanes, |level, words| {
-        let mut stored = 0u64;
-        for (v, &word) in words.iter().enumerate() {
-            stored += u64::from(word.count_ones());
-            let mut bits = word;
-            while bits != 0 {
-                rows[bits.trailing_zeros() as usize * n + v] = level;
-                bits &= bits - 1;
-            }
-        }
-        counts.push(stored);
-    });
-    counts
-}
-
 /// Streams the all-pairs distances 64 source rows at a time, in ascending
 /// source order: `visit(first, rows)` sees the rows of the sources
 /// `first ..` as one `lanes × n` row-major block. For consumers that read
-/// each row once and do not want the N² matrix resident.
+/// each row once and do not want all N² distances resident.
 pub fn for_each_row_batch(g: &Csr, mut visit: impl FnMut(u32, &[u8])) {
     let n = g.vertex_count();
     let mut rows = vec![UNREACHABLE; LANES.min(n) * n];
     for (first, lanes) in batches(n) {
         let rows = &mut rows[..lanes * n];
         rows.fill(UNREACHABLE);
-        scatter_batch(g, first, lanes, rows);
+        // The scatter sink: one store per set bit.
+        for_each_level(g, first, lanes, |level, words| {
+            for (v, &word) in words.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    rows[bits.trailing_zeros() as usize * n + v] = level;
+                    bits &= bits - 1;
+                }
+            }
+        });
         visit(first as u32, rows);
     }
 }
 
 /// Distance histogram of a graph — the kernel's popcount sink. Diameter,
-/// ASPL and connectivity all follow from it, without the N² matrix.
+/// ASPL and connectivity all follow from it, without an N² matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceHistogram {
     n: usize,
@@ -179,13 +168,9 @@ impl DistanceHistogram {
                 });
                 counts
             })
-            .collect();
-        DistanceHistogram::from_batches(n, per_batch)
-    }
-
-    /// Sums per-batch level counts (`per_batch[b][d]` = pairs at distance
-    /// `d` from batch `b`'s sources, level 0 included) into the histogram.
-    fn from_batches(n: usize, per_batch: Vec<Vec<u64>>) -> DistanceHistogram {
+            .collect::<Vec<Vec<u64>>>();
+        // `per_batch[b][d]`: pairs at distance `d` from batch `b`'s
+        // sources, level 0 included.
         let mut counts = Vec::new();
         for batch in per_batch {
             if counts.len() < batch.len() {
@@ -204,6 +189,12 @@ impl DistanceHistogram {
             counts.clear();
         }
         DistanceHistogram { n, counts }
+    }
+
+    /// Number of vertices of the graph counted.
+    #[inline]
+    pub fn vertex_count(&self) -> usize {
+        self.n
     }
 
     /// `counts()[d]` = ordered pairs `u ≠ v` at distance `d` (entry 0 is
@@ -242,69 +233,11 @@ impl DistanceHistogram {
     }
 }
 
-/// Dense all-pairs distance matrix, with the histogram of its entries.
-#[derive(Clone)]
-pub struct DistanceMatrix {
-    n: usize,
-    dist: Vec<u8>,
-    hist: DistanceHistogram,
-}
-
-impl DistanceMatrix {
-    /// All-pairs distances from the word-parallel kernel, parallel over
-    /// batches of 64 sources (each batch owns its 64 rows of the matrix).
-    /// The histogram is counted as the rows are scattered, so no summary
-    /// rescans the n² entries. Panics if a finite distance would exceed
-    /// [`MAX_DISTANCE`].
-    pub fn build(g: &Csr) -> DistanceMatrix {
-        let n = g.vertex_count();
-        let mut dist = vec![UNREACHABLE; n * n];
-        let per_batch = dist
-            .chunks_mut((LANES * n).max(1))
-            .zip(batches(n))
-            .into_par_iter()
-            .map(|(rows, (first, lanes))| scatter_batch(g, first, lanes, rows))
-            .collect();
-        let hist = DistanceHistogram::from_batches(n, per_batch);
-        DistanceMatrix { n, dist, hist }
-    }
-
-    /// Number of vertices.
-    #[inline]
-    pub fn vertex_count(&self) -> usize {
-        self.n
-    }
-
-    /// Distance from `u` to `v` (`UNREACHABLE` if disconnected).
-    #[inline]
-    pub fn get(&self, u: u32, v: u32) -> u8 {
-        self.dist[u as usize * self.n + v as usize]
-    }
-
-    /// The row of distances from `u`.
-    #[inline]
-    pub fn row(&self, u: u32) -> &[u8] {
-        &self.dist[u as usize * self.n..(u as usize + 1) * self.n]
-    }
-
-    /// The histogram of the matrix's entries, counted by the scatter
-    /// sink — the value [`DistanceHistogram::build`] counts without the
-    /// matrix. Connectivity and the reachable-pair diameter live there.
-    #[inline]
-    pub fn histogram(&self) -> &DistanceHistogram {
-        &self.hist
-    }
-
-    /// Graph diameter, or `None` if disconnected.
-    pub fn diameter(&self) -> Option<u32> {
-        self.histogram().diameter()
-    }
-
-    /// Average shortest path length over ordered reachable pairs `u ≠ v`.
-    pub fn average_shortest_path(&self) -> f64 {
-        self.histogram().average_shortest_path()
-    }
-}
+/// The name `benchmark/src/workloads.rs` builds its diameter and ASPL
+/// from (`build`, `diameter`, `average_shortest_path`, `vertex_count`):
+/// the histogram answers all four, so no matrix is built behind it.
+#[doc(hidden)]
+pub type DistanceMatrix = DistanceHistogram;
 
 /// Convenience: diameter of `g`, `None` if disconnected.
 pub fn diameter(g: &Csr) -> Option<u32> {
@@ -341,11 +274,11 @@ mod tests {
     #[test]
     fn path_metrics() {
         let g = path(4);
-        let m = DistanceMatrix::build(&g);
-        assert_eq!(m.diameter(), Some(3));
+        let h = DistanceHistogram::build(&g);
+        assert_eq!(h.diameter(), Some(3));
         // ordered pairs: distances 1,2,3,1,1,2,2,1,1,3,2,1 → sum 20 / 12
-        assert!((m.average_shortest_path() - 20.0 / 12.0).abs() < 1e-12);
-        assert_eq!(m.histogram().counts(), [0, 6, 4, 2]);
+        assert!((h.average_shortest_path() - 20.0 / 12.0).abs() < 1e-12);
+        assert_eq!(h.counts(), [0, 6, 4, 2]);
     }
 
     #[test]
@@ -354,11 +287,11 @@ mod tests {
         b.add_edge(0, 1);
         b.add_edge(2, 3);
         let g = b.build();
-        let m = DistanceMatrix::build(&g);
-        assert_eq!(m.diameter(), None);
-        assert!(!m.histogram().connected());
-        assert_eq!(m.histogram().diameter_reachable(), 1);
-        assert_eq!(m.get(0, 2), UNREACHABLE);
+        let h = DistanceHistogram::build(&g);
+        assert_eq!(h.diameter(), None);
+        assert!(!h.connected());
+        assert_eq!(h.diameter_reachable(), 1);
+        assert_eq!(bfs_distances(&g, 0)[2], UNREACHABLE);
     }
 
     #[test]
@@ -370,26 +303,42 @@ mod tests {
                 b.add_edge(u, v);
             }
         }
-        let m = DistanceMatrix::build(&b.build());
-        assert_eq!(m.diameter(), Some(1));
-        assert!((m.average_shortest_path() - 1.0).abs() < 1e-12);
+        let h = DistanceHistogram::build(&b.build());
+        assert_eq!(h.diameter(), Some(1));
+        assert!((h.average_shortest_path() - 1.0).abs() < 1e-12);
+    }
+
+    /// Every row the scatter sink streams, concatenated in source order
+    /// (row-major, `n × n`).
+    fn streamed_rows(g: &Csr) -> Vec<u8> {
+        let n = g.vertex_count();
+        let mut rows = Vec::with_capacity(n * n);
+        for_each_row_batch(g, |first, batch| {
+            assert_eq!(first as usize * n, rows.len(), "batches out of order");
+            rows.extend_from_slice(batch);
+        });
+        rows
     }
 
     #[test]
     fn distance_matrix_rows_match_single_source() {
         let g = path(6);
-        let m = DistanceMatrix::build(&g);
-        for s in 0..6u32 {
-            assert_eq!(m.row(s), bfs_distances(&g, s).as_slice());
+        let rows = streamed_rows(&g);
+        for s in 0..6usize {
+            assert_eq!(&rows[s * 6..][..6], bfs_distances(&g, s as u32).as_slice());
         }
+        // The summary `benchmark/src/workloads.rs` reads through the
+        // `DistanceMatrix` name.
+        let m = DistanceMatrix::build(&g);
         assert_eq!(m.vertex_count(), 6);
+        assert_eq!(m.diameter(), Some(5));
+        assert!((m.average_shortest_path() - 70.0 / 30.0).abs() < 1e-12);
     }
 
     #[test]
     fn histogram_sums_to_ordered_pairs() {
         let g = path(5);
-        let m = DistanceMatrix::build(&g);
-        let hist = m.histogram();
+        let hist = DistanceHistogram::build(&g);
         let total: u64 = hist.counts().iter().sum();
         assert_eq!(total, 5 * 4); // all ordered pairs reachable
         assert_eq!(hist.counts()[0], 0);
@@ -410,30 +359,29 @@ mod tests {
         b.build()
     }
 
-    /// The kernel's two sinks against the scalar oracle.
+    /// The kernel's two sinks against the scalar oracle: the scattered
+    /// rows equal `bfs_distances` row for row, and the popcounted
+    /// histogram equals the count of their off-diagonal finite entries.
     fn assert_kernel_matches_oracle(g: &Csr, label: &str) {
         let n = g.vertex_count();
-        let m = DistanceMatrix::build(g);
-        assert_eq!(m.vertex_count(), n, "{label}");
-        for s in 0..n as u32 {
-            assert_eq!(m.row(s), bfs_distances(g, s).as_slice(), "{label} row {s}");
+        let rows = streamed_rows(g);
+        assert_eq!(rows.len(), n * n, "{label}");
+        for s in 0..n {
+            assert_eq!(
+                &rows[s * n..][..n],
+                bfs_distances(g, s as u32).as_slice(),
+                "{label} row {s}"
+            );
         }
-        let mut streamed = Vec::new();
-        for_each_row_batch(g, |first, rows| {
-            assert_eq!(first as usize * n, streamed.len(), "{label}");
-            streamed.extend_from_slice(rows);
-        });
-        assert_eq!(streamed, m.dist, "{label}");
-        // The scatter kernel's histogram against the popcount kernel's,
-        // and against the matrix entries it counted.
-        assert_eq!(m.histogram(), &DistanceHistogram::build(g), "{label}");
+        let hist = DistanceHistogram::build(g);
+        assert_eq!(hist.vertex_count(), n, "{label}");
         let mut entries = vec![0u64; usize::from(UNREACHABLE)];
-        for (i, &d) in m.dist.iter().enumerate() {
+        for (i, &d) in rows.iter().enumerate() {
             if d != UNREACHABLE && i % (n + 1) != 0 {
                 entries[usize::from(d)] += 1;
             }
         }
-        let counts = m.histogram().counts();
+        let counts = hist.counts();
         assert_eq!(&entries[..counts.len()], counts, "{label}");
         assert!(entries[counts.len()..].iter().all(|&c| c == 0), "{label}");
     }
@@ -469,11 +417,11 @@ mod tests {
         b.add_edge(95, 97);
         let g = b.build();
         assert_kernel_matches_oracle(&g, "components");
-        let m = DistanceMatrix::build(&g);
-        assert_eq!(m.get(0, 40), 40);
-        assert_eq!(m.get(0, 50), UNREACHABLE);
-        assert_eq!(m.get(99, 99), 0);
-        assert_eq!(m.get(99, 98), UNREACHABLE);
+        let rows = streamed_rows(&g);
+        assert_eq!(rows[40], 40);
+        assert_eq!(rows[50], UNREACHABLE);
+        assert_eq!(rows[99 * 100 + 99], 0);
+        assert_eq!(rows[99 * 100 + 98], UNREACHABLE);
     }
 
     #[test]
@@ -481,7 +429,10 @@ mod tests {
         for n in [0, 1, 70] {
             let g = GraphBuilder::new(n).build();
             assert!(DistanceHistogram::build(&g).counts().is_empty(), "n={n}");
-            assert!(DistanceMatrix::build(&g).histogram().counts().is_empty());
+            // The scatter sink stores nothing but the diagonal.
+            let rows = streamed_rows(&g);
+            let finite = rows.iter().filter(|&&d| d != UNREACHABLE).count();
+            assert_eq!(finite, n, "n={n}");
         }
     }
 
@@ -489,10 +440,8 @@ mod tests {
     fn a_254_hop_path_is_the_largest_representable() {
         let g = path(255);
         assert_eq!(bfs_distances(&g, 0)[254], MAX_DISTANCE);
-        let m = DistanceMatrix::build(&g);
-        assert_eq!(m.diameter(), Some(254));
-        assert_eq!(m.get(254, 0), 254);
         assert_eq!(DistanceHistogram::build(&g).diameter(), Some(254));
+        assert_eq!(streamed_rows(&g)[254 * 255], 254);
         assert_kernel_matches_oracle(&g, "path(255)");
     }
 
@@ -505,7 +454,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "254-hop ceiling")]
     fn distance_matrix_rejects_distances_past_the_ceiling() {
-        DistanceMatrix::build(&path(300));
+        // The scatter sink hits the same ceiling.
+        for_each_row_batch(&path(300), |_, _| {});
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * [`csr`] — compressed-sparse-row undirected graphs and builders.
 //! * [`bfs`] — single-source BFS and the word-parallel all-pairs kernel
 //!   (64 sources per `u64` frontier word, Rayon-parallel across batches):
-//!   distance matrix, distance histogram, diameter, average shortest path
-//!   length.
+//!   streamed distance rows, distance histogram, diameter, average
+//!   shortest path length.
 //! * [`triangles`] — triangle counting and enumeration.
 //! * [`random_regular`] — seeded random k-regular graphs (Jellyfish).
 //! * [`matching`] — bipartite perfect matching (Perm1Hop/Perm2Hop traffic).
@@ -31,6 +31,6 @@ pub mod random_regular;
 pub mod spectral;
 pub mod triangles;
 
-pub use bfs::{DistanceHistogram, DistanceMatrix};
+pub use bfs::DistanceHistogram;
 pub use csr::{Csr, GraphBuilder};
 pub use failures::{FailureSet, FaultEvent, FaultEventKind, FaultSchedule, ScheduleError};

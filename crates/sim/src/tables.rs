@@ -9,8 +9,9 @@
 //! vertex's distance *to* them, and each level's frontier words fold
 //! straight into per-vertex distance-residue bitsets. Next hops are picked
 //! source-major from those bitsets, with one RNG stream per destination so
-//! the tie-breaks do not depend on how the work is split. No distance
-//! matrix is ever built.
+//! the tie-breaks do not depend on how the work is split. The table is
+//! stored destination-major, so a stripe is one contiguous block. No
+//! distance matrix is ever built.
 //!
 //! A next hop is stored as one byte — its position in the source's
 //! neighbor list — so the tables cost n² bytes plus the O(E) adjacency
@@ -63,7 +64,7 @@ pub struct RouteTables {
     /// The graph the tables were built on: `next` indexes its neighbor
     /// lists.
     graph: Csr,
-    /// `next[s·N + d]`: position in `graph.neighbors(s)` of the hop
+    /// `next[d·N + s]`: position in `graph.neighbors(s)` of the hop
     /// toward `d`, or [`STAY`].
     next: Vec<u8>,
     /// The deepest BFS level any stripe reached: the largest finite
@@ -92,20 +93,13 @@ impl RouteTables {
             g.max_degree()
         );
         let mut next = vec![STAY; n * n];
-        // Column stripes of the row-major table: stripe k borrows columns
-        // `k·STRIPE ..` of every row, so workers write disjoint memory.
-        let mut stripes: Vec<(usize, Vec<&mut [u8]>)> = (0..n)
-            .step_by(STRIPE)
-            .map(|d0| (d0, Vec::with_capacity(n)))
-            .collect();
-        for row in next.chunks_mut(n.max(1)) {
-            for (stripe, piece) in stripes.iter_mut().zip(row.chunks_mut(STRIPE)) {
-                stripe.1.push(piece);
-            }
-        }
-        let max_dist = stripes
+        // Destination-major, so stripe k (destinations `k·STRIPE ..`) is
+        // one contiguous block and workers write disjoint memory.
+        let max_dist = next
+            .chunks_mut((STRIPE * n).max(1))
+            .zip((0..n).step_by(STRIPE))
             .into_par_iter()
-            .map(|(d0, rows)| fill_stripe(g, seed, d0, rows))
+            .map(|(block, d0)| fill_stripe(g, seed, d0, block))
             .max_by_key(|&deepest| deepest)
             .unwrap_or(0);
         RouteTables {
@@ -145,7 +139,7 @@ impl RouteTables {
     /// The `next` entry of the pair `(s, d)`.
     #[inline]
     fn entry(&self, s: u32, d: u32) -> u8 {
-        self.next[s as usize * self.router_count() + d as usize]
+        self.next[d as usize * self.router_count() + s as usize]
     }
 
     /// Hop distance from `s` to `d` (`bfs::UNREACHABLE` = 255 when `d`
@@ -216,9 +210,9 @@ fn dest_rng(seed: u64, d: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (d as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Fills the next-hop columns `d0 .. d0 + width` of every source row
-/// (`rows[s]` is that window of row `s`, pre-filled with [`STAY`]) with
-/// neighbor positions, and returns the deepest BFS level the stripe
+/// Fills the next-hop entries of the destinations `d0 .. d0 + width`
+/// (`block[i·n + s]` is the pair `(s, d0 + i)`, pre-filled with [`STAY`])
+/// with neighbor positions, and returns the deepest BFS level the stripe
 /// reached — its largest finite distance. For each `s` and each neighbor
 /// `w` in CSR order, the destinations `w` is a minimal next hop toward
 /// are those with `dist(w, d) + 1 == dist(s, d)`.
@@ -233,12 +227,13 @@ fn dest_rng(seed: u64, d: usize) -> StdRng {
 /// `(s, w)` are the OR over `r` of `res[s][r] & res[w][r − 1]`, one word
 /// at any diameter, and only set bits reach the reservoir draw.
 /// Unreachable pairs are in no bitset.
-fn fill_stripe(g: &Csr, seed: u64, d0: usize, rows: Vec<&mut [u8]>) -> u8 {
-    let width = rows.first().map_or(0, |r| r.len());
+fn fill_stripe(g: &Csr, seed: u64, d0: usize, block: &mut [u8]) -> u8 {
+    let n = g.vertex_count();
+    let width = block.len() / n;
     let mut rngs: Vec<StdRng> = (d0..d0 + width).map(|d| dest_rng(seed, d)).collect();
     // Reservoir sampling state: candidates seen so far per destination.
     let mut seen = vec![0u32; width];
-    let mut res = vec![[0u64; 3]; rows.len()];
+    let mut res = vec![[0u64; 3]; n];
     let mut deepest = 0;
     bfs::for_each_level(g, d0, width, |level, words| {
         deepest = level;
@@ -247,9 +242,8 @@ fn fill_stripe(g: &Csr, seed: u64, d0: usize, rows: Vec<&mut [u8]>) -> u8 {
             sets[r] |= word;
         }
     });
-    for (s, out) in rows.into_iter().enumerate() {
+    for (s, &of_s) in res.iter().enumerate() {
         seen.fill(0);
-        let of_s = res[s];
         for (wi, &w) in g.neighbors(s as u32).iter().enumerate() {
             let of_w = res[w as usize];
             let mut rest = (0..3).fold(0u64, |acc, r| acc | of_s[r] & of_w[(r + 2) % 3]);
@@ -259,7 +253,7 @@ fn fill_stripe(g: &Csr, seed: u64, d0: usize, rows: Vec<&mut [u8]>) -> u8 {
                 seen[i] += 1;
                 // Uniform among the candidates.
                 if rngs[i].gen_range(0..seen[i]) == 0 {
-                    out[i] = wi as u8;
+                    block[i * n + s] = wi as u8;
                 }
             }
         }
@@ -315,13 +309,14 @@ mod tests {
     /// The fill [`fill_stripe`] replaced, kept as its oracle: a byte-wise
     /// compare of the two distance rows of every `(s, neighbor)` of the
     /// row-major matrix `dist` (unreachable pairs wrap to 0 ≠ 255 and
-    /// never match), one stripe over every destination.
+    /// never match), one stripe over every destination. Returns the
+    /// table in [`RouteTables`]' destination-major layout.
     fn fill_bytes(g: &Csr, dist: &[u8], seed: u64) -> Vec<u8> {
         let n = g.vertex_count();
         let mut next = vec![STAY; n * n];
         let mut rngs: Vec<StdRng> = (0..n).map(|d| dest_rng(seed, d)).collect();
         let mut seen = vec![0u32; n];
-        for (s, out) in next.chunks_mut(n.max(1)).enumerate() {
+        for s in 0..n {
             seen.fill(0);
             let from_s = &dist[s * n..][..n];
             for (wi, &w) in g.neighbors(s as u32).iter().enumerate() {
@@ -330,7 +325,7 @@ mod tests {
                     if dw.wrapping_add(1) == ds {
                         seen[i] += 1;
                         if rngs[i].gen_range(0..seen[i]) == 0 {
-                            out[i] = wi as u8;
+                            next[i * n + s] = wi as u8;
                         }
                     }
                 }

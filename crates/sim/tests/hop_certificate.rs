@@ -20,7 +20,7 @@
 //! single-link-failure residual of PolarFly q = 5. The pinned
 //! fast-reroute paths of transient runs are not covered here.
 
-use pf_graph::{Csr, DistanceHistogram, DistanceMatrix};
+use pf_graph::{bfs, Csr, DistanceHistogram};
 use pf_sim::router::PortMap;
 use pf_sim::tables::RouteTables;
 use pf_sim::{HopContext, MinHop, NetState, Port, RoutePlan, Routing, SimConfig};
@@ -37,17 +37,19 @@ struct Case<'t> {
 }
 
 /// What the routes of a [`Case`] are computed on: the live (residual)
-/// graph and its distances.
+/// graph and its distances (`dist[u][v]`, from the scalar queue BFS).
 struct Routed {
     graph: Csr,
-    dist: DistanceMatrix,
+    dist: Vec<Vec<u8>>,
     diameter: u32,
 }
 
 impl Case<'_> {
     fn routed(&self) -> Routed {
         let graph = self.topo.graph().without_edges(self.failed.as_slice());
-        let dist = DistanceMatrix::build(&graph);
+        let dist = (0..graph.vertex_count() as u32)
+            .map(|s| bfs::bfs_distances(&graph, s))
+            .collect();
         let diameter = DistanceHistogram::build(&graph)
             .diameter()
             .expect("connected residual");
@@ -61,7 +63,7 @@ impl Case<'_> {
 
 impl Routed {
     fn d(&self, u: u32, v: u32) -> usize {
-        usize::from(self.dist.get(u, v))
+        usize::from(self.dist[u as usize][v as usize])
     }
 
     /// The intermediates of the paths `routing` may take from `s` to

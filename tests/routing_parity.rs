@@ -5,7 +5,7 @@
 //! that hop, and each plan must pick the detour §VII describes (the
 //! walked paths are checked in `pf_sim::routing`'s unit tests).
 
-use pf_graph::DistanceMatrix;
+use pf_graph::{bfs, Csr};
 use pf_sim::router::PortMap;
 use pf_sim::tables::RouteTables;
 use pf_sim::{MinHop, NetState, RoutePlan, Routing, SimConfig};
@@ -14,6 +14,15 @@ use polarfly::routing::next_hop_minimal;
 use polarfly::PolarFly;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// All-pairs distances (`[s][d]`) from the scalar queue BFS, which
+/// shares no code with the word-parallel kernel `RouteTables` is filled
+/// from.
+fn scalar_distances(g: &Csr) -> Vec<Vec<u8>> {
+    (0..g.vertex_count() as u32)
+        .map(|s| bfs::bfs_distances(g, s))
+        .collect()
+}
 
 /// A congestion-free `NetState` over freshly built geometry (every
 /// credit full, no source backlog) — deterministic algorithms must not
@@ -69,7 +78,7 @@ fn er31_trait_table_algebraic_and_bfs_agree() {
     let pf: &PolarFly = topo.polarfly().unwrap();
     let h = ParityHarness::new(&topo, 7);
     let net = h.net(&topo);
-    let dm = DistanceMatrix::build(topo.graph());
+    let dist = scalar_distances(topo.graph());
     let n = topo.router_count() as u32;
 
     // Every algorithm but NCA routes `net.min` toward a plain
@@ -103,9 +112,9 @@ fn er31_trait_table_algebraic_and_bfs_agree() {
                 "NetState::min diverges at {s}->{d}"
             );
             // Both must descend the BFS distance field.
-            let ds = u32::from(dm.get(s, d));
+            let ds = u32::from(dist[s as usize][d as usize]);
             assert_eq!(
-                u32::from(dm.get(algebraic, d)),
+                u32::from(dist[algebraic as usize][d as usize]),
                 ds - 1,
                 "next hop does not approach destination at {s}->{d}"
             );
@@ -136,7 +145,7 @@ fn er31_adaptive_min_picks_a_minimal_hop() {
     let topo = PolarFlyTopo::new(31, 16).unwrap();
     let h = ParityHarness::new(&topo, 7);
     let net = h.net(&topo);
-    let dm = DistanceMatrix::build(topo.graph());
+    let dist = scalar_distances(topo.graph());
     let nca = Routing::MinAdaptive;
     let mut rng = StdRng::seed_from_u64(2);
     let n = topo.router_count() as u32;
@@ -157,8 +166,8 @@ fn er31_adaptive_min_picks_a_minimal_hop() {
             );
             let next = topo.graph().neighbors(s)[port as usize];
             assert_eq!(
-                u32::from(dm.get(next, d)),
-                u32::from(dm.get(s, d)) - 1,
+                u32::from(dist[next as usize][d as usize]),
+                u32::from(dist[s as usize][d as usize]) - 1,
                 "NCA left the minimal set at {s}->{d}"
             );
         }

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: every topology the evaluation uses is
 //! constructed and checked against its defining invariants.
 
-use pf_graph::{bfs, DistanceHistogram, DistanceMatrix, FailureSet};
+use pf_graph::{bfs, DistanceHistogram, FailureSet};
 use pf_topo::{Dragonfly, FatTree, HyperX, Jellyfish, PolarFlyTopo, SlimFly};
 use polarfly::{feasibility, PolarFly, VertexClass};
 
@@ -89,35 +89,68 @@ fn diameters_match_table_i_expectations() {
 }
 
 #[test]
+fn er_distance_histogram_is_exact_for_every_q_to_64() {
+    // Table I and §IV: ER_q has diameter 2 at every prime power q. Its
+    // q(q + 1)² ordered adjacent pairs are 2E (q + 1 quadrics of degree
+    // q, the other q² routers of degree q + 1), and every other ordered
+    // pair is at distance 2.
+    let orders = pf_galois::primes::prime_powers_in(2, 64);
+    assert_eq!(orders.len(), 27);
+    for q in orders {
+        let n = q * q + q + 1;
+        let one_hop = q * (q + 1) * (q + 1);
+        let hist = DistanceHistogram::build(PolarFly::new(q).unwrap().graph());
+        assert_eq!(hist.counts(), [0, one_hop, n * (n - 1) - one_hop], "q={q}");
+    }
+}
+
+#[test]
 fn average_path_length_close_to_two_minus_k_over_n() {
     // Diameter-2 graphs: ASPL = 2 − (k·N/ (N(N−1))) ≈ 2 − k/N.
     let pf = PolarFly::new(11).unwrap();
-    let dm = DistanceMatrix::build(pf.graph());
+    let hist = DistanceHistogram::build(pf.graph());
     let n = pf.router_count() as f64;
     let expected = 2.0 - (2.0 * pf.graph().edge_count() as f64) / (n * (n - 1.0));
-    assert!((dm.average_shortest_path() - expected).abs() < 1e-9);
+    assert!((hist.average_shortest_path() - expected).abs() < 1e-9);
 }
 
 #[test]
 fn all_pairs_kernel_matches_scalar_bfs_on_er_residuals() {
     // Healthy ER_q (diameter 2, dense last level) and residuals whose
     // longer paths and, at 85 %, unreachable pairs exercise every level
-    // of the word-parallel kernel against the single-source oracle.
+    // of the word-parallel kernel against the single-source oracle: the
+    // scatter sink's rows equal it row for row, and the popcount sink's
+    // histogram counts their off-diagonal finite entries.
     for q in [7u64, 31] {
         let pf = PolarFly::new(q).unwrap();
         for ratio in [0.0, 0.1, 0.3, 0.5, 0.85] {
             let g = FailureSet::sample(pf.graph(), ratio, q + 3).residual(pf.graph());
-            let dm = DistanceMatrix::build(&g);
-            for s in 0..g.vertex_count() as u32 {
-                assert_eq!(
-                    dm.row(s),
-                    bfs::bfs_distances(&g, s).as_slice(),
-                    "q={q} ratio={ratio} row {s}"
-                );
-            }
-            assert_eq!(
-                &DistanceHistogram::build(&g),
-                dm.histogram(),
+            let n = g.vertex_count();
+            let mut entries = vec![0u64; usize::from(bfs::UNREACHABLE)];
+            let mut next = 0;
+            bfs::for_each_row_batch(&g, |first, rows| {
+                assert_eq!(first, next, "q={q} ratio={ratio}");
+                for (i, row) in rows.chunks(n).enumerate() {
+                    let s = first + i as u32;
+                    assert_eq!(
+                        row,
+                        bfs::bfs_distances(&g, s).as_slice(),
+                        "q={q} ratio={ratio} row {s}"
+                    );
+                    for (v, &d) in row.iter().enumerate() {
+                        if d != bfs::UNREACHABLE && v != s as usize {
+                            entries[usize::from(d)] += 1;
+                        }
+                    }
+                }
+                next += (rows.len() / n) as u32;
+            });
+            assert_eq!(next as usize, n, "q={q} ratio={ratio}");
+            let hist = DistanceHistogram::build(&g);
+            let counts = hist.counts();
+            assert_eq!(&entries[..counts.len()], counts, "q={q} ratio={ratio}");
+            assert!(
+                entries[counts.len()..].iter().all(|&c| c == 0),
                 "q={q} ratio={ratio}"
             );
         }
