@@ -256,18 +256,29 @@ impl Csr {
     }
 
     /// A copy of the graph without the given edges (either orientation;
-    /// pairs that are not edges are ignored), its rows filtered in order.
+    /// duplicates, self-pairs, out-of-range ids and other pairs that are
+    /// not edges are ignored), its rows filtered in order. Each removed
+    /// edge marks its two adjacency slots, found by binary search in its
+    /// endpoints' rows, so the cost is O(E + |removed| · log degree).
     pub fn without_edges(&self, removed: &[(u32, u32)]) -> Csr {
-        let mut removed: Vec<(u32, u32)> =
-            removed.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
-        removed.sort_unstable();
+        let n = self.vertex_count();
+        let mut keep = vec![true; self.neighbors.len()];
+        for &(u, v) in removed {
+            if (u as usize) < n && (v as usize) < n {
+                let (row_u, row_v) = (self.neighbors(u), self.neighbors(v));
+                if let (Ok(i), Ok(j)) = (row_u.binary_search(&v), row_v.binary_search(&u)) {
+                    keep[self.offsets[u as usize] as usize + i] = false;
+                    keep[self.offsets[v as usize] as usize + j] = false;
+                }
+            }
+        }
         let mut offsets = Vec::with_capacity(self.offsets.len());
         let mut neighbors = Vec::with_capacity(self.neighbors.len());
         offsets.push(0);
-        for u in 0..self.vertex_count() as u32 {
-            let row = self.neighbors(u).iter();
-            neighbors
-                .extend(row.filter(|&&v| removed.binary_search(&(u.min(v), u.max(v))).is_err()));
+        for row in self.offsets.windows(2) {
+            let slots = row[0] as usize..row[1] as usize;
+            let kept = self.neighbors[slots.clone()].iter().zip(&keep[slots]);
+            neighbors.extend(kept.filter(|&(_, &k)| k).map(|(&v, _)| v));
             offsets.push(neighbors.len() as u32);
         }
         neighbors.shrink_to_fit();
@@ -444,6 +455,20 @@ mod tests {
             if n > 1 && !g.has_edge(stray.0, stray.1) {
                 removed.push(stray);
             }
+            // Pairs that remove nothing more: about half the removed edges
+            // again, in either orientation; self-pairs; ids past the last
+            // vertex.
+            let again: Vec<(u32, u32)> = removed[..gone]
+                .iter()
+                .filter_map(|&(u, v)| match rng.gen_range(0..4) {
+                    0 => Some((u, v)),
+                    1 => Some((v, u)),
+                    _ => None,
+                })
+                .collect();
+            removed.extend(again);
+            let v = rng.gen_range(0..n);
+            removed.extend([(v, v), (n - 1, n - 1), (v, n), (n + 3, v), (u32::MAX, 0)]);
             let r = g.without_edges(&removed);
             assert_edges_are_the_canonical_pairs(&r);
             assert_eq!(r.edge_count(), g.edge_count() - gone);

@@ -13,6 +13,14 @@
 //! stored destination-major, so a stripe is one contiguous block. No
 //! distance matrix is ever built.
 //!
+//! Only ties draw. Healthy `ER_q` has one minimal next hop per pair (a
+//! non-adjacent pair's one 2-hop path runs through their cross product),
+//! so each stripe is first filled without an RNG, and only a stripe that
+//! meets a pair with two candidates is refilled, whole, by the seeded
+//! reservoir. The bytes are those of drawing everywhere: a pair with one
+//! candidate draws `gen_range(0..1)`, which always keeps it, and a
+//! destination's stream lives only inside its stripe.
+//!
 //! A next hop is stored as one byte — its position in the source's
 //! neighbor list — so the tables cost n² bytes plus the O(E) adjacency
 //! that turns the position back into a router id
@@ -81,6 +89,15 @@ impl RouteTables {
     /// advances in `(s ascending, neighbor ascending)` candidate order, so
     /// the table is a function of `(g, seed)` alone — not of `STRIPE` or
     /// the thread count.
+    ///
+    /// A stripe draws only if it has a tie. Each is first filled
+    /// draw-free, every pair's single candidate written directly; at the
+    /// first pair with a second candidate that fill stops, and the
+    /// reservoir refills the whole stripe, rewriting every reachable pair
+    /// (self and unreachable pairs stay put). Either way the bytes are the
+    /// same: a stripe without ties would draw only `gen_range(0..1)`,
+    /// which always keeps the one candidate, and its destinations' streams
+    /// are dropped with it. Healthy `ER_q` never draws.
     ///
     /// # Panics
     /// If a router has more than [`MAX_DEGREE`] neighbors, or a finite
@@ -225,15 +242,23 @@ fn dest_rng(seed: u64, d: usize) -> StdRng {
 /// distances to any `d` differ by at most one, so among them "one less"
 /// and "one less mod 3" are the same condition: the candidates of
 /// `(s, w)` are the OR over `r` of `res[s][r] & res[w][r − 1]`, one word
-/// at any diameter, and only set bits reach the reservoir draw.
-/// Unreachable pairs are in no bitset.
+/// at any diameter ([`candidates`]). Unreachable pairs are in no bitset.
+///
+/// The draw-free [`fill_unique`] runs first; only a stripe with a tied
+/// pair falls back to the seeded reservoir of [`fill_drawn`], which
+/// rewrites every reachable pair of the stripe.
 fn fill_stripe(g: &Csr, seed: u64, d0: usize, block: &mut [u8]) -> u8 {
-    let n = g.vertex_count();
-    let width = block.len() / n;
-    let mut rngs: Vec<StdRng> = (d0..d0 + width).map(|d| dest_rng(seed, d)).collect();
-    // Reservoir sampling state: candidates seen so far per destination.
-    let mut seen = vec![0u32; width];
-    let mut res = vec![[0u64; 3]; n];
+    let (res, deepest) = residues(g, d0, block.len() / g.vertex_count());
+    if !fill_unique(g, &res, block) {
+        fill_drawn(g, seed, d0, &res, block);
+    }
+    deepest
+}
+
+/// The residue bitsets `res[v][r]` of the destinations `d0 .. d0 + width`
+/// (see [`fill_stripe`]) and the deepest BFS level they reach.
+fn residues(g: &Csr, d0: usize, width: usize) -> (Vec<[u64; 3]>, u8) {
+    let mut res = vec![[0u64; 3]; g.vertex_count()];
     let mut deepest = 0;
     bfs::for_each_level(g, d0, width, |level, words| {
         deepest = level;
@@ -242,11 +267,73 @@ fn fill_stripe(g: &Csr, seed: u64, d0: usize, block: &mut [u8]) -> u8 {
             sets[r] |= word;
         }
     });
-    for (s, &of_s) in res.iter().enumerate() {
+    (res, deepest)
+}
+
+/// The destinations (bits of the stripe) toward which `w` is a minimal
+/// next hop from its neighbor `s`, from their residue bitsets.
+#[inline]
+fn candidates(of_s: &[u64; 3], of_w: &[u64; 3]) -> u64 {
+    (0..3).fold(0, |acc, r| acc | of_s[r] & of_w[(r + 2) % 3])
+}
+
+/// The fill of a stripe in which every pair has at most one candidate —
+/// every stripe of a healthy `ER_q`, whose non-adjacent pairs have one
+/// common neighbor each. Each source's picks go to a position row that is
+/// then copied into the stripe's rows; no RNG is drawn. Returns `false`,
+/// leaving the block partly written, at the first candidate word that
+/// overlaps the candidates already seen for its source: a pair with two
+/// candidates, a tie only [`fill_drawn`] may break.
+///
+/// Where it returns `true` the block equals [`fill_drawn`]'s: with one
+/// candidate per pair, every reservoir draw is `gen_range(0..1)`, which
+/// always keeps the candidate, and the streams are dropped with the
+/// stripe.
+fn fill_unique(g: &Csr, res: &[[u64; 3]], block: &mut [u8]) -> bool {
+    let n = res.len();
+    // pos[i]: the pick toward stripe destination i; slot STRIPE absorbs
+    // the two-at-a-time writes that run past a word's last bit.
+    let mut pos = [STAY; STRIPE + 1];
+    for (s, of_s) in res.iter().enumerate() {
+        pos.fill(STAY);
+        let mut taken = 0u64;
+        for (wi, &w) in g.neighbors(s as u32).iter().enumerate() {
+            let mut rest = candidates(of_s, &res[w as usize]);
+            if rest & taken != 0 {
+                return false;
+            }
+            taken |= rest;
+            loop {
+                pos[rest.trailing_zeros() as usize] = wi as u8;
+                rest &= rest.wrapping_sub(1);
+                pos[rest.trailing_zeros() as usize] = wi as u8;
+                rest &= rest.wrapping_sub(1);
+                if rest == 0 {
+                    break;
+                }
+            }
+        }
+        for (row, &p) in block.chunks_exact_mut(n).zip(&pos) {
+            row[s] = p;
+        }
+    }
+    true
+}
+
+/// The tie-breaking fill: each pair's hop is drawn uniformly among its
+/// candidates by reservoir sampling, destination `d`'s draws taken from
+/// its own stream ([`dest_rng`]) in `(s, w)` order. Writes every pair
+/// with a candidate, so it may follow a [`fill_unique`] that gave up.
+fn fill_drawn(g: &Csr, seed: u64, d0: usize, res: &[[u64; 3]], block: &mut [u8]) {
+    let n = res.len();
+    let width = block.len() / n;
+    let mut rngs: Vec<StdRng> = (d0..d0 + width).map(|d| dest_rng(seed, d)).collect();
+    // Reservoir sampling state: candidates seen so far per destination.
+    let mut seen = vec![0u32; width];
+    for (s, of_s) in res.iter().enumerate() {
         seen.fill(0);
         for (wi, &w) in g.neighbors(s as u32).iter().enumerate() {
-            let of_w = res[w as usize];
-            let mut rest = (0..3).fold(0u64, |acc, r| acc | of_s[r] & of_w[(r + 2) % 3]);
+            let mut rest = candidates(of_s, &res[w as usize]);
             while rest != 0 {
                 let i = rest.trailing_zeros() as usize;
                 rest &= rest - 1;
@@ -265,7 +352,6 @@ fn fill_stripe(g: &Csr, seed: u64, d0: usize, block: &mut [u8]) -> u8 {
             "no minimal next hop found"
         );
     }
-    deepest
 }
 
 #[cfg(test)]
@@ -409,6 +495,48 @@ mod tests {
             b.add_edge(0, leaf);
         }
         assert_matches_oracles(&b.build(), 1, "star");
+        // ER_13 (183 routers, three stripes). Healthy, every stripe is
+        // filled draw-free. With one link down, one stripe still is, and
+        // another meets a tie after writing part of its block, which the
+        // reservoir must overwrite. With about 3 % of links down, every
+        // stripe gives up at its first source.
+        let pf = PolarFly::new(13).unwrap();
+        let healthy = pf.graph();
+        let one_down = healthy.without_edges(&[(0, healthy.neighbors(0)[0])]);
+        let few_down = FailureSet::sample(healthy, 0.03, 5).residual(healthy);
+        let outcomes = draw_free_outcomes(healthy);
+        assert!(outcomes.len() == 3 && outcomes.iter().all(|&(filled, _)| filled));
+        let outcomes = draw_free_outcomes(&one_down);
+        assert!(outcomes.iter().any(|&(filled, _)| filled), "{outcomes:?}");
+        assert!(
+            outcomes
+                .iter()
+                .any(|&(filled, written)| !filled && written > 0),
+            "{outcomes:?}"
+        );
+        let outcomes = draw_free_outcomes(&few_down);
+        assert!(outcomes.iter().all(|&(filled, _)| !filled), "{outcomes:?}");
+        for seed in [1u64, 42] {
+            assert_matches_oracles(healthy, seed, "ER_13");
+            assert_matches_oracles(&one_down, seed, "ER_13 -1 link");
+            assert_matches_oracles(&few_down, seed, "ER_13 -3%");
+        }
+    }
+
+    /// Per stripe of `g`: whether [`fill_unique`] fills it, and how many
+    /// entries it had written when it returned.
+    fn draw_free_outcomes(g: &Csr) -> Vec<(bool, usize)> {
+        let n = g.vertex_count();
+        (0..n)
+            .step_by(STRIPE)
+            .map(|d0| {
+                let width = STRIPE.min(n - d0);
+                let (res, _) = residues(g, d0, width);
+                let mut block = vec![STAY; width * n];
+                let filled = fill_unique(g, &res, &mut block);
+                (filled, block.iter().filter(|&&hop| hop != STAY).count())
+            })
+            .collect()
     }
 
     #[test]
