@@ -12,10 +12,10 @@
 //! and (2) it gives instant capacity estimates for design exploration
 //! where flit-level simulation would be overkill.
 
+use crate::router::PortMap;
 use crate::tables::RouteTables;
 use crate::traffic::DestMap;
 use pf_topo::Topology;
-use std::collections::BTreeMap;
 
 /// Fluid-model analysis of one (topology, pattern) pair under MIN routing.
 #[derive(Debug, Clone)]
@@ -31,17 +31,20 @@ pub struct FluidAnalysis {
 }
 
 /// Computes the fluid analysis. Flows follow the deterministic next-hop
-/// table; `Uniform` spreads each host's `p` flits/cycle over all other
-/// hosts, `Fixed` concentrates them on the pattern destination.
+/// table's ports; `Uniform` spreads each host's `p` flits/cycle over all
+/// other hosts, `Fixed` concentrates them on the pattern destination. A
+/// pair the tables cannot route (a disconnected graph) carries no flow.
 pub fn analyze(topo: &Topology, tables: &RouteTables, dests: &DestMap) -> FluidAnalysis {
     let (hosts, endpoints) = (topo.host_routers(), topo.endpoints());
-    let mut link_load: BTreeMap<(u32, u32), f64> = BTreeMap::new();
-    let route_flow = |s: u32, d: u32, rate: f64, link_load: &mut BTreeMap<(u32, u32), f64>| {
+    let g = tables.graph();
+    let geom = PortMap::build(g);
+    // Load per directed link, indexed by the sender's port.
+    let mut link_load = vec![0.0; geom.num_ports()];
+    let route_flow = |s: u32, d: u32, rate: f64, link_load: &mut [f64]| {
         let mut cur = s;
-        while cur != d {
-            let nx = tables.next_hop(cur, d);
-            *link_load.entry((cur, nx)).or_insert(0.0) += rate;
-            cur = nx;
+        while let Some(i) = tables.port(cur, d) {
+            link_load[geom.tx(cur, i) as usize] += rate;
+            cur = g.neighbors(cur)[i];
         }
     };
     match dests {
@@ -66,8 +69,8 @@ pub fn analyze(topo: &Topology, tables: &RouteTables, dests: &DestMap) -> FluidA
     }
     // Count every directed link, including idle ones, in the mean.
     let directed_links = 2.0 * topo.graph().edge_count() as f64;
-    let total: f64 = link_load.values().sum();
-    let max = link_load.values().cloned().fold(0.0, f64::max);
+    let total: f64 = link_load.iter().sum();
+    let max = link_load.iter().copied().fold(0.0, f64::max);
     let mean = total / directed_links;
     FluidAnalysis {
         mean_link_load: mean,
@@ -132,6 +135,37 @@ mod tests {
         let a = analyze(&topo, &tables, &dests);
         assert!((a.max_link_load - p as f64).abs() < 1e-9);
         assert!((a.saturation - 1.0 / p as f64).abs() < 1e-9);
+    }
+
+    #[test]
+    fn disconnected_pairs_carry_no_flow() {
+        // Two disjoint triangles: each host reaches the two routers of its
+        // own triangle only.
+        let mut b = pf_graph::GraphBuilder::new(6);
+        for (u, v) in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)] {
+            b.add_edge(u, v);
+        }
+        let topo = pf_topo::GraphTopo::new("two triangles", b.build(), 5);
+        let tables = RouteTables::build(topo.graph(), 1);
+        let a = analyze(
+            &topo,
+            &tables,
+            &DestMap::Uniform {
+                hosts: vec![0, 1, 2, 3, 4, 5],
+            },
+        );
+        // Each directed link carries its source's flow to one of the five
+        // other hosts.
+        assert!(
+            (a.max_link_load - 1.0).abs() < 1e-9,
+            "max {}",
+            a.max_link_load
+        );
+        assert!(
+            (a.imbalance - 1.0).abs() < 1e-9,
+            "imbalance {}",
+            a.imbalance
+        );
     }
 
     #[test]

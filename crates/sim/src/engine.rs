@@ -20,7 +20,6 @@ use crate::faults::{assert_vc_budget, link_ports, FaultCtl};
 use crate::flow::LinkPipeline;
 use crate::packet::PacketPool;
 use crate::router::{FlitRings, InjPool, PortMap, NONE32};
-use crate::routing::MinHop;
 use crate::skip::SkipCtl;
 use crate::stats::{LatencyStats, SimResult};
 use crate::tables::{RouteTables, MAX_DEGREE};
@@ -45,7 +44,6 @@ macro_rules! net_view {
             geom: &$e.geom,
             link_up: &$e.link_up,
             router_up: &$e.faults.router_up,
-            min: $e.min_hop,
             stale_routers: $e.faults.routers_stale,
             degraded: $e.degraded,
             credits: &$e.credits,
@@ -117,10 +115,6 @@ pub struct Engine<'a> {
     pub(crate) tables: Cow<'a, RouteTables>,
     pub(crate) dests: &'a DestMap,
     pub(crate) routing: Routing,
-    /// The run's one minimal next-hop source ([`MinHop::for_topology`]),
-    /// handed to routing and the `inj_wait` first-hop charge through
-    /// [`crate::routing::NetState::min`].
-    pub(crate) min_hop: MinHop<'a>,
     pub(crate) cfg: SimConfig,
     pub(crate) load: f64,
 
@@ -292,10 +286,10 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Builds an engine for one run of `routing` (PolarFly topologies
-    /// automatically get the table-free algebraic minimal fast path).
-    /// `tables` and `dests` are shared across runs of the same
-    /// topology/pattern.
+    /// Builds an engine for one run of `routing`. `tables` and `dests`
+    /// are shared across runs of the same topology/pattern; every
+    /// minimal hop is the port `tables` stores, so they must index
+    /// `topo.graph()`'s rows ([`RouteTables::build_for`]).
     pub fn new(
         topo: &'a Topology,
         tables: &'a RouteTables,
@@ -307,6 +301,12 @@ impl<'a> Engine<'a> {
         let g = topo.graph();
         let n = g.vertex_count();
         assert_eq!(tables.router_count(), n);
+        // A table hop is read as a port of `g`; residual-indexed tables would misroute.
+        let physical = tables.graph().edge_count() == g.edge_count();
+        assert!(
+            physical,
+            "route tables must index the physical graph's rows"
+        );
         assert!(
             (0.0..=1.0).contains(&load),
             "offered load must be in [0, 1]"
@@ -379,8 +379,6 @@ impl<'a> Engine<'a> {
         // per-stream stalls without idling the budget.
         let stream_caps: Vec<usize> = endpoints.iter().map(|&p| 2 * p as usize).collect();
 
-        let min_hop = MinHop::for_topology(topo);
-
         let mut port_owner = vec![0u32; num_ports];
         for r in 0..n {
             let (lo, hi) = geom.ports(r);
@@ -411,7 +409,6 @@ impl<'a> Engine<'a> {
             tables: Cow::Borrowed(tables),
             dests,
             routing,
-            min_hop,
             load,
             n,
             vcs,

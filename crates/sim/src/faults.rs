@@ -21,8 +21,8 @@
 //!   per port so the down-link invariant still holds).
 //! * **Staged re-convergence.** A fault event triggers a table rebuild
 //!   on the current residual (the Rayon-parallel all-pairs BFS of
-//!   [`RouteTables::build`]; the residual is read off the `link_up`
-//!   masks, the one record of which links are down), but the *old*
+//!   [`RouteTables::build_without`]; the residual is read off the
+//!   `link_up` masks, the one record of which links are down), but the *old*
 //!   tables keep serving routing and UGAL distance queries until the
 //!   rebuild swaps in atomically at `convergence_delay` cycles after the
 //!   burst's first event — the distribution latency of a real control
@@ -200,22 +200,19 @@ impl Engine<'_> {
     }
 
     /// Rebuilds `pending_tables` on the current residual (the same
-    /// Rayon-parallel all-pairs BFS a run starts with). The residual is
-    /// read off `link_up`: a link is down iff its directed ports are.
+    /// constructor a run's tables come from, [`RouteTables::build_without`]).
+    /// The residual is read off `link_up`: a link is down iff its directed
+    /// ports are.
     fn build_pending_tables(&mut self) {
-        let new = if self.degraded {
-            let mut down = Vec::new();
-            for u in 0..self.n as u32 {
-                for (i, &v) in self.graph.neighbors(u).iter().enumerate() {
-                    if u < v && !self.link_up[self.geom.tx(u, i) as usize] {
-                        down.push((u, v));
-                    }
+        let mut down = Vec::new();
+        for u in 0..self.n as u32 {
+            for (i, &v) in self.graph.neighbors(u).iter().enumerate() {
+                if u < v && !self.link_up[self.geom.tx(u, i) as usize] {
+                    down.push((u, v));
                 }
             }
-            RouteTables::build(&self.graph.without_edges(&down), self.cfg.seed)
-        } else {
-            RouteTables::build(self.graph, self.cfg.seed)
-        };
+        }
+        let new = RouteTables::build_without(self.graph, &down, self.cfg.seed);
         // Re-converged minimal paths ride the residual diameter: re-check
         // the hop-indexed VC budget the constructor checked for the
         // initial state.

@@ -117,12 +117,10 @@ impl Engine<'_> {
     /// nothing, when the pair is not `routable`: held packets carry no
     /// charge until they can move.
     pub(crate) fn charge_voq(&mut self, r: u32, dst: u32, routable: bool) -> u32 {
-        if !routable {
+        let Some(i) = self.tables.port(r, dst).filter(|_| routable) else {
             return NONE32;
-        }
-        let net = net_view!(self);
-        let next = net.min.next(&net, r, dst);
-        let link = self.geom.tx(r, net.neighbor_index(r, next));
+        };
+        let link = self.geom.tx(r, i);
         self.inj_wait[link as usize] += 1;
         link
     }

@@ -22,16 +22,15 @@
 //! * **Faults**: one model, a topology carrying a fault schedule
 //!   (`pf_topo::Topology::with_faults`; see the fault-model section of
 //!   DESIGN.md). Its cycle-0 state ([`tables::initial_failures`]) gets
-//!   residual-graph route tables ([`RouteTables::build_for`]), per-port
-//!   link masks in the engine, and a mask-validated algebraic fast path,
-//!   so every routing algorithm routes around fail-stop links. A static
-//!   failure set ends there. Anything later drives a mid-run event
-//!   queue: links and routers die and repair at scheduled cycles,
-//!   in-flight flits follow a configurable drop-and-retransmit / drain
-//!   policy ([`InFlightPolicy`]), and route tables re-converge in
-//!   stages — the stale tables keep serving (mask-checked, locally
-//!   detoured) until a Rayon-parallel rebuild swaps in after
-//!   `convergence_delay` cycles (see [`faults`]).
+//!   route tables routed on the residual graph ([`RouteTables::build_for`])
+//!   and per-port link masks in the engine, so every routing algorithm
+//!   routes around fail-stop links. A static failure set ends there.
+//!   Anything later drives a mid-run event queue: links and routers die
+//!   and repair at scheduled cycles, in-flight flits follow a
+//!   configurable drop-and-retransmit / drain policy ([`InFlightPolicy`]),
+//!   and route tables re-converge in stages — the stale tables keep
+//!   serving (mask-checked, locally detoured) until a Rayon-parallel
+//!   rebuild swaps in after `convergence_delay` cycles (see [`faults`]).
 //!
 //! ## Module map
 //!
@@ -54,8 +53,8 @@
 //! * [`flow`] — link pipeline, credits, wormhole VC ownership;
 //! * [`inject`] — endpoint injection/ejection;
 //! * [`routing`] — the paper's six algorithms (§VII) as the closed
-//!   [`Routing`] enum, with PolarFly's O(1) algebraic minimal next hop
-//!   as a table-free fast path;
+//!   [`Routing`] enum, every minimal hop the port the serving route
+//!   table stores;
 //! * [`telemetry`] — observation-only epoch time-series, sampled
 //!   packet lifecycle traces, and feature-gated engine phase profiling
 //!   (bit-identical results with telemetry on or off);
@@ -69,8 +68,8 @@
 //! (Compact Valiant + ⅔ buffer-occupancy threshold), and adaptive ECMP
 //! minimal routing which on a folded Clos is exactly fat-tree NCA routing.
 //! [`Routing`] implements them all with one `match` per method and the
-//! [`Engine`] holds the value. Every algorithm reads the run's one
-//! minimal-hop source, [`NetState::min`].
+//! [`Engine`] holds the value. Every algorithm's minimal hop is the port
+//! the serving route table stores ([`RouteTables::port`]).
 //!
 //! Differences from BookSim (documented in DESIGN.md): credits return with
 //! zero latency (shared-memory model), the router pipeline is a fixed
@@ -123,7 +122,7 @@ pub use config::{InFlightPolicy, SimConfig};
 pub use drive::{simulate_workload, WorkloadDriver};
 pub use engine::{simulate, Engine};
 pub use router::FlitRings;
-pub use routing::{HopContext, MinHop, NetState, Port, RoutePlan, Routing};
+pub use routing::{HopContext, NetState, Port, RoutePlan, Routing};
 pub use stats::{JobResult, PhaseResult, SimResult};
 pub use sweep::{load_curve, LoadCurve};
 pub use tables::RouteTables;

@@ -8,18 +8,16 @@
 //!   (router, current target) to a local output port.
 //!
 //! Both receive a [`NetState`] — a read-only view of the tables, port
-//! geometry, congestion state and the run's one minimal-hop source
-//! ([`NetState::min`]) — so the algorithms stay stateless. Minimal next
-//! hops come from [`MinHop`]: table lookups on arbitrary topologies, or
-//! PolarFly's O(1) algebraic next hop
-//! ([`polarfly::routing::next_hop_minimal`], checked against the link
-//! mask) when the topology carries it ([`pf_topo::Topology::polarfly`]).
-//! Parity between the two is pinned by `tests/routing_parity.rs`.
+//! geometry and congestion state — so the algorithms stay stateless.
+//! The serving [`RouteTables`] are the one minimal-hop source on every
+//! topology: the byte a table stores is the output port
+//! ([`RouteTables::port`]). On PolarFly that hop is the algebraic one
+//! (`polarfly::routing::next_hop_minimal`), pinned by
+//! `tests/routing_parity.rs`.
 
 use crate::router::PortMap;
 use crate::tables::RouteTables;
 use pf_graph::Csr;
-use polarfly::PolarFly;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -28,9 +26,9 @@ pub type Port = u32;
 
 /// Read-only network view handed to routing decisions.
 pub struct NetState<'e> {
-    /// Minimal next-hop tables, distances walked along them (built on
-    /// the residual graph when links have failed — see
-    /// [`RouteTables::build_for`]).
+    /// Minimal next-hop tables, distances walked along them (routed
+    /// around the links down when they were built, indexed by the
+    /// physical rows — see [`RouteTables::build_without`]).
     pub tables: &'e RouteTables,
     /// The *physical* router graph (failed links keep their ports).
     pub graph: &'e Csr,
@@ -45,9 +43,6 @@ pub struct NetState<'e> {
     /// A down router neither injects nor ejects, and detour intermediates
     /// must avoid it.
     pub router_up: &'e [bool],
-    /// The run's minimal next-hop source ([`MinHop::for_topology`] of its
-    /// topology).
-    pub min: MinHop<'e>,
     /// Whether some router repaired since the last table swap: its links
     /// are live but the serving tables cannot reach it yet, so detour
     /// targets must be reachability-filtered until the swap lands.
@@ -77,19 +72,6 @@ pub struct NetState<'e> {
 }
 
 impl NetState<'_> {
-    /// Local neighbor index of `t` at router `r`.
-    #[inline]
-    #[expect(
-        clippy::expect_used,
-        reason = "route tables only ever name graph neighbors; a miss is a table-construction bug where a panic beats a silent misroute"
-    )]
-    pub fn neighbor_index(&self, r: u32, t: u32) -> usize {
-        self.graph
-            .neighbors(r)
-            .binary_search(&t)
-            .expect("next hop must be a neighbor")
-    }
-
     /// Occupied flits across all VCs of the link toward neighbor-index `i`
     /// of router `r` — the congestion signal UGAL uses.
     pub fn link_occupancy(&self, r: u32, i: usize) -> u32 {
@@ -101,18 +83,25 @@ impl NetState<'_> {
         occ
     }
 
-    /// UGAL congestion signal toward `next`: downstream buffer occupancy
-    /// plus the source-queue backlog charged to that link (in flits).
-    pub fn occupancy_toward(&self, r: u32, next: u32) -> u32 {
-        let i = self.neighbor_index(r, next);
+    /// UGAL congestion signal toward `d`: downstream buffer occupancy of
+    /// the table's minimal output plus the source-queue backlog charged
+    /// to that link (in flits); 0 when the tables cannot route the pair.
+    pub fn occupancy_toward(&self, r: u32, d: u32) -> u32 {
+        let Some(i) = self.tables.port(r, d) else {
+            return 0;
+        };
         let link = self.geom.tx(r, i);
         self.link_occupancy(r, i) + self.inj_wait[link as usize] * u32::from(self.packet_flits)
     }
 
-    /// Occupied flits in the class-0 (injection) VCs of the link toward
-    /// `next` — the congestion signal for the UGAL-PF threshold.
-    pub fn class0_occupancy_toward(&self, r: u32, next: u32) -> u32 {
-        let i = self.neighbor_index(r, next);
+    /// Occupied flits in the class-0 (injection) VCs of the table's
+    /// minimal output toward `d` plus its source-queue backlog — the
+    /// congestion signal for the UGAL-PF threshold; 0 when the tables
+    /// cannot route the pair.
+    pub fn class0_occupancy_toward(&self, r: u32, d: u32) -> u32 {
+        let Some(i) = self.tables.port(r, d) else {
+            return 0;
+        };
         let link = self.geom.tx(r, i) as usize;
         let mut occ = 0;
         for vc in 0..self.per_class {
@@ -125,16 +114,6 @@ impl NetState<'_> {
     #[inline]
     pub fn link_ok(&self, r: u32, i: usize) -> bool {
         !self.degraded || self.link_up[self.geom.tx(r, i) as usize]
-    }
-
-    /// Whether the physical link `r → next` is up (`next` must be a
-    /// full-graph neighbor of `r`).
-    #[inline]
-    pub fn edge_ok(&self, r: u32, next: u32) -> bool {
-        if !self.degraded {
-            return true;
-        }
-        self.link_up[self.geom.tx(r, self.neighbor_index(r, next)) as usize]
     }
 
     /// A uniformly random *live* neighbor of `r` (reservoir sampling over
@@ -161,48 +140,6 @@ impl NetState<'_> {
             }
         }
         chosen
-    }
-}
-
-/// Where minimal next-hops come from.
-#[derive(Clone, Copy)]
-pub enum MinHop<'t> {
-    /// The seeded-tie-break table (`RouteTables`) — any topology.
-    Table,
-    /// PolarFly's algebraic O(1) next hop: adjacency check + cross
-    /// product, validated against the per-port link mask. A failed hop on
-    /// the (unique) algebraic path falls back to the residual-graph
-    /// table, so the result is always residual-minimal; with every link
-    /// up each check is [`NetState::edge_ok`]'s early return and the
-    /// answer is exactly [`polarfly::routing::next_hop_minimal`].
-    Algebraic(&'t PolarFly),
-}
-
-impl MinHop<'_> {
-    /// Minimal next hop from `s` toward `d` (`s ≠ d`). On degraded
-    /// topologies this is minimal *on the residual graph*.
-    #[inline]
-    pub fn next(&self, net: &NetState, s: u32, d: u32) -> u32 {
-        match self {
-            MinHop::Table => net.tables.next_hop(s, d),
-            MinHop::Algebraic(pf) => {
-                let hop = if pf.graph().has_edge(s, d) {
-                    net.edge_ok(s, d).then_some(d)
-                } else {
-                    pf.intermediate(s, d)
-                        .filter(|&m| net.edge_ok(s, m) && net.edge_ok(m, d))
-                };
-                hop.unwrap_or_else(|| net.tables.next_hop(s, d))
-            }
-        }
-    }
-
-    /// The minimal-hop source `topo` supports: the algebra when it
-    /// carries PolarFly's (healthy or not), the table otherwise. The
-    /// engine calls this once and hands the answer to every routing
-    /// decision through [`NetState::min`].
-    pub fn for_topology(topo: &pf_topo::Topology) -> MinHop<'_> {
-        topo.polarfly().map_or(MinHop::Table, MinHop::Algebraic)
     }
 }
 
@@ -280,13 +217,10 @@ pub(crate) fn route_output(
     fallback_live_min(net, hop)
 }
 
-/// The live local port toward `tables`' next hop for this pair, if any.
+/// `tables`' port for this pair, if the pair is routable under them and
+/// the port's link is live.
 fn table_port(net: &NetState, tables: &RouteTables, hop: HopContext) -> Option<Port> {
-    let next = tables.next_hop(hop.router, hop.target);
-    if next == hop.router {
-        return None; // unreachable under these tables
-    }
-    let i = net.neighbor_index(hop.router, next);
+    let i = tables.port(hop.router, hop.target)?;
     net.link_ok(hop.router, i).then_some(i as Port)
 }
 
@@ -344,12 +278,13 @@ fn random_mid(net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> u32 {
 /// per-packet plan and the per-hop output choice. [`crate::Engine::new`]
 /// stores the value.
 ///
-/// Every variant except [`Routing::MinAdaptive`] rides [`NetState::min`]
-/// on every hop; they differ only in the injection-time [`RoutePlan`].
+/// Every variant except [`Routing::MinAdaptive`] takes the serving
+/// table's port ([`RouteTables::port`]) on every hop; they differ only
+/// in the injection-time [`RoutePlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Routing {
-    /// Deterministic minimal routing: the table's seeded tie-break, or
-    /// PolarFly's algebraic next hop.
+    /// Deterministic minimal routing: the table's seeded tie-break (on
+    /// PolarFly, the algebraic next hop — minimal paths are unique).
     Min,
     /// Adaptive minimal: at every hop choose, among the minimal next hops,
     /// the output with the fewest occupied downstream flits. On a fat tree
@@ -395,14 +330,15 @@ impl Routing {
         }
     }
 
-    /// Chooses the local output port at `hop.router` toward `hop.target`.
+    /// Chooses the local output port at `hop.router` toward `hop.target`
+    /// (`Port::MAX` when the serving tables cannot route the pair).
     pub fn next_output(self, net: &NetState, hop: HopContext, rng: &mut StdRng) -> Port {
         match self {
             Routing::MinAdaptive => adaptive_min_output(net, hop, rng),
-            _ => {
-                let next = net.min.next(net, hop.router, hop.target);
-                net.neighbor_index(hop.router, next) as Port
-            }
+            _ => net
+                .tables
+                .port(hop.router, hop.target)
+                .map_or(Port::MAX, |i| i as Port),
         }
     }
 
@@ -417,8 +353,8 @@ impl Routing {
                 let mid = random_mid(net, src, dst, rng);
                 let h_min = net.tables.dist(src, dst);
                 let h_val = net.tables.dist(src, mid) + net.tables.dist(mid, dst);
-                let q_min = net.occupancy_toward(src, net.min.next(net, src, dst));
-                let q_val = net.occupancy_toward(src, net.min.next(net, src, mid));
+                let q_min = net.occupancy_toward(src, dst);
+                let q_val = net.occupancy_toward(src, mid);
                 if q_val * h_val < q_min * h_min {
                     RoutePlan::Detour(mid)
                 } else {
@@ -430,7 +366,7 @@ impl Routing {
                 // minimal output plus source-queue backlog: the buffer
                 // space this packet would contend for, so the threshold is
                 // taken against the class capacity.
-                let q_min = net.class0_occupancy_toward(src, net.min.next(net, src, dst));
+                let q_min = net.class0_occupancy_toward(src, dst);
                 let class_cap = net.cap_per_vc * net.per_class as u32;
                 if f64::from(q_min) <= net.ugal_pf_threshold * f64::from(class_cap) {
                     RoutePlan::Minimal
@@ -550,14 +486,13 @@ mod tests {
             }
         }
 
-        fn net<'a>(&'a self, topo: &'a Topology, min: MinHop<'a>) -> NetState<'a> {
+        fn net<'a>(&'a self, topo: &'a Topology) -> NetState<'a> {
             NetState {
                 tables: &self.tables,
                 graph: topo.graph(),
                 geom: &self.geom,
                 link_up: &self.link_up,
                 router_up: &[],
-                min,
                 stale_routers: false,
                 degraded: false,
                 credits: &self.credits,
@@ -572,7 +507,8 @@ mod tests {
     }
 
     /// The routers a packet planned as `plan` visits from `s` to `d`,
-    /// riding `net.min` on every leg; each step must follow a graph edge.
+    /// riding the table's next hop on every leg; each step must follow a
+    /// graph edge.
     fn walk(net: &NetState, s: u32, d: u32, plan: RoutePlan) -> Vec<u32> {
         let legs = match plan {
             RoutePlan::Detour(m) => vec![m, d],
@@ -582,7 +518,7 @@ mod tests {
         let mut cur = s;
         for target in legs {
             while cur != target {
-                let next = net.min.next(net, cur, target);
+                let next = net.tables.next_hop(cur, target);
                 assert!(net.graph.has_edge(cur, next), "{s}->{d}: {path:?}");
                 path.push(next);
                 cur = next;
@@ -596,14 +532,19 @@ mod tests {
         let topo = PolarFlyTopo::new(11, 6).unwrap();
         let pf = topo.polarfly().unwrap();
         let idle = Idle::new(&topo);
-        let table = idle.net(&topo, MinHop::Table);
-        let algebraic = idle.net(&topo, MinHop::Algebraic(pf));
+        let net = idle.net(&topo);
+        let mut rng = StdRng::seed_from_u64(0);
         let n = topo.router_count() as u32;
         for s in 0..n {
             for d in (0..n).filter(|&d| d != s) {
-                let hop = algebraic.min.next(&algebraic, s, d);
-                assert_eq!(hop, next_hop_minimal(pf, s, d), "{s}->{d}");
-                assert_eq!(hop, table.min.next(&table, s, d), "{s}->{d}");
+                let hop = HopContext {
+                    router: s,
+                    target: d,
+                };
+                let port = Routing::Min.next_output(&net, hop, &mut rng);
+                let next = topo.graph().neighbors(s)[port as usize];
+                assert_eq!(next, next_hop_minimal(pf, s, d), "{s}->{d}");
+                assert_eq!(next, idle.tables.next_hop(s, d), "{s}->{d}");
             }
         }
     }
@@ -612,7 +553,7 @@ mod tests {
     fn valiant_routes_are_valid_and_bounded() {
         let topo = PolarFlyTopo::new(7, 4).unwrap();
         let idle = Idle::new(&topo);
-        let net = idle.net(&topo, MinHop::for_topology(&topo));
+        let net = idle.net(&topo);
         let n = topo.router_count() as u32;
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..2000 {
@@ -642,7 +583,7 @@ mod tests {
     fn compact_valiant_adjacent_pairs_use_min_path() {
         let topo = PolarFlyTopo::new(5, 3).unwrap();
         let idle = Idle::new(&topo);
-        let net = idle.net(&topo, MinHop::for_topology(&topo));
+        let net = idle.net(&topo);
         let mut rng = StdRng::seed_from_u64(3);
         for (u, v) in topo.polarfly().unwrap().graph().edges() {
             for (s, d) in [(u, v), (v, u)] {

@@ -2,19 +2,20 @@
 //! the latency-vs-load figures (Figs. 8–11) and the resilience sweeps.
 //! Tables and traffic patterns are resolved once per (topology, pattern)
 //! and shared across the Rayon-parallel per-load runs. Topologies with
-//! links down at cycle 0 ([`crate::tables::initial_failures`]) get
-//! residual-graph tables and traffic resolution automatically.
+//! links down at cycle 0 ([`initial_failures`]) get tables routed on the
+//! residual graph (indexed by the physical rows) and traffic resolved
+//! on it, automatically.
 
 use crate::engine::{simulate, SimConfig};
 use crate::stats::SimResult;
-use crate::tables::RouteTables;
+use crate::tables::{initial_failures, RouteTables};
 use crate::traffic::{resolve, TrafficPattern};
 use crate::Routing;
 use pf_topo::Topology;
 use rayon::prelude::*;
 
 /// Tables + destination map for one (topology, pattern, seed) triple.
-/// The pattern is resolved on the graph the tables were built on — the
+/// The pattern is resolved on the graph the tables route on — the
 /// residual graph when links are down at cycle 0
 /// ([`RouteTables::build_for`]), so hop-exact permutation patterns
 /// respect surviving distances too.
@@ -24,7 +25,8 @@ pub(crate) fn resolve_run(
     seed: u64,
 ) -> (RouteTables, crate::traffic::DestMap) {
     let tables = RouteTables::build_for(topo, seed);
-    let dests = resolve(pattern, tables.graph(), &topo.host_routers(), seed);
+    let residual = initial_failures(topo).residual(topo.graph());
+    let dests = resolve(pattern, &residual, &topo.host_routers(), seed);
     (tables, dests)
 }
 

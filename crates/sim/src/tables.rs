@@ -21,10 +21,10 @@
 //! candidate draws `gen_range(0..1)`, which always keeps it, and a
 //! destination's stream lives only inside its stripe.
 //!
-//! A next hop is stored as one byte — its position in the source's
-//! neighbor list — so the tables cost n² bytes plus the O(E) adjacency
-//! that turns the position back into a router id
-//! ([`RouteTables::resident_bytes`]).
+//! A next hop is stored as one byte — its position in the source's row
+//! of the *physical* graph, which is the engine's output port — so the
+//! tables cost n² bytes plus the O(E) adjacency that turns the position
+//! into a router id ([`RouteTables::resident_bytes`]).
 //!
 //! Distances are walked, not stored: [`RouteTables::dist`] follows next
 //! hops from `s` until it reaches `d`. That is exact because every table
@@ -33,9 +33,11 @@
 //! takes exactly `dist(s, d)` steps, never more than the largest finite
 //! distance, and an unreachable pair stops at its first (absent) hop.
 //!
-//! Fault awareness: [`RouteTables::build_for`] builds the tables on the
-//! *residual* graph of the topology's cycle-0 fault state
-//! ([`initial_failures`]), so every table next hop (and every UGAL
+//! Fault awareness: [`RouteTables::build_without`] routes on the
+//! *residual* graph left by a set of down links but indexes the physical
+//! rows, so a stored byte names the same port whatever is down;
+//! [`RouteTables::build_for`] applies it to the topology's cycle-0 fault
+//! state ([`initial_failures`]), so every table next hop (and every UGAL
 //! distance term) already routes around the links down at the start.
 
 use pf_graph::{bfs, Csr, FailureSet};
@@ -69,11 +71,11 @@ const STAY: u8 = u8::MAX;
 /// along it.
 #[derive(Clone)]
 pub struct RouteTables {
-    /// The graph the tables were built on: `next` indexes its neighbor
-    /// lists.
+    /// The physical graph: `next` indexes its neighbor lists, whichever
+    /// links the routes avoid.
     graph: Csr,
     /// `next[d·N + s]`: position in `graph.neighbors(s)` of the hop
-    /// toward `d`, or [`STAY`].
+    /// toward `d` — `s`'s output port — or [`STAY`].
     next: Vec<u8>,
     /// The deepest BFS level any stripe reached: the largest finite
     /// distance.
@@ -103,12 +105,25 @@ impl RouteTables {
     /// If a router has more than [`MAX_DEGREE`] neighbors, or a finite
     /// distance exceeds [`bfs::MAX_DISTANCE`].
     pub fn build(g: &Csr, seed: u64) -> RouteTables {
+        RouteTables::build_without(g, &[], seed)
+    }
+
+    /// [`RouteTables::build`] on the residual graph `g.without_edges(down)`,
+    /// with every stored hop remapped to its position in `g`'s row: the
+    /// same routes, tie-breaks and distances as tables built on the
+    /// residual, but a hop reads as `g`'s output port. The tables keep
+    /// `g` ([`RouteTables::graph`]).
+    ///
+    /// # Panics
+    /// As [`RouteTables::build`], for the degrees of `g`.
+    pub fn build_without(g: &Csr, down: &[(u32, u32)], seed: u64) -> RouteTables {
         let n = g.vertex_count();
         assert!(
             g.max_degree() <= MAX_DEGREE,
             "router degree {} exceeds the {MAX_DEGREE}-neighbor ceiling of the byte-wide next-hop table",
             g.max_degree()
         );
+        let residual = (!down.is_empty()).then(|| g.without_edges(down));
         let mut next = vec![STAY; n * n];
         // Destination-major, so stripe k (destinations `k·STRIPE ..`) is
         // one contiguous block and workers write disjoint memory.
@@ -116,7 +131,14 @@ impl RouteTables {
             .chunks_mut((STRIPE * n).max(1))
             .zip((0..n).step_by(STRIPE))
             .into_par_iter()
-            .map(|(block, d0)| fill_stripe(g, seed, d0, block))
+            .map(|(block, d0)| {
+                let Some(residual) = &residual else {
+                    return fill_stripe(g, seed, d0, block);
+                };
+                let deepest = fill_stripe(residual, seed, d0, block);
+                remap_to_physical(g, residual, block);
+                deepest
+            })
             .max_by_key(|&deepest| deepest)
             .unwrap_or(0);
         RouteTables {
@@ -126,22 +148,16 @@ impl RouteTables {
         }
     }
 
-    /// Builds the tables a `topo` run needs: on the full graph for healthy
-    /// topologies, on the residual graph when links are down at cycle 0
-    /// ([`initial_failures`]) — same router ids either way, so the
-    /// engine's geometry is unaffected. [`RouteTables::graph`] returns
-    /// the graph chosen.
+    /// Builds the tables a `topo` run needs: routed around the links down
+    /// at cycle 0 ([`initial_failures`]) by [`RouteTables::build_without`],
+    /// indexed by the physical graph's rows either way.
     pub fn build_for(topo: &Topology, seed: u64) -> RouteTables {
-        let failures = initial_failures(topo);
-        if failures.is_empty() {
-            RouteTables::build(topo.graph(), seed)
-        } else {
-            RouteTables::build(&failures.residual(topo.graph()), seed)
-        }
+        RouteTables::build_without(topo.graph(), initial_failures(topo).edges(), seed)
     }
 
-    /// The graph the tables were built on — the residual graph when
-    /// [`RouteTables::build_for`] saw links down at cycle 0.
+    /// The physical graph whose rows the hops index. Routes avoid the
+    /// links [`RouteTables::build_without`] was given; this graph still
+    /// lists them.
     #[inline]
     pub fn graph(&self) -> &Csr {
         &self.graph
@@ -208,9 +224,17 @@ impl RouteTables {
     /// or `d` is unreachable).
     #[inline]
     pub fn next_hop(&self, s: u32, d: u32) -> u32 {
+        self.port(s, d).map_or(s, |i| self.graph.neighbors(s)[i])
+    }
+
+    /// The output port (position in [`RouteTables::graph`]'s row of `s`)
+    /// of the minimal next hop from `s` toward `d`, or `None` when
+    /// `s == d` or `d` is unreachable.
+    #[inline]
+    pub fn port(&self, s: u32, d: u32) -> Option<usize> {
         match self.entry(s, d) {
-            STAY => s,
-            i => self.graph.neighbors(s)[usize::from(i)],
+            STAY => None,
+            i => Some(usize::from(i)),
         }
     }
 
@@ -219,6 +243,29 @@ impl RouteTables {
     /// distance matrix is kept.
     pub fn resident_bytes(&self) -> usize {
         self.next.capacity() + self.graph.resident_bytes()
+    }
+}
+
+/// Rewrites a stripe block's positions in `residual`'s rows (rows of `n`
+/// sources, as [`fill_stripe`] leaves them) as positions in `g`'s rows:
+/// a residual row is `g`'s row with the down slots filtered out, in order.
+fn remap_to_physical(g: &Csr, residual: &Csr, block: &mut [u8]) {
+    let n = g.vertex_count();
+    let mut physical = Vec::with_capacity(g.max_degree());
+    for s in 0..n as u32 {
+        let mut kept = residual.neighbors(s).iter().peekable();
+        physical.clear();
+        physical.extend(
+            g.neighbors(s)
+                .iter()
+                .enumerate()
+                .filter_map(|(i, w)| kept.next_if_eq(&w).map(|_| i as u8)),
+        );
+        for hop in block.iter_mut().skip(s as usize).step_by(n) {
+            if *hop != STAY {
+                *hop = physical[usize::from(*hop)];
+            }
+        }
     }
 }
 
@@ -537,6 +584,51 @@ mod tests {
                 (filled, block.iter().filter(|&&hop| hop != STAY).count())
             })
             .collect()
+    }
+
+    /// [`RouteTables::build_without`] routes exactly as tables built on
+    /// the residual graph, but its ports index the physical rows: PF
+    /// q = 7 and 13, Slim Fly q = 5 and a random regular graph, each with
+    /// a sampled 10 % of its links down (a residual that may disconnect).
+    #[test]
+    fn residual_tables_index_the_physical_rows() {
+        let topos = [
+            pf_topo::PolarFlyTopo::new(7, 1).unwrap(),
+            pf_topo::PolarFlyTopo::new(13, 1).unwrap(),
+            pf_topo::SlimFly::new(5, 1).unwrap(),
+            pf_topo::Jellyfish::new(60, 5, 1, 9),
+        ];
+        for topo in &topos {
+            let g = topo.graph();
+            let n = g.vertex_count() as u32;
+            for seed in 1..=3 {
+                let what = format!("{}, seed {seed}", topo.name());
+                let down = FailureSet::sample(g, 0.1, seed);
+                assert!(!down.is_empty(), "{what}");
+                let t = RouteTables::build_without(g, down.edges(), seed);
+                let on_residual = RouteTables::build(&down.residual(g), seed);
+                assert_eq!(t.router_count(), g.vertex_count(), "{what}");
+                assert!(t.graph().edges().eq(g.edges()), "{what}: graph()");
+                assert_eq!(t.max_finite_dist(), on_residual.max_finite_dist(), "{what}");
+                for s in 0..n {
+                    for d in 0..n {
+                        let next = on_residual.next_hop(s, d);
+                        assert_eq!(t.next_hop(s, d), next, "{what}: next_hop({s}, {d})");
+                        assert_eq!(
+                            t.dist(s, d),
+                            on_residual.dist(s, d),
+                            "{what}: dist({s}, {d})"
+                        );
+                        match t.port(s, d) {
+                            Some(i) => {
+                                assert_eq!(g.neighbors(s)[i], next, "{what}: port({s}, {d})")
+                            }
+                            None => assert_eq!(next, s, "{what}: port({s}, {d})"),
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

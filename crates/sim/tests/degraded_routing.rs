@@ -2,7 +2,7 @@
 //! whose link windows open at cycle 0 and never repair
 //! ([`FaultSchedule::from_failures`]). A PolarFly degraded that way must
 //! deliver every packet below saturation on a connected residual
-//! network, the algebraic fast path must stay *residual*-minimal,
+//! network, the table's minimal port must stay *residual*-minimal,
 //! and no flit may ever traverse a failed link — under any routing
 //! algorithm. The engine runs such a schedule without fault control: no
 //! table swap, nothing dropped.
@@ -15,8 +15,11 @@ use pf_sim::engine::Engine;
 use pf_sim::router::PortMap;
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
-use pf_sim::{load_curve, simulate, MinHop, NetState, Routing, SimConfig};
-use pf_topo::{PolarFlyTopo, SlimFly, Topology};
+use pf_sim::{load_curve, simulate, HopContext, NetState, Routing, SimConfig};
+use pf_topo::{PolarFlyTopo, Topology};
+use polarfly::routing::next_hop_minimal;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Residual minimal paths can exceed the healthy diameter of 2 and the
 /// adaptive detours add more: 8 hop-indexed VC classes keep every path of
@@ -88,7 +91,7 @@ fn degraded_pf_delivers_everything_below_saturation() {
 }
 
 #[test]
-fn masked_algebraic_next_hop_is_residual_minimal() {
+fn degraded_table_port_is_residual_minimal() {
     let pf = PolarFlyTopo::new(9, 5).unwrap();
     let failures = FailureSet::sample_connected(pf.graph(), 0.08, 5);
     let degraded = degrade(&pf, &failures);
@@ -99,24 +102,12 @@ fn masked_algebraic_next_hop_is_residual_minimal() {
     let credits = vec![cfg.cap_per_vc() as u16; geom.num_ports() * cfg.vcs()];
     let inj_wait = vec![0u32; geom.num_ports()];
 
-    // PolarFly gets the algebra whatever its schedule — healthy, empty or
-    // degraded — because the arm checks every hop against the link mask;
-    // a topology without the hint gets the table.
-    let min = MinHop::for_topology(&degraded);
-    assert!(matches!(min, MinHop::Algebraic(_)));
-    assert!(matches!(MinHop::for_topology(&pf), MinHop::Algebraic(_)));
-    let empty = degrade(&pf, &FailureSet::empty());
-    assert!(matches!(MinHop::for_topology(&empty), MinHop::Algebraic(_)));
-    let sf = SlimFly::new(5, 4).unwrap();
-    assert!(matches!(MinHop::for_topology(&sf), MinHop::Table));
-
     let net = NetState {
         tables: &tables,
         graph: degraded.graph(),
         geom: &geom,
         link_up: &link_up,
         router_up: &[],
-        min,
         stale_routers: false,
         degraded: true,
         credits: &credits,
@@ -129,8 +120,10 @@ fn masked_algebraic_next_hop_is_residual_minimal() {
     };
 
     let residual = failures.residual(pf.graph());
+    let pf_alg = pf.polarfly().unwrap();
     let n = degraded.router_count() as u32;
-    let mut fell_back = 0u32;
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut healthy_hop_down = 0u32;
     for d in 0..n {
         // The scalar queue BFS, not the kernel the tables are built on;
         // distances are symmetric, so one BFS from `d` gives every
@@ -140,26 +133,52 @@ fn masked_algebraic_next_hop_is_residual_minimal() {
             if s == d {
                 continue;
             }
-            let next = net.min.next(&net, s, d);
+            let hop = HopContext {
+                router: s,
+                target: d,
+            };
+            let port = Routing::Min.next_output(&net, hop, &mut rng);
             assert!(
-                residual.has_edge(s, next),
-                "{s}->{d}: next hop {next} rides a failed or absent link"
+                net.link_ok(s, port as usize),
+                "{s}->{d}: port {port} rides a failed link"
             );
+            let next = degraded.graph().neighbors(s)[port as usize];
+            assert_eq!(next, tables.next_hop(s, d), "{s}->{d}");
             assert_eq!(
                 u32::from(to_d[next as usize]),
                 u32::from(to_d[s as usize]) - 1,
-                "{s}->{d}: masked next hop {next} is not residual-minimal"
+                "{s}->{d}: table next hop {next} is not residual-minimal"
             );
-            if pf.graph().has_edge(s, d) && !residual.has_edge(s, d) {
-                fell_back += 1;
+            let healthy = next_hop_minimal(pf_alg, s, d);
+            if !residual.has_edge(s, healthy) || (healthy != d && !residual.has_edge(healthy, d)) {
+                healthy_hop_down += 1;
             }
         }
     }
-    // The draw actually exercised the fallback (failed links existed on
-    // algebraic paths).
+    // The draw actually took down links on healthy minimal paths.
     assert!(
-        fell_back > 0,
-        "failure draw exercised no algebraic fallback"
+        healthy_hop_down > 0,
+        "failure draw left every healthy minimal path up"
+    );
+}
+
+/// Tables built on the residual graph index its shorter rows, not the
+/// engine's ports: the engine refuses them instead of misrouting.
+#[test]
+#[should_panic(expected = "physical graph's rows")]
+fn residual_indexed_tables_are_refused() {
+    let pf = PolarFlyTopo::new(7, 4).unwrap();
+    let failures = FailureSet::sample_connected(pf.graph(), 0.05, 23);
+    let degraded = degrade(&pf, &failures);
+    let tables = RouteTables::build(&failures.residual(pf.graph()), 11);
+    let dests = resolve(TrafficPattern::Uniform, pf.graph(), &pf.host_routers(), 11);
+    Engine::new(
+        &degraded,
+        &tables,
+        &dests,
+        Routing::Min,
+        0.1,
+        degraded_cfg(),
     );
 }
 

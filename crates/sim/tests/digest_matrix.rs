@@ -36,18 +36,18 @@ PF7 uniform static Valiant 0x9b94bbf015be8fd2
 PF7 uniform static CompactValiant 0x098fa2bbadf4e94d
 PF7 uniform static Ugal 0xf4c13bcb4e4fa913
 PF7 uniform static UgalPf 0x9ba3fca6706f543d
-PF7 uniform drop Min 0x30b9bc3dbce4f652
+PF7 uniform drop Min 0x090d7666b129e1a4
 PF7 uniform drop MinAdaptive 0x24f6df03035346b8
-PF7 uniform drop Valiant 0x91194eb783e77404
-PF7 uniform drop CompactValiant 0xe7e4e816ccedf3d6
-PF7 uniform drop Ugal 0xf362dc48843c24fe
-PF7 uniform drop UgalPf 0x7f79e4fd093ca9b4
-PF7 uniform drain Min 0x7fc073bb5120c3e4
+PF7 uniform drop Valiant 0x4078a9b2c5040dde
+PF7 uniform drop CompactValiant 0x40250244be6facf1
+PF7 uniform drop Ugal 0xb20a992cafe3d8ed
+PF7 uniform drop UgalPf 0xc4161e558baca111
+PF7 uniform drain Min 0x120dead333bddcfb
 PF7 uniform drain MinAdaptive 0xd8c49118fd14416c
-PF7 uniform drain Valiant 0xc0220d89c2f2027a
-PF7 uniform drain CompactValiant 0x869ef3bd88b2c6a9
-PF7 uniform drain Ugal 0xc7dded93a441de3c
-PF7 uniform drain UgalPf 0xba70301b9f7ba9c0
+PF7 uniform drain Valiant 0x0f2c11eb836d81d5
+PF7 uniform drain CompactValiant 0x82a2b8b7bc7af9da
+PF7 uniform drain Ugal 0xed66d96c93361aa0
+PF7 uniform drain UgalPf 0x6cdb001edda694ba
 PF7 perm2hop healthy Min 0x7da57183ad4c1b68
 PF7 perm2hop healthy MinAdaptive 0x7da57183ad4c1b68
 PF7 perm2hop healthy Valiant 0x4e15c2144299f2d2
@@ -60,18 +60,18 @@ PF7 perm2hop static Valiant 0x427c1a68e2c81a17
 PF7 perm2hop static CompactValiant 0xfabe0ef32d4ab956
 PF7 perm2hop static Ugal 0xe378274e6d2c2e63
 PF7 perm2hop static UgalPf 0x7b19830fce9a6963
-PF7 perm2hop drop Min 0xedbcf3e3fd25700d
+PF7 perm2hop drop Min 0x2e18588a6dbfb89d
 PF7 perm2hop drop MinAdaptive 0x5d51ca21183f3da8
-PF7 perm2hop drop Valiant 0xbdc92a0f0e7d771c
-PF7 perm2hop drop CompactValiant 0xfce85262c99cb1fd
-PF7 perm2hop drop Ugal 0x0de83839c836533b
-PF7 perm2hop drop UgalPf 0x12be7bca21898bfb
-PF7 perm2hop drain Min 0x2c71bd614eaf9858
+PF7 perm2hop drop Valiant 0x79c6d48d6d939c64
+PF7 perm2hop drop CompactValiant 0x85d6d8a8b66402c8
+PF7 perm2hop drop Ugal 0x0a0a7626f4923123
+PF7 perm2hop drop UgalPf 0x89023396b5857d3f
+PF7 perm2hop drain Min 0xb313c150ff7c6b82
 PF7 perm2hop drain MinAdaptive 0x8b556293f73ce731
-PF7 perm2hop drain Valiant 0x7fe442e7aa2ac269
-PF7 perm2hop drain CompactValiant 0xc0c622c42a314469
-PF7 perm2hop drain Ugal 0x30af4bb73da5d52e
-PF7 perm2hop drain UgalPf 0x56daecaa0f778f53
+PF7 perm2hop drain Valiant 0x8815eeb522269ab4
+PF7 perm2hop drain CompactValiant 0x9b59ecbd1ed0eba5
+PF7 perm2hop drain Ugal 0xf96dab2b55e2b4c6
+PF7 perm2hop drain UgalPf 0x7231bd1b5a08edc5
 SF5 uniform healthy Min 0xab4109e0e63489d0
 SF5 uniform healthy MinAdaptive 0xab4109e0e63489d0
 SF5 uniform healthy Valiant 0x2e4712cb1405decc
@@ -211,7 +211,7 @@ HX33 perm2hop drain CompactValiant 0x5bb6950dddcad4e2
 HX33 perm2hop drain Ugal 0x0f3c21d7995b479d
 HX33 perm2hop drain UgalPf 0xedfa80c8bcad3dfe
 WL ring healthy Min 0xa53d65beceabcd84
-WL ring drop UgalPf 0xbb976da25c4fdd88
+WL ring drop UgalPf 0x0069af71eeb14d7a
 WL recdoub healthy Min 0x9e6b421a4a8b6507
 WL recdoub drop UgalPf 0xf435b4ffec3860c2
 WL all_to_all healthy Min 0x6e2cb0a0b32d2fab
@@ -219,7 +219,7 @@ WL all_to_all drop UgalPf 0xd5ec0983675857cb
 WL halo healthy Min 0x58e9f9a169189b91
 WL halo drop UgalPf 0x6008e4ca58845ff8
 WL param_server healthy Min 0x8100edc2924712be
-WL param_server drop UgalPf 0x86fd74bca08cf683
+WL param_server drop UgalPf 0x1e0388dce0ccebd2
 WL mix healthy Min 0x736dba0b9a20a524
 WL mix drop UgalPf 0x0efdbf37fddfad1a
 ";

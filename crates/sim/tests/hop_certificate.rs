@@ -23,7 +23,7 @@
 use pf_graph::{bfs, Csr, DistanceHistogram};
 use pf_sim::router::PortMap;
 use pf_sim::tables::RouteTables;
-use pf_sim::{HopContext, MinHop, NetState, Port, RoutePlan, Routing, SimConfig};
+use pf_sim::{HopContext, NetState, Port, RoutePlan, Routing, SimConfig};
 use pf_topo::{Dragonfly, PolarFlyTopo, SlimFly, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -286,7 +286,7 @@ fn engine_choices_stay_inside_the_path_sets() {
         let n = g.vertex_count() as u32;
         let mut detours = 0;
         for seed in 1..=3 {
-            let tables = RouteTables::build(&r.graph, seed);
+            let tables = RouteTables::build_without(g, case.failed.as_slice(), seed);
             let mut rng = StdRng::seed_from_u64(seed);
             let cap = cfg.cap_per_vc();
             let credits: Vec<u16> = (0..geom.num_ports() * cfg.vcs())
@@ -299,7 +299,6 @@ fn engine_choices_stay_inside_the_path_sets() {
                 geom: &geom,
                 link_up: &link_up,
                 router_up: &[],
-                min: MinHop::for_topology(case.topo),
                 stale_routers: false,
                 degraded: case.failed.is_some(),
                 credits: &credits,

@@ -117,9 +117,10 @@ impl Topology {
 
     /// The `ER_q` algebra when the graph is PolarFly's, healthy or not:
     /// `polarfly::routing::next_hop_minimal` computes minimal next hops
-    /// on exactly [`Topology::graph`]. Consumers layer their own failure
-    /// masks on top (the simulator's `MinHop::Algebraic` validates each
-    /// algebraic hop against its per-port liveness mask).
+    /// on exactly [`Topology::graph`], ignoring any fault schedule. The
+    /// simulator routes by its tables; the algebra serves the structural
+    /// experiments (quadrics, expansion) and the tests that check the
+    /// tables' hops against it.
     ///
     /// ```
     /// use pf_graph::{FailureSet, FaultSchedule};

@@ -1,14 +1,14 @@
-//! Routing parity on `ER_31` (the paper's Table V PolarFly): the three
-//! minimal-next-hop sources — the engine's `NetState::min`, the seeded
-//! `RouteTables`, and the O(1) algebraic cross-product — must agree with
-//! each other and with BFS distances, every `Routing` variant must route
-//! that hop, and each plan must pick the detour §VII describes (the
-//! walked paths are checked in `pf_sim::routing`'s unit tests).
+//! Routing parity on `ER_31` (the paper's Table V PolarFly): the port the
+//! seeded `RouteTables` store — the engine's one minimal-hop source — must
+//! name the O(1) algebraic cross-product's hop and descend the BFS
+//! distances, every `Routing` variant must route that port, and each plan
+//! must pick the detour §VII describes (the walked paths are checked in
+//! `pf_sim::routing`'s unit tests).
 
 use pf_graph::{bfs, Csr};
 use pf_sim::router::PortMap;
 use pf_sim::tables::RouteTables;
-use pf_sim::{MinHop, NetState, RoutePlan, Routing, SimConfig};
+use pf_sim::{NetState, RoutePlan, Routing, SimConfig};
 use pf_topo::{PolarFlyTopo, Topology};
 use polarfly::routing::next_hop_minimal;
 use polarfly::PolarFly;
@@ -58,7 +58,6 @@ impl ParityHarness {
             geom: &self.geom,
             link_up: &self.link_up,
             router_up: &[],
-            min: MinHop::for_topology(topo),
             stale_routers: false,
             degraded: false,
             credits: &self.credits,
@@ -81,7 +80,7 @@ fn er31_trait_table_algebraic_and_bfs_agree() {
     let dist = scalar_distances(topo.graph());
     let n = topo.router_count() as u32;
 
-    // Every algorithm but NCA routes `net.min` toward a plain
+    // Every algorithm but NCA routes the table's port toward a plain
     // destination target.
     let algos = [
         Routing::Min,
@@ -98,18 +97,18 @@ fn er31_trait_table_algebraic_and_bfs_agree() {
             if s == d {
                 continue;
             }
-            let table = h.tables.next_hop(s, d);
+            let port = h.tables.port(s, d).expect("connected");
             let algebraic = next_hop_minimal(pf, s, d);
             // ER_q minimal paths are unique ⇒ the seeded table tie-break
             // had exactly one candidate and must equal the algebra.
             assert_eq!(
-                table, algebraic,
-                "table vs algebraic divergence at {s}->{d}"
+                nbrs[port], algebraic,
+                "table port vs algebraic divergence at {s}->{d}"
             );
             assert_eq!(
-                net.min.next(&net, s, d),
+                h.tables.next_hop(s, d),
                 algebraic,
-                "NetState::min diverges at {s}->{d}"
+                "next_hop diverges at {s}->{d}"
             );
             // Both must descend the BFS distance field.
             let ds = u32::from(dist[s as usize][d as usize]);
@@ -120,7 +119,7 @@ fn er31_trait_table_algebraic_and_bfs_agree() {
             );
             // Every algorithm routes the same minimal hop (sampled
             // sources: 5 algorithms × ~1M pairs is debug-build poison,
-            // and they share the one `net.min` checked above).
+            // and they share the one table port checked above).
             if s % 7 == 0 {
                 let hop = pf_sim::HopContext {
                     router: s,
