@@ -6,7 +6,9 @@
 //! algebraically in O(1), with no table; tests pin it against BFS
 //! distances. The non-minimal algorithms of §VII (Valiant, Compact
 //! Valiant, UGAL, UGAL-PF) are the simulator's `pf_sim::Routing`, which
-//! rides this next hop on every minimal leg.
+//! takes every minimal hop from its route table's port
+//! (`pf_sim::RouteTables::port`); on healthy `ER_q` that port is this
+//! next hop, pinned by `tests/routing_parity.rs`.
 
 use crate::er::PolarFly;
 

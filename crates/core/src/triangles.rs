@@ -13,19 +13,6 @@ use crate::er::{PolarFly, VertexClass};
 use crate::layout::Layout;
 use pf_graph::triangles as gt;
 
-/// Inter-cluster triangle shape: how many corners lie in V1 vs V2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TriangleType {
-    /// (v1, v1, v1)
-    V1V1V1,
-    /// (v1, v1, v2)
-    V1V1V2,
-    /// (v1, v2, v2)
-    V1V2V2,
-    /// (v2, v2, v2)
-    V2V2V2,
-}
-
 /// Complete triangle census of a laid-out PolarFly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TriangleCensus {
@@ -35,8 +22,8 @@ pub struct TriangleCensus {
     pub intra_cluster: u64,
     /// Triangles joining three distinct non-quadric clusters, `C(q, 3)`.
     pub inter_cluster: u64,
-    /// Inter-cluster counts per shape, ordered
-    /// `[V1V1V1, V1V1V2, V1V2V2, V2V2V2]` (Table II columns).
+    /// Inter-cluster counts per shape — how many corners lie in V1 vs
+    /// V2 — ordered `[V1V1V1, V1V1V2, V1V2V2, V2V2V2]` (Table II columns).
     pub inter_by_type: [u64; 4],
 }
 

@@ -11,15 +11,15 @@
 //! [`FailureSet`] packages one seeded failure draw as a reusable value.
 //!
 //! [`FaultSchedule`] is the simulator's one fault model: each fault is a
-//! half-open `[fail, repair)` window on a link or a router (a router
-//! fault takes down every incident link for its duration). A static
-//! failure set is the schedule whose link windows open at cycle 0 and
-//! never repair ([`FaultSchedule::from_failures`]). The simulator
-//! (`pf_topo::Topology::with_faults` + the engine's fault event queue),
-//! after [`FaultSchedule::validate`] has accepted the schedule, masks the
-//! cycle-0 state in route tables, algebraic next hops and adaptive
-//! congestion decisions, then flips its per-port masks at the scheduled
-//! cycles and re-converges its route tables after each event.
+//! half-open `[fail, repair)` window on a link — the failure unit of
+//! §IX-B. A static failure set is the schedule whose windows open at
+//! cycle 0 and never repair ([`FaultSchedule::from_failures`]). The
+//! simulator (`pf_topo::Topology::with_faults` + the engine's fault event
+//! queue), after [`FaultSchedule::validate`] has accepted the schedule,
+//! masks the cycle-0 state in the route tables it reads every minimal hop
+//! from (`pf_sim::RouteTables::port`) and in adaptive congestion
+//! decisions, then flips its per-port masks at the scheduled cycles and
+//! re-converges its route tables after each event.
 
 use crate::bfs::DistanceHistogram;
 use crate::csr::Csr;
@@ -63,9 +63,7 @@ impl FailureSet {
             (0.0..=1.0).contains(&ratio),
             "failure ratio must be in [0, 1]"
         );
-        let mut order: Vec<(u32, u32)> = g.edges().collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        order.shuffle(&mut rng);
+        let mut order = shuffled_edges(g, seed);
         let k = ((ratio * order.len() as f64).round() as usize).min(order.len());
         order.truncate(k);
         FailureSet::from_edges(&order)
@@ -94,7 +92,7 @@ impl FailureSet {
         for &e in &order[..target] {
             removed_flags[e] = true;
         }
-        if connected_without(g.vertex_count(), &edges, &removed_flags) {
+        if connected_without(g, &edges, &removed_flags) {
             return FailureSet::from_edges(
                 &order[..target]
                     .iter()
@@ -111,7 +109,7 @@ impl FailureSet {
                 break;
             }
             removed_flags[e] = true;
-            if connected_without(g.vertex_count(), &edges, &removed_flags) {
+            if connected_without(g, &edges, &removed_flags) {
                 chosen.push(edges[e]);
             } else {
                 removed_flags[e] = false;
@@ -163,11 +161,6 @@ pub enum FaultEventKind {
     LinkDown(u32, u32),
     /// Link `{u, v}` comes back up.
     LinkUp(u32, u32),
-    /// Router `r` goes down (its incident links are covered by separate
-    /// [`FaultEventKind::LinkDown`] events in a resolved stream).
-    RouterDown(u32),
-    /// Router `r` comes back up.
-    RouterUp(u32),
 }
 
 /// One timestamped fault transition, as consumed by the simulator's
@@ -186,18 +179,14 @@ pub struct FaultEvent {
 pub enum ScheduleError {
     /// A scheduled link `{u, v}` is not an edge of the graph.
     NotAnEdge(u32, u32),
-    /// A scheduled router is not a vertex of the graph.
-    RouterOutOfRange(u32),
-    /// The fault state at `cycle` splits the live routers: some pair of
-    /// them has no path over live links, so packets between them could
-    /// never drain.
+    /// The fault state at `cycle` splits the routers: some pair of them
+    /// has no path over live links, so packets between them could never
+    /// drain.
     Disconnects {
         /// First cycle of the disconnecting state.
         cycle: u32,
-        /// Links down in that state (router faults' links included).
+        /// Links down in that state.
         links_down: usize,
-        /// Routers down in that state.
-        routers_down: usize,
     },
 }
 
@@ -205,15 +194,10 @@ impl std::fmt::Display for ScheduleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ScheduleError::NotAnEdge(u, v) => write!(f, "scheduled link {u}-{v} is not an edge"),
-            ScheduleError::RouterOutOfRange(r) => write!(f, "scheduled router {r} is out of range"),
-            ScheduleError::Disconnects {
-                cycle,
-                links_down,
-                routers_down,
-            } => write!(
+            ScheduleError::Disconnects { cycle, links_down } => write!(
                 f,
-                "fault state at cycle {cycle} disconnects the live network \
-                 ({links_down} links, {routers_down} routers down); sample with \
+                "fault state at cycle {cycle} disconnects the network \
+                 ({links_down} links down); sample with \
                  FaultSchedule::sample_connected_links"
             ),
         }
@@ -222,16 +206,15 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// A schedule of faults: fail/repair windows per link, plus router
-/// (vertex) failures as a second axis. A window repairing at
-/// [`FaultSchedule::NEVER`] is a permanent failure.
+/// A schedule of link faults: fail/repair windows per link. A window
+/// repairing at [`FaultSchedule::NEVER`] is a permanent failure.
 ///
-/// Every window is half-open: the element is down at cycle `fail` and up
+/// Every window is half-open: the link is down at cycle `fail` and up
 /// again at cycle `repair`. Overlapping or *touching* windows on the same
-/// element merge — a repair scheduled at the same cycle as the next
-/// failure yields one continuous down interval, which fixes the semantics
-/// of a simultaneous fail + repair: the element stays down, and the
-/// resolved event stream contains no zero-length blip.
+/// link merge — a repair scheduled at the same cycle as the next failure
+/// yields one continuous down interval, which fixes the semantics of a
+/// simultaneous fail + repair: the link stays down, and the resolved
+/// event stream contains no zero-length blip.
 ///
 /// # Examples
 ///
@@ -257,8 +240,6 @@ impl std::error::Error for ScheduleError {}
 pub struct FaultSchedule {
     /// `(u, v, fail, repair)` with canonical `u < v`.
     link_windows: Vec<(u32, u32, u32, u32)>,
-    /// `(r, fail, repair)`.
-    router_windows: Vec<(u32, u32, u32)>,
 }
 
 impl FaultSchedule {
@@ -281,12 +262,11 @@ impl FaultSchedule {
         s
     }
 
-    /// Whether the fault state never changes after cycle 0: there is no
-    /// router window and every resolved event fires at cycle 0 (the
-    /// empty schedule included). Panics like
-    /// [`FaultSchedule::resolved_events`].
+    /// Whether the fault state never changes after cycle 0: every
+    /// resolved event fires at cycle 0 (the empty schedule included).
+    /// Panics like [`FaultSchedule::resolved_events`].
     pub fn is_static(&self, g: &Csr) -> bool {
-        self.router_windows.is_empty() && self.resolved_events(g).iter().all(|e| e.cycle == 0)
+        self.resolved_events(g).iter().all(|e| e.cycle == 0)
     }
 
     /// Adds a link fault window: `{u, v}` is down for `[fail, repair)`.
@@ -303,34 +283,20 @@ impl FaultSchedule {
         self
     }
 
-    /// Adds a router fault window: `r` (and every link incident to it) is
-    /// down for `[fail, repair)`. Panics unless `fail < repair`.
-    #[must_use]
-    pub fn router_fault(mut self, r: u32, fail: u32, repair: u32) -> FaultSchedule {
-        assert!(
-            fail < repair,
-            "router {r}: repair cycle {repair} must come after fail cycle {fail}"
-        );
-        self.router_windows.push((r, fail, repair));
-        self
-    }
-
     /// Whether the schedule contains no fault windows.
     pub fn is_empty(&self) -> bool {
-        self.link_windows.is_empty() && self.router_windows.is_empty()
+        self.link_windows.is_empty()
     }
 
-    /// Number of fault windows (link + router, before merging).
+    /// Number of fault windows (before merging).
     pub fn len(&self) -> usize {
-        self.link_windows.len() + self.router_windows.len()
+        self.link_windows.len()
     }
 
     /// First cycle at which every scheduled fault has been repaired
     /// ([`FaultSchedule::NEVER`] if some fault never repairs).
     pub fn horizon(&self) -> u32 {
-        let l = self.link_windows.iter().map(|w| w.3).max().unwrap_or(0);
-        let r = self.router_windows.iter().map(|w| w.2).max().unwrap_or(0);
-        l.max(r)
+        self.link_windows.iter().map(|w| w.3).max().unwrap_or(0)
     }
 
     /// Samples a *connectivity-safe* transient schedule: the failed links
@@ -359,24 +325,11 @@ impl FaultSchedule {
         s
     }
 
-    /// Routers down at `cycle`, ascending and deduplicated.
-    pub fn routers_down_at(&self, cycle: u32) -> Vec<u32> {
-        let mut down: Vec<u32> = self
-            .router_windows
-            .iter()
-            .filter(|&&(_, fail, repair)| fail <= cycle && cycle < repair)
-            .map(|&(r, _, _)| r)
-            .collect();
-        down.sort_unstable();
-        down.dedup();
-        down
-    }
-
-    /// The links down at `cycle` as a [`FailureSet`]: link windows
-    /// containing `cycle`, plus every link incident to a router that is
-    /// down at `cycle`. Panics if a scheduled link is not an edge of `g`.
+    /// The links down at `cycle` as a [`FailureSet`]: the links of the
+    /// windows containing `cycle`. Panics if a scheduled link is not an
+    /// edge of `g`.
     pub fn active_at(&self, g: &Csr, cycle: u32) -> FailureSet {
-        let mut edges: Vec<(u32, u32)> = self
+        let edges: Vec<(u32, u32)> = self
             .link_windows
             .iter()
             .filter(|&&(_, _, fail, repair)| fail <= cycle && cycle < repair)
@@ -385,51 +338,28 @@ impl FaultSchedule {
                 (u, v)
             })
             .collect();
-        for r in self.routers_down_at(cycle) {
-            for &w in g.neighbors(r) {
-                edges.push(if r < w { (r, w) } else { (w, r) });
-            }
-        }
         FailureSet::from_edges(&edges)
     }
 
     /// Checks what a cycle simulation of `g` needs from the schedule:
-    /// every scheduled link is an edge, every scheduled router a vertex,
-    /// and every fault state — the state after each event cycle of
-    /// [`FaultSchedule::resolved_events`] — keeps the live routers
-    /// connected over live links. Draw safe schedules with
-    /// [`FailureSet::sample_connected`] or
+    /// every scheduled link is an edge, and every fault state — the state
+    /// after each event cycle of [`FaultSchedule::resolved_events`] —
+    /// keeps the routers connected over live links. Draw safe schedules
+    /// with [`FailureSet::sample_connected`] or
     /// [`FaultSchedule::sample_connected_links`].
     pub fn validate(&self, g: &Csr) -> Result<(), ScheduleError> {
         if let Some(&(u, v, ..)) = self.link_windows.iter().find(|w| !g.has_edge(w.0, w.1)) {
             return Err(ScheduleError::NotAnEdge(u, v));
         }
-        if let Some(&(r, ..)) = self
-            .router_windows
-            .iter()
-            .find(|w| w.0 as usize >= g.vertex_count())
-        {
-            return Err(ScheduleError::RouterOutOfRange(r));
-        }
         let mut cycles: Vec<u32> = self.resolved_events(g).iter().map(|e| e.cycle).collect();
         cycles.dedup();
         for cycle in cycles {
             let links = self.active_at(g, cycle);
-            let routers = self.routers_down_at(cycle).len();
-            // A down router's links are all in `links`, so it stays a
-            // singleton: the live routers are connected iff at most one
-            // component is left besides those singletons.
-            let mut uf = UnionFind::new(g.vertex_count());
-            for (u, v) in g.edges() {
-                if !links.contains(u, v) {
-                    uf.union(u, v);
-                }
-            }
-            if uf.components > routers + 1 {
+            let live = g.edges().filter(|&(u, v)| !links.contains(u, v));
+            if components(g.vertex_count(), live) > 1 {
                 return Err(ScheduleError::Disconnects {
                     cycle,
                     links_down: links.len(),
-                    routers_down: routers,
                 });
             }
         }
@@ -437,13 +367,11 @@ impl FaultSchedule {
     }
 
     /// Flattens the schedule into the event stream the simulator
-    /// consumes: per-link down intervals (link windows ∪ the windows of
-    /// both endpoint routers) and per-router intervals are merged so no
-    /// element ever goes down twice without coming up in between, then
-    /// emitted sorted by cycle with repairs *before* failures at the same
-    /// cycle. An interval ending at [`FaultSchedule::NEVER`] emits no
-    /// repair. Panics if a scheduled link is not an edge of `g` or a
-    /// scheduled router is out of range.
+    /// consumes: each link's windows are merged so no link ever goes down
+    /// twice without coming up in between, then emitted sorted by cycle
+    /// with repairs *before* failures at the same cycle. An interval
+    /// ending at [`FaultSchedule::NEVER`] emits no repair. Panics if a
+    /// scheduled link is not an edge of `g`.
     pub fn resolved_events(&self, g: &Csr) -> Vec<FaultEvent> {
         use std::collections::BTreeMap;
         let mut per_link: BTreeMap<(u32, u32), Vec<(u32, u32)>> = BTreeMap::new();
@@ -451,61 +379,27 @@ impl FaultSchedule {
             assert!(g.has_edge(u, v), "scheduled link {u}-{v} is not an edge");
             per_link.entry((u, v)).or_default().push((fail, repair));
         }
-        let mut per_router: BTreeMap<u32, Vec<(u32, u32)>> = BTreeMap::new();
-        for &(r, fail, repair) in &self.router_windows {
-            assert!(
-                (r as usize) < g.vertex_count(),
-                "scheduled router {r} is out of range"
-            );
-            per_router.entry(r).or_default().push((fail, repair));
-            for &w in g.neighbors(r) {
-                let e = if r < w { (r, w) } else { (w, r) };
-                per_link.entry(e).or_default().push((fail, repair));
-            }
-        }
 
         let mut events = Vec::new();
-        let mut push = |(fail, repair): (u32, u32), down, up| {
-            events.push(FaultEvent {
-                cycle: fail,
-                kind: down,
-            });
-            if repair != FaultSchedule::NEVER {
-                events.push(FaultEvent {
-                    cycle: repair,
-                    kind: up,
-                });
-            }
-        };
         for (&(u, v), windows) in per_link.iter_mut() {
-            for w in merge_windows(windows) {
-                push(
-                    w,
-                    FaultEventKind::LinkDown(u, v),
-                    FaultEventKind::LinkUp(u, v),
-                );
+            for (fail, repair) in merge_windows(windows) {
+                events.push(FaultEvent {
+                    cycle: fail,
+                    kind: FaultEventKind::LinkDown(u, v),
+                });
+                if repair != FaultSchedule::NEVER {
+                    events.push(FaultEvent {
+                        cycle: repair,
+                        kind: FaultEventKind::LinkUp(u, v),
+                    });
+                }
             }
         }
-        for (&r, windows) in per_router.iter_mut() {
-            for w in merge_windows(windows) {
-                push(
-                    w,
-                    FaultEventKind::RouterDown(r),
-                    FaultEventKind::RouterUp(r),
-                );
-            }
-        }
-        // Repairs first at a shared cycle: a resource handed from one
-        // fault window to another (already merged away for the same
-        // element) or between *different* elements never sees a spurious
-        // double-down state.
-        events.sort_by_key(|e| {
-            let is_down = matches!(
-                e.kind,
-                FaultEventKind::LinkDown(..) | FaultEventKind::RouterDown(_)
-            );
-            (e.cycle, is_down)
-        });
+        // Repairs first at a shared cycle: a link handed from one fault
+        // window to another (already merged away for the same link) or
+        // between *different* links never sees a spurious double-down
+        // state.
+        events.sort_by_key(|e| (e.cycle, matches!(e.kind, FaultEventKind::LinkDown(..))));
         events
     }
 }
@@ -524,16 +418,29 @@ fn merge_windows(windows: &mut [(u32, u32)]) -> Vec<(u32, u32)> {
     merged
 }
 
-/// Connectivity of the `n`-vertex graph on `edges` restricted to edges
-/// whose flag is unset (union-find over the survivors).
-fn connected_without(n: usize, edges: &[(u32, u32)], removed: &[bool]) -> bool {
+/// `g`'s edges in a seeded random order — the removal order of every
+/// random link-failure draw ([`FailureSet::sample`], [`failure_trial`],
+/// [`median_failure_trial`]).
+fn shuffled_edges(g: &Csr, seed: u64) -> Vec<(u32, u32)> {
+    let mut order: Vec<(u32, u32)> = g.edges().collect();
+    order.shuffle(&mut StdRng::seed_from_u64(seed));
+    order
+}
+
+/// Number of connected components of the `n`-vertex graph on `edges`
+/// (union-find).
+fn components(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> usize {
     let mut uf = UnionFind::new(n);
-    for (&(u, v), &gone) in edges.iter().zip(removed) {
-        if !gone {
-            uf.union(u, v);
-        }
+    for (u, v) in edges {
+        uf.union(u, v);
     }
-    uf.components == 1
+    uf.components
+}
+
+/// Connectivity of `g` restricted to the `edges` whose flag is unset.
+fn connected_without(g: &Csr, edges: &[(u32, u32)], removed: &[bool]) -> bool {
+    let live = edges.iter().zip(removed).filter(|(_, &gone)| !gone);
+    components(g.vertex_count(), live.map(|(&e, _)| e)) == 1
 }
 
 /// Network state at one failure checkpoint.
@@ -608,13 +515,8 @@ fn disconnect_prefix(g: &Csr, order: &[(u32, u32)]) -> usize {
     // Connectivity is monotone in the removal prefix: binary search for the
     // first prefix length whose *complement* is disconnected.
     let m = order.len();
-    let connected_with_prefix_removed = |k: usize| -> bool {
-        let mut uf = UnionFind::new(g.vertex_count());
-        for &(u, v) in &order[k..] {
-            uf.union(u, v);
-        }
-        uf.components == 1
-    };
+    let connected_with_prefix_removed =
+        |k: usize| components(g.vertex_count(), order[k..].iter().copied()) == 1;
     let (mut lo, mut hi) = (0usize, m + 1); // the answer lies in lo..=hi
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
@@ -637,9 +539,7 @@ fn disconnect_ratio(g: &Csr, order: &[(u32, u32)]) -> f64 {
 /// shuffle) and reports metrics at each checkpoint ratio, plus the exact
 /// disconnection ratio.
 pub fn failure_trial(g: &Csr, checkpoints: &[f64], seed: u64) -> FailureTrial {
-    let mut order: Vec<(u32, u32)> = g.edges().collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    order.shuffle(&mut rng);
+    let order = shuffled_edges(g, seed);
 
     let m = order.len();
     let disconnect_ratio = disconnect_ratio(g, &order);
@@ -681,10 +581,7 @@ pub fn median_failure_trial(
         .into_par_iter()
         .map(|t| {
             let s = seed.wrapping_add(t.wrapping_mul(0xA24B_AED4_963E_E407));
-            let mut order: Vec<(u32, u32)> = g.edges().collect();
-            let mut rng = StdRng::seed_from_u64(s);
-            order.shuffle(&mut rng);
-            (disconnect_ratio(g, &order), s)
+            (disconnect_ratio(g, &shuffled_edges(g, s)), s)
         })
         .collect();
     ratios.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -823,12 +720,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must come after fail cycle")]
-    fn schedule_rejects_router_repair_before_fail() {
-        let _ = FaultSchedule::new().router_fault(2, 50, 20);
-    }
-
-    #[test]
     fn simultaneous_fail_and_repair_merge_into_one_outage() {
         // Two windows on the same link share cycle 200 as repair/fail:
         // the link must stay down across the seam, with no zero-length
@@ -873,63 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn vertex_failure_isolates_an_endpoint() {
-        // Star graph: killing the hub's spoke-partner 0 takes down every
-        // link of vertex 0, and the residual at the fault peak must be
-        // disconnected (vertices 1..n survive with no edges between some).
-        let mut b = GraphBuilder::new(5);
-        for i in 1..5u32 {
-            b.add_edge(0, i);
-        }
-        let g = b.build();
-        let s = FaultSchedule::new().router_fault(0, 10, 90);
-        let active = s.active_at(&g, 10);
-        assert_eq!(active.len(), 4, "all incident links of router 0 down");
-        assert!(!active.residual(&g).is_connected());
-        assert_eq!(s.routers_down_at(10), vec![0]);
-        assert!(s.routers_down_at(90).is_empty());
-        assert!(s.active_at(&g, 90).is_empty());
-        // The resolved stream carries both the router transitions and the
-        // expanded link transitions.
-        let events = s.resolved_events(&g);
-        let downs = events
-            .iter()
-            .filter(|e| matches!(e.kind, FaultEventKind::LinkDown(..)))
-            .count();
-        assert_eq!(downs, 4);
-        assert!(events
-            .iter()
-            .any(|e| e.kind == FaultEventKind::RouterDown(0) && e.cycle == 10));
-        assert!(events
-            .iter()
-            .any(|e| e.kind == FaultEventKind::RouterUp(0) && e.cycle == 90));
-    }
-
-    #[test]
-    fn router_and_link_windows_on_the_same_link_merge() {
-        // Link 0-1 is down via its own window [100, 200) and via router
-        // 0's window [150, 400): one continuous [100, 400) outage.
-        let g = ring_with_chords(8);
-        let s = FaultSchedule::new()
-            .link_fault(0, 1, 100, 200)
-            .router_fault(0, 150, 400);
-        let transitions: Vec<FaultEvent> = s
-            .resolved_events(&g)
-            .into_iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    FaultEventKind::LinkDown(0, 1) | FaultEventKind::LinkUp(0, 1)
-                )
-            })
-            .collect();
-        assert_eq!(transitions.len(), 2);
-        assert_eq!(transitions[0].cycle, 100);
-        assert_eq!(transitions[1].cycle, 400);
-        assert!(s.active_at(&g, 250).contains(0, 1));
-    }
-
-    #[test]
     fn schedule_sampling_is_seed_deterministic() {
         let g = ring_with_chords(20);
         let ca = FaultSchedule::sample_connected_links(&g, 0.2, 300, 100, 3);
@@ -965,13 +799,10 @@ mod tests {
             .all(|e| e.cycle == 0 && matches!(e.kind, FaultEventKind::LinkDown(..))));
         assert!(s.is_static(&g));
         assert!(FaultSchedule::new().is_static(&g));
-        // Any event after cycle 0, or any router window, is transient.
+        // Any event after cycle 0 is transient.
         let (u, v) = g.edges().next().unwrap();
         assert!(!s.clone().link_fault(u, v, 5, 9).is_static(&g));
         assert!(!FaultSchedule::new().link_fault(u, v, 0, 9).is_static(&g));
-        assert!(!FaultSchedule::new()
-            .router_fault(0, 0, FaultSchedule::NEVER)
-            .is_static(&g));
         // Touching windows that merge into one never-repaired outage
         // opening at cycle 0 fire nothing later.
         assert!(FaultSchedule::new()
@@ -992,12 +823,12 @@ mod tests {
     }
 
     /// The replay `validate` replaced: apply each cycle's resolved events
-    /// to sets of down links and routers, then union the live edges.
-    /// Returns the first disconnecting state as `(cycle, links, routers)`.
-    fn replay_oracle(s: &FaultSchedule, g: &Csr) -> Option<(u32, usize, usize)> {
+    /// to a set of down links, then union the live edges. Returns the
+    /// first disconnecting state as `(cycle, links)`.
+    fn replay_oracle(s: &FaultSchedule, g: &Csr) -> Option<(u32, usize)> {
         use std::collections::BTreeSet;
         let events = s.resolved_events(g);
-        let (mut links, mut routers) = (BTreeSet::new(), BTreeSet::new());
+        let mut links = BTreeSet::new();
         let mut i = 0;
         while i < events.len() {
             let cycle = events[i].cycle;
@@ -1005,8 +836,6 @@ mod tests {
                 match events[i].kind {
                     FaultEventKind::LinkDown(u, v) => links.insert((u, v)),
                     FaultEventKind::LinkUp(u, v) => links.remove(&(u, v)),
-                    FaultEventKind::RouterDown(r) => routers.insert(r),
-                    FaultEventKind::RouterUp(r) => routers.remove(&r),
                 };
                 i += 1;
             }
@@ -1018,24 +847,22 @@ mod tests {
                 v
             }
             for (u, v) in g.edges() {
-                if !links.contains(&(u, v)) && !routers.contains(&u) && !routers.contains(&v) {
+                if !links.contains(&(u, v)) {
                     let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
                     parent[ru as usize] = rv;
                 }
             }
-            let mut roots = (0..g.vertex_count() as u32)
-                .filter(|v| !routers.contains(v))
-                .map(|v| find(&mut parent, v));
+            let mut roots = (0..g.vertex_count() as u32).map(|v| find(&mut parent, v));
             let first = roots.next();
             if roots.any(|r| Some(r) != first) {
-                return Some((cycle, links.len(), routers.len()));
+                return Some((cycle, links.len()));
             }
         }
         None
     }
 
     /// `validate` rejects exactly the schedules the event replay
-    /// rejects, at the same state, over random link and router windows.
+    /// rejects, at the same state, over random link windows.
     #[test]
     fn validate_matches_the_event_replay() {
         // A 12-ring with two chords: two cuts often split it, one rarely.
@@ -1061,17 +888,9 @@ mod tests {
                 };
                 s = s.link_fault(u, v, fail, repair);
             }
-            for _ in 0..rng.gen_range(0..3) {
-                let fail = rng.gen_range(0..40);
-                s = s.router_fault(rng.gen_range(0..12), fail, fail + rng.gen_range(1..30u32));
-            }
             let got = match s.validate(&g) {
                 Ok(()) => None,
-                Err(ScheduleError::Disconnects {
-                    cycle,
-                    links_down,
-                    routers_down,
-                }) => Some((cycle, links_down, routers_down)),
+                Err(ScheduleError::Disconnects { cycle, links_down }) => Some((cycle, links_down)),
                 Err(e) => panic!("valid elements rejected: {e}"),
             };
             assert_eq!(got, replay_oracle(&s, &g), "{s:?}");

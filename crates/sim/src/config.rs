@@ -14,8 +14,7 @@ pub enum InFlightPolicy {
     /// Drain: wormholes already committed to the link finish crossing it
     /// (the link goes "administratively down" first, "physically down"
     /// once the last committed tail has passed); only new allocations see
-    /// the dead link immediately. Router faults always drop-and-retransmit
-    /// regardless of this policy — a dead router cannot drain.
+    /// the dead link immediately.
     Drain,
 }
 

@@ -5,7 +5,7 @@
 //! against the cycle engine. Each cycle the engine polls the driver for
 //! tasks whose compute timers expired; their sends become source-queue
 //! packets through the same admission path Bernoulli packets take (VOQ
-//! charge, `dst_routable` holds, fault retransmission). When a packet's
+//! charge, fault retransmission). When a packet's
 //! tail flit ejects, the engine calls back into the driver; when every
 //! packet of a message has ejected the message is *delivered*, which
 //! decrements the receive dependencies of the tasks waiting on it. A

@@ -43,8 +43,6 @@ macro_rules! net_view {
             graph: $e.graph,
             geom: &$e.geom,
             link_up: &$e.link_up,
-            router_up: &$e.faults.router_up,
-            stale_routers: $e.faults.routers_stale,
             degraded: $e.degraded,
             credits: &$e.credits,
             inj_wait: &$e.inj_wait,
@@ -321,9 +319,8 @@ impl<'a> Engine<'a> {
         // The fault schedule decides both fault states. Its cycle-0 state
         // masks links before the first cycle (both directions of a failed
         // link go down together). Fault control runs only when an event
-        // can still fire after cycle 0 or a router window exists: a
-        // static failure set builds an engine with no fault hooks on its
-        // hot paths.
+        // can still fire after cycle 0: a static failure set builds an
+        // engine with no fault hooks on its hot paths.
         let initial = crate::tables::initial_failures(topo);
         let mut link_up = vec![true; num_ports];
         for &(u, v) in initial.edges() {
@@ -332,12 +329,12 @@ impl<'a> Engine<'a> {
             link_up[port_vu as usize] = false;
         }
         let degraded = !initial.is_empty();
-        let faults = if topo.faults().is_static(g) {
-            FaultCtl::default()
-        } else {
+        let transient = !topo.faults().is_static(g);
+        let faults = if transient {
             FaultCtl::from_schedule(topo.faults(), g, num_ports)
+        } else {
+            FaultCtl::default()
         };
-        let transient = faults.active();
 
         let diameter = tables.max_finite_dist();
         let need = routing.max_hops(diameter);

@@ -124,10 +124,9 @@ fn min_allocates_half_of_ugal_pf() {
 }
 
 /// One rule sizes the VC state from the fault schedule: when no event
-/// can fire after cycle 0 and there is no router window, an engine
-/// allocates the classes its routes reach at the residual diameter;
-/// otherwise it keeps the configured budget, because re-convergence can
-/// lengthen paths mid-run. Three inputs to MIN at `vc_classes(8)`: a
+/// can fire after cycle 0, an engine allocates the classes its routes
+/// reach at the residual diameter; otherwise it keeps the configured
+/// budget, because re-convergence can lengthen paths mid-run. Three inputs to MIN at `vc_classes(8)`: a
 /// static 10 % failure set (the residual need), the same set plus one
 /// later blip (all 8), and the healthy network (2).
 #[test]

@@ -1,14 +1,14 @@
 //! Transient-fault control: the engine-side machinery behind
 //! [`pf_topo::Topology::with_faults`].
 //!
-//! A run whose schedule can still change the network after cycle 0
-//! threads four mechanisms through the cycle loop (all gated behind
-//! `Engine::transient`, so healthy and static-failure runs pay one
+//! A run whose link-fault schedule can still change the network after
+//! cycle 0 threads three mechanisms through the cycle loop (all gated
+//! behind `Engine::transient`, so healthy and static-failure runs pay one
 //! branch per cycle):
 //!
 //! * **Event queue.** The topology's [`pf_graph::FaultSchedule`] is
 //!   resolved into a sorted stream of [`pf_graph::FaultEvent`]s
-//!   (link/router down/up transitions); the engine applies them at the
+//!   (link down/up transitions); the engine applies them at the
 //!   start of each scheduled cycle, resolving a link event's `(u, v)` to
 //!   its two directed ports (`link_ports`) when it fires and flipping
 //!   the per-port `link_up` masks.
@@ -33,10 +33,10 @@
 //!   every path loop-free and hop-bounded (a strictly-decreasing stale
 //!   prefix, one transition, a strictly-decreasing residual-minimal
 //!   suffix), so the hop-indexed VC budget survives the window.
-//! * **Router faults.** A down router stops generating, injecting, and
-//!   ejecting; in-network packets targeting it are dropped and held at
-//!   their sources until it repairs. Router deaths always use the
-//!   drop-and-retransmit path — a dead router cannot drain.
+//!
+//! [`pf_graph::FaultSchedule::validate`] keeps every fault state
+//! connected, so every router stays up and both the serving and the
+//! pending tables route every pair at every cycle.
 
 use crate::config::{InFlightPolicy, SimConfig};
 use crate::engine::Engine;
@@ -94,8 +94,6 @@ pub(crate) struct FaultCtl {
     /// The schedule's resolved transitions, in cycle order.
     pub(crate) events: Vec<FaultEvent>,
     pub(crate) next_event: usize,
-    /// Per-router liveness (sized `n` on transient runs, empty otherwise).
-    pub(crate) router_up: Vec<bool>,
     /// Per sender's port, the wormhole claims still allowed to cross a
     /// dead link under the drain policy (sized `num_ports` on transient
     /// runs).
@@ -110,10 +108,6 @@ pub(crate) struct FaultCtl {
     pub(crate) pending_tables: Option<RouteTables>,
     /// Whether `pending_tables` is out of date with the current residual.
     pub(crate) pending_dirty: bool,
-    /// Whether some router repaired since the last table swap (its links
-    /// are live but the serving tables cannot reach it yet) — gates the
-    /// reachability filter on neighbor detours.
-    pub(crate) routers_stale: bool,
 
     pub(crate) dropped_flits: u64,
     pub(crate) retransmitted_packets: u64,
@@ -126,15 +120,9 @@ impl FaultCtl {
     pub(crate) fn from_schedule(schedule: &FaultSchedule, g: &Csr, num_ports: usize) -> FaultCtl {
         FaultCtl {
             events: schedule.resolved_events(g),
-            router_up: vec![true; g.vertex_count()],
             draining: vec![0; num_ports],
             ..Default::default()
         }
-    }
-
-    /// Whether this control block drives a transient run.
-    pub(crate) fn active(&self) -> bool {
-        !self.router_up.is_empty()
     }
 
     /// The next cycle at which the fault machinery must run: the next
@@ -172,14 +160,6 @@ impl Engine<'_> {
                 FaultEventKind::LinkUp(u, v) => {
                     let (port_uv, port_vu) = link_ports(self.graph, &self.geom, u, v);
                     self.fault_link_up(port_uv, port_vu);
-                    true
-                }
-                FaultEventKind::RouterDown(r) => {
-                    self.fault_router_down(r);
-                    true
-                }
-                FaultEventKind::RouterUp(r) => {
-                    self.fault_router_up(r);
                     true
                 }
             };
@@ -250,8 +230,6 @@ impl Engine<'_> {
             .take()
             .expect("pending tables built above");
         self.tables = Cow::Owned(new);
-        // The serving tables now reach every live router again.
-        self.faults.routers_stale = false;
         self.faults.table_swaps += 1;
     }
 
@@ -269,9 +247,7 @@ impl Engine<'_> {
         }
         match self.cfg.fault_policy {
             InFlightPolicy::Drain => self.count_draining(port_uv, port_vu),
-            InFlightPolicy::DropRetransmit => {
-                self.drop_and_retransmit(&[port_uv, port_vu], &[], None)
-            }
+            InFlightPolicy::DropRetransmit => self.drop_and_retransmit(&[port_uv, port_vu]),
         }
         true
     }
@@ -283,42 +259,6 @@ impl Engine<'_> {
         self.faults.draining[port_uv as usize] = 0;
         self.faults.draining[port_vu as usize] = 0;
         self.degraded = self.link_up.contains(&false);
-    }
-
-    fn fault_router_down(&mut self, r: u32) {
-        self.faults.router_up[r as usize] = false;
-        // The incident links went down through their own (earlier)
-        // events; force the drop path for anything still committed to
-        // them — a dead router cannot drain — plus anything buffered at
-        // the router or targeting it from anywhere in the network.
-        // Dead directed links, by sender's port: `r`'s own outputs and
-        // every neighbor's output toward `r`.
-        let (lo, hi) = self.geom.ports(r as usize);
-        let mut dead_ports: Vec<u32> = (lo..hi).collect();
-        dead_ports.extend((lo..hi).map(|p| self.geom.peer(p)));
-        for &p in &dead_ports {
-            self.faults.draining[p as usize] = 0;
-        }
-        let purge_ports: Vec<u32> = (lo..hi).collect();
-        self.drop_and_retransmit(&dead_ports, &purge_ports, Some(r));
-    }
-
-    fn fault_router_up(&mut self, r: u32) {
-        self.faults.router_up[r as usize] = true;
-        // Held packets resume injecting once the re-converged tables can
-        // reach the router again (gated by `dst_routable`). Until that
-        // swap, the router's links are live but the serving tables
-        // cannot reach it — neighbor detours must filter on
-        // reachability.
-        self.faults.routers_stale = true;
-    }
-
-    /// Whether a packet queued at `src` toward `dst` can inject now:
-    /// destination router up and reachable under the *current* tables
-    /// (a just-repaired router stays held until its tables re-converge).
-    #[inline]
-    pub(crate) fn dst_routable(&self, src: u32, dst: u32) -> bool {
-        !self.transient || (self.faults.router_up[dst as usize] && self.tables.reachable(src, dst))
     }
 
     /// Drain policy: counts the wormhole claims committed across the two
@@ -359,39 +299,24 @@ impl Engine<'_> {
         }
     }
 
-    /// Whether `pkt` is headed for router `r` (destination, or a Valiant
-    /// intermediate it has not passed yet).
-    fn targets_router(&self, pkt: u32, r: u32) -> bool {
-        let p = pkt as usize;
-        self.packets.dst[p] == r || (self.packets.mid[p] == r && !self.packets.passed_mid[p])
-    }
-
-    /// The drop-and-retransmit path, shared by link deaths (policy
-    /// `DropRetransmit`) and router deaths (always).
+    /// The drop-and-retransmit path of a link death (policy
+    /// `DropRetransmit`).
     ///
     /// `dead_ports` names the dead directed links by *sender's* port
-    /// (what route claims and lanes hold); `purge_ports` are *input*
-    /// ports — queue ids divided by `vcs`, what buffered flits and
-    /// in-flight [`crate::flow::Arrival`]s are addressed by. The two id
-    /// spaces meet through [`PortMap::peer`].
+    /// (what route claims and lanes hold); in-flight
+    /// [`crate::flow::Arrival`]s are addressed by the receiver's input
+    /// port, and the two id spaces meet through [`PortMap::peer`].
     ///
     /// Victims are packets with a flit in flight on a dead link, a
-    /// wormhole claim across one that already carried flits, any flit
-    /// buffered in `purge_ports` (a dead router's own input buffers), or
-    /// — for router deaths — a destination/intermediate of `dead_router`.
-    /// Every victim flit is removed wherever it is (credits restored),
+    /// wormhole claim across one that already carried flits, or an
+    /// injection stream whose first hop died. Every victim flit is removed wherever it is (credits restored),
     /// every victim claim released, and the packet returns to its source
     /// queue for a fresh injection. Claims across a dead port that have
     /// not sent a flit yet are simply released — the head re-routes over
     /// live links without a retransmission.
     ///
     /// O(network state), which is fine at fault-event frequency.
-    fn drop_and_retransmit(
-        &mut self,
-        dead_ports: &[u32],
-        purge_ports: &[u32],
-        dead_router: Option<u32>,
-    ) {
+    fn drop_and_retransmit(&mut self, dead_ports: &[u32]) {
         let vcs = self.vcs as u32;
         let mut victim = vec![false; self.packets.capacity()];
         let mut victims: Vec<u32> = Vec::new();
@@ -405,27 +330,7 @@ impl Engine<'_> {
             }
         }
 
-        // Pass A2 (router deaths): flits stranded in the dead router's
-        // buffers, and packets anywhere targeting it.
-        if let Some(r) = dead_router {
-            for q in 0..self.credits.len() {
-                let at_dead = purge_ports.contains(&(q as u32 / vcs));
-                for (pkt, _, _) in self.bufs.iter(q) {
-                    if !victim[pkt as usize] && (at_dead || self.targets_router(pkt, r)) {
-                        victim[pkt as usize] = true;
-                        victims.push(pkt);
-                    }
-                }
-            }
-            for a in self.pipeline.iter() {
-                if !victim[a.pkt as usize] && self.targets_router(a.pkt, r) {
-                    victim[a.pkt as usize] = true;
-                    victims.push(a.pkt);
-                }
-            }
-        }
-
-        // Pass A3: wormhole claims across a dead link (`claim_output`
+        // Pass A2: wormhole claims across a dead link (`claim_output`
         // is on the claiming router's tx port; `out_owner` names the
         // claim's packet). A claim whose head flit is still at the front
         // (seq 0) sent nothing across — it is released for a live
@@ -452,14 +357,13 @@ impl Engine<'_> {
             }
         }
 
-        // Pass A4: injection streams whose first hop died (`out_buf` is a
-        // tx-side index) or whose packet targets the dead router.
+        // Pass A3: injection streams whose first hop died (`out_buf` is a
+        // tx-side index).
         for r in 0..self.n {
             for s in 0..self.inj.len(r) {
                 let slot = self.inj.slot(r, s);
                 let pkt = self.inj.pkt[slot];
-                let hit = dead_ports.contains(&(self.inj.out_buf[slot] / vcs))
-                    || dead_router.is_some_and(|dr| self.targets_router(pkt, dr));
+                let hit = dead_ports.contains(&(self.inj.out_buf[slot] / vcs));
                 if hit && !victim[pkt as usize] {
                     victim[pkt as usize] = true;
                     victims.push(pkt);
@@ -535,17 +439,14 @@ impl Engine<'_> {
 
         // Pass B5: return victims to their source queues (original birth
         // cycle and measurement flag kept — retransmission latency is
-        // real latency), recharging the minimal-first-hop VOQ signal; a
-        // down source router holds its victims uncharged, like an
-        // unroutable pair.
+        // real latency), recharging the minimal-first-hop VOQ signal.
         for &pkt in &victims {
             let p = pkt as usize;
             self.packets.mid[p] = NONE32;
             self.packets.passed_mid[p] = false;
             self.packets.frr_pinned[p] = false;
             let (src, dst) = (self.packets.src[p], self.packets.dst[p]);
-            let routable = self.faults.router_up[src as usize] && self.dst_routable(src, dst);
-            self.packets.min_first_link[p] = self.charge_voq(src, dst, routable);
+            self.packets.min_first_link[p] = self.charge_voq(src, dst);
             self.src_q[src as usize].push_back(pkt);
             self.skip.wake_now(src as usize);
             if self.telemetry.tracing() {

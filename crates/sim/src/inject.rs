@@ -32,10 +32,7 @@ impl Engine<'_> {
     /// per endpoint per cycle, walked as a geometric skip-ahead over the
     /// flattened trial sequence (cycle-major, then router, then endpoint)
     /// so a cycle costs its admissions, not its endpoints (DESIGN.md,
-    /// "Open-loop generation"). A success landing on a down router is
-    /// discarded; packets toward a down (or not-yet-reconverged)
-    /// destination are generated but held at the source — see
-    /// [`Engine::start_injections`].
+    /// "Open-loop generation").
     pub(crate) fn generate(&mut self, cycle: u32) {
         #[cfg(test)]
         if self.reference == crate::engine::Reference::PerEndpointDraws {
@@ -53,11 +50,9 @@ impl Engine<'_> {
             while self.ep_end[r] <= pos {
                 r += 1;
             }
-            if !self.transient || self.faults.router_up[r] {
-                let dst = self.dests.pick(r as u32, &mut self.rng);
-                debug_assert_ne!(dst, r as u32);
-                self.admit_packet(r as u32, dst, cycle, measured_window);
-            }
+            let dst = self.dests.pick(r as u32, &mut self.rng);
+            debug_assert_ne!(dst, r as u32);
+            self.admit_packet(r as u32, dst, cycle, measured_window);
             let gap = geometric_gap(self.rng.gen(), self.gen_ln_q);
             self.gen_next = self.gen_next.saturating_add(1).saturating_add(gap);
         }
@@ -71,9 +66,6 @@ impl Engine<'_> {
         let prob = self.load / f64::from(self.cfg.packet_flits);
         let measured_window = self.cfg.in_measurement(cycle);
         for r in 0..self.n as u32 {
-            if self.transient && !self.faults.router_up[r as usize] {
-                continue;
-            }
             for _ in 0..self.endpoints[r as usize] {
                 if self.rng.gen::<f64>() >= prob {
                     continue;
@@ -86,12 +78,11 @@ impl Engine<'_> {
 
     /// Admits one packet into router `r`'s source queue: charges the
     /// minimal first-hop link's virtual output queue while the packet
-    /// waits at the source (held unroutable packets carry no charge
-    /// until they can move), allocates the record, and bumps the
+    /// waits at the source, allocates the record, and bumps the
     /// generation counters. Shared by the open-loop generator and the
     /// closed-loop workload release path.
     pub(crate) fn admit_packet(&mut self, r: u32, dst: u32, cycle: u32, measured: bool) -> u32 {
-        let min_first_link = self.charge_voq(r, dst, self.dst_routable(r, dst));
+        let min_first_link = self.charge_voq(r, dst);
         let id = self.packets.alloc(r, dst, cycle, measured, min_first_link);
         if self.telemetry.tracing() {
             // The birth serial (pre-increment `total_generated`) keys
@@ -114,10 +105,9 @@ impl Engine<'_> {
     /// Charges the virtual output queue of the minimal first-hop link
     /// from `r` toward `dst` for one packet waiting at the source, and
     /// returns that link (the sender's port) — or `NONE32`, charging
-    /// nothing, when the pair is not `routable`: held packets carry no
-    /// charge until they can move.
-    pub(crate) fn charge_voq(&mut self, r: u32, dst: u32, routable: bool) -> u32 {
-        let Some(i) = self.tables.port(r, dst).filter(|_| routable) else {
+    /// nothing, when the tables cannot route the pair.
+    pub(crate) fn charge_voq(&mut self, r: u32, dst: u32) -> u32 {
+        let Some(i) = self.tables.port(r, dst) else {
             return NONE32;
         };
         let link = self.geom.tx(r, i);
@@ -127,9 +117,7 @@ impl Engine<'_> {
 
     /// Closed-loop generation: polls the workload driver for task
     /// releases due this cycle and admits their packets (all measured —
-    /// the whole run is the measurement). A down source router does not
-    /// gate the release: the packets queue at the source and inject
-    /// once it repairs, exactly like retransmitted victims.
+    /// the whole run is the measurement).
     pub(crate) fn workload_release(&mut self, cycle: u32) {
         let Some(mut driver) = self.workload.take() else {
             // Open-loop runs never reach here (the step loop gates on
@@ -254,9 +242,6 @@ impl Engine<'_> {
         if self.endpoints[ru] == 0 || self.src_q[ru].is_empty() {
             return;
         }
-        if self.transient && !self.faults.router_up[ru] {
-            return; // a down router injects nothing
-        }
         let window = INJECT_WINDOW.min(self.src_q[ru].len());
         let mut started = std::mem::take(&mut self.started_scratch);
         started.clear();
@@ -266,9 +251,6 @@ impl Engine<'_> {
             }
             let pkt_id = self.src_q[ru][idx];
             let dst = self.packets.dst[pkt_id as usize];
-            if !self.dst_routable(r, dst) {
-                continue; // held until the destination is routable again
-            }
             // Decide min-vs-Valiant and the intermediate (§VII; UGAL
             // decisions read current buffer state).
             let plan = self.routing.plan(&net_view!(self), r, dst, &mut self.rng);

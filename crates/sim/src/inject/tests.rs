@@ -8,7 +8,6 @@ use super::geometric_gap;
 use crate::engine::Reference;
 use crate::traffic::{resolve, DestMap, TrafficPattern};
 use crate::{Engine, RouteTables, Routing, SimConfig, SimResult};
-use pf_graph::FaultSchedule;
 use pf_topo::{PolarFlyTopo, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -224,48 +223,6 @@ fn gaps_saturate_instead_of_wrapping() {
         assert_eq!(e.total_generated(), u64::from(cycle >= 4));
     }
     assert_eq!(e.gen_next, u64::MAX);
-}
-
-/// A transiently down router holds no trials: it generates nothing while
-/// down, every other router keeps its rate, and it resumes on repair.
-#[test]
-fn down_router_generates_nothing_and_neighbours_keep_their_rate() {
-    const DOWN: usize = 3;
-    const WINDOWS: [(u32, u32); 3] = [(0, 1000), (1000, 3000), (3000, 4000)];
-    let (topo, tables, dests) = pf7();
-    let schedule = FaultSchedule::new().router_fault(DOWN as u32, 1000, 3000);
-    let transient = topo.with_faults(schedule).unwrap();
-    let cfg = SimConfig::default().vc_classes(8).seed(21);
-    let prob = 0.3 / f64::from(cfg.packet_flits);
-    let mut e = Engine::new(&transient, &tables, &dests, Routing::Min, 0.3, cfg);
-    assert!(e.transient);
-    for (w, (from, to)) in WINDOWS.into_iter().enumerate() {
-        let before: Vec<usize> = (0..e.n).map(|r| e.src_q[r].len()).collect();
-        for cycle in from..to {
-            e.apply_fault_events(cycle);
-            e.generate(cycle);
-        }
-        let grown = |r: usize| (e.src_q[r].len() - before[r]) as u64;
-        let others: u64 = (0..e.n).filter(|&r| r != DOWN).map(grown).sum();
-        let other_trials = (e.gen_trials() - u64::from(e.endpoints[DOWN])) * u64::from(to - from);
-        assert_binomial(
-            others,
-            other_trials,
-            prob,
-            &format!("window {w}: live routers"),
-        );
-        if w == 1 {
-            assert_eq!(grown(DOWN), 0, "the down router generated packets");
-        } else {
-            let trials = u64::from(e.endpoints[DOWN] * (to - from));
-            assert_binomial(
-                grown(DOWN),
-                trials,
-                prob,
-                &format!("window {w}: router {DOWN}"),
-            );
-        }
-    }
 }
 
 /// `gen_cutoff` stops admission at exactly that cycle, while the run

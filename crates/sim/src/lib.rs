@@ -25,8 +25,8 @@
 //!   route tables routed on the residual graph ([`RouteTables::build_for`])
 //!   and per-port link masks in the engine, so every routing algorithm
 //!   routes around fail-stop links. A static failure set ends there.
-//!   Anything later drives a mid-run event queue: links and routers die
-//!   and repair at scheduled cycles, in-flight flits follow a
+//!   Anything later drives a mid-run event queue: links die and repair
+//!   at scheduled cycles, in-flight flits follow a
 //!   configurable drop-and-retransmit / drain policy ([`InFlightPolicy`]),
 //!   and route tables re-converge in stages — the stale tables keep
 //!   serving (mask-checked, locally detoured) until a Rayon-parallel

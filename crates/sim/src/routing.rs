@@ -39,14 +39,6 @@ pub struct NetState<'e> {
     /// may select. Both directions of a link fail together, so the slice
     /// is symmetric under [`PortMap::peer`].
     pub link_up: &'e [bool],
-    /// Per-router liveness on transient runs (empty = every router up).
-    /// A down router neither injects nor ejects, and detour intermediates
-    /// must avoid it.
-    pub router_up: &'e [bool],
-    /// Whether some router repaired since the last table swap: its links
-    /// are live but the serving tables cannot reach it yet, so detour
-    /// targets must be reachability-filtered until the swap lands.
-    pub stale_routers: bool,
     /// Whether any link is failed — `false` keeps the healthy hot paths
     /// free of mask loads.
     pub degraded: bool,
@@ -118,20 +110,16 @@ impl NetState<'_> {
 
     /// A uniformly random *live* neighbor of `r` (reservoir sampling over
     /// unmasked links), or `None` if every incident link is down — which a
-    /// connected residual graph rules out. Inside a router-repair stale
-    /// window the neighbor must also be reachable under the serving
-    /// tables: a just-repaired router has live links but stays
-    /// table-unreachable until the re-convergence swap, and a detour
-    /// targeting it would be unroutable.
+    /// connected residual graph rules out.
     pub fn random_live_neighbor(&self, r: u32, rng: &mut StdRng) -> Option<u32> {
         let nbrs = self.graph.neighbors(r);
-        if !self.degraded && !self.stale_routers {
+        if !self.degraded {
             return Some(nbrs[rng.gen_range(0..nbrs.len())]);
         }
         let mut chosen = None;
         let mut seen = 0u32;
         for (i, &w) in nbrs.iter().enumerate() {
-            if !self.link_ok(r, i) || (self.stale_routers && !self.tables.reachable(r, w)) {
+            if !self.link_ok(r, i) {
                 continue;
             }
             seen += 1;
@@ -250,25 +238,14 @@ fn fallback_live_min(net: &NetState, hop: HopContext) -> Port {
     best
 }
 
-/// A uniformly random Valiant intermediate: distinct from both
-/// endpoints and — on transient runs only — on a live router and
-/// reachable in both legs under the current tables (a router mid-repair
-/// stays excluded until the tables re-converge, so no packet chases an
-/// intermediate the stale tables cannot route to). Healthy and
-/// static-failure runs skip the liveness/reachability loads: their
-/// routing graph is connected by construction.
+/// A uniformly random Valiant intermediate, distinct from both
+/// endpoints. Every fault state is connected
+/// ([`pf_graph::FaultSchedule::validate`]), so the tables route both legs.
 fn random_mid(net: &NetState, src: u32, dst: u32, rng: &mut StdRng) -> u32 {
     let n = net.graph.vertex_count() as u32;
-    let transient = !net.router_up.is_empty();
     loop {
         let r = rng.gen_range(0..n);
-        if r != src
-            && r != dst
-            && (!transient
-                || (net.router_up[r as usize]
-                    && net.tables.reachable(src, r)
-                    && net.tables.reachable(r, dst)))
-        {
+        if r != src && r != dst {
             return r;
         }
     }
@@ -492,8 +469,6 @@ mod tests {
                 graph: topo.graph(),
                 geom: &self.geom,
                 link_up: &self.link_up,
-                router_up: &[],
-                stale_routers: false,
                 degraded: false,
                 credits: &self.credits,
                 inj_wait: &self.inj_wait,

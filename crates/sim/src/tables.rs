@@ -211,15 +211,6 @@ impl RouteTables {
         u32::from(self.max_dist)
     }
 
-    /// Whether `d` is reachable from `s` in the graph the tables were
-    /// built on (always true on a connected residual; checked by the
-    /// transient engine before routing toward a repaired router whose
-    /// tables have not re-converged yet).
-    #[inline]
-    pub fn reachable(&self, s: u32, d: u32) -> bool {
-        s == d || self.entry(s, d) != STAY
-    }
-
     /// The table's minimal next hop from `s` toward `d` (`s` if `s == d`
     /// or `d` is unreachable).
     #[inline]
@@ -468,8 +459,8 @@ mod tests {
     }
 
     /// Every output of [`RouteTables::build`] against an oracle: `next`
-    /// against the byte-compare fill, `dist` and `reachable` against the
-    /// scalar BFS, `max_finite_dist` against the distance histogram.
+    /// against the byte-compare fill, `dist` and `port`'s presence
+    /// against the scalar BFS, `max_finite_dist` against the distance histogram.
     fn assert_matches_oracles(g: &Csr, seed: u64, what: &str) {
         let n = g.vertex_count();
         let t = RouteTables::build(g, seed);
@@ -483,9 +474,9 @@ mod tests {
                 let want = dist[s as usize * n + d as usize];
                 assert_eq!(t.dist(s, d), u32::from(want), "{what}: dist({s}, {d})");
                 assert_eq!(
-                    t.reachable(s, d),
-                    want != bfs::UNREACHABLE,
-                    "{what}: reachable({s}, {d})"
+                    t.port(s, d).is_some(),
+                    s != d && want != bfs::UNREACHABLE,
+                    "{what}: port({s}, {d})"
                 );
             }
         }

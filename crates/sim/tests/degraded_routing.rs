@@ -107,8 +107,6 @@ fn degraded_table_port_is_residual_minimal() {
         graph: degraded.graph(),
         geom: &geom,
         link_up: &link_up,
-        router_up: &[],
-        stale_routers: false,
         degraded: true,
         credits: &credits,
         inj_wait: &inj_wait,

@@ -298,8 +298,6 @@ fn engine_choices_stay_inside_the_path_sets() {
                 graph: g,
                 geom: &geom,
                 link_up: &link_up,
-                router_up: &[],
-                stale_routers: false,
                 degraded: case.failed.is_some(),
                 credits: &credits,
                 inj_wait: &inj_wait,

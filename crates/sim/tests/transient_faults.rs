@@ -1,5 +1,4 @@
-//! Transient faults, end to end: links (and routers) die and repair
-//! mid-run, in-flight flits follow the configured policy, stale tables
+//! Transient faults, end to end: links die and repair mid-run, in-flight flits follow the configured policy, stale tables
 //! keep serving until the staged re-convergence swap — and through all
 //! of it, every packet below saturation is delivered, no flit ever
 //! crosses a fully-down link, and the hop-indexed VC class budget is
@@ -194,89 +193,14 @@ fn no_flit_crosses_the_down_window() {
     assert_eq!(e.diag_class_clamps, 0);
 }
 
-/// A router blip: the dead router stops injecting, packets toward it are
-/// dropped from the network and held at their sources, and once it
-/// repairs (and the tables re-converge) everything generated is
-/// eventually delivered.
+/// Cycle-0 windows of a transient schedule are already baked into the
+/// initial tables: their down events "change" nothing, so no
+/// re-convergence swap may fire. (The repair lands after the run, so the
+/// fault machinery is live.)
 #[test]
-fn router_blip_holds_traffic_and_recovers() {
-    let pf = PolarFlyTopo::new(5, 2).unwrap();
-    let schedule = FaultSchedule::new().router_fault(3, 150, 500);
-    let transient = pf.with_faults(schedule).unwrap();
-    let tables = RouteTables::build_for(&transient, 11);
-    let dests = resolve(
-        TrafficPattern::Uniform,
-        transient.graph(),
-        &transient.host_routers(),
-        11,
-    );
-    let cfg = transient_cfg().gen_cutoff(800).drain_max(8000);
-    let mut e = Engine::new(&transient, &tables, &dests, Routing::Min, 0.4, cfg);
-    let mut cycles = 0u32;
-    loop {
-        e.step();
-        cycles += 1;
-        if cycles > 900 && e.total_delivered() == e.total_generated() {
-            break;
-        }
-        assert!(cycles < 10_000, "router-blip run failed to drain");
-    }
-    e.validate_flow_invariants();
-    assert!(e.total_generated() > 0);
-    assert_eq!(e.total_delivered(), e.total_generated());
-    assert!(
-        e.retransmitted_packets() > 0,
-        "the router death never hit in-network traffic (vacuous test)"
-    );
-    assert_eq!(e.down_link_flits(), 0);
-    assert_eq!(e.diag_class_clamps, 0);
-}
-
-/// Neighbor-detour planners (CVAL, UGAL-PF) on a *table-routed*
-/// topology must survive the post-repair stale window: a just-repaired
-/// router has live links but stays unreachable in the serving tables
-/// until the swap, and a detour targeting it used to panic in
-/// `next_hop` resolution. Also pins that cycle-0 windows of a transient
-/// schedule trigger no spurious re-convergence swap.
-#[test]
-fn neighbor_detours_survive_router_repair_window_on_tables() {
+fn cycle_zero_windows_trigger_no_swap() {
     use pf_topo::SlimFly;
     let sf = SlimFly::new(5, 4).unwrap();
-    let schedule = FaultSchedule::new().router_fault(3, 150, 500);
-    let transient = sf.with_faults(schedule).unwrap();
-    let tables = RouteTables::build_for(&transient, 11);
-    let dests = resolve(
-        TrafficPattern::Uniform,
-        transient.graph(),
-        &transient.host_routers(),
-        11,
-    );
-    let cfg = transient_cfg().gen_cutoff(900).drain_max(8000);
-    for routing in [Routing::CompactValiant, Routing::UgalPf] {
-        let mut e = Engine::new(&transient, &tables, &dests, routing, 0.4, cfg.clone());
-        let mut cycles = 0u32;
-        loop {
-            e.step();
-            cycles += 1;
-            if cycles > 1000 && e.total_delivered() == e.total_generated() {
-                break;
-            }
-            assert!(cycles < 12_000, "{}: failed to drain", routing.label());
-        }
-        e.validate_flow_invariants();
-        assert_eq!(
-            e.total_delivered(),
-            e.total_generated(),
-            "{}",
-            routing.label()
-        );
-        assert_eq!(e.down_link_flits(), 0, "{}", routing.label());
-        assert_eq!(e.diag_class_clamps, 0, "{}", routing.label());
-    }
-
-    // Cycle-0 windows are already baked into the initial tables: their
-    // down events "change" nothing, so no swap may fire. (The repair
-    // lands after the run, so the fault machinery is live.)
     let (u, v) = sf.graph().edges().next().unwrap();
     let baked = sf
         .with_faults(FaultSchedule::new().link_fault(u, v, 0, 1 << 20))

@@ -1,7 +1,7 @@
-//! The one fault model: [`Topology::with_faults`] returns the same network under a
-//! [`FaultSchedule`] of half-open `[fail, repair)` windows on links and
-//! routers. A static failure set (the §IX-B scenario) is the schedule
-//! whose link windows open at cycle 0 and never repair
+//! The one fault model: [`Topology::with_faults`] returns the same
+//! network under a [`FaultSchedule`] of half-open `[fail, repair)`
+//! windows on links. A static failure set (the §IX-B scenario) is the
+//! schedule whose windows open at cycle 0 and never repair
 //! ([`FaultSchedule::from_failures`]); mid-run faults are windows that
 //! open or close later. The *physical* graph is unchanged — dead links
 //! keep their ports, buffers and credits. The simulator masks the
@@ -12,11 +12,10 @@
 //!
 //! `with_faults` validates what the cycle simulator requires
 //! ([`FaultSchedule::validate`]): every scheduled link must be an edge,
-//! every scheduled router a router, and at *every* fault state the graph
-//! restricted to live routers and live links must stay connected —
-//! otherwise some router pair would be unroutable for part of the run
-//! and packets could never drain. Draw engine-safe failures with
-//! [`pf_graph::FailureSet::sample_connected`] and
+//! and at *every* fault state the graph restricted to live links must
+//! stay connected — otherwise some router pair would be unroutable for
+//! part of the run and packets could never drain. Draw engine-safe
+//! failures with [`pf_graph::FailureSet::sample_connected`] and
 //! [`FaultSchedule::sample_connected_links`].
 
 use crate::Topology;
@@ -28,9 +27,8 @@ impl Topology {
     /// after cycle 0, `{name}~transient×{windows}` otherwise.
     ///
     /// # Errors
-    /// A [`TopoError`] when a scheduled link is not an edge, a scheduled
-    /// router is out of range, or a fault state disconnects the live
-    /// network ([`FaultSchedule::validate`]).
+    /// A [`TopoError`] when a scheduled link is not an edge or a fault
+    /// state disconnects the network ([`FaultSchedule::validate`]).
     ///
     /// # Panics
     /// If `self` already carries faults: build one schedule instead.
@@ -215,20 +213,9 @@ mod tests {
     }
 
     #[test]
-    fn rejects_routers_out_of_range() {
-        let pf = PolarFlyTopo::new(5, 2).unwrap();
-        let err = pf
-            .with_faults(FaultSchedule::new().router_fault(31, 10, 20))
-            .err()
-            .unwrap();
-        assert_eq!(err.cause, ScheduleError::RouterOutOfRange(31));
-    }
-
-    #[test]
     fn rejects_schedules_that_disconnect() {
         let pf = PolarFlyTopo::new(5, 2).unwrap();
-        // Cut vertex 0 off entirely via link faults (no router-down, so
-        // vertex 0 stays "live" but unreachable).
+        // Cut vertex 0 off entirely for [50, 150).
         let mut s = FaultSchedule::new();
         for &w in pf.graph().neighbors(0) {
             s = s.link_fault(0, w, 50, 150);
@@ -239,13 +226,11 @@ mod tests {
             err.cause,
             ScheduleError::Disconnects {
                 cycle: 50,
-                links_down: k,
-                routers_down: 0
+                links_down: k
             }
         );
         let text = format!(
-            "PF(q=5,p=2): fault state at cycle 50 disconnects the live network \
-             ({k} links, 0 routers down)"
+            "PF(q=5,p=2): fault state at cycle 50 disconnects the network ({k} links down)"
         );
         assert!(err.to_string().starts_with(&text), "{err}");
     }
@@ -263,17 +248,5 @@ mod tests {
             matches!(err.cause, ScheduleError::Disconnects { cycle: 0, .. }),
             "{err}"
         );
-    }
-
-    #[test]
-    fn router_blip_is_accepted_when_survivors_stay_connected() {
-        // ER_q minus one vertex stays connected: a router fault window is
-        // a valid transient schedule even though it isolates the router's
-        // own endpoint for the duration.
-        let pf = PolarFlyTopo::new(5, 2).unwrap();
-        let s = FaultSchedule::new().router_fault(3, 100, 300);
-        let t = pf.with_faults(s).unwrap();
-        assert!(t.faults().active_at(pf.graph(), 0).is_empty());
-        assert_eq!(t.faults().routers_down_at(150), vec![3]);
     }
 }

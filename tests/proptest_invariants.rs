@@ -130,21 +130,19 @@ proptest! {
 
     /// The engine takes its cycle-0 state from `active_at(g, 0)` and its
     /// later transitions from `resolved_events`: folding the events up to
-    /// any cycle `c` must reproduce `active_at(g, c)` and
-    /// `routers_down_at(c)`, with no element going down twice or up while
-    /// up. Schedules mix link windows (some never repaired), router
-    /// windows, and windows that overlap or touch on the same element.
+    /// any cycle `c` must reproduce `active_at(g, c)`, with no link going
+    /// down twice or up while up. Schedules mix windows that never
+    /// repair and windows that overlap or touch on the same link.
     #[test]
     fn fault_event_replay_matches_the_schedule_state(
         half_n in 4usize..9,
         link_windows in 1usize..10,
-        router_windows in 0usize..4,
         seed in 0u64..1_000_000,
     ) {
         let g = pf_graph::random_regular::random_regular(2 * half_n, 3, seed);
-        let (s, horizon) = random_schedule(&g, link_windows, router_windows, seed);
+        let (s, horizon) = random_schedule(&g, link_windows, seed);
         let events = s.resolved_events(&g);
-        let (mut links, mut routers) = (BTreeSet::new(), BTreeSet::new());
+        let mut links = BTreeSet::new();
         let (mut next, mut ever_changed) = (0, false);
         let at_zero = s.active_at(&g, 0);
         for c in 0..=horizon {
@@ -152,32 +150,27 @@ proptest! {
                 let fresh = match events[next].kind {
                     FaultEventKind::LinkDown(u, v) => links.insert((u, v)),
                     FaultEventKind::LinkUp(u, v) => links.remove(&(u, v)),
-                    FaultEventKind::RouterDown(r) => routers.insert(r),
-                    FaultEventKind::RouterUp(r) => routers.remove(&r),
                 };
                 prop_assert!(fresh, "cycle {}: redundant {:?}", c, events[next]);
                 next += 1;
             }
             let folded = FailureSet::from_edges(&links.iter().copied().collect::<Vec<_>>());
             prop_assert_eq!(&folded, &s.active_at(&g, c), "links at cycle {}", c);
-            let down: Vec<u32> = routers.iter().copied().collect();
-            prop_assert_eq!(down, s.routers_down_at(c), "routers at cycle {}", c);
             ever_changed |= folded != at_zero;
         }
         // Every event lies inside the replayed horizon.
         prop_assert_eq!(next, events.len());
-        // The engine's static rule: nothing changes after cycle 0 and no
-        // router window exists.
-        prop_assert_eq!(s.is_static(&g), router_windows == 0 && !ever_changed);
+        // The engine's static rule: nothing changes after cycle 0.
+        prop_assert_eq!(s.is_static(&g), !ever_changed);
     }
 }
 
-/// A seeded schedule on `g` with `links` link windows and `routers`
-/// router windows, plus a cycle past its last finite transition. Each
-/// window opens at cycle 0 one time in four, never repairs one time in
-/// four, and one time in three restarts on the previous window's element
-/// where that window closed (touching) or before (overlapping).
-fn random_schedule(g: &Csr, links: usize, routers: usize, seed: u64) -> (FaultSchedule, u32) {
+/// A seeded schedule on `g` with `links` link windows, plus a cycle past
+/// its last finite transition. Each window opens at cycle 0 one time in
+/// four, never repairs one time in four, and one time in three restarts
+/// on the previous window's link where that window closed (touching) or
+/// before (overlapping).
+fn random_schedule(g: &Csr, links: usize, seed: u64) -> (FaultSchedule, u32) {
     let edges: Vec<(u32, u32)> = g.edges().collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut s = FaultSchedule::new();
@@ -214,16 +207,6 @@ fn random_schedule(g: &Csr, links: usize, routers: usize, seed: u64) -> (FaultSc
         let (fail, repair) = window(&mut rng, prev.map(|p| (p.2, p.3)));
         s = s.link_fault(u, v, fail, repair);
         prev = Some((u, v, fail, repair));
-    }
-    let mut prev: Option<(u32, u32, u32)> = None;
-    for _ in 0..routers {
-        let r = match prev {
-            Some((r, ..)) if rng.gen_range(0..2) == 0 => r,
-            _ => rng.gen_range(0..g.vertex_count() as u32),
-        };
-        let (fail, repair) = window(&mut rng, prev.map(|p| (p.1, p.2)));
-        s = s.router_fault(r, fail, repair);
-        prev = Some((r, fail, repair));
     }
     (s, horizon)
 }

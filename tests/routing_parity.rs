@@ -57,8 +57,6 @@ impl ParityHarness {
             graph: topo.graph(),
             geom: &self.geom,
             link_up: &self.link_up,
-            router_up: &[],
-            stale_routers: false,
             degraded: false,
             credits: &self.credits,
             inj_wait: &self.inj_wait,
