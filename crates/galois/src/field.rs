@@ -209,12 +209,6 @@ impl Gf {
         self.p
     }
 
-    /// The extension degree `m` (so `q = p^m`).
-    #[inline]
-    pub fn extension_degree(&self) -> u32 {
-        self.m
-    }
-
     /// The primitive element the log tables are built on.
     #[inline]
     pub fn generator(&self) -> u32 {
@@ -321,17 +315,6 @@ impl Gf {
         let l = u64::from(self.log[a as usize]);
         self.exp[((l * (n % group)) % group) as usize]
     }
-
-    /// Returns `true` iff `a` is a nonzero quadratic residue (a square).
-    pub fn is_square(&self, a: u32) -> bool {
-        if a == 0 {
-            return false;
-        }
-        if self.p == 2 {
-            return true; // squaring is a bijection in characteristic 2
-        }
-        self.log[a as usize].is_multiple_of(2)
-    }
 }
 
 #[cfg(test)]
@@ -423,22 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn squares_split_group_in_half_for_odd_q() {
-        for f in fields_under_test()
-            .iter()
-            .filter(|f| f.characteristic() != 2)
-        {
-            let squares = (1..f.order()).filter(|&a| f.is_square(a)).count() as u32;
-            assert_eq!(squares, (f.order() - 1) / 2);
-            // is_square agrees with brute force
-            for a in 1..f.order() {
-                let brute = (1..f.order()).any(|b| f.mul(b, b) == a);
-                assert_eq!(f.is_square(a), brute);
-            }
-        }
-    }
-
-    #[test]
     fn characteristic_two_addition_is_xor() {
         for q in [2u64, 4, 8, 16, 32] {
             let f = Gf::new(q).unwrap();
@@ -479,9 +446,10 @@ mod tests {
     fn modulus_is_monic_irreducible_for_extensions() {
         for q in [4u64, 8, 9, 16, 25, 27] {
             let f = Gf::new(q).unwrap();
+            let (_, degree) = crate::primes::prime_power(q).unwrap();
             let m = f.modulus();
             assert_eq!(*m.last().unwrap(), 1, "monic");
-            assert_eq!(m.len() as u32, f.extension_degree() + 1);
+            assert_eq!(m.len() as u32, degree + 1);
             assert!(crate::poly::is_irreducible(m, f.characteristic()));
         }
     }

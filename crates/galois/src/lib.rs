@@ -5,7 +5,7 @@
 //! (equivalently, points of the projective plane `PG(2, q)`). This crate
 //! provides the substrate for that construction:
 //!
-//! * [`primes`] — primality and prime-power detection / enumeration, used by
+//! * [`primes`] — prime-power detection / enumeration, used by
 //!   the feasibility analysis (Fig. 1 of the paper).
 //! * [`poly`] — dense polynomial arithmetic over `F_p` and irreducible
 //!   polynomial search (Rabin's test), used to build extension fields.

@@ -1,32 +1,10 @@
-//! Primality and prime-power utilities.
+//! Prime-power utilities.
 //!
 //! PolarFly exists for every prime power `q` (network radix `k = q + 1`),
 //! and Slim Fly for prime powers `q = 4w + δ`, `δ ∈ {−1, 0, 1}`. The
 //! feasibility analysis of Fig. 1 enumerates these sets, so we need exact
 //! (not probabilistic) detection. All `q` of interest are far below 2³²,
 //! where trial division is instantaneous.
-
-/// Returns `true` iff `n` is prime. Deterministic trial division; intended
-/// for the small `n` (< 2³²) used throughout the workspace.
-pub fn is_prime(n: u64) -> bool {
-    if n < 2 {
-        return false;
-    }
-    if n.is_multiple_of(2) {
-        return n == 2;
-    }
-    if n.is_multiple_of(3) {
-        return n == 3;
-    }
-    let mut d = 5u64;
-    while d.checked_mul(d).is_some_and(|dd| dd <= n) {
-        if n.is_multiple_of(d) || n.is_multiple_of(d + 2) {
-            return false;
-        }
-        d += 6;
-    }
-    true
-}
 
 /// If `n = p^m` for a prime `p` and `m ≥ 1`, returns `(p, m)`.
 pub fn prime_power(n: u64) -> Option<(u64, u32)> {
@@ -88,15 +66,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_primes() {
-        let primes: Vec<u64> = (0..60).filter(|&n| is_prime(n)).collect();
-        assert_eq!(
-            primes,
-            vec![2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-        );
-    }
-
-    #[test]
     fn prime_power_decomposition() {
         assert_eq!(prime_power(2), Some((2, 1)));
         assert_eq!(prime_power(4), Some((2, 2)));
@@ -131,7 +100,7 @@ mod tests {
     #[test]
     fn large_prime_for_radix_128() {
         // q = 127 gives the radix-128 PolarFly named in the paper.
-        assert!(is_prime(127));
+        assert_eq!(prime_power(127), Some((127, 1)));
         assert!(is_prime_power(127));
         assert_eq!(prime_power(128), Some((2, 7)));
     }

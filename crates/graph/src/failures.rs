@@ -10,6 +10,14 @@
 //!
 //! [`FailureSet`] packages one seeded failure draw as a reusable value.
 //!
+//! Every random draw removes links in one seeded order, and asks of it
+//! how far down links can fail before the survivors split. Deleting
+//! links in order is inserting them in reverse, so one backward
+//! union-find pass answers both forms of the question: the prefix at
+//! which the network disconnects (Fig. 14, [`failure_trial`]) and the
+//! spanning forest whose links a connected draw must keep
+//! ([`FailureSet::sample_connected`]).
+//!
 //! [`FaultSchedule`] is the simulator's one fault model: each fault is a
 //! half-open `[fail, repair)` window on a link — the failure unit of
 //! §IX-B. A static failure set is the schedule whose windows open at
@@ -70,51 +78,30 @@ impl FailureSet {
     }
 
     /// Samples like [`FailureSet::sample`] but keeps the residual graph
-    /// connected: the shuffled order is walked greedily and any link whose
-    /// removal would disconnect the survivors (a bridge at that point) is
-    /// skipped. Returns fewer than the requested links only when the
-    /// residual has been cut down to a spanning tree.
+    /// connected: the failed links are the first `round(ratio · m)` links
+    /// of the same seeded order that lie outside the spanning forest of
+    /// the reversed order — the links that walking the order and skipping
+    /// each link that is a bridge at its turn removes. On a connected `g`
+    /// that is `min(round(ratio · m), m − n + 1)` links; on a
+    /// disconnected `g` it is the empty set.
     pub fn sample_connected(g: &Csr, ratio: f64, seed: u64) -> FailureSet {
         assert!(
             (0.0..=1.0).contains(&ratio),
             "failure ratio must be in [0, 1]"
         );
-        let edges: Vec<(u32, u32)> = g.edges().collect();
-        let m = edges.len();
-        let target = ((ratio * m as f64).round() as usize).min(m);
-        let mut order: Vec<usize> = (0..m).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        order.shuffle(&mut rng);
-
-        let mut removed_flags = vec![false; m];
-        // Fast path: the plain prefix usually stays connected well past
-        // the ratios the paper sweeps (PF disconnects near ~40%+).
-        for &e in &order[..target] {
-            removed_flags[e] = true;
+        let order = shuffled_edges(g, seed);
+        let (prefix, forest) = reverse_pass(g, &order);
+        if prefix == 0 {
+            return FailureSet::empty(); // no draw keeps a split `g` connected
         }
-        if connected_without(g, &edges, &removed_flags) {
-            return FailureSet::from_edges(
-                &order[..target]
-                    .iter()
-                    .map(|&e| edges[e])
-                    .collect::<Vec<_>>(),
-            );
-        }
-
-        // Greedy: re-walk the shuffled order, skipping bridges.
-        removed_flags.iter_mut().for_each(|f| *f = false);
-        let mut chosen = Vec::with_capacity(target);
-        for &e in &order {
-            if chosen.len() == target {
-                break;
-            }
-            removed_flags[e] = true;
-            if connected_without(g, &edges, &removed_flags) {
-                chosen.push(edges[e]);
-            } else {
-                removed_flags[e] = false;
-            }
-        }
+        let target = ((ratio * order.len() as f64).round() as usize).min(order.len());
+        let chosen: Vec<(u32, u32)> = order
+            .iter()
+            .zip(&forest)
+            .filter(|&(_, &kept)| !kept)
+            .map(|(&e, _)| e)
+            .take(target)
+            .collect();
         FailureSet::from_edges(&chosen)
     }
 
@@ -300,12 +287,12 @@ impl FaultSchedule {
     }
 
     /// Samples a *connectivity-safe* transient schedule: the failed links
-    /// are a [`FailureSet::sample_connected`] draw (simultaneously
-    /// removable without disconnecting `g`), each assigned a fail cycle
-    /// uniform in `[0, fail_window)` and a repair `repair_cycles` later.
-    /// Because even the union of all windows keeps the residual
-    /// connected, every intermediate fault state does too — the property
-    /// the cycle simulator requires.
+    /// are a [`FailureSet::sample_connected`] draw, each assigned a fail
+    /// cycle uniform in `[0, fail_window)` and a repair `repair_cycles`
+    /// later. No drawn link lies on the order's spanning forest, so every
+    /// fault state — each a subset of the draw — keeps that forest up and
+    /// the routers of a connected `g` connected, which is what
+    /// [`FaultSchedule::validate`] asks.
     pub fn sample_connected_links(
         g: &Csr,
         ratio: f64,
@@ -437,12 +424,6 @@ fn components(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> usize {
     uf.components
 }
 
-/// Connectivity of `g` restricted to the `edges` whose flag is unset.
-fn connected_without(g: &Csr, edges: &[(u32, u32)], removed: &[bool]) -> bool {
-    let live = edges.iter().zip(removed).filter(|(_, &gone)| !gone);
-    components(g.vertex_count(), live.map(|(&e, _)| e)) == 1
-}
-
 /// Network state at one failure checkpoint.
 #[derive(Debug, Clone)]
 pub struct FailurePoint {
@@ -491,10 +472,12 @@ impl UnionFind {
         v
     }
 
-    fn union(&mut self, a: u32, b: u32) {
+    /// Joins the components of `a` and `b`; reports whether they were
+    /// apart.
+    fn union(&mut self, a: u32, b: u32) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
-            return;
+            return false;
         }
         let (big, small) = if self.size[ra as usize] >= self.size[rb as usize] {
             (ra, rb)
@@ -504,35 +487,39 @@ impl UnionFind {
         self.parent[small as usize] = big;
         self.size[big as usize] += self.size[small as usize];
         self.components -= 1;
+        true
     }
 }
 
-/// Returns the number of removed edges (prefix of `order`, all of `g`'s
-/// edges) at which the graph first disconnects: 0 if it is disconnected
-/// before any removal, `order.len()` if it never disconnects (at most one
-/// vertex).
-fn disconnect_prefix(g: &Csr, order: &[(u32, u32)]) -> usize {
-    // Connectivity is monotone in the removal prefix: binary search for the
-    // first prefix length whose *complement* is disconnected.
-    let m = order.len();
-    let connected_with_prefix_removed =
-        |k: usize| components(g.vertex_count(), order[k..].iter().copied()) == 1;
-    let (mut lo, mut hi) = (0usize, m + 1); // the answer lies in lo..=hi
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if connected_with_prefix_removed(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
+/// Answers both questions a removal order is asked in one backward
+/// union-find pass: deleting links in `order` (all of `g`'s edges) is
+/// inserting them in reverse. Returns `(prefix, forest)`:
+///
+/// - `prefix` is the number of removals at which `g` first disconnects:
+///   `j + 1` for the link `order[j]` whose union first connects the
+///   suffix `order[j..]`; 0 if no suffix connects `g` — it is split
+///   before any removal, or has no links.
+/// - `forest[j]` says whether `order[j]` merged two components. These
+///   links are the spanning forest of the reversed order: exactly the
+///   links that walking `order` and skipping each bridge at its turn
+///   keeps.
+fn reverse_pass(g: &Csr, order: &[(u32, u32)]) -> (usize, Vec<bool>) {
+    let mut uf = UnionFind::new(g.vertex_count());
+    let mut prefix = 0;
+    let mut forest = vec![false; order.len()];
+    for (j, &(u, v)) in order.iter().enumerate().rev() {
+        forest[j] = uf.union(u, v);
+        if forest[j] && uf.components == 1 {
+            prefix = j + 1;
         }
     }
-    lo.min(m)
+    (prefix, forest)
 }
 
-/// [`disconnect_prefix`] as a fraction of the edge count; 0 for a graph
-/// with no edges.
+/// The disconnect prefix of [`reverse_pass`] as a fraction of the edge
+/// count; 0 for a graph with no edges.
 fn disconnect_ratio(g: &Csr, order: &[(u32, u32)]) -> f64 {
-    disconnect_prefix(g, order) as f64 / order.len().max(1) as f64
+    reverse_pass(g, order).0 as f64 / order.len().max(1) as f64
 }
 
 /// Runs one failure trial: removes a random prefix of links (seeded
@@ -613,7 +600,7 @@ mod tests {
         }
         let g = b.build();
         let order: Vec<(u32, u32)> = g.edges().collect();
-        assert_eq!(disconnect_prefix(&g, &order), 1);
+        assert_eq!(reverse_pass(&g, &order).0, 1);
     }
 
     #[test]
@@ -709,6 +696,113 @@ mod tests {
         let f = FailureSet::from_edges(&[(3, 1), (1, 3), (2, 4)]);
         assert_eq!(f.len(), 2);
         assert_eq!(f.edges(), &[(1, 3), (2, 4)]);
+    }
+
+    /// The binary search [`reverse_pass`]'s prefix replaced: about
+    /// log₂ m union-find rebuilds of the suffix a removal prefix leaves.
+    fn disconnect_prefix_oracle(g: &Csr, order: &[(u32, u32)]) -> usize {
+        let m = order.len();
+        let connected_with_prefix_removed =
+            |k: usize| components(g.vertex_count(), order[k..].iter().copied()) == 1;
+        let (mut lo, mut hi) = (0usize, m + 1); // the answer lies in lo..=hi
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if connected_with_prefix_removed(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo.min(m)
+    }
+
+    /// Connectivity of `g` restricted to the `edges` whose flag is unset.
+    fn connected_without(g: &Csr, edges: &[(u32, u32)], removed: &[bool]) -> bool {
+        let live = edges.iter().zip(removed).filter(|(_, &gone)| !gone);
+        components(g.vertex_count(), live.map(|(&e, _)| e)) == 1
+    }
+
+    /// The sampler [`FailureSet::sample_connected`] replaced: the plain
+    /// prefix if it stays connected, else a re-walk of the index order
+    /// that rebuilds a union-find per candidate to skip bridges.
+    fn sample_connected_oracle(g: &Csr, ratio: f64, seed: u64) -> FailureSet {
+        let edges: Vec<(u32, u32)> = g.edges().collect();
+        let m = edges.len();
+        let target = ((ratio * m as f64).round() as usize).min(m);
+        let mut order: Vec<usize> = (0..m).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(seed));
+
+        let mut removed_flags = vec![false; m];
+        // Fast path: the plain prefix.
+        for &e in &order[..target] {
+            removed_flags[e] = true;
+        }
+        if connected_without(g, &edges, &removed_flags) {
+            let prefix: Vec<(u32, u32)> = order[..target].iter().map(|&e| edges[e]).collect();
+            return FailureSet::from_edges(&prefix);
+        }
+        removed_flags.iter_mut().for_each(|f| *f = false);
+        let mut chosen = Vec::with_capacity(target);
+        for &e in &order {
+            if chosen.len() == target {
+                break;
+            }
+            removed_flags[e] = true;
+            if connected_without(g, &edges, &removed_flags) {
+                chosen.push(edges[e]);
+            } else {
+                removed_flags[e] = false;
+            }
+        }
+        FailureSet::from_edges(&chosen)
+    }
+
+    /// The one reverse pass gives both old answers, on random graphs
+    /// with isolated vertices, several components, no vertices at all,
+    /// and on connected ones.
+    #[test]
+    fn reverse_pass_matches_the_oracles_on_random_graphs() {
+        let mut rng = StdRng::seed_from_u64(54);
+        let (mut connected, mut split) = (0, 0);
+        for trial in 0..240u64 {
+            let n = rng.gen_range(0..=40u32);
+            let density = [0.05, 0.1, 0.2, 0.5][rng.gen_range(0..4usize)];
+            let mut b = GraphBuilder::new(n as usize);
+            for u in 0..n {
+                for v in u + 1..n {
+                    if rng.gen_bool(density) {
+                        b.add_edge(u, v);
+                    }
+                }
+            }
+            let g = b.build();
+            let is_connected = g.vertex_count() >= 2 && g.is_connected();
+            if is_connected {
+                connected += 1;
+            } else {
+                split += 1;
+            }
+            let order = shuffled_edges(&g, trial);
+            assert_eq!(
+                reverse_pass(&g, &order).0,
+                disconnect_prefix_oracle(&g, &order),
+                "trial {trial}: n = {n}"
+            );
+            for ratio in [0.0, 0.1, 0.5, 1.0] {
+                let got = FailureSet::sample_connected(&g, ratio, trial);
+                assert_eq!(
+                    got,
+                    sample_connected_oracle(&g, ratio, trial),
+                    "trial {trial}: n = {n}, ratio {ratio}"
+                );
+                if is_connected {
+                    let target = (ratio * g.edge_count() as f64).round() as usize;
+                    let spare = g.edge_count() + 1 - g.vertex_count();
+                    assert_eq!(got.len(), target.min(spare));
+                }
+            }
+        }
+        assert!(connected > 40 && split > 40, "{connected} / {split}");
     }
 
     // ---- FaultSchedule edge cases -------------------------------------

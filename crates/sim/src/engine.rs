@@ -4,9 +4,9 @@
 //!
 //! This module owns the [`Engine`] state and the per-cycle orchestration;
 //! the mechanics live in sibling modules — [`crate::router`] (SoA state),
-//! [`crate::alloc`] (switch allocation and the one route decision,
-//! `Engine::route_and_claim`), [`crate::flow`] (credits + wormhole),
-//! [`crate::inject`] (endpoint injection/ejection) and [`crate::routing`]
+//! `crate::alloc` (switch allocation and the one route decision,
+//! `Engine::route_and_claim`), `crate::flow` (credits + wormhole),
+//! `crate::inject` (endpoint injection/ejection) and [`crate::routing`]
 //! (the paper's six algorithms, one [`Routing`] enum); the
 //! warmup/measure/drain clock is [`SimConfig::in_measurement`] and
 //! `Engine::deadline`. See the crate docs for the model summary and
@@ -874,11 +874,6 @@ impl<'a> Engine<'a> {
     /// Current cycle (the number of completed [`Engine::step`] calls).
     pub fn cycle(&self) -> u32 {
         self.cycle
-    }
-
-    /// Flits dropped by the transient drop-and-retransmit policy so far.
-    pub fn dropped_flits(&self) -> u64 {
-        self.faults.dropped_flits
     }
 
     /// Packets returned to their source queues after fault events so far.

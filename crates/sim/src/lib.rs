@@ -30,7 +30,7 @@
 //!   configurable drop-and-retransmit / drain policy ([`InFlightPolicy`]),
 //!   and route tables re-converge in stages — the stale tables keep
 //!   serving (mask-checked, locally detoured) until a Rayon-parallel
-//!   rebuild swaps in after `convergence_delay` cycles (see [`faults`]).
+//!   rebuild swaps in after `convergence_delay` cycles (see `faults`).
 //!
 //! ## Module map
 //!
@@ -42,23 +42,23 @@
 //!   task DAGs as a second injection source next to Bernoulli, advanced
 //!   by per-packet completion callbacks and terminated when every job's
 //!   DAG drains (per-job makespans in [`SimResult::jobs`]);
-//! * [`faults`] — the transient-fault event queue (the schedule's
+//! * `faults` — the transient-fault event queue (the schedule's
 //!   `pf_graph::FaultEvent`s, applied as they fire), in-flight-flit
 //!   policies, and staged table re-convergence;
 //! * [`router`] — per-router state as flat structure-of-arrays ring
 //!   buffers (port geometry, input buffers, injection streams), with
-//!   [`packet`] (packet records) alongside;
-//! * [`alloc`] — the separable switch allocator, and the one route
+//!   `packet` (packet records) alongside;
+//! * `alloc` — the separable switch allocator, and the one route
 //!   decision injection and transit share (route, VC claim, trace);
-//! * [`flow`] — link pipeline, credits, wormhole VC ownership;
-//! * [`inject`] — endpoint injection/ejection;
+//! * `flow` — link pipeline, credits, wormhole VC ownership;
+//! * `inject` — endpoint injection/ejection;
 //! * [`routing`] — the paper's six algorithms (§VII) as the closed
 //!   [`Routing`] enum, every minimal hop the port the serving route
 //!   table stores;
 //! * [`telemetry`] — observation-only epoch time-series, sampled
 //!   packet lifecycle traces, and feature-gated engine phase profiling
 //!   (bit-identical results with telemetry on or off);
-//! * [`config`], [`stats`], [`sweep`], [`tables`], [`traffic`],
+//! * `config`, `stats`, [`sweep`], [`tables`], [`traffic`],
 //!   [`analytic`] — configuration (with the warmup/measure/drain
 //!   clock), results, load sweeps, route tables, traffic patterns, and
 //!   the fluid-model cross-check.
@@ -98,20 +98,20 @@ extern crate self as pf_sim;
 #[path = "../tests/common/mod.rs"]
 mod common;
 
-pub mod alloc;
+mod alloc;
 pub mod analytic;
-pub mod config;
+mod config;
 pub mod drive;
 pub mod engine;
-pub mod faults;
-pub mod flow;
-pub mod inject;
+mod faults;
+mod flow;
+mod inject;
 pub(crate) mod order;
-pub mod packet;
+mod packet;
 pub mod router;
 pub mod routing;
 pub(crate) mod skip;
-pub mod stats;
+mod stats;
 pub mod sweep;
 pub mod tables;
 pub mod telemetry;

@@ -18,7 +18,7 @@
 //!   step with the queues.
 //! * [`InjPool`] — active injection streams in SoA arrays partitioned by
 //!   router (capacity `2·endpoints(r)`, the engine's stream cap).
-//! * [`crate::packet::PacketPool`] — in-flight packet records in SoA arrays with a free
+//! * `crate::packet::PacketPool` — in-flight packet records in SoA arrays with a free
 //!   list.
 //! * [`PortMap`] — the port geometry: prefix-summed port ids (one id
 //!   names a router's input *and* output toward the same neighbor) and

@@ -100,6 +100,13 @@ fn telemetry_parity_transient_retransmit() {
         "no sampled packet was retransmitted: the hook never ran"
     );
     assert!(t.epochs.iter().any(|e| e.retransmitted > 0));
+    // The epoch series accounts for every fault counter of the run.
+    assert_eq!(t.epochs_dropped, 0);
+    let retransmitted: u64 = t.epochs.iter().map(|e| e.retransmitted).sum();
+    let dropped: u64 = t.epochs.iter().map(|e| e.dropped_flits).sum();
+    assert_eq!(retransmitted, on.retransmitted_packets);
+    assert_eq!(dropped, on.dropped_flits);
+    assert!(dropped > 0, "vacuous: no flit dropped");
 }
 
 /// The closed-loop driver: a ring allreduce's makespan, per-job

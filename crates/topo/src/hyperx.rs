@@ -28,12 +28,6 @@ impl HyperX {
         }
         Topology::uniform(format!("HX({a}x{b},p={p})"), g.build(), p)
     }
-
-    /// Balanced square HyperX of the largest size with degree ≤ `max_degree`.
-    pub fn square_for_degree(max_degree: u32, p: usize) -> Topology {
-        let a = (max_degree + 2) / 2;
-        HyperX::new(a, a, p)
-    }
 }
 
 #[cfg(test)]
@@ -47,13 +41,6 @@ mod tests {
         assert_eq!(hx.router_count(), 20);
         assert!(hx.graph().is_regular(7)); // 4+5-2
         assert_eq!(bfs::diameter(hx.graph()), Some(2));
-    }
-
-    #[test]
-    fn square_maximizes_size() {
-        let hx = HyperX::square_for_degree(16, 1);
-        assert!(hx.graph().is_regular(16));
-        assert_eq!(hx.router_count(), 81); // ((16+2)/2)²
     }
 
     #[test]
