@@ -148,13 +148,11 @@ pub struct Engine<'a> {
     /// Whether any link is failed (gates the mask loads off the healthy
     /// hot paths). Transient runs flip this as fault events fire.
     pub(crate) degraded: bool,
-    /// Whether the fault schedule can still change the network after
-    /// cycle 0 (gates the fault event hooks off healthy and
-    /// static-failure hot paths).
+    /// Whether fault control queued an event after cycle 0 (gates the
+    /// fault event hooks off healthy and static-failure hot paths).
     pub(crate) transient: bool,
-    /// Transient-fault control: event queue, router liveness, drain
-    /// counts, re-convergence state, and fault counters. Inert (empty)
-    /// unless `transient`.
+    /// Transient-fault control: event queue, drain counts, re-convergence
+    /// state, and fault counters. Inert (empty) unless `transient`.
     pub(crate) faults: FaultCtl,
     /// Closed-loop workload driver, replacing the Bernoulli generator
     /// when attached ([`Engine::attach_workload`]); `None` leaves the
@@ -298,11 +296,10 @@ impl<'a> Engine<'a> {
     ) -> Self {
         let g = topo.graph();
         let n = g.vertex_count();
-        assert_eq!(tables.router_count(), n);
-        // A table hop is read as a port of `g`; residual-indexed tables would misroute.
-        let physical = tables.graph().edge_count() == g.edge_count();
+        // A table hop is read as a port of `g`: tables of any other graph
+        // (the residual, or another graph of the same size) would misroute.
         assert!(
-            physical,
+            tables.graph() == g,
             "route tables must index the physical graph's rows"
         );
         assert!(
@@ -318,8 +315,8 @@ impl<'a> Engine<'a> {
 
         // The fault schedule decides both fault states. Its cycle-0 state
         // masks links before the first cycle (both directions of a failed
-        // link go down together). Fault control runs only when an event
-        // can still fire after cycle 0: a static failure set builds an
+        // link go down together); fault control queues only the events
+        // after it. An empty queue — a static failure set — builds an
         // engine with no fault hooks on its hot paths.
         let initial = crate::tables::initial_failures(topo);
         let mut link_up = vec![true; num_ports];
@@ -329,12 +326,8 @@ impl<'a> Engine<'a> {
             link_up[port_vu as usize] = false;
         }
         let degraded = !initial.is_empty();
-        let transient = !topo.faults().is_static(g);
-        let faults = if transient {
-            FaultCtl::from_schedule(topo.faults(), g, num_ports)
-        } else {
-            FaultCtl::default()
-        };
+        let faults = FaultCtl::from_schedule(topo.faults(), g, num_ports);
+        let transient = !faults.events.is_empty();
 
         let diameter = tables.max_finite_dist();
         let need = routing.max_hops(diameter);
@@ -571,18 +564,18 @@ impl<'a> Engine<'a> {
             "run_workload without attach_workload"
         );
         let deadline = self.deadline();
-        let driver = loop {
+        loop {
             self.step();
             let done = self.workload.as_ref().is_none_or(|d| d.done());
             if done || self.cycle >= deadline {
-                match self.workload.take() {
-                    Some(d) => break d,
-                    // Unreachable past the entry assert; degrade to an
-                    // empty expired result rather than panic mid-run.
-                    None => return self.pack_result(0.0, 0.0, true, true, Vec::new()),
-                }
+                break;
             }
-        };
+        }
+        #[expect(
+            clippy::expect_used,
+            reason = "the entry assert's invariant: `workload_release` puts the driver back every cycle, so it is still attached"
+        )]
+        let driver = self.workload.take().expect("workload attached");
         let makespan = driver.global_makespan();
         let payload = driver.delivered_payload_flits();
         let accepted = makespan.map_or(0.0, |m| {

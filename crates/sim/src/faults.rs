@@ -8,7 +8,9 @@
 //!
 //! * **Event queue.** The topology's [`pf_graph::FaultSchedule`] is
 //!   resolved into a sorted stream of [`pf_graph::FaultEvent`]s
-//!   (link down/up transitions); the engine applies them at the
+//!   (link down/up transitions) and the events after cycle 0 are queued
+//!   — `Engine::new` masks the cycle-0 state and the caller's tables
+//!   already route around it; the engine applies them at the
 //!   start of each scheduled cycle, resolving a link event's `(u, v)` to
 //!   its two directed ports (`link_ports`) when it fires and flipping
 //!   the per-port `link_up` masks.
@@ -85,18 +87,17 @@ pub(crate) fn assert_vc_budget(cfg: &SimConfig, routing: Routing, need: u32, dia
     );
 }
 
-/// Transient-fault state and counters. One inert instance
-/// ([`FaultCtl::default`]: empty vectors, no events) exists on every
-/// non-transient engine so the hot paths can gate on `Engine::transient`
-/// without `Option` juggling.
+/// Transient-fault state and counters. On a healthy or static-failure
+/// engine the queue is empty and `draining` unallocated, so the hot
+/// paths can gate on `Engine::transient` without `Option` juggling.
 #[derive(Default)]
 pub(crate) struct FaultCtl {
-    /// The schedule's resolved transitions, in cycle order.
+    /// The schedule's resolved transitions after cycle 0, in cycle order.
     pub(crate) events: Vec<FaultEvent>,
     pub(crate) next_event: usize,
     /// Per sender's port, the wormhole claims still allowed to cross a
-    /// dead link under the drain policy (sized `num_ports` on transient
-    /// runs).
+    /// dead link under the drain policy (sized `num_ports` when `events`
+    /// is non-empty).
     pub(crate) draining: Vec<u32>,
     /// Cycle at which the pending table rebuild swaps in. Set by the
     /// *first* event of a burst and not postponed by later ones: a
@@ -116,11 +117,20 @@ pub(crate) struct FaultCtl {
 }
 
 impl FaultCtl {
-    /// Builds the event queue from a schedule.
+    /// Builds the event queue from a schedule: its events after cycle 0.
+    /// Every cycle-0 event is a `LinkDown` (a window's repair follows its
+    /// failure), so the cycle-0 state is the one `Engine::new` masks.
     pub(crate) fn from_schedule(schedule: &FaultSchedule, g: &Csr, num_ports: usize) -> FaultCtl {
+        let mut events = schedule.resolved_events(g);
+        events.retain(|e| e.cycle > 0);
+        let draining = if events.is_empty() {
+            Vec::new()
+        } else {
+            vec![0; num_ports]
+        };
         FaultCtl {
-            events: schedule.resolved_events(g),
-            draining: vec![0; num_ports],
+            events,
+            draining,
             ..Default::default()
         }
     }
@@ -146,44 +156,44 @@ impl Engine<'_> {
     /// by the burst's *first* event and not postponed by later ones — a
     /// rolling burst must not starve convergence.
     pub(crate) fn apply_fault_events(&mut self, cycle: u32) {
-        let mut applied = false;
+        let first = self.faults.next_event;
         while self.faults.next_event < self.faults.events.len()
             && self.faults.events[self.faults.next_event].cycle <= cycle
         {
             let ev = self.faults.events[self.faults.next_event];
             self.faults.next_event += 1;
-            applied |= match ev.kind {
+            match ev.kind {
                 FaultEventKind::LinkDown(u, v) => {
                     let (port_uv, port_vu) = link_ports(self.graph, &self.geom, u, v);
-                    self.fault_link_down(port_uv, port_vu)
+                    self.fault_link_down(port_uv, port_vu);
                 }
                 FaultEventKind::LinkUp(u, v) => {
                     let (port_uv, port_vu) = link_ports(self.graph, &self.geom, u, v);
                     self.fault_link_up(port_uv, port_vu);
-                    true
                 }
-            };
+            }
         }
-        if applied {
-            self.faults.pending_dirty = true;
-            if self.faults.pending_swap.is_none() {
-                self.faults.pending_swap = Some(cycle.saturating_add(self.cfg.convergence_delay));
-            }
-            // The fast-reroute oracle must reflect the newest residual
-            // whenever a stale next hop can be dead. With every link up
-            // the stale tables cannot point at a dead link, so the
-            // rebuild waits until the swap deadline.
-            if self.degraded {
-                self.build_pending_tables();
-            }
+        if self.faults.next_event == first {
+            return;
+        }
+        self.faults.pending_dirty = true;
+        if self.faults.pending_swap.is_none() {
+            self.faults.pending_swap = Some(cycle.saturating_add(self.cfg.convergence_delay));
+        }
+        // The fast-reroute oracle must reflect the newest residual
+        // whenever a stale next hop can be dead. With every link up
+        // the stale tables cannot point at a dead link, so the
+        // rebuild waits until the swap deadline.
+        if self.degraded {
+            self.faults.pending_tables = Some(self.build_pending_tables());
+            self.faults.pending_dirty = false;
         }
     }
 
-    /// Rebuilds `pending_tables` on the current residual (the same
-    /// constructor a run's tables come from, [`RouteTables::build_without`]).
-    /// The residual is read off `link_up`: a link is down iff its directed
-    /// ports are.
-    fn build_pending_tables(&mut self) {
+    /// Tables on the current residual (the same constructor a run's
+    /// tables come from, [`RouteTables::build_without`]). The residual is
+    /// read off `link_up`: a link is down iff its directed ports are.
+    fn build_pending_tables(&self) -> RouteTables {
         let mut down = Vec::new();
         for u in 0..self.n as u32 {
             for (i, &v) in self.graph.neighbors(u).iter().enumerate() {
@@ -203,8 +213,7 @@ impl Engine<'_> {
             self.routing.max_hops(diameter),
             diameter,
         );
-        self.faults.pending_tables = Some(new);
-        self.faults.pending_dirty = false;
+        new
     }
 
     /// Atomically swaps the pending tables in as the serving tables once
@@ -217,39 +226,24 @@ impl Engine<'_> {
             return;
         }
         self.faults.pending_swap = None;
-        if self.faults.pending_dirty || self.faults.pending_tables.is_none() {
-            self.build_pending_tables();
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "`build_pending_tables` just filled the slot; an empty one is a re-convergence bug where a panic beats serving stale tables forever"
-        )]
-        let new = self
-            .faults
-            .pending_tables
-            .take()
-            .expect("pending tables built above");
+        let new = match self.faults.pending_tables.take() {
+            Some(current) if !self.faults.pending_dirty => current,
+            _ => self.build_pending_tables(),
+        };
         self.tables = Cow::Owned(new);
         self.faults.table_swaps += 1;
     }
 
-    /// Returns whether the event changed network state: the cycle-0
-    /// windows of a schedule were already masked at construction (and
-    /// baked into the caller-built tables), so they must not trigger a
-    /// pointless rebuild-and-swap.
-    fn fault_link_down(&mut self, port_uv: u32, port_vu: u32) -> bool {
-        let already_down = !self.link_up[port_uv as usize];
+    /// A queued link's failure. Merged windows never take a link down
+    /// twice, and the cycle-0 state is not queued, so the link was up.
+    fn fault_link_down(&mut self, port_uv: u32, port_vu: u32) {
         self.link_up[port_uv as usize] = false;
         self.link_up[port_vu as usize] = false;
         self.degraded = true;
-        if already_down {
-            return false;
-        }
         match self.cfg.fault_policy {
             InFlightPolicy::Drain => self.count_draining(port_uv, port_vu),
             InFlightPolicy::DropRetransmit => self.drop_and_retransmit(&[port_uv, port_vu]),
         }
-        true
     }
 
     fn fault_link_up(&mut self, port_uv: u32, port_vu: u32) {

@@ -5,7 +5,7 @@
 
 use crate::traffic::TrafficPattern;
 use crate::{Engine, Routing, SimConfig};
-use pf_graph::FaultSchedule;
+use pf_graph::{FailureSet, FaultSchedule};
 use pf_topo::{PolarFlyTopo, SlimFly};
 
 /// A cycle-0 link window and two touching windows on one link, stepped
@@ -55,7 +55,10 @@ fn masks_follow_the_schedule_every_cycle() {
 /// serving tables — and the pending fast-reroute tables while a
 /// re-convergence is staged — route every pair at every cycle. This is
 /// why the engine filters neither detour intermediates nor injections
-/// on reachability.
+/// on reachability. And whenever a serving port's link is down, pending
+/// tables exist and their port for the pair is live: the one backup
+/// route fast reroute reads. The schedule opens one window at cycle 0,
+/// which the engine masks at construction and does not queue.
 #[test]
 fn every_table_routes_every_pair_every_cycle() {
     let topos = [
@@ -69,13 +72,28 @@ fn every_table_routes_every_pair_every_cycle() {
     for healthy in &topos {
         let g = healthy.graph();
         let n = g.vertex_count() as u32;
-        let schedule = FaultSchedule::sample_connected_links(g, 0.1, 300, 150, 13);
+        // The draw behind the schedule: a second window on its first link
+        // keeps every fault state inside it, so connected.
+        let (u, v) = FailureSet::sample_connected(g, 0.1, 13).edges()[0];
+        let schedule =
+            FaultSchedule::sample_connected_links(g, 0.1, 300, 150, 13).link_fault(u, v, 0, 60);
         let topo = healthy.with_faults(schedule).unwrap();
         let (tables, dests) = crate::sweep::resolve_run(&topo, TrafficPattern::Uniform, cfg.seed);
         for routing in [Routing::CompactValiant, Routing::UgalPf] {
             let mut e = Engine::new(&topo, &tables, &dests, routing, 0.3, cfg.clone());
+            let what = format!("{} {}", topo.name(), routing.label());
             assert!(e.transient);
+            let (port_uv, _) = crate::faults::link_ports(g, &e.geom, u, v);
+            assert!(
+                !e.link_up[port_uv as usize],
+                "{what}: cycle-0 link not masked"
+            );
+            assert!(
+                e.faults.events.iter().all(|ev| ev.cycle > 0),
+                "{what}: a cycle-0 event is queued"
+            );
             let mut pending_seen = 0;
+            let mut stale_dead = 0;
             while e.cycle() < 600 {
                 e.step();
                 let c = e.cycle() - 1;
@@ -86,17 +104,29 @@ fn every_table_routes_every_pair_every_cycle() {
                         for d in (0..n).filter(|&d| d != s) {
                             assert!(
                                 t.port(s, d).is_some(),
-                                "{} {}: cycle {c}: no port {s} -> {d}",
-                                topo.name(),
-                                routing.label()
+                                "{what}: cycle {c}: no port {s} -> {d}"
                             );
                         }
                     }
                 }
+                let live = |s: u32, i: usize| e.link_up[e.geom.tx(s, i) as usize];
+                for s in 0..n {
+                    for d in (0..n).filter(|&d| d != s) {
+                        if live(s, e.tables.port(s, d).unwrap()) {
+                            continue;
+                        }
+                        stale_dead += 1;
+                        let backup = pending.and_then(|t| t.port(s, d));
+                        assert!(
+                            backup.is_some_and(|i| live(s, i)),
+                            "{what}: cycle {c}: {s} -> {d} serves a dead port with no live backup"
+                        );
+                    }
+                }
             }
-            let what = format!("{} {}", topo.name(), routing.label());
             assert!(e.table_swaps() > 0, "{what}: no re-convergence");
             assert!(pending_seen > 0, "{what}: no staged tables");
+            assert!(stale_dead > 0, "{what}: no serving port ever died");
         }
     }
 }

@@ -22,6 +22,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// A local output-port index at a router (position in its neighbor list).
+/// `Port::MAX` names no port: only [`Routing::MinAdaptive`] returns it,
+/// and only on stale tables inside a re-convergence window, when no live
+/// link lies on a stale minimal path.
 pub type Port = u32;
 
 /// Read-only network view handed to routing decisions.
@@ -64,26 +67,37 @@ pub struct NetState<'e> {
 }
 
 impl NetState<'_> {
+    /// Occupied flits in the first `vcs` VCs of the sender's port `link`.
+    fn occupied(&self, link: usize, vcs: usize) -> u32 {
+        let base = link * self.vcs;
+        self.credits[base..base + vcs]
+            .iter()
+            .map(|&c| self.cap_per_vc - u32::from(c))
+            .sum()
+    }
+
+    /// Occupied flits in the first `vcs` VCs of the table's minimal
+    /// output toward `d` plus the source-queue backlog charged to that
+    /// link (in flits); 0 when the tables cannot route the pair.
+    fn queued_toward(&self, r: u32, d: u32, vcs: usize) -> u32 {
+        let Some(i) = self.tables.port(r, d) else {
+            return 0;
+        };
+        let link = self.geom.tx(r, i) as usize;
+        self.occupied(link, vcs) + self.inj_wait[link] * u32::from(self.packet_flits)
+    }
+
     /// Occupied flits across all VCs of the link toward neighbor-index `i`
     /// of router `r` — the congestion signal UGAL uses.
     pub fn link_occupancy(&self, r: u32, i: usize) -> u32 {
-        let link = self.geom.tx(r, i) as usize;
-        let mut occ = 0;
-        for vc in 0..self.vcs {
-            occ += self.cap_per_vc - u32::from(self.credits[link * self.vcs + vc]);
-        }
-        occ
+        self.occupied(self.geom.tx(r, i) as usize, self.vcs)
     }
 
     /// UGAL congestion signal toward `d`: downstream buffer occupancy of
     /// the table's minimal output plus the source-queue backlog charged
     /// to that link (in flits); 0 when the tables cannot route the pair.
     pub fn occupancy_toward(&self, r: u32, d: u32) -> u32 {
-        let Some(i) = self.tables.port(r, d) else {
-            return 0;
-        };
-        let link = self.geom.tx(r, i);
-        self.link_occupancy(r, i) + self.inj_wait[link as usize] * u32::from(self.packet_flits)
+        self.queued_toward(r, d, self.vcs)
     }
 
     /// Occupied flits in the class-0 (injection) VCs of the table's
@@ -91,15 +105,7 @@ impl NetState<'_> {
     /// congestion signal for the UGAL-PF threshold; 0 when the tables
     /// cannot route the pair.
     pub fn class0_occupancy_toward(&self, r: u32, d: u32) -> u32 {
-        let Some(i) = self.tables.port(r, d) else {
-            return 0;
-        };
-        let link = self.geom.tx(r, i) as usize;
-        let mut occ = 0;
-        for vc in 0..self.per_class {
-            occ += self.cap_per_vc - u32::from(self.credits[link * self.vcs + vc]);
-        }
-        occ + self.inj_wait[link] * u32::from(self.packet_flits)
+        self.queued_toward(r, d, self.per_class)
     }
 
     /// Whether the physical link from `r` to its neighbor-index `i` is up.
@@ -109,14 +115,15 @@ impl NetState<'_> {
     }
 
     /// A uniformly random *live* neighbor of `r` (reservoir sampling over
-    /// unmasked links), or `None` if every incident link is down — which a
-    /// connected residual graph rules out.
-    pub fn random_live_neighbor(&self, r: u32, rng: &mut StdRng) -> Option<u32> {
+    /// unmasked links), or `r` itself if every incident link is down —
+    /// which a connected residual graph rules out; a detour through `r`
+    /// is routed minimally.
+    pub fn random_live_neighbor(&self, r: u32, rng: &mut StdRng) -> u32 {
         let nbrs = self.graph.neighbors(r);
         if !self.degraded {
-            return Some(nbrs[rng.gen_range(0..nbrs.len())]);
+            return nbrs[rng.gen_range(0..nbrs.len())];
         }
-        let mut chosen = None;
+        let mut chosen = r;
         let mut seen = 0u32;
         for (i, &w) in nbrs.iter().enumerate() {
             if !self.link_ok(r, i) {
@@ -124,7 +131,7 @@ impl NetState<'_> {
             }
             seen += 1;
             if rng.gen_range(0..seen) == 0 {
-                chosen = Some(w);
+                chosen = w;
             }
         }
         chosen
@@ -181,61 +188,22 @@ pub(crate) fn route_output(
     hop: HopContext,
     rng: &mut StdRng,
 ) -> Port {
-    if let Some(pt) = pending {
-        if pinned[pkt as usize] {
-            if let Some(i) = table_port(net, pt, hop) {
-                return i;
-            }
-            // Pending cannot route this pair (should not happen on a
-            // live-connected residual); greedy last resort.
-            return fallback_live_min(net, hop);
+    if pending.is_none() || !pinned[pkt as usize] {
+        let p = routing.next_output(net, hop, rng);
+        if !net.degraded || (p != Port::MAX && net.link_ok(hop.router, p as usize)) {
+            return p;
         }
+        // Stale next hop is dead: pin onto the backup (pending) tables.
+        pinned[pkt as usize] = true;
     }
-    let p = routing.next_output(net, hop, rng);
-    if !net.degraded || (p != Port::MAX && net.link_ok(hop.router, p as usize)) {
-        return p;
-    }
-    // Stale next hop is dead: pin onto the backup (pending) tables.
-    pinned[pkt as usize] = true;
-    if let Some(pt) = pending {
-        if let Some(i) = table_port(net, pt, hop) {
-            return i;
-        }
-    }
-    fallback_live_min(net, hop)
-}
-
-/// `tables`' port for this pair, if the pair is routable under them and
-/// the port's link is live.
-fn table_port(net: &NetState, tables: &RouteTables, hop: HopContext) -> Option<Port> {
-    let i = tables.port(hop.router, hop.target)?;
-    net.link_ok(hop.router, i).then_some(i as Port)
-}
-
-/// Greedy last resort: the live neighbor minimizing the (possibly
-/// stale) table distance to the target. Only reachable when no pending
-/// tables exist for a pair mid-window; deterministic first-minimum
-/// tie-break.
-fn fallback_live_min(net: &NetState, hop: HopContext) -> Port {
-    let mut best = Port::MAX;
-    let mut best_d = u32::MAX;
-    for (i, &w) in net.graph.neighbors(hop.router).iter().enumerate() {
-        if !net.link_ok(hop.router, i) {
-            continue;
-        }
-        let d = net.tables.dist(w, hop.target);
-        if d < best_d {
-            best_d = d;
-            best = i as Port;
-        }
-    }
-    assert_ne!(
-        best,
-        Port::MAX,
-        "router {} has no live links (disconnected fault state)",
-        hop.router
-    );
-    best
+    #[expect(
+        clippy::expect_used,
+        reason = "a serving hop dies only at a fault event on a degraded network, and every such event rebuilds the pending tables on the current residual, which `FaultSchedule::validate` keeps connected: they route every pair over live links"
+    )]
+    let i = pending
+        .and_then(|t| t.port(hop.router, hop.target))
+        .expect("pending tables route every pair of a connected residual");
+    i as Port
 }
 
 /// A uniformly random Valiant intermediate, distinct from both
@@ -308,7 +276,9 @@ impl Routing {
     }
 
     /// Chooses the local output port at `hop.router` toward `hop.target`
-    /// (`Port::MAX` when the serving tables cannot route the pair).
+    /// (`Port::MAX` when the serving tables cannot route the pair, which
+    /// a connected fault state leaves only to [`Routing::MinAdaptive`] on
+    /// stale tables).
     pub fn next_output(self, net: &NetState, hop: HopContext, rng: &mut StdRng) -> Port {
         match self {
             Routing::MinAdaptive => adaptive_min_output(net, hop, rng),
@@ -325,7 +295,7 @@ impl Routing {
             Routing::Min | Routing::MinAdaptive => RoutePlan::Minimal,
             Routing::Valiant => RoutePlan::Detour(random_mid(net, src, dst, rng)),
             Routing::CompactValiant if net.tables.next_hop(src, dst) == dst => RoutePlan::Minimal,
-            Routing::CompactValiant => neighbor_detour(net, src, rng),
+            Routing::CompactValiant => RoutePlan::Detour(net.random_live_neighbor(src, rng)),
             Routing::Ugal => {
                 let mid = random_mid(net, src, dst, rng);
                 let h_min = net.tables.dist(src, dst);
@@ -353,7 +323,7 @@ impl Routing {
                     // Valiant — 4-hop detours, as Fig. 9b describes.
                     RoutePlan::Detour(random_mid(net, src, dst, rng))
                 } else {
-                    neighbor_detour(net, src, rng)
+                    RoutePlan::Detour(net.random_live_neighbor(src, rng))
                 }
             }
         }
@@ -378,13 +348,6 @@ impl Routing {
             Routing::Valiant | Routing::Ugal | Routing::UgalPf => 2 * diameter,
         }
     }
-}
-
-/// A detour through a random live neighbor of `src` (minimal if it has
-/// none).
-fn neighbor_detour(net: &NetState, src: u32, rng: &mut StdRng) -> RoutePlan {
-    net.random_live_neighbor(src, rng)
-        .map_or(RoutePlan::Minimal, RoutePlan::Detour)
 }
 
 /// [`Routing::MinAdaptive`]'s hop: the minimal next hop with the fewest

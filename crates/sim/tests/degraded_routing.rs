@@ -10,13 +10,13 @@
 mod common;
 
 use common::assert_bit_identical;
-use pf_graph::{bfs, FailureSet, FaultSchedule};
+use pf_graph::{bfs, Csr, FailureSet, FaultSchedule};
 use pf_sim::engine::Engine;
 use pf_sim::router::PortMap;
 use pf_sim::tables::RouteTables;
 use pf_sim::traffic::{resolve, TrafficPattern};
 use pf_sim::{load_curve, simulate, HopContext, NetState, Routing, SimConfig};
-use pf_topo::{PolarFlyTopo, Topology};
+use pf_topo::{named, GraphTopo, PolarFlyTopo, Topology};
 use polarfly::routing::next_hop_minimal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -178,6 +178,31 @@ fn residual_indexed_tables_are_refused() {
         0.1,
         degraded_cfg(),
     );
+}
+
+/// Tables of another graph with the same router and link counts — the
+/// Petersen graph's on the 5-prism, both 10 routers and 15 links — would
+/// read every hop as a wrong port: the engine refuses them too.
+#[test]
+#[should_panic(expected = "physical graph's rows")]
+fn tables_of_another_graph_of_the_same_size_are_refused() {
+    let edges = (0..5u32)
+        .flat_map(|i| [(i, (i + 1) % 5), (i + 5, (i + 1) % 5 + 5), (i, i + 5)])
+        .collect();
+    let prism = GraphTopo::new("prism5", Csr::from_edges(10, edges), 1);
+    let petersen = named::petersen();
+    assert_eq!(
+        (petersen.vertex_count(), petersen.edge_count()),
+        (10, prism.graph().edge_count())
+    );
+    let tables = RouteTables::build(&petersen, 11);
+    let dests = resolve(
+        TrafficPattern::Uniform,
+        prism.graph(),
+        &prism.host_routers(),
+        11,
+    );
+    Engine::new(&prism, &tables, &dests, Routing::Min, 0.1, degraded_cfg());
 }
 
 #[test]
